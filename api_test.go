@@ -344,11 +344,11 @@ func TestTypedErrors(t *testing.T) {
 func TestDeprecatedExecuteShim(t *testing.T) {
 	e := New(Config{Mode: Speculative})
 	loadSales(e, 5000)
-	r1, err := e.Execute(revenueByRegion(10))
+	r1, err := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := e.Execute(revenueByRegion(10))
+	r2, err := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,7 +209,7 @@ func BenchmarkQueryOff(b *testing.B) {
 	q := tpch.Build(tpch.Params{Q: 6, Date: mustDate("1994-01-01"), Float1: 0.06, Int1: 24})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Execute(q); err != nil {
+		if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,12 +220,12 @@ func BenchmarkQueryOff(b *testing.B) {
 func BenchmarkQueryRecycled(b *testing.B) {
 	eng := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Speculative}, benchCatalog)
 	q := tpch.Build(tpch.Params{Q: 6, Date: mustDate("1994-01-01"), Float1: 0.06, Int1: 24})
-	if _, err := eng.Execute(q); err != nil {
+	if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Execute(q); err != nil {
+		if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func BenchmarkStoreOverhead(b *testing.B) {
 	b.Run("passthrough", func(b *testing.B) {
 		eng := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Off}, benchCatalog)
 		for i := 0; i < b.N; i++ {
-			if _, err := eng.Execute(q); err != nil {
+			if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -250,7 +250,7 @@ func BenchmarkStoreOverhead(b *testing.B) {
 			// rather than reusing.
 			eng := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Speculative}, benchCatalog)
 			b.StartTimer()
-			if _, err := eng.Execute(q); err != nil {
+			if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -350,7 +350,7 @@ func BenchmarkAblationAdmitAll(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Speculative, CacheBytes: 64 << 10}, cat)
 			for _, q := range queries {
-				if _, err := eng.Execute(q.Plan); err != nil {
+				if _, err := eng.ExecuteContext(context.Background(), q.Plan); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package recycledb
 
 import (
+	"context"
 	"testing"
 
 	"recycledb/internal/catalog"
@@ -58,7 +59,7 @@ func dslEngine(t *testing.T) *Engine {
 
 func mustRun(t *testing.T, e *Engine, q *Plan) *Result {
 	t.Helper()
-	r, err := e.Execute(q)
+	r, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatalf("execute: %v\nplan:\n%s", err, q)
 	}
@@ -173,13 +174,13 @@ func TestDSLFullSurface(t *testing.T) {
 
 func TestDSLErrorsSurface(t *testing.T) {
 	e := dslEngine(t)
-	if _, err := e.Execute(Scan("missing")); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Scan("missing")); err == nil {
 		t.Fatal("unknown table must error")
 	}
-	if _, err := e.Execute(Select(Scan("orders"), Col("amount"))); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Select(Scan("orders"), Col("amount"))); err == nil {
 		t.Fatal("non-boolean predicate must error")
 	}
-	if _, err := e.Execute(Join(Scan("orders"), Scan("orders"), nil, nil)); err == nil {
+	if _, err := e.ExecuteContext(context.Background(), Join(Scan("orders"), Scan("orders"), nil, nil)); err == nil {
 		t.Fatal("self cross join with duplicate columns must error")
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"recycledb"
 
 	"recycledb/internal/catalog"
-	"recycledb/internal/envflag"
 	"recycledb/internal/harness"
 	"recycledb/internal/monet"
 	"recycledb/internal/server"
@@ -64,13 +63,7 @@ func main() {
 		writeFrac = flag.Float64("write-frac", 0.1, "write fraction of the -json churn section (0 disables it)")
 		par       = flag.Int("parallelism", 0, "intra-query worker budget for -json (0 = GOMAXPROCS)")
 		scaleOff  = flag.Bool("no-scaling", false, "skip the intra-query scaling sweep in -json")
-		noFuse    = flag.Bool("disable-fusion", envflag.Bool(envflag.DisableFusion),
-			"disable push-based loop fusion in benchmarked engines (also via RECYCLEDB_DISABLE_FUSION=1)")
-		noKern = flag.Bool("disable-kernels", envflag.Bool(envflag.DisableKernels),
-			"disable type-specialized compute kernels in benchmarked engines (also via RECYCLEDB_DISABLE_KERNELS=1)")
-		fusionMode  = flag.Bool("fusion", false, "run the fused-vs-unfused comparison and write BENCH_<date>_fusion.json")
-		kernelsMode = flag.Bool("kernels", false, "run the kernels-on-vs-off comparison and write BENCH_<date>_kernels.json")
-		optMode     = flag.Bool("optimizer", false, "run the optimized-vs-unoptimized comparison and write BENCH_<date>_optimizer.json")
+		optMode   = flag.Bool("optimizer", false, "run the optimized-vs-unoptimized comparison and write BENCH_<date>_optimizer.json")
 	)
 	flag.Parse()
 
@@ -80,26 +73,14 @@ func main() {
 		}
 		return
 	}
-	if *fusionMode {
-		if err := runFusionBench(*jsonOut, *bqueries, *sf, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *kernelsMode {
-		if err := runKernelsBench(*jsonOut, *bqueries, *sf, *seed); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *serverMode {
-		if err := runServerBench(*jsonOut, *serverAddr, *clients, *bqueries, *sf, *skyObjects, *seed, *par, *noFuse, *noKern); err != nil {
+		if err := runServerBench(*jsonOut, *serverAddr, *clients, *bqueries, *sf, *skyObjects, *seed, *par); err != nil {
 			fatal(err)
 		}
 		return
 	}
 	if *jsonMode {
-		if err := runJSON(*jsonOut, *clients, *bqueries, *sf, *seed, *writeFrac, *par, !*scaleOff, *noFuse, *noKern); err != nil {
+		if err := runJSON(*jsonOut, *clients, *bqueries, *sf, *seed, *writeFrac, *par, !*scaleOff); err != nil {
 			fatal(err)
 		}
 		return
@@ -225,11 +206,6 @@ type benchReport struct {
 	// Parallelism is the intra-query worker budget of the modes runs
 	// (0 = GOMAXPROCS).
 	Parallelism int `json:"parallelism"`
-	// DisableFusion records whether the runs bypassed the fused push loops.
-	DisableFusion bool `json:"disable_fusion"`
-	// DisableKernels records whether the runs bypassed the type-specialized
-	// compute kernels.
-	DisableKernels bool `json:"disable_kernels"`
 	// Churn measures recycling under append-only updates: the pipelined
 	// recycler's lineage-based invalidation with delta extension keeps a
 	// nonzero hit rate, while the monet-style invalidate-all baseline
@@ -256,7 +232,7 @@ type scaleRow struct {
 // runtime.MemStats delta across the timed run divided by completed queries,
 // so the number covers the whole serving path (parse-free: plans come from
 // the mix, so this isolates rewrite+execute).
-func runJSON(out string, clients int, queries int64, sf float64, seed int64, writeFrac float64, parallelism int, scaling, noFuse, noKern bool) error {
+func runJSON(out string, clients int, queries int64, sf float64, seed int64, writeFrac float64, parallelism int, scaling bool) error {
 	if out == "" {
 		out = fmt.Sprintf("BENCH_%s.json", time.Now().Format("2006-01-02"))
 	}
@@ -265,20 +241,19 @@ func runJSON(out string, clients int, queries int64, sf float64, seed int64, wri
 	cfg.Seed = seed
 	cat := harness.LoadTPCH(cfg)
 	rep := benchReport{
-		Date:           time.Now().Format("2006-01-02"),
-		GoVersion:      runtime.Version(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		Clients:        clients,
-		Queries:        queries,
-		SF:             sf,
-		Seed:           seed,
-		Parallelism:    parallelism,
-		DisableFusion:  noFuse,
-		DisableKernels: noKern,
+		Date:        time.Now().Format("2006-01-02"),
+		GoVersion:   runtime.Version(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		NumCPU:      runtime.NumCPU(),
+		Clients:     clients,
+		Queries:     queries,
+		SF:          sf,
+		Seed:        seed,
+		Parallelism: parallelism,
 	}
 	for _, mode := range harness.Modes {
-		eng := harness.NewEngineKernels(cat, mode, cfg.CacheBytes, parallelism, noFuse, noKern)
+		eng := recycledb.NewWithCatalog(recycledb.Config{
+			Mode: mode, CacheBytes: cfg.CacheBytes, Parallelism: parallelism}, cat)
 		mix := harness.TPCHMix(4, 1)
 		exec := harness.EngineExec(eng)
 		// Warm plan pools and (in recycling modes) the cache so the timed
@@ -416,19 +391,17 @@ type serverBenchMode struct {
 
 // serverBenchReport is the BENCH_<date>_server.json document.
 type serverBenchReport struct {
-	Date           string            `json:"date"`
-	GoVersion      string            `json:"go"`
-	GOMAXPROCS     int               `json:"gomaxprocs"`
-	NumCPU         int               `json:"num_cpu"`
-	Clients        int               `json:"clients"`
-	Queries        int64             `json:"queries_per_mode"`
-	SF             float64           `json:"sf"`
-	SkyObjects     int               `json:"sky_objects"`
-	Seed           int64             `json:"seed"`
-	Transport      string            `json:"transport"`
-	DisableFusion  bool              `json:"disable_fusion"`
-	DisableKernels bool              `json:"disable_kernels"`
-	Modes          []serverBenchMode `json:"modes"`
+	Date       string            `json:"date"`
+	GoVersion  string            `json:"go"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	NumCPU     int               `json:"num_cpu"`
+	Clients    int               `json:"clients"`
+	Queries    int64             `json:"queries_per_mode"`
+	SF         float64           `json:"sf"`
+	SkyObjects int               `json:"sky_objects"`
+	Seed       int64             `json:"seed"`
+	Transport  string            `json:"transport"`
+	Modes      []serverBenchMode `json:"modes"`
 }
 
 // runServerBench measures the serving tier end to end: per recycling mode it
@@ -437,23 +410,21 @@ type serverBenchReport struct {
 // prepared statements reused per connection), and records throughput and
 // latency percentiles. With addr set it instead benchmarks an external
 // server once — whatever mode that server is running.
-func runServerBench(out, addr string, clients int, queries int64, sf float64, skyObjects int, seed int64, parallelism int, noFuse, noKern bool) error {
+func runServerBench(out, addr string, clients int, queries int64, sf float64, skyObjects int, seed int64, parallelism int) error {
 	if out == "" {
 		out = fmt.Sprintf("BENCH_%s_server.json", time.Now().Format("2006-01-02"))
 	}
 	rep := serverBenchReport{
-		Date:           time.Now().Format("2006-01-02"),
-		GoVersion:      runtime.Version(),
-		GOMAXPROCS:     runtime.GOMAXPROCS(0),
-		NumCPU:         runtime.NumCPU(),
-		Clients:        clients,
-		Queries:        queries,
-		SF:             sf,
-		SkyObjects:     skyObjects,
-		Seed:           seed,
-		Transport:      "pgwire/tcp",
-		DisableFusion:  noFuse,
-		DisableKernels: noKern,
+		Date:       time.Now().Format("2006-01-02"),
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		Clients:    clients,
+		Queries:    queries,
+		SF:         sf,
+		SkyObjects: skyObjects,
+		Seed:       seed,
+		Transport:  "pgwire/tcp",
 	}
 	mix := harness.MixedSQLMix(4, seed)
 	measure := func(label, target string, stats func() server.Stats) error {
@@ -499,7 +470,7 @@ func runServerBench(out, addr string, clients int, queries int64, sf float64, sk
 	} else {
 		cat := harness.MixedCatalog(sf, skyObjects, seed)
 		for _, mode := range harness.Modes {
-			eng := harness.NewEngineKernels(cat, mode, 0, parallelism, noFuse, noKern)
+			eng := recycledb.NewWithCatalog(recycledb.Config{Mode: mode, Parallelism: parallelism}, cat)
 			srv := server.New(eng, server.Config{})
 			lis, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
@@ -543,102 +514,6 @@ func parseStreams(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "recycledb-bench:", err)
 	os.Exit(1)
-}
-
-// fusionRow is one (workers, fused) cell of the loop-fusion comparison.
-type fusionRow struct {
-	Workers       int     `json:"workers"`
-	Fused         bool    `json:"fused"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	P50Micros     int64   `json:"p50_us"`
-	P95Micros     int64   `json:"p95_us"`
-	// SpeedupVsUnfused is q/s relative to the unfused run at the same
-	// worker count (set on fused rows).
-	SpeedupVsUnfused float64 `json:"speedup_vs_unfused,omitempty"`
-}
-
-// fusionReport is the BENCH_<date>_fusion.json document.
-type fusionReport struct {
-	Date       string       `json:"date"`
-	GoVersion  string       `json:"go"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	NumCPU     int          `json:"num_cpu"`
-	Clients    int          `json:"clients"`
-	Queries    int64        `json:"queries_per_cell"`
-	SF         float64      `json:"sf"`
-	Seed       int64        `json:"seed"`
-	Mode       string       `json:"mode"`
-	Rows       []*fusionRow `json:"fusion"`
-}
-
-// runFusionBench measures push-based loop fusion against the chained
-// operator pipelines it replaced: recycling OFF (every query is a cache
-// miss, so per-query latency is pure execution), one client (the statement
-// owns the worker budget), at parallelism 1 (serial FusedPipeline/FusedAgg
-// roots) and 8 (fused morsel workers under Exchange/ParallelAgg).
-func runFusionBench(out string, queries int64, sf float64, seed int64) error {
-	if out == "" {
-		out = fmt.Sprintf("BENCH_%s_fusion.json", time.Now().Format("2006-01-02"))
-	}
-	cfg := harness.DefaultTPCH()
-	cfg.SF = sf
-	cfg.Seed = seed
-	cat := harness.LoadTPCH(cfg)
-	rep := fusionReport{
-		Date:       time.Now().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Clients:    1,
-		Queries:    queries,
-		SF:         sf,
-		Seed:       seed,
-		Mode:       "off",
-	}
-	fmt.Printf("--- loop fusion (mode off, 1 client) ---\n")
-	for _, workers := range []int{1, 8} {
-		base := 0.0
-		for _, fused := range []bool{false, true} {
-			eng := harness.NewEngineFusion(cat, recycledb.Off, cfg.CacheBytes, workers, !fused)
-			mix := harness.TPCHMix(4, 1)
-			exec := harness.EngineExec(eng)
-			workload.RunClients(workload.ClientsConfig{
-				Clients: 1, MaxQueries: 32, Seed: seed + 7,
-			}, mix, exec) // warm plan pools and batch pools
-			res := workload.RunClients(workload.ClientsConfig{
-				Clients: 1, MaxQueries: queries, Seed: seed,
-			}, mix, exec)
-			row := &fusionRow{
-				Workers:       workers,
-				Fused:         fused,
-				QueriesPerSec: res.QPS(),
-				P50Micros:     res.Percentile(50).Microseconds(),
-				P95Micros:     res.Percentile(95).Microseconds(),
-			}
-			if !fused {
-				base = row.QueriesPerSec
-			} else if base > 0 {
-				row.SpeedupVsUnfused = row.QueriesPerSec / base
-			}
-			rep.Rows = append(rep.Rows, row)
-			label := "unfused"
-			if fused {
-				label = "fused"
-			}
-			fmt.Printf("%2d workers %-8s %8.0f q/s  p50 %6dus  p95 %6dus  speedup %.2fx\n",
-				workers, label, row.QueriesPerSec, row.P50Micros, row.P95Micros, row.SpeedupVsUnfused)
-		}
-	}
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }
 
 // optRow is one (mode, optimized) cell of the optimizer comparison.
@@ -704,7 +579,8 @@ func runOptimizerBench(out string, clients int, queries int64, sf float64, skyOb
 	}
 
 	cell := func(cat *catalog.Catalog, mode recycledb.Mode, optimized bool, frac float64) *optRow {
-		eng := harness.NewEngineOpt(cat, mode, cfg.CacheBytes, 0, !optimized)
+		eng := recycledb.NewWithCatalog(recycledb.Config{
+			Mode: mode, CacheBytes: cfg.CacheBytes, DisableOptimizer: !optimized}, cat)
 		mix := harness.OptimizerMix(4, 1)
 		exec := harness.EngineExec(eng)
 		var wr workload.WriteFunc
@@ -798,7 +674,8 @@ func runScaling(rep *benchReport, queries int64, cat *catalog.Catalog, cacheByte
 	for _, mode := range harness.Modes {
 		base := 0.0
 		for _, workers := range []int{1, 2, 4, 8, 16} {
-			eng := harness.NewEngineParallel(cat, mode, cacheBytes, workers)
+			eng := recycledb.NewWithCatalog(recycledb.Config{
+				Mode: mode, CacheBytes: cacheBytes, Parallelism: workers}, cat)
 			mix := harness.TPCHMix(4, 1)
 			exec := harness.EngineExec(eng)
 			workload.RunClients(workload.ClientsConfig{

@@ -45,12 +45,8 @@ func main() {
 		objects = flag.Int("objects", 20000, "SkyServer PhotoPrimary size to preload")
 		seed    = flag.Int64("seed", 1, "data generation seed")
 		par     = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS)")
-		noFuse  = flag.Bool("disable-fusion", envflag.Bool(envflag.DisableFusion),
-			"disable push-based loop fusion of pipeline interiors (also via RECYCLEDB_DISABLE_FUSION=1)")
-		noOpt = flag.Bool("disable-optimizer", envflag.Bool(envflag.DisableOptimizer),
+		noOpt   = flag.Bool("disable-optimizer", envflag.Bool(envflag.DisableOptimizer),
 			"disable the recycler-aware plan optimizer (also via RECYCLEDB_DISABLE_OPTIMIZER=1)")
-		noKern = flag.Bool("disable-kernels", envflag.Bool(envflag.DisableKernels),
-			"disable type-specialized compute kernels (also via RECYCLEDB_DISABLE_KERNELS=1)")
 		cacheMB     = flag.Int64("cache-mb", 0, "recycler cache budget in MiB (0 = default 256)")
 		maxConns    = flag.Int("max-conns", 0, "connection cap (0 = unlimited)")
 		maxConc     = flag.Int("max-concurrent", 0, "executing-statement cap (0 = 4x workers, -1 = unlimited)")
@@ -67,8 +63,6 @@ func main() {
 		Mode:             parseMode(*mode),
 		Parallelism:      *par,
 		CacheBytes:       *cacheMB << 20,
-		DisableFusion:    *noFuse,
-		DisableKernels:   *noKern,
 		DisableOptimizer: *noOpt,
 	}, cat)
 	srv := server.New(eng, server.Config{
@@ -85,14 +79,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	onOff := func(off bool) string {
-		if off {
-			return "off"
-		}
-		return "on"
-	}
-	log.Printf("serving pgwire on %s (mode=%s, workers=%d, max-concurrent=%d, fusion=%s, kernels=%s, optimizer=%s)",
-		lis.Addr(), eng.Mode(), eng.Workers(), srv.MaxConcurrent(), onOff(*noFuse), onOff(*noKern), onOff(*noOpt))
+	log.Printf("serving pgwire on %s (mode=%s, workers=%d, max-concurrent=%d, optimizer=%t)",
+		lis.Addr(), eng.Mode(), eng.Workers(), srv.MaxConcurrent(), !*noOpt)
 	log.Printf("connect with: psql -h %s -p %s -U recycle", hostOf(lis.Addr().String()), portOf(lis.Addr().String()))
 
 	err = srv.Serve(ctx, lis)

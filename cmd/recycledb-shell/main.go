@@ -50,15 +50,11 @@ func main() {
 		par       = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS, 1 = serial)")
 		noOpt     = flag.Bool("disable-optimizer", envflag.Bool(envflag.DisableOptimizer),
 			"disable the recycler-aware plan optimizer (also via RECYCLEDB_DISABLE_OPTIMIZER=1)")
-		noFuse = flag.Bool("disable-fusion", envflag.Bool(envflag.DisableFusion),
-			"disable push-based loop fusion of pipeline interiors (also via RECYCLEDB_DISABLE_FUSION=1)")
-		noKern = flag.Bool("disable-kernels", envflag.Bool(envflag.DisableKernels),
-			"disable type-specialized compute kernels (also via RECYCLEDB_DISABLE_KERNELS=1)")
 	)
 	flag.Parse()
 
 	eng := recycledb.New(recycledb.Config{Mode: parseMode(*mode), Parallelism: *par,
-		DisableOptimizer: *noOpt, DisableFusion: *noFuse, DisableKernels: *noKern})
+		DisableOptimizer: *noOpt})
 	fmt.Printf("loading TPC-H sf=%g ...\n", *sf)
 	tpch.Generate(eng.Catalog(), *sf, 1)
 	if *clients > 0 {

@@ -100,8 +100,7 @@ func (e *Engine) execDML(ctx context.Context, c *sql.Compiled, args []vector.Dat
 		// Matching runs over a statement snapshot; rows another writer
 		// deletes in between are deduplicated by the commit, so the
 		// reported count is exactly the rows this statement removed.
-		ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool,
-			DisableKernels: e.noKern}
+		ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool}
 		matches, err := exec.MatchingRows(ectx, t, pred)
 		if err != nil {
 			return 0, wrapRunError(err)

@@ -1,6 +1,7 @@
 package recycledb
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -92,7 +93,7 @@ func sameResults(t *testing.T, a, b *Result) {
 func TestExecuteOffMode(t *testing.T) {
 	e := New(Config{Mode: Off})
 	loadSales(e, 5000)
-	r, err := e.Execute(revenueByRegion(10))
+	r, err := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,14 +108,14 @@ func TestExecuteOffMode(t *testing.T) {
 func TestSpeculativeReusesFinalResult(t *testing.T) {
 	e := New(Config{Mode: Speculative})
 	loadSales(e, 5000)
-	r1, err := e.Execute(revenueByRegion(10))
+	r1, err := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Stats.SpecStores == 0 {
 		t.Fatal("first run should speculate on the aggregate")
 	}
-	r2, err := e.Execute(revenueByRegion(10))
+	r2, err := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +128,15 @@ func TestSpeculativeReusesFinalResult(t *testing.T) {
 func TestHistoryStoresOnSecondSight(t *testing.T) {
 	e := New(Config{Mode: History})
 	loadSales(e, 5000)
-	r1, _ := e.Execute(revenueByRegion(10))
+	r1, _ := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if r1.Stats.Stores != 0 || r1.Stats.Reused != 0 {
 		t.Fatalf("first sight must not store (stats: %+v)", r1.Stats)
 	}
-	r2, _ := e.Execute(revenueByRegion(10))
+	r2, _ := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if r2.Stats.Stores == 0 {
 		t.Fatalf("second sight should store (stats: %+v)", r2.Stats)
 	}
-	r3, _ := e.Execute(revenueByRegion(10))
+	r3, _ := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if r3.Stats.Reused == 0 {
 		t.Fatalf("third sight should reuse (stats: %+v)", r3.Stats)
 	}
@@ -162,7 +163,7 @@ func TestModesAgreeOnResults(t *testing.T) {
 	loadSales(baseline, 8000)
 	var want []*Result
 	for _, q := range queries() {
-		r, err := baseline.Execute(q)
+		r, err := baseline.ExecuteContext(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestModesAgreeOnResults(t *testing.T) {
 		// Run the workload three times so recycling kicks in.
 		for round := 0; round < 3; round++ {
 			for qi, q := range queries() {
-				r, err := e.Execute(q)
+				r, err := e.ExecuteContext(context.Background(), q)
 				if err != nil {
 					t.Fatalf("mode %v round %d query %d: %v", mode, round, qi, err)
 				}
@@ -192,15 +193,15 @@ func TestSubsumptionSelectDerivation(t *testing.T) {
 	loadSales(e, 5000)
 	wide := Select(Scan("sales", "region", "amount"), Lt(Col("amount"), Float(90)))
 	// Run the wide selection twice so its result is cached.
-	if _, err := e.Execute(wide); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), wide); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Execute(wide); err != nil {
+	if _, err := e.ExecuteContext(context.Background(), wide); err != nil {
 		t.Fatal(err)
 	}
 	// A strictly narrower selection must derive from the cached one.
 	narrow := Select(Scan("sales", "region", "amount"), Lt(Col("amount"), Float(40)))
-	r, err := e.Execute(narrow)
+	r, err := e.ExecuteContext(context.Background(), narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +212,7 @@ func TestSubsumptionSelectDerivation(t *testing.T) {
 	// Correctness: compare to OFF baseline.
 	off := New(Config{Mode: Off})
 	loadSales(off, 5000)
-	wantR, _ := off.Execute(narrow)
+	wantR, _ := off.ExecuteContext(context.Background(), narrow)
 	if wantR.Rows() != r.Rows() {
 		t.Fatalf("subsumption result rows = %d, want %d", r.Rows(), wantR.Rows())
 	}
@@ -223,12 +224,12 @@ func TestSubsumptionAggReaggregation(t *testing.T) {
 	fine := Aggregate(Scan("sales", "region", "product", "qty"),
 		GroupBy("region", "product"),
 		Sum(Col("qty"), "total"), CountAll("n"))
-	e.Execute(fine)
-	e.Execute(fine) // cache it
+	e.ExecuteContext(context.Background(), fine)
+	e.ExecuteContext(context.Background(), fine) // cache it
 	coarse := Aggregate(Scan("sales", "region", "product", "qty"),
 		GroupBy("region"),
 		Sum(Col("qty"), "total"), CountAll("n"))
-	r, err := e.Execute(coarse)
+	r, err := e.ExecuteContext(context.Background(), coarse)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestSubsumptionAggReaggregation(t *testing.T) {
 	}
 	off := New(Config{Mode: Off})
 	loadSales(off, 5000)
-	want, _ := off.Execute(coarse)
+	want, _ := off.ExecuteContext(context.Background(), coarse)
 	sameResults(t, want, r)
 }
 
@@ -259,11 +260,11 @@ func TestProactiveBinning(t *testing.T) {
 	days := []string{"1998-03-01", "1998-04-15", "1998-02-10", "1998-03-01"}
 	sawProactive := false
 	for _, d := range days {
-		r, err := e.Execute(q(d))
+		r, err := e.ExecuteContext(context.Background(), q(d))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := off.Execute(q(d))
+		want, err := off.ExecuteContext(context.Background(), q(d))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,11 +296,11 @@ func TestProactiveCubeSelections(t *testing.T) {
 	regions := []string{"north", "south", "east", "west", "north", "south"}
 	sawProactive := false
 	for _, reg := range regions {
-		r, err := e.Execute(q(reg))
+		r, err := e.ExecuteContext(context.Background(), q(reg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, _ := off.Execute(q(reg))
+		want, _ := off.ExecuteContext(context.Background(), q(reg))
 		sameResults(t, want, r)
 		if r.Stats.ProactiveApplied {
 			sawProactive = true
@@ -309,7 +310,7 @@ func TestProactiveCubeSelections(t *testing.T) {
 		t.Fatal("cube caching with selections never triggered")
 	}
 	// Once the cube is cached, later differing parameters should hit it.
-	r, _ := e.Execute(q("east"))
+	r, _ := e.ExecuteContext(context.Background(), q("east"))
 	if r.Stats.Reused == 0 && r.Stats.SubsumptionReused == 0 {
 		t.Fatalf("cube should be reused across parameters (stats %+v)", r.Stats)
 	}
@@ -322,7 +323,7 @@ func TestProactiveTopNWidening(t *testing.T) {
 		return TopN(Scan("sales", "product", "amount"),
 			OrderBy(Desc("amount"), Asc("product")), n)
 	}
-	r1, err := e.Execute(q(10))
+	r1, err := e.ExecuteContext(context.Background(), q(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +334,7 @@ func TestProactiveTopNWidening(t *testing.T) {
 		t.Fatalf("rows = %d, want 10", r1.Rows())
 	}
 	// A different N should reuse the widened result.
-	r2, err := e.Execute(q(50))
+	r2, err := e.ExecuteContext(context.Background(), q(50))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,24 +347,24 @@ func TestProactiveTopNWidening(t *testing.T) {
 	// Correctness of the reused prefix.
 	off := New(Config{Mode: Off})
 	loadSales(off, 8000)
-	want, _ := off.Execute(q(50))
+	want, _ := off.ExecuteContext(context.Background(), q(50))
 	sameResults(t, want, r2)
 }
 
 func TestFlushCacheInvalidation(t *testing.T) {
 	e := New(Config{Mode: Speculative})
 	loadSales(e, 5000)
-	e.Execute(revenueByRegion(10))
-	r2, _ := e.Execute(revenueByRegion(10))
+	e.ExecuteContext(context.Background(), revenueByRegion(10))
+	r2, _ := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if r2.Stats.Reused == 0 {
 		t.Fatal("expected reuse before flush")
 	}
 	e.FlushCache()
-	r3, _ := e.Execute(revenueByRegion(10))
+	r3, _ := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if r3.Stats.Reused != 0 {
 		t.Fatal("no reuse expected right after flush")
 	}
-	r4, _ := e.Execute(revenueByRegion(10))
+	r4, _ := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if r4.Stats.Reused == 0 {
 		t.Fatal("recycling should recover after flush")
 	}
@@ -377,7 +378,7 @@ func TestConcurrentExecution(t *testing.T) {
 	want := make(map[float64]*Result)
 	params := []float64{10, 20, 30, 40}
 	for _, p := range params {
-		r, err := off.Execute(revenueByRegion(p))
+		r, err := off.ExecuteContext(context.Background(), revenueByRegion(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +393,7 @@ func TestConcurrentExecution(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 10; i++ {
 				p := params[rng.Intn(len(params))]
-				r, err := e.Execute(revenueByRegion(p))
+				r, err := e.ExecuteContext(context.Background(), revenueByRegion(p))
 				if err != nil {
 					errs <- err
 					return
@@ -420,7 +421,7 @@ func TestCacheBounded(t *testing.T) {
 	e := New(Config{Mode: Speculative, CacheBytes: 4096})
 	loadSales(e, 5000)
 	for i := 0; i < 20; i++ {
-		if _, err := e.Execute(revenueByRegion(float64(i))); err != nil {
+		if _, err := e.ExecuteContext(context.Background(), revenueByRegion(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -450,12 +451,12 @@ func TestTableFunctionRecycling(t *testing.T) {
 		},
 	})
 	q := Aggregate(TableFn("expensive", IntDatum(100)), nil, Sum(Col("v"), "s"))
-	r1, err := e.Execute(q)
+	r1, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Execute(q)
-	r3, err := e.Execute(q)
+	e.ExecuteContext(context.Background(), q)
+	r3, err := e.ExecuteContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +469,7 @@ func TestTableFunctionRecycling(t *testing.T) {
 func TestStatsPopulated(t *testing.T) {
 	e := New(Config{Mode: Speculative})
 	loadSales(e, 1000)
-	r, err := e.Execute(revenueByRegion(10))
+	r, err := e.ExecuteContext(context.Background(), revenueByRegion(10))
 	if err != nil {
 		t.Fatal(err)
 	}

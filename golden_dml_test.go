@@ -25,7 +25,6 @@ func TestGoldenEquivalenceUnderDML(t *testing.T) {
 
 	// All engines share the catalog: writes through any path invalidate
 	// every engine's cache via the commit listeners.
-	base := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Off}, cat)
 	engines := make(map[string]*recycledb.Engine)
 	for _, mode := range harness.Modes {
 		engines[mode.String()] = recycledb.NewWithCatalog(recycledb.Config{Mode: mode}, cat)
@@ -55,22 +54,15 @@ func TestGoldenEquivalenceUnderDML(t *testing.T) {
 				t.Fatalf("%s: write: %v", round.name, err)
 			}
 		}
-		// Fresh ground truth for this epoch.
-		want := make([]map[string]*canonRow, len(queries))
-		for i, q := range queries {
-			r, err := base.ExecuteContext(context.Background(), q.Plan)
-			if err != nil {
-				t.Fatalf("%s: baseline %s: %v", round.name, q.Label, err)
-			}
-			want[i] = canonResult(r)
-		}
+		// Ground truth for this epoch: the recorded digests.
+		want := goldenSection(t, "dml/"+round.name, cat, queries)
 		for name, eng := range engines {
 			for i, q := range queries {
 				r, err := eng.ExecuteContext(context.Background(), q.Plan)
 				if err != nil {
 					t.Fatalf("%s: mode %s %s: %v", round.name, name, q.Label, err)
 				}
-				if d := canonDiff(want[i], canonResult(r)); d != "" {
+				if d := want[i].diff(canonResult(r)); d != "" {
 					t.Fatalf("%s: mode %s %s: stale or wrong result: %s",
 						round.name, name, q.Label, d)
 				}
@@ -81,7 +73,7 @@ func TestGoldenEquivalenceUnderDML(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: monet %s: %v", round.name, q.Label, err)
 			}
-			if d := canonDiff(want[i], canonBatches(r.Schema, r.Batches)); d != "" {
+			if d := want[i].diff(canonBatches(r.Schema, r.Batches)); d != "" {
 				t.Fatalf("%s: monet %s: stale or wrong result: %s", round.name, q.Label, d)
 			}
 		}

@@ -4,9 +4,9 @@ package recycledb_test
 // conjunct chain order, join order, projection placement — but never
 // results. Every query in the golden set (plus permuted-conjunct
 // near-variants, the shapes the optimizer exists to canonicalize) must
-// produce the serial-unfused-unoptimized ground truth under the full
+// produce the recorded serial-unoptimized ground truth under the full
 // execution matrix: optimizer on/off × every recycling mode × parallelism
-// {1,4} × fused/unfused, cold cache and warm.
+// {1,4}, cold cache and warm.
 
 import (
 	"context"
@@ -42,42 +42,29 @@ func TestGoldenEquivalenceOptimizer(t *testing.T) {
 	cat := harness.MixedCatalog(0.002, 4000, 1)
 	queries := optGoldenQueries()
 
-	// Ground truth: serial, unfused, unoptimized, no recycling.
-	base := recycledb.NewWithCatalog(recycledb.Config{
-		Mode: recycledb.Off, DisableOptimizer: true, DisableFusion: true, Parallelism: 1,
-	}, cat)
-	want := make([]map[string]*canonRow, len(queries))
-	for i, q := range queries {
-		r, err := base.ExecuteContext(context.Background(), q.Plan)
-		if err != nil {
-			t.Fatalf("baseline %s: %v", q.Label, err)
-		}
-		want[i] = canonResult(r)
-	}
+	// Ground truth: the recorded digests (serial, unoptimized, no recycling).
+	want := goldenSection(t, "optimizer", cat, queries)
 
 	for _, disableOpt := range []bool{false, true} {
 		for _, mode := range harness.Modes {
 			for _, par := range []int{1, 4} {
-				for _, noFuse := range []bool{false, true} {
-					name := fmt.Sprintf("opt=%t/%v/par=%d/fused=%t", !disableOpt, mode, par, !noFuse)
-					eng := recycledb.NewWithCatalog(recycledb.Config{
-						Mode:             mode,
-						DisableOptimizer: disableOpt,
-						DisableFusion:    noFuse,
-						Parallelism:      par,
-					}, cat)
-					// Round 0 exercises cold paths (materialization,
-					// admission), round 1 warm reuse and subsumption under
-					// the optimizer-chosen shapes.
-					for round := 0; round < 2; round++ {
-						for i, q := range queries {
-							r, err := eng.ExecuteContext(context.Background(), q.Plan)
-							if err != nil {
-								t.Fatalf("%s round %d %s: %v", name, round, q.Label, err)
-							}
-							if d := canonDiff(want[i], canonResult(r)); d != "" {
-								t.Fatalf("%s round %d %s: %s", name, round, q.Label, d)
-							}
+				name := fmt.Sprintf("opt=%t/%v/par=%d", !disableOpt, mode, par)
+				eng := recycledb.NewWithCatalog(recycledb.Config{
+					Mode:             mode,
+					DisableOptimizer: disableOpt,
+					Parallelism:      par,
+				}, cat)
+				// Round 0 exercises cold paths (materialization,
+				// admission), round 1 warm reuse and subsumption under
+				// the optimizer-chosen shapes.
+				for round := 0; round < 2; round++ {
+					for i, q := range queries {
+						r, err := eng.ExecuteContext(context.Background(), q.Plan)
+						if err != nil {
+							t.Fatalf("%s round %d %s: %v", name, round, q.Label, err)
+						}
+						if d := want[i].diff(canonResult(r)); d != "" {
+							t.Fatalf("%s round %d %s: %s", name, round, q.Label, d)
 						}
 					}
 				}

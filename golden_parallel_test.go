@@ -32,13 +32,6 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 	cat := harness.MixedCatalog(0.002, 10000, 1)
 	queries := goldenQueries()
 
-	// Ground truth comes from the serial, unfused chained-operator path —
-	// the engine's legacy execution strategy — so the matrix proves both
-	// the parallel merge AND the fused push loops reproduce it exactly.
-	base := recycledb.NewWithCatalog(
-		recycledb.Config{Mode: recycledb.Off, Parallelism: 1, VectorSize: vsz,
-			DisableFusion: true}, cat)
-
 	type pareng struct {
 		label string
 		eng   *recycledb.Engine
@@ -46,20 +39,20 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 	var engines []pareng
 	for _, mode := range harness.Modes {
 		for _, par := range []int{1, 4, 8} {
-			for _, fused := range []bool{true, false} {
-				engines = append(engines, pareng{
-					label: fmt.Sprintf("%v/par=%d/fused=%v", mode, par, fused),
-					eng: recycledb.NewWithCatalog(
-						recycledb.Config{Mode: mode, Parallelism: par, VectorSize: vsz,
-							DisableFusion: !fused}, cat),
-				})
-			}
+			engines = append(engines, pareng{
+				label: fmt.Sprintf("%v/par=%d", mode, par),
+				eng: recycledb.NewWithCatalog(
+					recycledb.Config{Mode: mode, Parallelism: par, VectorSize: vsz}, cat),
+			})
 		}
 	}
 	meng := monet.New(cat, monet.NewRecycler(0))
 
 	fragsBefore := exec.ParallelFragmentsBuilt()
 	fusedBefore := exec.FusedFragmentsBuilt()
+	predBefore := exec.PredKernelsCompiled()
+	emitBefore := exec.AggEmitKernelRuns()
+	hashBefore := exec.FastHashEngaged()
 	rng := rand.New(rand.NewSource(123))
 	rounds := []struct {
 		name string
@@ -81,15 +74,8 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 				t.Fatalf("%s: write: %v", round.name, err)
 			}
 		}
-		// Ground truth for this epoch from the serial no-recycling engine.
-		want := make([]map[string]*canonRow, len(queries))
-		for i, q := range queries {
-			r, err := base.ExecuteContext(context.Background(), q.Plan)
-			if err != nil {
-				t.Fatalf("%s: baseline %s: %v", round.name, q.Label, err)
-			}
-			want[i] = canonResult(r)
-		}
+		// Ground truth for this epoch: the recorded digests.
+		want := goldenSection(t, "parallelism/"+round.name, cat, queries)
 		// Cold-ish then warm pass per engine: the second pass replays
 		// whatever the first admitted (including parallel-produced cache
 		// entries) and must still match.
@@ -100,7 +86,7 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %s pass %d %s: %v", round.name, pe.label, pass, q.Label, err)
 					}
-					if d := canonDiff(want[i], canonResult(r)); d != "" {
+					if d := want[i].diff(canonResult(r)); d != "" {
 						t.Fatalf("%s: %s pass %d %s: %s", round.name, pe.label, pass, q.Label, d)
 					}
 				}
@@ -111,7 +97,7 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: monet %s: %v", round.name, q.Label, err)
 			}
-			if d := canonDiff(want[i], canonBatches(r.Schema, r.Batches)); d != "" {
+			if d := want[i].diff(canonBatches(r.Schema, r.Batches)); d != "" {
 				t.Fatalf("%s: monet %s: %s", round.name, q.Label, d)
 			}
 		}
@@ -123,17 +109,29 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 		t.Fatal("no parallel fragments were built; the equivalence matrix ran fully serial")
 	}
 	if got := exec.FusedFragmentsBuilt() - fusedBefore; got == 0 {
-		t.Fatal("no fused fragments were built; the equivalence matrix ran fully unfused")
+		t.Fatal("no fused fragments were built")
+	}
+	// ... and the specialized paths under them: a matrix where every
+	// conjunct, emission and key set fell back to the generic evaluator
+	// would be green without testing the kernels at all.
+	if got := exec.PredKernelsCompiled() - predBefore; got == 0 {
+		t.Fatal("no predicate kernels compiled; the equivalence matrix ran fully generic")
+	}
+	if got := exec.AggEmitKernelRuns() - emitBefore; got == 0 {
+		t.Fatal("no typed aggregate emissions ran")
+	}
+	if got := exec.FastHashEngaged() - hashBefore; got == 0 {
+		t.Fatal("the int64 hash fast path never engaged")
 	}
 	// Recycling decisions must also be parallelism-independent: compare
 	// each mode's recycler stats between its serial and 8-way engines.
 	for _, mode := range harness.Modes[1:] { // skip Off: no recycler work
 		var serial, par8 *recycledb.Engine
 		for _, pe := range engines {
-			if pe.label == fmt.Sprintf("%v/par=1/fused=true", mode) {
+			if pe.label == fmt.Sprintf("%v/par=1", mode) {
 				serial = pe.eng
 			}
-			if pe.label == fmt.Sprintf("%v/par=8/fused=true", mode) {
+			if pe.label == fmt.Sprintf("%v/par=8", mode) {
 				par8 = pe.eng
 			}
 		}

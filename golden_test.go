@@ -83,13 +83,19 @@ func canonDiff(want, got map[string]*canonRow) string {
 			return fmt.Sprintf("key %q: row count %d vs %d", k, w.count, g.count)
 		}
 		for i := range w.sums {
-			d := math.Abs(w.sums[i] - g.sums[i])
-			if d > 1e-6 && d > 1e-9*math.Abs(w.sums[i]) {
+			if floatsDiffer(w.sums[i], g.sums[i]) {
 				return fmt.Sprintf("key %q float col %d: %v vs %v", k, i, w.sums[i], g.sums[i])
 			}
 		}
 	}
 	return ""
+}
+
+// floatsDiffer is the golden tests' float tolerance: absolute 1e-6 or
+// relative 1e-9, whichever is looser.
+func floatsDiffer(want, got float64) bool {
+	d := math.Abs(want - got)
+	return d > 1e-6 && d > 1e-9*math.Abs(want)
 }
 
 // canonResult canonicalizes a materialized result.
@@ -114,16 +120,8 @@ func TestGoldenEquivalence(t *testing.T) {
 	cat := harness.MixedCatalog(0.002, 4000, 1)
 	queries := goldenQueries()
 
-	// Baseline: single-threaded, no recycling.
-	base := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Off}, cat)
-	want := make([]map[string]*canonRow, len(queries))
-	for i, q := range queries {
-		r, err := base.ExecuteContext(context.Background(), q.Plan)
-		if err != nil {
-			t.Fatalf("baseline %s: %v", q.Label, err)
-		}
-		want[i] = canonResult(r)
-	}
+	// Ground truth: the recorded digests (golden_digest_test.go).
+	want := goldenSection(t, "base", cat, queries)
 
 	// Every recycling mode, two rounds each (cold cache, then warm cache
 	// exercising reuse/subsumption/proactive substitution).
@@ -135,7 +133,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("mode %v round %d %s: %v", mode, round, q.Label, err)
 				}
-				if d := canonDiff(want[i], canonResult(r)); d != "" {
+				if d := want[i].diff(canonResult(r)); d != "" {
 					t.Fatalf("mode %v round %d %s: %s", mode, round, q.Label, d)
 				}
 			}
@@ -165,7 +163,7 @@ func TestGoldenEquivalence(t *testing.T) {
 				}
 			}
 		}
-		if d := canonDiff(want[i], got); d != "" {
+		if d := want[i].diff(got); d != "" {
 			t.Fatalf("streaming %s: %s", q.Label, d)
 		}
 	}
@@ -186,7 +184,7 @@ func TestGoldenEquivalence(t *testing.T) {
 					errs <- fmt.Errorf("worker %d %s: %w", w, q.Label, err)
 					return
 				}
-				if d := canonDiff(want[i], canonResult(r)); d != "" {
+				if d := want[i].diff(canonResult(r)); d != "" {
 					errs <- fmt.Errorf("worker %d %s: %s", w, q.Label, d)
 					return
 				}

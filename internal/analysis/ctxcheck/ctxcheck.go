@@ -3,8 +3,8 @@
 //   - Library packages never mint their own context.Background() /
 //     context.TODO() — the caller's context threads through everything, so
 //     a statement's deadline and cancellation reach every operator. The
-//     documented nil-context fallbacks and the deprecated Execute shim
-//     carry //recycledb:ctx-ok justifications.
+//     documented nil-context fallbacks carry //recycledb:ctx-ok
+//     justifications.
 //   - Operator Next methods (any method Next(ctx *exec.Ctx)) observe
 //     cancellation at batch boundaries: the body must consult
 //     Ctx.Interrupted (or the raw context's Err/Done) so a canceled query

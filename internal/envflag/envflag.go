@@ -1,8 +1,8 @@
-// Package envflag centralizes the engine's boolean environment knobs so
-// every front end (shell, server, bench) parses them identically. Each
-// knob mirrors a Config escape hatch and exists for bisecting regressions
-// without rebuilding: results are byte-identical with any combination of
-// knobs set. The README's "Environment knobs" table documents them.
+// Package envflag centralizes the engine's boolean environment knob so
+// every front end (shell, server, bench) parses it identically. The knob
+// mirrors a Config escape hatch and exists for bisecting regressions
+// without rebuilding: results are identical with or without it. The
+// README's "Environment knobs" table documents it.
 package envflag
 
 import (
@@ -10,19 +10,10 @@ import (
 	"strings"
 )
 
-// Knob names. Command-line flags take the environment value as their
-// default, so `-disable-fusion=false` overrides an exported knob.
-const (
-	// DisableFusion reverts pipeline interiors to chained operator Next
-	// calls (Config.DisableFusion).
-	DisableFusion = "RECYCLEDB_DISABLE_FUSION"
-	// DisableOptimizer turns off the recycler-aware plan optimizer
-	// (Config.DisableOptimizer).
-	DisableOptimizer = "RECYCLEDB_DISABLE_OPTIMIZER"
-	// DisableKernels turns off the type-specialized compute kernels
-	// (Config.DisableKernels).
-	DisableKernels = "RECYCLEDB_DISABLE_KERNELS"
-)
+// DisableOptimizer turns off the recycler-aware plan optimizer
+// (Config.DisableOptimizer). Command-line flags take the environment value
+// as their default, so `-disable-optimizer=false` overrides an exported knob.
+const DisableOptimizer = "RECYCLEDB_DISABLE_OPTIMIZER"
 
 // Bool reads a boolean environment override: "1", "true", "yes" — any
 // non-empty value except "0"/"false"/"no" — enables the knob.

@@ -17,9 +17,9 @@ func TestBool(t *testing.T) {
 		{"anything", true},
 	}
 	for _, c := range cases {
-		t.Setenv(DisableKernels, c.val)
-		if got := Bool(DisableKernels); got != c.want {
-			t.Errorf("Bool(%q=%q) = %v, want %v", DisableKernels, c.val, got, c.want)
+		t.Setenv(DisableOptimizer, c.val)
+		if got := Bool(DisableOptimizer); got != c.want {
+			t.Errorf("Bool(%q=%q) = %v, want %v", DisableOptimizer, c.val, got, c.want)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sort"
+	"sync"
 	"time"
 
 	"recycledb/internal/catalog"
@@ -9,7 +11,7 @@ import (
 	"recycledb/internal/vector"
 )
 
-// AggExpr is one aggregate computation evaluated by HashAgg.
+// AggExpr is one aggregate computation evaluated by AggOp.
 type AggExpr struct {
 	Func plan.AggFunc
 	Arg  expr.Expr   // nil for count(*)
@@ -30,7 +32,7 @@ type acc struct {
 // morsel's (filtered) tuple flow. Serial execution discovers groups in
 // exactly ascending groupOrd, so sorting a merged parallel aggregation by
 // groupOrd reproduces the serial engine's group emission order bit for bit
-// (see ParallelAgg).
+// (see AggOp).
 type groupOrd struct {
 	morsel int
 	row    int64
@@ -43,13 +45,13 @@ func (a groupOrd) less(b groupOrd) bool {
 	return a.row < b.row
 }
 
-// aggState is the accumulation core shared by the serial HashAgg operator
-// and the per-worker partial aggregations of ParallelAgg: the group
-// directory (open-addressing table keyed by columnar hashes, verified with
-// typed comparators against the stored key rows) plus one accumulator per
-// (aggregate, group). Partial states built over disjoint input partitions
-// merge losslessly with mergeFrom — count/sum/avg/min/max accumulators all
-// carry enough to combine.
+// aggState is the accumulation core of AggOp — one per worker, plus the
+// merged state when there are several: the group directory (open-addressing
+// table keyed by columnar hashes, verified with typed comparators against
+// the stored key rows) plus one accumulator per (aggregate, group). No
+// per-row key bytes are encoded or allocated. Partial states built over
+// disjoint input partitions merge losslessly with mergeFrom —
+// count/sum/avg/min/max accumulators all carry enough to combine.
 type aggState struct {
 	groupCols []int // group-by column indexes in the input schema
 	aggs      []AggExpr
@@ -72,12 +74,11 @@ type aggState struct {
 	curMorsel int
 	rowBase   int64
 
-	// kernels selects the typed emission loops (kernel_emit.go); fastHash
-	// selects the single-column int64 group hash (hash.go). Both are set
-	// once in open from the Ctx, so every state of one statement — worker
-	// partials and the final merge alike — makes the same choice and the
-	// stored group hashes stay mutually consistent across mergeFrom.
-	kernels  bool
+	// fastHash selects the single-column int64 group hash (hash.go). It is
+	// set in open from the input schema alone, so every state of one
+	// statement — worker partials and the final merge alike — makes the
+	// same choice and the stored group hashes stay mutually consistent
+	// across mergeFrom.
 	fastHash bool
 }
 
@@ -90,8 +91,7 @@ func (st *aggState) open(ctx *Ctx, inSchema catalog.Schema) {
 	st.curMorsel = 0
 	st.rowBase = 0
 	st.scalar = len(st.groupCols) == 0
-	st.kernels = !ctx.DisableKernels
-	st.fastHash = st.kernels && len(st.groupCols) == 1 && fastHashType(inSchema[st.groupCols[0]].Typ)
+	st.fastHash = len(st.groupCols) == 1 && fastHashType(inSchema[st.groupCols[0]].Typ)
 	if st.fastHash {
 		fastHashEngaged.Add(1)
 	}
@@ -336,13 +336,11 @@ func (st *aggState) emitRange(out *vector.Batch, lo, hi int) {
 	for k := 0; k < nk; k++ {
 		out.Vecs[k].AppendRange(st.keyRows.Vecs[k], lo, hi)
 	}
-	if st.kernels {
-		aggEmitKernelRuns.Add(1)
-	}
+	aggEmitKernelRuns.Add(1)
 	for a, ag := range st.aggs {
 		outV := out.Vecs[nk+a]
 		accs := st.accs[a]
-		if st.kernels && emitAccsRange(outV, accs[lo:hi], ag) {
+		if emitAccsRange(outV, accs[lo:hi], ag) {
 			continue
 		}
 		for g := lo; g < hi; g++ {
@@ -357,81 +355,17 @@ func (st *aggState) emitIndex(out *vector.Batch, idx []int32) {
 	for k := 0; k < nk; k++ {
 		out.Vecs[k].AppendGather(st.keyRows.Vecs[k], idx)
 	}
-	if st.kernels {
-		aggEmitKernelRuns.Add(1)
-	}
+	aggEmitKernelRuns.Add(1)
 	for a, ag := range st.aggs {
 		outV := out.Vecs[nk+a]
 		accs := st.accs[a]
-		if st.kernels && emitAccsIndex(outV, accs, idx, ag) {
+		if emitAccsIndex(outV, accs, idx, ag) {
 			continue
 		}
 		for _, g := range idx {
 			emitAcc(outV, &accs[g], ag)
 		}
 	}
-}
-
-// HashAgg is a blocking grouped aggregation. With no group columns it
-// produces exactly one row (the scalar-aggregate convention used by the
-// decorrelated TPC-H plans).
-//
-// Grouping is vectorized: each input batch's group columns are hashed
-// whole-column-at-a-time, then every row resolves to a group id through a
-// linear-probing open-addressing table (slot -> group id, verified against
-// the stored per-group hash and the group's key row with typed column
-// comparators). No per-row key bytes are encoded or allocated; the old
-// byte-string path survives only as the reference slow path in key.go.
-// The accumulation core lives in aggState so ParallelAgg's per-worker
-// partial aggregations share it.
-type HashAgg struct {
-	base
-	Child     Operator
-	GroupCols []int // group-by column indexes in the child schema
-	Aggs      []AggExpr
-
-	st    aggState
-	built bool
-	emit  int           // next group to emit
-	out   *vector.Batch // pooled
-}
-
-// NewHashAgg builds a grouped aggregation over child.
-func NewHashAgg(child Operator, groupCols []int, aggs []AggExpr, schema catalog.Schema) *HashAgg {
-	return &HashAgg{base: base{schema: schema}, Child: child, GroupCols: groupCols, Aggs: aggs}
-}
-
-// Open implements Operator.
-func (h *HashAgg) Open(ctx *Ctx) error {
-	defer h.addCost(time.Now())
-	h.built = false
-	h.emit = 0
-	h.st.groupCols = h.GroupCols
-	h.st.aggs = h.Aggs
-	h.st.open(ctx, h.Child.Schema())
-	h.out = ctx.pool().GetBatch(h.schema.Types(), ctx.vecSize())
-	return h.Child.Open(ctx)
-}
-
-func (h *HashAgg) build(ctx *Ctx) error {
-	for {
-		in, err := h.Child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if in == nil {
-			break
-		}
-		if err := h.st.absorb(in); err != nil {
-			return err
-		}
-	}
-	// Scalar aggregation over empty input still yields one row.
-	if h.st.scalar {
-		h.st.ensureScalarGroup()
-	}
-	h.built = true
-	return nil
 }
 
 // argType returns the vector type the aggregate argument evaluates to.
@@ -492,32 +426,6 @@ func updateMinMax(a *acc, arg *vector.Vector, i int, min bool) {
 	a.set = true
 }
 
-// Next implements Operator.
-func (h *HashAgg) Next(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	defer h.addCost(time.Now())
-	if !h.built {
-		if err := h.build(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if h.emit >= h.st.nGroups {
-		return nil, nil
-	}
-	h.out.Reset()
-	lo := h.emit
-	hi := lo + ctx.vecSize()
-	if hi > h.st.nGroups {
-		hi = h.st.nGroups
-	}
-	h.st.emitRange(h.out, lo, hi)
-	h.emit = hi
-	h.rows += int64(hi - lo)
-	return h.out, nil
-}
-
 func emitAcc(out *vector.Vector, a *acc, ag AggExpr) {
 	switch ag.Func {
 	case plan.Count:
@@ -546,25 +454,240 @@ func emitAcc(out *vector.Vector, a *acc, ag AggExpr) {
 	}
 }
 
-// Close implements Operator.
-func (h *HashAgg) Close(ctx *Ctx) error {
-	if h.out != nil {
-		ctx.pool().PutBatch(h.out)
-		h.out = nil
+// aggWorker is one worker of an aggregation: a fused input pipe whose sink
+// absorbs into a worker-local group table.
+type aggWorker struct {
+	pipe *fusedPipe
+	wctx Ctx // copy of the statement Ctx; maps shared read-only
+	st   aggState
+}
+
+// AggOp is the blocking grouped aggregation, the root of every aggregation
+// fragment. With no group columns it produces exactly one row (the
+// scalar-aggregate convention used by the decorrelated TPC-H plans).
+//
+// A lone worker — every pull-sourced input, and any morsel source too small
+// to split — runs inline on the consumer goroutine and emits straight from
+// its own table in discovery order: no ordinals, no merge, no sort. Several
+// workers each drain morsels into a partial table; end-of-input merges the
+// partials and emits the groups sorted by first occurrence in the
+// morsel-ordered stream — precisely the order a lone worker discovers them —
+// so the output is order-deterministic and worker-count-independent (float
+// sums modulo re-association).
+type AggOp struct {
+	fragRoot
+	workers []*aggWorker
+
+	final  *aggState // the lone worker's table, or merged
+	merged aggState
+	order  []int32 // several workers: emission order
+	out    *vector.Batch
+
+	closed, built bool
+	emit          int
+
+	failMu  sync.Mutex
+	failErr error
+
+	mergeNanos int64 // merge, order sort and group emission
+}
+
+// newAggOp assembles the aggregation of aggs grouped by groupCols (column
+// indexes in the pipes' output) over its input pipes, one worker each.
+func newAggOp(root fragRoot, groupCols []int, aggs []AggExpr, pipes []*fusedPipe) *AggOp {
+	a := &AggOp{fragRoot: root}
+	for _, p := range pipes {
+		w := &aggWorker{pipe: p}
+		w.st.groupCols = groupCols
+		w.st.aggs = make([]AggExpr, len(aggs))
+		for i, ag := range aggs {
+			w.st.aggs[i] = ag
+			if ag.Arg != nil {
+				w.st.aggs[i].Arg = ag.Arg.Clone() // per-worker evaluation scratch
+			}
+		}
+		w.st.trackOrd = len(pipes) > 1
+		// Absorption happens inside the drive loop; push() times it as the
+		// pipe's sinkNanos, so spine-node attribution excludes it.
+		p.sink = w.st.absorb
+		a.workers = append(a.workers, w)
 	}
-	h.st.close(ctx)
-	return h.Child.Close(ctx)
+	a.final = &a.workers[0].st
+	if len(pipes) > 1 {
+		a.final = &a.merged
+		a.merged.groupCols, a.merged.aggs, a.merged.trackOrd = groupCols, a.workers[0].st.aggs, true
+	}
+	return a
+}
+
+// Open implements Operator.
+func (a *AggOp) Open(ctx *Ctx) error {
+	a.closed, a.built, a.emit, a.order = false, false, 0, nil
+	if err := a.openBuilds(ctx); err != nil {
+		return err
+	}
+	for _, w := range a.workers {
+		w.wctx = *ctx
+		if err := w.pipe.open(&w.wctx); err != nil {
+			return err
+		}
+		w.st.open(&w.wctx, w.pipe.schema)
+	}
+	if a.final == &a.merged {
+		a.merged.open(ctx, a.workers[0].pipe.schema)
+	}
+	a.out = ctx.pool().GetBatch(a.schema.Types(), ctx.vecSize())
+	return nil
+}
+
+func (a *AggOp) fail(err error) {
+	a.failMu.Lock()
+	if a.failErr == nil {
+		a.failErr = err
+	}
+	a.failMu.Unlock()
+	a.src.stop()
+}
+
+// run consumes the whole input: inline for a lone worker; otherwise workers
+// aggregate morsels in parallel, then the consumer folds the partials and
+// fixes the emission order.
+func (a *AggOp) run(ctx *Ctx) error {
+	for _, w := range a.workers {
+		// Refresh the cancellation context: the consumer may have swapped
+		// it between Open and the first pull.
+		w.wctx.Context = ctx.Context
+	}
+	if len(a.workers) == 1 {
+		w := a.workers[0]
+		for done := false; !done; {
+			var err error
+			if done, err = w.pipe.step(&w.wctx); err != nil {
+				return err
+			}
+		}
+	} else {
+		var wg sync.WaitGroup
+		for _, w := range a.workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					m, ok := a.src.claim()
+					if !ok {
+						return
+					}
+					w.st.startMorsel(m)
+					if err := w.pipe.driveMorsel(&w.wctx, m); err != nil {
+						a.fail(err)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if a.failErr != nil {
+			return a.failErr
+		}
+		start := time.Now()
+		for _, w := range a.workers {
+			a.merged.mergeFrom(&w.st)
+		}
+		a.mergeNanos += time.Since(start).Nanoseconds()
+	}
+	// Scalar aggregation over empty input still yields one row.
+	if a.final.scalar {
+		a.final.ensureScalarGroup()
+	}
+	if a.final == &a.merged {
+		// Emission order: ascending first occurrence == discovery order.
+		start := time.Now()
+		a.order = make([]int32, a.merged.nGroups)
+		for i := range a.order {
+			a.order[i] = int32(i)
+		}
+		sort.Slice(a.order, func(i, j int) bool {
+			return a.merged.ord[a.order[i]].less(a.merged.ord[a.order[j]])
+		})
+		a.mergeNanos += time.Since(start).Nanoseconds()
+	}
+	a.built = true
+	return nil
+}
+
+// Next implements Operator.
+func (a *AggOp) Next(ctx *Ctx) (*vector.Batch, error) {
+	if err := ctx.Interrupted(); err != nil {
+		return nil, err
+	}
+	if !a.built {
+		if err := a.run(ctx); err != nil {
+			return nil, err
+		}
+	}
+	if a.emit >= a.final.nGroups {
+		return nil, nil
+	}
+	start := time.Now()
+	a.out.Reset()
+	lo := a.emit
+	hi := min(lo+ctx.vecSize(), a.final.nGroups)
+	if a.order != nil {
+		a.final.emitIndex(a.out, a.order[lo:hi])
+	} else {
+		a.final.emitRange(a.out, lo, hi)
+	}
+	a.emit = hi
+	a.rows += int64(hi - lo)
+	a.mergeNanos += time.Since(start).Nanoseconds()
+	return a.out, nil
+}
+
+// Close implements Operator.
+func (a *AggOp) Close(ctx *Ctx) error {
+	if a.closed {
+		return nil
+	}
+	a.closed = true
+	if a.src != nil {
+		a.src.stop()
+	}
+	var first error
+	for _, w := range a.workers {
+		if err := w.pipe.close(&w.wctx); err != nil && first == nil {
+			first = err
+		}
+		w.st.close(&w.wctx) // nil-guarded: safe after a partial Open
+	}
+	a.merged.close(ctx)
+	if a.out != nil {
+		ctx.pool().PutBatch(a.out)
+		a.out = nil
+	}
+	return a.closeBuilds(ctx, first)
 }
 
 // Progress implements Operator: a blocking operator knows its output total
 // once built (§III-D); before that it reports 0 so the store above it does
 // not extrapolate from an empty prefix.
-func (h *HashAgg) Progress() float64 {
-	if !h.built {
+func (a *AggOp) Progress() float64 {
+	if !a.built {
 		return 0
 	}
-	if h.st.nGroups == 0 {
+	if a.final.nGroups == 0 {
 		return 1
 	}
-	return float64(h.emit) / float64(h.st.nGroups)
+	return float64(a.emit) / float64(a.final.nGroups)
+}
+
+// Cost implements Operator: total work across workers (pipe + accumulation)
+// plus shared builds, the merge and group emission — an inclusive subtree
+// cost. Safe to read once the first batch is out (run() has completed;
+// worker fields are quiescent behind the join).
+func (a *AggOp) Cost() time.Duration {
+	c := time.Duration(a.mergeNanos) + a.buildCost()
+	for _, w := range a.workers {
+		c += w.pipe.cost()
+	}
+	return c
 }

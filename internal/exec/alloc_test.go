@@ -53,11 +53,7 @@ func TestFilterNextZeroAlloc(t *testing.T) {
 	// Selective predicate with an arithmetic comparison, exercising the
 	// expression scratch reuse as well as the selection build.
 	pred := expr.Lt(expr.C("id"), expr.Int(benchRows/2))
-	f := NewFilter(scan, pred)
-	if _, err := pred.Bind(f.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	assertZeroAllocs(t, NewCtx(catalog.New()), f, 4, 100)
+	assertZeroAllocs(t, NewCtx(catalog.New()), pipeFilter(t, scan, pred), 4, 100)
 }
 
 func TestJoinProbeNextZeroAlloc(t *testing.T) {
@@ -67,7 +63,7 @@ func TestJoinProbeNextZeroAlloc(t *testing.T) {
 	out := append(append(catalog.Schema{}, lschema...), rschema...)
 	// Self-join on the unique id: every probe row matches exactly once,
 	// so each Next emits a full output batch from the probe loop.
-	j := NewHashJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
 	assertZeroAllocs(t, NewCtx(catalog.New()), j, 8, 100)
 }
 
@@ -75,7 +71,7 @@ func TestHashAggEmitNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	scan, _ := benchScan(tab)
 	// One group per row: emission spans hundreds of batches.
-	h := NewHashAgg(scan, []int{0}, []AggExpr{
+	h := pipeAgg(scan, []int{0}, []AggExpr{
 		{Func: plan.Count, Typ: vector.Int64},
 	}, catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
@@ -93,18 +89,13 @@ func TestSortEmitNextZeroAlloc(t *testing.T) {
 
 func TestProjectNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
-	scan, schema := benchScan(tab)
+	scan, _ := benchScan(tab)
 	exprs := []expr.Expr{expr.C("id"), expr.Mul(expr.C("v"), expr.Flt(2))}
 	outSchema := catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "v2", Typ: vector.Float64},
 	}
-	for _, e := range exprs {
-		if _, err := e.Bind(schema); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := NewProject(scan, exprs, outSchema)
+	p := pipeProject(t, scan, exprs, outSchema)
 	assertZeroAllocs(t, NewCtx(catalog.New()), p, 4, 100)
 }
 
@@ -112,64 +103,57 @@ func TestProjectNextZeroAlloc(t *testing.T) {
 // too: the projection gathers through the selection vector.
 func TestFilterProjectPipelineZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
-	scan, schema := benchScan(tab)
+	scan, _ := benchScan(tab)
 	pred := expr.Lt(expr.C("k"), expr.Int(32)) // ~50% selectivity
-	f := NewFilter(scan, pred)
-	if _, err := pred.Bind(schema); err != nil {
-		t.Fatal(err)
-	}
+	f := pipeFilter(t, scan, pred)
 	exprs := []expr.Expr{expr.C("id"), expr.C("s")}
 	outSchema := catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "s", Typ: vector.String},
 	}
-	for _, e := range exprs {
-		if _, err := e.Bind(schema); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := NewProject(f, exprs, outSchema)
+	p := pipeProject(t, f, exprs, outSchema)
 	assertZeroAllocs(t, NewCtx(catalog.New()), p, 4, 100)
 }
 
-// TestMorselPipelineNextZeroAlloc holds the per-worker scratch path to the
-// same contract as the serial operators: inside one morsel, a worker's
-// steady-state Next (morsel scan feeding a selective filter) must not
-// touch the heap. Cross-morsel work (slot publication, transfer copies)
-// is pooled and amortized but not covered by this assertion.
-func TestMorselPipelineNextZeroAlloc(t *testing.T) {
+// TestMorselPipelineZeroAlloc holds the per-worker drive to the same contract
+// as the serial roots: a worker's steady state (morsel scan pushed through a
+// selective filter into a sink) must not touch the heap. Cross-morsel work
+// (slot publication, transfer copies) is pooled and amortized but not
+// covered by this assertion.
+func TestMorselPipelineZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	snap := tab.Snapshot()
-	src := newMorselSource(snap, 0, snap.Rows, snap.Rows, 0) // one giant morsel
-	scan := newMorselScan(src, []int{0, 1, 2, 3}, tab.Schema)
-	pred := expr.Lt(expr.C("id"), expr.Int(benchRows/2))
-	f := NewFilter(scan, pred)
-	if _, err := pred.Bind(f.Schema()); err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewCtx(catalog.New())
-	if err := f.Open(ctx); err != nil {
+	const morsels = 128
+	src := newMorselSource(snap, 0, snap.Rows, snap.Rows/morsels, 0)
+	pred := expr.Lt(expr.C("id"), expr.Int(benchRows/2))
+	if _, err := pred.Bind(tab.Schema); err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close(ctx)
-	scan.StartMorsel(0)
-	for i := 0; i < 4; i++ {
-		if _, err := f.Next(ctx); err != nil {
+	p := &fusedPipe{schema: tab.Schema, scan: newMorselScan(src, []int{0, 1, 2, 3}, tab.Schema)}
+	p.addFilter(pred)
+	p.sink = func(*vector.Batch) error { return nil }
+	if err := p.open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer p.close(ctx)
+	m := 0
+	for ; m < 4; m++ {
+		if err := p.driveMorsel(ctx, m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	var err error
-	avg := testing.AllocsPerRun(100, func() {
-		var b *vector.Batch
-		b, err = f.Next(ctx)
-		if err != nil || b == nil {
-			t.Fatal("stream ended during the measured window")
+	avg := testing.AllocsPerRun(morsels/2, func() {
+		if e := p.driveMorsel(ctx, m); e != nil {
+			err = e
 		}
+		m++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("worker steady-state Next allocates %.1f objects/call, want 0", avg)
+		t.Fatalf("worker steady-state drive allocates %.1f objects/morsel, want 0", avg)
 	}
 }

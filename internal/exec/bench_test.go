@@ -102,11 +102,7 @@ func BenchmarkFilter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				scan, _ := benchScan(t)
 				pred := expr.Lt(expr.C("id"), expr.Int(cutoff))
-				f := NewFilter(scan, pred)
-				if _, err := pred.Bind(f.Schema()); err != nil {
-					b.Fatal(err)
-				}
-				rows := drain(b, ctx, f)
+				rows := drain(b, ctx, pipeFilter(b, scan, pred))
 				if rows != cutoff {
 					b.Fatalf("got %d rows, want %d", rows, cutoff)
 				}
@@ -130,7 +126,7 @@ func BenchmarkJoin(b *testing.B) {
 		out := append(append(catalog.Schema{}, lschema...), rschema...)
 		// Probe ids 0..256Ki against build ids 0..16Ki: every probe row is
 		// hashed and probed, the first 16Ki match exactly once.
-		j := NewHashJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+		j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
 		rows := drain(b, ctx, j)
 		if rows != 1<<14 {
 			b.Fatalf("got %d rows, want %d", rows, 1<<14)
@@ -154,13 +150,13 @@ func BenchmarkHashAgg(b *testing.B) {
 			{Name: "sum_v", Typ: vector.Float64},
 			{Name: "n", Typ: vector.Int64},
 		}
-		h := NewHashAgg(scan, []int{1}, []AggExpr{
-			{Func: plan.Sum, Arg: agg, Typ: vector.Float64},
-			{Func: plan.Count, Typ: vector.Int64},
-		}, outSchema)
 		if _, err := agg.Bind(t.Schema); err != nil {
 			b.Fatal(err)
 		}
+		h := pipeAgg(scan, []int{1}, []AggExpr{
+			{Func: plan.Sum, Arg: agg, Typ: vector.Float64},
+			{Func: plan.Count, Typ: vector.Int64},
+		}, outSchema)
 		rows := drain(b, ctx, h)
 		if rows != 64 {
 			b.Fatalf("got %d groups, want 64", rows)
@@ -181,7 +177,7 @@ func BenchmarkHashAggManyGroups(b *testing.B) {
 			{Name: "id", Typ: vector.Int64},
 			{Name: "n", Typ: vector.Int64},
 		}
-		h := NewHashAgg(scan, []int{0}, []AggExpr{
+		h := pipeAgg(scan, []int{0}, []AggExpr{
 			{Func: plan.Count, Typ: vector.Int64},
 		}, outSchema)
 		rows := drain(b, ctx, h)

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"recycledb/internal/expr"
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
@@ -51,7 +50,14 @@ func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operato
 		}
 		return op, nil
 	}
-	op, err := buildRaw(ctx, n, dec, opmap)
+	// One function builds each plan op: the fragment builder for the
+	// row-local nodes and aggregation, over any leaf; buildRaw for the rest.
+	build := buildRaw
+	switch n.Op {
+	case plan.Select, plan.Project, plan.Join, plan.Aggregate:
+		build = buildFragment
+	}
+	op, err := build(ctx, n, dec, opmap)
 	if err != nil {
 		return nil, err
 	}
@@ -68,27 +74,11 @@ func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operato
 }
 
 func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operator) (Operator, error) {
-	// Morsel-driven parallel fragments (see parallel.go): pipeline-shaped
-	// subtrees large enough to split execute on a worker pool and merge
-	// deterministically at this node; everything else falls through to the
-	// serial operators below. Nodes carrying recycler decorations are
-	// never cloned into workers — Build wraps whatever is returned here,
-	// so stores and reuse replays always sit on the merged stream.
-	if op, handled, err := buildParallel(ctx, n, dec, opmap); handled || err != nil {
-		return op, err
-	}
 	switch n.Op {
 	case plan.Scan:
-		t, err := ctx.Cat.Table(n.Table)
+		t, cols, err := scanColumns(ctx, n)
 		if err != nil {
 			return nil, err
-		}
-		cols := make([]int, len(n.Cols))
-		for i, c := range n.Cols {
-			cols[i] = t.Schema.ColIndex(c)
-			if cols[i] < 0 {
-				return nil, fmt.Errorf("exec: table %s has no column %q", n.Table, c)
-			}
 		}
 		return NewTableScan(t, cols, n.Schema()), nil
 	case plan.TableFn:
@@ -97,91 +87,23 @@ func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Oper
 			return nil, err
 		}
 		return NewTableFnScan(f, n.Args), nil
-	case plan.Select:
-		child, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
+	}
+	children := make([]Operator, len(n.Children))
+	for i, c := range n.Children {
+		var err error
+		if children[i], err = Build(ctx, c, dec, opmap); err != nil {
 			return nil, err
 		}
-		return NewFilter(child, n.Pred), nil
-	case plan.Project:
-		child, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		exprs := make([]expr.Expr, len(n.Projs))
-		for i, p := range n.Projs {
-			exprs[i] = p.E
-		}
-		return NewProject(child, exprs, n.Schema()), nil
-	case plan.Aggregate:
-		child, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		groupCols := make([]int, len(n.GroupBy))
-		for i, g := range n.GroupBy {
-			groupCols[i] = n.Children[0].Schema().ColIndex(g)
-			if groupCols[i] < 0 {
-				return nil, fmt.Errorf("exec: group-by column %q missing", g)
-			}
-		}
-		aggs := make([]AggExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			aggs[i] = AggExpr{
-				Func: a.Func,
-				Arg:  a.Arg,
-				Typ:  n.Schema()[len(n.GroupBy)+i].Typ,
-			}
-		}
-		return NewHashAgg(child, groupCols, aggs, n.Schema()), nil
-	case plan.Join:
-		left, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Build(ctx, n.Children[1], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		lcols := make([]int, len(n.LeftKeys))
-		rcols := make([]int, len(n.RightKeys))
-		for i := range n.LeftKeys {
-			lcols[i] = n.Children[0].Schema().ColIndex(n.LeftKeys[i])
-			rcols[i] = n.Children[1].Schema().ColIndex(n.RightKeys[i])
-			if lcols[i] < 0 || rcols[i] < 0 {
-				return nil, fmt.Errorf("exec: join key %q/%q missing",
-					n.LeftKeys[i], n.RightKeys[i])
-			}
-		}
-		return NewHashJoin(n.JT, left, right, lcols, rcols, n.Schema()), nil
+	}
+	switch n.Op {
 	case plan.TopN:
-		child, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		return NewTopN(child, n.Keys, n.N), nil
+		return NewTopN(children[0], n.Keys, n.N), nil
 	case plan.Sort:
-		child, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		return NewSort(child, n.Keys), nil
+		return NewSort(children[0], n.Keys), nil
 	case plan.Limit:
-		child, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		return NewLimit(child, n.N), nil
+		return NewLimit(children[0], n.N), nil
 	case plan.Union:
-		left, err := Build(ctx, n.Children[0], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		right, err := Build(ctx, n.Children[1], dec, opmap)
-		if err != nil {
-			return nil, err
-		}
-		return NewUnion(left, right), nil
+		return NewUnion(children[0], children[1]), nil
 	}
 	return nil, fmt.Errorf("exec: cannot build operator for %v", n.Op)
 }

@@ -29,10 +29,10 @@ func MatchingRows(ctx *Ctx, t *catalog.Table, pred expr.Expr) ([]int, error) {
 	var out []int
 	flags := vector.New(vector.Bool, ctx.vecSize())
 	view := &vector.Batch{Vecs: make([]*vector.Vector, len(t.Schema))}
-	cols := make([]vector.Vector, len(t.Schema))
+	cols := make([]int, len(t.Schema))
 	for i := range cols {
-		view.Vecs[i] = &cols[i]
-		cols[i].Typ = t.Schema[i].Typ
+		view.Vecs[i] = &vector.Vector{Typ: t.Schema[i].Typ}
+		cols[i] = i
 	}
 	for lo := 0; lo < snap.Rows; lo += ctx.vecSize() {
 		if err := ctx.Interrupted(); err != nil {
@@ -42,19 +42,7 @@ func MatchingRows(ctx *Ctx, t *catalog.Table, pred expr.Expr) ([]int, error) {
 		if hi > snap.Rows {
 			hi = snap.Rows
 		}
-		for i := range cols {
-			src := snap.Col(i)
-			switch src.Typ {
-			case vector.Int64, vector.Date:
-				cols[i].I64 = src.I64[lo:hi]
-			case vector.Float64:
-				cols[i].F64 = src.F64[lo:hi]
-			case vector.String:
-				cols[i].Str = src.Str[lo:hi]
-			case vector.Bool:
-				cols[i].B = src.B[lo:hi]
-			}
-		}
+		sliceCols(view.Vecs, snap, cols, lo, hi)
 		if pred == nil {
 			for r := lo; r < hi; r++ {
 				if !snap.Del.Has(r) {

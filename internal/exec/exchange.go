@@ -1,57 +1,35 @@
 package exec
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"recycledb/internal/catalog"
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
-// pipeWorker is one pipeline of a parallel fragment: either a cloned
-// operator chain (root/scan) or a fused push chain (fused), per
-// Ctx.DisableFusion at build time.
+// pipeWorker is one worker of a parallel pipeline fragment.
 type pipeWorker struct {
-	root  Operator
-	scan  *MorselScan
-	fused *fusedPipe
-	wctx  Ctx // copy of the statement Ctx; maps shared read-only
-	// local buffers the current morsel's copied output batches (fused
-	// path: the sink appends here).
+	pipe *fusedPipe
+	wctx Ctx // copy of the statement Ctx; maps shared read-only
+	// local buffers the current morsel's copied output batches (the pipe's
+	// sink appends here).
 	local []*vector.Batch
-	// copyNanos measures the exchange transfer copies (fold overhead).
-	// The fused pipe times its sink internally instead.
-	copyNanos int64
-	// lastCost is the worker's root cost already published to the
-	// exchange's atomic accumulator (worker-goroutine-local).
+	// lastCost is the pipe cost already published to the exchange's atomic
+	// accumulator (worker-goroutine-local).
 	lastCost time.Duration
 }
 
-// cost returns the worker's total pipeline time so far (fused loops
-// include their sink copies; unfused roots exclude copyNanos, which the
-// caller adds). Worker-goroutine-local.
-func (w *pipeWorker) cost() time.Duration {
-	if w.fused != nil {
-		return w.fused.cost()
-	}
-	return w.root.Cost()
-}
-
-// Exchange runs N cloned pipeline workers over the morsel source and
-// merges their outputs back into one stream in morsel order — the
-// fragment's deterministic merge point. Workers claim morsels in index
-// order (bounded ahead of the merge cursor by the source window), buffer
-// each morsel's output batches as compacted pool copies, and publish the
-// finished morsel to its slot; the consumer walks slots in order, so the
-// merged stream is the exact batch sequence the serial pipeline produces.
+// Exchange runs N fused pipes over the morsel source and merges their
+// outputs back into one stream in morsel order — the fragment's
+// deterministic merge point. Workers claim morsels in index order (bounded
+// ahead of the merge cursor by the source window), buffer each morsel's
+// output batches as compacted pool copies, and publish the finished morsel
+// to its slot; the consumer walks slots in order, so the merged stream is
+// the exact batch sequence a single pipe would produce.
 type Exchange struct {
-	base
+	fragRoot
 	workers []*pipeWorker
-	src     *morselSource
-	builds  []*sharedBuild
 	types   []vector.Type
 
 	started  bool
@@ -68,8 +46,8 @@ type Exchange struct {
 
 	cur        *vector.Batch // batch handed out by the previous Next
 	mergeNanos int64
-	// costNanos accumulates worker pipeline + copy time at morsel
-	// granularity, so Cost() is safe to read mid-stream (speculative
+	// costNanos accumulates worker pipe time (sink copies included) at
+	// morsel granularity, so Cost() is safe to read mid-stream (speculative
 	// stores above the exchange poll it per batch).
 	costNanos atomic.Int64
 }
@@ -79,80 +57,39 @@ type exSlot struct {
 	done    bool
 }
 
-func newExchange(workers []*pipeWorker, src *morselSource, builds []*sharedBuild, schema []vector.Type) *Exchange {
-	x := &Exchange{workers: workers, src: src, builds: builds, types: schema}
+// newExchange assembles the ordered merge over pipes.
+func newExchange(root fragRoot, pipes []*fusedPipe) *Exchange {
+	x := &Exchange{fragRoot: root, types: root.schema.Types(), slots: make([]exSlot, root.src.count())}
 	x.cond = sync.NewCond(&x.mu)
+	for _, p := range pipes {
+		w := &pipeWorker{pipe: p}
+		// The sink copies each chain batch into an owned, compacted pool
+		// batch for the slot buffer, checking teardown per batch. Bound
+		// once here so the steady state drive allocates nothing.
+		p.sink = func(b *vector.Batch) error {
+			if x.stopping.Load() {
+				return errFusedStopped
+			}
+			t := w.wctx.pool().GetBatch(x.types, b.Len())
+			t.CopyFrom(b)
+			w.local = append(w.local, t)
+			return nil
+		}
+		x.workers = append(x.workers, w)
+	}
 	return x
-}
-
-// buildExchange assembles the exchange for a pipeline fragment. fuse picks
-// the worker interior: fused push chains or cloned operator pipelines.
-func (fb *fragBuilder) buildExchange(n *plan.Node, nW int, fuse bool) (Operator, bool, error) {
-	workers := make([]*pipeWorker, nW)
-	for w := 0; w < nW; w++ {
-		if fuse {
-			pipe, err := fb.newFusedPipe(n)
-			if err != nil {
-				return nil, false, err
-			}
-			workers[w] = &pipeWorker{fused: pipe}
-		} else {
-			root, scan, err := fb.clonePipeline(n)
-			if err != nil {
-				return nil, false, err
-			}
-			workers[w] = &pipeWorker{root: root, scan: scan}
-		}
-	}
-	x := newExchange(workers, fb.src, buildList(fb.builds), n.Schema().Types())
-	x.schema = n.Schema()
-	x.slots = make([]exSlot, fb.src.count())
-	for _, w := range x.workers {
-		if w.fused != nil {
-			// The sink copies each chain batch into an owned, compacted
-			// pool batch for the slot buffer, checking teardown per batch
-			// like the unfused pull loop. Bound once here so the steady
-			// state drive allocates nothing.
-			w := w
-			w.fused.sink = func(b *vector.Batch) error {
-				if x.stopping.Load() {
-					return errFusedStopped
-				}
-				t := w.wctx.pool().GetBatch(x.types, b.Len())
-				t.CopyFrom(b)
-				w.local = append(w.local, t)
-				return nil
-			}
-		}
-	}
-	return x, true, nil
-}
-
-func buildList(m map[*plan.Node]*sharedBuild) []*sharedBuild {
-	out := make([]*sharedBuild, 0, len(m))
-	//recycledb:nondet-ok — builds open/drain independently; order unobservable
-	for _, b := range m {
-		out = append(out, b)
-	}
-	return out
 }
 
 // Open implements Operator: worker pipelines and shared build subplans
 // open here, on the consumer goroutine; workers spawn lazily at the first
 // Next so an abandoned stream never starts them.
 func (x *Exchange) Open(ctx *Ctx) error {
-	for _, b := range x.builds {
-		if err := b.child.Open(ctx); err != nil {
-			return err
-		}
+	if err := x.openBuilds(ctx); err != nil {
+		return err
 	}
 	for _, w := range x.workers {
 		w.wctx = *ctx
-		if w.fused != nil {
-			if err := w.fused.open(&w.wctx); err != nil {
-				return err
-			}
-		} else if err := w.root.Open(&w.wctx); err != nil {
+		if err := w.pipe.open(&w.wctx); err != nil {
 			return err
 		}
 	}
@@ -170,8 +107,7 @@ func (x *Exchange) start(ctx *Ctx) {
 	}
 }
 
-// runWorker claims morsels, drives the worker's pipeline to end-of-morsel
-// (one fused drive call, or the pull loop over the cloned chain), and
+// runWorker claims morsels, drives the worker's pipe to end-of-morsel, and
 // publishes each finished morsel's (copied) batches to its slot.
 func (x *Exchange) runWorker(w *pipeWorker) {
 	defer x.wg.Done()
@@ -181,53 +117,19 @@ func (x *Exchange) runWorker(w *pipeWorker) {
 			return
 		}
 		w.local = nil
-		if w.fused != nil {
-			if err := w.fused.driveMorsel(&w.wctx, m); err != nil {
-				releaseBatches(&w.wctx, w.local)
-				w.local = nil
-				if err != errFusedStopped {
-					x.fail(err)
-				}
-				return
+		if err := w.pipe.driveMorsel(&w.wctx, m); err != nil {
+			releaseBatches(&w.wctx, w.local)
+			w.local = nil
+			if err != errFusedStopped {
+				x.fail(err)
 			}
-		} else {
-			w.scan.StartMorsel(m)
-			for {
-				if x.stopping.Load() {
-					releaseBatches(&w.wctx, w.local)
-					w.local = nil
-					return
-				}
-				b, err := w.root.Next(&w.wctx)
-				if err != nil {
-					releaseBatches(&w.wctx, w.local)
-					w.local = nil
-					x.fail(err)
-					return
-				}
-				if b == nil {
-					break
-				}
-				if b.Len() == 0 {
-					continue
-				}
-				// Hand off an owned, compacted copy: the producing operators
-				// reuse their scratch on the next pull.
-				cs := time.Now()
-				t := w.wctx.pool().GetBatch(x.types, b.Len())
-				t.CopyFrom(b)
-				w.copyNanos += time.Since(cs).Nanoseconds()
-				w.local = append(w.local, t)
-			}
+			return
 		}
-		// Publish this morsel's work to the mid-stream-readable
-		// accumulator (w.cost() is safe here: only this goroutine drives
-		// the pipeline; the fused loop's copy time is inside its cost,
-		// the unfused root's is copyNanos).
-		cost := w.cost()
-		x.costNanos.Add(int64(cost-w.lastCost) + w.copyNanos)
+		// Publish this morsel's work to the mid-stream-readable accumulator
+		// (safe here: only this goroutine drives the pipe).
+		cost := w.pipe.cost()
+		x.costNanos.Add(int64(cost - w.lastCost))
 		w.lastCost = cost
-		w.copyNanos = 0
 		x.mu.Lock()
 		x.slots[m].batches = w.local
 		x.slots[m].done = true
@@ -306,8 +208,7 @@ func (x *Exchange) Next(ctx *Ctx) (*vector.Batch, error) {
 }
 
 // Close implements Operator: stops the morsel source, joins the workers,
-// releases buffered batches, and closes worker pipelines and shared build
-// subplans (store cancellation callbacks inside them fire here).
+// releases buffered batches, and closes worker pipes and shared builds.
 func (x *Exchange) Close(ctx *Ctx) error {
 	if x.closed {
 		return nil
@@ -329,22 +230,11 @@ func (x *Exchange) Close(ctx *Ctx) error {
 	}
 	var first error
 	for _, w := range x.workers {
-		var err error
-		if w.fused != nil {
-			err = w.fused.close(&w.wctx)
-		} else {
-			err = w.root.Close(&w.wctx)
-		}
-		if err != nil && first == nil {
+		if err := w.pipe.close(&w.wctx); err != nil && first == nil {
 			first = err
 		}
 	}
-	for _, b := range x.builds {
-		if err := b.close(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return x.closeBuilds(ctx, first)
 }
 
 // Progress implements Operator: merged morsels over total.
@@ -358,334 +248,12 @@ func (x *Exchange) Progress() float64 {
 	return float64(done) / float64(len(x.slots))
 }
 
-// Cost implements Operator: the fragment's total work — worker pipeline
-// time (inclusive of their children) plus shared builds, transfer copies,
-// and merge bookkeeping — matching the serial operator's inclusive subtree
-// cost, so recycler statistics are parallelism-independent. It reads only
+// Cost implements Operator: the fragment's total work — worker pipe time
+// (transfer copies included) plus shared builds and merge bookkeeping — an
+// inclusive subtree cost that does not depend on the worker count, so
+// recycler statistics are parallelism-independent. It reads only
 // morsel-granular atomics and is safe mid-stream (speculative store
 // decisions above the exchange consult it while workers run).
 func (x *Exchange) Cost() time.Duration {
-	c := time.Duration(x.costNanos.Load())
-	for _, b := range x.builds {
-		c += b.cost()
-	}
-	return c + time.Duration(x.mergeNanos)
-}
-
-// aggWorker is one partial-aggregation worker: a cloned (or fused) input
-// pipeline plus a worker-local group table.
-type aggWorker struct {
-	root  Operator
-	scan  *MorselScan
-	fused *fusedPipe
-	wctx  Ctx
-	st    aggState
-	// absorbNanos measures accumulation time only; pipeline time is the
-	// clone's own Cost. (Wall time would also count blocking on a shared
-	// join build's Once — work that is folded exactly once elsewhere.)
-	// Fused pipes absorb through their sink and time it as sinkNanos.
-	absorbNanos int64
-}
-
-// inSchema returns the aggregation input schema (the pipeline's output).
-func (w *aggWorker) inSchema() catalog.Schema {
-	if w.fused != nil {
-		return w.fused.schema
-	}
-	return w.root.Schema()
-}
-
-// cost returns the worker's pipeline + accumulation time.
-// Worker-goroutine-local until the fragment quiesces.
-func (w *aggWorker) cost() time.Duration {
-	if w.fused != nil {
-		return w.fused.cost() // absorb time included via the sink
-	}
-	return w.root.Cost() + time.Duration(w.absorbNanos)
-}
-
-// ParallelAgg executes an aggregation fragment: each worker drains
-// morsel-ordered input through its own pipeline clone into a partial
-// aggState, and end-of-input merges the partials into one final state. The
-// merged groups are emitted sorted by first occurrence in the
-// morsel-ordered stream — precisely the order the serial HashAgg discovers
-// (and therefore emits) them — so parallel aggregation is
-// order-deterministic and serial-identical (float sums modulo
-// re-association).
-type ParallelAgg struct {
-	base
-	GroupCols []int
-	Aggs      []AggExpr
-
-	workers []*aggWorker
-	src     *morselSource
-	builds  []*sharedBuild
-
-	opened  bool
-	closed  bool
-	built   bool
-	final   aggState
-	order   []int32
-	emit    int
-	out     *vector.Batch
-	failErr error
-	failMu  sync.Mutex
-
-	mergeNanos int64
-}
-
-// buildParallelAgg assembles the parallel aggregation for fragment root n
-// (an Aggregate node). With fuse set, each worker drives a fused push loop
-// whose sink absorbs directly into the worker's partial aggState; otherwise
-// workers pull from cloned operator pipelines.
-func (fb *fragBuilder) buildParallelAgg(n *plan.Node, nW int, fuse bool) (Operator, bool, error) {
-	child := n.Children[0]
-	groupCols := make([]int, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		groupCols[i] = child.Schema().ColIndex(g)
-		if groupCols[i] < 0 {
-			return nil, false, nil // serial path reports the error
-		}
-	}
-	pa := &ParallelAgg{
-		base:      base{schema: n.Schema()},
-		GroupCols: groupCols,
-		src:       fb.src,
-	}
-	for w := 0; w < nW; w++ {
-		aw := &aggWorker{}
-		if fuse {
-			pipe, err := fb.newFusedPipe(child)
-			if err != nil {
-				return nil, false, err
-			}
-			aw.fused = pipe
-			// Absorption happens inside the drive loop; push() times it as
-			// the pipe's sinkNanos, so spine-node attribution excludes it.
-			pipe.sink = func(b *vector.Batch) error { return aw.st.absorb(b) }
-		} else {
-			root, scan, err := fb.clonePipeline(child)
-			if err != nil {
-				return nil, false, err
-			}
-			aw.root, aw.scan = root, scan
-		}
-		aggs := make([]AggExpr, len(n.Aggs))
-		for i, a := range n.Aggs {
-			aggs[i] = AggExpr{
-				Func: a.Func,
-				Typ:  n.Schema()[len(n.GroupBy)+i].Typ,
-			}
-			if a.Arg != nil {
-				aggs[i].Arg = a.Arg.Clone() // per-worker evaluation scratch
-			}
-		}
-		if w == 0 {
-			pa.Aggs = aggs
-		}
-		aw.st.groupCols = groupCols
-		aw.st.aggs = aggs
-		aw.st.trackOrd = true
-		pa.workers = append(pa.workers, aw)
-	}
-	pa.builds = buildList(fb.builds)
-	return pa, true, nil
-}
-
-// Open implements Operator.
-func (p *ParallelAgg) Open(ctx *Ctx) error {
-	for _, b := range p.builds {
-		if err := b.child.Open(ctx); err != nil {
-			return err
-		}
-	}
-	for _, w := range p.workers {
-		w.wctx = *ctx
-		if w.fused != nil {
-			if err := w.fused.open(&w.wctx); err != nil {
-				return err
-			}
-		} else if err := w.root.Open(&w.wctx); err != nil {
-			return err
-		}
-		w.st.open(&w.wctx, w.inSchema())
-	}
-	p.final.groupCols = p.GroupCols
-	p.final.aggs = p.Aggs
-	p.final.trackOrd = true
-	p.final.open(ctx, p.workers[0].inSchema())
-	p.out = ctx.pool().GetBatch(p.schema.Types(), ctx.vecSize())
-	p.opened = true
-	p.built = false
-	p.emit = 0
-	return nil
-}
-
-func (p *ParallelAgg) fail(err error) {
-	p.failMu.Lock()
-	if p.failErr == nil {
-		p.failErr = err
-	}
-	p.failMu.Unlock()
-	p.src.stop()
-}
-
-// run executes the fan-out/merge: workers aggregate morsels in parallel,
-// then the consumer folds the partials and fixes the emission order.
-func (p *ParallelAgg) run(ctx *Ctx) error {
-	var wg sync.WaitGroup
-	for _, w := range p.workers {
-		w.wctx.Context = ctx.Context
-		wg.Add(1)
-		go func(w *aggWorker) {
-			defer wg.Done()
-			for {
-				m, ok := p.src.claim()
-				if !ok {
-					return
-				}
-				if w.fused != nil {
-					w.st.startMorsel(m)
-					if err := w.fused.driveMorsel(&w.wctx, m); err != nil {
-						p.fail(err)
-						return
-					}
-					continue
-				}
-				w.scan.StartMorsel(m)
-				w.st.startMorsel(m)
-				for {
-					b, err := w.root.Next(&w.wctx)
-					if err != nil {
-						p.fail(err)
-						return
-					}
-					if b == nil {
-						break
-					}
-					as := time.Now()
-					err = w.st.absorb(b)
-					w.absorbNanos += time.Since(as).Nanoseconds()
-					if err != nil {
-						p.fail(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	p.failMu.Lock()
-	err := p.failErr
-	p.failMu.Unlock()
-	if err != nil {
-		return err
-	}
-	start := time.Now()
-	for _, w := range p.workers {
-		p.final.mergeFrom(&w.st)
-	}
-	if p.final.scalar {
-		p.final.ensureScalarGroup()
-	}
-	// Emission order: ascending first occurrence == serial discovery order.
-	p.order = make([]int32, p.final.nGroups)
-	for i := range p.order {
-		p.order[i] = int32(i)
-	}
-	sort.Slice(p.order, func(a, b int) bool {
-		return p.final.ord[p.order[a]].less(p.final.ord[p.order[b]])
-	})
-	p.mergeNanos += time.Since(start).Nanoseconds()
-	p.built = true
-	return nil
-}
-
-// Next implements Operator.
-func (p *ParallelAgg) Next(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	if !p.built {
-		if err := p.run(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if p.emit >= p.final.nGroups {
-		return nil, nil
-	}
-	start := time.Now()
-	p.out.Reset()
-	lo := p.emit
-	hi := lo + ctx.vecSize()
-	if hi > p.final.nGroups {
-		hi = p.final.nGroups
-	}
-	p.final.emitIndex(p.out, p.order[lo:hi])
-	p.emit = hi
-	p.rows += int64(hi - lo)
-	p.mergeNanos += time.Since(start).Nanoseconds()
-	return p.out, nil
-}
-
-// Close implements Operator.
-func (p *ParallelAgg) Close(ctx *Ctx) error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	p.src.stop()
-	var first error
-	for _, w := range p.workers {
-		if w.fused != nil {
-			if err := w.fused.close(&w.wctx); err != nil && first == nil {
-				first = err
-			}
-		} else if err := w.root.Close(&w.wctx); err != nil && first == nil {
-			first = err
-		}
-		if p.opened {
-			w.st.close(&w.wctx)
-		}
-	}
-	for _, b := range p.builds {
-		if err := b.close(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	if p.opened {
-		p.final.close(ctx)
-	}
-	if p.out != nil {
-		ctx.pool().PutBatch(p.out)
-		p.out = nil
-	}
-	return first
-}
-
-// Progress implements Operator: like HashAgg, 0 until built, then the
-// emitted-group fraction.
-func (p *ParallelAgg) Progress() float64 {
-	if !p.built {
-		return 0
-	}
-	if p.final.nGroups == 0 {
-		return 1
-	}
-	return float64(p.emit) / float64(p.final.nGroups)
-}
-
-// Cost implements Operator: total work across workers (pipeline +
-// accumulation) plus shared builds and the merge, matching the serial
-// HashAgg's inclusive subtree cost. Safe to read once the first batch is
-// out (run() has completed; worker fields are quiescent behind the join).
-func (p *ParallelAgg) Cost() time.Duration {
-	var c time.Duration
-	for _, w := range p.workers {
-		c += w.cost()
-	}
-	for _, b := range p.builds {
-		c += b.cost()
-	}
-	return c + time.Duration(p.mergeNanos)
+	return time.Duration(x.costNanos.Load()+x.mergeNanos) + x.buildCost()
 }

@@ -1,8 +1,14 @@
-// Package exec implements the vector-at-a-time pipelined execution engine:
-// pull-based operators exchanging column-vector batches, per-operator cost
-// and cardinality measurement, progress meters (after Luo et al., as used by
-// the paper's speculation mechanism, §III-D), and the store operator that
-// tees the tuple flow into the recycler cache (§II).
+// Package exec implements the vector-at-a-time pipelined execution engine.
+// Every Select/Project/Join-probe chain and every Aggregate input runs as
+// one fused push loop (fused.go) over whatever feeds it — morsels of a
+// base-table snapshot or any pull operator. The pull Operator interface
+// survives where it is the natural shape: scans and table functions, the
+// blocking and stream-shaping operators (Sort, TopN, Limit, Union), the
+// recycler's operators — CacheScan replay, WaitReuse, and the Store that tees
+// the tuple flow into the recycler cache (§II) — and fragment roots. The
+// package also measures per-node cost and cardinality and provides the
+// progress meters (after Luo et al.) the paper's speculation mechanism uses
+// (§III-D).
 package exec
 
 import (
@@ -39,27 +45,15 @@ type Ctx struct {
 	// recycler's append extension executes a cached subplan over only the
 	// newly appended rows [ScanFrom[t], watermark).
 	ScanFrom map[string]int
-	// Parallelism is the worker budget for morsel-driven parallel
-	// pipelines (see parallel.go). Values <= 1 execute the plan on the
-	// calling goroutine exactly as before; the engine divides its
-	// configured budget across concurrently executing statements.
+	// Parallelism is the statement's worker budget for morsel-driven
+	// fragments (see fragment.go). Values <= 1 execute the plan on the
+	// calling goroutine; the engine divides its configured budget across
+	// concurrently executing statements.
 	Parallelism int
 	// MorselRows overrides the scan rows per morsel (0 uses
 	// 16 x the vector size). Exposed for tests; morsel granularity does
 	// not affect results, only scheduling.
 	MorselRows int
-	// DisableFusion forces pipeline-fragment interiors back onto chained
-	// operator Next calls instead of the fused push loop (see fused.go).
-	// An escape hatch for bisecting regressions and for benchmarking the
-	// two paths against each other; results are identical either way.
-	DisableFusion bool
-	// DisableKernels turns off the type-specialized compute kernels
-	// (compiled predicate kernels, typed aggregate emission, and the
-	// single-column int64 hash fast path; see kernel.go) and falls back to
-	// the generic evaluation paths everywhere. Another bisection hatch;
-	// survivors, emitted rows, and hashes-observable behavior are
-	// identical either way.
-	DisableKernels bool
 }
 
 // morselRows returns the scan range claimed per worker dispatch.
@@ -68,6 +62,12 @@ func (c *Ctx) morselRows() int {
 		return c.MorselRows
 	}
 	return 16 * c.vecSize()
+}
+
+// scanStart returns the first row a scan of table reads under snap: 0, or
+// the delta-run offset from ScanFrom clamped to the snapshot.
+func (c *Ctx) scanStart(table string, snap *catalog.Snapshot) int {
+	return min(c.ScanFrom[table], snap.Rows)
 }
 
 // SnapFor returns the statement's snapshot of t, capturing (and memoizing)

@@ -2,71 +2,62 @@ package exec
 
 import (
 	"errors"
-	"sync/atomic"
 	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
-// Fused push-loop execution of pipeline-fragment interiors.
+// The fused push loop: the one implementation of a fragment interior.
 //
-// A pipeline fragment (plan.ClassifyFragment) used to run as a chain of
-// pull operators even inside one morsel worker: every batch crossed a
-// virtual Next boundary per operator, each with its own cancellation check,
-// cost timer, and selection handoff. fusedPipe collapses that interior into
-// one compiled consumer chain driven by a single loop, per "Push vs.
-// Pull-Based Loop Fusion in Query Engines" (PAPERS.md):
+// A fragment (plan.SpineNodes) is a source plus a chain of row-local nodes —
+// select, project, join probe — optionally ending in an aggregation.
+// fusedPipe compiles that chain into one consumer array driven by a single
+// loop, per "Push vs. Pull-Based Loop Fusion in Query Engines" (PAPERS.md):
 //
-//   - the scan pushes each morsel batch straight through a flat []fusedStage
-//     array (a tagged union — no interface dispatch between stages);
+//   - the source pushes each batch straight through a flat []fusedStage array
+//     (a tagged union — no interface dispatch between stages);
 //   - filter stages refine ONE shared selection vector in place
-//     (vector.RefineSel) instead of emitting a fresh selection per operator,
-//     and a conjunctive predicate is split (expr.Conjuncts) so each conjunct
-//     evaluates only over the previous conjuncts' survivors;
+//     (vector.RefineSel, or a compiled predicate kernel, see kernel.go)
+//     instead of emitting a fresh selection per operator, and a conjunctive
+//     predicate is split (expr.Conjuncts) so each conjunct evaluates only
+//     over the previous conjuncts' survivors;
 //   - project stages evaluate selection-aware into stage-owned pooled
 //     scratch, producing dense batches;
-//   - probe stages run the shared-build hash-join probe loop and gather-emit
-//     matched pairs once per input batch.
+//   - probe stages run the hash-join probe loop (join.go), gather matched
+//     pairs once per input batch, and pass them on a vector's worth at a time.
 //
-// The pull Next interface survives only at fragment roots — Exchange and
-// ParallelAgg when the fragment parallelizes, FusedPipeline and FusedAgg
-// when it runs serially — which is where the recycler decorates, stores,
-// and replays. Row content and order are identical to the unfused engine
-// (probes emit in probe-row × chain-arrival order exactly like HashJoin);
-// only batch *boundaries* may differ, because a fused probe flushes at each
-// input-batch end rather than accumulating pairs to the vector size.
+// The source is either a morsel range over a base-table snapshot, or any
+// pull Operator: a CacheScan replay, a Store/WaitReuse-wrapped subtree, a
+// table function, a Sort/TopN/Limit/Union, another fragment's root. Pull
+// Next survives only there and at fragment roots (fragment.go), which is
+// where the recycler decorates, stores, and replays.
 //
-// Selection-vector ownership: a selection attached by a fused filter lives
-// either in the scan's own per-batch sel (refined in place — the scan
-// rebuilds it every Next, never reading old contents) or in the filter
-// stage's selBuf when the input was dense. Probe and project stages always
-// emit dense batches, so a selection never crosses a materializing stage
-// and no stage ever aliases another stage's live selection storage.
+// Selection-vector ownership: a selection attached by a filter lives in the
+// morsel scan's own per-batch sel (refined in place — the scan rebuilds it
+// every Next, never reading old contents), in the pipe's selBuf (a copy of
+// a pull child's selection — the child's batch, header and selection alike,
+// is never written through: cached batches are shared by every reader), or
+// in the filter stage's selBuf when the input was dense. Probe and project
+// stages always emit dense batches, so a selection never crosses a
+// materializing stage and no stage ever aliases another stage's live
+// selection storage.
 //
-// Cost attribution (the fused interior has no per-operator Next boundaries
-// to time): one timer wraps the whole drive loop per worker, sink time
-// (exchange copy-out / agg absorb) is measured separately and subtracted,
-// and the remainder is attributed to spine nodes in proportion to work
-// weights — rows scanned for the scan, rows evaluated per conjunct pass for
-// filters, rows emitted for projects, rows in + rows out for probes. A
-// node's inclusive cost is the prefix sum of attributed shares from the
-// scan up to and including that node, which is monotone toward the root —
-// exactly the shape of the unfused engine's inclusive subtree costs, so the
-// recycler's hR/benefit ordering over spine nodes is preserved. Shared join
-// builds fold in through foldOp.extraCost exactly as before. The views fold
-// across workers through the same foldOp used for unfused clones, so
-// recycler-graph annotation stays parallelism- and fusion-oblivious.
-
-// fusedFragments counts fused fragments built process-wide; tests use it to
-// assert the fused path engaged rather than silently falling back.
-var fusedFragments atomic.Int64
-
-// FusedFragmentsBuilt returns the number of fused pipeline fragments
-// compiled since process start (introspection/testing).
-func FusedFragmentsBuilt() int64 { return fusedFragments.Load() }
+// Cost attribution (the interior has no per-operator Next boundaries to
+// time): one timer wraps the whole drive loop per pipe; sink time (exchange
+// copy-out / agg absorb) and wait time (inside a pull source's Next, or on a
+// shared join build — both accounted by their own operators) are measured
+// separately and subtracted; the remainder is attributed to spine nodes in
+// proportion to work weights — rows scanned for a morsel scan, rows
+// evaluated per conjunct pass for filters, rows emitted for projects, rows
+// in + rows out for probes. A node's inclusive cost is the source's cost (a
+// pull child's own Cost(); a morsel scan's is its weight's share) plus the
+// prefix sum of attributed shares up to and including that node, which is
+// monotone toward the root — the shape of inclusive subtree costs the
+// recycler's hR/benefit ordering expects. Shared join builds fold in through
+// foldOp.extraCost, and the views fold across workers through foldOp, so
+// recycler-graph annotation is oblivious to how many workers ran a node.
 
 // errFusedStopped aborts a fused drive from the sink when the fragment root
 // is tearing down; it never escapes the fragment operator.
@@ -107,50 +98,58 @@ type fusedStage struct {
 	work    int64
 }
 
-// fusedProbe is the probe-stage core: the serial HashJoin probe loop
-// against a sharedBuild, emitting pairs gathered once per input batch.
-type fusedProbe struct {
-	sb          *sharedBuild
-	jt          plan.JoinType
-	leftCols    []int
-	leftWidth   int
-	rightVecs   int
-	parallelism int
-
-	built  bool
-	out    *vector.Batch // pooled output batch
-	probeH []uint64
-	lIdx   []int32
-	rIdx   []int32
-}
-
-// fusedPipe is one worker's compiled pipeline: a morsel scan plus the flat
-// stage chain and the terminal sink. All fields are worker-goroutine-local
+// fusedPipe is one worker's compiled fragment interior: a source, the flat
+// stage chain, and the terminal sink. All fields are worker-goroutine-local
 // while driving; stats are read only after the fragment quiesces (or, for
 // the root's mid-stream cost, by the driving goroutine itself).
 type fusedPipe struct {
 	schema catalog.Schema // chain output schema (the spine root's)
+
+	// The source: a morsel scan over the fragment's shared morsel source
+	// (the pipe owns the batches it yields), or a pull child (child != nil;
+	// its batches are read-only and reach the stages through view).
 	scan   *MorselScan
-	src    *morselSource
+	child  Operator
+	view   vector.Batch // pipe-local header over the child's current batch
+	selBuf []int32      // pipe-local copy of the child's selection
+
 	stages []fusedStage
 	sink   func(*vector.Batch) error
 
 	lastMorsel int // serial step state: morsel being drained (-1 = none)
 
-	loopNanos int64 // whole drive loop, sink included
+	loopNanos int64 // whole drive loop, sink and waits included
 	sinkNanos int64 // sink calls only (copy-out / absorb)
+	waitNanos int64 // inside the pull child's Next or a shared build
 }
 
 func (p *fusedPipe) addLoop(start time.Time) { p.loopNanos += time.Since(start).Nanoseconds() }
 
-// cost returns the pipe's total drive time (sink included) — the fused
-// equivalent of the unfused worker's root.Cost()+copyNanos.
-func (p *fusedPipe) cost() time.Duration { return time.Duration(p.loopNanos) }
+// source returns the pipe's leaf operator.
+func (p *fusedPipe) source() Operator {
+	if p.child != nil {
+		return p.child
+	}
+	return p.scan
+}
 
-// open acquires stage scratch from the pool; close releases it.
+// cost returns the pipe's inclusive drive time, sink included: the loop,
+// with the time a pull child spent in Next replaced by the child's own
+// inclusive cost (which adds its Open and leaves out stalls it does not
+// count). Shared builds are the fragment root's to add.
+func (p *fusedPipe) cost() time.Duration {
+	c := time.Duration(p.loopNanos - p.waitNanos)
+	if p.child != nil {
+		c += p.child.Cost()
+	}
+	return c
+}
+
+// open opens the source and acquires stage scratch from the pool; close
+// releases it.
 func (p *fusedPipe) open(ctx *Ctx) error {
 	p.lastMorsel = -1
-	if err := p.scan.Open(ctx); err != nil {
+	if err := p.source().Open(ctx); err != nil {
 		return err
 	}
 	for i := range p.stages {
@@ -165,11 +164,7 @@ func (p *fusedPipe) open(ctx *Ctx) error {
 			s.out = ctx.pool().GetBatch(s.types, ctx.vecSize())
 		case stageProbe:
 			j := s.probe
-			j.built = false
-			j.parallelism = ctx.Parallelism
-			if j.parallelism < 1 {
-				j.parallelism = 1
-			}
+			j.built, j.passed = false, false
 			j.out = ctx.pool().GetBatch(s.types, ctx.vecSize())
 			if j.lIdx == nil {
 				j.lIdx = make([]int32, 0, ctx.vecSize())
@@ -180,8 +175,8 @@ func (p *fusedPipe) open(ctx *Ctx) error {
 	return nil
 }
 
-// close returns stage scratch to the pool. Shared builds are owned and
-// closed by the fragment operator, not per pipe.
+// close returns stage scratch to the pool and closes the source. Shared
+// builds are owned and closed by the fragment root, not per pipe.
 func (p *fusedPipe) close(ctx *Ctx) error {
 	for i := range p.stages {
 		s := &p.stages[i]
@@ -199,12 +194,14 @@ func (p *fusedPipe) close(ctx *Ctx) error {
 			j.out = nil
 		}
 	}
-	return p.scan.Close(ctx)
+	p.view = vector.Batch{}
+	return p.source().Close(ctx)
 }
 
-// driveMorsel points the scan at morsel m and pushes every batch through
-// the chain to the sink. Cancellation is observed at the morsel boundary
-// here and at batch granularity inside the scan.
+// driveMorsel is the parallel driver: the worker claims morsel m, and this
+// pushes every batch of it through the chain to the sink. Cancellation is
+// observed at the morsel boundary here and at batch granularity inside the
+// scan.
 func (p *fusedPipe) driveMorsel(ctx *Ctx, m int) error {
 	if err := ctx.Interrupted(); err != nil {
 		return err
@@ -217,60 +214,86 @@ func (p *fusedPipe) driveMorsel(ctx *Ctx, m int) error {
 			return err
 		}
 		if b == nil {
-			return nil
+			break
 		}
-		if b.Len() == 0 {
-			continue
+		if err := p.push(ctx, 0, b); err != nil {
+			return err
 		}
-		if err := p.push(ctx, b); err != nil {
+	}
+	// The morsel's output must be complete before it is published.
+	for {
+		if more, err := p.flush(ctx); err != nil || !more {
 			return err
 		}
 	}
 }
 
-// step is the serial driver: it claims morsels itself and processes exactly
-// one scan batch per call, so a pausing sink (the pull adapter in
-// FusedPipeline) holds at most one emitted batch. done reports end of the
-// final morsel. Cancellation is observed at morsel boundaries; the scan
-// checks it per batch.
+// step is the serial driver, over either kind of source: it processes
+// exactly one source batch per call (claiming morsels itself), so a pausing
+// sink (the pull adapter in FusedPipeline) holds at most one emitted batch
+// and a consumer that stops pulling costs at most one more source batch.
+// Past the end of input each call flushes one probe stage's held rows; done
+// reports that nothing is left.
 func (p *fusedPipe) step(ctx *Ctx) (done bool, err error) {
+	if err := ctx.Interrupted(); err != nil {
+		return false, err
+	}
 	defer p.addLoop(time.Now())
-	for {
-		b, err := p.scan.Next(ctx)
-		if err != nil {
-			return false, err
-		}
-		if b == nil {
-			if p.lastMorsel >= 0 {
-				p.src.advance(p.lastMorsel)
-			}
-			m, ok := p.src.claim()
-			if !ok {
-				return true, nil
-			}
-			if err := ctx.Interrupted(); err != nil {
-				return false, err
-			}
-			p.scan.StartMorsel(m)
-			p.lastMorsel = m
-			continue
+	b, err := p.next(ctx)
+	if err != nil {
+		return false, err
+	}
+	if b == nil {
+		more, err := p.flush(ctx)
+		return !more, err
+	}
+	return false, p.push(ctx, 0, b)
+}
+
+// next returns the source's next non-empty batch in a header the stages may
+// attach a selection to, or nil at end of input.
+func (p *fusedPipe) next(ctx *Ctx) (*vector.Batch, error) {
+	for p.child != nil {
+		start := time.Now()
+		b, err := p.child.Next(ctx)
+		p.waitNanos += time.Since(start).Nanoseconds()
+		if err != nil || b == nil {
+			return nil, err
 		}
 		if b.Len() == 0 {
 			continue
 		}
-		if err := p.push(ctx, b); err != nil {
-			return false, err
+		p.view.Vecs, p.view.Sel = b.Vecs, b.Sel
+		if b.Sel != nil && len(p.stages) > 0 && p.stages[0].kind == stageFilter {
+			// The filter compacts an incoming selection in place.
+			p.selBuf = append(p.selBuf[:0], b.Sel...)
+			p.view.Sel = p.selBuf
 		}
-		return false, nil
+		return &p.view, nil
+	}
+	for {
+		b, err := p.scan.Next(ctx)
+		if err != nil || b != nil {
+			return b, err
+		}
+		if p.lastMorsel >= 0 {
+			p.scan.src.advance(p.lastMorsel)
+		}
+		m, ok := p.scan.src.claim()
+		if !ok {
+			return nil, nil
+		}
+		p.scan.StartMorsel(m)
+		p.lastMorsel = m
 	}
 }
 
-// push drives one scan batch through every stage and into the sink. The
-// chain is linear: a probe emits at most one (possibly oversized) batch per
-// input batch, so no stage ever has more than one batch in flight and no
-// per-operator handoff or resumption state exists.
-func (p *fusedPipe) push(ctx *Ctx, b *vector.Batch) error {
-	for i := range p.stages {
+// push drives one batch through stages[from:] and into the sink. The chain
+// is linear: a probe passes on at most one (possibly oversized) batch per
+// input batch, so no stage ever has more than one batch in flight, at most
+// one batch reaches the sink, and no per-operator resumption state exists.
+func (p *fusedPipe) push(ctx *Ctx, from int, b *vector.Batch) error {
+	for i := from; i < len(p.stages); i++ {
 		s := &p.stages[i]
 		switch s.kind {
 		case stageFilter:
@@ -285,8 +308,8 @@ func (p *fusedPipe) push(ctx *Ctx, b *vector.Batch) error {
 					// shared selection directly — no flags vector, no
 					// expression walk. A fused pair (width > 1) judges its
 					// conjuncts in the same pass; the work weight counts
-					// every generic pass it replaces so fused cost
-					// attribution is independent of the kernel toggle.
+					// every generic pass it replaces, so cost attribution
+					// does not depend on which conjuncts compiled.
 					s.work += int64(n) * k.width
 					v := b.Vecs[k.col]
 					if b.Sel != nil {
@@ -301,10 +324,9 @@ func (p *fusedPipe) push(ctx *Ctx, b *vector.Batch) error {
 					n = b.Len()
 					continue
 				}
-				pred := step.pred
 				s.work += int64(n)
 				s.flags.Reset()
-				if err := pred.Eval(b, s.flags); err != nil {
+				if err := step.pred.Eval(b, s.flags); err != nil {
 					return err
 				}
 				if b.Sel != nil {
@@ -340,7 +362,7 @@ func (p *fusedPipe) push(ctx *Ctx, b *vector.Batch) error {
 			s.work += n
 			b = out
 		case stageProbe:
-			nb, err := s.pushProbe(ctx, b)
+			nb, err := p.pushProbe(ctx, s, b)
 			if err != nil {
 				return err
 			}
@@ -356,115 +378,68 @@ func (p *fusedPipe) push(ctx *Ctx, b *vector.Batch) error {
 	return err
 }
 
-// pushProbe probes one input batch against the shared build and returns the
-// gathered output batch (nil when no rows matched). Identical match
-// semantics and emission order to HashJoin/ProbeJoin; pairs are flushed
-// once per input batch, before the scan overwrites the probe rows.
-func (s *fusedStage) pushProbe(ctx *Ctx, b *vector.Batch) (*vector.Batch, error) {
-	j := s.probe
-	sb := j.sb
-	if !j.built {
-		// Outside the per-stage weights: the shared build's wall time is
-		// folded exactly once via sharedBuild.cost, and every pipe but the
-		// builder merely blocks here on the Once.
-		if err := sb.ensure(ctx, j.parallelism); err != nil {
-			return nil, err
-		}
-		j.built = true
-	}
-	n := b.Len()
-	s.work += int64(n)
-	if cap(j.probeH) < n {
-		j.probeH = make([]uint64, n)
-	}
-	j.probeH = j.probeH[:n]
-	if sb.fastHash {
-		hashI64Fast(b.Vecs[j.leftCols[0]], b.Sel, j.probeH)
-	} else {
-		hashColumns(b, j.leftCols, j.probeH)
-	}
-	out := j.out
-	out.Reset()
-	for row := 0; row < n; row++ {
-		r := b.RowIdx(row)
-		h := j.probeH[row]
-		t := &sb.parts[h>>sb.shift]
-		cand := t.buckets[t.slot(h)]
-		matched := false
-		for cand >= 0 {
-			c := cand
-			cand = sb.next[c]
-			if sb.hash[c] != h ||
-				!keyRowsEqual(b, r, j.leftCols, sb.arena, int(c), sb.rightCols) {
-				continue
-			}
-			switch j.jt {
-			case plan.Inner, plan.LeftOuter:
-				matched = true
-				j.lIdx = append(j.lIdx, int32(r))
-				j.rIdx = append(j.rIdx, c)
-			case plan.LeftSemi, plan.LeftAnti:
-				matched = true
-				cand = -1
-			}
-		}
-		switch j.jt {
-		case plan.LeftSemi:
-			if matched {
-				j.lIdx = append(j.lIdx, int32(r))
-				j.rIdx = append(j.rIdx, -1)
-			}
-		case plan.LeftAnti:
-			if !matched {
-				j.lIdx = append(j.lIdx, int32(r))
-				j.rIdx = append(j.rIdx, -1)
-			}
-		case plan.LeftOuter:
-			if !matched {
-				j.lIdx = append(j.lIdx, int32(r))
-				j.rIdx = append(j.rIdx, -1)
-			}
+// flush passes the rows the first probe stage still holds (see pushProbe)
+// down the rest of the chain — one stage per call, so that again at most one
+// batch reaches the sink. more reports whether it found any.
+func (p *fusedPipe) flush(ctx *Ctx) (more bool, err error) {
+	for i := range p.stages {
+		if j := p.stages[i].probe; j != nil && !j.passed && j.out.Len() > 0 {
+			j.passed = true
+			return true, p.push(ctx, i+1, j.out)
 		}
 	}
-	flushJoinPairs(out, b, sb.arena, j.lIdx, j.rIdx, j.leftWidth, j.rightVecs, j.jt)
-	j.lIdx = j.lIdx[:0]
-	j.rIdx = j.rIdx[:0]
-	no := int64(out.Len())
-	s.rowsOut += no
-	s.work += no
-	if no == 0 {
-		return nil, nil
-	}
-	return out, nil
+	return false, nil
+}
+
+// addFilter appends a filter stage for the bound predicate pred.
+func (p *fusedPipe) addFilter(pred expr.Expr) {
+	p.stages = append(p.stages, fusedStage{
+		kind: stageFilter, steps: compileSteps(expr.Conjuncts(pred)),
+	})
+}
+
+// addProject appends a projection stage. The pipe takes exprs over: they
+// carry evaluation scratch and must not be shared with another pipe.
+func (p *fusedPipe) addProject(exprs []expr.Expr, schema catalog.Schema) {
+	p.stages = append(p.stages, fusedStage{kind: stageProject, types: schema.Types(), exprs: exprs})
+}
+
+// addProbe appends a probe stage against sb; schema is the join's output.
+func (p *fusedPipe) addProbe(sb *sharedBuild, schema catalog.Schema) {
+	p.stages = append(p.stages, fusedStage{kind: stageProbe, types: schema.Types(), probe: &fusedProbe{sb: sb}})
 }
 
 // fusedNodeStat is the per-(pipe, spine node) stats view folded by foldOp:
-// proportional cost attribution (see the package comment's rule), actual
-// emitted rows, and morsel-merge progress. Read only after the pipe's
-// driving goroutine quiesces.
+// proportional cost attribution (see the rule above), actual emitted rows,
+// and the source's progress. idx 0 is a morsel scan (a pull child keeps its
+// own opmap entry instead); k >= 1 is stages[k-1]. Read only after the
+// pipe's driving goroutine quiesces.
 type fusedNodeStat struct {
 	p   *fusedPipe
-	idx int // spine index: 0 = scan, k>=1 = stages[k-1]
+	idx int
 }
 
 func (v *fusedNodeStat) Cost() time.Duration {
 	p := v.p
-	interior := p.loopNanos - p.sinkNanos
-	if interior <= 0 {
-		return 0
+	var base time.Duration
+	var prefix int64
+	if p.child != nil {
+		base = p.child.Cost()
+	} else {
+		prefix = p.scan.RowsOut()
 	}
-	total := p.scan.RowsOut()
+	total := prefix
 	for i := range p.stages {
 		total += p.stages[i].work
 	}
-	if total <= 0 {
-		return 0
+	interior := p.loopNanos - p.sinkNanos - p.waitNanos
+	if interior <= 0 || total <= 0 {
+		return base
 	}
-	prefix := p.scan.RowsOut()
 	for i := 0; i < v.idx; i++ {
 		prefix += p.stages[i].work
 	}
-	return time.Duration(float64(interior) * float64(prefix) / float64(total))
+	return base + time.Duration(float64(interior)*float64(prefix)/float64(total))
 }
 
 func (v *fusedNodeStat) RowsOut() int64 {
@@ -474,122 +449,35 @@ func (v *fusedNodeStat) RowsOut() int64 {
 	return v.p.stages[v.idx-1].rowsOut
 }
 
-func (v *fusedNodeStat) Progress() float64 { return v.p.scan.Progress() }
+func (v *fusedNodeStat) Progress() float64 { return v.p.source().Progress() }
 
-// newFusedPipe compiles the pipeline spine rooted at root into one fused
-// chain, registering a fusedNodeStat view per spine node in the builder's
-// fold map (so recycler-graph annotation folds fused pipes and unfused
-// clones identically). Expressions are cloned so each pipe owns its
-// evaluation scratch; join builds are shared across pipes like clonePipeline.
-func (fb *fragBuilder) newFusedPipe(root *plan.Node) (*fusedPipe, error) {
-	barrier := func(x *plan.Node) bool { return fb.dec != nil && fb.dec[x] != nil }
-	spine, ok := plan.SpineNodes(root, barrier)
-	if !ok {
-		return nil, errNotPipeline(root)
-	}
-	p := &fusedPipe{
-		schema: root.Schema(),
-		scan:   newMorselScan(fb.src, fb.scanCols, spine[0].Schema()),
-		src:    fb.src,
-	}
-	for _, pn := range spine[1:] {
-		var s fusedStage
-		switch pn.Op {
-		case plan.Select:
-			s.kind = stageFilter
-			s.steps, _ = compileSteps(expr.Conjuncts(pn.Pred), true, !fb.ctx.DisableKernels)
-		case plan.Project:
-			s.kind = stageProject
-			s.exprs = make([]expr.Expr, len(pn.Projs))
-			for i, pr := range pn.Projs {
-				s.exprs[i] = pr.E.Clone()
-			}
-			s.types = pn.Schema().Types()
-		case plan.Join:
-			sb := fb.builds[pn]
-			if sb == nil {
-				var err error
-				sb, err = fb.newSharedBuild(pn)
-				if err != nil {
-					return nil, err
-				}
-				fb.builds[pn] = sb
-			}
-			lcols := make([]int, len(pn.LeftKeys))
-			for i := range pn.LeftKeys {
-				lcols[i] = pn.Children[0].Schema().ColIndex(pn.LeftKeys[i])
-				if lcols[i] < 0 {
-					return nil, errJoinKey(pn, i)
-				}
-			}
-			s.kind = stageProbe
-			s.types = pn.Schema().Types()
-			s.probe = &fusedProbe{
-				sb: sb, jt: pn.JT, leftCols: lcols,
-				leftWidth: len(pn.Children[0].Schema()),
-				rightVecs: len(sb.child.Schema()),
-			}
-		default:
-			return nil, errNotPipeline(pn)
-		}
-		p.stages = append(p.stages, s)
-	}
-	for i, pn := range spine {
-		f := fb.folds[pn]
-		if f == nil {
-			f = &foldOp{schema: pn.Schema()}
-			if pn.Op == plan.Join {
-				sb := fb.builds[pn]
-				f.extraCost = func() time.Duration { return sb.cost() }
-			}
-			fb.folds[pn] = f
-			if fb.opmap != nil {
-				fb.opmap[pn] = f
-			}
-		}
-		f.clones = append(f.clones, &fusedNodeStat{p: p, idx: i})
-	}
-	return p, nil
-}
-
-// FusedPipeline is the serial fragment root for a fused pipeline: the
-// push-to-pull adapter. Its sink holds the single batch each step emits
-// (the chain is linear, so a step produces at most one), and Next hands it
-// up — valid until the following Next, per the operator contract, because
-// the chain does not advance until then. This is what makes loop fusion pay
-// at Parallelism 1: no exchange, no copies, one goroutine.
+// FusedPipeline is the serial fragment root for a pipeline: the push-to-pull
+// adapter. Its sink holds the single batch each step emits (the chain is
+// linear, so a step produces at most one), and Next hands it up — valid
+// until the following Next, per the operator contract, because the chain
+// does not advance until then. No exchange, no copies, one goroutine.
 type FusedPipeline struct {
-	base
+	fragRoot
 	pipe    *fusedPipe
-	src     *morselSource
-	builds  []*sharedBuild
 	emitted *vector.Batch
 	closed  bool
 }
 
-// buildFusedPipeline assembles the serial fused root for fragment root n.
-func (fb *fragBuilder) buildFusedPipeline(n *plan.Node) (Operator, bool, error) {
-	pipe, err := fb.newFusedPipe(n)
-	if err != nil {
-		return nil, false, err
-	}
-	f := &FusedPipeline{base: base{schema: n.Schema()}, pipe: pipe, src: fb.src}
-	f.builds = buildList(fb.builds)
+func newFusedPipeline(root fragRoot, pipe *fusedPipe) *FusedPipeline {
+	f := &FusedPipeline{fragRoot: root, pipe: pipe}
 	pipe.sink = func(b *vector.Batch) error {
 		f.emitted = b
 		return nil
 	}
-	return f, true, nil
+	return f
 }
 
 // Open implements Operator.
 func (f *FusedPipeline) Open(ctx *Ctx) error {
 	f.closed = false
 	f.emitted = nil
-	for _, b := range f.builds {
-		if err := b.child.Open(ctx); err != nil {
-			return err
-		}
+	if err := f.openBuilds(ctx); err != nil {
+		return err
 	}
 	return f.pipe.open(ctx)
 }
@@ -600,8 +488,7 @@ func (f *FusedPipeline) Next(ctx *Ctx) (*vector.Batch, error) {
 		return nil, err
 	}
 	for {
-		if f.emitted != nil {
-			b := f.emitted
+		if b := f.emitted; b != nil {
 			f.emitted = nil
 			f.rows += int64(b.Len())
 			return b, nil
@@ -622,184 +509,14 @@ func (f *FusedPipeline) Close(ctx *Ctx) error {
 		return nil
 	}
 	f.closed = true
-	f.src.stop()
 	f.emitted = nil
-	first := f.pipe.close(ctx)
-	for _, b := range f.builds {
-		if err := b.close(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return f.closeBuilds(ctx, f.pipe.close(ctx))
 }
 
-// Progress implements Operator: drained morsels over total.
-func (f *FusedPipeline) Progress() float64 { return f.pipe.scan.Progress() }
+// Progress implements Operator: the source's.
+func (f *FusedPipeline) Progress() float64 { return f.pipe.source().Progress() }
 
-// Cost implements Operator: the fused loop (scan through sink) plus shared
-// builds — the serial pipeline's inclusive subtree cost. Driving-goroutine
-// local, so safe for mid-stream speculation reads from the same stream.
-func (f *FusedPipeline) Cost() time.Duration {
-	c := f.pipe.cost()
-	for _, b := range f.builds {
-		c += b.cost()
-	}
-	return c
-}
-
-// FusedAgg is the serial fragment root for a fused aggregation: the chain's
-// sink absorbs straight into one aggState (no partials, no merge — single
-// consumer discovery order is already the serial HashAgg's), and Next emits
-// groups exactly like HashAgg.
-type FusedAgg struct {
-	base
-	pipe      *fusedPipe
-	src       *morselSource
-	builds    []*sharedBuild
-	GroupCols []int
-	Aggs      []AggExpr
-
-	st     aggState
-	opened bool
-	closed bool
-	built  bool
-	emit   int
-	out    *vector.Batch // pooled
-
-	emitNanos int64
-}
-
-// buildFusedAgg assembles the serial fused aggregation for root n.
-func (fb *fragBuilder) buildFusedAgg(n *plan.Node) (Operator, bool, error) {
-	child := n.Children[0]
-	groupCols := make([]int, len(n.GroupBy))
-	for i, g := range n.GroupBy {
-		groupCols[i] = child.Schema().ColIndex(g)
-		if groupCols[i] < 0 {
-			return nil, false, nil // serial path reports the error
-		}
-	}
-	pipe, err := fb.newFusedPipe(child)
-	if err != nil {
-		return nil, false, err
-	}
-	aggs := make([]AggExpr, len(n.Aggs))
-	for i, a := range n.Aggs {
-		aggs[i] = AggExpr{
-			Func: a.Func,
-			Arg:  a.Arg,
-			Typ:  n.Schema()[len(n.GroupBy)+i].Typ,
-		}
-	}
-	fa := &FusedAgg{
-		base: base{schema: n.Schema()}, pipe: pipe, src: fb.src,
-		GroupCols: groupCols, Aggs: aggs,
-	}
-	fa.builds = buildList(fb.builds)
-	pipe.sink = func(b *vector.Batch) error { return fa.st.absorb(b) }
-	return fa, true, nil
-}
-
-// Open implements Operator.
-func (a *FusedAgg) Open(ctx *Ctx) error {
-	a.closed = false
-	a.built = false
-	a.emit = 0
-	for _, b := range a.builds {
-		if err := b.child.Open(ctx); err != nil {
-			return err
-		}
-	}
-	if err := a.pipe.open(ctx); err != nil {
-		return err
-	}
-	a.st.groupCols = a.GroupCols
-	a.st.aggs = a.Aggs
-	a.st.open(ctx, a.pipe.schema)
-	a.out = ctx.pool().GetBatch(a.schema.Types(), ctx.vecSize())
-	a.opened = true
-	return nil
-}
-
-// Next implements Operator.
-func (a *FusedAgg) Next(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	if !a.built {
-		for {
-			done, err := a.pipe.step(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if done {
-				break
-			}
-		}
-		if a.st.scalar {
-			a.st.ensureScalarGroup()
-		}
-		a.built = true
-	}
-	if a.emit >= a.st.nGroups {
-		return nil, nil
-	}
-	start := time.Now()
-	a.out.Reset()
-	lo := a.emit
-	hi := lo + ctx.vecSize()
-	if hi > a.st.nGroups {
-		hi = a.st.nGroups
-	}
-	a.st.emitRange(a.out, lo, hi)
-	a.emit = hi
-	a.rows += int64(hi - lo)
-	a.emitNanos += time.Since(start).Nanoseconds()
-	return a.out, nil
-}
-
-// Close implements Operator.
-func (a *FusedAgg) Close(ctx *Ctx) error {
-	if a.closed {
-		return nil
-	}
-	a.closed = true
-	a.src.stop()
-	first := a.pipe.close(ctx)
-	for _, b := range a.builds {
-		if err := b.close(ctx); err != nil && first == nil {
-			first = err
-		}
-	}
-	if a.opened {
-		a.st.close(ctx)
-	}
-	if a.out != nil {
-		ctx.pool().PutBatch(a.out)
-		a.out = nil
-	}
-	return first
-}
-
-// Progress implements Operator: like HashAgg, 0 until built, then the
-// emitted-group fraction.
-func (a *FusedAgg) Progress() float64 {
-	if !a.built {
-		return 0
-	}
-	if a.st.nGroups == 0 {
-		return 1
-	}
-	return float64(a.emit) / float64(a.st.nGroups)
-}
-
-// Cost implements Operator: the fused loop (absorb included via the sink)
-// plus shared builds and group emission — the serial HashAgg's inclusive
-// subtree cost.
-func (a *FusedAgg) Cost() time.Duration {
-	c := a.pipe.cost() + time.Duration(a.emitNanos)
-	for _, b := range a.builds {
-		c += b.cost()
-	}
-	return c
-}
+// Cost implements Operator: the fused loop (source through sink) plus shared
+// builds — the pipeline's inclusive subtree cost. Driving-goroutine local,
+// so safe for mid-stream speculation reads from the same stream.
+func (f *FusedPipeline) Cost() time.Duration { return f.pipe.cost() + f.buildCost() }

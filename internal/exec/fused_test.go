@@ -1,9 +1,9 @@
 package exec
 
 // Fused push-loop contract tests: steady-state allocation freedom of the
-// serial fused drivers, spine cost attribution (inclusive, monotone toward
-// the root — what keeps recycler benefit ordering intact), and stat parity
-// between fused and unfused execution of the same plan.
+// serial drivers, and spine cost attribution (inclusive, monotone toward the
+// root — what keeps recycler benefit ordering intact) with exact per-node row
+// counts, for a morsel-scan leaf and a pull (CacheScan) leaf alike.
 
 import (
 	"testing"
@@ -13,6 +13,26 @@ import (
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
 )
+
+// cachedReplay executes resolved plan node n and wraps the result as the
+// recycler would hand it back: a reuse decoration replaying owned batches.
+func cachedReplay(t *testing.T, cat *catalog.Catalog, n *plan.Node) *ReuseSpec {
+	t.Helper()
+	ctx := NewCtx(cat)
+	op, err := Build(ctx, n, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(ctx, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]int, len(n.Schema()))
+	for i := range idx {
+		idx[i] = i
+	}
+	return &ReuseSpec{Batches: res.Batches, OutIdx: idx}
+}
 
 // fusedCatalog wraps the shared bench table in a catalog for plan-driven
 // builds of fused pipelines.
@@ -49,11 +69,10 @@ func buildFused(t *testing.T, cat *catalog.Catalog, n *plan.Node, par int, opmap
 	return ctx, op
 }
 
-// TestFusedPipelineNextZeroAlloc holds the serial fused driver to the same
-// steady-state contract as the chained operators it replaced: once stage
-// scratch is pooled and capacities have grown, a FusedPipeline.Next — one
-// scan batch pushed through filter conjuncts and a projection into the sink
-// slot — must not touch the heap.
+// TestFusedPipelineNextZeroAlloc holds the serial driver to the steady-state
+// contract: once stage scratch is pooled and capacities have grown, a
+// FusedPipeline.Next — one scan batch pushed through filter conjuncts and a
+// projection into the sink slot — must not touch the heap.
 func TestFusedPipelineNextZeroAlloc(t *testing.T) {
 	n := fusedBenchPlan()
 	ctx, op := buildFused(t, fusedCatalog(), n, 1, nil)
@@ -66,7 +85,7 @@ func TestFusedPipelineNextZeroAlloc(t *testing.T) {
 // TestFusedAggStepZeroAlloc drives the fused aggregation loop (scan ->
 // filter -> absorb) over a low-cardinality group column: after the group
 // table stops growing, the per-batch absorb path must be allocation-free.
-// FusedAgg.Next runs the whole input inside one call, so the assertion
+// AggOp.Next runs the whole input inside one call, so the assertion
 // measures the drive loop directly rather than through assertZeroAllocs.
 func TestFusedAggStepZeroAlloc(t *testing.T) {
 	n := plan.NewAggregate(
@@ -76,15 +95,15 @@ func TestFusedAggStepZeroAlloc(t *testing.T) {
 		plan.A(plan.Count, nil, "n"),
 		plan.A(plan.Sum, expr.C("v"), "sv"))
 	ctx, op := buildFused(t, fusedCatalog(), n, 1, nil)
-	fa, ok := op.(*FusedAgg)
-	if !ok {
-		t.Fatalf("op = %T, want *FusedAgg", op)
+	fa, ok := op.(*AggOp)
+	if !ok || len(fa.workers) != 1 {
+		t.Fatalf("op = %T, want a one-worker *AggOp", op)
 	}
 	if err := fa.Open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	defer fa.Close(ctx)
-	pipe := fa.pipe
+	pipe := fa.workers[0].pipe
 	// Warm: claim morsels and absorb until capacities are grown.
 	for i := 0; i < 8; i++ {
 		if done, err := pipe.step(ctx); err != nil || done {
@@ -111,133 +130,65 @@ func TestFusedAggStepZeroAlloc(t *testing.T) {
 }
 
 // TestFusedCostAttributionOrdering pins the documented attribution rule:
-// per-spine-node inclusive costs reported through the opmap folds are
-// monotone non-decreasing from the scan toward the fragment root, exactly
-// like chained operators' inclusive subtree costs — the property the
-// recycler's benefit ordering (cost/size ranking of candidate nodes)
-// depends on. Emitted row counts must not depend on fusion at all.
+// per-spine-node inclusive costs reported through opmap are monotone
+// non-decreasing from the source toward the fragment root — the property the
+// recycler's benefit ordering (cost/size ranking of candidate nodes) depends
+// on — and emitted row counts are exact. It must hold whether the spine's
+// leaf is the pipe's own morsel scan or a pull child replaying cached
+// batches, where spine index 0 is the child operator's own opmap entry.
 func TestFusedCostAttributionOrdering(t *testing.T) {
-	spineOf := func(n *plan.Node) []*plan.Node {
-		spine, ok := plan.SpineNodes(n, nil)
-		if !ok {
-			t.Fatal("plan is not a pipeline spine")
+	cat := fusedCatalog()
+	// Oracle row counts: the predicate of fusedBenchPlan, row at a time.
+	tab, _ := cat.Table("bench")
+	snap := tab.Snapshot()
+	var pass int64
+	for r := 0; r < snap.Rows; r++ {
+		if snap.Col(1).I64[r] < 48 && snap.Col(0).I64[r] < benchRows-1 {
+			pass++
 		}
-		return spine
 	}
-	run := func(disableFusion bool) (map[*plan.Node]Operator, []*plan.Node) {
+	wantRows := []int64{int64(snap.Rows), pass, pass}
+
+	for _, leaf := range []string{"morsel-scan", "cache-scan"} {
 		n := fusedBenchPlan()
-		if err := n.Resolve(fusedCatalog()); err != nil {
+		if err := n.Resolve(cat); err != nil {
 			t.Fatal(err)
 		}
-		ctx := NewCtx(fusedCatalog())
-		// Rebind against the same resolved tree's catalog tables.
-		ctx.Cat = fusedCatalog()
-		ctx.Parallelism = 1
-		ctx.DisableFusion = disableFusion
+		spine := plan.SpineNodes(n, nil)
+		var dec Decorations
+		if leaf == "cache-scan" {
+			dec = Decorations{spine[0]: {Reuse: cachedReplay(t, cat, spine[0])}}
+		}
+		ctx := NewCtx(cat)
 		opmap := make(map[*plan.Node]Operator)
-		op, err := Build(ctx, n, nil, opmap)
+		op, err := Build(ctx, n, dec, opmap)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Drain(ctx, op); err != nil {
 			t.Fatal(err)
 		}
-		return opmap, spineOf(n)
-	}
-	fusedMap, fusedSpine := run(false)
-	unfusedMap, unfusedSpine := run(true)
-
-	var last time.Duration = -1
-	for _, pn := range fusedSpine {
-		f := fusedMap[pn]
-		if f == nil {
-			t.Fatalf("no opmap fold for fused spine node %v", pn.Op)
+		if _, isReplay := opmap[spine[0]].(*CacheScan); isReplay != (leaf == "cache-scan") {
+			t.Fatalf("%s: spine leaf built as %T", leaf, opmap[spine[0]])
 		}
-		if c := f.Cost(); c < last {
-			t.Fatalf("fused inclusive cost not monotone toward root: node %v cost %v < child %v",
-				pn.Op, c, last)
-		} else {
-			last = c
+		var last time.Duration = -1
+		for i, pn := range spine {
+			f := opmap[pn]
+			if f == nil {
+				t.Fatalf("%s: no opmap entry for spine node %v", leaf, pn.Op)
+			}
+			if c := f.Cost(); c < last {
+				t.Fatalf("%s: inclusive cost not monotone toward root: node %v cost %v < child %v",
+					leaf, pn.Op, c, last)
+			} else {
+				last = c
+			}
+			if got := f.RowsOut(); got != wantRows[i] {
+				t.Fatalf("%s: spine node %v emitted %d rows, want %d", leaf, pn.Op, got, wantRows[i])
+			}
 		}
-	}
-	// Row counts per spine position are execution-strategy-independent.
-	for i, pn := range fusedSpine {
-		fr := fusedMap[pn].RowsOut()
-		ur := unfusedMap[unfusedSpine[i]].RowsOut()
-		if fr != ur {
-			t.Fatalf("spine node %v rows diverge: fused %d vs unfused %d", pn.Op, fr, ur)
+		if root := op.Cost(); root < last {
+			t.Fatalf("%s: fragment root cost %v below its top spine node's %v", leaf, root, last)
 		}
-		if fr == 0 {
-			t.Fatalf("spine node %v emitted no rows; attribution test is vacuous", pn.Op)
-		}
-	}
-}
-
-// TestFusedJoinProbeMatchesUnfused runs a probe join through both strategies
-// at parallelism 1 and 4 and compares every emitted row (canonical order is
-// part of the engine's determinism contract, so plain batch-order equality
-// is the correct check).
-func TestFusedJoinProbeMatchesUnfused(t *testing.T) {
-	cat := fusedCatalog()
-	mkJoin := func() *plan.Node {
-		dim := plan.NewProject(
-			plan.NewSelect(plan.NewScan("bench", "id", "s"),
-				expr.Lt(expr.C("id"), expr.Int(4096))),
-			plan.P(expr.C("id"), "did"),
-			plan.P(expr.C("s"), "ds"))
-		fact := plan.NewSelect(plan.NewScan("bench", "id", "k", "v"),
-			expr.Lt(expr.C("k"), expr.Int(32)))
-		return plan.NewJoin(plan.Inner, fact, dim, []string{"id"}, []string{"did"})
-	}
-	collect := func(par int, disableFusion bool) *catalog.Result {
-		n := mkJoin()
-		if err := n.Resolve(cat); err != nil {
-			t.Fatal(err)
-		}
-		ctx := NewCtx(cat)
-		ctx.Parallelism = par
-		ctx.DisableFusion = disableFusion
-		op, err := Build(ctx, n, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(ctx, op)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	want := collect(1, true)
-	for _, par := range []int{1, 4} {
-		got := collect(par, false)
-		sameRows(t, "fused join", want, got)
-	}
-}
-
-// TestFusedFragmentsCounter asserts the engagement counter moves when a
-// fusable plan builds with fusion enabled and stays put when disabled.
-func TestFusedFragmentsCounter(t *testing.T) {
-	cat := fusedCatalog()
-	build := func(disable bool) {
-		n := fusedBenchPlan()
-		if err := n.Resolve(cat); err != nil {
-			t.Fatal(err)
-		}
-		ctx := NewCtx(cat)
-		ctx.Parallelism = 1
-		ctx.DisableFusion = disable
-		if _, err := Build(ctx, n, nil, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := FusedFragmentsBuilt()
-	build(false)
-	if got := FusedFragmentsBuilt() - before; got != 1 {
-		t.Fatalf("fused fragment counter moved by %d, want 1", got)
-	}
-	before = FusedFragmentsBuilt()
-	build(true)
-	if got := FusedFragmentsBuilt() - before; got != 0 {
-		t.Fatalf("fused fragment counter moved by %d with fusion disabled, want 0", got)
 	}
 }

@@ -9,9 +9,8 @@ import (
 // Columnar hashing and typed key comparison for the vectorized hash join
 // and hash aggregation. Keys are hashed whole-column-at-a-time into a
 // per-row uint64, then probed through open-addressing tables; equality is
-// verified with typed column comparators. Nothing is encoded per row, so
-// the per-tuple alloc/dispatch cost of the old byte-string keys
-// (encodeRowKey, kept as the reference slow path in key.go) is gone.
+// verified with typed column comparators. Nothing is encoded per row; the
+// byte-string key encoding survives only as the test oracle in key_test.go.
 //
 // Numeric values hash through an exactness-preserving canonical form so
 // mixed int64/float64 keys (coerced joins, numeric IN) agree: any value

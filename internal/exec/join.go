@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"recycledb/internal/catalog"
@@ -8,151 +10,290 @@ import (
 	"recycledb/internal/vector"
 )
 
-// HashJoin builds a hash table on its right input and streams its left
-// (probe) input, supporting inner, left-semi, left-anti and left-outer
-// semantics. The engine has no NULLs: left-outer zero-fills unmatched right
-// columns and appends a 0/1 match column (plan.MatchCol).
-//
-// The build side is a dense columnar arena plus a chained open-addressing
-// table: bucket heads index build rows, a parallel next array links rows
-// with the same home bucket. Both sides are hashed whole-column-at-a-time
-// (hashColumns); probing walks the chain comparing stored hashes first and
-// verifying with typed column comparators — no per-row key encoding or
-// allocation anywhere on the probe path. Matches accumulate as
-// (probe, build) index pairs and are materialized column-wise with gather
-// kernels once per output batch.
-type HashJoin struct {
-	base
-	Left, Right         Operator
-	JT                  plan.JoinType
-	LeftCols, RightCols []int
+// Hash join: one build (sharedBuild), one probe loop (pushProbe). The build
+// drains the right input into a dense columnar arena plus a chained
+// open-addressing directory; a probe stage of a fused pipe hashes each left
+// batch whole-column-at-a-time (hashColumns), walks the chains comparing
+// stored hashes first and verifying with typed column comparators — no
+// per-row key encoding or allocation anywhere on the probe path — and
+// materializes the matched (probe, build) index pairs column-wise with the
+// gather kernels once per input batch. Inner, left-semi, left-anti and
+// left-outer semantics are supported. The engine has no NULLs: left-outer
+// zero-fills unmatched right columns and appends a 0/1 match column
+// (plan.MatchCol).
 
-	built     bool
-	rightRows *vector.Batch // dense build arena (pooled)
-	buildHash []uint64      // per build row
-	next      []int32       // chain links per build row
-	table     oaTable
+// sharedBuild is a hash-join build table shared by all probe pipes of a
+// fragment: one dense arena in build-input arrival order plus a
+// hash-partitioned chain directory. The build-side subplan is drained once
+// (by whichever pipe probes first); chain construction then runs one
+// goroutine per partition — partitions own disjoint row sets, so the
+// shared next array is written race-free — or inline when there is only one.
+// Partitioning preserves arrival order within each chain, so probes see
+// matches in build-input arrival order whatever the partition count.
+type sharedBuild struct {
+	jt        plan.JoinType
+	child     Operator // the build side
+	leftCols  []int    // key columns in the probe input
+	rightCols []int    // key columns in the build input
+	leftWidth int      // probe input column count
+	fastHash  bool     // single-column int64 key hashing
 
-	out    *vector.Batch // pooled output batch
-	probeH []uint64      // per-probe-batch hashes (logical rows)
-	lIdx   []int32       // pending probe-side physical rows
-	rIdx   []int32       // pending build-side rows (-1 = zero-fill)
-
-	cur       *vector.Batch // current probe batch
-	curRow    int           // logical position in cur
-	rowActive bool          // mid-chain state for resumption
-	cand      int32         // next chain candidate
-	matched   bool          // current probe row matched anything
-
-	leftWidth, rightVecs int
-
-	// fastHash selects the single-column int64 key hash (hash.go). Decided
-	// once in Open for both sides together — build and probe hashes must
-	// come from the same scheme — and only when both key columns are
-	// statically Int64/Date, so the canonical mixed-numeric form is never
-	// needed for equality.
-	fastHash bool
+	once    sync.Once
+	err     error
+	arena   *vector.Batch // global arrival order; aliased by all workers
+	hash    []uint64
+	next    []int32
+	parts   []oaTable
+	shift   uint
+	nanos   atomic.Int64 // build wall time (atomic: folded mid-stream)
+	closeMu sync.Mutex
+	closed  bool
 }
 
-// NewHashJoin builds a hash join; schema is the resolved output schema.
-func NewHashJoin(jt plan.JoinType, left, right Operator, leftCols, rightCols []int, schema catalog.Schema) *HashJoin {
-	return &HashJoin{
-		base: base{schema: schema}, JT: jt, Left: left, Right: right,
-		LeftCols: leftCols, RightCols: rightCols,
+// buildJoin builds the shared state of join node pn. Its right (build-side)
+// subplan goes through the normal Build path — so recycler decorations
+// inside it keep working, and large build subtrees parallelize on their own.
+func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, opmap map[*plan.Node]Operator) (*sharedBuild, error) {
+	left := pn.Children[0].Schema()
+	lcols, err := columnIndexes(left, pn.LeftKeys, "join key")
+	if err != nil {
+		return nil, err
 	}
+	rcols, err := columnIndexes(pn.Children[1].Schema(), pn.RightKeys, "join key")
+	if err != nil {
+		return nil, err
+	}
+	right, err := Build(ctx, pn.Children[1], dec, opmap)
+	if err != nil {
+		return nil, err
+	}
+	return newSharedBuild(pn.JT, left, right, lcols, rcols), nil
 }
 
-// Open implements Operator.
-func (j *HashJoin) Open(ctx *Ctx) error {
-	defer j.addCost(time.Now())
-	j.built = false
-	j.cur = nil
-	j.curRow = 0
-	j.rowActive = false
-	j.leftWidth = len(j.Left.Schema())
-	j.rightVecs = len(j.Right.Schema())
-	j.fastHash = !ctx.DisableKernels && len(j.LeftCols) == 1 && len(j.RightCols) == 1 &&
-		fastHashType(j.Left.Schema()[j.LeftCols[0]].Typ) &&
-		fastHashType(j.Right.Schema()[j.RightCols[0]].Typ)
-	if j.fastHash {
+// newSharedBuild assembles a join over probe-side schema left and build-side
+// operator right, keyed on leftCols = rightCols.
+func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftCols, rightCols []int) *sharedBuild {
+	sb := &sharedBuild{jt: jt, child: right, leftCols: leftCols, rightCols: rightCols, leftWidth: len(left)}
+	// The single-column int64 hash fast path is a per-join decision (build
+	// and probe hashes must use one scheme), made here where both sides'
+	// key types are known.
+	if len(leftCols) == 1 && fastHashType(left[leftCols[0]].Typ) &&
+		fastHashType(right.Schema()[rightCols[0]].Typ) {
+		sb.fastHash = true
 		fastHashEngaged.Add(1)
 	}
-	j.out = ctx.pool().GetBatch(j.schema.Types(), ctx.vecSize())
-	if j.lIdx == nil {
-		j.lIdx = make([]int32, 0, ctx.vecSize())
-		j.rIdx = make([]int32, 0, ctx.vecSize())
-	}
-	if err := j.Left.Open(ctx); err != nil {
-		return err
-	}
-	return j.Right.Open(ctx)
+	return sb
 }
 
-// build drains the right input into the arena and chains the rows.
-func (j *HashJoin) build(ctx *Ctx) error {
-	j.rightRows = ctx.pool().GetBatch(j.Right.Schema().Types(), ctx.vecSize())
-	j.buildHash = j.buildHash[:0]
+func (b *sharedBuild) cost() time.Duration { return time.Duration(b.nanos.Load()) }
+
+// ensure runs the build exactly once (first prober wins; the rest observe
+// the completed table through the Once barrier).
+func (b *sharedBuild) ensure(ctx *Ctx) error {
+	b.once.Do(func() { b.err = b.run(ctx) })
+	return b.err
+}
+
+func (b *sharedBuild) run(ctx *Ctx) error {
+	start := time.Now()
+	defer func() { b.nanos.Store(time.Since(start).Nanoseconds()) }()
+	b.arena = ctx.pool().GetBatch(b.child.Schema().Types(), ctx.vecSize())
 	var hs []uint64
 	for {
-		b, err := j.Right.Next(ctx)
+		batch, err := b.child.Next(ctx)
 		if err != nil {
 			return err
 		}
-		if b == nil {
+		if batch == nil {
 			break
 		}
-		n := b.Len()
+		n := batch.Len()
 		if n == 0 {
 			continue
 		}
-		j.rightRows.AppendBatch(b)
+		b.arena.AppendBatch(batch)
 		if cap(hs) < n {
 			hs = make([]uint64, n)
 		}
 		hs = hs[:n]
-		if j.fastHash {
-			hashI64Fast(b.Vecs[j.RightCols[0]], b.Sel, hs)
+		if b.fastHash {
+			hashI64Fast(batch.Vecs[b.rightCols[0]], batch.Sel, hs)
 		} else {
-			hashColumns(b, j.RightCols, hs)
+			hashColumns(batch, b.rightCols, hs)
 		}
-		j.buildHash = append(j.buildHash, hs...)
+		b.hash = append(b.hash, hs...)
 	}
-	rows := len(j.buildHash)
-	j.table.init(rows)
-	if cap(j.next) < rows {
-		j.next = make([]int32, rows)
+	rows := len(b.hash)
+	b.next = make([]int32, rows)
+
+	// Partition count: enough for the chain builders to run concurrently,
+	// power of two so the partition is the hash's top bits (independent of
+	// the bucket index, which uses the low bits).
+	nParts := 1
+	for nParts < ctx.Parallelism {
+		nParts <<= 1
 	}
-	j.next = j.next[:rows]
-	// Insert in reverse so each chain lists build rows in arrival order,
-	// preserving the match emission order of the map-based implementation.
-	for r := rows - 1; r >= 0; r-- {
-		s := j.table.slot(j.buildHash[r])
-		j.next[r] = j.table.buckets[s]
-		j.table.buckets[s] = int32(r)
+	b.shift = uint(64 - log2(nParts))
+	b.parts = make([]oaTable, nParts)
+	counts := make([]int, nParts)
+	for _, h := range b.hash {
+		counts[h>>b.shift]++
 	}
-	j.built = true
+	chain := func(p int) {
+		t := &b.parts[p]
+		t.init(counts[p])
+		ph := uint64(p)
+		// Insert in reverse arrival order so each chain lists build rows
+		// oldest-first: matches emit in build-input arrival order.
+		for r := rows - 1; r >= 0; r-- {
+			h := b.hash[r]
+			if h>>b.shift != ph {
+				continue
+			}
+			s := t.slot(h)
+			b.next[r] = t.buckets[s]
+			t.buckets[s] = int32(r)
+		}
+	}
+	if nParts == 1 {
+		chain(0)
+		return nil
+	}
+	var wg sync.WaitGroup
+	for p := 0; p < nParts; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			chain(p)
+		}()
+	}
+	wg.Wait()
 	return nil
 }
 
-// emitsRight reports whether output rows include right-side columns.
-func (j *HashJoin) emitsRight() bool {
-	return j.JT == plan.Inner || j.JT == plan.LeftOuter
+// log2 of a power of two.
+func log2(n int) int {
+	k := 0
+	for 1<<k < n {
+		k++
+	}
+	return k
 }
 
-// flushPairs materializes the pending match pairs into the output batch,
-// column-wise. All pending probe indexes refer to j.cur, so it must run
-// before the probe batch advances.
-func (j *HashJoin) flushPairs() {
-	flushJoinPairs(j.out, j.cur, j.rightRows, j.lIdx, j.rIdx, j.leftWidth, j.rightVecs, j.JT)
+// close releases the build-side subplan and the arena. Safe to call from
+// the fragment root's teardown whether or not the build ever ran.
+func (b *sharedBuild) close(ctx *Ctx) error {
+	b.closeMu.Lock()
+	defer b.closeMu.Unlock()
+	if b.closed {
+		return nil
+	}
+	b.closed = true
+	if b.arena != nil {
+		ctx.pool().PutBatch(b.arena)
+		b.arena = nil
+	}
+	b.parts = nil
+	b.next = nil
+	b.hash = nil
+	return b.child.Close(ctx)
+}
+
+// fusedProbe is a probe stage's state: the probe loop's scratch against a
+// sharedBuild, emitting pairs gathered once per input batch.
+type fusedProbe struct {
+	sb     *sharedBuild
+	built  bool
+	passed bool          // out went downstream; reset it before gathering again
+	out    *vector.Batch // pooled output batch
+	probeH []uint64
+	lIdx   []int32
+	rIdx   []int32
+}
+
+// pushProbe probes one input batch against the shared build. Matches emit in
+// probe-row × build-arrival order; pairs are gathered into the stage's output
+// once per input batch, before the source overwrites the probe rows. The
+// output is passed downstream (returned) once it holds a vector's worth of
+// rows and held (nil) until then — a selective join would otherwise turn
+// every input batch into a sliver that each store, exchange copy and cached
+// replay pays for per batch; fusedPipe.flush drains the remainder at end of
+// input.
+func (p *fusedPipe) pushProbe(ctx *Ctx, s *fusedStage, b *vector.Batch) (*vector.Batch, error) {
+	j := s.probe
+	sb := j.sb
+	if !j.built {
+		// Timed as a wait, outside the pipe's own cost: the shared build's
+		// wall time is folded exactly once via sharedBuild.cost, and every
+		// pipe but the builder merely blocks here on the Once.
+		start := time.Now()
+		err := sb.ensure(ctx)
+		p.waitNanos += time.Since(start).Nanoseconds()
+		if err != nil {
+			return nil, err
+		}
+		j.built = true
+	}
+	n := b.Len()
+	s.work += int64(n)
+	if cap(j.probeH) < n {
+		j.probeH = make([]uint64, n)
+	}
+	j.probeH = j.probeH[:n]
+	if sb.fastHash {
+		hashI64Fast(b.Vecs[sb.leftCols[0]], b.Sel, j.probeH)
+	} else {
+		hashColumns(b, sb.leftCols, j.probeH)
+	}
+	out, jt := j.out, sb.jt
+	if j.passed {
+		out.Reset()
+		j.passed = false
+	}
+	for row := 0; row < n; row++ {
+		r := b.RowIdx(row)
+		h := j.probeH[row]
+		t := &sb.parts[h>>sb.shift]
+		cand := t.buckets[t.slot(h)]
+		matched := false
+		for cand >= 0 {
+			c := cand
+			cand = sb.next[c]
+			if sb.hash[c] != h ||
+				!keyRowsEqual(b, r, sb.leftCols, sb.arena, int(c), sb.rightCols) {
+				continue
+			}
+			matched = true
+			if jt == plan.LeftSemi || jt == plan.LeftAnti {
+				break // one match decides; skip the rest of the chain
+			}
+			j.lIdx = append(j.lIdx, int32(r))
+			j.rIdx = append(j.rIdx, c)
+		}
+		// Chain exhausted: semi emits matched rows, anti and outer the
+		// unmatched ones (build row -1: left-only / zero-fill).
+		if matched == (jt == plan.LeftSemi) && jt != plan.Inner {
+			j.lIdx = append(j.lIdx, int32(r))
+			j.rIdx = append(j.rIdx, -1)
+		}
+	}
+	flushJoinPairs(out, b, sb.arena, j.lIdx, j.rIdx, sb.leftWidth, jt)
+	no := int64(len(j.lIdx))
+	s.rowsOut += no
+	s.work += no
 	j.lIdx = j.lIdx[:0]
 	j.rIdx = j.rIdx[:0]
+	if out.Len() < ctx.vecSize() {
+		return nil, nil
+	}
+	j.passed = true
+	return out, nil
 }
 
 // flushJoinPairs materializes (probe, build) index pairs into out with the
 // columnar gather kernels: probe columns from probe rows lIdx, build
-// columns from arena rows rIdx (-1 = zero-fill for outer joins). Shared by
-// the serial HashJoin and the morsel-parallel ProbeJoin.
-func flushJoinPairs(out, probe, arena *vector.Batch, lIdx, rIdx []int32, leftWidth, rightVecs int, jt plan.JoinType) {
+// columns from arena rows rIdx (-1 = zero-fill for outer joins).
+func flushJoinPairs(out, probe, arena *vector.Batch, lIdx, rIdx []int32, leftWidth int, jt plan.JoinType) {
 	if len(lIdx) == 0 {
 		return
 	}
@@ -160,7 +301,7 @@ func flushJoinPairs(out, probe, arena *vector.Batch, lIdx, rIdx []int32, leftWid
 		out.Vecs[c].AppendGather(probe.Vecs[c], lIdx)
 	}
 	if jt == plan.Inner || jt == plan.LeftOuter {
-		for c := 0; c < rightVecs; c++ {
+		for c := range arena.Vecs {
 			if jt == plan.Inner {
 				// Inner joins never queue unmatched rows: take the
 				// branch-free gather kernel.
@@ -227,153 +368,4 @@ func appendGatherOrZero(v, src *vector.Vector, idx []int32) {
 		}
 		v.B = out
 	}
-}
-
-// pending returns the output rows produced so far for this batch.
-func (j *HashJoin) pending() int { return j.out.Len() + len(j.lIdx) }
-
-// emit queues one output pair; build row -1 means left-only/zero-fill.
-func (j *HashJoin) emit(probePhys int, buildRow int32) {
-	j.lIdx = append(j.lIdx, int32(probePhys))
-	j.rIdx = append(j.rIdx, buildRow)
-}
-
-// yield finalizes and returns the current output batch.
-func (j *HashJoin) yield() *vector.Batch {
-	j.flushPairs()
-	j.rows += int64(j.out.Len())
-	return j.out
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	defer j.addCost(time.Now())
-	if !j.built {
-		if err := j.build(ctx); err != nil {
-			return nil, err
-		}
-	}
-	j.out.Reset()
-	limit := ctx.vecSize()
-	for {
-		// Fetch a probe batch if needed.
-		if j.cur == nil {
-			b, err := j.Left.Next(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				if j.pending() > 0 {
-					return j.yield(), nil
-				}
-				return nil, nil
-			}
-			n := b.Len()
-			if n == 0 {
-				continue
-			}
-			j.cur = b
-			j.curRow = 0
-			j.rowActive = false
-			if cap(j.probeH) < n {
-				j.probeH = make([]uint64, n)
-			}
-			j.probeH = j.probeH[:n]
-			if j.fastHash {
-				hashI64Fast(b.Vecs[j.LeftCols[0]], b.Sel, j.probeH)
-			} else {
-				hashColumns(b, j.LeftCols, j.probeH)
-			}
-		}
-		n := j.cur.Len()
-		for j.curRow < n {
-			r := j.cur.RowIdx(j.curRow)
-			h := j.probeH[j.curRow]
-			if !j.rowActive {
-				j.cand = j.table.buckets[j.table.slot(h)]
-				j.matched = false
-				j.rowActive = true
-			}
-			for j.cand >= 0 {
-				c := j.cand
-				j.cand = j.next[c]
-				if j.buildHash[c] != h ||
-					!keyRowsEqual(j.cur, r, j.LeftCols, j.rightRows, int(c), j.RightCols) {
-					continue
-				}
-				switch j.JT {
-				case plan.Inner, plan.LeftOuter:
-					j.matched = true
-					j.emit(r, c)
-					if j.pending() >= limit && j.cand >= 0 {
-						// Batch full mid-chain: resume here next call.
-						return j.yield(), nil
-					}
-				case plan.LeftSemi, plan.LeftAnti:
-					j.matched = true
-					j.cand = -1 // one match decides; skip the rest
-				}
-			}
-			// Chain exhausted: settle the row.
-			switch j.JT {
-			case plan.LeftSemi:
-				if j.matched {
-					j.emit(r, -1)
-				}
-			case plan.LeftAnti:
-				if !j.matched {
-					j.emit(r, -1)
-				}
-			case plan.LeftOuter:
-				if !j.matched {
-					j.emit(r, -1)
-				}
-			}
-			j.rowActive = false
-			j.curRow++
-			if j.pending() >= limit {
-				if j.curRow >= n {
-					j.flushPairs()
-					j.cur = nil
-				}
-				return j.yield(), nil
-			}
-		}
-		j.flushPairs()
-		j.cur = nil
-	}
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close(ctx *Ctx) error {
-	if j.out != nil {
-		ctx.pool().PutBatch(j.out)
-		j.out = nil
-	}
-	if j.rightRows != nil {
-		ctx.pool().PutBatch(j.rightRows)
-		j.rightRows = nil
-	}
-	j.table.buckets = nil
-	j.next = nil
-	j.buildHash = nil
-	j.cur = nil
-	err1 := j.Left.Close(ctx)
-	err2 := j.Right.Close(ctx)
-	if err1 != nil {
-		return err1
-	}
-	return err2
-}
-
-// Progress implements Operator: the probe (left) side drives progress, per
-// the paper's left-deep progress-meter rule.
-func (j *HashJoin) Progress() float64 {
-	if !j.built {
-		return 0
-	}
-	return j.Left.Progress()
 }

@@ -10,14 +10,15 @@ import (
 
 // Type-specialized predicate kernels.
 //
-// At plan-bind time the filter paths (the fused stageFilter chain and the
-// pull Filter) recognize hot conjunct shapes — `col <op> const` and
+// Kernels are how a conjunct compiles. When a fused pipe is built, its filter
+// stages recognize hot conjunct shapes — `col <op> const` and
 // `col BETWEEN lo AND hi` over int64/float64/date plus string equality — and
 // compile them to direct column loops that refine the shared selection
 // vector branch-free (unconditional index store, conditional advance), with
-// bounds checks hoisted out of the inner loop. Everything else falls back to
-// the generic expr.Eval tree walk, so kernels change *how* rows are judged,
-// never *which* rows survive:
+// bounds checks hoisted out of the inner loop. Everything else stays a
+// generic expr.Eval tree walk — the real fallback for unmatched shapes, and
+// the oracle the lockstep tests hold every kernel to — so kernels change
+// *how* rows are judged, never *which* rows survive:
 //
 //   - int64/date columns compared against integer constants compile to one
 //     unsigned range-containment test `uint64(x-lo) <= uint64(hi-lo)`, which
@@ -36,19 +37,18 @@ import (
 //   - string equality/inequality compares against the constant directly.
 //
 // Kernels are selected through kernelRegistry, keyed by (column type,
-// comparison type, op), once per plan bind — fused filter stages dispatch
-// through a precompiled function pointer per stage, not a type switch per
+// comparison type, op), once per pipe build — filter stages dispatch
+// through a precompiled function pointer per step, not a type switch per
 // batch. Adjacent compiled conjuncts over the same column fuse further:
 // integer ranges intersect, and a GE/LE float pair becomes one
 // BETWEEN-style two-comparison kernel (expr.Between expands to exactly that
 // conjunct pair).
 //
 // The kernel layer is invisible to the recycler: plan signatures never see
-// kernels (they attach at bind time under the same plan nodes), rowsOut and
+// kernels (they attach at build time under the same plan nodes), rowsOut and
 // the per-stage work weights that drive fused cost attribution are computed
 // identically (a fused pair attributes width×rows, matching the two generic
 // passes it replaced), and survivors are bit-identical by construction.
-// Config.DisableKernels / RECYCLEDB_DISABLE_KERNELS is the bisection hatch.
 
 // Engagement counters (process-wide, for tests and introspection).
 var (
@@ -328,40 +328,18 @@ type filterStep struct {
 	pred expr.Expr
 }
 
-// allKernelSteps reports whether every step of a compiled chain is a
-// kernel (no generic fallbacks).
-func allKernelSteps(steps []filterStep) bool {
-	for i := range steps {
-		if steps[i].kern == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// compileSteps lowers bound conjuncts into a filter chain, fusing adjacent
-// kernel pairs. clone controls whether generic fallback conjuncts are
-// cloned (fused pipes own their evaluation scratch; the serial Filter
-// evaluates the plan's own expression instances like it always has);
-// enable=false skips kernel compilation entirely, producing an all-generic
-// chain (the Ctx.DisableKernels path). Returns the chain and the number of
-// conjuncts that compiled to kernels.
-func compileSteps(conjuncts []expr.Expr, clone, enable bool) ([]filterStep, int) {
+// compileSteps lowers bound conjuncts into a filter chain: each conjunct
+// compiles to a predicate kernel when its shape is specialized, adjacent
+// kernel pairs fuse, and every other conjunct stays a generic expr.Eval step
+// (cloned, so each pipe owns its evaluation scratch).
+func compileSteps(conjuncts []expr.Expr) []filterStep {
 	steps := make([]filterStep, 0, len(conjuncts))
-	nk := 0
 	for _, c := range conjuncts {
-		var k *predKernel
-		if enable {
-			k = compilePred(c)
-		}
+		k := compilePred(c)
 		if k == nil {
-			if clone {
-				c = c.Clone()
-			}
-			steps = append(steps, filterStep{pred: c})
+			steps = append(steps, filterStep{pred: c.Clone()})
 			continue
 		}
-		nk++
 		if n := len(steps); n > 0 && steps[n-1].kern != nil {
 			if f := fuseKernelPair(steps[n-1].kern, k); f != nil {
 				steps[n-1].kern = f
@@ -370,7 +348,7 @@ func compileSteps(conjuncts []expr.Expr, clone, enable bool) ([]filterStep, int)
 		}
 		steps = append(steps, filterStep{kern: k})
 	}
-	return steps, nk
+	return steps
 }
 
 // --- Refine kernels (selective input) ----------------------------------

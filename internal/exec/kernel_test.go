@@ -5,10 +5,10 @@ package exec
 // path on randomized batches salted with the adversarial values the
 // kernels' tricks must survive — NaN and ±Inf, int64 magnitudes beyond
 // 2^53, MinInt64/MaxInt64 range edges — across dense inputs, full, sparse
-// and empty selection vectors. The operator-level tests then prove
-// kernels-on and kernels-off engines produce identical streams through
-// Filter, HashAgg and HashJoin, and that the zero-allocation steady-state
-// contract holds on the kernel paths.
+// and empty selection vectors. The stage-level tests then hold filter,
+// aggregate-emission and join-hash kernels to their interpreters — expr.Eval,
+// emitAcc, hashColumns, each called directly — on whole streams, and the
+// steady-state zero-allocation contract on kernel and generic steps alike.
 
 import (
 	"fmt"
@@ -80,8 +80,8 @@ func kernelTestVec(rng *rand.Rand, t vector.Type, n int) *vector.Vector {
 }
 
 // genericSel evaluates pred over the batch with the generic tree walk and
-// returns the surviving physical rows, exactly as the unkerneled Filter
-// builds its selection.
+// returns the surviving physical rows — the interpreter the kernels are
+// held to.
 func genericSel(t *testing.T, pred expr.Expr, b *vector.Batch) []int32 {
 	t.Helper()
 	flags := vector.New(vector.Bool, b.Len())
@@ -258,9 +258,9 @@ func TestKernelPairFusion(t *testing.T) {
 			if len(conj) != 2 {
 				t.Fatalf("Between expanded to %d conjuncts, want 2", len(conj))
 			}
-			steps, nk := compileSteps(conj, false, true)
-			if nk != 2 || len(steps) != 1 || steps[0].kern == nil {
-				t.Fatalf("pair did not fuse: %d kernels, %d steps", nk, len(steps))
+			steps := compileSteps(conj)
+			if len(steps) != 1 || steps[0].kern == nil {
+				t.Fatalf("pair did not fuse: %d steps", len(steps))
 			}
 			k := steps[0].kern
 			if k.width != 2 {
@@ -283,69 +283,57 @@ func TestKernelPairFusion(t *testing.T) {
 	}
 }
 
-// TestCompileStepsDisabled checks the bisection hatch at the compilation
-// layer: with enable=false every conjunct stays generic.
-func TestCompileStepsDisabled(t *testing.T) {
-	schema := catalog.Schema{{Name: "x", Typ: vector.Int64}}
-	pred := expr.Lt(expr.C("x"), expr.Int(5))
-	if _, err := pred.Bind(schema); err != nil {
-		t.Fatal(err)
-	}
-	steps, nk := compileSteps(expr.Conjuncts(pred), false, false)
-	if nk != 0 || len(steps) != 1 || steps[0].kern != nil || steps[0].pred == nil {
-		t.Fatalf("disabled compile produced kernels: nk=%d steps=%+v", nk, steps)
-	}
-}
-
-// runFilterRows collects the logical row ids surviving a filter, compacting
-// any selection view, under the given kernel setting.
-func runFilterRows(t *testing.T, tab *catalog.Table, pred expr.Expr, disable bool) []int64 {
-	t.Helper()
-	scan, schema := benchScan(tab)
-	p := pred.Clone()
-	if _, err := p.Bind(schema); err != nil {
-		t.Fatal(err)
-	}
-	f := NewFilter(scan, p)
-	ctx := NewCtx(catalog.New())
-	ctx.DisableKernels = disable
-	res, err := Run(ctx, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return collectI64(res, 0)
-}
-
-// TestFilterKernelsMatchGeneric proves the pull Filter emits identical row
-// streams with kernels on and off, across single kernels, fused BETWEEN
-// pairs, and mixed kernel/generic conjunct chains.
+// TestFilterKernelsMatchGeneric proves a filter stage emits exactly the rows
+// the interpreter selects — the whole predicate evaluated generically over
+// the whole table — across single kernels, fused BETWEEN pairs, and mixed
+// kernel/generic conjunct chains.
 func TestFilterKernelsMatchGeneric(t *testing.T) {
 	tab := benchTable(benchRows)
-	preds := []expr.Expr{
-		expr.Lt(expr.C("id"), expr.Int(1000)),
-		expr.Eq(expr.C("k"), expr.Int(7)),
-		expr.Ne(expr.C("s"), expr.Str("tag-3")),
-		expr.Ge(expr.C("v"), expr.Flt(500)),
-		expr.Between(expr.C("v"), expr.Flt(100), expr.Flt(200)),
-		expr.Between(expr.C("id"), expr.Int(100), expr.Int(5000)),
-		expr.AndOf(expr.Lt(expr.C("k"), expr.Int(32)), expr.Gt(expr.C("v"), expr.Flt(250))),
+	snap := tab.Snapshot()
+	whole := &vector.Batch{Vecs: []*vector.Vector{snap.Col(0), snap.Col(1), snap.Col(2), snap.Col(3)}}
+	preds := []struct {
+		pred    expr.Expr
+		kernels int64 // conjuncts that must compile
+	}{
+		{expr.Lt(expr.C("id"), expr.Int(1000)), 1},
+		{expr.Eq(expr.C("k"), expr.Int(7)), 1},
+		{expr.Ne(expr.C("s"), expr.Str("tag-3")), 1},
+		{expr.Ge(expr.C("v"), expr.Flt(500)), 1},
+		{expr.Between(expr.C("v"), expr.Flt(100), expr.Flt(200)), 2},
+		{expr.Between(expr.C("id"), expr.Int(100), expr.Int(5000)), 2},
+		{expr.AndOf(expr.Lt(expr.C("k"), expr.Int(32)), expr.Gt(expr.C("v"), expr.Flt(250))), 2},
 		// Mixed chain: the arithmetic conjunct stays generic.
-		expr.AndOf(expr.Lt(expr.C("k"), expr.Int(32)),
-			expr.Gt(expr.Mul(expr.C("v"), expr.Flt(2)), expr.Flt(900))),
+		{expr.AndOf(expr.Lt(expr.C("k"), expr.Int(32)),
+			expr.Gt(expr.Mul(expr.C("v"), expr.Flt(2)), expr.Flt(900))), 1},
 	}
-	for i, pred := range preds {
-		on := runFilterRows(t, tab, pred, false)
-		off := runFilterRows(t, tab, pred, true)
-		if len(on) != len(off) {
-			t.Fatalf("pred %d: kernels on %d rows vs off %d rows", i, len(on), len(off))
+	for i, tc := range preds {
+		oracle := tc.pred.Clone()
+		if _, err := oracle.Bind(tab.Schema); err != nil {
+			t.Fatal(err)
 		}
-		for j := range on {
-			if on[j] != off[j] {
-				t.Fatalf("pred %d row %d: kernels on id=%d vs off id=%d", i, j, on[j], off[j])
+		want := genericSel(t, oracle, whole)
+
+		scan, _ := benchScan(tab)
+		before := PredKernelsCompiled()
+		f := pipeFilter(t, scan, tc.pred)
+		if got := PredKernelsCompiled() - before; got != tc.kernels {
+			t.Fatalf("pred %d: %d conjuncts compiled to kernels, want %d", i, got, tc.kernels)
+		}
+		res, err := Run(NewCtx(catalog.New()), f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := collectI64(res, 0) // id == row position
+		if len(got) != len(want) {
+			t.Fatalf("pred %d: stage kept %d rows, interpreter %d", i, len(got), len(want))
+		}
+		for j := range got {
+			if got[j] != int64(want[j]) {
+				t.Fatalf("pred %d row %d: stage id=%d vs interpreter id=%d", i, j, got[j], want[j])
 			}
 		}
-		if len(on) == 0 || len(on) == benchRows {
-			t.Fatalf("pred %d is degenerate (%d of %d rows); pick a selective one", i, len(on), benchRows)
+		if len(got) == 0 || len(got) == benchRows {
+			t.Fatalf("pred %d is degenerate (%d of %d rows); pick a selective one", i, len(got), benchRows)
 		}
 	}
 }
@@ -376,73 +364,89 @@ func aggResultRows(res *catalog.Result) []string {
 	return out
 }
 
-// TestHashAggEmissionKernelsMatchGeneric proves the typed emission kernels
-// reproduce the row-at-a-time emitAcc path bit-for-bit — float sums
+// TestAggEmissionKernelsMatchGeneric proves the typed emission kernels
+// reproduce the row-at-a-time emitAcc interpreter bit-for-bit — float sums
 // compared by bit pattern — in first-occurrence group order, for every
-// accumulator class.
-func TestHashAggEmissionKernelsMatchGeneric(t *testing.T) {
+// accumulator class, through both emission entry points.
+func TestAggEmissionKernelsMatchGeneric(t *testing.T) {
 	tab := benchTable(benchRows)
-	mkAgg := func() ([]int, []AggExpr, catalog.Schema) {
-		aggs := []AggExpr{
-			{Func: plan.Count, Typ: vector.Int64},
-			{Func: plan.Sum, Arg: expr.C("id"), Typ: vector.Int64},
-			{Func: plan.Sum, Arg: expr.C("v"), Typ: vector.Float64},
-			{Func: plan.Avg, Arg: expr.C("v"), Typ: vector.Float64},
-			{Func: plan.Min, Arg: expr.C("v"), Typ: vector.Float64},
-			{Func: plan.Max, Arg: expr.C("id"), Typ: vector.Int64},
-			{Func: plan.Min, Arg: expr.C("s"), Typ: vector.String},
-		}
-		schema := catalog.Schema{
-			{Name: "k", Typ: vector.Int64},
-			{Name: "n", Typ: vector.Int64},
-			{Name: "sid", Typ: vector.Int64},
-			{Name: "sv", Typ: vector.Float64},
-			{Name: "av", Typ: vector.Float64},
-			{Name: "mv", Typ: vector.Float64},
-			{Name: "mid", Typ: vector.Int64},
-			{Name: "ms", Typ: vector.String},
-		}
-		return []int{1}, aggs, schema
+	scan, sschema := benchScan(tab)
+	aggs := []AggExpr{
+		{Func: plan.Count, Typ: vector.Int64},
+		{Func: plan.Sum, Arg: expr.C("id"), Typ: vector.Int64},
+		{Func: plan.Sum, Arg: expr.C("v"), Typ: vector.Float64},
+		{Func: plan.Avg, Arg: expr.C("v"), Typ: vector.Float64},
+		{Func: plan.Min, Arg: expr.C("v"), Typ: vector.Float64},
+		{Func: plan.Max, Arg: expr.C("id"), Typ: vector.Int64},
+		{Func: plan.Min, Arg: expr.C("s"), Typ: vector.String},
 	}
-	run := func(disable bool) []string {
-		scan, sschema := benchScan(tab)
-		groups, aggs, schema := mkAgg()
-		for _, ag := range aggs {
-			if ag.Arg != nil {
-				if _, err := ag.Arg.Bind(sschema); err != nil {
-					t.Fatal(err)
-				}
+	schema := catalog.Schema{
+		{Name: "k", Typ: vector.Int64},
+		{Name: "n", Typ: vector.Int64},
+		{Name: "sid", Typ: vector.Int64},
+		{Name: "sv", Typ: vector.Float64},
+		{Name: "av", Typ: vector.Float64},
+		{Name: "mv", Typ: vector.Float64},
+		{Name: "mid", Typ: vector.Int64},
+		{Name: "ms", Typ: vector.String},
+	}
+	for _, ag := range aggs {
+		if ag.Arg != nil {
+			if _, err := ag.Arg.Bind(sschema); err != nil {
+				t.Fatal(err)
 			}
 		}
-		h := NewHashAgg(scan, groups, aggs, schema)
-		ctx := NewCtx(catalog.New())
-		ctx.DisableKernels = disable
-		res, err := Run(ctx, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return aggResultRows(res)
 	}
+	h := pipeAgg(scan, []int{1}, aggs, schema)
+	ctx := NewCtx(catalog.New())
+	if err := h.Open(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close(ctx)
 	before := AggEmitKernelRuns()
-	on := run(false)
+	first, err := h.Next(ctx) // consumes the input, emits all 64 groups
+	if err != nil {
+		t.Fatal(err)
+	}
 	if AggEmitKernelRuns() == before {
-		t.Fatal("kernels-on aggregation did not take the typed emission path")
+		t.Fatal("aggregation did not take the typed emission path")
 	}
-	off := run(true)
-	if len(on) != len(off) {
-		t.Fatalf("kernels on %d groups vs off %d groups", len(on), len(off))
+	st := h.final
+	if st.nGroups != 64 || first.Len() != 64 {
+		t.Fatalf("groups = %d, emitted %d, want 64", st.nGroups, first.Len())
 	}
-	for i := range on {
-		if on[i] != off[i] {
-			t.Fatalf("group %d: kernels on %q vs off %q (emission order or value diverged)", i, on[i], off[i])
+
+	// The interpreter: keys copied, every accumulator through emitAcc.
+	want := vector.NewBatch(schema.Types(), st.nGroups)
+	want.Vecs[0].AppendRange(st.keyRows.Vecs[0], 0, st.nGroups)
+	for a, ag := range st.aggs {
+		for g := 0; g < st.nGroups; g++ {
+			emitAcc(want.Vecs[1+a], &st.accs[a][g], ag)
+		}
+	}
+	wantRows := aggResultRows(&catalog.Result{Batches: []*vector.Batch{want}})
+
+	byIndex := vector.NewBatch(schema.Types(), st.nGroups)
+	idx := make([]int32, st.nGroups)
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	st.emitIndex(byIndex, idx)
+	for name, got := range map[string]*vector.Batch{"emitRange": first, "emitIndex": byIndex} {
+		gotRows := aggResultRows(&catalog.Result{Batches: []*vector.Batch{got}})
+		for i := range wantRows {
+			if gotRows[i] != wantRows[i] {
+				t.Fatalf("%s group %d: kernel %q vs emitAcc %q (emission order or value diverged)",
+					name, i, gotRows[i], wantRows[i])
+			}
 		}
 	}
 }
 
-// TestHashJoinFastHashMatchesGeneric proves the single-int64-key hash fast
-// path produces the same joined stream as the canonical-form hash,
+// TestJoinFastHashMatchesGeneric proves the single-int64-key hash fast path
+// produces the same joined stream as the canonical-form hashColumns,
 // including keys beyond 2^53 where int/float hash unification matters.
-func TestHashJoinFastHashMatchesGeneric(t *testing.T) {
+func TestJoinFastHashMatchesGeneric(t *testing.T) {
 	// A dedicated table whose key column carries adversarial magnitudes.
 	tb := catalog.NewTable("jt", catalog.Schema{
 		{Name: "key", Typ: vector.Int64},
@@ -462,33 +466,24 @@ func TestHashJoinFastHashMatchesGeneric(t *testing.T) {
 		app.FinishRow()
 	}
 	w.Commit()
-	run := func(disable bool) ([]string, int64) {
-		mk := func() (Operator, catalog.Schema) {
-			schema := tb.Schema
-			return NewTableScan(tb, []int{0, 1}, schema), schema
-		}
-		left, ls := mk()
-		right, rs := mk()
-		out := append(append(catalog.Schema{}, ls...), rs...)
-		j := NewHashJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
-		ctx := NewCtx(catalog.New())
-		ctx.DisableKernels = disable
+	run := func(fast bool) []string {
+		left := NewTableScan(tb, []int{0, 1}, tb.Schema)
+		right := NewTableScan(tb, []int{0, 1}, tb.Schema)
+		out := append(append(catalog.Schema{}, tb.Schema...), tb.Schema...)
 		before := FastHashEngaged()
-		res, err := Run(ctx, j)
+		j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+		if FastHashEngaged() == before {
+			t.Fatal("fast hash did not engage on a single-int64-key join")
+		}
+		j.builds[0].fastHash = fast // false: both sides hash through hashColumns
+		res, err := Run(NewCtx(catalog.New()), j)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return aggResultRows(res), FastHashEngaged() - before
+		return aggResultRows(res)
 	}
-	on, engagedOn := run(false)
-	if engagedOn == 0 {
-		t.Fatal("fast hash did not engage on a single-int64-key join with kernels on")
-	}
-	off, engagedOff := run(true)
-	if engagedOff != 0 {
-		t.Fatal("fast hash engaged with kernels disabled")
-	}
-	if len(on) != len(off) {
+	on, off := run(true), run(false)
+	if len(on) != len(off) || len(on) == 0 {
 		t.Fatalf("fast hash %d rows vs generic %d rows", len(on), len(off))
 	}
 	for i := range on {
@@ -500,50 +495,44 @@ func TestHashJoinFastHashMatchesGeneric(t *testing.T) {
 
 // --- Zero-allocation contracts on the kernel paths ----------------------
 
-// TestFilterKernelNextZeroAlloc holds the compiled-kernel Filter path to
-// the steady-state zero-allocation contract (the generic path is covered
-// by TestFilterNextZeroAlloc with kernels disabled below).
+// TestFilterKernelNextZeroAlloc holds a compiled-kernel filter step to the
+// steady-state zero-allocation contract.
 func TestFilterKernelNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
-	scan, schema := benchScan(tab)
+	scan, _ := benchScan(tab)
 	pred := expr.Between(expr.C("id"), expr.Int(0), expr.Int(benchRows/2))
-	f := NewFilter(scan, pred)
-	if _, err := pred.Bind(schema); err != nil {
-		t.Fatal(err)
-	}
 	before := PredKernelsCompiled()
-	assertZeroAllocs(t, NewCtx(catalog.New()), f, 4, 100)
+	f := pipeFilter(t, scan, pred)
 	if PredKernelsCompiled() == before {
 		t.Fatal("filter did not compile its predicate to kernels")
 	}
+	assertZeroAllocs(t, NewCtx(catalog.New()), f, 4, 100)
 }
 
-// TestFilterGenericNextZeroAlloc pins the kernels-off fallback to the same
-// contract, so the bisection hatch does not trade correctness bisection for
-// an allocation regression.
+// TestFilterGenericNextZeroAlloc pins the generic fallback step — a shape no
+// kernel matches — to the same contract.
 func TestFilterGenericNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
-	scan, schema := benchScan(tab)
-	pred := expr.Lt(expr.C("id"), expr.Int(benchRows/2))
-	f := NewFilter(scan, pred)
-	if _, err := pred.Bind(schema); err != nil {
-		t.Fatal(err)
+	scan, _ := benchScan(tab)
+	pred := expr.Lt(expr.Mul(expr.C("id"), expr.Int(2)), expr.Int(benchRows))
+	before := PredKernelsCompiled()
+	f := pipeFilter(t, scan, pred)
+	if PredKernelsCompiled() != before {
+		t.Fatal("arithmetic comparison compiled to a kernel; pick an unmatched shape")
 	}
-	ctx := NewCtx(catalog.New())
-	ctx.DisableKernels = true
-	assertZeroAllocs(t, ctx, f, 4, 100)
+	assertZeroAllocs(t, NewCtx(catalog.New()), f, 4, 100)
 }
 
-// TestHashAggEmitKernelZeroAlloc holds the typed emission path to zero
+// TestAggEmitKernelZeroAlloc holds the typed emission path to zero
 // steady-state allocations while emission spans many batches.
-func TestHashAggEmitKernelZeroAlloc(t *testing.T) {
+func TestAggEmitKernelZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	scan, schema := benchScan(tab)
 	sum := expr.C("v")
 	if _, err := sum.Bind(schema); err != nil {
 		t.Fatal(err)
 	}
-	h := NewHashAgg(scan, []int{0}, []AggExpr{
+	h := pipeAgg(scan, []int{0}, []AggExpr{
 		{Func: plan.Count, Typ: vector.Int64},
 		{Func: plan.Sum, Arg: sum, Typ: vector.Float64},
 	}, catalog.Schema{

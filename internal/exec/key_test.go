@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,51 @@ import (
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
+
+// Byte-string key encoding: the test oracle for group/join key equality. The
+// executor hashes key columns vectorized (hash.go) and verifies with typed
+// comparators; this encoding is the executable specification the property
+// tests below hold them in lockstep with.
+
+// appendKey appends a type-tagged encoding of physical row i of v to buf,
+// so that multi-column group/join keys can be compared as byte strings.
+//
+// Mixed-type (coerce=true) numeric keys encode through an
+// exactness-preserving canonical form: any value exactly representable as
+// int64 — every int64, and every float64 that is integral and in range —
+// encodes as tag 'i' plus its int64 bits; every other float64 encodes as
+// tag 'f' plus its IEEE bits. 1 and 1.0 still collide (intended for
+// coerced joins), but an int64 above 2^53 is never narrowed through
+// float64, so e.g. 2^53 and 2^53+1 stay distinct keys (they used to
+// collapse onto the same float encoding).
+func appendKey(buf []byte, v *vector.Vector, i int, coerce bool) []byte {
+	switch v.Typ {
+	case vector.Int64, vector.Date:
+		buf = append(buf, 'i')
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I64[i]))
+	case vector.Float64:
+		f := v.F64[i]
+		if coerce && f == math.Trunc(f) && f >= minExactI64 && f < maxExactI64 {
+			buf = append(buf, 'i')
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(f)))
+		} else {
+			buf = append(buf, 'f')
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+		}
+	case vector.String:
+		buf = append(buf, 's')
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Str[i])))
+		buf = append(buf, v.Str[i]...)
+	case vector.Bool:
+		buf = append(buf, 'b')
+		if v.B[i] {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	return buf
+}
 
 // Regression: with coerce=true the old encoding narrowed every int64
 // through float64, so distinct keys above 2^53 collapsed onto the same
@@ -106,7 +152,7 @@ func TestJoinLargeInt64FloatCoercion(t *testing.T) {
 	left := NewTableScan(pt, []int{0}, pt.Schema)
 	right := NewTableScan(bt, []int{0}, bt.Schema)
 	out := append(append(catalog.Schema{}, pt.Schema...), bt.Schema...)
-	j := NewHashJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
 	res, err := Run(ctx, j)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,8 @@ package exec
 
 import (
 	"sync"
-	"time"
 
 	"recycledb/internal/catalog"
-	"recycledb/internal/vector"
 )
 
 // morselSource splits one base-table scan range into fixed-size row-range
@@ -20,7 +18,7 @@ import (
 // bitmap ranges partition the serial scan's exactly.
 type morselSource struct {
 	snap   *catalog.Snapshot
-	lo, hi int // scan bounds (lo nonzero for delta runs)
+	lo, hi int // scan bounds (lo nonzero for delta runs, see Ctx.scanStart)
 	rows   int // rows per morsel
 
 	mu        sync.Mutex
@@ -86,6 +84,18 @@ func (s *morselSource) advance(m int) {
 	s.cond.Broadcast()
 }
 
+// progress returns the fraction of morsels the merge cursor has passed.
+func (s *morselSource) progress() float64 {
+	total := s.count()
+	if total == 0 {
+		return 1
+	}
+	s.mu.Lock()
+	done := s.mergeBase
+	s.mu.Unlock()
+	return float64(done) / float64(total)
+}
+
 // stop wakes all blocked claimants and refuses further claims.
 func (s *morselSource) stop() {
 	s.mu.Lock()
@@ -94,25 +104,18 @@ func (s *morselSource) stop() {
 	s.cond.Broadcast()
 }
 
-// MorselScan is the worker-side leaf of a parallel pipeline: a TableScan
-// restricted to one morsel at a time. The owning worker claims a morsel,
-// points the scan at it with StartMorsel, and drains its pipeline to
-// end-of-stream; the next StartMorsel rearms the scan. Batches alias
-// snapshot storage exactly like TableScan's, and ranges with deletions
-// carry a selection vector.
+// MorselScan is a fused pipe's leaf: the shared scan body restricted to one
+// morsel at a time. The owning pipe claims a morsel, points the scan at it
+// with StartMorsel, and drains it to end-of-stream; the next StartMorsel
+// rearms the scan.
 type MorselScan struct {
-	base
-	src  *morselSource
-	cols []int
-
-	pos, end int
-	out      *vector.Batch
-	sel      []int32
+	rangeScan
+	src *morselSource
 }
 
 // newMorselScan builds a worker scan over src.
 func newMorselScan(src *morselSource, cols []int, schema catalog.Schema) *MorselScan {
-	return &MorselScan{base: base{schema: schema}, src: src, cols: cols}
+	return &MorselScan{rangeScan: rangeScan{base: base{schema: schema}, cols: cols}, src: src}
 }
 
 // StartMorsel points the scan at morsel m (claimed by the caller).
@@ -120,86 +123,13 @@ func (s *MorselScan) StartMorsel(m int) {
 	s.pos, s.end = s.src.bounds(m)
 }
 
-// Open implements Operator.
+// Open implements Operator: empty until the first StartMorsel.
 func (s *MorselScan) Open(ctx *Ctx) error {
-	defer s.addCost(time.Now())
-	s.pos, s.end = 0, 0 // empty until the first StartMorsel
-	if s.out == nil {
-		s.out = &vector.Batch{Vecs: make([]*vector.Vector, len(s.cols))}
-		for i, c := range s.cols {
-			s.out.Vecs[i] = &vector.Vector{Typ: s.src.snap.Col(c).Typ}
-		}
-	}
+	s.bind(s.src.snap)
+	s.pos, s.end = 0, 0
 	return nil
 }
 
-// Next implements Operator: batches of the current morsel, then (nil, nil)
-// until the next StartMorsel.
-func (s *MorselScan) Next(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	defer s.addCost(time.Now())
-	snap := s.src.snap
-	for {
-		if s.pos >= s.end {
-			return nil, nil
-		}
-		hi := s.pos + ctx.vecSize()
-		if hi > s.end {
-			hi = s.end
-		}
-		lo := s.pos
-		s.pos = hi
-		for i, c := range s.cols {
-			col := snap.Col(c)
-			v := s.out.Vecs[i]
-			switch col.Typ {
-			case vector.Int64, vector.Date:
-				v.I64 = col.I64[lo:hi]
-			case vector.Float64:
-				v.F64 = col.F64[lo:hi]
-			case vector.String:
-				v.Str = col.Str[lo:hi]
-			case vector.Bool:
-				v.B = col.B[lo:hi]
-			}
-		}
-		if snap.Del.AnyIn(lo, hi) {
-			if s.sel == nil {
-				s.sel = make([]int32, 0, ctx.vecSize())
-			}
-			sel := s.sel[:0]
-			for r := lo; r < hi; r++ {
-				if !snap.Del.Has(r) {
-					sel = append(sel, int32(r-lo))
-				}
-			}
-			s.sel = sel
-			if len(sel) == 0 {
-				continue
-			}
-			s.out.Sel = sel
-		} else {
-			s.out.Sel = nil
-		}
-		s.rows += int64(s.out.Len())
-		return s.out, nil
-	}
-}
-
-// Close implements Operator.
-func (s *MorselScan) Close(ctx *Ctx) error { return nil }
-
 // Progress implements Operator: the worker's share is not meaningful on its
-// own; the exchange reports merged-morsel progress for the whole fragment.
-func (s *MorselScan) Progress() float64 {
-	total := s.src.count()
-	if total == 0 {
-		return 1
-	}
-	s.src.mu.Lock()
-	done := s.src.mergeBase
-	s.src.mu.Unlock()
-	return float64(done) / float64(total)
-}
+// own; merged-morsel progress stands for the whole fragment.
+func (s *MorselScan) Progress() float64 { return s.src.progress() }

@@ -101,7 +101,11 @@ func flatten(res *catalog.Result) [][]vector.Datum {
 // tolerance for parallel aggregation re-association.
 func sameRows(t *testing.T, label string, want, got *catalog.Result) {
 	t.Helper()
-	w, g := flatten(want), flatten(got)
+	sameRowLists(t, label, flatten(want), flatten(got))
+}
+
+func sameRowLists(t *testing.T, label string, w, g [][]vector.Datum) {
+	t.Helper()
 	if len(w) != len(g) {
 		t.Fatalf("%s: row count: want %d, got %d", label, len(w), len(g))
 	}
@@ -174,52 +178,69 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelUsesExchange asserts the parallel build actually installs a
-// parallel fragment (guarding against silent fallback to serial).
-func TestParallelUsesExchange(t *testing.T) {
+// TestFragmentRootChosenByObservables pins how a fragment picks its root:
+// from the rows to scan, the kind of source and the statement's budget — a
+// parallel root for a splittable morsel source (guarding against silent
+// fallback to one worker), one worker for everything else.
+func TestFragmentRootChosenByObservables(t *testing.T) {
 	cat := parCatalog(40000, 0)
-	mk := func(q *plan.Node, par int, disableFusion bool) Operator {
+	mk := func(q *plan.Node, par, morsel int) Operator {
 		n := q.Clone()
 		if err := n.Resolve(cat); err != nil {
 			t.Fatal(err)
 		}
 		ctx := NewCtx(cat)
 		ctx.Parallelism = par
-		ctx.MorselRows = 1024
-		ctx.DisableFusion = disableFusion
+		ctx.MorselRows = morsel
 		op, err := Build(ctx, n, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return op
 	}
+	workers := func(op Operator) int {
+		switch x := op.(type) {
+		case *Exchange:
+			return len(x.workers)
+		case *AggOp:
+			return len(x.workers)
+		case *FusedPipeline:
+			return 1
+		}
+		t.Fatalf("unexpected fragment root %T", op)
+		return 0
+	}
 	filter := plan.NewSelect(plan.NewScan("fact", "id"), expr.Lt(expr.C("id"), expr.Int(10)))
-	if _, ok := mk(filter, 4, false).(*Exchange); !ok {
+	agg := plan.NewAggregate(filter.Clone(), []string{"id"}, plan.A(plan.Count, nil, "n"))
+	overSort := plan.NewSelect(plan.NewSort(plan.NewScan("fact", "id"), plan.SortKey{Col: "id"}),
+		expr.Lt(expr.C("id"), expr.Int(10)))
+	for _, c := range []struct {
+		name        string
+		q           *plan.Node
+		par, morsel int
+		want        int
+	}{
+		{"filter/large/par4", filter, 4, 1024, 4},
+		{"filter/large/par1", filter, 1, 1024, 1},
+		{"filter/under-two-morsels/par4", filter, 4, 30000, 1},
+		{"filter/three-morsels/par4", filter, 4, 16000, 3},
+		{"agg/large/par4", agg, 4, 1024, 4},
+		{"agg/large/par1", agg, 1, 1024, 1},
+		{"filter-over-sort/par4", overSort, 4, 1024, 1}, // a pull source never splits
+	} {
+		if got := workers(mk(c.q, c.par, c.morsel)); got != c.want {
+			t.Errorf("%s: %d workers, want %d", c.name, got, c.want)
+		}
+	}
+	if _, ok := mk(filter, 4, 1024).(*Exchange); !ok {
 		t.Fatalf("expected *Exchange for a large filter at parallelism 4")
 	}
-	// Fusion is on by default, so serial pipelines become fused push loops.
-	if _, ok := mk(filter, 1, false).(*FusedPipeline); !ok {
-		t.Fatalf("expected *FusedPipeline at parallelism 1 with fusion on")
+	if _, ok := mk(filter, 1, 1024).(*FusedPipeline); !ok {
+		t.Fatalf("expected *FusedPipeline for one worker")
 	}
-	if _, ok := mk(filter, 1, true).(*Filter); !ok {
-		t.Fatalf("expected serial *Filter at parallelism 1 with fusion disabled")
-	}
-	agg := plan.NewAggregate(filter.Clone(), []string{"id"}, plan.A(plan.Count, nil, "n"))
-	if _, ok := mk(agg, 4, false).(*ParallelAgg); !ok {
-		t.Fatalf("expected *ParallelAgg for a large aggregation at parallelism 4")
-	}
-	if _, ok := mk(agg, 1, false).(*FusedAgg); !ok {
-		t.Fatalf("expected *FusedAgg at parallelism 1 with fusion on")
-	}
-	if _, ok := mk(agg, 1, true).(*HashAgg); !ok {
-		t.Fatalf("expected serial *HashAgg at parallelism 1 with fusion disabled")
-	}
-	// A bare scan gains nothing from a merge copy or a fused loop: stays serial.
-	if _, ok := mk(plan.NewScan("fact", "id"), 4, false).(*TableScan); !ok {
-		t.Fatalf("expected serial *TableScan for a bare scan")
-	}
-	if _, ok := mk(plan.NewScan("fact", "id"), 1, false).(*TableScan); !ok {
-		t.Fatalf("expected serial *TableScan for a bare scan at parallelism 1")
+	// A bare scan gains nothing from a merge copy or a push loop.
+	if _, ok := mk(plan.NewScan("fact", "id"), 4, 1024).(*TableScan); !ok {
+		t.Fatalf("expected *TableScan for a bare scan")
 	}
 }
 

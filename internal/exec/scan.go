@@ -8,86 +8,67 @@ import (
 	"recycledb/internal/vector"
 )
 
-// TableScan reads a projection of a base table, slicing column storage into
-// batches without copying (batches alias table storage; consumers never
-// mutate input batches).
+// rangeScan is the scan body shared by TableScan and MorselScan: it slices
+// rows [pos, end) of a statement snapshot into batches without copying
+// (batches alias table storage; consumers never mutate input batches).
 //
-// The scan reads a per-statement snapshot (Ctx.SnapFor): a consistent
-// (watermark, delete-bitmap) epoch captured at Open. Writers committing new
-// epochs concurrently never disturb it — the snapshot's column slices are
-// bounded to its watermark and the rows below a watermark are immutable.
-// Deleted rows are skipped by attaching a selection vector to the output
-// batch; ranges without deletions flow through dense.
-type TableScan struct {
+// Writers committing new epochs concurrently never disturb it — the
+// snapshot's column slices are bounded to its watermark and the rows below a
+// watermark are immutable. Deleted rows are skipped by attaching a selection
+// vector to the output batch; ranges without deletions flow through dense.
+type rangeScan struct {
 	base
-	Table *catalog.Table
-	Cols  []int // column indexes into the table schema
-	snap  *catalog.Snapshot
-	lo    int // scan start (nonzero for delta runs)
-	pos   int
-	out   *vector.Batch
-	sel   []int32
+	snap     *catalog.Snapshot
+	cols     []int // column indexes into the table schema
+	pos, end int
+	out      *vector.Batch
+	sel      []int32
 }
 
-// NewTableScan builds a scan of the given column indexes of t.
-func NewTableScan(t *catalog.Table, cols []int, schema catalog.Schema) *TableScan {
-	return &TableScan{base: base{schema: schema}, Table: t, Cols: cols}
-}
-
-// Open implements Operator.
-func (s *TableScan) Open(ctx *Ctx) error {
-	defer s.addCost(time.Now())
-	s.snap = ctx.SnapFor(s.Table)
-	s.lo = 0
-	if from, ok := ctx.ScanFrom[s.Table.Name]; ok {
-		s.lo = from
-		if s.lo > s.snap.Rows {
-			s.lo = s.snap.Rows
-		}
-	}
-	s.pos = s.lo
+// bind points the scan at snap. The vector structs are allocated once and
+// re-sliced over table storage every Next, so the steady-state scan never
+// allocates.
+func (s *rangeScan) bind(snap *catalog.Snapshot) {
+	s.snap = snap
 	if s.out == nil {
-		// The vector structs are allocated once and re-sliced over table
-		// storage every Next, so the steady-state scan never allocates.
-		s.out = &vector.Batch{Vecs: make([]*vector.Vector, len(s.Cols))}
-		for i, c := range s.Cols {
-			s.out.Vecs[i] = &vector.Vector{Typ: s.snap.Col(c).Typ}
+		s.out = &vector.Batch{Vecs: make([]*vector.Vector, len(s.cols))}
+		for i, c := range s.cols {
+			s.out.Vecs[i] = &vector.Vector{Typ: snap.Col(c).Typ}
 		}
 	}
-	return nil
 }
 
-// Next implements Operator.
-func (s *TableScan) Next(ctx *Ctx) (*vector.Batch, error) {
+// sliceCols points dst's vectors at rows [lo, hi) of the given snapshot
+// columns.
+func sliceCols(dst []*vector.Vector, snap *catalog.Snapshot, cols []int, lo, hi int) {
+	for i, c := range cols {
+		col := snap.Col(c)
+		v := dst[i]
+		switch col.Typ {
+		case vector.Int64, vector.Date:
+			v.I64 = col.I64[lo:hi]
+		case vector.Float64:
+			v.F64 = col.F64[lo:hi]
+		case vector.String:
+			v.Str = col.Str[lo:hi]
+		case vector.Bool:
+			v.B = col.B[lo:hi]
+		}
+	}
+}
+
+// Next implements Operator: the batches of [pos, end), then (nil, nil).
+func (s *rangeScan) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
 	defer s.addCost(time.Now())
-	n := s.snap.Rows
-	for {
-		if s.pos >= n {
-			return nil, nil
-		}
-		hi := s.pos + ctx.vecSize()
-		if hi > n {
-			hi = n
-		}
+	for s.pos < s.end {
 		lo := s.pos
+		hi := min(lo+ctx.vecSize(), s.end)
 		s.pos = hi
-		for i, c := range s.Cols {
-			col := s.snap.Col(c)
-			v := s.out.Vecs[i]
-			switch col.Typ {
-			case vector.Int64, vector.Date:
-				v.I64 = col.I64[lo:hi]
-			case vector.Float64:
-				v.F64 = col.F64[lo:hi]
-			case vector.String:
-				v.Str = col.Str[lo:hi]
-			case vector.Bool:
-				v.B = col.B[lo:hi]
-			}
-		}
+		sliceCols(s.out.Vecs, s.snap, s.cols, lo, hi)
+		s.out.Sel = nil
 		if s.snap.Del.AnyIn(lo, hi) {
 			if s.sel == nil {
 				s.sel = make([]int32, 0, ctx.vecSize())
@@ -103,16 +84,38 @@ func (s *TableScan) Next(ctx *Ctx) (*vector.Batch, error) {
 				continue // every row in the range is deleted
 			}
 			s.out.Sel = sel
-		} else {
-			s.out.Sel = nil
 		}
 		s.rows += int64(s.out.Len())
 		return s.out, nil
 	}
+	return nil, nil
 }
 
 // Close implements Operator.
-func (s *TableScan) Close(ctx *Ctx) error { return nil }
+func (s *rangeScan) Close(ctx *Ctx) error { return nil }
+
+// TableScan reads a projection of a base table as of the per-statement
+// snapshot (Ctx.SnapFor): a consistent (watermark, delete-bitmap) epoch
+// captured at Open.
+type TableScan struct {
+	rangeScan
+	Table *catalog.Table
+	lo    int // scan start (nonzero for delta runs)
+}
+
+// NewTableScan builds a scan of the given column indexes of t.
+func NewTableScan(t *catalog.Table, cols []int, schema catalog.Schema) *TableScan {
+	return &TableScan{rangeScan: rangeScan{base: base{schema: schema}, cols: cols}, Table: t}
+}
+
+// Open implements Operator.
+func (s *TableScan) Open(ctx *Ctx) error {
+	defer s.addCost(time.Now())
+	s.bind(ctx.SnapFor(s.Table))
+	s.lo = ctx.scanStart(s.Table.Name, s.snap)
+	s.pos, s.end = s.lo, s.snap.Rows
+	return nil
+}
 
 // Progress implements Operator: scans know their total row count.
 func (s *TableScan) Progress() float64 {

@@ -55,20 +55,13 @@ func evenFilter(t *testing.T, child Operator) Operator {
 	pred := expr.Eq(expr.BinBy(expr.C("id"), 2), expr.BinBy(expr.Add(expr.C("id"), expr.Int(0)), 2))
 	// Simpler: id % 2 == 0 via bin: bin(id,2)*2 == id
 	pred = expr.Eq(expr.Mul(expr.BinBy(expr.C("id"), 2), expr.Int(2)), expr.C("id"))
-	if _, err := pred.Bind(child.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	return NewFilter(child, pred)
+	return pipeFilter(t, child, pred)
 }
 
 // ltFilter keeps rows with id < cutoff.
 func ltFilter(t *testing.T, child Operator, cutoff int64) Operator {
 	t.Helper()
-	pred := expr.Lt(expr.C("id"), expr.Int(cutoff))
-	if _, err := pred.Bind(child.Schema()); err != nil {
-		t.Fatal(err)
-	}
-	return NewFilter(child, pred)
+	return pipeFilter(t, child, expr.Lt(expr.C("id"), expr.Int(cutoff)))
 }
 
 // runRows drains op and returns all rows as datum slices.
@@ -110,12 +103,7 @@ func TestSelectionProjectGathersStrings(t *testing.T) {
 	ctx.VectorSize = 64
 	f := evenFilter(t, scanAll(tab))
 	exprs := []expr.Expr{expr.C("s"), expr.Add(expr.C("id"), expr.Int(1))}
-	for _, e := range exprs {
-		if _, err := e.Bind(tab.Schema); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p := NewProject(f, exprs, catalog.Schema{
+	p := pipeProject(t, f, exprs, catalog.Schema{
 		{Name: "s", Typ: vector.String},
 		{Name: "id1", Typ: vector.Int64},
 	})
@@ -150,7 +138,7 @@ func TestSelectionJoinBothSides(t *testing.T) {
 			case plan.LeftOuter:
 				schema = append(schema, catalog.Column{Name: plan.MatchCol, Typ: vector.Int64})
 			}
-			j := NewHashJoin(jt, left, right, []int{0}, []int{0}, schema)
+			j := pipeJoin(jt, left, right, []int{0}, []int{0}, schema)
 			rows := runRows(t, ctx, j)
 			switch jt {
 			case plan.Inner, plan.LeftSemi:
@@ -188,14 +176,15 @@ func TestSelectionJoinBothSides(t *testing.T) {
 
 func TestSelectionJoinDuplicateChainsAcrossBatches(t *testing.T) {
 	// Build side has 8 rows per key; vector size 4 forces every probe
-	// row's match chain to span output batches (mid-chain resumption).
+	// row's match chain to exceed the vector size (one oversized output
+	// batch per probe batch).
 	tab := selTable(t, 80, 10) // grp = id%10: 8 rows per group
 	ctx := NewCtx(catalog.New())
 	ctx.VectorSize = 4
 	left := ltFilter(t, scanAll(tab), 10) // probe ids 0..9, key grp=id
 	right := scanAll(tab)
 	schema := append(append(catalog.Schema{}, tab.Schema...), tab.Schema...)
-	j := NewHashJoin(plan.Inner, left, right, []int{0}, []int{1}, schema)
+	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{1}, schema)
 	rows := runRows(t, ctx, j)
 	if len(rows) != 80 {
 		t.Fatalf("got %d rows, want 80 (10 probe x 8 matches)", len(rows))
@@ -212,21 +201,19 @@ func TestSelectionAggregation(t *testing.T) {
 	ctx := NewCtx(catalog.New())
 	ctx.VectorSize = 64
 	f := evenFilter(t, scanAll(tab))
-	h := NewHashAgg(f, []int{1}, []AggExpr{
+	// Bind the agg arg against the child schema (builders normally do it).
+	sumArg := expr.C("id")
+	if _, err := sumArg.Bind(tab.Schema); err != nil {
+		t.Fatal(err)
+	}
+	h := pipeAgg(f, []int{1}, []AggExpr{
 		{Func: plan.Count, Typ: vector.Int64},
-		{Func: plan.Sum, Arg: expr.C("id"), Typ: vector.Int64},
+		{Func: plan.Sum, Arg: sumArg, Typ: vector.Int64},
 	}, catalog.Schema{
 		{Name: "grp", Typ: vector.Int64},
 		{Name: "n", Typ: vector.Int64},
 		{Name: "sum_id", Typ: vector.Int64},
 	})
-	if _, err := expr.C("id").Bind(tab.Schema); err != nil {
-		t.Fatal(err)
-	}
-	// Bind the agg arg against the child schema (builders normally do it).
-	if _, err := h.Aggs[1].Arg.Bind(tab.Schema); err != nil {
-		t.Fatal(err)
-	}
 	rows := runRows(t, ctx, h)
 	// Even ids have grp = id%10 in {0,2,4,6,8}: 5 groups of 100 rows.
 	if len(rows) != 5 {

@@ -55,42 +55,7 @@ func LoadTPCH(cfg TPCHConfig) *catalog.Catalog {
 
 // NewEngine builds an engine in the given mode over a shared catalog.
 func NewEngine(cat *catalog.Catalog, mode recycledb.Mode, cacheBytes int64) *recycledb.Engine {
-	return NewEngineParallel(cat, mode, cacheBytes, 0)
-}
-
-// NewEngineParallel is NewEngine with an explicit intra-query worker
-// budget (0 = GOMAXPROCS, 1 = serial).
-func NewEngineParallel(cat *catalog.Catalog, mode recycledb.Mode, cacheBytes int64, parallelism int) *recycledb.Engine {
-	return NewEngineFusion(cat, mode, cacheBytes, parallelism, false)
-}
-
-// NewEngineFusion is NewEngineParallel with explicit control over loop
-// fusion, for fused-vs-unfused comparisons.
-func NewEngineFusion(cat *catalog.Catalog, mode recycledb.Mode, cacheBytes int64, parallelism int, disableFusion bool) *recycledb.Engine {
-	return NewEngineKernels(cat, mode, cacheBytes, parallelism, disableFusion, false)
-}
-
-// NewEngineKernels is NewEngineFusion with explicit control over the
-// type-specialized compute kernels, for kernels-on-vs-off comparisons.
-func NewEngineKernels(cat *catalog.Catalog, mode recycledb.Mode, cacheBytes int64, parallelism int, disableFusion, disableKernels bool) *recycledb.Engine {
-	return recycledb.NewWithCatalog(recycledb.Config{
-		Mode:           mode,
-		CacheBytes:     cacheBytes,
-		Parallelism:    parallelism,
-		DisableFusion:  disableFusion,
-		DisableKernels: disableKernels,
-	}, cat)
-}
-
-// NewEngineOpt is NewEngineParallel with explicit control over the plan
-// optimizer, for optimized-vs-unoptimized comparisons.
-func NewEngineOpt(cat *catalog.Catalog, mode recycledb.Mode, cacheBytes int64, parallelism int, disableOptimizer bool) *recycledb.Engine {
-	return recycledb.NewWithCatalog(recycledb.Config{
-		Mode:             mode,
-		CacheBytes:       cacheBytes,
-		Parallelism:      parallelism,
-		DisableOptimizer: disableOptimizer,
-	}, cat)
+	return recycledb.NewWithCatalog(recycledb.Config{Mode: mode, CacheBytes: cacheBytes}, cat)
 }
 
 // EngineExec adapts an engine to the workload driver.

@@ -1,107 +1,44 @@
 package plan
 
-// Morsel-pipeline analysis: which subtrees of an optimized query tree can
-// execute as one parallel pipeline over row-range morsels of a single
-// driving base-table scan. A pipeline is a chain of row-local operators
-// (scan, select, project) extended through the probe side of hash joins —
-// the shape "Push vs. Pull-Based Loop Fusion in Query Engines" identifies
-// as the fusable unit, and the unit the executor schedules across workers.
-// Join build sides are not part of the pipeline: they are separate
-// (possibly themselves parallel) subplans materialized once at a barrier.
+// Fragment analysis: how a Select/Project/Join/Aggregate subtree splits into
+// a row-local interior and the source that feeds it. The interior is a chain
+// of select and project nodes extended through the probe side of hash joins
+// — the shape "Push vs. Pull-Based Loop Fusion in Query Engines" identifies
+// as the fusable unit, and the unit the executor compiles into one push loop.
+// Join build sides are not part of it: they are separate subplans
+// materialized once.
 //
-// The executor supplies a barrier predicate for nodes that must remain
-// serial merge points — in this engine, nodes carrying recycler
-// decorations (reuse replays, in-flight waits, store materialization
-// points), so cached results are always produced and consumed on the
-// merged stream, never inside a worker.
+// The executor supplies a barrier predicate for nodes that must stay pull
+// operators — in this engine, nodes carrying recycler decorations (reuse
+// replays, in-flight waits, store materialization points), so cached results
+// are always produced and consumed on a merged stream, never inside a
+// worker. A barrier does not dissolve the fragment: it becomes its source.
 
-// FragmentKind classifies how a subtree may execute in parallel.
-type FragmentKind int
-
-const (
-	// FragNone marks subtrees that run serially (either not
-	// pipeline-shaped, or not worth splitting).
-	FragNone FragmentKind = iota
-	// FragPipeline marks scan/select/project/join-probe pipelines whose
-	// morsel outputs merge in scan order through an ordered exchange.
-	FragPipeline
-	// FragAggregate marks an aggregation over a pipeline: workers build
-	// partial group tables and a single merge combines them.
-	FragAggregate
-)
-
-// PipelineSpine returns the driving base-table scan of the pipeline rooted
-// at n, walking select/project chains and join probe (left) sides. barrier
-// (optional) marks descendants that force serial execution; the root itself
-// is exempt, since whatever decoration it carries wraps the merged stream.
-func PipelineSpine(n *Node, barrier func(*Node) bool) (*Node, bool) {
-	return spineWalk(n, barrier, true)
-}
-
-func spineWalk(n *Node, barrier func(*Node) bool, root bool) (*Node, bool) {
-	if !root && barrier != nil && barrier(n) {
-		return nil, false
+// SpineNodes enumerates the fragment rooted at n leaf-first. spine[0] is the
+// source: the first node down the select/project/join-probe path that is not
+// such a node or that barrier marks. spine[1:] are the interior nodes above
+// it, up to and including n — or up to n's child when n is an Aggregate,
+// whose input is the spine and which is itself the fragment's sink. n is
+// exempt from barrier (whatever decorates it wraps the fragment's output);
+// an Aggregate's child is not.
+func SpineNodes(n *Node, barrier func(*Node) bool) []*Node {
+	cur, exempt := n, true
+	if n.Op == Aggregate {
+		cur, exempt = n.Children[0], false
 	}
-	switch n.Op {
-	case Scan:
-		return n, true
-	case Select, Project:
-		return spineWalk(n.Children[0], barrier, false)
-	case Join:
-		// The probe side continues the pipeline; the build side is a
-		// separate subplan and may be anything.
-		return spineWalk(n.Children[0], barrier, false)
-	}
-	return nil, false
-}
-
-// SpineNodes enumerates the pipeline spine of n leaf-first: the driving
-// Scan, then every Select/Project/Join on the probe path up to and
-// including n. It walks exactly like PipelineSpine (same barrier rule, root
-// exempt), so a subtree classified FragPipeline/FragAggregate always
-// enumerates. The executor compiles this node list into a fused consumer
-// chain — one stage per interior node — and uses the same list to attribute
-// fused-loop cost back to the plan nodes.
-func SpineNodes(n *Node, barrier func(*Node) bool) ([]*Node, bool) {
-	var rev []*Node
-	cur, root := n, true
+	var spine []*Node
 	for {
-		if !root && barrier != nil && barrier(cur) {
-			return nil, false
+		spine = append(spine, cur)
+		interior := cur.Op == Select || cur.Op == Project || cur.Op == Join
+		if !interior || (!exempt && barrier != nil && barrier(cur)) {
+			break
 		}
-		rev = append(rev, cur)
-		switch cur.Op {
-		case Scan:
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
-			return rev, true
-		case Select, Project, Join:
-			cur = cur.Children[0]
-			root = false
-		default:
-			return nil, false
-		}
+		// A join's probe side continues the spine; its build side is a
+		// separate subplan and may be anything.
+		cur, exempt = cur.Children[0], false
 	}
-}
-
-// ClassifyFragment decides how the subtree rooted at n may be parallelized
-// and returns its driving scan. A bare Scan root classifies as FragNone:
-// a serial scan aliases storage for free, so splitting it buys nothing and
-// costs a merge copy.
-func ClassifyFragment(n *Node, barrier func(*Node) bool) (FragmentKind, *Node) {
-	switch n.Op {
-	case Aggregate:
-		if scan, ok := PipelineSpine(n.Children[0], barrier); ok {
-			if barrier == nil || !barrier(n.Children[0]) {
-				return FragAggregate, scan
-			}
-		}
-		return FragNone, nil
-	case Select, Project, Join:
-		if scan, ok := PipelineSpine(n, barrier); ok {
-			return FragPipeline, scan
-		}
+	for i, j := 0, len(spine)-1; i < j; i, j = i+1, j-1 {
+		spine[i], spine[j] = spine[j], spine[i]
 	}
-	return FragNone, nil
+	return spine
 }

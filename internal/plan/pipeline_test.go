@@ -6,129 +6,80 @@ import (
 	"recycledb/internal/expr"
 )
 
-func TestClassifyFragment(t *testing.T) {
-	scan := func() *Node { return NewScan("t", "a", "b") }
-	sel := func() *Node { return NewSelect(scan(), expr.Gt(expr.C("a"), expr.Int(1))) }
-	join := func() *Node {
-		return NewJoin(Inner, sel(), NewScan("d", "k"), []string{"a"}, []string{"k"})
-	}
-
-	cases := []struct {
-		name string
-		n    *Node
-		want FragmentKind
-	}{
-		{"bare-scan", scan(), FragNone}, // nothing to gain from a merge copy
-		{"select", sel(), FragPipeline},
-		{"project", NewProject(sel(), P(expr.C("a"), "a")), FragPipeline},
-		{"join-probe-spine", join(), FragPipeline},
-		{"agg", NewAggregate(sel(), []string{"b"}, A(Count, nil, "n")), FragAggregate},
-		{"agg-scalar", NewAggregate(join(), nil, A(Count, nil, "n")), FragAggregate},
-		{"topn", NewTopN(sel(), []SortKey{{Col: "a"}}, 5), FragNone},
-		{"limit", NewLimit(sel(), 5), FragNone},
-		{"union", NewUnion(sel(), sel()), FragNone},
-		{"tablefn-spine", NewSelect(NewTableFn("f"), expr.Gt(expr.C("a"), expr.Int(1))), FragNone},
-		{"agg-over-sort", NewAggregate(NewSort(sel(), SortKey{Col: "a"}), nil, A(Count, nil, "n")), FragNone},
-	}
-	for _, c := range cases {
-		kind, spine := ClassifyFragment(c.n, nil)
-		if kind != c.want {
-			t.Errorf("%s: kind = %v, want %v", c.name, kind, c.want)
-		}
-		if kind != FragNone && (spine == nil || spine.Op != Scan || spine.Table != "t") {
-			t.Errorf("%s: wrong spine scan %v", c.name, spine)
-		}
-	}
-}
-
 // TestSpineNodes pins the enumeration the fused compiler consumes: the
-// same walk as PipelineSpine (same barrier rule, root exempt), returned
-// leaf-first — driving Scan, then every interior node up to the root.
+// source first, then every interior node up to the root, for every kind of
+// source — a base scan, a table function, a blocking operator — and with an
+// Aggregate root standing outside its own spine.
 func TestSpineNodes(t *testing.T) {
 	scan := NewScan("t", "a", "b")
 	sel := NewSelect(scan, expr.Gt(expr.C("a"), expr.Int(1)))
 	join := NewJoin(Inner, sel, NewScan("d", "k"), []string{"a"}, []string{"k"})
 	proj := NewProject(join, P(expr.C("a"), "a"))
+	fn := NewTableFn("f")
+	fnSel := NewSelect(fn, expr.Gt(expr.C("a"), expr.Int(1)))
+	sorted := NewSort(sel, SortKey{Col: "a"})
+	limit := NewLimit(sel, 5)
 
-	nodes, ok := SpineNodes(proj, nil)
-	if !ok {
-		t.Fatal("pipeline spine not recognized")
+	cases := []struct {
+		name string
+		root *Node
+		want []*Node
+	}{
+		{"scan-leaf", proj, []*Node{scan, sel, join, proj}},
+		{"select", sel, []*Node{scan, sel}},
+		{"agg-over-spine", NewAggregate(proj, []string{"a"}, A(Count, nil, "n")), []*Node{scan, sel, join, proj}},
+		{"agg-over-scan", NewAggregate(scan, nil, A(Count, nil, "n")), []*Node{scan}},
+		{"tablefn-leaf", fnSel, []*Node{fn, fnSel}},
+		{"agg-over-sort", NewAggregate(sorted, nil, A(Count, nil, "n")), []*Node{sorted}},
+		{"non-fragment-root", limit, []*Node{limit}},
 	}
-	want := []*Node{scan, sel, join, proj}
-	if len(nodes) != len(want) {
-		t.Fatalf("spine length = %d, want %d", len(nodes), len(want))
-	}
-	for i := range want {
-		if nodes[i] != want[i] {
-			t.Fatalf("spine[%d] = %v, want %v", i, nodes[i].Op, want[i].Op)
+	for _, c := range cases {
+		got := SpineNodes(c.root, nil)
+		if len(got) != len(c.want) {
+			t.Errorf("%s: spine length = %d, want %d", c.name, len(got), len(c.want))
+			continue
 		}
-	}
-
-	// A bare scan is its own one-node spine.
-	solo, ok := SpineNodes(scan, nil)
-	if !ok || len(solo) != 1 || solo[0] != scan {
-		t.Fatalf("bare scan spine = %v ok=%v", solo, ok)
-	}
-
-	// Non-pipeline roots refuse.
-	if _, ok := SpineNodes(NewLimit(sel, 5), nil); ok {
-		t.Fatal("limit root must not enumerate as a spine")
-	}
-
-	// Barrier on an interior node stops enumeration; on the root it is
-	// exempt — mirror of the PipelineSpine rule the executor relies on.
-	if _, ok := SpineNodes(proj, func(n *Node) bool { return n == sel }); ok {
-		t.Fatal("interior barrier ignored")
-	}
-	if nodes, ok := SpineNodes(proj, func(n *Node) bool { return n == proj }); !ok || len(nodes) != 4 {
-		t.Fatalf("root barrier must not stop enumeration (ok=%v len=%d)", ok, len(nodes))
-	}
-
-	// Agreement with PipelineSpine on every classified fragment shape.
-	for _, n := range []*Node{sel, join, proj} {
-		s1, ok1 := PipelineSpine(n, nil)
-		s2, ok2 := SpineNodes(n, nil)
-		if ok1 != ok2 || (ok1 && s2[0] != s1) {
-			t.Fatalf("SpineNodes disagrees with PipelineSpine for %v", n.Op)
+		for i, w := range c.want {
+			if got[i] != w {
+				t.Errorf("%s: spine[%d] = %v, want %v", c.name, i, got[i].Op, w.Op)
+			}
 		}
 	}
 }
 
-// TestClassifyFragmentBarriers pins the merge-point rule: a barrier on an
-// interior node (a recycler decoration in the executor) stops the
-// fragment; a barrier on the root does not, because the root's decoration
-// wraps the merged stream.
-func TestClassifyFragmentBarriers(t *testing.T) {
-	inner := NewSelect(NewScan("t", "a"), expr.Gt(expr.C("a"), expr.Int(1)))
+// TestSpineNodesBarriers pins the source rule for recycler decorations: a
+// barrier on an interior node ends the spine there and hands that node back
+// as the source; a barrier on the root does not, because the root's
+// decoration wraps the fragment's output; an Aggregate's child is not exempt.
+func TestSpineNodesBarriers(t *testing.T) {
+	scan := NewScan("t", "a")
+	inner := NewSelect(scan, expr.Gt(expr.C("a"), expr.Int(1)))
 	root := NewProject(inner, P(expr.C("a"), "a"))
+	on := func(x *Node) func(*Node) bool { return func(n *Node) bool { return n == x } }
 
-	barrierInner := func(n *Node) bool { return n == inner }
-	if kind, _ := ClassifyFragment(root, barrierInner); kind != FragNone {
-		t.Fatalf("interior barrier ignored: kind = %v", kind)
+	if s := SpineNodes(root, on(inner)); len(s) != 2 || s[0] != inner || s[1] != root {
+		t.Fatalf("interior barrier must become the source: %v", s)
 	}
-	barrierRoot := func(n *Node) bool { return n == root }
-	if kind, _ := ClassifyFragment(root, barrierRoot); kind != FragPipeline {
-		t.Fatalf("root barrier must not stop the fragment: kind = %v", kind)
+	if s := SpineNodes(root, on(root)); len(s) != 3 || s[0] != scan {
+		t.Fatalf("root barrier must not stop the walk: %v", s)
+	}
+	if s := SpineNodes(root, on(scan)); len(s) != 3 || s[0] != scan {
+		t.Fatalf("a decorated scan is still the source: %v", s)
 	}
 
-	// Aggregate roots: a barrier directly under the aggregate is a merge
-	// point for the aggregate's input, so the fragment dissolves.
 	agg := NewAggregate(root, nil, A(Count, nil, "n"))
-	if kind, _ := ClassifyFragment(agg, barrierRoot); kind != FragNone {
-		t.Fatalf("barrier under aggregate ignored: kind = %v", kind)
+	if s := SpineNodes(agg, on(root)); len(s) != 1 || s[0] != root {
+		t.Fatalf("barrier under an aggregate is its source: %v", s)
 	}
-	if kind, _ := ClassifyFragment(agg, barrierInner); kind != FragNone {
-		t.Fatalf("deep barrier under aggregate ignored: kind = %v", kind)
-	}
-	if kind, _ := ClassifyFragment(agg, func(n *Node) bool { return n == agg }); kind != FragAggregate {
-		t.Fatalf("barrier on aggregate root must not stop the fragment: kind = %v", kind)
+	if s := SpineNodes(agg, on(agg)); len(s) != 3 || s[0] != scan {
+		t.Fatalf("barrier on the aggregate itself must not stop the walk: %v", s)
 	}
 
 	// Join build sides may contain barriers freely: they are separate
-	// subplans, not pipeline members.
+	// subplans, not spine members.
 	buildSide := NewSelect(NewScan("d", "k"), expr.Gt(expr.C("k"), expr.Int(0)))
 	join := NewJoin(Inner, root, buildSide, []string{"a"}, []string{"k"})
-	if kind, _ := ClassifyFragment(join, func(n *Node) bool { return n == buildSide }); kind != FragPipeline {
-		t.Fatal("build-side barrier must not stop the probe pipeline")
+	if s := SpineNodes(join, on(buildSide)); len(s) != 4 || s[0] != scan {
+		t.Fatalf("build-side barrier must not stop the probe spine: %v", s)
 	}
 }

@@ -161,7 +161,7 @@ func TestParallelSnapshotConsistencyUnderDML(t *testing.T) {
 		}
 	}()
 
-	// count(*) grouped to force a ParallelAgg over the full scan.
+	// count(*) grouped to force a multi-worker aggregation over the full scan.
 	q, err := eng.Prepare(`SELECT l_returnflag, count(*) AS n FROM lineitem GROUP BY l_returnflag`)
 	if err != nil {
 		t.Fatal(err)

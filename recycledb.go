@@ -63,12 +63,12 @@
 //
 // # Parallelism
 //
-// Statements execute morsel-parallel: pipeline-shaped plan fragments split
-// the driving scan into row ranges processed by a worker pool
+// Statements execute morsel-parallel: plan fragments over a large enough
+// base-table scan split it into row ranges processed by a worker pool
 // (Config.Parallelism, default GOMAXPROCS, divided across statements in
 // flight) and merge deterministically — a parallel run produces the same
-// rows in the same order as a serial one, recycler decisions included. See
-// the README's "Parallel execution" section.
+// rows in the same order as a one-worker one, recycler decisions included.
+// See the README's "Execution" section.
 package recycledb
 
 import (
@@ -137,22 +137,8 @@ type Config struct {
 	// machine; a saturated serving tier degrades gracefully to one worker
 	// per query), and plans too small to split run serially regardless.
 	// Results are independent of the setting — parallel pipelines merge
-	// deterministically in serial order; see README "Parallel execution".
+	// deterministically in scan order; see README "Execution".
 	Parallelism int
-	// DisableFusion turns off push-based loop fusion of pipeline-fragment
-	// interiors, reverting them to chained operator Next calls. An escape
-	// hatch for bisecting regressions and for benchmarking the two paths;
-	// results are identical either way. See README "Loop fusion".
-	DisableFusion bool
-	// DisableKernels turns off the type-specialized compute kernels
-	// (compiled predicate kernels, fused aggregate emission, the
-	// single-int64-key hash fast path), reverting the executor to its
-	// generic interpreted loops. An escape hatch for bisecting
-	// regressions and for benchmarking the two paths; results are
-	// byte-identical either way, and the recycler never sees the
-	// difference (plan signatures and cost attribution are unchanged).
-	// See README "Kernels".
-	DisableKernels bool
 	// DisableOptimizer turns off the recycler-aware plan optimizer
 	// (internal/opt): plans execute exactly as written/compiled. An escape
 	// hatch for bisecting regressions; results are identical either way.
@@ -186,9 +172,7 @@ type Engine struct {
 	// par is the intra-query parallelism budget (Config.Parallelism
 	// resolved); active tracks in-flight statements so the budget divides
 	// across them.
-	par    int
-	noFuse bool
-	noKern bool
+	par int
 	// noOpt gates the plan optimizer; optBias is its reuse-steering knob
 	// (fixed at construction — it participates in the plan-cache
 	// fingerprint). optFP precomputes the two fingerprint strings
@@ -254,8 +238,6 @@ func NewWithCatalog(cfg Config, cat *catalog.Catalog) *Engine {
 		plans:     newPlanCache(planCap),
 		vsz:       cfg.VectorSize,
 		par:       par,
-		noFuse:    cfg.DisableFusion,
-		noKern:    cfg.DisableKernels,
 		optBias:   cfg.OptimizerReuseBias,
 		optShapes: newOptShapeCache(DefaultOptCacheSize),
 		pool:      &vector.Pool{},
@@ -287,12 +269,10 @@ func (e *Engine) extendEntry(entry *core.Entry, table string, lo, hi int64) ([]*
 		return nil, 0, 0, false
 	}
 	ectx := &exec.Ctx{
-		Cat:            e.cat,
-		VectorSize:     e.vsz,
-		Pool:           e.pool,
-		ScanFrom:       map[string]int{table: int(lo)},
-		DisableFusion:  e.noFuse,
-		DisableKernels: e.noKern,
+		Cat:        e.cat,
+		VectorSize: e.vsz,
+		Pool:       e.pool,
+		ScanFrom:   map[string]int{table: int(lo)},
 	}
 	op, err := exec.Build(ectx, entry.Plan, nil, nil)
 	if err != nil {
@@ -508,16 +488,6 @@ func (e *Engine) ExecuteContext(ctx context.Context, q *plan.Node) (*Result, err
 	return rows.Collect()
 }
 
-// Execute runs a query plan to completion without cancellation support.
-//
-// Deprecated: Execute is the pre-streaming entry point, kept for
-// compatibility. Use ExecuteContext (materialized), Stream (incremental),
-// or Query / Prepare (SQL) instead.
-func (e *Engine) Execute(q *plan.Node) (*Result, error) {
-	//recycledb:ctx-ok — deprecated pre-streaming shim, kept uncancelable
-	return e.ExecuteContext(context.Background(), q)
-}
-
 // beginStatement reserves a statement slot and returns its intra-query
 // worker budget: the engine's parallelism divided by the statements in
 // flight, floored at one. A lone query gets the whole budget; under heavy
@@ -621,7 +591,7 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 		return nil, fmt.Errorf("recycledb: rewrite: %w", err)
 	}
 	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: snaps,
-		Parallelism: par, DisableFusion: e.noFuse, DisableKernels: e.noKern}
+		Parallelism: par}
 	opmap := make(map[*plan.Node]exec.Operator)
 	op, err := exec.Build(ectx, rres.Exec, rres.Decor, opmap)
 	if err != nil {

@@ -1,6 +1,7 @@
 package recycledb
 
 import (
+	"context"
 	"testing"
 
 	"recycledb/internal/sql"
@@ -23,7 +24,7 @@ func (e *Engine) mustSQL(t *testing.T, q string) *Result {
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	r, err := e.Execute(p)
+	r, err := e.ExecuteContext(context.Background(), p)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
