@@ -3,10 +3,13 @@ package recycledb
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"recycledb/internal/catalog"
+	"recycledb/internal/plan"
 	"recycledb/internal/sql"
 	"recycledb/internal/vector"
 )
@@ -170,39 +173,71 @@ func TestPlanCacheNormalization(t *testing.T) {
 	}
 }
 
-func TestPlanCacheLRUEviction(t *testing.T) {
-	e := New(Config{Mode: Off, PlanCacheSize: 2})
-	loadSales(e, 100)
-	q1 := "SELECT region FROM sales LIMIT 1"
-	q2 := "SELECT product FROM sales LIMIT 1"
-	q3 := "SELECT qty FROM sales LIMIT 1"
-	q4 := "SELECT amount FROM sales LIMIT 1"
-	for _, q := range []string{q1, q2, q3} {
-		if _, err := e.Prepare(q); err != nil {
-			t.Fatal(err)
+// TestLRU covers the one LRU behind both of its users — the compiled-
+// statement cache and the optimized-shape cache — through the same steps.
+func TestLRU(t *testing.T) {
+	t.Run("plans", func(t *testing.T) {
+		testLRU(t, func() *sql.Compiled { return new(sql.Compiled) })
+	})
+	t.Run("shapes", func(t *testing.T) {
+		testLRU(t, func() *plan.Node { return plan.NewScan("t") })
+	})
+}
+
+func testLRU[V comparable](t *testing.T, mk func() V) {
+	c := newLRU[V](2)
+	want := func(what, key string, ver int64, v V, hit bool) {
+		t.Helper()
+		got, ok := c.get(key, ver)
+		if ok != hit || (hit && got != v) {
+			t.Fatalf("%s: get(%q, %d) = (%v, %v), want (%v, %v)", what, key, ver, got, ok, v, hit)
 		}
 	}
-	if e.plans.len() != 2 {
-		t.Fatalf("cache len = %d, want 2", e.plans.len())
+	var zero V
+	a, b, d := mk(), mk(), mk()
+	c.put("a", a, 7)
+	c.put("b", b, 7)
+	want("hit", "a", 7, a, true)
+	// "a" was just used, so a third entry evicts "b".
+	c.put("d", d, 7)
+	want("least recently used after capacity eviction", "b", 7, zero, false)
+	want("recently used after capacity eviction", "a", 7, a, true)
+	want("newest after capacity eviction", "d", 7, d, true)
+	// A lookup under another schema version misses and drops the entry, so
+	// a later lookup under the original version misses too.
+	want("newer schema version", "a", 8, zero, false)
+	want("dropped by the version mismatch", "a", 7, zero, false)
+	if c.len() != 1 {
+		t.Fatalf("len = %d after mismatch eviction, want 1", c.len())
 	}
-	if e.plans.contains(sql.Normalize(q1)) {
-		t.Fatal("oldest entry should have been evicted")
+	// Re-putting a key replaces value and version in place.
+	c.put("d", a, 8)
+	want("replaced entry", "d", 8, a, true)
+	c.flush()
+	want("after flush", "d", 8, zero, false)
+	if c.len() != 0 {
+		t.Fatalf("flush left %d entries behind", c.len())
 	}
-	if !e.plans.contains(sql.Normalize(q2)) || !e.plans.contains(sql.Normalize(q3)) {
-		t.Fatal("newest entries should remain")
+
+	off := newLRU[V](0)
+	off.put("a", a, 1)
+	if _, ok := off.get("a", 1); ok || off.len() != 0 {
+		t.Fatal("a zero-capacity LRU stored an entry")
 	}
-	// Touch q2 so q3 becomes the LRU victim.
-	if _, err := e.Prepare(q2); err != nil {
-		t.Fatal(err)
+}
+
+// TestConfigSurface pins the exported configuration: a field belongs in
+// Config only while a command, an example or a benchmark workload sets it.
+// Everything else is internal tuning (see tuning and export_test.go).
+func TestConfigSurface(t *testing.T) {
+	var got []string
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
 	}
-	if _, err := e.Prepare(q4); err != nil {
-		t.Fatal(err)
-	}
-	if e.plans.contains(sql.Normalize(q3)) {
-		t.Fatal("least-recently-used entry (q3) should have been evicted")
-	}
-	if !e.plans.contains(sql.Normalize(q2)) || !e.plans.contains(sql.Normalize(q4)) {
-		t.Fatal("recently used entries should remain")
+	want := []string{"Mode", "CacheBytes", "Parallelism"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("recycledb.Config fields = %v, want exactly %v", got, want)
 	}
 }
 

@@ -1,8 +1,8 @@
 package recycledb_test
 
 // Benchmarks regenerating every figure of the paper's evaluation (§V), plus
-// component micro-benchmarks and ablations of the design choices called out
-// in DESIGN.md. One benchmark iteration runs one full experiment at
+// component micro-benchmarks and ablations of the recycler's design choices
+// (subsumption, aging). One benchmark iteration runs one full experiment at
 // laptop scale; paper-relevant quantities are attached via b.ReportMetric
 // (custom units), so `go test -bench=. -benchmem` regenerates the whole
 // evaluation. Absolute times differ from the paper's testbed; shapes are
@@ -282,10 +282,9 @@ func BenchmarkAblationSubsumption(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := recycledb.NewWithCatalog(recycledb.Config{
-					Mode:               recycledb.Speculative,
-					DisableSubsumption: !on,
-				}, benchCatalog)
+				tun := recycledb.DefaultTuning()
+				tun.Core.Subsumption = on
+				eng := recycledb.NewTuned(recycledb.Config{Mode: recycledb.Speculative}, tun, benchCatalog)
 				ablationWorkload(b, eng)
 			}
 		})
@@ -320,11 +319,12 @@ func BenchmarkAblationAging(b *testing.B) {
 	for _, alpha := range []float64{0.995, 1.0} {
 		b.Run(fmt.Sprintf("alpha=%.3f", alpha), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eng := recycledb.NewWithCatalog(recycledb.Config{
+				tun := recycledb.DefaultTuning()
+				tun.Core.Alpha = alpha
+				eng := recycledb.NewTuned(recycledb.Config{
 					Mode:       recycledb.Speculative,
-					Alpha:      alpha,
 					CacheBytes: 128 << 10, // tight: eviction pressure matters
-				}, benchCatalog)
+				}, tun, benchCatalog)
 				phase1 := harness.TPCHStreams(tpch.Streams(4, 1), recycledb.Speculative)
 				phase2 := harness.TPCHStreams(tpch.Streams(4, 99), recycledb.Speculative)
 				workload.Run(phase1, 8, harness.EngineExec(eng))

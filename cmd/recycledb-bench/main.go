@@ -63,16 +63,9 @@ func main() {
 		writeFrac = flag.Float64("write-frac", 0.1, "write fraction of the -json churn section (0 disables it)")
 		par       = flag.Int("parallelism", 0, "intra-query worker budget for -json (0 = GOMAXPROCS)")
 		scaleOff  = flag.Bool("no-scaling", false, "skip the intra-query scaling sweep in -json")
-		optMode   = flag.Bool("optimizer", false, "run the optimized-vs-unoptimized comparison and write BENCH_<date>_optimizer.json")
 	)
 	flag.Parse()
 
-	if *optMode {
-		if err := runOptimizerBench(*jsonOut, *clients, *bqueries, *sf, *skyObjects, *seed, *writeFrac); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *serverMode {
 		if err := runServerBench(*jsonOut, *serverAddr, *clients, *bqueries, *sf, *skyObjects, *seed, *par); err != nil {
 			fatal(err)
@@ -514,149 +507,6 @@ func parseStreams(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "recycledb-bench:", err)
 	os.Exit(1)
-}
-
-// optRow is one (mode, optimized) cell of the optimizer comparison.
-type optRow struct {
-	Mode          string  `json:"mode"`
-	Optimized     bool    `json:"optimized"`
-	Queries       int64   `json:"queries"`
-	QueriesPerSec float64 `json:"queries_per_sec"`
-	P50Micros     int64   `json:"p50_us"`
-	P95Micros     int64   `json:"p95_us"`
-	// HitRate is recycler reuses (exact + subsumption + in-flight shares)
-	// per executed query in the measured window.
-	HitRate float64 `json:"hit_rate"`
-	// SpeedupVsUnopt is q/s relative to the unoptimized run of the same
-	// mode (set on optimized rows), HitRateDelta the hit-rate gain.
-	SpeedupVsUnopt float64 `json:"speedup_vs_unopt,omitempty"`
-	HitRateDelta   float64 `json:"hit_rate_delta,omitempty"`
-}
-
-// optReport is the BENCH_<date>_optimizer.json document.
-type optReport struct {
-	Date       string    `json:"date"`
-	GoVersion  string    `json:"go"`
-	GOMAXPROCS int       `json:"gomaxprocs"`
-	NumCPU     int       `json:"num_cpu"`
-	Clients    int       `json:"clients"`
-	Queries    int64     `json:"queries_per_cell"`
-	SF         float64   `json:"sf"`
-	SkyObjects int       `json:"sky_objects"`
-	Seed       int64     `json:"seed"`
-	WriteFrac  float64   `json:"write_frac"`
-	Mixed      []*optRow `json:"mixed"`
-	Churn      []*optRow `json:"churn,omitempty"`
-}
-
-// runOptimizerBench measures the recycler-aware optimizer against verbatim
-// written plans, per recycling mode, under the TPC-H + SkyServer serving
-// mix extended with permuted near-variants (harness.OptimizerMix): the same
-// filters written in rotated conjunct orders, as distinct dashboard authors
-// would. Unoptimized engines see each rotation as a distinct recycler
-// shape; the optimizer's canonical chains collapse them, so both the hit
-// rate (reuses per query) and throughput should rise. A second section
-// repeats the comparison under append churn (writeFrac of operations are
-// epoch-committing appends to lineitem).
-func runOptimizerBench(out string, clients int, queries int64, sf float64, skyObjects int, seed int64, writeFrac float64) error {
-	if out == "" {
-		out = fmt.Sprintf("BENCH_%s_optimizer.json", time.Now().Format("2006-01-02"))
-	}
-	cfg := harness.DefaultTPCH()
-	cfg.SF = sf
-	cfg.Seed = seed
-	rep := optReport{
-		Date:       time.Now().Format("2006-01-02"),
-		GoVersion:  runtime.Version(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Clients:    clients,
-		Queries:    queries,
-		SF:         sf,
-		SkyObjects: skyObjects,
-		Seed:       seed,
-		WriteFrac:  writeFrac,
-	}
-
-	cell := func(cat *catalog.Catalog, mode recycledb.Mode, optimized bool, frac float64) *optRow {
-		eng := recycledb.NewWithCatalog(recycledb.Config{
-			Mode: mode, CacheBytes: cfg.CacheBytes, DisableOptimizer: !optimized}, cat)
-		mix := harness.OptimizerMix(4, 1)
-		exec := harness.EngineExec(eng)
-		var wr workload.WriteFunc
-		if frac > 0 {
-			wr = harness.SyntheticAppender(cat, "lineitem", 8)
-		}
-		workload.RunClients(workload.ClientsConfig{
-			Clients: clients, MaxQueries: int64(clients) * 16, Seed: seed + 7,
-		}, mix, exec) // warm plan pools and the cache
-		before := eng.Recycler().Stats()
-		res := workload.RunClients(workload.ClientsConfig{
-			Clients: clients, MaxQueries: queries, Seed: seed,
-			WriteFrac: frac, Write: wr,
-		}, mix, exec)
-		st := eng.Recycler().Stats()
-		row := &optRow{
-			Mode:          fmt.Sprintf("%v", mode),
-			Optimized:     optimized,
-			Queries:       res.Queries,
-			QueriesPerSec: res.QPS(),
-			P50Micros:     res.Percentile(50).Microseconds(),
-			P95Micros:     res.Percentile(95).Microseconds(),
-		}
-		if res.Queries > 0 {
-			hits := (st.Reuses - before.Reuses) +
-				(st.SubsumptionReuse - before.SubsumptionReuse) +
-				(st.InflightShared - before.InflightShared)
-			row.HitRate = float64(hits) / float64(res.Queries)
-		}
-		return row
-	}
-
-	section := func(label string, frac float64, dst *[]*optRow) {
-		fmt.Printf("--- optimizer comparison: %s ---\n", label)
-		for _, mode := range harness.Modes {
-			var base *optRow
-			for _, optimized := range []bool{false, true} {
-				// Writes mutate the catalog; every cell gets a fresh one so
-				// the comparison is apples to apples.
-				cat := harness.MixedCatalog(sf, skyObjects, seed)
-				row := cell(cat, mode, optimized, frac)
-				if !optimized {
-					base = row
-				} else if base != nil {
-					if base.QueriesPerSec > 0 {
-						row.SpeedupVsUnopt = row.QueriesPerSec / base.QueriesPerSec
-					}
-					row.HitRateDelta = row.HitRate - base.HitRate
-				}
-				*dst = append(*dst, row)
-				label := "unoptimized"
-				if optimized {
-					label = "optimized"
-				}
-				fmt.Printf("%-12s %-12s %8.0f q/s  p95 %6dus  hit-rate %.3f  speedup %.2fx  hit-delta %+.3f\n",
-					row.Mode, label, row.QueriesPerSec, row.P95Micros, row.HitRate,
-					row.SpeedupVsUnopt, row.HitRateDelta)
-			}
-		}
-	}
-
-	section("read-only mixed workload", 0, &rep.Mixed)
-	if writeFrac > 0 {
-		section(fmt.Sprintf("append churn (write-frac %.2f)", writeFrac), writeFrac, &rep.Churn)
-	}
-
-	buf, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(out, buf, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", out)
-	return nil
 }
 
 // runScaling sweeps the intra-query worker budget with a single client per

@@ -32,21 +32,18 @@ import (
 	"time"
 
 	"recycledb"
-	"recycledb/internal/envflag"
 	"recycledb/internal/harness"
 	"recycledb/internal/server"
 )
 
 func main() {
 	var (
-		addr    = flag.String("addr", "127.0.0.1:5433", "listen address")
-		mode    = flag.String("mode", "spec", "recycling mode: off, hist, spec, pa")
-		sf      = flag.Float64("sf", 0.05, "TPC-H scale factor to preload")
-		objects = flag.Int("objects", 20000, "SkyServer PhotoPrimary size to preload")
-		seed    = flag.Int64("seed", 1, "data generation seed")
-		par     = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS)")
-		noOpt   = flag.Bool("disable-optimizer", envflag.Bool(envflag.DisableOptimizer),
-			"disable the recycler-aware plan optimizer (also via RECYCLEDB_DISABLE_OPTIMIZER=1)")
+		addr        = flag.String("addr", "127.0.0.1:5433", "listen address")
+		mode        = flag.String("mode", "spec", "recycling mode: off, hist, spec, pa")
+		sf          = flag.Float64("sf", 0.05, "TPC-H scale factor to preload")
+		objects     = flag.Int("objects", 20000, "SkyServer PhotoPrimary size to preload")
+		seed        = flag.Int64("seed", 1, "data generation seed")
+		par         = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS)")
 		cacheMB     = flag.Int64("cache-mb", 0, "recycler cache budget in MiB (0 = default 256)")
 		maxConns    = flag.Int("max-conns", 0, "connection cap (0 = unlimited)")
 		maxConc     = flag.Int("max-concurrent", 0, "executing-statement cap (0 = 4x workers, -1 = unlimited)")
@@ -60,10 +57,9 @@ func main() {
 	log.Printf("loading TPC-H sf=%g + SkyServer objects=%d ...", *sf, *objects)
 	cat := harness.MixedCatalog(*sf, *objects, *seed)
 	eng := recycledb.NewWithCatalog(recycledb.Config{
-		Mode:             parseMode(*mode),
-		Parallelism:      *par,
-		CacheBytes:       *cacheMB << 20,
-		DisableOptimizer: *noOpt,
+		Mode:        parseMode(*mode),
+		Parallelism: *par,
+		CacheBytes:  *cacheMB << 20,
 	}, cat)
 	srv := server.New(eng, server.Config{
 		MaxConns:         *maxConns,
@@ -79,8 +75,8 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	log.Printf("serving pgwire on %s (mode=%s, workers=%d, max-concurrent=%d, optimizer=%t)",
-		lis.Addr(), eng.Mode(), eng.Workers(), srv.MaxConcurrent(), !*noOpt)
+	log.Printf("serving pgwire on %s (mode=%s, workers=%d, max-concurrent=%d)",
+		lis.Addr(), eng.Mode(), eng.Workers(), srv.MaxConcurrent())
 	log.Printf("connect with: psql -h %s -p %s -U recycle", hostOf(lis.Addr().String()), portOf(lis.Addr().String()))
 
 	err = srv.Serve(ctx, lis)

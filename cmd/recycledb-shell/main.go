@@ -8,8 +8,7 @@
 // move in \rstats as writes hit cached results.
 //
 // Shell commands: \mode off|hist|spec|pa, \stats (toggle per-query stats),
-// \rstats (recycler totals), \opt on|off (toggle the plan optimizer),
-// \flush, \tables, \q. EXPLAIN <query> prints the optimizer's chosen plan
+// \rstats (recycler totals), \flush, \tables, \q. EXPLAIN <query> prints the optimizer's chosen plan
 // tree with per-node cost estimates and [cached] markers on subtrees the
 // recycler can serve warm.
 //
@@ -33,7 +32,6 @@ import (
 	"time"
 
 	"recycledb"
-	"recycledb/internal/envflag"
 	"recycledb/internal/harness"
 	"recycledb/internal/tpch"
 	"recycledb/internal/vector"
@@ -48,13 +46,10 @@ func main() {
 		duration  = flag.Duration("duration", 5*time.Second, "duration of the -clients benchmark")
 		writeFrac = flag.Float64("write-frac", 0, "fraction of -clients operations that are writes (appends to lineitem)")
 		par       = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS, 1 = serial)")
-		noOpt     = flag.Bool("disable-optimizer", envflag.Bool(envflag.DisableOptimizer),
-			"disable the recycler-aware plan optimizer (also via RECYCLEDB_DISABLE_OPTIMIZER=1)")
 	)
 	flag.Parse()
 
-	eng := recycledb.New(recycledb.Config{Mode: parseMode(*mode), Parallelism: *par,
-		DisableOptimizer: *noOpt})
+	eng := recycledb.New(recycledb.Config{Mode: parseMode(*mode), Parallelism: *par})
 	fmt.Printf("loading TPC-H sf=%g ...\n", *sf)
 	tpch.Generate(eng.Catalog(), *sf, 1)
 	if *clients > 0 {
@@ -62,7 +57,7 @@ func main() {
 		return
 	}
 	fmt.Printf("tables: %s\n", strings.Join(eng.Catalog().TableNames(), ", "))
-	fmt.Println(`type SQL (EXPLAIN <query> shows the plan), or \mode, \opt, \stats, \rstats, \flush, \tables, \q (Ctrl-C cancels the running statement)`)
+	fmt.Println(`type SQL (EXPLAIN <query> shows the plan), or \mode, \stats, \rstats, \flush, \tables, \q (Ctrl-C cancels the running statement)`)
 
 	showStats := false
 	in := bufio.NewScanner(os.Stdin)
@@ -100,16 +95,6 @@ func main() {
 			} else {
 				fmt.Println("usage: \\mode off|hist|spec|pa")
 			}
-			continue
-		case strings.HasPrefix(line, `\opt`):
-			parts := strings.Fields(line)
-			if len(parts) == 2 && (parts[1] == "on" || parts[1] == "off") {
-				eng.SetOptimizerEnabled(parts[1] == "on")
-			} else if len(parts) != 1 {
-				fmt.Println("usage: \\opt [on|off]")
-				continue
-			}
-			fmt.Printf("optimizer: %v\n", map[bool]string{true: "on", false: "off"}[eng.OptimizerEnabled()])
 			continue
 		}
 		if rest, ok := explainArg(line); ok {

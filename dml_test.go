@@ -12,10 +12,19 @@ import (
 	"recycledb/internal/vector"
 )
 
+// newFreeCopy builds an engine whose cost model prices materialization at
+// (next to) nothing, so store decisions depend on reuse history alone and
+// not on machine speed.
+func newFreeCopy(cfg Config) *Engine {
+	t := defaultTuning()
+	t.Core.CopyBytesPerSec = 1 << 50
+	return newEngine(cfg, t, catalog.New())
+}
+
 func dmlEngine(mode Mode) *Engine {
 	// Materialization looks free (huge CopyBytesPerSec) so store
 	// decisions depend on reuse history alone, not on machine speed.
-	e := New(Config{Mode: mode, CopyBytesPerSec: 1 << 40})
+	e := newFreeCopy(Config{Mode: mode})
 	ev := catalog.NewTable("ev", catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "grp", Typ: vector.String},
@@ -267,7 +276,7 @@ func TestCacheAccountingUnderInvalidation(t *testing.T) {
 	// A huge CopyBytesPerSec makes materialization look free, so the
 	// store decision depends on reuse history alone — without it, the
 	// cost-model gate flips with machine speed and the test goes flaky.
-	e := New(Config{Mode: History, CacheBytes: 1 << 20, CopyBytesPerSec: 1 << 40})
+	e := newFreeCopy(Config{Mode: History, CacheBytes: 1 << 20})
 	ev := catalog.NewTable("ev", catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "score", Typ: vector.Float64},

@@ -189,7 +189,7 @@ func TestSubsumptionSelectDerivation(t *testing.T) {
 	// Copying is modelled as free here so the wide (cheap-to-compute,
 	// large) selection qualifies for materialization; the test targets
 	// the derivation machinery, not the store economics.
-	e := New(Config{Mode: Speculative, CopyBytesPerSec: 1 << 50})
+	e := newFreeCopy(Config{Mode: Speculative})
 	loadSales(e, 5000)
 	wide := Select(Scan("sales", "region", "amount"), Lt(Col("amount"), Float(90)))
 	// Run the wide selection twice so its result is cached.

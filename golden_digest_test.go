@@ -14,11 +14,11 @@ package recycledb_test
 //
 //	go test -run TestGolden -update .
 //
-// re-records the file from the Off / Parallelism 1 / unoptimized engine of
-// the checkout it runs in.
+// re-records the file in the checkout it runs in: each plan is resolved as
+// written and run straight through the executor at one worker — no
+// optimizer, no rewriter, no recycler.
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -27,9 +27,9 @@ import (
 	"sort"
 	"testing"
 
-	"recycledb"
-
 	"recycledb/internal/catalog"
+	"recycledb/internal/exec"
+	"recycledb/internal/plan"
 	"recycledb/internal/workload"
 )
 
@@ -101,10 +101,26 @@ func (want goldenDigest) diff(canon map[string]*canonRow) string {
 	return ""
 }
 
+// runAsWritten is the reference execution: the plan resolved as written and
+// run by the executor alone at one worker — no optimizer, rewriter or
+// recycler.
+func runAsWritten(cat *catalog.Catalog, q *plan.Node) (*catalog.Result, error) {
+	p := q.Clone()
+	if err := p.Resolve(cat); err != nil {
+		return nil, err
+	}
+	ectx := &exec.Ctx{Cat: cat, Parallelism: 1}
+	op, err := exec.Build(ectx, p, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return exec.Run(ectx, op)
+}
+
 // goldenSection returns the recorded digests of queries for one section (a
-// test's catalog state). Under -update it first records them: the section is
-// executed on a fresh Off / Parallelism 1 / unoptimized engine over cat and
-// written to the digest file.
+// test's catalog state). Under -update it first records them: each query
+// runs as written through exec.Build/exec.Run over cat, outside any engine,
+// and the section is written to the digest file.
 func goldenSection(t *testing.T, section string, cat *catalog.Catalog, queries []workload.Query) []goldenDigest {
 	t.Helper()
 	file := make(map[string][]goldenDigest)
@@ -116,16 +132,13 @@ func goldenSection(t *testing.T, section string, cat *catalog.Catalog, queries [
 		t.Fatalf("%v (record it with: go test -run TestGolden -update .)", err)
 	}
 	if *updateGolden {
-		ref := recycledb.NewWithCatalog(recycledb.Config{
-			Mode: recycledb.Off, Parallelism: 1, DisableOptimizer: true,
-		}, cat)
 		ds := make([]goldenDigest, len(queries))
 		for i, q := range queries {
-			r, err := ref.ExecuteContext(context.Background(), q.Plan)
+			res, err := runAsWritten(cat, q.Plan)
 			if err != nil {
 				t.Fatalf("recording %s %s: %v", section, q.Label, err)
 			}
-			ds[i] = digestOf(q.Label, canonResult(r))
+			ds[i] = digestOf(q.Label, canonBatches(res.Schema, res.Batches))
 		}
 		file[section] = ds
 		raw, err := json.MarshalIndent(file, "", " ")

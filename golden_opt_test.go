@@ -5,8 +5,8 @@ package recycledb_test
 // results. Every query in the golden set (plus permuted-conjunct
 // near-variants, the shapes the optimizer exists to canonicalize) must
 // produce the recorded serial-unoptimized ground truth under the full
-// execution matrix: optimizer on/off × every recycling mode × parallelism
-// {1,4}, cold cache and warm.
+// execution matrix: every recycling mode × parallelism {1,4}, cold cache
+// and warm.
 
 import (
 	"context"
@@ -45,27 +45,21 @@ func TestGoldenEquivalenceOptimizer(t *testing.T) {
 	// Ground truth: the recorded digests (serial, unoptimized, no recycling).
 	want := goldenSection(t, "optimizer", cat, queries)
 
-	for _, disableOpt := range []bool{false, true} {
-		for _, mode := range harness.Modes {
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("opt=%t/%v/par=%d", !disableOpt, mode, par)
-				eng := recycledb.NewWithCatalog(recycledb.Config{
-					Mode:             mode,
-					DisableOptimizer: disableOpt,
-					Parallelism:      par,
-				}, cat)
-				// Round 0 exercises cold paths (materialization,
-				// admission), round 1 warm reuse and subsumption under
-				// the optimizer-chosen shapes.
-				for round := 0; round < 2; round++ {
-					for i, q := range queries {
-						r, err := eng.ExecuteContext(context.Background(), q.Plan)
-						if err != nil {
-							t.Fatalf("%s round %d %s: %v", name, round, q.Label, err)
-						}
-						if d := want[i].diff(canonResult(r)); d != "" {
-							t.Fatalf("%s round %d %s: %s", name, round, q.Label, d)
-						}
+	for _, mode := range harness.Modes {
+		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("%v/par=%d", mode, par)
+			eng := recycledb.NewWithCatalog(recycledb.Config{Mode: mode, Parallelism: par}, cat)
+			// Round 0 exercises cold paths (materialization, admission),
+			// round 1 warm reuse and subsumption under the
+			// optimizer-chosen shapes.
+			for round := 0; round < 2; round++ {
+				for i, q := range queries {
+					r, err := eng.ExecuteContext(context.Background(), q.Plan)
+					if err != nil {
+						t.Fatalf("%s round %d %s: %v", name, round, q.Label, err)
+					}
+					if d := want[i].diff(canonResult(r)); d != "" {
+						t.Fatalf("%s round %d %s: %s", name, round, q.Label, d)
 					}
 				}
 			}

@@ -18,17 +18,24 @@ import (
 
 	"recycledb"
 
+	"recycledb/internal/catalog"
 	"recycledb/internal/exec"
 	"recycledb/internal/harness"
 	"recycledb/internal/monet"
 	"recycledb/internal/workload"
 )
 
+// newSmallVectorEngine builds an engine with 256-row vectors. Small vectors
+// shrink the morsel size (16 x vector) so the mixed catalog's ~12k-row
+// lineitem and 10k-row PhotoPrimary both clear the split-worthiness
+// threshold and actually exercise the parallel paths.
+func newSmallVectorEngine(cfg recycledb.Config, cat *catalog.Catalog) *recycledb.Engine {
+	tun := recycledb.DefaultTuning()
+	tun.VectorSize = 256
+	return recycledb.NewTuned(cfg, tun, cat)
+}
+
 func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
-	// Small vectors shrink the morsel size (16 x vector) so the ~12k-row
-	// lineitem and the 10k-row PhotoPrimary both clear the
-	// split-worthiness threshold and actually exercise the parallel paths.
-	const vsz = 256
 	cat := harness.MixedCatalog(0.002, 10000, 1)
 	queries := goldenQueries()
 
@@ -41,8 +48,7 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 		for _, par := range []int{1, 4, 8} {
 			engines = append(engines, pareng{
 				label: fmt.Sprintf("%v/par=%d", mode, par),
-				eng: recycledb.NewWithCatalog(
-					recycledb.Config{Mode: mode, Parallelism: par, VectorSize: vsz}, cat),
+				eng:   newSmallVectorEngine(recycledb.Config{Mode: mode, Parallelism: par}, cat),
 			})
 		}
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -16,8 +15,7 @@ import (
 // Node, Batches, Size, Rows, Snap, Plan and Extendable are immutable: the
 // append delta extension never mutates an entry in place, it swaps in a
 // fresh Entry (so concurrent replays of the old epoch stay consistent).
-// pins and benefit are guarded by the entry's home shard lock (the shard
-// Entry.Node hashes to).
+// pins and benefit are guarded by the cache mutex (Cache.mu).
 type Entry struct {
 	Node    *Node
 	Batches []*vector.Batch
@@ -57,30 +55,24 @@ type TableSnap struct {
 // single-threaded with respect to the cache).
 func (e *Entry) Pins() int { return e.pins }
 
-// DefaultCacheShards is the lock-stripe count used when Config.CacheShards
-// is zero. Sixteen shards keep admission/eviction of unrelated results from
-// serializing on one mutex up to fairly large client counts, while staying
-// cheap to sweep for small caches.
-const DefaultCacheShards = 16
-
 // Cache is the recycler cache (§III-E): a finite in-memory store of
 // materialized results managed as a knapsack via Dantzig's greedy algorithm,
 // with results classified into logarithmic size groups and scanned in
 // increasing benefit order.
 //
-// The cache is lock-striped: entries hash by their node's plan signature
-// into one of N shards, each with its own mutex and size-group lists, so
-// concurrent admission and eviction of unrelated results proceed in
-// parallel. Byte accounting is global and atomic — the configured capacity
-// bounds the sum over all shards, reserved with compare-and-swap before an
-// entry is linked, so the total can never exceed capacity or go negative.
-// Under capacity pressure the knapsack scan starts in the incoming entry's
-// home shard and spills over to the other shards, so the policy still sees
-// every unpinned candidate of the size group.
+// One mutex guards membership: the size groups, the publication of every
+// Node.cached pointer, and the pins and benefit of every entry. Admission
+// decides and evicts under a single hold of it, so replacement is
+// all-or-nothing and bytes cached never exceed the capacity. used and count
+// are written only under mu; they are atomics so Stats and WouldAdmit's
+// free-space fast path read them without it.
 type Cache struct {
 	capacity int64 // <= 0 means unlimited
-	shards   []cacheShard
-	mask     uint64
+
+	mu sync.Mutex
+	// groups[g] holds the entries of size group g (bits.Len64 of the size,
+	// so at most 64).
+	groups [65][]*Entry // guarded by mu
 
 	used  atomic.Int64
 	count atomic.Int64
@@ -90,32 +82,9 @@ type Cache struct {
 	rejected   atomic.Int64
 }
 
-// cacheShard is one lock stripe. The mutex guards groups plus the pins and
-// benefit fields of every entry stored here. Padded to its own cache lines
-// so neighbouring shard locks do not false-share.
-type cacheShard struct {
-	mu     sync.Mutex
-	groups map[int][]*Entry // guarded by mu
-	_      [104]byte
-}
-
-// NewCache returns a cache bounded to capacity bytes striped over the given
-// number of shards; capacity <= 0 means unlimited, shards <= 0 uses
-// DefaultCacheShards. The shard count is rounded up to a power of two.
-func NewCache(capacity int64, shards int) *Cache {
-	if shards <= 0 {
-		shards = DefaultCacheShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	c := &Cache{capacity: capacity, shards: make([]cacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
-		c.shards[i].groups = make(map[int][]*Entry)
-	}
-	return c
-}
+// NewCache returns a cache bounded to capacity bytes; capacity <= 0 means
+// unlimited.
+func NewCache(capacity int64) *Cache { return &Cache{capacity: capacity} }
 
 // Used returns the bytes currently cached.
 func (c *Cache) Used() int64 { return c.used.Load() }
@@ -123,42 +92,10 @@ func (c *Cache) Used() int64 { return c.used.Load() }
 // Count returns the number of cached results.
 func (c *Cache) Count() int { return int(c.count.Load()) }
 
-// Capacity returns the configured capacity (<= 0 = unlimited).
-func (c *Cache) Capacity() int64 { return c.capacity }
-
-// Shards returns the number of lock stripes.
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// shardIndex maps a node to its home stripe by plan signature.
-func (c *Cache) shardIndex(n *Node) uint64 {
-	// Fibonacci scrambling: Sig values are already hashes, but cheap
-	// avalanche keeps near-miss signatures from clustering in one stripe.
-	return (n.Sig * 0x9E3779B97F4A7C15) >> 32 & c.mask
+// fits reports whether size more bytes fit without replacement.
+func (c *Cache) fits(size int64) bool {
+	return c.capacity <= 0 || c.used.Load()+size <= c.capacity
 }
-
-// shardOf returns the node's home stripe.
-func (c *Cache) shardOf(n *Node) *cacheShard { return &c.shards[c.shardIndex(n)] }
-
-// reserve atomically charges size bytes against the capacity. It fails —
-// without over-charging — if the cache is bounded and full.
-func (c *Cache) reserve(size int64) bool {
-	if c.capacity <= 0 {
-		c.used.Add(size)
-		return true
-	}
-	for {
-		cur := c.used.Load()
-		if cur+size > c.capacity {
-			return false
-		}
-		if c.used.CompareAndSwap(cur, cur+size) {
-			return true
-		}
-	}
-}
-
-// release returns reserved bytes.
-func (c *Cache) release(size int64) { c.used.Add(-size) }
 
 // sizeGroup classifies a result by the logarithm of its size (§III-E).
 func sizeGroup(size int64) int {
@@ -168,88 +105,38 @@ func sizeGroup(size int64) int {
 	return bits.Len64(uint64(size))
 }
 
-// refreshGroupLocked recomputes benefits and re-sorts shard s's group g
-// ascending. s.mu held; benefit must not acquire any shard lock.
-func refreshGroupLocked(s *cacheShard, g int, benefit func(*Node) float64) {
-	es := s.groups[g]
-	for _, e := range es {
-		e.benefit = benefit(e.Node)
-	}
-	sort.SliceStable(es, func(a, b int) bool { return es[a].benefit < es[b].benefit })
-}
-
-// unlinkLocked removes e from its group in shard s (s.mu held) without
-// touching the byte accounting: callers settle used themselves (plain
-// eviction refunds the bytes; replacement transfers them straight into the
-// incoming result's reservation).
-func (c *Cache) unlinkLocked(s *cacheShard, e *Entry) {
+// unlinkLocked removes e from its size group (c.mu held); unpublishing and
+// accounting are the caller's (Recycler.dropLocked).
+func (c *Cache) unlinkLocked(e *Entry) {
 	g := sizeGroup(e.Size)
-	es := s.groups[g]
+	es := c.groups[g]
 	for i, v := range es {
 		if v == e {
-			s.groups[g] = append(es[:i], es[i+1:]...)
-			break
+			c.groups[g] = append(es[:i], es[i+1:]...)
+			return
 		}
 	}
-	c.count.Add(-1)
-	c.evictions.Add(1)
 }
 
-// removeLocked unlinks e from its group in shard s (s.mu held) and returns
-// its bytes to the pool.
-func (c *Cache) removeLocked(s *cacheShard, e *Entry) {
-	c.unlinkLocked(s, e)
-	c.used.Add(-e.Size)
-}
-
-// swapLocked replaces old with e in shard s (s.mu held): old leaves its
-// size group, e joins its own. The caller has already settled the byte
-// delta (reserving e.Size - old.Size); neither admission nor eviction
-// counters move — a delta extension is the same logical entry continuing.
-func (c *Cache) swapLocked(s *cacheShard, old, e *Entry) {
-	g := sizeGroup(old.Size)
-	es := s.groups[g]
-	for i, v := range es {
-		if v == old {
-			s.groups[g] = append(es[:i], es[i+1:]...)
-			break
-		}
-	}
-	ng := sizeGroup(e.Size)
-	s.groups[ng] = append(s.groups[ng], e)
-}
-
-// insertLocked links e into shard s (s.mu held). The caller has already
-// reserved e.Size bytes.
-func (c *Cache) insertLocked(s *cacheShard, e *Entry) {
+// insertLocked links and publishes e (c.mu held; the caller has checked
+// that it fits).
+func (c *Cache) insertLocked(e *Entry) {
 	g := sizeGroup(e.Size)
-	s.groups[g] = append(s.groups[g], e)
+	c.groups[g] = append(c.groups[g], e)
+	e.Node.cached.Store(e)
+	c.used.Add(e.Size)
 	c.count.Add(1)
 	c.admissions.Add(1)
 }
 
-// entries returns all cached entries (for tests and introspection), in
-// deterministic size-group order within each shard.
+// entries returns all cached entries (for tests and introspection) in
+// size-group order.
 func (c *Cache) entries() []*Entry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var out []*Entry
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		for _, g := range sortedGroups(s.groups) {
-			out = append(out, s.groups[g]...)
-		}
-		s.mu.Unlock()
+	for g := range c.groups {
+		out = append(out, c.groups[g]...)
 	}
 	return out
-}
-
-// sortedGroups returns a shard's size-group keys in ascending order, so
-// walks over the groups map are deterministic. Callers hold the shard lock.
-func sortedGroups(groups map[int][]*Entry) []int {
-	keys := make([]int, 0, len(groups))
-	for g := range groups {
-		keys = append(keys, g)
-	}
-	sort.Ints(keys)
-	return keys
 }

@@ -445,19 +445,16 @@ func TestPinPreventsEviction(t *testing.T) {
 }
 
 func TestWouldAdmit(t *testing.T) {
-	cat := testCatalog()
 	cfg := DefaultConfig()
 	cfg.CacheBytes = 100
 	r := New(cfg)
-	p := selPlan(t, cat, 5)
-	g := r.MatchInsert(p).ByNode[p].G
-	if !r.WouldAdmit(g, 0.5, 40) {
+	if !r.WouldAdmit(0.5, 40) {
 		t.Fatal("empty cache must admit")
 	}
-	if r.WouldAdmit(g, 0.5, 200) {
+	if r.WouldAdmit(0.5, 200) {
 		t.Fatal("oversized must not admit")
 	}
-	if r.WouldAdmit(g, 0.5, 0) {
+	if r.WouldAdmit(0.5, 0) {
 		t.Fatal("zero size is invalid")
 	}
 }

@@ -19,17 +19,19 @@
 //   - Node.mu (per node) guards that node's mutable statistics: importance
 //     factor, aging clock, base cost, cardinality, size estimate, and the
 //     in-flight registration. Node mutexes are leaf locks: code never
-//     acquires a second node mutex, a shard lock, or the graph lock while
+//     acquires a second node mutex, the cache lock, or the graph lock while
 //     holding one, so statistic updates from concurrent queries interleave
 //     freely without deadlock.
-//   - Cache shard mutexes (see cache.go) guard cache membership: each node
-//     hashes (by plan signature) to one shard, and that shard's lock
-//     covers the node's cached-entry publication and pin counts. At most
-//     one shard lock is held at a time.
+//   - Cache.mu (one mutex, see cache.go) guards cache membership: the size
+//     groups, every node's cached-entry publication, and the pins and
+//     benefit of every entry. Admission scans, evicts and links under a
+//     single hold, so replacement is all-or-nothing. It is never held
+//     while a plan executes (delta extension runs its subplan outside it).
 //
-// Lock order is strictly graph -> shard -> node (any prefix may be
-// skipped); Node.cached is additionally an atomic pointer so heuristic
-// readers (benefit accounting, reference propagation) need no lock at all.
+// Lock order is strictly graph -> cache -> node (any prefix may be
+// skipped); Node.cached is additionally an atomic pointer so the cache-miss
+// check and heuristic readers (benefit accounting, reference propagation)
+// need no lock at all.
 package core
 
 import (
@@ -51,7 +53,7 @@ import (
 // Field guards: ID through Children and meta are immutable once the node is
 // published by MatchInsert. parents and the subsumption edges are guarded by
 // the owning Graph's lock. The statistics block is guarded by mu. cached is
-// written only under the node's cache-shard lock and read atomically.
+// written only under the cache mutex and read atomically.
 type Node struct {
 	ID       uint64
 	Op       plan.Op
@@ -91,7 +93,7 @@ type Node struct {
 	inflight  *inflight     // guarded by mu
 
 	// cached points to this node's recycler-cache entry, or nil. Written
-	// only under the node's cache-shard lock; read lock-free.
+	// only under the cache mutex; read lock-free.
 	cached atomic.Pointer[Entry]
 }
 

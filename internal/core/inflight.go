@@ -2,9 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"os"
-	"sync/atomic"
 	"time"
 
 	"recycledb/internal/vector"
@@ -14,8 +11,9 @@ import (
 // a subtree whose result is being materialized, "the recycler stalls all but
 // one until it has either finished materializing the result, or decides not
 // to materialize" (§V). The wait is bounded (Config.StallTimeout) to break
-// the cross-query deadlock the unbounded rule admits; on timeout the waiter
-// recomputes (see DESIGN.md).
+// the cross-query deadlock the unbounded rule admits — two queries can each
+// produce a result the other stalls on, and a pipelined store finishes only
+// when its whole query does; on timeout the waiter recomputes.
 //
 // Beyond the paper, the producer hands its materialized batches to the
 // waiters directly through the inflight record: when K identical queries
@@ -53,9 +51,6 @@ func (r *Recycler) BeginInflight(n *Node) bool {
 		return false
 	}
 	n.inflight = &inflight{done: make(chan struct{})}
-	if DebugInflight {
-		DebugBegin.Add(1)
-	}
 	return true
 }
 
@@ -91,9 +86,6 @@ func (r *Recycler) finishInflight(n *Node, batches []*vector.Batch, rows, size i
 	infl.batches, infl.rows, infl.size, infl.snap = batches, rows, size, snap
 	close(infl.done)
 	n.inflight = nil
-	if DebugInflight {
-		DebugFinish.Add(1)
-	}
 	n.mu.Unlock()
 }
 
@@ -124,9 +116,6 @@ func (r *Recycler) WaitInflightCtx(ctx context.Context, n *Node, timeout time.Du
 		case <-ctx.Done():
 			return nil, false
 		case <-t.C:
-			if DebugInflight {
-				fmt.Fprintf(os.Stderr, "TIMEOUT waiting on %s\n", n.Describe())
-			}
 			return nil, false
 		}
 	}
@@ -140,11 +129,3 @@ func (r *Recycler) WaitInflightCtx(ctx context.Context, n *Node, timeout time.Du
 	}
 	return nil, false
 }
-
-// Debug instrumentation (used by development tests only).
-var (
-	// DebugInflight enables timeout diagnostics on stderr.
-	DebugInflight bool
-	// DebugBegin and DebugFinish count registrations and completions.
-	DebugBegin, DebugFinish atomic.Int64
-)

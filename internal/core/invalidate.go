@@ -10,7 +10,7 @@ import (
 // Lineage-based cache invalidation (beyond the paper, which assumes static
 // tables; cf. Dursun et al., SIGMOD 2017): every cached entry is tagged
 // with the snapshot it was computed at, and a committed write epoch walks
-// the sharded cache touching only the dependents of the written table.
+// the cache touching only the dependents of the written table.
 // Pure append commits do not evict entries over append-only subplans —
 // selection/projection chains are *delta-extended* by running the cached
 // subplan over just the appended rows and appending to the cached result,
@@ -34,57 +34,48 @@ func (r *Recycler) InvalidateTable(table string, appendOnly bool, ver, rows int6
 	if c.count.Load() == 0 {
 		return 0, 0
 	}
-	// The walk is O(cached entries) per commit: entries shard by plan
-	// signature, so there is no per-table index to narrow the sweep. At
-	// the cache sizes the policy sustains (hundreds of entries) this is
-	// far cheaper than the eviction storm it replaces; a per-table
-	// dependent index is the upgrade path if commit rates ever make the
-	// sweep show up in profiles.
-	seq := r.curSeq()
-	for i := range c.shards {
-		s := &c.shards[i]
-		var toExtend []*Entry
-		s.mu.Lock()
-		var victims []*Entry
-		for _, g := range sortedGroups(s.groups) {
-			for _, e := range s.groups[g] {
-				if !dependsOn(e.Node.Tables, table) {
-					continue
-				}
-				// Extension requires version continuity: the entry must be
-				// tagged with exactly the pre-commit epoch (ver-1). The
-				// walk runs on every commit, so current entries always
-				// are; an entry tagged older was admitted around a commit
-				// it never saw — extending it could resurrect rows a
-				// missed delete epoch removed, so it is evicted instead.
-				snap, tagged := tableTag(e, table)
-				if appendOnly && extend != nil && e.Extendable && tagged &&
-					snap.Ver == ver-1 && snap.Rows <= rows {
-					toExtend = append(toExtend, e)
-					continue
-				}
+	// The walk is O(cached entries) per commit: there is no per-table
+	// index to narrow the sweep. At the cache sizes the policy sustains
+	// (hundreds of entries) this is far cheaper than the eviction storm it
+	// replaces; a per-table dependent index is the upgrade path if commit
+	// rates ever make the sweep show up in profiles.
+	var victims, toExtend []*Entry
+	c.mu.Lock()
+	for g := range c.groups {
+		for _, e := range c.groups[g] {
+			if !dependsOn(e.Node.Tables, table) {
+				continue
+			}
+			// Extension requires version continuity: the entry must be
+			// tagged with exactly the pre-commit epoch (ver-1). The walk
+			// runs on every commit, so current entries always are; an
+			// entry tagged older was admitted around a commit it never
+			// saw — extending it could resurrect rows a missed delete
+			// epoch removed, so it is evicted instead.
+			snap, tagged := tableTag(e, table)
+			if appendOnly && extend != nil && e.Extendable && tagged &&
+				snap.Ver == ver-1 && snap.Rows <= rows {
+				toExtend = append(toExtend, e)
+			} else {
 				victims = append(victims, e)
 			}
 		}
-		for _, e := range victims {
-			c.removeLocked(s, e)
-			e.Node.cached.Store(nil)
-			r.stats.invalidated.Add(1)
+	}
+	seq := r.curSeq()
+	for _, e := range victims {
+		r.evictLocked(e, seq)
+	}
+	c.mu.Unlock()
+	r.stats.invalidated.Add(int64(len(victims)))
+	evicted = len(victims)
+	// Extensions execute the cached subplan, so they run outside the cache
+	// lock; the swap re-validates that the entry is still published (a
+	// concurrent policy eviction may have raced us).
+	for _, e := range toExtend {
+		if r.extendEntry(e, table, ver, rows, extend) {
+			extended++
+		} else {
 			evicted++
-		}
-		s.mu.Unlock()
-		for _, e := range victims {
-			updateHROnEvict(e.Node, seq, r.cfg.Alpha)
-		}
-		// Extensions execute the cached subplan, so they run outside the
-		// shard lock; the swap re-validates that the entry is still
-		// published (a concurrent policy eviction may have raced us).
-		for _, e := range toExtend {
-			if r.extendEntry(s, e, table, ver, rows, extend) {
-				extended++
-			} else {
-				evicted++
-			}
 		}
 	}
 	return evicted, extended
@@ -94,21 +85,19 @@ func (r *Recycler) InvalidateTable(table string, appendOnly bool, ver, rows int6
 // fresh Entry so concurrent replays of the old epoch stay untouched. On any
 // failure (extension error, cache over capacity, lost race) the stale entry
 // is evicted instead — correctness never depends on the extension.
-func (r *Recycler) extendEntry(s *cacheShard, e *Entry, table string, ver, rows int64, extend ExtendFunc) bool {
+func (r *Recycler) extendEntry(e *Entry, table string, ver, rows int64, extend ExtendFunc) bool {
 	lo := e.Snap[table].Rows
 	delta, drows, dbytes, ok := extend(e, table, lo, rows)
 	c := r.cache
-	s.mu.Lock()
+	c.mu.Lock()
 	if e.Node.cached.Load() != e {
-		s.mu.Unlock()
+		c.mu.Unlock()
 		return false // concurrently evicted or replaced; nothing to do
 	}
-	if !ok || (dbytes > 0 && !c.reserve(dbytes)) {
-		c.removeLocked(s, e)
-		e.Node.cached.Store(nil)
+	if !ok || !c.fits(dbytes) {
+		r.evictLocked(e, r.curSeq())
+		c.mu.Unlock()
 		r.stats.invalidated.Add(1)
-		s.mu.Unlock()
-		updateHROnEvict(e.Node, r.curSeq(), r.cfg.Alpha)
 		return false
 	}
 	snap := maps.Clone(e.Snap)
@@ -123,9 +112,14 @@ func (r *Recycler) extendEntry(s *cacheShard, e *Entry, table string, ver, rows 
 		Snap: snap, Plan: e.Plan, Extendable: true,
 		benefit: e.benefit,
 	}
-	c.swapLocked(s, e, ne)
-	e.Node.cached.Store(ne)
-	s.mu.Unlock()
+	// The same logical entry continues: it moves to its new size group and
+	// the byte delta is charged, but neither admissions nor evictions move.
+	c.unlinkLocked(e)
+	g := sizeGroup(ne.Size)
+	c.groups[g] = append(c.groups[g], ne)
+	ne.Node.cached.Store(ne)
+	c.used.Add(dbytes)
+	c.mu.Unlock()
 	r.stats.deltaExtended.Add(1)
 	r.stats.deltaRows.Add(drows)
 	return true

@@ -98,13 +98,12 @@ func (r *Recycler) peekCached(n *Node) *Entry {
 	if n.cached.Load() == nil {
 		return nil // lock-free miss
 	}
-	s := r.cache.shardOf(n)
-	s.mu.Lock()
+	r.cache.mu.Lock()
 	e := n.cached.Load()
 	if e != nil {
 		e.pins++
 	}
-	s.mu.Unlock()
+	r.cache.mu.Unlock()
 	return e
 }
 

@@ -252,7 +252,7 @@ func TestTrueCostNeverNegative(t *testing.T) {
 	}
 }
 
-// TestConcurrentCacheAccounting hammers the sharded cache from many
+// TestConcurrentCacheAccounting hammers the cache from many
 // goroutines with admissions, evictions, flushes, pins, and reference
 // traffic while a monitor continuously observes the global byte accounting.
 // The invariants: used bytes never exceed CacheBytes, never go negative,
@@ -264,7 +264,6 @@ func TestConcurrentCacheAccounting(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Alpha = 1
 	cfg.CacheBytes = 1 << 14
-	cfg.CacheShards = 4
 	r := New(cfg)
 
 	var nodes []*Node

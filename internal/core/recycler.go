@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -12,20 +13,11 @@ import (
 type Config struct {
 	// CacheBytes bounds the recycler cache; <= 0 means unlimited.
 	CacheBytes int64
-	// CacheShards is the number of lock stripes of the recycler cache
-	// (rounded up to a power of two); <= 0 uses DefaultCacheShards.
-	CacheShards int
 	// Alpha is the per-query aging factor (Eq. 5); 1 disables aging.
 	Alpha float64
-	// SpeculationHR is the constant importance factor used when deciding
-	// on never-before-seen results (the paper suggests 0.001, §III-D).
-	SpeculationHR float64
 	// MaxSpeculateBytes caps a speculative store's buffer; beyond it the
 	// store cancels (buffering is not free in a pipelined engine).
 	MaxSpeculateBytes int64
-	// MinProgress is the minimum producer progress before speculation
-	// extrapolates cost and size.
-	MinProgress float64
 	// StallTimeout bounds how long a query waits for a concurrent
 	// query's in-flight materialization before recomputing.
 	StallTimeout time.Duration
@@ -44,6 +36,14 @@ type Config struct {
 	CopyBytesPerSec int64
 }
 
+// SpeculationHR is the constant importance factor used when deciding on
+// never-before-seen results (the paper suggests 0.001, §III-D).
+const SpeculationHR = 0.001
+
+// MinProgress is the minimum producer progress before speculation
+// extrapolates cost and size.
+const MinProgress = 0.05
+
 // CopyCost estimates the one-time materialization cost of a result.
 func (c Config) CopyCost(size int64) time.Duration {
 	bps := c.CopyBytesPerSec
@@ -57,11 +57,8 @@ func (c Config) CopyCost(size int64) time.Duration {
 func DefaultConfig() Config {
 	return Config{
 		CacheBytes:        256 << 20,
-		CacheShards:       DefaultCacheShards,
 		Alpha:             0.995,
-		SpeculationHR:     0.001,
 		MaxSpeculateBytes: 64 << 20,
-		MinProgress:       0.05,
 		StallTimeout:      2 * time.Second,
 		Subsumption:       true,
 		CopyBytesPerSec:   256 << 20,
@@ -140,16 +137,10 @@ func New(cfg Config) *Recycler {
 	if cfg.Alpha <= 0 {
 		cfg.Alpha = 1
 	}
-	if cfg.SpeculationHR <= 0 {
-		cfg.SpeculationHR = 0.001
-	}
-	if cfg.MinProgress <= 0 {
-		cfg.MinProgress = 0.05
-	}
 	if cfg.StallTimeout <= 0 {
 		cfg.StallTimeout = 2 * time.Second
 	}
-	return &Recycler{cfg: cfg, graph: NewGraph(), cache: NewCache(cfg.CacheBytes, cfg.CacheShards)}
+	return &Recycler{cfg: cfg, graph: NewGraph(), cache: NewCache(cfg.CacheBytes)}
 }
 
 // Config returns the active configuration.
@@ -289,16 +280,7 @@ func (r *Recycler) UpdateStats(n *Node, baseCost time.Duration, card, estBytes i
 // Cached returns the node's cache entry, pinned, or nil. The caller must
 // Release the returned entry once done replaying it.
 func (r *Recycler) Cached(n *Node) *Entry {
-	if n.cached.Load() == nil {
-		return nil // lock-free miss
-	}
-	s := r.cache.shardOf(n)
-	s.mu.Lock()
-	e := n.cached.Load()
-	if e != nil {
-		e.pins++
-	}
-	s.mu.Unlock()
+	e := r.peekCached(n)
 	if e != nil {
 		r.stats.reuses.Add(1)
 	}
@@ -308,36 +290,32 @@ func (r *Recycler) Cached(n *Node) *Entry {
 // Release unpins a cache entry. It is a no-op for unpinned entries, so the
 // ephemeral entries the in-flight handoff fabricates release safely too.
 func (r *Recycler) Release(e *Entry) {
-	s := r.cache.shardOf(e.Node)
-	s.mu.Lock()
+	r.cache.mu.Lock()
 	if e.pins > 0 {
 		e.pins--
 	}
-	s.mu.Unlock()
+	r.cache.mu.Unlock()
 }
 
-// benefitNow recomputes Eq. 1 for a cached node (policy refresh callback).
-// It takes only node mutexes, so it is safe under any shard lock.
-func (r *Recycler) benefitNow(n *Node) float64 {
-	return r.Benefit(n)
-}
-
-// WouldAdmit reports whether a result for node n with the given benefit and
-// size would currently be admitted (used by store-injection and speculation
-// decisions). It mirrors Admit without mutating anything; under concurrency
-// the answer is advisory — the authoritative decision happens at Admit.
-func (r *Recycler) WouldAdmit(n *Node, benefit float64, size int64) bool {
+// WouldAdmit reports whether a result with the given benefit and size would
+// currently be admitted (used by store-injection and speculation decisions).
+// It mirrors AdmitMat without evicting anything; under concurrency the
+// answer is advisory — the authoritative decision happens at AdmitMat.
+func (r *Recycler) WouldAdmit(benefit float64, size int64) bool {
 	c := r.cache
 	if size <= 0 {
 		return false
 	}
-	if c.capacity <= 0 || c.used.Load()+size <= c.capacity {
+	if c.fits(size) {
 		return true
 	}
 	if size > c.capacity {
 		return false
 	}
-	return r.groupScan(c.shardIndex(n), benefit, size, r.curSeq(), false)
+	c.mu.Lock()
+	_, ok := r.scanLocked(benefit, size)
+	c.mu.Unlock()
+	return ok
 }
 
 // Materialization describes a result offered to the cache: the batches and
@@ -366,15 +344,13 @@ func (r *Recycler) Admit(n *Node, batches []*vector.Batch, rows, size int64, cos
 
 // AdmitMat offers a fully materialized result for node n to the cache,
 // running admission/replacement (§III-E) and the hR updates of Eq. 3/4.
+// Replacement is all-or-nothing: under one hold of the cache mutex the scan
+// either finds a victim set that makes room, which is then evicted whole, or
+// the result is rejected and the cache is untouched.
 func (r *Recycler) AdmitMat(n *Node, m Materialization) bool {
-	batches, rows, size, cost, hrOverride := m.Batches, m.Rows, m.Size, m.Cost, m.HROverride
+	size := m.Size
 	if size <= 0 {
 		size = 1
-	}
-	if n.cached.Load() != nil {
-		// Already cached by a concurrent query.
-		r.stats.materializations.Add(1)
-		return true
 	}
 	c := r.cache
 	if c.capacity > 0 && size > c.capacity {
@@ -385,133 +361,117 @@ func (r *Recycler) AdmitMat(n *Node, m Materialization) bool {
 	n.mu.Lock()
 	// Never-measured nodes (speculation) get their first base-cost
 	// sample from the store operator's measurement.
-	if !n.costKnown && cost > 0 {
-		n.baseCost = cost
+	if !n.costKnown && m.Cost > 0 {
+		n.baseCost = m.Cost
 		n.costKnown = true
 	}
 	hr := n.hrAtLocked(seq, r.cfg.Alpha)
 	n.mu.Unlock()
-	if hrOverride >= 0 && hr < hrOverride {
-		hr = hrOverride
+	if m.HROverride >= 0 && hr < m.HROverride {
+		hr = m.HROverride
 	}
-	e := &Entry{Node: n, Batches: batches, Size: size, Rows: rows,
+	e := &Entry{Node: n, Batches: m.Batches, Size: size, Rows: m.Rows,
 		Snap: m.Snap, Plan: m.Plan, Extendable: m.Extendable}
 	e.benefit = benefitOf(trueCost(n), hr, size)
 
-	if !c.reserve(size) {
-		// Replacement is all-or-nothing in the common case: a feasibility
-		// pass (no mutation) first proves the knapsack scan can free
-		// enough, then the evict pass commits it. A concurrent admission
-		// can still consume the planned space between the passes; the
-		// evict pass then stops short having removed only entries the
-		// policy ranked below this result.
-		home := c.shardIndex(n)
-		if !r.groupScan(home, e.benefit, size, seq, false) ||
-			!r.groupScan(home, e.benefit, size, seq, true) {
-			c.rejected.Add(1)
-			return false
-		}
-	}
-	// Bytes reserved; link the entry into the home shard.
-	s := c.shardOf(n)
-	s.mu.Lock()
+	c.mu.Lock()
 	if n.cached.Load() != nil {
-		s.mu.Unlock()
-		c.release(size)
+		c.mu.Unlock()
 		r.stats.materializations.Add(1)
 		return true // a concurrent producer published first
 	}
-	c.insertLocked(s, e)
-	n.cached.Store(e)
-	s.mu.Unlock()
+	if !c.fits(size) {
+		end, ok := r.scanLocked(e.benefit, size)
+		if !ok {
+			c.mu.Unlock()
+			c.rejected.Add(1)
+			return false
+		}
+		r.evictPrefixLocked(sizeGroup(size), end, seq)
+	}
+	c.insertLocked(e)
+	c.mu.Unlock()
 	n.mu.Lock()
 	n.estBytes = size
-	n.card = rows
+	n.card = m.Rows
 	n.mu.Unlock()
 	updateHROnAdd(n, seq, r.cfg.Alpha)
 	r.stats.materializations.Add(1)
 	return true
 }
 
-// groupScan runs the knapsack replacement scan (§III-E) for a result of
-// the given size and benefit over its size group: candidates accumulate in
-// ascending benefit order, per shard, while the selected set's average
-// benefit stays below the incoming benefit. The scan starts at the home
-// shard and spills to the others, one shard lock at a time.
-//
-// With evict=false it only answers feasibility (nothing is touched),
-// refreshing and re-sorting each visited group's benefits. With evict=true
-// it removes the selected victims as it goes — applying Eq. 4 — and
-// transfers their bytes directly into the incoming result's reservation
-// (never through the free pool, so a concurrent admission cannot steal
-// replacement space); it returns once size bytes are reserved. The evict
-// pass reuses the benefit ordering the immediately preceding feasibility
-// pass computed rather than refreshing again under the shard lock.
-func (r *Recycler) groupScan(home uint64, benefit float64, size int64, seq uint64, evict bool) bool {
+// scanLocked is the knapsack replacement scan (§III-E) for a result of the
+// given size and benefit that does not fit: it refreshes the benefits of the
+// result's size group, orders the group by ascending benefit, and selects
+// unpinned entries from the front while the selected set's average benefit
+// stays below the incoming benefit. It reports whether evicting the
+// selection makes room, and the index just past the last selected entry:
+// the victims are exactly the unpinned entries of the group before end.
+// Nothing but the cached benefits and the group's order changes. c.mu held;
+// Benefit takes only node mutexes.
+func (r *Recycler) scanLocked(benefit float64, size int64) (end int, ok bool) {
 	c := r.cache
-	gi := sizeGroup(size)
-	var sumBenefit float64
-	var pending int64  // selected but not-yet-claimed bytes (this pass)
-	var reserved int64 // bytes already claimed for the incoming result
+	es := c.groups[sizeGroup(size)]
+	for _, e := range es {
+		e.benefit = r.Benefit(e.Node)
+	}
+	sort.SliceStable(es, func(a, b int) bool { return es[a].benefit < es[b].benefit })
+	need := c.used.Load() + size - c.capacity
+	var sum float64
 	nv := 0
-	for i := 0; i < len(c.shards); i++ {
-		s := &c.shards[(home+uint64(i))&c.mask]
-		s.mu.Lock()
-		if !evict {
-			refreshGroupLocked(s, gi, r.benefitNow)
+	for i, cand := range es {
+		if cand.pins > 0 {
+			continue
 		}
-		var victims []*Entry
-		enough := false
-		for _, cand := range s.groups[gi] {
-			if cand.pins > 0 {
-				continue
-			}
-			if (sumBenefit+cand.benefit)/float64(nv+1) >= benefit {
-				break // rest of this shard's group is at least as good
-			}
-			sumBenefit += cand.benefit
-			pending += cand.Size
-			nv++
-			if evict {
-				victims = append(victims, cand)
-			}
-			if c.capacity-c.used.Load()+pending+reserved >= size {
-				enough = true
-				break
-			}
+		if (sum+cand.benefit)/float64(nv+1) >= benefit {
+			break // the rest of the group is at least as good
 		}
-		if evict {
-			for _, v := range victims {
-				c.unlinkLocked(s, v)
-				v.Node.cached.Store(nil)
-				updateHROnEvict(v.Node, seq, r.cfg.Alpha)
-				transfer := v.Size
-				if transfer > size-reserved {
-					transfer = size - reserved
-				}
-				reserved += transfer
-				if refund := v.Size - transfer; refund > 0 {
-					c.used.Add(-refund)
-				}
-			}
-			pending = 0
-		}
-		s.mu.Unlock()
-		if evict {
-			if reserved >= size {
-				return true
-			}
-			if c.reserve(size - reserved) {
-				return true
-			}
-		} else if enough {
-			return true
+		sum += cand.benefit
+		nv++
+		if need -= cand.Size; need <= 0 {
+			return i + 1, true
 		}
 	}
-	if reserved > 0 {
-		c.release(reserved)
+	return 0, false
+}
+
+// evictPrefixLocked evicts the unpinned entries among the first end of size
+// group g — the victim set scanLocked just selected. c.mu held.
+func (r *Recycler) evictPrefixLocked(g, end int, seq uint64) {
+	c := r.cache
+	es := c.groups[g]
+	keep := 0
+	for i, e := range es {
+		if i < end && e.pins == 0 {
+			r.dropLocked(e, seq)
+			continue
+		}
+		es[keep] = e
+		keep++
 	}
-	return false
+	clear(es[keep:])
+	c.groups[g] = es[:keep]
+}
+
+// dropLocked finishes the eviction of an entry already unlinked from its
+// size group: the node is unpublished, the bytes return to the pool, and
+// Eq. 4 hands the node's references back to its descendants. One eviction
+// at a time, as Eq. 4 is defined: the references stop at the nearest
+// still-cached descendants, which pass them on when their own turn comes.
+// c.mu held.
+func (r *Recycler) dropLocked(e *Entry, seq uint64) {
+	c := r.cache
+	e.Node.cached.Store(nil)
+	c.used.Add(-e.Size)
+	c.count.Add(-1)
+	c.evictions.Add(1)
+	updateHROnEvict(e.Node, seq, r.cfg.Alpha)
+}
+
+// evictLocked evicts one entry. c.mu held.
+func (r *Recycler) evictLocked(e *Entry, seq uint64) {
+	r.cache.unlinkLocked(e)
+	r.dropLocked(e, seq)
 }
 
 // EvictEntry removes a specific cache entry if it is still the node's
@@ -521,63 +481,36 @@ func (r *Recycler) groupScan(home uint64, benefit float64, size int64, seq uint6
 // pointer comparison ensures a concurrently delta-extended replacement is
 // not evicted by mistake.
 func (r *Recycler) EvictEntry(n *Node, e *Entry) {
-	s := r.cache.shardOf(n)
-	s.mu.Lock()
-	if n.cached.Load() != e {
-		s.mu.Unlock()
-		return
+	if r.evictIf(n, e) {
+		r.stats.invalidated.Add(1)
 	}
-	r.cache.removeLocked(s, e)
-	n.cached.Store(nil)
-	s.mu.Unlock()
-	updateHROnEvict(n, r.curSeq(), r.cfg.Alpha)
-	r.stats.invalidated.Add(1)
 }
 
 // Evict removes a node's cached result (if any), applying Eq. 4.
-func (r *Recycler) Evict(n *Node) {
-	s := r.cache.shardOf(n)
-	s.mu.Lock()
+func (r *Recycler) Evict(n *Node) { r.evictIf(n, nil) }
+
+// evictIf evicts n's cached entry if it is want (nil: whatever is cached);
+// it reports whether it evicted.
+func (r *Recycler) evictIf(n *Node, want *Entry) bool {
+	r.cache.mu.Lock()
+	defer r.cache.mu.Unlock()
 	e := n.cached.Load()
-	if e == nil {
-		s.mu.Unlock()
-		return
+	if e == nil || (want != nil && e != want) {
+		return false
 	}
-	r.cache.removeLocked(s, e)
-	n.cached.Store(nil)
-	s.mu.Unlock()
-	updateHROnEvict(n, r.curSeq(), r.cfg.Alpha)
+	r.evictLocked(e, r.curSeq())
+	return true
 }
 
 // FlushCache evicts every unpinned result (the Fig. 6 invalidation
-// protocol), one shard at a time.
+// protocol).
 func (r *Recycler) FlushCache() {
 	seq := r.curSeq()
 	c := r.cache
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		var flushed []*Entry
-		for _, g := range sortedGroups(s.groups) {
-			es := s.groups[g]
-			keep := es[:0]
-			for _, e := range es {
-				if e.pins > 0 {
-					keep = append(keep, e)
-					continue
-				}
-				c.used.Add(-e.Size)
-				c.count.Add(-1)
-				c.evictions.Add(1)
-				e.Node.cached.Store(nil)
-				flushed = append(flushed, e)
-			}
-			s.groups[g] = keep
-		}
-		for _, e := range flushed {
-			updateHROnEvict(e.Node, seq, r.cfg.Alpha)
-		}
-		s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for g := range c.groups {
+		r.evictPrefixLocked(g, len(c.groups[g]), seq)
 	}
 }
 

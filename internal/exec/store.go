@@ -124,7 +124,8 @@ func (s *Store) Progress() float64 { return s.Child.Progress() }
 // WaitSpec configures a WaitReuse operator: another in-flight query is
 // currently materializing this node's result; stall until it finishes and
 // reuse it, or fall back to recomputation after Timeout (bounded stalling
-// prevents cross-query deadlock; see DESIGN.md).
+// breaks the deadlock of two queries each waiting on a result the other's
+// pipeline is producing).
 type WaitSpec struct {
 	// Wait blocks until the in-flight materialization completes, the
 	// timeout elapses, or ctx is canceled. It returns replay batches and a

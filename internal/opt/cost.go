@@ -19,8 +19,7 @@ import (
 // fragment the graph across shapes — exactly what HIST-mode's seen-before
 // matching cannot afford. The recycler influences costs through one channel
 // only: a subtree with a valid cached entry (or an in-flight producer) is
-// re-costed as a cached access path — replay cost, interpolated with the
-// cold cost by Config.ReuseBias.
+// re-costed as a cached access path: its replay cost.
 
 // costInfo is the memoized verdict for one canonical plan shape.
 type costInfo struct {
@@ -41,26 +40,11 @@ type costInfo struct {
 // signature share one entry.
 type coster struct {
 	ctx  *Context
-	bias float64
 	memo map[string]costInfo
 }
 
 func newCoster(ctx *Context) *coster {
-	return &coster{ctx: ctx, bias: effBias(ctx.Cfg.ReuseBias), memo: make(map[string]costInfo)}
-}
-
-// effBias maps the ReuseBias knob to [0,1]: 0 selects the default of full
-// steering, negative disables it.
-func effBias(b float64) float64 {
-	switch {
-	case b == 0:
-		return 1
-	case b < 0:
-		return 0
-	case b > 1:
-		return 1
-	}
-	return b
+	return &coster{ctx: ctx, memo: make(map[string]costInfo)}
 }
 
 // info returns the (memoized) cost verdict for a resolved subtree.
@@ -93,13 +77,13 @@ func (c *coster) compute(n *plan.Node) costInfo {
 			case pi.Cached:
 				ci.Cached = true
 				if warm := replayCost(pi.CachedRows, pi.CachedBytes); warm < cold {
-					ci.Cost = lerp(cold, warm, c.bias)
+					ci.Cost = warm
 				}
 			case pi.Inflight:
 				// A concurrent producer is materializing this result: the
 				// executor will share or wait rather than recompute.
 				ci.Inflight = true
-				ci.Cost = lerp(cold, cold/4, c.bias)
+				ci.Cost = cold / 4
 			}
 		}
 	}
@@ -119,11 +103,6 @@ func probeable(op plan.Op) bool {
 // replayCost models streaming a cached entry out of the cache.
 func replayCost(rows, bytes int64) time.Duration {
 	return time.Duration(rows)*time.Nanosecond + time.Duration(bytes/4)*time.Nanosecond
-}
-
-// lerp interpolates between the cold and warm cost by bias (1 = warm).
-func lerp(cold, warm time.Duration, bias float64) time.Duration {
-	return time.Duration(float64(warm)*bias + float64(cold)*(1-bias))
 }
 
 // estRows estimates a node's output cardinality from its children's.

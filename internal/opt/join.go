@@ -48,7 +48,7 @@ func (o *optimizer) reorderJoin(n *plan.Node, pinned, noReorder bool) (*plan.Nod
 	collectGroup(n, &inputs, &eqs)
 
 	top := n
-	if len(inputs) >= 2 && len(inputs) <= o.ctx.maxJoinInputs() {
+	if len(inputs) >= 2 && len(inputs) <= maxJoinGroup {
 		if best := o.dpJoin(inputs, eqs); best != nil {
 			top = best
 		}

@@ -41,22 +41,10 @@ import (
 	"recycledb/internal/plan"
 )
 
-// DefaultMaxJoinInputs caps the size of a join group the dynamic-programming
+// maxJoinGroup caps the size of a join group the dynamic-programming
 // reorder enumerates (3^k candidate splits); larger groups keep their
 // written order.
-const DefaultMaxJoinInputs = 7
-
-// Config holds the optimizer knobs.
-type Config struct {
-	// MaxJoinInputs caps join-reorder group size; 0 means
-	// DefaultMaxJoinInputs.
-	MaxJoinInputs int
-	// ReuseBias is the reuse-vs-cold-cost tradeoff: 1 costs a warm subtree
-	// purely as a cached access path (full steering), 0 ignores warmth, and
-	// values between interpolate. 0 selects the default of 1; pass a
-	// negative value to disable steering outright.
-	ReuseBias float64
-}
+const maxJoinGroup = 7
 
 // Context carries the per-statement environment the dynamic phase needs.
 type Context struct {
@@ -72,15 +60,6 @@ type Context struct {
 	// snapshot row counts, keeping cost estimates consistent with the data
 	// the statement will actually read.
 	TableRows map[string]int64
-	// Cfg holds the knobs.
-	Cfg Config
-}
-
-func (c *Context) maxJoinInputs() int {
-	if c.Cfg.MaxJoinInputs > 0 {
-		return c.Cfg.MaxJoinInputs
-	}
-	return DefaultMaxJoinInputs
 }
 
 // Normalize applies the static, cache-independent rules — predicate
@@ -221,8 +200,8 @@ func (o *optimizer) steerChain(n *plan.Node, pinned, noReorder bool) (*plan.Node
 	return out, nil
 }
 
-// orderChain orders a chain's conjuncts. Without a recycler (or with
-// steering disabled) the canonical order stands: literal-free conjuncts
+// orderChain orders a chain's conjuncts. Without a recycler the canonical
+// order stands: literal-free conjuncts
 // innermost — those prefixes are shared across every binding of a template —
 // then canonical-string order. With a recycler, the chain is grown
 // greedily: at each step the conjunct whose extension matches the warmest
@@ -231,7 +210,7 @@ func (o *optimizer) steerChain(n *plan.Node, pinned, noReorder bool) (*plan.Node
 // executions converge on the first-seen order instead of fragmenting the
 // graph into permutations.
 func (o *optimizer) orderChain(base *plan.Node, preds []cpred) []cpred {
-	if o.ctx.Rec == nil || o.co.bias <= 0 || len(preds) < 2 {
+	if o.ctx.Rec == nil || len(preds) < 2 {
 		return preds
 	}
 	// Steady-state fast path: if the graph already holds the full canonical

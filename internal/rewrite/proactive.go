@@ -152,7 +152,7 @@ func (rw *Rewriter) rewriteCube(agg *plan.Node) *plan.Node {
 			return nil // predicate over a computed column; no rule
 		}
 		d := rw.baseDistinct(x, c)
-		if d > 0 && d <= rw.ProactiveDistinctLimit {
+		if d > 0 && d <= proactiveDistinctLimit {
 			lowCard = append(lowCard, c)
 		} else {
 			highCard = append(highCard, c)

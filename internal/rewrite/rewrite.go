@@ -52,14 +52,6 @@ type Rewriter struct {
 	Rec  *core.Recycler
 	Cat  *catalog.Catalog
 	Mode Mode
-	// MaxHistoryStores caps pre-decided stores per query.
-	MaxHistoryStores int
-	// MinHistoryHR is the minimum (aged) importance factor for a
-	// history-mode store decision; results must have been seen before.
-	MinHistoryHR float64
-	// ProactiveDistinctLimit is the GROUP BY extension threshold of the
-	// cube-caching heuristic.
-	ProactiveDistinctLimit int64
 
 	// SnapVers holds the statement's captured per-table data epochs (the
 	// epochs its scans will read). Cached results are substituted only if
@@ -72,16 +64,21 @@ type Rewriter struct {
 	GlobalVer int64
 }
 
-// NewRewriter returns a rewriter with the defaults used in the evaluation.
+// The values used in the evaluation.
+const (
+	// maxHistoryStores caps pre-decided stores per query.
+	maxHistoryStores = 4
+	// minHistoryHR is the minimum (aged) importance factor for a
+	// history-mode store decision; results must have been seen before.
+	minHistoryHR = 0.5
+	// proactiveDistinctLimit is the GROUP BY extension threshold of the
+	// cube-caching heuristic.
+	proactiveDistinctLimit = 64
+)
+
+// NewRewriter returns a rewriter for one statement.
 func NewRewriter(rec *core.Recycler, cat *catalog.Catalog, mode Mode) *Rewriter {
-	return &Rewriter{
-		Rec:                    rec,
-		Cat:                    cat,
-		Mode:                   mode,
-		MaxHistoryStores:       4,
-		MinHistoryHR:           0.5,
-		ProactiveDistinctLimit: 64,
-	}
+	return &Rewriter{Rec: rec, Cat: cat, Mode: mode}
 }
 
 // Result carries everything the engine needs to execute and then annotate a
@@ -149,7 +146,7 @@ func (rw *Rewriter) Rewrite(root *plan.Node) (*Result, error) {
 	res.Match = rw.Rec.MatchInsert(res.Exec)
 	rw.Rec.AddRefs(res.Exec, res.Match)
 	rw.substitute(res.Exec, res)
-	rw.injectStores(res.Exec, res, false)
+	rw.injectStores(res.Exec, res)
 	rw.dropStoresUnderWaits(res.Exec, res, false)
 	return res, nil
 }
@@ -242,33 +239,7 @@ func (rw *Rewriter) substitute(n *plan.Node, res *Result) {
 		}
 		// In-flight materialization by a concurrent query: stall.
 		if nm.Existed && rw.Rec.Inflight(nm.G) {
-			g := nm.G
-			reused := new(atomic.Bool)
-			res.waitReused[n] = reused
-			res.subst[n] = g
-			res.Decor[n] = &exec.Decor{Wait: &exec.WaitSpec{
-				Timeout: rw.Rec.StallTimeoutFor(g),
-				Wait: func(ctx context.Context, timeout time.Duration) ([]*vector.Batch, []int, func(), bool) {
-					e, ok := rw.Rec.WaitInflightCtx(ctx, g, timeout)
-					if !ok {
-						return nil, nil, nil, false
-					}
-					if ok, _ := rw.entryValid(e); !ok {
-						// The producer ran at another data epoch
-						// (a write committed in between); recompute.
-						rw.Rec.Release(e)
-						return nil, nil, nil, false
-					}
-					entry := e
-					return e.Batches, identityIdx(len(g.OutCols)),
-						func() { rw.Rec.Release(entry) }, true
-				},
-				OnOutcome: func(ok bool, stalled time.Duration) {
-					reused.Store(ok)
-					rw.Rec.CountStall(ok)
-				},
-			}}
-			res.Waits++
+			rw.planWait(n, nm.G, res)
 			// The fallback subtree may still reuse deeper results.
 			for _, c := range n.Children {
 				rw.substitute(c, res)
@@ -316,7 +287,7 @@ func identityIdx(n int) []int {
 
 // injectStores is the final rewriting rule: store operators over results
 // worth materializing.
-func (rw *Rewriter) injectStores(root *plan.Node, res *Result, insideWait bool) {
+func (rw *Rewriter) injectStores(root *plan.Node, res *Result) {
 	type candidate struct {
 		n       *plan.Node
 		g       *core.Node
@@ -328,25 +299,26 @@ func (rw *Rewriter) injectStores(root *plan.Node, res *Result, insideWait bool) 
 		n *plan.Node
 		g *core.Node
 	}
-	var walk func(n *plan.Node, inWait bool)
-	walk = func(n *plan.Node, inWait bool) {
+	var walk func(n *plan.Node)
+	walk = func(n *plan.Node) {
 		d := res.Decor[n]
 		if d != nil && d.Reuse != nil {
 			return // replayed subtrees compute nothing to store
 		}
 		if d != nil && d.Wait != nil {
 			// Stores inside a wait fallback would register in-flight
-			// producers that never run if the wait succeeds; skip the
-			// whole fallback (see DESIGN.md).
+			// producers that never run if the wait succeeds, leaving
+			// concurrent queries to stall until the timeout; skip the
+			// whole fallback.
 			return
 		}
 		nm := res.Match.ByNode[n]
-		if nm != nil && !inWait && rw.storable(n) {
+		if nm != nil && rw.storable(n) {
 			g := nm.G
 			_, known, card, estBytes := rw.Rec.NodeStats(g)
 			if nm.Existed && known {
 				hr := rw.Rec.HR(g)
-				if hr >= rw.MinHistoryHR {
+				if hr >= minHistoryHR {
 					size := estBytes
 					if size <= 0 {
 						size = core.EstimateResultBytes(g, card)
@@ -369,10 +341,10 @@ func (rw *Rewriter) injectStores(root *plan.Node, res *Result, insideWait bool) 
 			}
 		}
 		for _, c := range n.Children {
-			walk(c, inWait)
+			walk(c)
 		}
 	}
-	walk(root, insideWait)
+	walk(root)
 
 	// History stores: highest benefit first, capped, admission-checked.
 	// Registration runs in ascending graph-node-ID order: a deterministic
@@ -381,10 +353,10 @@ func (rw *Rewriter) injectStores(root *plan.Node, res *Result, insideWait bool) 
 	sort.SliceStable(hist, func(a, b int) bool { return hist[a].benefit > hist[b].benefit })
 	var selected []candidate
 	for _, c := range hist {
-		if len(selected) >= rw.MaxHistoryStores {
+		if len(selected) >= maxHistoryStores {
 			break
 		}
-		if !rw.Rec.WouldAdmit(c.g, c.benefit, c.size) {
+		if !rw.Rec.WouldAdmit(c.benefit, c.size) {
 			continue
 		}
 		selected = append(selected, c)
@@ -533,7 +505,7 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 		OnComplete: func(batches []*vector.Batch, rows, bytes int64, elapsed time.Duration) {
 			hrOverride := -1.0
 			if speculativeStore {
-				hrOverride = cfg.SpeculationHR
+				hrOverride = core.SpeculationHR
 			}
 			ok := rw.Rec.AdmitMat(g, core.Materialization{
 				Batches: batches, Rows: rows, Size: bytes, Cost: elapsed,
@@ -562,7 +534,7 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 			if cfg.MaxSpeculateBytes > 0 && buffered > cfg.MaxSpeculateBytes {
 				return false
 			}
-			if progress < cfg.MinProgress {
+			if progress < core.MinProgress {
 				return true // not enough information yet; keep buffering
 			}
 			estCost := time.Duration(float64(elapsed) / progress)
@@ -573,8 +545,8 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 			if estCost < cfg.CopyCost(estSize) {
 				return false
 			}
-			b := core.BenefitValue(estCost, cfg.SpeculationHR, estSize)
-			return rw.Rec.WouldAdmit(g, b, estSize)
+			b := core.BenefitValue(estCost, core.SpeculationHR, estSize)
+			return rw.Rec.WouldAdmit(b, estSize)
 		}
 		res.SpecStores++
 	} else {

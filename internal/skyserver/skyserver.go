@@ -2,7 +2,7 @@
 // used in the paper's Fig. 6. The real experiment uses a 100 GB subset of
 // Data Release 7 and 100 queries sampled from the live query log; neither is
 // available here, so this package generates a sky catalog with the same
-// workload-relevant properties (see DESIGN.md, substitutions): an expensive
+// workload-relevant properties: an expensive
 // cone-search table function (fGetNearbyObjEq) shared verbatim by most
 // queries, tiny final results (LIMIT 10), and a handful of query patterns.
 package skyserver

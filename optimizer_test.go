@@ -8,57 +8,19 @@ import (
 	"recycledb/internal/plan"
 )
 
-// Flipping the optimizer mid-process must recompile prepared statements and
-// refuse plan-cache entries compiled under the other setting: an optimized
-// template's shape (pruned scans, split chains) is wrong for an engine told
-// to run without the optimizer, and vice versa.
-func TestOptimizerToggleRecompiles(t *testing.T) {
+// Parameter-free SELECT templates are statically normalized when they
+// compile: the scan is pruned to the columns the statement reads.
+func TestPrepareNormalizesTemplate(t *testing.T) {
 	e := New(Config{Mode: Speculative})
 	loadSales(e, 2000)
-
-	const q = `SELECT region FROM sales WHERE qty > 5`
-	stmt, err := e.Prepare(q)
+	stmt, err := e.Prepare(`SELECT region FROM sales WHERE qty > 5`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before, err := stmt.Exec(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	onFP := e.optFingerprint()
-	if got := stmt.cur.Load().fp; got != onFP {
-		t.Fatalf("stmt fingerprint %q, want %q", got, onFP)
-	}
-	// Compile-time normalization pruned the scan: only region and qty
-	// survive out of sales' five columns.
+	// Only region and qty survive out of sales' five columns.
 	scan := findScan(stmt.cur.Load().c.Query.Plan)
 	if scan == nil || len(scan.Cols) != 2 {
-		t.Fatalf("optimized template scan not pruned: %v", scan)
-	}
-
-	e.SetOptimizerEnabled(false)
-	offFP := e.optFingerprint()
-	if offFP == onFP {
-		t.Fatal("fingerprint did not change with the optimizer setting")
-	}
-	if c := e.plans.get(stmt.Text(), e.cat.Version(), offFP); c != nil {
-		t.Fatal("plan cache served a template compiled under the other optimizer setting")
-	}
-
-	after, err := stmt.Exec(context.Background())
-	if err != nil {
-		t.Fatalf("prepared statement failed after optimizer toggle: %v", err)
-	}
-	if cv := stmt.cur.Load(); cv.fp != offFP {
-		t.Fatalf("stmt did not recompile: fingerprint %q, want %q", cv.fp, offFP)
-	}
-	// The recompiled template is the written shape: all five columns scanned.
-	scan = findScan(stmt.cur.Load().c.Query.Plan)
-	if scan == nil || len(scan.Cols) != 0 && len(scan.Cols) != 5 {
-		t.Fatalf("unoptimized template scan unexpectedly pruned: %v", scan.Cols)
-	}
-	if before.Rows() != after.Rows() {
-		t.Fatalf("toggle changed the result: %d rows before, %d after", before.Rows(), after.Rows())
+		t.Fatalf("template scan not pruned: %v", scan)
 	}
 }
 
@@ -72,18 +34,6 @@ func findScan(n *plan.Node) *plan.Node {
 		}
 	}
 	return nil
-}
-
-// The environment hatch and the Config hatch must produce the same state.
-func TestDisableOptimizerConfig(t *testing.T) {
-	e := New(Config{DisableOptimizer: true})
-	if e.OptimizerEnabled() {
-		t.Fatal("Config.DisableOptimizer ignored")
-	}
-	e.SetOptimizerEnabled(true)
-	if !e.OptimizerEnabled() {
-		t.Fatal("SetOptimizerEnabled(true) ignored")
-	}
 }
 
 // EXPLAIN renders the chosen plan with per-node cost estimates, and marks

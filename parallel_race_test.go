@@ -26,7 +26,6 @@ import (
 )
 
 func TestParallelRaceStress(t *testing.T) {
-	const vsz = 256 // shrink morsels so the mixed catalog splits
 	cat := harness.MixedCatalog(0.002, 10000, 1)
 	mix := harness.MixedMix(2, 1)
 
@@ -42,10 +41,9 @@ func TestParallelRaceStress(t *testing.T) {
 
 	// Parallelism 32 over 8 clients: the per-statement budget stays > 1
 	// even with every client in flight, so fragments really fan out.
-	eng := recycledb.NewWithCatalog(recycledb.Config{
+	eng := newSmallVectorEngine(recycledb.Config{
 		Mode:        recycledb.Speculative,
 		CacheBytes:  8 << 20,
-		VectorSize:  vsz,
 		Parallelism: 32,
 	}, cat)
 	modes := []recycledb.Mode{
@@ -134,11 +132,7 @@ func TestParallelRaceStress(t *testing.T) {
 // epoch, never a mix.
 func TestParallelSnapshotConsistencyUnderDML(t *testing.T) {
 	cat := harness.MixedCatalog(0.002, 4000, 1)
-	eng := recycledb.NewWithCatalog(recycledb.Config{
-		Mode:        recycledb.Off,
-		VectorSize:  256,
-		Parallelism: 8,
-	}, cat)
+	eng := newSmallVectorEngine(recycledb.Config{Mode: recycledb.Off, Parallelism: 8}, cat)
 	appendLineitem := harness.SyntheticAppender(cat, "lineitem", 64)
 
 	stop := make(chan struct{})

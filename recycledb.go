@@ -106,30 +106,6 @@ type Config struct {
 	// CacheBytes bounds the recycler cache; 0 uses the default
 	// (256 MiB), negative means unlimited.
 	CacheBytes int64
-	// CacheShards is the number of lock stripes of the recycler cache
-	// (rounded up to a power of two); 0 uses the default. More shards
-	// let more concurrent clients admit/evict without contending on one
-	// mutex.
-	CacheShards int
-	// Alpha is the aging factor per query (default 0.995; 1 disables).
-	Alpha float64
-	// VectorSize overrides the batch size (default 1024).
-	VectorSize int
-	// MaxSpeculateBytes caps speculative buffering (default 64 MiB).
-	MaxSpeculateBytes int64
-	// StallTimeout bounds waiting on concurrent materializations.
-	StallTimeout time.Duration
-	// DisableSubsumption turns off subsumption matching (§IV-A).
-	DisableSubsumption bool
-	// CopyBytesPerSec models materialization (deep copy) cost in the
-	// store decision: results qualify only if recomputing costs more
-	// than copying. Default 256 MiB/s (the vectorized columnar clone
-	// runs at memory bandwidth; the default is a conservative floor).
-	CopyBytesPerSec int64
-	// PlanCacheSize bounds the LRU of compiled statement plans keyed by
-	// normalized SQL text; 0 uses the default (128), negative disables
-	// plan caching.
-	PlanCacheSize int
 	// Parallelism is the engine's intra-query worker budget for
 	// morsel-driven parallel pipelines. 0 uses GOMAXPROCS; 1 disables
 	// intra-query parallelism. The budget is divided across concurrently
@@ -139,50 +115,56 @@ type Config struct {
 	// Results are independent of the setting — parallel pipelines merge
 	// deterministically in scan order; see README "Execution".
 	Parallelism int
-	// DisableOptimizer turns off the recycler-aware plan optimizer
-	// (internal/opt): plans execute exactly as written/compiled. An escape
-	// hatch for bisecting regressions; results are identical either way.
-	// See README "Optimizer".
-	DisableOptimizer bool
-	// OptimizerReuseBias is the optimizer's reuse-vs-cold-cost tradeoff:
-	// 1 costs a recycler-warm subtree purely as a cached access path (full
-	// steering toward reuse), 0 ignores warmth; values between interpolate.
-	// 0 uses the default of 1; negative disables cached-access-path
-	// steering while keeping the cost-based rules.
-	OptimizerReuseBias float64
 }
 
-// DefaultPlanCacheSize is the compiled-plan LRU capacity when
-// Config.PlanCacheSize is zero.
-const DefaultPlanCacheSize = 128
+// tuning is the engine's internal configuration: values no command, example
+// or benchmark workload sets, so they are not part of Config. Tests that
+// need odd values reach newEngine through export_test.go.
+type tuning struct {
+	// Core configures the recycler; Config.CacheBytes overrides its
+	// CacheBytes.
+	Core core.Config
+	// VectorSize is the batch size; 0 uses the executor's default (1024).
+	VectorSize int
+	// PlanCacheSize bounds the LRU of compiled statements keyed by
+	// normalized SQL text; zero or negative disables plan caching.
+	PlanCacheSize int
+}
+
+func defaultTuning() tuning {
+	return tuning{Core: core.DefaultConfig(), PlanCacheSize: 128}
+}
+
+// optShapeCacheSize is the optimized-shape LRU capacity.
+const optShapeCacheSize = 512
 
 // Engine is a recycling query engine over an in-memory catalog. It is safe
 // for concurrent use by any number of goroutines: matching runs under a
-// read-lock fast path, per-node statistics sit behind leaf mutexes, the
-// recycler cache is lock-striped (Config.CacheShards), and concurrent
-// identical queries share one in-flight materialization (one computes,
-// the rest stall briefly and replay the handed-off result). Returned Rows
-// cursors are single-goroutine; see Rows.
+// read-lock fast path, per-node statistics sit behind leaf mutexes, cache
+// misses are detected lock-free and one mutex guards cache membership, and
+// concurrent identical queries share one in-flight materialization (one
+// computes, the rest stall briefly and replay the handed-off result).
+// Returned Rows cursors are single-goroutine; see Rows.
 type Engine struct {
 	cat   *catalog.Catalog
 	rec   *core.Recycler
-	plans *planCache
+	plans *lru[*sql.Compiled]
 	mode  atomic.Int32
 	vsz   int
 	// par is the intra-query parallelism budget (Config.Parallelism
 	// resolved); active tracks in-flight statements so the budget divides
 	// across them.
 	par int
-	// noOpt gates the plan optimizer; optBias is its reuse-steering knob
-	// (fixed at construction — it participates in the plan-cache
-	// fingerprint). optFP precomputes the two fingerprint strings
-	// (disabled/enabled) so the per-query check does not format.
-	noOpt   atomic.Bool
-	optBias float64
-	optFP   [2]string
-	// optShapes memoizes optimized plan shapes per canonical signature
-	// (see optcache.go); flushed with the result cache.
-	optShapes *optShapeCache
+	// optShapes memoizes the optimizer's output per canonical signature of
+	// the bound plan — the rendering the recycler graph dedupes shapes by.
+	// The optimizer is deterministic for a fixed recycler state and its
+	// steering converges (an executed shape is found warm and re-picked),
+	// so re-optimizing a shape seen moments ago recomputes the same answer;
+	// a hit replays it with one clone. A decision made against an older
+	// recycler state stays correct, merely no longer the warmest choice;
+	// the cache is flushed with the result cache whose warmth it steered by.
+	// Stored plans are resolved and never mutated: every use clones.
+	optShapes *lru[*plan.Node]
 	active    atomic.Int32
 	// pool recycles operator scratch batches across this engine's queries
 	// (vector.Pool documents the ownership rules).
@@ -201,32 +183,15 @@ func New(cfg Config) *Engine {
 // delta-extend) the engine's dependent cached results before the writer
 // lock is released.
 func NewWithCatalog(cfg Config, cat *catalog.Catalog) *Engine {
-	ccfg := core.DefaultConfig()
+	return newEngine(cfg, defaultTuning(), cat)
+}
+
+func newEngine(cfg Config, t tuning, cat *catalog.Catalog) *Engine {
 	switch {
 	case cfg.CacheBytes < 0:
-		ccfg.CacheBytes = 0 // unlimited
+		t.Core.CacheBytes = 0 // unlimited
 	case cfg.CacheBytes > 0:
-		ccfg.CacheBytes = cfg.CacheBytes
-	}
-	if cfg.CacheShards > 0 {
-		ccfg.CacheShards = cfg.CacheShards
-	}
-	if cfg.Alpha > 0 {
-		ccfg.Alpha = cfg.Alpha
-	}
-	if cfg.MaxSpeculateBytes > 0 {
-		ccfg.MaxSpeculateBytes = cfg.MaxSpeculateBytes
-	}
-	if cfg.StallTimeout > 0 {
-		ccfg.StallTimeout = cfg.StallTimeout
-	}
-	if cfg.CopyBytesPerSec != 0 {
-		ccfg.CopyBytesPerSec = cfg.CopyBytesPerSec
-	}
-	ccfg.Subsumption = !cfg.DisableSubsumption
-	planCap := cfg.PlanCacheSize
-	if planCap == 0 {
-		planCap = DefaultPlanCacheSize
+		t.Core.CacheBytes = cfg.CacheBytes
 	}
 	par := cfg.Parallelism
 	if par <= 0 {
@@ -234,20 +199,14 @@ func NewWithCatalog(cfg Config, cat *catalog.Catalog) *Engine {
 	}
 	e := &Engine{
 		cat:       cat,
-		rec:       core.New(ccfg),
-		plans:     newPlanCache(planCap),
-		vsz:       cfg.VectorSize,
+		rec:       core.New(t.Core),
+		plans:     newLRU[*sql.Compiled](t.PlanCacheSize),
+		vsz:       t.VectorSize,
 		par:       par,
-		optBias:   cfg.OptimizerReuseBias,
-		optShapes: newOptShapeCache(DefaultOptCacheSize),
+		optShapes: newLRU[*plan.Node](optShapeCacheSize),
 		pool:      &vector.Pool{},
 	}
-	e.optFP = [2]string{
-		fmt.Sprintf("opt=%t;bias=%g", false, e.optBias),
-		fmt.Sprintf("opt=%t;bias=%g", true, e.optBias),
-	}
 	e.mode.Store(int32(cfg.Mode))
-	e.noOpt.Store(cfg.DisableOptimizer)
 	cat.OnCommit(e.onCommit)
 	return e
 }
@@ -309,24 +268,6 @@ func (e *Engine) Mode() Mode { return Mode(e.mode.Load()) }
 // mode they started with.
 func (e *Engine) SetMode(m Mode) { e.mode.Store(int32(m)) }
 
-// OptimizerEnabled reports whether the plan optimizer is active.
-func (e *Engine) OptimizerEnabled() bool { return !e.noOpt.Load() }
-
-// SetOptimizerEnabled toggles the plan optimizer; in-flight queries finish
-// under the setting they started with, and compiled-plan cache entries
-// carry the setting they compiled under (a flip never serves a plan shaped
-// by the other setting).
-func (e *Engine) SetOptimizerEnabled(on bool) { e.noOpt.Store(!on) }
-
-// optFingerprint identifies the optimizer configuration a compiled plan
-// depends on; it is part of the plan-cache key validation.
-func (e *Engine) optFingerprint() string {
-	if e.OptimizerEnabled() {
-		return e.optFP[1]
-	}
-	return e.optFP[0]
-}
-
 // liveVer reports a table's current data version for snapshot-tag
 // validation of tables outside a statement's capture.
 func (e *Engine) liveVer(table string) (int64, bool) {
@@ -337,20 +278,56 @@ func (e *Engine) liveVer(table string) (int64, bool) {
 	return tbl.DataVersion(), true
 }
 
+// epoch is the data epoch one statement runs at: a snapshot of every base
+// table in its plan's lineage, with the version and row-count tags cache
+// validation compares (and the cost model reads).
+type epoch struct {
+	snaps     map[string]*catalog.Snapshot
+	vers      map[string]core.TableSnap
+	globalVer int64
+}
+
+// captureEpoch snapshots the tables in p's lineage. Each table's version
+// and row count come from one Snapshot call, so a concurrent commit can
+// never yield a pair from two epochs.
+func (e *Engine) captureEpoch(p *plan.Node) epoch {
+	ep := epoch{
+		snaps: make(map[string]*catalog.Snapshot),
+		vers:  make(map[string]core.TableSnap),
+	}
+	for _, name := range p.Lineage() {
+		if name == plan.LineageAll {
+			continue
+		}
+		tbl, err := e.cat.Table(name)
+		if err != nil {
+			continue // resolve already vetted; races surface at build
+		}
+		s := tbl.Snapshot()
+		ep.snaps[name] = s
+		ep.vers[name] = core.TableSnap{Ver: s.Ver, Rows: int64(s.Rows)}
+	}
+	ep.globalVer = e.cat.DataVersion()
+	return ep
+}
+
 // optContext assembles the optimizer's per-statement environment: the
 // recycler to probe, the statement's snapshot row counts for the cost
 // model, and a validator that accepts exactly the cached entries the
 // rewriter's substitution rule would accept under the same snapshot.
-func (e *Engine) optContext(vers map[string]core.TableSnap, trows map[string]int64, globalVer int64) *opt.Context {
+func (e *Engine) optContext(ep epoch) *opt.Context {
+	rows := make(map[string]int64, len(ep.vers))
+	for name, ts := range ep.vers {
+		rows[name] = ts.Rows
+	}
 	return &opt.Context{
 		Cat: e.cat,
 		Rec: e.rec,
 		Validate: func(en *core.Entry) bool {
-			ok, _ := core.EntrySnapValid(en, vers, globalVer, e.liveVer)
+			ok, _ := core.EntrySnapValid(en, ep.vers, ep.globalVer, e.liveVer)
 			return ok
 		},
-		TableRows: trows,
-		Cfg:       opt.Config{ReuseBias: e.optBias},
+		TableRows: rows,
 	}
 }
 
@@ -358,8 +335,7 @@ func (e *Engine) optContext(vers map[string]core.TableSnap, trows map[string]int
 // executing it — and renders the chosen plan tree with per-node estimated
 // cost and cardinality, plus [cached]/[inflight]/[seen] markers on subtrees
 // the optimizer matched against the recycler under the current data
-// versions. With the optimizer disabled it renders the compiled plan
-// annotated the same way.
+// versions.
 func (e *Engine) Explain(query string, args ...any) (string, error) {
 	stmt, err := e.Prepare(query)
 	if err != nil {
@@ -383,24 +359,9 @@ func (e *Engine) Explain(query string, args ...any) (string, error) {
 	if err := p.Resolve(e.cat); err != nil {
 		return "", fmt.Errorf("recycledb: resolve: %w", err)
 	}
-	vers := make(map[string]core.TableSnap)
-	trows := make(map[string]int64)
-	for _, name := range p.Lineage() {
-		if name == plan.LineageAll {
-			continue
-		}
-		tbl, err := e.cat.Table(name)
-		if err != nil {
-			continue
-		}
-		vers[name] = core.TableSnap{Ver: tbl.DataVersion(), Rows: int64(tbl.Rows())}
-		trows[name] = int64(tbl.Rows())
-	}
-	octx := e.optContext(vers, trows, e.cat.DataVersion())
-	if e.OptimizerEnabled() {
-		if p, err = opt.Optimize(p, octx); err != nil {
-			return "", fmt.Errorf("recycledb: optimize: %w", err)
-		}
+	octx := e.optContext(e.captureEpoch(p))
+	if p, err = opt.Optimize(p, octx); err != nil {
+		return "", fmt.Errorf("recycledb: optimize: %w", err)
 	}
 	return opt.Render(p, opt.Annotate(p, octx)), nil
 }
@@ -521,53 +482,31 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 		}
 	}()
 	start := time.Now()
-	// Optimized-shape fast path (optcache.go): render the plan's canonical
-	// signature on the incoming tree and replay a prior optimizer decision
-	// with a single clone. The cached clone carries its resolution — the
-	// schema version it resolved under is part of the cache key — so a hit
-	// skips the clone-resolve-optimize sequence entirely. optVer is read
+	// Optimized-shape fast path (see Engine.optShapes): render the plan's
+	// canonical signature on the incoming tree and replay a prior optimizer
+	// decision with a single clone. The cached plan carries its resolution
+	// — the schema version it resolved under is part of the lookup — so a
+	// hit skips the clone-resolve-optimize sequence entirely. optVer is read
 	// before Resolve so a concurrent schema change can only store the entry
 	// under a too-old version (evicted on next lookup), never a too-new one.
-	optimize := e.OptimizerEnabled()
-	resolved := false
-	var shapeKey, optFP string
-	var optVer int64
-	if optimize {
-		shapeKey, optVer, optFP = opt.ShapeKey(p), e.cat.Version(), e.optFingerprint()
-		if c := e.optShapes.get(shapeKey, optVer, optFP); c != nil {
-			p, shared, optimize, resolved = c, false, false, true
-		}
-	}
-	if shared {
+	shapeKey, optVer := opt.ShapeKey(p), e.cat.Version()
+	cached, optimized := e.optShapes.get(shapeKey, optVer)
+	switch {
+	case optimized:
+		p = cached.Clone()
+	case shared:
 		p = p.Clone()
 	}
-	if !resolved {
+	if !optimized {
 		if err := p.Resolve(e.cat); err != nil {
 			return nil, fmt.Errorf("recycledb: resolve: %w", err)
 		}
 	}
-	// Capture the statement's data epoch: one snapshot per base table in
-	// the plan's lineage, taken before rewriting. Cache substitution
-	// validates entries against these versions and the scans read exactly
-	// these snapshots, so a statement observes one consistent epoch from
-	// front to back even while writers commit.
-	snaps := make(map[string]*catalog.Snapshot)
-	vers := make(map[string]core.TableSnap)
-	trows := make(map[string]int64)
-	for _, name := range p.Lineage() {
-		if name == plan.LineageAll {
-			continue
-		}
-		tbl, err := e.cat.Table(name)
-		if err != nil {
-			continue // resolve already vetted; races surface at build
-		}
-		s := tbl.Snapshot()
-		snaps[name] = s
-		vers[name] = core.TableSnap{Ver: s.Ver, Rows: int64(s.Rows)}
-		trows[name] = int64(s.Rows)
-	}
-	globalVer := e.cat.DataVersion()
+	// Capture the statement's data epoch before rewriting. Cache
+	// substitution validates entries against these versions and the scans
+	// read exactly these snapshots, so a statement observes one consistent
+	// epoch from front to back even while writers commit.
+	ep := e.captureEpoch(p)
 	// The optimizer runs between compilation and the recycling rewrite:
 	// pushdown/pruning normalization, then the recycler-probing dynamic
 	// phase that orders conjunct chains and join groups toward subtrees
@@ -575,22 +514,20 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 	// performs the actual substitutions on the chosen shape. The decision
 	// is memoized under the signature rendered above; later executions of
 	// this shape replay it from the cache.
-	if optimize {
-		np, err := opt.Optimize(p, e.optContext(vers, trows, globalVer))
-		if err != nil {
+	if !optimized {
+		if p, err = opt.Optimize(p, e.optContext(ep)); err != nil {
 			return nil, fmt.Errorf("recycledb: optimize: %w", err)
 		}
-		e.optShapes.put(shapeKey, np, optVer, optFP)
-		p = np
+		e.optShapes.put(shapeKey, p.Clone(), optVer)
 	}
 	rw := rewrite.NewRewriter(e.rec, e.cat, e.Mode())
-	rw.SnapVers = vers
-	rw.GlobalVer = globalVer
+	rw.SnapVers = ep.vers
+	rw.GlobalVer = ep.globalVer
 	rres, err := rw.Rewrite(p)
 	if err != nil {
 		return nil, fmt.Errorf("recycledb: rewrite: %w", err)
 	}
-	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: snaps,
+	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: ep.snaps,
 		Parallelism: par}
 	opmap := make(map[*plan.Node]exec.Operator)
 	op, err := exec.Build(ectx, rres.Exec, rres.Decor, opmap)

@@ -38,12 +38,11 @@ type Stmt struct {
 	cur  atomic.Pointer[compiledAt]
 }
 
-// compiledAt pins a compiled statement to the catalog schema version and
-// the optimizer fingerprint it compiled under.
+// compiledAt pins a compiled statement to the catalog schema version it
+// compiled under.
 type compiledAt struct {
 	c   *sql.Compiled
 	ver int64
-	fp  string
 }
 
 // Prepare compiles a statement — SELECT or DML — into a reusable handle.
@@ -56,35 +55,30 @@ type compiledAt struct {
 // compiled plans — they are re-snapshotted at every execution.
 func (e *Engine) Prepare(query string) (*Stmt, error) {
 	key := sql.Normalize(query)
-	c, ver, fp, err := e.compile(query, key)
+	c, ver, err := e.compile(query, key)
 	if err != nil {
 		return nil, err
 	}
 	s := &Stmt{eng: e, text: key}
-	s.cur.Store(&compiledAt{c: c, ver: ver, fp: fp})
+	s.cur.Store(&compiledAt{c: c, ver: ver})
 	return s, nil
 }
 
 // compile fetches the compiled form of query from the plan cache at the
-// current schema version and optimizer fingerprint, compiling and caching
-// on a miss. key is the normalized cache key of query. Parameter-free
-// SELECT templates are statically normalized (pushdown, conjunct
-// chain-splitting, projection pruning) at compile time when the optimizer
-// is on — which is why the fingerprint is part of cache validation: a
-// cached template's shape depends on the optimizer setting it compiled
-// under, and flipping the setting mid-process must recompile, not reuse.
-func (e *Engine) compile(query, key string) (*sql.Compiled, int64, string, error) {
+// current schema version, compiling and caching on a miss. key is the
+// normalized cache key of query. Parameter-free SELECT templates are
+// statically normalized (pushdown, conjunct chain-splitting, projection
+// pruning) at compile time.
+func (e *Engine) compile(query, key string) (*sql.Compiled, int64, error) {
 	ver := e.cat.Version()
-	fp := e.optFingerprint()
-	if c := e.plans.get(key, ver, fp); c != nil {
-		return c, ver, fp, nil
+	if c, ok := e.plans.get(key, ver); ok {
+		return c, ver, nil
 	}
 	c, err := sql.CompileStatement(query, e.cat)
 	if err != nil {
-		return nil, 0, "", wrapSQLError(err)
+		return nil, 0, wrapSQLError(err)
 	}
-	if e.OptimizerEnabled() && c.Kind == sql.StmtSelect &&
-		c.Query != nil && c.Query.NumParams == 0 {
+	if c.Kind == sql.StmtSelect && c.Query != nil && c.Query.NumParams == 0 {
 		// Static normalization only — the dynamic (recycler-probing) phase
 		// runs per execution against the statement's snapshot. Errors are
 		// swallowed here: the template stays as compiled and the per-
@@ -93,8 +87,8 @@ func (e *Engine) compile(query, key string) (*sql.Compiled, int64, string, error
 			c.Query.Plan = np
 		}
 	}
-	e.plans.put(key, c, ver, fp)
-	return c, ver, fp, nil
+	e.plans.put(key, c, ver)
+	return c, ver, nil
 }
 
 // compiled returns the statement's compiled form, revalidated against the
@@ -103,16 +97,16 @@ func (e *Engine) compile(query, key string) (*sql.Compiled, int64, string, error
 // failure surfaces as ErrStaleStmt with the cause in the chain.
 func (s *Stmt) compiled() (*sql.Compiled, error) {
 	cv := s.cur.Load()
-	if cv.ver == s.eng.cat.Version() && cv.fp == s.eng.optFingerprint() {
+	if cv.ver == s.eng.cat.Version() {
 		return cv.c, nil
 	}
-	c, nver, nfp, err := s.eng.compile(s.text, s.text)
+	c, nver, err := s.eng.compile(s.text, s.text)
 	if err != nil {
 		return nil, fmt.Errorf("%w: schema changed since Prepare: %w", ErrStaleStmt, err)
 	}
 	// Racing revalidations compile the same text; any winner is current
 	// enough (the version is re-checked on the next execution).
-	s.cur.Store(&compiledAt{c: c, ver: nver, fp: nfp})
+	s.cur.Store(&compiledAt{c: c, ver: nver})
 	return c, nil
 }
 
@@ -271,81 +265,70 @@ func toDatums(args []any) ([]vector.Datum, error) {
 	return out, nil
 }
 
-// planCache is a mutex-guarded LRU of compiled statements keyed by
-// normalized SQL text. Entries remember the catalog schema version they
-// compiled against and are dropped when it moves on. A zero or negative
-// capacity disables caching.
-type planCache struct {
+// lru is a mutex-guarded LRU keyed by string whose entries remember the
+// catalog schema version they were built under: a lookup under another
+// version misses and drops the entry. It backs both the compiled-statement
+// cache (normalized SQL text -> *sql.Compiled) and the optimized-shape cache
+// (canonical plan signature -> *plan.Node). A zero or negative capacity
+// disables caching.
+type lru[V any] struct {
 	mu  sync.Mutex
 	max int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	ll  *list.List               // of *lruEntry[V], front = most recently used; guarded by mu
+	m   map[string]*list.Element // guarded by mu
 }
 
-type planEntry struct {
-	key  string
-	tmpl *sql.Compiled
-	ver  int64
-	// fp is the optimizer fingerprint the template compiled under; a
-	// lookup under a different fingerprint misses (and drops the entry),
-	// so toggling the optimizer mid-process can never serve a plan shaped
-	// by the other setting.
-	fp string
+type lruEntry[V any] struct {
+	key string
+	val V
+	ver int64
 }
 
-func newPlanCache(max int) *planCache {
-	return &planCache{max: max, ll: list.New(), m: make(map[string]*list.Element)}
+func newLRU[V any](max int) *lru[V] {
+	return &lru[V]{max: max, ll: list.New(), m: make(map[string]*list.Element)}
 }
 
-func (c *planCache) get(key string, ver int64, fp string) *sql.Compiled {
-	if c.max <= 0 {
-		return nil
-	}
+func (c *lru[V]) get(key string, ver int64) (val V, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[key]
 	if !ok {
-		return nil
+		return val, false
 	}
-	pe := el.Value.(*planEntry)
-	if pe.ver != ver || pe.fp != fp {
+	e := el.Value.(*lruEntry[V])
+	if e.ver != ver {
 		c.ll.Remove(el)
 		delete(c.m, key)
-		return nil
+		return val, false
 	}
 	c.ll.MoveToFront(el)
-	return pe.tmpl
+	return e.val, true
 }
 
-func (c *planCache) put(key string, tmpl *sql.Compiled, ver int64, fp string) {
+func (c *lru[V]) put(key string, val V, ver int64) {
 	if c.max <= 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.m[key]; ok {
-		pe := el.Value.(*planEntry)
-		pe.tmpl, pe.ver, pe.fp = tmpl, ver, fp
+		e := el.Value.(*lruEntry[V])
+		e.val, e.ver = val, ver
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[key] = c.ll.PushFront(&planEntry{key: key, tmpl: tmpl, ver: ver, fp: fp})
+	c.m[key] = c.ll.PushFront(&lruEntry[V]{key: key, val: val, ver: ver})
 	for c.ll.Len() > c.max {
 		last := c.ll.Back()
 		c.ll.Remove(last)
-		delete(c.m, last.Value.(*planEntry).key)
+		delete(c.m, last.Value.(*lruEntry[V]).key)
 	}
 }
 
-func (c *planCache) len() int {
+// flush empties the cache.
+func (c *lru[V]) flush() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
-func (c *planCache) contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.m[key]
-	return ok
+	c.ll.Init()
+	clear(c.m)
 }
