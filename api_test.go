@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -238,6 +239,36 @@ func TestConfigSurface(t *testing.T) {
 	want := []string{"Mode", "CacheBytes", "Parallelism"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("recycledb.Config fields = %v, want exactly %v", got, want)
+	}
+}
+
+// TestParseMode pins the one mode vocabulary: short and long names in any
+// letter case, and an error — never a silent Off — for anything else.
+func TestParseMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"off", Off, true}, {"OFF", Off, true},
+		{"hist", History, true}, {"history", History, true}, {"HIST", History, true},
+		{"spec", Speculative, true}, {"speculative", Speculative, true}, {"Spec", Speculative, true},
+		{"pa", Proactive, true}, {"proactive", Proactive, true}, {"PA", Proactive, true},
+		{"spce", Off, false}, {"SPEC ", Off, false}, {"on", Off, false}, {"", Off, false},
+	} {
+		got, err := ParseMode(tc.in)
+		if got != tc.want || (err == nil) != tc.ok {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "spec|speculative") {
+			t.Errorf("ParseMode(%q) error does not name the accepted values: %v", tc.in, err)
+		}
+	}
+	// Every mode's own String() parses back to itself.
+	for _, m := range []Mode{Off, History, Speculative, Proactive} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
 	}
 }
 

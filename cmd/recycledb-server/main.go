@@ -27,19 +27,20 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"recycledb"
-	"recycledb/internal/harness"
+	"recycledb/internal/catalog"
 	"recycledb/internal/server"
+	"recycledb/internal/skyserver"
+	"recycledb/internal/tpch"
 )
 
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:5433", "listen address")
-		mode        = flag.String("mode", "spec", "recycling mode: off, hist, spec, pa")
+		modeName    = flag.String("mode", "spec", "recycling mode: off, hist, spec, pa")
 		sf          = flag.Float64("sf", 0.05, "TPC-H scale factor to preload")
 		objects     = flag.Int("objects", 20000, "SkyServer PhotoPrimary size to preload")
 		seed        = flag.Int64("seed", 1, "data generation seed")
@@ -54,10 +55,16 @@ func main() {
 	flag.Parse()
 
 	log.SetFlags(log.LstdFlags | log.Lmicroseconds)
+	mode, err := recycledb.ParseMode(*modeName)
+	if err != nil {
+		log.Fatalf("-mode: %v", err)
+	}
 	log.Printf("loading TPC-H sf=%g + SkyServer objects=%d ...", *sf, *objects)
-	cat := harness.MixedCatalog(*sf, *objects, *seed)
+	cat := catalog.New()
+	tpch.Generate(cat, *sf, *seed)
+	skyserver.Load(cat, *objects, *seed)
 	eng := recycledb.NewWithCatalog(recycledb.Config{
-		Mode:        parseMode(*mode),
+		Mode:        mode,
 		Parallelism: *par,
 		CacheBytes:  *cacheMB << 20,
 	}, cat)
@@ -83,19 +90,6 @@ func main() {
 	st := srv.Stats()
 	log.Printf("drained: %d conns served, %d stmts rejected by admission, %d errors sent (%v)",
 		st.ConnsAccepted, st.AdmissionDrops, st.ErrorsSent, err)
-}
-
-func parseMode(s string) recycledb.Mode {
-	switch strings.ToLower(s) {
-	case "hist", "history":
-		return recycledb.History
-	case "spec", "speculative":
-		return recycledb.Speculative
-	case "pa", "proactive":
-		return recycledb.Proactive
-	default:
-		return recycledb.Off
-	}
 }
 
 func hostOf(addr string) string {

@@ -11,13 +11,6 @@
 // \rstats (recycler totals), \flush, \tables, \q. EXPLAIN <query> prints the optimizer's chosen plan
 // tree with per-node cost estimates and [cached] markers on subtrees the
 // recycler can serve warm.
-//
-// With -clients N the shell runs non-interactively: N concurrent client
-// goroutines issue a mixed TPC-H workload against the engine for -duration,
-// then a throughput/latency report and the recycler totals print. This is
-// the quickest way to see concurrent recycling (stalls, in-flight sharing,
-// reuse) live; add -write-frac to interleave epoch-committing appends and
-// watch recycling under churn.
 package main
 
 import (
@@ -32,30 +25,26 @@ import (
 	"time"
 
 	"recycledb"
-	"recycledb/internal/harness"
 	"recycledb/internal/tpch"
 	"recycledb/internal/vector"
-	"recycledb/internal/workload"
 )
 
 func main() {
 	var (
-		sf        = flag.Float64("sf", 0.01, "TPC-H scale factor to load")
-		mode      = flag.String("mode", "spec", "recycling mode: off, hist, spec, pa")
-		clients   = flag.Int("clients", 0, "run a non-interactive multi-client benchmark with this many concurrent clients")
-		duration  = flag.Duration("duration", 5*time.Second, "duration of the -clients benchmark")
-		writeFrac = flag.Float64("write-frac", 0, "fraction of -clients operations that are writes (appends to lineitem)")
-		par       = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS, 1 = serial)")
+		sf       = flag.Float64("sf", 0.01, "TPC-H scale factor to load")
+		modeName = flag.String("mode", "spec", "recycling mode: off, hist, spec, pa")
+		par      = flag.Int("parallelism", 0, "intra-query worker budget (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
+	mode, err := recycledb.ParseMode(*modeName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "-mode:", err)
+		os.Exit(2)
+	}
 
-	eng := recycledb.New(recycledb.Config{Mode: parseMode(*mode), Parallelism: *par})
+	eng := recycledb.New(recycledb.Config{Mode: mode, Parallelism: *par})
 	fmt.Printf("loading TPC-H sf=%g ...\n", *sf)
 	tpch.Generate(eng.Catalog(), *sf, 1)
-	if *clients > 0 {
-		runClients(eng, *clients, *duration, *writeFrac)
-		return
-	}
 	fmt.Printf("tables: %s\n", strings.Join(eng.Catalog().TableNames(), ", "))
 	fmt.Println(`type SQL (EXPLAIN <query> shows the plan), or \mode, \stats, \rstats, \flush, \tables, \q (Ctrl-C cancels the running statement)`)
 
@@ -88,12 +77,15 @@ func main() {
 			fmt.Println(strings.Join(eng.Catalog().TableNames(), ", "))
 			continue
 		case strings.HasPrefix(line, `\mode`):
-			parts := strings.Fields(line)
-			if len(parts) == 2 {
-				eng.SetMode(parseMode(parts[1]))
-				fmt.Println("mode:", eng.Mode())
-			} else {
+			var name string
+			if parts := strings.Fields(line); len(parts) == 2 {
+				name = parts[1]
+			}
+			if mode, err := recycledb.ParseMode(name); err != nil {
 				fmt.Println("usage: \\mode off|hist|spec|pa")
+			} else {
+				eng.SetMode(mode)
+				fmt.Println("mode:", eng.Mode())
 			}
 			continue
 		}
@@ -108,25 +100,6 @@ func main() {
 		}
 		runStatement(eng, line, showStats)
 	}
-}
-
-// runClients drives the multi-client workload driver against the engine and
-// prints the throughput report (the -clients flag). With -write-frac > 0 a
-// fraction of operations are epoch-committing appends to lineitem, so the
-// report shows recycling under churn (watch Invalidated vs DeltaExtended in
-// the recycler totals).
-func runClients(eng *recycledb.Engine, clients int, duration time.Duration, writeFrac float64) {
-	fmt.Printf("running %d clients for %v in mode %v (write-frac %.2f) ...\n",
-		clients, duration, eng.Mode(), writeFrac)
-	res := workload.RunClients(workload.ClientsConfig{
-		Clients:   clients,
-		Duration:  duration,
-		Seed:      1,
-		WriteFrac: writeFrac,
-		Write:     harness.SyntheticAppender(eng.Catalog(), "lineitem", 8),
-	}, harness.TPCHMix(4, 1), harness.EngineExec(eng))
-	fmt.Print(harness.ClientsReport(res))
-	fmt.Printf("recycler: %+v\n", eng.Recycler().Stats())
 }
 
 // explainArg strips a leading EXPLAIN keyword, returning the query to
@@ -229,19 +202,6 @@ func printErr(err error) {
 		fmt.Println("error:", err)
 	default:
 		fmt.Println("error:", err)
-	}
-}
-
-func parseMode(s string) recycledb.Mode {
-	switch strings.ToLower(s) {
-	case "hist", "history":
-		return recycledb.History
-	case "spec", "speculative":
-		return recycledb.Speculative
-	case "pa", "proactive":
-		return recycledb.Proactive
-	default:
-		return recycledb.Off
 	}
 }
 

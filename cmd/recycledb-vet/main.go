@@ -49,8 +49,9 @@ var analyzers = []*analysis.Analyzer{
 const module = "recycledb"
 
 // libraryPackages are the packages on the Engine's query path: the
-// cancellation contract (ctxcheck) binds them. Harness, workload drivers,
-// generators, examples and cmds mint their own root contexts legitimately.
+// cancellation contract (ctxcheck) binds them. The test-and-benchmark
+// fixtures (internal/harness, internal/workload), the data generators, the
+// wire client, examples and cmds mint their own root contexts legitimately.
 // internal/server is included deliberately: connection handlers must derive
 // every statement context from the session's context (so CancelRequest,
 // statement_timeout and drain reach them), never mint context.Background.

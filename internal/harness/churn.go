@@ -5,15 +5,14 @@ import (
 	"math/rand"
 
 	"recycledb/internal/catalog"
-	"recycledb/internal/monet"
 	"recycledb/internal/vector"
 	"recycledb/internal/workload"
 )
 
-// Churn helpers: write generators for the multi-client driver's WriteFrac
-// knob, and the monet-baseline execution adapter, so the benchmarks can
-// compare how both recyclers' hit rates behave under updates (lineage-based
-// invalidation with append delta extension vs invalidate-all-on-write).
+// Churn helpers: write generators the DML golden matrices and the race
+// suites interleave with queries, so every recycling mode meets both kinds of
+// epoch (appends, which cached results can be delta-extended across, and
+// deletes, which invalidate the table's dependents).
 
 // SyntheticAppender returns a WriteFunc that appends n plausible rows per
 // call to the named table through the epoch write path, triggering the
@@ -70,29 +69,5 @@ func SyntheticDeleter(cat *catalog.Catalog, table string, n int) workload.WriteF
 		}
 		w.Commit()
 		return nil
-	}
-}
-
-// MixedWriter interleaves appends with occasional deletes: deleteEvery = 0
-// means appends only (the delta-extension showcase); k > 0 issues one
-// delete call per k writes on average.
-func MixedWriter(appendW, deleteW workload.WriteFunc, deleteEvery int) workload.WriteFunc {
-	return func(client int, rng *rand.Rand) error {
-		if deleteEvery > 0 && rng.Intn(deleteEvery) == 0 {
-			return deleteW(client, rng)
-		}
-		return appendW(client, rng)
-	}
-}
-
-// MonetExec adapts the operator-at-a-time baseline engine to the workload
-// driver. Outcome flags stay zero; hit rates come from the engine's
-// recycler statistics instead.
-func MonetExec(m *monet.Engine) workload.ExecFunc {
-	return func(stream int, q workload.Query) (workload.Outcome, error) {
-		if _, err := m.Execute(q.Plan); err != nil {
-			return workload.Outcome{}, err
-		}
-		return workload.Outcome{}, nil
 	}
 }

@@ -30,16 +30,6 @@ type Fig6Config struct {
 	Seed              int64
 }
 
-// DefaultFig6 returns a laptop-scale configuration.
-func DefaultFig6() Fig6Config {
-	return Fig6Config{
-		Objects:           120000,
-		Queries:           100,
-		LimitedCacheBytes: 96 << 10, // forces the admit-all baseline to thrash
-		Seed:              1,
-	}
-}
-
 // Fig6Cell is one bar of the figure.
 type Fig6Cell struct {
 	System  string // "MonetDB" or "Recycler"
@@ -47,6 +37,10 @@ type Fig6Cell struct {
 	Cache   string // "limited" or "unlimited"
 	Naive   time.Duration
 	Recycle time.Duration
+	// Reuses and Flushes count what the recycling run did: cached results
+	// served, and cache flushes between batches.
+	Reuses  int64
+	Flushes int
 }
 
 // PctOfNaive is the figure's y-axis.
@@ -87,16 +81,20 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	cell := func(system, split, cache string, naive, rec fig6Run) Fig6Cell {
+		return Fig6Cell{
+			System: system, Split: split, Cache: cache,
+			Naive: naive.elapsed, Recycle: rec.elapsed,
+			Reuses: rec.reuses, Flushes: rec.flushes,
+		}
+	}
 	for _, split := range splits {
 		for _, cache := range caches {
 			recP, err := runPipelined(cat, queries, recycledb.Speculative, cache.bytes, split.batches)
 			if err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, Fig6Cell{
-				System: "Recycler", Split: split.name, Cache: cache.name,
-				Naive: naiveP, Recycle: recP,
-			})
+			res.Cells = append(res.Cells, cell("Recycler", split.name, cache.name, naiveP, recP))
 			var mrec *monet.Recycler
 			if cache.bytes < 0 {
 				mrec = monet.NewRecycler(0)
@@ -107,54 +105,70 @@ func RunFig6(cfg Fig6Config) (*Fig6Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Cells = append(res.Cells, Fig6Cell{
-				System: "MonetDB", Split: split.name, Cache: cache.name,
-				Naive: naiveM, Recycle: recM,
-			})
+			res.Cells = append(res.Cells, cell("MonetDB", split.name, cache.name, naiveM, recM))
 		}
 	}
 	return res, nil
 }
 
-func runPipelined(cat *catalog.Catalog, queries []skyserver.Query, mode recycledb.Mode, cacheBytes int64, batches int) (time.Duration, error) {
+// fig6Run is one pass over the workload under one system.
+type fig6Run struct {
+	elapsed time.Duration
+	reuses  int64
+	flushes int
+}
+
+func runPipelined(cat *catalog.Catalog, queries []skyserver.Query, mode recycledb.Mode, cacheBytes int64, batches int) (fig6Run, error) {
 	eng := NewEngine(cat, mode, cacheBytes)
+	var run fig6Run
 	start := time.Now()
 	per := (len(queries) + batches - 1) / batches
 	for i, q := range queries {
 		if i > 0 && i%per == 0 {
 			eng.FlushCache()
+			run.flushes++
 		}
 		if _, err := eng.ExecuteContext(context.Background(), q.Plan); err != nil {
-			return 0, fmt.Errorf("query %d (%s): %w", i, q.Pattern, err)
+			return run, fmt.Errorf("query %d (%s): %w", i, q.Pattern, err)
 		}
 	}
-	return time.Since(start), nil
+	run.elapsed = time.Since(start)
+	st := eng.Recycler().Stats()
+	run.reuses = st.Reuses + st.SubsumptionReuse
+	return run, nil
 }
 
-func runMonet(cat *catalog.Catalog, queries []skyserver.Query, rec *monet.Recycler, batches int) (time.Duration, error) {
+func runMonet(cat *catalog.Catalog, queries []skyserver.Query, rec *monet.Recycler, batches int) (fig6Run, error) {
 	eng := monet.New(cat, rec)
+	var run fig6Run
 	start := time.Now()
 	per := (len(queries) + batches - 1) / batches
 	for i, q := range queries {
 		if i > 0 && i%per == 0 && rec != nil {
 			rec.Flush()
+			run.flushes++
 		}
 		if _, err := eng.Execute(q.Plan); err != nil {
-			return 0, fmt.Errorf("query %d (%s): %w", i, q.Pattern, err)
+			return run, fmt.Errorf("query %d (%s): %w", i, q.Pattern, err)
 		}
 	}
-	return time.Since(start), nil
+	run.elapsed = time.Since(start)
+	if rec != nil {
+		run.reuses = rec.Stats().Hits
+	}
+	return run, nil
 }
 
 // String renders the figure as a table of %-of-naive values.
 func (r *Fig6Result) String() string {
-	header := []string{"split", "cache", "system", "naive", "recycler", "% of naive"}
+	header := []string{"split", "cache", "system", "naive", "recycler", "% of naive", "reuses", "flushes"}
 	var rows [][]string
 	for _, c := range r.Cells {
 		rows = append(rows, []string{
 			c.Split, c.Cache, c.System,
 			fmtDur(c.Naive), fmtDur(c.Recycle),
 			fmt.Sprintf("%.1f%%", c.PctOfNaive()),
+			fmt.Sprintf("%d", c.Reuses), fmt.Sprintf("%d", c.Flushes),
 		})
 	}
 	return "Fig. 6 - SkyServer: recycling runtime as % of naive\n" + table(header, rows)

@@ -19,12 +19,8 @@ type ThroughputCell struct {
 	Mode       recycledb.Mode
 	Streams    int
 	AvgStream  time.Duration
-	Total      time.Duration
 	PerPattern map[string]time.Duration // avg execution time per pattern
-	Stats      recycledb.QueryStats     // unused fields zero; summary only
 	Reuses     int64
-	Stores     int64
-	Stalls     int64
 }
 
 // ThroughputResult is the full sweep.
@@ -51,7 +47,6 @@ func RunThroughput(cfg TPCHConfig) (*ThroughputResult, error) {
 			cell := ThroughputCell{
 				Mode: mode, Streams: n,
 				AvgStream:  run.AvgStreamTime(),
-				Total:      run.Total,
 				PerPattern: make(map[string]time.Duration),
 			}
 			for label := range run.PerLabel {
@@ -59,8 +54,6 @@ func RunThroughput(cfg TPCHConfig) (*ThroughputResult, error) {
 			}
 			st := eng.Recycler().Stats()
 			cell.Reuses = st.Reuses + st.SubsumptionReuse
-			cell.Stores = st.Materializations
-			cell.Stalls = st.Stalls
 			res.Cells = append(res.Cells, cell)
 		}
 	}

@@ -27,11 +27,6 @@ type Fig9Config struct {
 	Seed          int64
 }
 
-// DefaultFig9 mirrors the paper's 8 streams x 6 queries.
-func DefaultFig9() Fig9Config {
-	return Fig9Config{SF: 0.01, Streams: 8, MaxConcurrent: 8, Seed: 1}
-}
-
 // Fig9Result carries the trace.
 type Fig9Result struct {
 	Cfg    Fig9Config

@@ -1,8 +1,13 @@
-// Package harness reproduces the paper's evaluation (§V): one runner per
-// figure, each regenerating the rows/series the paper reports. Absolute
-// numbers differ from the paper's testbed; the shapes (who wins, by what
-// factor, where crossovers fall) are the reproduction target (see
-// EXPERIMENTS.md).
+// Package harness is test-and-benchmark support; no shipped command links
+// it. It holds two things. The runners for the paper's figures that have no
+// cell in benchmark/ yet — RunFig6, RunThroughput (Figs. 7 + 8), RunFig9 —
+// each reachable only through its Benchmark* in the root bench_test.go and
+// its smoke test here; absolute numbers differ from the paper's testbed (a
+// laptop-scale generated database instead of 30 GB on 8 cores), so the
+// shapes — who wins, by roughly what factor, where crossovers fall — are
+// what they reproduce. And the fixtures the golden, stress and race suites
+// share: catalogs, query mixes, write generators, the mode list.
+// Performance numbers come from benchmark/run.sh, not from here.
 package harness
 
 import (
@@ -28,17 +33,6 @@ type TPCHConfig struct {
 	// CacheBytes bounds the recycler cache.
 	CacheBytes int64
 	Seed       int64
-}
-
-// DefaultTPCH returns a laptop-scale configuration.
-func DefaultTPCH() TPCHConfig {
-	return TPCHConfig{
-		SF:            0.01,
-		Streams:       []int{4, 16, 64, 256},
-		MaxConcurrent: 12,
-		CacheBytes:    256 << 20,
-		Seed:          1,
-	}
 }
 
 // Modes under evaluation, in the paper's order.
@@ -69,8 +63,6 @@ func EngineExec(e *recycledb.Engine) workload.ExecFunc {
 			Reused:       r.Stats.Reused > 0 || r.Stats.SubsumptionReused > 0,
 			Materialized: r.Stats.Materialized > 0,
 			Stalled:      r.Stats.Waits > 0,
-			MatchTime:    r.Stats.Matching,
-			ExecTime:     r.Stats.Execution,
 		}, nil
 	}
 }

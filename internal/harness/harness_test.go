@@ -1,18 +1,17 @@
 package harness
 
 import (
-	"os"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"recycledb"
 )
 
-// Small-scale smoke runs of every figure. Shape assertions are deliberately
-// loose (timing on CI machines is noisy at tiny scale); the full-scale runs
-// happen in bench_test.go / cmd/recycledb-bench.
+// Small-scale smoke runs of the figure runners. They assert on counters
+// (reuses, flushes, materializations), never on durations: at this scale a
+// loaded or race-instrumented machine reorders any two timings. The
+// laptop-scale runs that print the figures are the Benchmark*Fig* functions
+// in the root bench_test.go.
 
 func TestRunFig6Small(t *testing.T) {
 	cfg := Fig6Config{Objects: 8000, Queries: 24, LimitedCacheBytes: 32 << 10, Seed: 1}
@@ -23,17 +22,16 @@ func TestRunFig6Small(t *testing.T) {
 	if len(res.Cells) != 12 { // 3 splits x 2 caches x 2 systems
 		t.Fatalf("cells = %d, want 12", len(res.Cells))
 	}
+	// Both recyclers must serve cached results in every cell (the workload
+	// repeats one dominant expensive pattern, within each batch too), and
+	// both must have been flushed once between consecutive batches.
+	flushes := map[string]int{"1x100": 0, "2x50": 1, "4x25": 3}
 	for _, c := range res.Cells {
-		if c.Naive <= 0 || c.Recycle <= 0 {
-			t.Fatalf("degenerate cell %+v", c)
+		if c.Reuses == 0 {
+			t.Errorf("%s %s %s: no reuses", c.System, c.Split, c.Cache)
 		}
-	}
-	// Recycling must beat naive on the unflushed, unlimited-cache run for
-	// both systems (the workload repeats one dominant expensive pattern).
-	for _, c := range res.Cells {
-		if c.Split == "1x100" && c.Cache == "unlimited" && c.PctOfNaive() > 95 {
-			t.Errorf("%s %s %s: %.1f%% of naive; recycling should win clearly",
-				c.System, c.Split, c.Cache, c.PctOfNaive())
+		if c.Flushes != flushes[c.Split] {
+			t.Errorf("%s %s %s: %d flushes, want %d", c.System, c.Split, c.Cache, c.Flushes, flushes[c.Split])
 		}
 	}
 	if !strings.Contains(res.String(), "% of naive") {
@@ -56,16 +54,15 @@ func TestRunThroughputSmall(t *testing.T) {
 	if len(res.Cells) != 8 { // 2 stream counts x 4 modes
 		t.Fatalf("cells = %d, want 8", len(res.Cells))
 	}
-	for _, c := range res.Cells {
-		if c.AvgStream <= 0 {
-			t.Fatalf("degenerate cell %+v", c)
-		}
-	}
-	// Recycling must produce reuses at the higher stream count.
-	for _, m := range []recycledb.Mode{recycledb.Speculative, recycledb.Proactive} {
+	// Every recycling mode must produce reuses at the higher stream count,
+	// and Off none at all.
+	for _, m := range Modes {
 		c := res.Cell(m, 6)
-		if c.Reuses == 0 {
-			t.Errorf("mode %v at 6 streams: no reuses", m)
+		if (c.Reuses > 0) != (m != recycledb.Off) {
+			t.Errorf("mode %v at 6 streams: %d reuses", m, c.Reuses)
+		}
+		if len(c.PerPattern) != 22 {
+			t.Errorf("mode %v at 6 streams: %d patterns timed, want 22", m, len(c.PerPattern))
 		}
 	}
 	out := res.String()
@@ -87,58 +84,18 @@ func TestRunFig9Small(t *testing.T) {
 	if len(res.Events) != 4*6 {
 		t.Fatalf("events = %d, want 24", len(res.Events))
 	}
-	// Speculation is on: every query either materializes or reuses
-	// something (final results are always candidates); allow a small
-	// number of exceptions for rejected admissions.
-	neither := 0
+	// Speculation is on and the cache is far larger than the data: every
+	// query materializes something, reuses something, or stalls on another
+	// stream's in-flight materialization of what it needs (final results
+	// are always candidates). Which of the three depends on the
+	// interleaving; that it is one of them does not.
 	for _, e := range res.Events {
-		if !e.Outcome.Reused && !e.Outcome.Materialized {
-			neither++
+		if !e.Outcome.Reused && !e.Outcome.Materialized && !e.Outcome.Stalled {
+			t.Errorf("stream %d %s neither materialized, reused nor stalled", e.Stream, e.Label)
 		}
-	}
-	if neither > len(res.Events)/3 {
-		t.Errorf("%d of %d events neither materialize nor reuse", neither, len(res.Events))
 	}
 	out := res.String()
 	if !strings.Contains(out, "legend") || !strings.Contains(out, "summary") {
 		t.Fatal("Fig9 rendering broken")
-	}
-}
-
-func TestRunFig10Small(t *testing.T) {
-	cfg := Fig10Config{SF: 0.002, Streams: 6, MaxConcurrent: 4, Seed: 1, Windows: 4}
-	res, err := RunFig10(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.MatchCosts) != 6*22 {
-		t.Fatalf("match costs = %d, want 132", len(res.MatchCosts))
-	}
-	if res.GraphNodes == 0 {
-		t.Fatal("graph did not grow")
-	}
-	// The paper's headline property: matching stays bounded (max ~2 ms
-	// there) and far below the cost of evaluating a query from scratch.
-	// With recycling on, the *average* execution time at toy scale can
-	// approach matching cost (reused queries are nearly free), so the
-	// bound is checked against an absolute ceiling here; the full-size
-	// comparison lives in EXPERIMENTS.md. The ceiling measures wall time
-	// inside MatchInsert, so it only holds when the concurrent queries
-	// actually run in parallel — on fewer cores than MaxConcurrent a
-	// matcher gets descheduled mid-measurement and the reading inflates
-	// by whole query executions; instrumented (race) builds, short runs,
-	// and shared CI runners skip it for the same reason.
-	parallel := runtime.NumCPU() >= cfg.MaxConcurrent
-	if !testing.Short() && !raceEnabled && parallel && os.Getenv("CI") == "" && res.Max() > 50*time.Millisecond {
-		t.Errorf("max match cost %v is implausibly high", res.Max())
-	}
-	if res.ExecAvg <= 0 {
-		t.Error("exec average missing")
-	}
-	if len(res.WindowAvgs()) == 0 {
-		t.Fatal("no window averages")
-	}
-	if !strings.Contains(res.String(), "matching cost") {
-		t.Fatal("Fig10 rendering broken")
 	}
 }

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
@@ -13,12 +12,12 @@ import (
 	"recycledb/internal/workload"
 )
 
-// This file builds query mixes for the multi-client driver
-// (workload.RunClients): an online serving tier issuing TPC-H dashboard
-// refreshes and SkyServer cone searches against one shared engine. Each
-// pattern draws from a small pool of fixed parameter variants — exactly the
-// repetition structure (identical and near-identical queries from many
-// clients) that gives the recycler sharing potential.
+// This file builds the query mixes the golden, stress and race suites draw
+// from: an online serving tier issuing TPC-H dashboard refreshes and
+// SkyServer cone searches against one shared engine. Each pattern draws from
+// a small pool of fixed parameter variants — exactly the repetition structure
+// (identical and near-identical queries from many clients) that gives the
+// recycler sharing potential.
 
 // MixedCatalog loads TPC-H at the given scale factor and a synthetic
 // SkyServer sky of skyObjects objects into one catalog.
@@ -60,10 +59,10 @@ func TPCHMix(variants int, seed int64) workload.Mix {
 	return mix
 }
 
-// SkyServerMix returns a client mix over the SkyServer workload patterns
+// skyServerMix returns a client mix over the SkyServer workload patterns
 // (dominant cone search, narrow projections, aggregations, other cones),
 // weighted like the paper's log sample.
-func SkyServerMix(seed int64) workload.Mix {
+func skyServerMix(seed int64) workload.Mix {
 	pool := skyserver.Workload(64, seed)
 	byPattern := make(map[string][]*plan.Node)
 	var order []string
@@ -89,7 +88,7 @@ func SkyServerMix(seed int64) workload.Mix {
 
 // MixedMix combines the TPC-H and SkyServer mixes into one client workload.
 func MixedMix(variants int, seed int64) workload.Mix {
-	return append(TPCHMix(variants, seed), SkyServerMix(seed)...)
+	return append(TPCHMix(variants, seed), skyServerMix(seed)...)
 }
 
 // PermutedMix returns near-variant patterns whose written conjunct order is
@@ -180,33 +179,4 @@ func permute(es []expr.Expr, rng *rand.Rand) []expr.Expr {
 		out[i] = es[j]
 	}
 	return out
-}
-
-// ClientsReport renders a multi-client run for terminals (the shell's
-// -clients mode).
-func ClientsReport(res *workload.ClientsResult) string {
-	rows := [][]string{
-		{"clients", fmt.Sprintf("%d", res.Clients)},
-		{"elapsed", fmtDur(res.Elapsed)},
-		{"queries", fmt.Sprintf("%d", res.Queries)},
-		{"errors", fmt.Sprintf("%d", res.Errs)},
-		{"throughput", fmt.Sprintf("%.0f queries/sec", res.QPS())},
-		{"latency p50", fmtDur(res.Percentile(50))},
-		{"latency p95", fmtDur(res.Percentile(95))},
-		{"latency p99", fmtDur(res.Percentile(99))},
-	}
-	if res.Writes > 0 {
-		rows = append(rows,
-			[]string{"writes", fmt.Sprintf("%d", res.Writes)},
-			[]string{"write errors", fmt.Sprintf("%d", res.WriteErrs)})
-	}
-	labels := make([]string, 0, len(res.PerLabel))
-	for label := range res.PerLabel {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		rows = append(rows, []string{"  " + label, fmt.Sprintf("%d", res.PerLabel[label])})
-	}
-	return table([]string{"metric", "value"}, rows)
 }

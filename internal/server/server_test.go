@@ -249,6 +249,18 @@ func TestUtilityStatements(t *testing.T) {
 	if err != nil || res[0].Rows[0][0] != "speculative" {
 		t.Fatalf("show recycling_mode: %v %+v", err, res)
 	}
+	// The short names README and the server's usage tell operators to type
+	// are the same vocabulary, and a typo is an error that changes nothing.
+	res, err = c.Query(`SET recycling_mode = 'off'; SET recycling_mode = 'spec'; SHOW recycling_mode`)
+	if err != nil || res[2].Rows[0][0] != "speculative" {
+		t.Fatalf("SET recycling_mode = 'spec': %v %+v", err, res)
+	}
+	if _, err := c.Query(`SET recycling_mode = 'spce'`); err == nil {
+		t.Fatal("SET recycling_mode = 'spce' succeeded")
+	}
+	if eng.Mode() != recycledb.Speculative {
+		t.Fatalf("a mistyped mode changed the engine to %v", eng.Mode())
+	}
 }
 
 // TestStatementTimeout sets a tiny timeout over a long-running join and

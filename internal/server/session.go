@@ -893,7 +893,7 @@ func (sess *session) runSet(body string) error {
 		}
 		sess.stmtTimeout = d
 	case "recycling_mode":
-		mode, err := parseMode(value)
+		mode, err := recycledb.ParseMode(value)
 		if err != nil {
 			return err
 		}
@@ -971,20 +971,6 @@ func modeName(m recycledb.Mode) string {
 	default:
 		return "off"
 	}
-}
-
-func parseMode(v string) (recycledb.Mode, error) {
-	switch strings.ToLower(v) {
-	case "off":
-		return recycledb.Off, nil
-	case "history":
-		return recycledb.History, nil
-	case "speculative":
-		return recycledb.Speculative, nil
-	case "proactive":
-		return recycledb.Proactive, nil
-	}
-	return 0, fmt.Errorf("invalid recycling_mode %q (off, history, speculative, proactive)", v)
 }
 
 // ── response plumbing ────────────────────────────────────────────────────

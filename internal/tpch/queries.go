@@ -91,8 +91,9 @@ func addYears(days int64, years int) int64 {
 	return t.Unix() / 86400
 }
 
-// AddYears shifts a day-epoch date by whole years (for harness mixes that
-// rebuild query windows from Params).
+// AddYears shifts a day-epoch date by whole years (for callers outside this
+// package that rebuild a query's date window from Params: the benchmark's
+// SQL workloads and the harness's permuted-conjunct mix).
 func AddYears(days int64, years int) int64 { return addYears(days, years) }
 
 func dd(days int64) *expr.Lit { return expr.DateDays(days) }

@@ -1,12 +1,15 @@
-// Package workload drives concurrent query streams against an engine the
-// way the paper's throughput experiments do (§V): each stream issues its
+// Package workload is test-and-benchmark support; no shipped command links
+// it. It holds the paper's stream protocol (§V) — Run: each stream issues its
 // queries sequentially, streams run concurrently, and a global admission
-// limit (12 in the paper) bounds simultaneously executing queries. The
-// driver records a per-query event trace (reuse / materialization / stall)
-// from which Fig. 9's timeline and Figs. 7-8's aggregates are derived.
+// limit (12 in the paper) bounds simultaneously executing queries, with a
+// per-query event trace (reuse / materialization / stall) from which Fig. 9's
+// timeline and Figs. 7-8's aggregates are derived — and the fixture types the
+// golden and race suites draw queries and writes from (Query, Mix, WriteFunc).
+// Performance numbers come from benchmark/run.sh, not from here.
 package workload
 
 import (
+	"math/rand"
 	"sync"
 	"time"
 
@@ -21,13 +24,50 @@ type Query struct {
 	Plan *plan.Node
 }
 
+// MixEntry is one weighted query pattern of a mix. Make returns the plan for
+// one query instance, drawing any parameters only from the supplied RNG so
+// runs are reproducible. Engines treat plans as read-only (execution clones
+// before resolving), so Make may hand out the same plan instance repeatedly —
+// that sharing is what lets concurrent clients collide on identical queries.
+type MixEntry struct {
+	Label  string
+	Weight int
+	Make   func(rng *rand.Rand) *plan.Node
+}
+
+// Mix is a weighted set of query patterns (e.g. TPC-H refresh dashboards
+// mixed with SkyServer cone searches).
+type Mix []MixEntry
+
+// Pick draws one query from the mix.
+func (m Mix) Pick(rng *rand.Rand) Query {
+	total := 0
+	for _, e := range m {
+		total += e.Weight
+	}
+	if total <= 0 {
+		return Query{}
+	}
+	v := rng.Intn(total)
+	for _, e := range m {
+		if v < e.Weight {
+			return Query{Label: e.Label, Plan: e.Make(rng)}
+		}
+		v -= e.Weight
+	}
+	return Query{}
+}
+
+// WriteFunc performs one write operation (an epoch-committing insert or
+// delete) on behalf of a client. Writes drawn only from rng stay
+// reproducible per client.
+type WriteFunc func(client int, rng *rand.Rand) error
+
 // Outcome describes what the engine did for one query.
 type Outcome struct {
 	Reused       bool
 	Materialized bool
 	Stalled      bool
-	MatchTime    time.Duration
-	ExecTime     time.Duration
 }
 
 // ExecFunc runs one query and reports its outcome.
@@ -131,15 +171,4 @@ func (r *Result) AvgLabelTime(label string) time.Duration {
 		sum += t
 	}
 	return sum / time.Duration(len(ts))
-}
-
-// TotalExecTime sums all query execution times.
-func (r *Result) TotalExecTime() time.Duration {
-	var sum time.Duration
-	for _, ts := range r.PerLabel {
-		for _, t := range ts {
-			sum += t
-		}
-	}
-	return sum
 }

@@ -2,9 +2,12 @@ package workload
 
 import (
 	"errors"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"recycledb/internal/plan"
 )
 
 func TestRunExecutesAllQueries(t *testing.T) {
@@ -16,7 +19,7 @@ func TestRunExecutesAllQueries(t *testing.T) {
 	var count int64
 	res := Run(streams, 2, func(stream int, q Query) (Outcome, error) {
 		atomic.AddInt64(&count, 1)
-		return Outcome{ExecTime: time.Millisecond}, nil
+		return Outcome{}, nil
 	})
 	if count != 5 {
 		t.Fatalf("executed %d queries, want 5", count)
@@ -101,9 +104,6 @@ func TestAverages(t *testing.T) {
 	if res.AvgLabelTime("zzz") != 0 {
 		t.Fatal("unknown label should average 0")
 	}
-	if res.TotalExecTime() <= 0 {
-		t.Fatal("TotalExecTime not positive")
-	}
 	if res.Total <= 0 {
 		t.Fatal("Total not positive")
 	}
@@ -119,5 +119,43 @@ func TestEventTimesOrdered(t *testing.T) {
 		if e.Start > e.Begin || e.Begin > e.End {
 			t.Fatalf("event times out of order: %+v", e)
 		}
+	}
+}
+
+func TestMixPick(t *testing.T) {
+	mk := func(rng *rand.Rand) *plan.Node { return plan.NewScan("t", "a") }
+	const draws = 400
+	for _, tc := range []struct {
+		name string
+		mix  Mix
+		min  map[string]int // lower bound on draws per label; "" is the zero Query
+	}{
+		{"weights respected",
+			Mix{{Label: "hot", Weight: 3, Make: mk}, {Label: "cold", Weight: 1, Make: mk}},
+			map[string]int{"hot": 250, "cold": 50}},
+		{"zero-weight entry never drawn",
+			Mix{{Label: "hot", Weight: 1, Make: mk}, {Label: "cold", Weight: 0, Make: mk}},
+			map[string]int{"hot": draws}},
+		{"zero-weight mix returns the zero Query",
+			Mix{{Label: "hot", Weight: 0, Make: mk}},
+			map[string]int{"": draws}},
+		{"empty mix returns the zero Query", nil, map[string]int{"": draws}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			got := map[string]int{}
+			for i := 0; i < draws; i++ {
+				q := tc.mix.Pick(rng)
+				if (q.Plan == nil) != (q.Label == "") {
+					t.Fatalf("half-filled query %+v", q)
+				}
+				got[q.Label]++
+			}
+			for label, n := range tc.min {
+				if got[label] < n {
+					t.Errorf("%q drawn %d times of %d, want >= %d (all draws: %v)", label, got[label], draws, n, got)
+				}
+			}
+		})
 	}
 }

@@ -75,6 +75,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -98,6 +99,24 @@ const (
 	Speculative = rewrite.Speculative
 	Proactive   = rewrite.Proactive
 )
+
+// ParseMode maps a mode name, short or long and in any letter case, to its
+// Mode. It is the one vocabulary of the commands' -mode flags, the shell's
+// \mode and the wire's SET recycling_mode; any other string is an error, so
+// a typo cannot silently select Off.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "off":
+		return Off, nil
+	case "hist", "history":
+		return History, nil
+	case "spec", "speculative":
+		return Speculative, nil
+	case "pa", "proactive":
+		return Proactive, nil
+	}
+	return Off, fmt.Errorf("recycledb: unknown recycling mode %q (want off, hist|history, spec|speculative or pa|proactive)", s)
+}
 
 // Config tunes the engine.
 type Config struct {
