@@ -17,7 +17,10 @@ import (
 
 	"recycledb"
 
+	"recycledb/internal/catalog"
+	"recycledb/internal/exec"
 	"recycledb/internal/harness"
+	"recycledb/internal/tpch"
 	"recycledb/internal/workload"
 )
 
@@ -128,5 +131,37 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 	}
 	if measuredRE.ReplaceAllString(w1, "") != measuredRE.ReplaceAllString(w2, "") {
 		t.Fatalf("warm re-plan unstable:\n%s\n--- vs ---\n%s", w1, w2)
+	}
+}
+
+// TestOptimizerBuildRowsNoWorseThanWritten holds the cost model to the
+// hand-written TPC-H plans: for every pattern at three parameter draws, the
+// optimized plan inserts at most 1.25x the hash-join build rows the plan as
+// written does. Build rows are a count, not a clock, so the check is exact
+// and repeatable; a join estimate that puts lineitem on the build side
+// (min(|L|,|R|) did, for Q2/Q5/Q7/Q9/Q11) fails it by 2-36x.
+func TestOptimizerBuildRowsNoWorseThanWritten(t *testing.T) {
+	cat := catalog.New()
+	tpch.Generate(cat, 0.01, 1)
+	eng := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Off, Parallelism: 1}, cat)
+	for _, s := range tpch.Streams(3, 7) {
+		for _, p := range s.Queries {
+			q := tpch.Build(p)
+			before := exec.JoinBuildRows()
+			if _, err := runAsWritten(cat, q); err != nil {
+				t.Fatalf("%v as written: %v", p, err)
+			}
+			written := exec.JoinBuildRows() - before
+			before = exec.JoinBuildRows()
+			if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
+				t.Fatalf("%v optimized: %v", p, err)
+			}
+			optimized := exec.JoinBuildRows() - before
+			t.Logf("Q%-2d written %7d optimized %7d", p.Q, written, optimized)
+			if float64(optimized) > 1.25*float64(written) {
+				t.Errorf("%v: optimized plan builds %d rows, written plan %d (%.2fx > 1.25x)",
+					p, optimized, written, float64(optimized)/float64(max(written, 1)))
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"sort"
 	"sync"
 	"time"
@@ -18,13 +19,126 @@ type AggExpr struct {
 	Typ  vector.Type // output type (resolved by the planner)
 }
 
-// acc is a single aggregate accumulator.
-type acc struct {
-	i   int64
-	f   float64
-	s   string
-	cnt int64
-	set bool
+// accCol is one aggregate's accumulators as a typed column, one slot per
+// group: val holds the running count, sum, min or max in the aggregate's
+// output type (avg: the float sum, with the row count in n), and set marks
+// the min/max slots that hold a value. Only a string min/max column holds
+// pointers, so a growing directory gives the GC nothing to scan, and
+// emission is a bulk copy of val.
+type accCol struct {
+	val vector.Vector
+	n   []int64 // avg only
+	set []bool  // min and max only
+}
+
+// grow extends the column to groups zeroed slots.
+func (c *accCol) grow(ag AggExpr, groups int) {
+	k := groups - c.val.Len()
+	if k <= 0 {
+		return
+	}
+	switch c.val.Typ {
+	case vector.Int64, vector.Date:
+		c.val.I64 = vector.GrowI64(c.val.I64, k)
+	case vector.Float64:
+		c.val.F64 = vector.GrowF64(c.val.F64, k)
+	case vector.String:
+		c.val.Str = vector.GrowStr(c.val.Str, k)
+	case vector.Bool:
+		c.val.B = vector.GrowBool(c.val.B, k)
+	}
+	switch ag.Func {
+	case plan.Avg:
+		c.n = vector.GrowI64(c.n, k)
+	case plan.Min, plan.Max:
+		c.set = vector.GrowBool(c.set, k)
+	}
+}
+
+// update folds row i of arg (the batch's evaluated argument, dense) into
+// slot gids[i], for every row of the batch: one typed loop per aggregate.
+// Rows reach each slot in input order, so float sums are bit-identical to a
+// row-at-a-time fold.
+func (c *accCol) update(ag AggExpr, gids []int32, arg *vector.Vector) {
+	switch ag.Func {
+	case plan.Count:
+		v := c.val.I64
+		for _, g := range gids {
+			v[g]++
+		}
+	case plan.Sum:
+		if c.val.Typ == vector.Float64 {
+			sumInto(c.val.F64, gids, arg.F64)
+		} else {
+			sumInto(c.val.I64, gids, arg.I64)
+		}
+	case plan.Avg:
+		sumInto(c.val.F64, gids, arg.F64)
+		n := c.n
+		for _, g := range gids {
+			n[g]++
+		}
+	case plan.Min, plan.Max:
+		c.minMax(ag, gids, arg, nil)
+	}
+}
+
+// merge folds slot g of src into slot dst[g], for every g: counts and sums
+// add, avg adds both halves, min/max compare where src holds a value.
+func (c *accCol) merge(ag AggExpr, dst []int32, src *accCol) {
+	switch ag.Func {
+	case plan.Count, plan.Sum, plan.Avg:
+		if c.val.Typ == vector.Float64 {
+			sumInto(c.val.F64, dst, src.val.F64)
+		} else {
+			sumInto(c.val.I64, dst, src.val.I64)
+		}
+		if ag.Func == plan.Avg {
+			sumInto(c.n, dst, src.n)
+		}
+	case plan.Min, plan.Max:
+		c.minMax(ag, dst, &src.val, src.set)
+	}
+}
+
+// minMax folds x[i] into slot gids[i] for every i whose xset bit is on (nil:
+// every i) — the typed dispatch of foldMinMax.
+func (c *accCol) minMax(ag AggExpr, gids []int32, x *vector.Vector, xset []bool) {
+	min := ag.Func == plan.Min
+	switch c.val.Typ {
+	case vector.Int64, vector.Date:
+		foldMinMax(c.val.I64, c.set, gids, x.I64, xset, min)
+	case vector.Float64:
+		foldMinMax(c.val.F64, c.set, gids, x.F64, xset, min)
+	case vector.String:
+		foldMinMax(c.val.Str, c.set, gids, x.Str, xset, min)
+	case vector.Bool:
+		foldMinMaxBool(c.val.B, c.set, gids, x.B, xset, min)
+	}
+}
+
+// sumInto adds x[i] to v[gids[i]] for every i.
+func sumInto[T int64 | float64](v []T, gids []int32, x []T) {
+	x = x[:len(gids)]
+	for i, g := range gids {
+		v[g] += x[i]
+	}
+}
+
+// foldMinMax keeps, per slot, the least (min) or greatest value offered. A
+// slot takes its first value as is, so a NaN there sticks — it compares
+// false against everything after it — exactly as a row-at-a-time fold does.
+func foldMinMax[T cmp.Ordered](v []T, set []bool, gids []int32, x []T, xset []bool, min bool) {
+	x = x[:len(gids)]
+	for i, g := range gids {
+		if xset != nil && !xset[i] {
+			continue
+		}
+		if !set[g] || (min && x[i] < v[g]) || (!min && x[i] > v[g]) {
+			v[g] = x[i]
+			set[g] = true
+		}
+	}
 }
 
 // groupOrd is a group's first-occurrence position in the morsel-ordered
@@ -48,10 +162,12 @@ func (a groupOrd) less(b groupOrd) bool {
 // aggState is the accumulation core of AggOp — one per worker, plus the
 // merged state when there are several: the group directory (open-addressing
 // table keyed by columnar hashes, verified with typed comparators against
-// the stored key rows) plus one accumulator per (aggregate, group). No
-// per-row key bytes are encoded or allocated. Partial states built over
-// disjoint input partitions merge losslessly with mergeFrom —
-// count/sum/avg/min/max accumulators all carry enough to combine.
+// the stored key rows) plus one typed accumulator column per aggregate. A
+// batch is absorbed in two passes: every row is resolved to its group id,
+// then each aggregate runs one typed update loop over the batch. No per-row
+// key bytes are encoded or allocated. Partial states built over disjoint
+// input partitions merge losslessly with mergeFrom — count/sum/avg/min/max
+// accumulators all carry enough to combine.
 type aggState struct {
 	groupCols []int // group-by column indexes in the input schema
 	aggs      []AggExpr
@@ -61,10 +177,11 @@ type aggState struct {
 	groupHash []uint64      // per group
 	keyRows   *vector.Batch // one row per group: the group-by column values
 	keyCols   []int         // 0..len(groupCols)-1, the keyRows columns
-	accs      [][]acc       // accs[agg][group]
+	accs      []accCol      // per aggregate
 	nGroups   int
 
 	rowH   []uint64         // per-batch scratch: group hashes
+	gids   []int32          // per-batch scratch: group ids
 	argVec []*vector.Vector // per-batch scratch: evaluated aggregate args
 	argTmp *vector.Vector   // coercion scratch for EvalAsScratch
 
@@ -95,7 +212,10 @@ func (st *aggState) open(ctx *Ctx, inSchema catalog.Schema) {
 	if st.fastHash {
 		fastHashEngaged.Add(1)
 	}
-	st.accs = make([][]acc, len(st.aggs))
+	st.accs = make([]accCol, len(st.aggs))
+	for a, ag := range st.aggs {
+		st.accs[a].val.Typ = ag.Typ
+	}
 	keyTypes := make([]vector.Type, len(st.groupCols))
 	st.keyCols = make([]int, len(st.groupCols))
 	for i, c := range st.groupCols {
@@ -147,8 +267,9 @@ func (st *aggState) startMorsel(m int) {
 // lookupGroup resolves the group id for physical row r of in (whose group
 // hash is gh), inserting a new group if needed. inCols maps the state's key
 // positions to in's columns; ord is the row's stream position (recorded for
-// new groups when trackOrd is on).
-func (st *aggState) lookupGroup(gh uint64, in *vector.Batch, r int, inCols []int, ord groupOrd) int {
+// new groups when trackOrd is on). A new group's accumulator slots appear
+// at the next growAccs.
+func (st *aggState) lookupGroup(gh uint64, in *vector.Batch, r int, inCols []int, ord groupOrd) int32 {
 	s := st.table.slot(gh)
 	for {
 		g := st.table.buckets[s]
@@ -157,28 +278,32 @@ func (st *aggState) lookupGroup(gh uint64, in *vector.Batch, r int, inCols []int
 		}
 		if st.groupHash[g] == gh &&
 			keyRowsEqual(st.keyRows, int(g), st.keyCols, in, r, inCols) {
-			return int(g)
+			return g
 		}
 		s = (s + 1) & st.table.mask
 	}
-	// New group: record its key row, hash, and fresh accumulators.
-	g := st.nGroups
+	// New group: record its key row and hash.
+	g := int32(st.nGroups)
 	st.nGroups++
 	st.groupHash = append(st.groupHash, gh)
 	for k, c := range inCols {
 		st.keyRows.Vecs[k].AppendFrom(in.Vecs[c], r)
 	}
-	for a := range st.aggs {
-		st.accs[a] = append(st.accs[a], acc{})
-	}
 	if st.trackOrd {
 		st.ord = append(st.ord, ord)
 	}
-	st.table.buckets[s] = int32(g)
+	st.table.buckets[s] = g
 	if st.nGroups*4 >= len(st.table.buckets)*3 {
 		st.grow()
 	}
 	return g
+}
+
+// growAccs gives every group its accumulator slots.
+func (st *aggState) growAccs() {
+	for a, ag := range st.aggs {
+		st.accs[a].grow(ag, st.nGroups)
+	}
 }
 
 // grow doubles the directory and reinserts every group by its stored hash.
@@ -191,6 +316,14 @@ func (st *aggState) grow() {
 		}
 		st.table.buckets[s] = int32(g)
 	}
+}
+
+// scratchIDs returns the group-id scratch resized to n.
+func (st *aggState) scratchIDs(n int) []int32 {
+	if cap(st.gids) < n {
+		st.gids = make([]int32, n)
+	}
+	return st.gids[:n]
 }
 
 // absorb folds one input batch into the state.
@@ -211,17 +344,24 @@ func (st *aggState) absorb(in *vector.Batch) error {
 			return err
 		}
 	}
+	gids := st.scratchIDs(n)
 	if st.scalar {
 		st.ensureScalarGroup()
-		for a, ag := range st.aggs {
-			accs := st.accs[a]
-			for i := 0; i < n; i++ {
-				update(&accs[0], ag, st.argVec[a], i)
-			}
-		}
-		st.rowBase += int64(n)
-		return nil
+		clear(gids)
+	} else {
+		st.resolveGroups(in, gids)
 	}
+	for a, ag := range st.aggs {
+		st.accs[a].update(ag, gids, st.argVec[a])
+	}
+	st.rowBase += int64(n)
+	return nil
+}
+
+// resolveGroups writes the group id of every row of in to gids, creating
+// groups (and their accumulator slots) as needed.
+func (st *aggState) resolveGroups(in *vector.Batch, gids []int32) {
+	n := len(gids)
 	if cap(st.rowH) < n {
 		st.rowH = make([]uint64, n)
 	}
@@ -232,19 +372,15 @@ func (st *aggState) absorb(in *vector.Batch) error {
 		hashColumns(in, st.groupCols, st.rowH)
 	}
 	sel := in.Sel
-	for i := 0; i < n; i++ {
+	for i := range gids {
 		r := i
 		if sel != nil {
 			r = int(sel[i])
 		}
-		g := st.lookupGroup(st.rowH[i], in, r, st.groupCols,
+		gids[i] = st.lookupGroup(st.rowH[i], in, r, st.groupCols,
 			groupOrd{st.curMorsel, st.rowBase + int64(i)})
-		for a, ag := range st.aggs {
-			update(&st.accs[a][g], ag, st.argVec[a], i)
-		}
 	}
-	st.rowBase += int64(n)
-	return nil
+	st.growAccs()
 }
 
 // ensureScalarGroup guarantees the single output row of a scalar
@@ -252,9 +388,7 @@ func (st *aggState) absorb(in *vector.Batch) error {
 func (st *aggState) ensureScalarGroup() {
 	if st.nGroups == 0 {
 		st.nGroups = 1
-		for a := range st.aggs {
-			st.accs[a] = append(st.accs[a], acc{})
-		}
+		st.growAccs()
 		if st.trackOrd {
 			st.ord = append(st.ord, groupOrd{})
 		}
@@ -267,84 +401,59 @@ func (st *aggState) mergeFrom(src *aggState) {
 	if src.nGroups == 0 {
 		return
 	}
+	dst := st.scratchIDs(src.nGroups)
 	if st.scalar {
 		st.ensureScalarGroup()
-		for a, ag := range st.aggs {
-			mergeAcc(&st.accs[a][0], &src.accs[a][0], ag)
+		dst[0] = 0
+	} else {
+		for g := range dst {
+			var ord groupOrd
+			if src.trackOrd {
+				ord = src.ord[g]
+			}
+			d := st.lookupGroup(src.groupHash[g], src.keyRows, g, src.keyCols, ord)
+			dst[g] = d
+			if st.trackOrd && src.trackOrd && src.ord[g].less(st.ord[d]) {
+				st.ord[d] = src.ord[g]
+			}
 		}
-		return
+		st.growAccs()
 	}
-	for g := 0; g < src.nGroups; g++ {
-		var ord groupOrd
-		if src.trackOrd {
-			ord = src.ord[g]
+	for a, ag := range st.aggs {
+		st.accs[a].merge(ag, dst, &src.accs[a])
+	}
+}
+
+// foldMinMaxBool is foldMinMax over bools, ordered false < true.
+func foldMinMaxBool(v, set []bool, gids []int32, x, xset []bool, min bool) {
+	x = x[:len(gids)]
+	for i, g := range gids {
+		if xset != nil && !xset[i] {
+			continue
 		}
-		dst := st.lookupGroup(src.groupHash[g], src.keyRows, g, src.keyCols, ord)
-		for a, ag := range st.aggs {
-			mergeAcc(&st.accs[a][dst], &src.accs[a][g], ag)
-		}
-		if st.trackOrd && src.trackOrd && src.ord[g].less(st.ord[dst]) {
-			st.ord[dst] = src.ord[g]
+		if !set[g] || (min && !x[i] && v[g]) || (!min && x[i] && !v[g]) {
+			v[g] = x[i]
+			set[g] = true
 		}
 	}
 }
 
-// mergeAcc combines two partial accumulators for one aggregate. The
-// accumulator representation is closed under merging: counts and sums add,
-// avg carries (sum, count), min/max compare with the set flag guarding
-// never-updated partials.
-func mergeAcc(dst, src *acc, ag AggExpr) {
-	switch ag.Func {
-	case plan.Count:
-		dst.cnt += src.cnt
-	case plan.Sum:
-		dst.i += src.i
-		dst.f += src.f
-	case plan.Avg:
-		dst.f += src.f
-		dst.cnt += src.cnt
-	case plan.Min, plan.Max:
-		if !src.set {
-			return
-		}
-		if !dst.set {
-			*dst = *src
-			return
-		}
-		min := ag.Func == plan.Min
-		switch argType(ag) {
-		case vector.Int64, vector.Date:
-			if (min && src.i < dst.i) || (!min && src.i > dst.i) {
-				dst.i = src.i
-			}
-		case vector.Float64:
-			if (min && src.f < dst.f) || (!min && src.f > dst.f) {
-				dst.f = src.f
-			}
-		case vector.String:
-			if (min && src.s < dst.s) || (!min && src.s > dst.s) {
-				dst.s = src.s
-			}
-		}
-	}
-}
-
-// emitRange appends groups [lo, hi) in group-id order: keys column-wise,
-// accumulators finalized row-wise.
+// emitRange appends groups [lo, hi) in group-id order: keys and
+// accumulators column-wise.
 func (st *aggState) emitRange(out *vector.Batch, lo, hi int) {
 	nk := len(st.groupCols)
 	for k := 0; k < nk; k++ {
 		out.Vecs[k].AppendRange(st.keyRows.Vecs[k], lo, hi)
 	}
-	aggEmitKernelRuns.Add(1)
 	for a, ag := range st.aggs {
-		outV := out.Vecs[nk+a]
-		accs := st.accs[a]
-		if emitAccsRange(outV, accs[lo:hi], ag) {
+		c, v := &st.accs[a], out.Vecs[nk+a]
+		if ag.Func != plan.Avg {
+			v.AppendRange(&c.val, lo, hi)
 			continue
 		}
-		for g := lo; g < hi; g++ {
-			emitAcc(outV, &accs[g], ag)
+		dst := growTailF64(v, hi-lo)
+		for i := range dst {
+			dst[i] = avgOf(c.val.F64[lo+i], c.n[lo+i])
 		}
 	}
 }
@@ -355,17 +464,32 @@ func (st *aggState) emitIndex(out *vector.Batch, idx []int32) {
 	for k := 0; k < nk; k++ {
 		out.Vecs[k].AppendGather(st.keyRows.Vecs[k], idx)
 	}
-	aggEmitKernelRuns.Add(1)
 	for a, ag := range st.aggs {
-		outV := out.Vecs[nk+a]
-		accs := st.accs[a]
-		if emitAccsIndex(outV, accs, idx, ag) {
+		c, v := &st.accs[a], out.Vecs[nk+a]
+		if ag.Func != plan.Avg {
+			v.AppendGather(&c.val, idx)
 			continue
 		}
-		for _, g := range idx {
-			emitAcc(outV, &accs[g], ag)
+		dst := growTailF64(v, len(idx))
+		for i, g := range idx {
+			dst[i] = avgOf(c.val.F64[g], c.n[g])
 		}
 	}
+}
+
+// growTailF64 extends v by n rows and returns the writable tail.
+func growTailF64(v *vector.Vector, n int) []float64 {
+	v.F64 = vector.GrowF64(v.F64, n)
+	return v.F64[len(v.F64)-n:]
+}
+
+// avgOf finalizes an average; an empty group (scalar avg over no rows)
+// averages to 0.
+func avgOf(sum float64, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
 }
 
 // argType returns the vector type the aggregate argument evaluates to.
@@ -382,75 +506,6 @@ func argType(ag AggExpr) vector.Type {
 		return vector.Int64
 	default: // Min, Max: output type equals argument type
 		return ag.Typ
-	}
-}
-
-func update(a *acc, ag AggExpr, arg *vector.Vector, i int) {
-	switch ag.Func {
-	case plan.Count:
-		a.cnt++
-	case plan.Sum:
-		if arg.Typ == vector.Float64 {
-			a.f += arg.F64[i]
-		} else {
-			a.i += arg.I64[i]
-		}
-	case plan.Avg:
-		a.f += arg.F64[i]
-		a.cnt++
-	case plan.Min:
-		updateMinMax(a, arg, i, true)
-	case plan.Max:
-		updateMinMax(a, arg, i, false)
-	}
-}
-
-func updateMinMax(a *acc, arg *vector.Vector, i int, min bool) {
-	switch arg.Typ {
-	case vector.Int64, vector.Date:
-		x := arg.I64[i]
-		if !a.set || (min && x < a.i) || (!min && x > a.i) {
-			a.i = x
-		}
-	case vector.Float64:
-		x := arg.F64[i]
-		if !a.set || (min && x < a.f) || (!min && x > a.f) {
-			a.f = x
-		}
-	case vector.String:
-		x := arg.Str[i]
-		if !a.set || (min && x < a.s) || (!min && x > a.s) {
-			a.s = x
-		}
-	}
-	a.set = true
-}
-
-func emitAcc(out *vector.Vector, a *acc, ag AggExpr) {
-	switch ag.Func {
-	case plan.Count:
-		out.AppendInt64(a.cnt)
-	case plan.Sum:
-		if ag.Typ == vector.Float64 {
-			out.AppendFloat64(a.f)
-		} else {
-			out.AppendInt64(a.i)
-		}
-	case plan.Avg:
-		if a.cnt == 0 {
-			out.AppendFloat64(0)
-		} else {
-			out.AppendFloat64(a.f / float64(a.cnt))
-		}
-	case plan.Min, plan.Max:
-		switch ag.Typ {
-		case vector.Int64, vector.Date:
-			out.AppendInt64(a.i)
-		case vector.Float64:
-			out.AppendFloat64(a.f)
-		case vector.String:
-			out.AppendString(a.s)
-		}
 	}
 }
 

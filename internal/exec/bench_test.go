@@ -188,6 +188,33 @@ func BenchmarkHashAggManyGroups(b *testing.B) {
 	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
 }
 
+// BenchmarkHashAggTwoKeys is Q21's inner aggregation shape — count(*)
+// grouped by (l_orderkey, l_suppkey), one group per row — over (id, k):
+// the generic two-column hash, a directory insert per row and accumulator
+// growth per group dominate.
+func BenchmarkHashAggTwoKeys(b *testing.B) {
+	t := benchTable(benchRows)
+	ctx := NewCtx(catalog.New())
+	b.SetBytes(int64(benchRows) * 16)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		scan, _ := benchScan(t)
+		outSchema := catalog.Schema{
+			{Name: "id", Typ: vector.Int64},
+			{Name: "k", Typ: vector.Int64},
+			{Name: "n", Typ: vector.Int64},
+		}
+		h := pipeAgg(scan, []int{0, 1}, []AggExpr{
+			{Func: plan.Count, Typ: vector.Int64},
+		}, outSchema)
+		rows := drain(b, ctx, h)
+		if rows != benchRows {
+			b.Fatalf("got %d groups, want %d", rows, benchRows)
+		}
+	}
+	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+}
+
 // BenchmarkSort measures a full blocking sort of 256Ki rows by float64 key.
 func BenchmarkSort(b *testing.B) {
 	t := benchTable(benchRows)

@@ -174,6 +174,40 @@ func TestHashAggGrouped(t *testing.T) {
 	}
 }
 
+// Min and max order bools false < true, serially and through the parallel
+// merge, and emit one value per group.
+func TestHashAggBoolMinMax(t *testing.T) {
+	tb := catalog.NewTable("flags", catalog.Schema{
+		{Name: "k", Typ: vector.Int64},
+		{Name: "b", Typ: vector.Bool},
+	})
+	w := tb.BeginWrite()
+	app := w.Appender()
+	for i := 0; i < 64; i++ {
+		app.Int64(0, int64(i%3))
+		app.Bool(1, i%3 == 0 || (i%3 == 1 && i > 40)) // k=0 all true, k=1 mixed, k=2 all false
+		app.FinishRow()
+	}
+	w.Commit()
+	cat := catalog.New()
+	cat.AddTable(tb)
+	q := plan.NewAggregate(plan.NewScan("flags", "k", "b"), []string{"k"},
+		plan.A(plan.Min, expr.C("b"), "lo"),
+		plan.A(plan.Max, expr.C("b"), "hi"))
+	want := []string{"0|true|true|", "1|false|true|", "2|false|false|"}
+	for _, par := range []int{1, 4} {
+		got := aggResultRows(runPlanPar(t, cat, q, par, 8))
+		if len(got) != len(want) {
+			t.Fatalf("par %d: rows %q, want %q", par, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("par %d: rows %q, want %q", par, got, want)
+			}
+		}
+	}
+}
+
 func TestHashAggScalarOverEmptyInput(t *testing.T) {
 	cat := testCatalog()
 	n := plan.NewAggregate(

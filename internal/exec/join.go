@@ -124,6 +124,7 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 		b.hash = append(b.hash, hs...)
 	}
 	rows := len(b.hash)
+	joinBuildRows.Add(int64(rows))
 	b.next = make([]int32, rows)
 
 	// Partition count: enough for the chain builders to run concurrently,

@@ -53,21 +53,21 @@ import (
 // Engagement counters (process-wide, for tests and introspection).
 var (
 	predKernelsCompiled atomic.Int64
-	aggEmitKernelRuns   atomic.Int64
 	fastHashEngaged     atomic.Int64
+	joinBuildRows       atomic.Int64
 )
 
 // PredKernelsCompiled returns the number of predicate kernels compiled since
 // process start.
 func PredKernelsCompiled() int64 { return predKernelsCompiled.Load() }
 
-// AggEmitKernelRuns returns the number of typed aggregate-emission kernel
-// invocations since process start.
-func AggEmitKernelRuns() int64 { return aggEmitKernelRuns.Load() }
-
 // FastHashEngaged returns the number of operator opens that selected the
 // single-column int64 hash fast path since process start.
 func FastHashEngaged() int64 { return fastHashEngaged.Load() }
+
+// JoinBuildRows returns the number of rows inserted into hash-join build
+// tables since process start.
+func JoinBuildRows() int64 { return joinBuildRows.Load() }
 
 // kernelKind discriminates the compiled inner loops.
 type kernelKind uint8
@@ -93,10 +93,10 @@ type predKernel struct {
 	f1, f2 float64 // float constants (f2: between upper bound)
 	s      string  // string constant
 
-	// Float outcome mask: the predicate holds when x<c and onLT, when x>c
-	// and onGT, or when neither (equal, or NaN involved) and onEQ. This is
-	// exactly cmpMatch(op, compareF64(x, c)).
-	onLT, onEQ, onGT bool
+	// Float outcome mask: the comparison outcomes (onEQ, onLT, onGT) for
+	// which the predicate holds. This is exactly cmpMatch(op,
+	// compareF64(x, c)).
+	mask uint8
 
 	eq bool // string: true for =, false for <>
 
@@ -150,7 +150,7 @@ func init() {
 			kernelRegistry[kernelKey{ct, vector.Float64, op}] = kernelEntry{
 				compile: func(k *predKernel, c vector.Datum) {
 					k.kind, k.f1 = kI64FCmp, datumF64(c)
-					k.onLT, k.onEQ, k.onGT = outcomeMask(op)
+					k.mask = outcomeMask(op)
 					k.refine, k.dense = refineI64FCmp, denseI64FCmp
 				},
 			}
@@ -161,7 +161,7 @@ func init() {
 		kernelRegistry[kernelKey{vector.Float64, vector.Float64, op}] = kernelEntry{
 			compile: func(k *predKernel, c vector.Datum) {
 				k.kind, k.f1 = kF64Cmp, datumF64(c)
-				k.onLT, k.onEQ, k.onGT = outcomeMask(op)
+				k.mask = outcomeMask(op)
 				k.refine, k.dense = refineF64Cmp, denseF64Cmp
 			},
 		}
@@ -190,24 +190,51 @@ func datumF64(d vector.Datum) float64 {
 	return float64(d.I64)
 }
 
+// The three outcomes of a float comparison, as bits of an outcome mask.
+const (
+	onEQ uint8 = 1 << iota // equal, or NaN involved (unordered)
+	onLT
+	onGT
+)
+
+// holds is 1 when mask accepts the outcome of comparing x with c, else 0,
+// computed without a branch. The outcome is 0 for equal or unordered, 1
+// for less, 2 for greater; masking it with 7 lets the compiler drop the
+// out-of-range guard on the shift.
+func holds(mask uint8, x, c float64) int {
+	o := b2i(x < c) | b2i(x > c)<<1
+	return int(mask >> (o & 7) & 1)
+}
+
+// b2i is 1 for true and 0 for false. The compiler lowers it to a flag
+// read, not a jump, so kernels can add a row's verdict to their output
+// cursor instead of branching on it: with a data-dependent branch per row,
+// a selective float filter spends most of its time in mispredictions.
+func b2i(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // outcomeMask decomposes a CmpOp into which of the three compareF64 outcomes
 // (less, equal-or-unordered, greater) satisfy it.
-func outcomeMask(op expr.CmpOp) (onLT, onEQ, onGT bool) {
+func outcomeMask(op expr.CmpOp) uint8 {
 	switch op {
 	case expr.EQ:
-		return false, true, false
+		return onEQ
 	case expr.NE:
-		return true, false, true
+		return onLT | onGT
 	case expr.LT:
-		return true, false, false
+		return onLT
 	case expr.LE:
-		return true, true, false
+		return onLT | onEQ
 	case expr.GT:
-		return false, false, true
+		return onGT
 	case expr.GE:
-		return false, true, true
+		return onEQ | onGT
 	}
-	return false, false, false
+	return 0
 }
 
 // compileI64Range lowers an integer order comparison to range containment.
@@ -307,15 +334,14 @@ func fuseKernelPair(a, b *predKernel) *predKernel {
 }
 
 // betweenBounds recognizes a GE/LE float pair in either order. GE is the
-// mask (onEQ, onGT), LE is (onLT, onEQ); the fused test !(x<lo) && !(x>hi)
-// is exactly the conjunction of the two masked comparisons, NaN included.
+// mask onEQ|onGT, LE is onLT|onEQ; the fused test !(x<lo) && !(x>hi) is
+// exactly the conjunction of the two masked comparisons, NaN included.
 func betweenBounds(a, b *predKernel) (lo, hi float64, ok bool) {
-	isGE := func(k *predKernel) bool { return !k.onLT && k.onEQ && k.onGT }
-	isLE := func(k *predKernel) bool { return k.onLT && k.onEQ && !k.onGT }
+	const ge, le = onEQ | onGT, onLT | onEQ
 	switch {
-	case isGE(a) && isLE(b):
+	case a.mask == ge && b.mask == le:
 		return a.f1, b.f1, true
-	case isLE(a) && isGE(b):
+	case a.mask == le && b.mask == ge:
 		return b.f1, a.f1, true
 	}
 	return 0, 0, false
@@ -356,7 +382,9 @@ func compileSteps(conjuncts []expr.Expr) []filterStep {
 // All refine loops compact the selection in place with the branch-free
 // store-then-advance idiom of vector.RefineSel: the write index never passes
 // the read index, and the loop body has no data-dependent branch besides the
-// conditional increment.
+// conditional increment. A single comparison's increment compiles to a flag
+// read; the float kernels, whose verdict takes two comparisons, add it as a
+// computed 0 or 1 (holds, b2i) so it does too.
 
 func refineFalse(k *predKernel, v *vector.Vector, sel []int32) []int32 { return sel[:0] }
 
@@ -390,16 +418,11 @@ func refineI64NE(k *predKernel, v *vector.Vector, sel []int32) []int32 {
 
 func refineF64Cmp(k *predKernel, v *vector.Vector, sel []int32) []int32 {
 	xs := v.F64
-	c := k.f1
-	onLT, onEQ, onGT := k.onLT, k.onEQ, k.onGT
+	c, mask := k.f1, k.mask
 	out := 0
 	for _, r := range sel {
-		x := xs[r]
-		lt, gt := x < c, x > c
 		sel[out] = r
-		if (lt && onLT) || (gt && onGT) || (!lt && !gt && onEQ) {
-			out++
-		}
+		out += holds(mask, xs[r], c)
 	}
 	return sel[:out]
 }
@@ -411,25 +434,18 @@ func refineF64Between(k *predKernel, v *vector.Vector, sel []int32) []int32 {
 	for _, r := range sel {
 		x := xs[r]
 		sel[out] = r
-		if !(x < lo) && !(x > hi) {
-			out++
-		}
+		out += int(b2i(!(x < lo)) & b2i(!(x > hi)))
 	}
 	return sel[:out]
 }
 
 func refineI64FCmp(k *predKernel, v *vector.Vector, sel []int32) []int32 {
 	xs := v.I64
-	c := k.f1
-	onLT, onEQ, onGT := k.onLT, k.onEQ, k.onGT
+	c, mask := k.f1, k.mask
 	out := 0
 	for _, r := range sel {
-		x := float64(xs[r])
-		lt, gt := x < c, x > c
 		sel[out] = r
-		if (lt && onLT) || (gt && onGT) || (!lt && !gt && onEQ) {
-			out++
-		}
+		out += holds(mask, float64(xs[r]), c)
 	}
 	return sel[:out]
 }
@@ -441,9 +457,7 @@ func refineI64FBetween(k *predKernel, v *vector.Vector, sel []int32) []int32 {
 	for _, r := range sel {
 		x := float64(xs[r])
 		sel[out] = r
-		if !(x < lo) && !(x > hi) {
-			out++
-		}
+		out += int(b2i(!(x < lo)) & b2i(!(x > hi)))
 	}
 	return sel[:out]
 }
@@ -511,15 +525,11 @@ func denseI64NE(k *predKernel, v *vector.Vector, n int, buf []int32) []int32 {
 func denseF64Cmp(k *predKernel, v *vector.Vector, n int, buf []int32) []int32 {
 	xs := v.F64[:n]
 	buf = kernelSelBuf(buf, n)
-	c := k.f1
-	onLT, onEQ, onGT := k.onLT, k.onEQ, k.onGT
+	c, mask := k.f1, k.mask
 	out := 0
 	for i, x := range xs {
-		lt, gt := x < c, x > c
 		buf[out] = int32(i)
-		if (lt && onLT) || (gt && onGT) || (!lt && !gt && onEQ) {
-			out++
-		}
+		out += holds(mask, x, c)
 	}
 	return buf[:out]
 }
@@ -531,9 +541,7 @@ func denseF64Between(k *predKernel, v *vector.Vector, n int, buf []int32) []int3
 	out := 0
 	for i, x := range xs {
 		buf[out] = int32(i)
-		if !(x < lo) && !(x > hi) {
-			out++
-		}
+		out += int(b2i(!(x < lo)) & b2i(!(x > hi)))
 	}
 	return buf[:out]
 }
@@ -541,16 +549,11 @@ func denseF64Between(k *predKernel, v *vector.Vector, n int, buf []int32) []int3
 func denseI64FCmp(k *predKernel, v *vector.Vector, n int, buf []int32) []int32 {
 	xs := v.I64[:n]
 	buf = kernelSelBuf(buf, n)
-	c := k.f1
-	onLT, onEQ, onGT := k.onLT, k.onEQ, k.onGT
+	c, mask := k.f1, k.mask
 	out := 0
 	for i, ix := range xs {
-		x := float64(ix)
-		lt, gt := x < c, x > c
 		buf[out] = int32(i)
-		if (lt && onLT) || (gt && onGT) || (!lt && !gt && onEQ) {
-			out++
-		}
+		out += holds(mask, float64(ix), c)
 	}
 	return buf[:out]
 }
@@ -563,9 +566,7 @@ func denseI64FBetween(k *predKernel, v *vector.Vector, n int, buf []int32) []int
 	for i, ix := range xs {
 		x := float64(ix)
 		buf[out] = int32(i)
-		if !(x < lo) && !(x > hi) {
-			out++
-		}
+		out += int(b2i(!(x < lo)) & b2i(!(x > hi)))
 	}
 	return buf[:out]
 }

@@ -20,6 +20,16 @@ import (
 // matching cannot afford. The recycler influences costs through one channel
 // only: a subtree with a valid cached entry (or an in-flight producer) is
 // re-costed as a cached access path: its replay cost.
+//
+// Join cardinality uses key domains: an inner equijoin yields
+// |L|·|R| / dom, where a key pair's domain is the smaller of its two
+// columns' origin cardinalities (colDomain: the unfiltered table's row
+// count for a scanned column, the group estimate for a group-by column) and
+// a composite key takes its largest pair domain. A foreign key joined to a
+// filtered primary key therefore keeps the foreign side's size scaled by
+// the filter — lineitem ⋈ σ(part) is a fraction of lineitem, not of part —
+// so the DP no longer mistakes lineitem for the small side and builds its
+// hash table on it.
 
 // costInfo is the memoized verdict for one canonical plan shape.
 type costInfo struct {
@@ -136,15 +146,15 @@ func (c *coster) estRows(n *plan.Node, childRows []int64) int64 {
 			// Cross join: the full product.
 			return floor1(int64(math.Min(float64(l)*float64(r), 1e18)))
 		}
-		big := l
-		if r > big {
-			big = r
+		// Key-domain estimate: each key pair matches over the smaller of
+		// its two columns' domains, and a composite key is as selective
+		// as its most selective pair.
+		var dom int64 = 1
+		for i := range n.LeftKeys {
+			dom = max(dom, min(c.colDomain(n.Children[0], n.LeftKeys[i]),
+				c.colDomain(n.Children[1], n.RightKeys[i])))
 		}
-		out := float64(l) * float64(r) / float64(floor1(big))
-		for i := 1; i < len(n.LeftKeys); i++ {
-			out *= 0.2
-		}
-		return floor1(int64(out))
+		return floor1(int64(math.Min(float64(l)*float64(r)/float64(dom), 1e18)))
 	case plan.TopN, plan.Limit:
 		if int64(n.N) < childRows[0] {
 			return int64(n.N)
@@ -155,6 +165,56 @@ func (c *coster) estRows(n *plan.Node, childRows []int64) int64 {
 	default: // Sort
 		return childRows[0]
 	}
+}
+
+// colDomain estimates how many distinct values column name of n's output
+// can take: the cardinality of the node the column originates at. The walk
+// follows the column down through the operators that pass it on unchanged —
+// Selects, renaming Projects, the owning side of a Join, Sort/TopN/Limit —
+// to a Scan, which yields the unfiltered table's row count (a filter drops
+// rows, not the key domain they came from), or to the node that computes
+// it: an Aggregate (its group estimate, for a group-by column), a computing
+// Project, a table function. All of these are estimates already memoized
+// for n's subtree, so the domain is as deterministic as the row counts.
+func (c *coster) colDomain(n *plan.Node, name string) int64 {
+	for {
+		switch n.Op {
+		case plan.Scan:
+			return c.tableRows(n.Table)
+		case plan.Select, plan.Sort, plan.TopN, plan.Limit:
+			n = n.Children[0]
+			continue
+		case plan.Project:
+			if src := renamedFrom(n, name); src != "" {
+				n, name = n.Children[0], src
+				continue
+			}
+		case plan.Join:
+			if l := n.Children[0]; l.Schema().ColIndex(name) >= 0 {
+				n = l
+				continue
+			}
+			if r := n.Children[1]; r.Schema().ColIndex(name) >= 0 {
+				n = r
+				continue
+			}
+		}
+		return c.info(n).Rows
+	}
+}
+
+// renamedFrom returns the input column a Project passes through to output
+// name unchanged (possibly renamed), or "" when the item computes it.
+func renamedFrom(n *plan.Node, name string) string {
+	for _, p := range n.Projs {
+		if p.As == name {
+			if col, ok := p.E.(*expr.Col); ok {
+				return col.Name
+			}
+			return ""
+		}
+	}
+	return ""
 }
 
 func (c *coster) tableRows(table string) int64 {

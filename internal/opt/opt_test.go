@@ -291,3 +291,65 @@ func containsStr(s, sub string) bool {
 	}
 	return false
 }
+
+// TestJoinEstimates pins the key-domain join estimate |L|·|R| / dom on the
+// shapes that matter for build-side choice. Row counts are TPC-H sf 0.01's.
+func TestJoinEstimates(t *testing.T) {
+	cat := catalog.New()
+	mk := func(name string, cols ...string) {
+		sch := make(catalog.Schema, len(cols))
+		for i, c := range cols {
+			sch[i] = catalog.Column{Name: c, Typ: vector.Int64}
+		}
+		cat.AddTable(catalog.NewTable(name, sch))
+	}
+	mk("lineitem", "l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_shipdate")
+	mk("part", "p_partkey", "p_size")
+	mk("partsupp", "ps_partkey", "ps_suppkey", "ps_availqty")
+	rows := map[string]int64{"lineitem": 60000, "part": 2000, "partsupp": 8000}
+	li := func() *plan.Node {
+		return plan.NewScan("lineitem", "l_orderkey", "l_partkey", "l_suppkey", "l_quantity", "l_shipdate")
+	}
+	// shipped is σ(l_shipdate < 100)(lineitem) with its columns renamed:
+	// 60000 × 0.3 = 18000 rows.
+	shipped := func(prefix string) *plan.Node {
+		return plan.NewProject(plan.NewSelect(li(), expr.Lt(expr.C("l_shipdate"), expr.Int(100))),
+			plan.P(expr.C("l_orderkey"), prefix+"orderkey"))
+	}
+	for _, tc := range []struct {
+		name string
+		p    *plan.Node
+		want int64
+	}{
+		// 200 of 2000 parts survive; each matches its share of lineitem:
+		// 60000 × 200 / 2000, not min(|L|,|R|) = 200.
+		{"fk=pk, filtered pk side", plan.NewJoin(plan.Inner, li(),
+			plan.NewSelect(plan.NewScan("part", "p_partkey", "p_size"),
+				expr.Eq(expr.C("p_size"), expr.Int(5))),
+			[]string{"l_partkey"}, []string{"p_partkey"}), 6000},
+		// Both key pairs range over partsupp's 8000 rows: every lineitem
+		// row finds its one (part, supplier) entry.
+		{"composite key", plan.NewJoin(plan.Inner, li(),
+			plan.NewScan("partsupp", "ps_partkey", "ps_suppkey", "ps_availqty"),
+			[]string{"l_partkey", "l_suppkey"}, []string{"ps_partkey", "ps_suppkey"}), 60000},
+		// The renamed group key ranges over the aggregate's 15000 groups.
+		{"aggregate group key", plan.NewJoin(plan.Inner, li(),
+			plan.NewProject(
+				plan.NewAggregate(li(), []string{"l_partkey"},
+					plan.A(plan.Avg, expr.C("l_quantity"), "avg_qty")),
+				plan.P(expr.C("l_partkey"), "aq_partkey"),
+				plan.P(expr.C("avg_qty"), "avg_qty")),
+			[]string{"l_partkey"}, []string{"aq_partkey"}), 60000},
+		// Both sides keep 18000 of lineitem's 60000 order keys.
+		{"lineitem self-join", plan.NewJoin(plan.Inner, shipped("a_"), shipped("b_"),
+			[]string{"a_orderkey"}, []string{"b_orderkey"}), 5400},
+	} {
+		if err := tc.p.Resolve(cat); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		co := newCoster(&Context{Cat: cat, TableRows: rows})
+		if got := co.info(tc.p).Rows; got != tc.want {
+			t.Errorf("%s: estimated %d rows, want %d", tc.name, got, tc.want)
+		}
+	}
+}
