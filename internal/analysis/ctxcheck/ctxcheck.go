@@ -8,11 +8,10 @@
 //   - Operator Next methods (any method Next(ctx *exec.Ctx)) observe
 //     cancellation at batch boundaries: the body must consult
 //     Ctx.Interrupted (or the raw context's Err/Done) so a canceled query
-//     stops within one vector of work. The fused push drivers —
-//     driveMorsel/step/Drive methods taking *exec.Ctx — are held to the
-//     same contract: a fused loop replaces a whole chain of Next calls,
-//     so missing the check there loses cancellation for the entire
-//     fragment, not one operator.
+//     stops within one vector of work. The fused push driver — step
+//     methods taking *exec.Ctx — is held to the same contract: a fused
+//     loop replaces a whole chain of Next calls, so missing the check
+//     there loses cancellation for the entire fragment, not one operator.
 package ctxcheck
 
 import (
@@ -71,14 +70,11 @@ func checkBackground(pass *analysis.Pass, fn *ast.FuncDecl) {
 }
 
 // driverNames are the batch-boundary methods bound to the cancellation
-// contract: pull-operator Next, plus the fused push drivers (driveMorsel
-// runs one morsel's scan batches through the consumer chain; step/Drive
-// claim morsels themselves).
+// contract: pull-operator Next, plus the fused push driver step, which
+// pushes one source batch through the consumer chain and claims morsels.
 var driverNames = map[string]bool{
-	"Next":        true,
-	"driveMorsel": true,
-	"step":        true,
-	"Drive":       true,
+	"Next": true,
+	"step": true,
 }
 
 // checkNextObservesCtx requires driver methods taking a *exec.Ctx first

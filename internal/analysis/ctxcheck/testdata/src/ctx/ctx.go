@@ -35,23 +35,20 @@ func (o *statsOp) Next(ctx *exec.Ctx) error {
 // missed check loses cancellation for the entire fragment.
 type blindPipe struct{}
 
-func (p *blindPipe) driveMorsel(ctx *exec.Ctx, m int) error { // want `operator \*blindPipe.driveMorsel does not observe ctx cancellation`
-	return nil
-}
-
 func (p *blindPipe) step(ctx *exec.Ctx) (bool, error) { // want `operator \*blindPipe.step does not observe ctx cancellation`
 	return true, nil
 }
 
-// politePipe checks Interrupted at morsel/claim boundaries: sanctioned.
+// politePipe checks Interrupted at the batch boundary: sanctioned.
 type politePipe struct{}
-
-func (p *politePipe) driveMorsel(ctx *exec.Ctx, m int) error {
-	return ctx.Interrupted()
-}
 
 func (p *politePipe) step(ctx *exec.Ctx) (bool, error) {
 	return true, ctx.Interrupted()
+}
+
+// drain is not a driver name: it loops over step, which carries the check.
+func (p *blindPipe) drain(ctx *exec.Ctx) error {
+	return nil
 }
 
 // mint creates a root context in library code: findings.

@@ -258,12 +258,6 @@ func (st *aggState) close(ctx *Ctx) {
 	st.ord = nil
 }
 
-// startMorsel positions the order clock at the head of morsel m.
-func (st *aggState) startMorsel(m int) {
-	st.curMorsel = m
-	st.rowBase = 0
-}
-
 // lookupGroup resolves the group id for physical row r of in (whose group
 // hash is gh), inserting a new group if needed. inCols maps the state's key
 // positions to in's columns; ord is the row's stream position (recorded for
@@ -326,11 +320,14 @@ func (st *aggState) scratchIDs(n int) []int32 {
 	return st.gids[:n]
 }
 
-// absorb folds one input batch into the state.
-func (st *aggState) absorb(in *vector.Batch) error {
+// absorb folds one input batch, from morsel m of the input, into the state.
+func (st *aggState) absorb(in *vector.Batch, m int) error {
 	n := in.Len()
 	if n == 0 {
 		return nil
+	}
+	if m != st.curMorsel {
+		st.curMorsel, st.rowBase = m, 0 // the order clock restarts per morsel
 	}
 	// Evaluate aggregate arguments once per batch (selection-aware),
 	// coercing to the accumulator's type (avg over an int column
@@ -564,7 +561,7 @@ func newAggOp(root fragRoot, groupCols []int, aggs []AggExpr, pipes []*fusedPipe
 		w.st.trackOrd = len(pipes) > 1
 		// Absorption happens inside the drive loop; push() times it as the
 		// pipe's sinkNanos, so spine-node attribution excludes it.
-		p.sink = w.st.absorb
+		p.sink = func(b *vector.Batch) error { return w.st.absorb(b, p.morsel) }
 		a.workers = append(a.workers, w)
 	}
 	a.final = &a.workers[0].st
@@ -615,11 +612,8 @@ func (a *AggOp) run(ctx *Ctx) error {
 	}
 	if len(a.workers) == 1 {
 		w := a.workers[0]
-		for done := false; !done; {
-			var err error
-			if done, err = w.pipe.step(&w.wctx); err != nil {
-				return err
-			}
+		if err := w.pipe.drain(&w.wctx); err != nil {
+			return err
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -627,16 +621,8 @@ func (a *AggOp) run(ctx *Ctx) error {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					m, ok := a.src.claim()
-					if !ok {
-						return
-					}
-					w.st.startMorsel(m)
-					if err := w.pipe.driveMorsel(&w.wctx, m); err != nil {
-						a.fail(err)
-						return
-					}
+				if err := w.pipe.drain(&w.wctx); err != nil {
+					a.fail(err)
 				}
 			}()
 		}

@@ -115,11 +115,12 @@ func TestFilterProjectPipelineZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, NewCtx(catalog.New()), p, 4, 100)
 }
 
-// TestMorselPipelineZeroAlloc holds the per-worker drive to the same contract
-// as the serial roots: a worker's steady state (morsel scan pushed through a
-// selective filter into a sink) must not touch the heap. Cross-morsel work
-// (slot publication, transfer copies) is pooled and amortized but not
-// covered by this assertion.
+// TestMorselPipelineZeroAlloc holds the one driver to the same contract over
+// a morsel source: a worker's steady state (step pushing each scan batch
+// through a selective filter into a sink, ending morsels through the hook
+// and claiming the next) must not touch the heap. Work a root's hook does
+// per morsel (slot publication, transfer copies) is pooled and amortized
+// but not covered by this assertion.
 func TestMorselPipelineZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	snap := tab.Snapshot()
@@ -130,30 +131,35 @@ func TestMorselPipelineZeroAlloc(t *testing.T) {
 	if _, err := pred.Bind(tab.Schema); err != nil {
 		t.Fatal(err)
 	}
-	p := &fusedPipe{schema: tab.Schema, scan: newMorselScan(src, []int{0, 1, 2, 3}, tab.Schema)}
+	p := &fusedPipe{schema: tab.Schema, src: src, scan: rangeScan{cols: []int{0, 1, 2, 3}}}
 	p.addFilter(pred)
 	p.sink = func(*vector.Batch) error { return nil }
+	p.endMorsel = src.advance
 	if err := p.open(ctx); err != nil {
 		t.Fatal(err)
 	}
 	defer p.close(ctx)
-	m := 0
-	for ; m < 4; m++ {
-		if err := p.driveMorsel(ctx, m); err != nil {
-			t.Fatal(err)
+	for i := 0; i < 8; i++ {
+		if done, err := p.step(ctx); err != nil || done {
+			t.Fatalf("warmup ended early (done=%v err=%v)", done, err)
 		}
 	}
 	var err error
-	avg := testing.AllocsPerRun(morsels/2, func() {
-		if e := p.driveMorsel(ctx, m); e != nil {
+	avg := testing.AllocsPerRun(100, func() {
+		done, e := p.step(ctx)
+		if e != nil {
 			err = e
+		} else if done {
+			t.Fatal("stream ended during the measured window; grow the input")
 		}
-		m++
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if avg != 0 {
-		t.Fatalf("worker steady-state drive allocates %.1f objects/morsel, want 0", avg)
+		t.Fatalf("worker steady-state step allocates %.1f objects/call, want 0", avg)
+	}
+	if p.morsel < 10 {
+		t.Fatalf("measured window stayed inside morsel %d; it must cross morsel ends", p.morsel)
 	}
 }

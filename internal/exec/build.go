@@ -30,10 +30,11 @@ type Decorations map[*plan.Node]*Decor
 
 // Build turns a resolved plan tree plus recycler decorations into an
 // executable operator tree. If opmap is non-nil it is filled with the
-// operator built for each plan node (the outermost operator when a node is
-// wrapped by Wait/Store), which the engine uses to annotate the recycler
-// graph with measured costs and cardinalities after execution.
-func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operator) (Operator, error) {
+// statistics of each plan node — the operator built for it (the outermost
+// one when a node is wrapped by Wait/Store), or, for a node compiled into
+// fused pipes, a fold over them — which the engine uses to annotate the
+// recycler graph with measured costs and cardinalities after execution.
+func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
 	var d Decor
 	if dec != nil {
 		if dd := dec[n]; dd != nil {
@@ -73,7 +74,7 @@ func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operato
 	return op, nil
 }
 
-func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operator) (Operator, error) {
+func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
 	switch n.Op {
 	case plan.Scan:
 		t, cols, err := scanColumns(ctx, n)

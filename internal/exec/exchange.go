@@ -22,11 +22,13 @@ type pipeWorker struct {
 
 // Exchange runs N fused pipes over the morsel source and merges their
 // outputs back into one stream in morsel order — the fragment's
-// deterministic merge point. Workers claim morsels in index order (bounded
-// ahead of the merge cursor by the source window), buffer each morsel's
-// output batches as compacted pool copies, and publish the finished morsel
-// to its slot; the consumer walks slots in order, so the merged stream is
-// the exact batch sequence a single pipe would produce.
+// deterministic merge point. Each worker steps its pipe, which claims
+// morsels in index order (bounded ahead of the merge cursor by the source
+// window); the sink buffers a morsel's output batches as compacted pool
+// copies, and the pipe's morsel-end hook publishes them to the morsel's
+// slot once held join rows are flushed. The consumer walks slots in order,
+// so the merged stream is the exact batch sequence a single pipe would
+// produce.
 type Exchange struct {
 	fragRoot
 	workers []*pipeWorker
@@ -75,6 +77,7 @@ func newExchange(root fragRoot, pipes []*fusedPipe) *Exchange {
 			w.local = append(w.local, t)
 			return nil
 		}
+		p.endMorsel = func(m int) { x.publish(w, m) }
 		x.workers = append(x.workers, w)
 	}
 	return x
@@ -107,36 +110,37 @@ func (x *Exchange) start(ctx *Ctx) {
 	}
 }
 
-// runWorker claims morsels, drives the worker's pipe to end-of-morsel, and
-// publishes each finished morsel's (copied) batches to its slot.
+// runWorker steps the worker's pipe to the end of its morsels.
 func (x *Exchange) runWorker(w *pipeWorker) {
 	defer x.wg.Done()
-	for {
-		m, ok := x.src.claim()
-		if !ok {
-			return
-		}
+	if err := w.pipe.drain(&w.wctx); err != nil {
+		releaseBatches(&w.wctx, w.local)
 		w.local = nil
-		if err := w.pipe.driveMorsel(&w.wctx, m); err != nil {
-			releaseBatches(&w.wctx, w.local)
-			w.local = nil
-			if err != errFusedStopped {
-				x.fail(err)
-			}
-			return
+		if err != errFusedStopped {
+			x.fail(err)
 		}
-		// Publish this morsel's work to the mid-stream-readable accumulator
-		// (safe here: only this goroutine drives the pipe).
-		cost := w.pipe.cost()
-		x.costNanos.Add(int64(cost - w.lastCost))
-		w.lastCost = cost
-		x.mu.Lock()
-		x.slots[m].batches = w.local
-		x.slots[m].done = true
-		x.mu.Unlock()
-		w.local = nil
-		x.cond.Broadcast()
 	}
+	x.addCost(w) // the last step's time
+}
+
+// publish is a worker pipe's morsel-end hook: morsel m's (copied) batches go
+// to its slot.
+func (x *Exchange) publish(w *pipeWorker, m int) {
+	x.addCost(w)
+	x.mu.Lock()
+	x.slots[m].batches = w.local
+	x.slots[m].done = true
+	x.mu.Unlock()
+	w.local = nil
+	x.cond.Broadcast()
+}
+
+// addCost publishes the worker's pipe time so far to the mid-stream-readable
+// accumulator (safe: only the worker's goroutine drives its pipe).
+func (x *Exchange) addCost(w *pipeWorker) {
+	cost := w.pipe.cost()
+	x.costNanos.Add(int64(cost - w.lastCost))
+	w.lastCost = cost
 }
 
 func releaseBatches(ctx *Ctx, bs []*vector.Batch) {
@@ -237,16 +241,9 @@ func (x *Exchange) Close(ctx *Ctx) error {
 	return x.closeBuilds(ctx, first)
 }
 
-// Progress implements Operator: merged morsels over total.
-func (x *Exchange) Progress() float64 {
-	if len(x.slots) == 0 {
-		return 1
-	}
-	x.mu.Lock()
-	done := x.mergeIdx
-	x.mu.Unlock()
-	return float64(done) / float64(len(x.slots))
-}
+// Progress implements Operator: merged morsels over total (the merge
+// advances the source past each one).
+func (x *Exchange) Progress() float64 { return x.src.progress() }
 
 // Cost implements Operator: the fragment's total work — worker pipe time
 // (transfer copies included) plus shared builds and merge bookkeeping — an

@@ -144,8 +144,14 @@ type Operator interface {
 	// Pipelined operators report the progress of their closest scan or
 	// blocking left-deep descendant (§III-D).
 	Progress() float64
-	// Cost returns the cumulative wall time spent inside this operator's
-	// Open/Next calls, children included (the subtree's base cost).
+	NodeStats
+}
+
+// NodeStats is what execution measured for one plan node: all the recycler
+// graph's annotation reads (see Build's opmap).
+type NodeStats interface {
+	// Cost returns the cumulative wall time spent executing the node,
+	// children included (the subtree's base cost).
 	Cost() time.Duration
 	// RowsOut returns the number of rows emitted so far.
 	RowsOut() int64

@@ -8,7 +8,6 @@ import (
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
-	"recycledb/internal/vector"
 )
 
 // Fragments: how Select, Project, Join and Aggregate nodes execute.
@@ -29,16 +28,19 @@ import (
 //     every pull source runs one pipe on the calling goroutine.
 //   - A pipeline roots in FusedPipeline (one worker: the push→pull adapter)
 //     or Exchange (several: the ordered merge); an aggregation always roots
-//     in AggOp, which runs a lone worker inline.
+//     in AggOp, which runs a lone worker inline. Every root drives its pipes
+//     with the one driver, fusedPipe.step; a root sees a finished morsel
+//     only through the pipe's endMorsel hook.
 //
 // Two properties make execution observationally independent of the worker
 // count, which is what keeps the recycler correct without changes:
 //
 //   - Determinism. The exchange emits morsel outputs in morsel order
-//     (workers race, the merge reorders), join builds preserve arrival
-//     order within each hash partition, and parallel aggregation sorts
-//     merged groups by first occurrence in the morsel-ordered stream — so
-//     any worker count produces the same rows in the same order (float
+//     (workers race, the merge reorders), every pipe flushes held join rows
+//     at each morsel's end, join builds preserve arrival order within each
+//     hash partition, and parallel aggregation sorts merged groups by first
+//     occurrence in the morsel-ordered stream — so any worker count
+//     produces the same rows in the same order and the same batches (float
 //     aggregates modulo re-association). Materialized (cached) results are
 //     therefore independent of the parallelism degree that produced them.
 //
@@ -48,10 +50,10 @@ import (
 //     admission per plan signature, deep-owned batches), and cached replays
 //     feed fragments from the source side.
 //
-// Per-node statistics fold across workers: each interior plan node maps to a
-// foldOp summing its pipes' attributed cost and emitted rows, so the
-// recycler graph sees subtree base costs as total work, not elapsed wall
-// time, whatever the worker count.
+// Per-node statistics fold across workers: each interior plan node's opmap
+// entry is a foldOp, a stats view summing its pipes' attributed cost and
+// emitted rows, so the recycler graph sees subtree base costs as total work,
+// not elapsed wall time, whatever the worker count.
 
 // Engagement counters (process-wide); tests use them to assert a path
 // engaged rather than went vacuous.
@@ -70,7 +72,7 @@ func ParallelFragmentsBuilt() int64 { return parallelFragments.Load() }
 
 // buildFragment builds the operator for the Select, Project, Join or
 // Aggregate node n.
-func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Operator) (Operator, error) {
+func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
 	barrier := func(x *plan.Node) bool { return dec[x] != nil }
 	spine := plan.SpineNodes(n, barrier)
 	leaf := spine[0]
@@ -104,33 +106,21 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 		}
 	}
 
-	// Per-fragment shared state: one build per join and, when the caller
-	// collects statistics, one fold per interior node — and for a morsel
-	// scan, which unlike a pull child has no operator of its own in opmap.
-	folds := make([]*foldOp, len(spine))
-	for i, pn := range spine {
-		if opmap != nil && (i > 0 || child == nil) {
-			folds[i] = &foldOp{schema: pn.Schema()}
-			opmap[pn] = folds[i]
-		}
-		if i > 0 && pn.Op == plan.Join {
-			sb, err := buildJoin(ctx, pn, dec, opmap)
+	// One build per join, shared by the fragment's pipes.
+	for _, pn := range spine[1:] {
+		if pn.Op == plan.Join {
+			sb, err := buildJoin(ctx, pn, dec, opmap, nW)
 			if err != nil {
 				return nil, err
 			}
 			root.builds = append(root.builds, sb)
-			if folds[i] != nil {
-				folds[i].extraCost = sb.cost
-			}
 		}
 	}
 
 	pipes := make([]*fusedPipe, nW)
 	for w := range pipes {
-		p := &fusedPipe{schema: spine[len(spine)-1].Schema(), child: child}
-		if child == nil {
-			p.scan = newMorselScan(root.src, scanCols, leaf.Schema())
-		}
+		p := &fusedPipe{schema: spine[len(spine)-1].Schema(), child: child,
+			src: root.src, scan: rangeScan{cols: scanCols}}
 		builds := root.builds
 		for _, pn := range spine[1:] {
 			switch pn.Op {
@@ -147,12 +137,23 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 				builds = builds[1:]
 			}
 		}
-		for i, f := range folds {
-			if f != nil {
-				f.clones = append(f.clones, &fusedNodeStat{p: p, idx: i})
-			}
-		}
 		pipes[w] = p
+	}
+
+	// Per-node statistics for the caller: a fold per interior node — and for
+	// a morsel scan, which unlike a pull child has no operator of its own.
+	if opmap != nil {
+		builds := root.builds
+		for k, pn := range spine {
+			if k == 0 && child != nil {
+				continue
+			}
+			f := &foldOp{pipes: pipes, k: k}
+			if k > 0 && pn.Op == plan.Join {
+				f.build, builds = builds[0], builds[1:]
+			}
+			opmap[pn] = f
+		}
 	}
 
 	fusedFragments.Add(1)
@@ -239,59 +240,31 @@ func (r *fragRoot) buildCost() time.Duration {
 	return c
 }
 
-// statSource is what foldOp folds: attributed cost, emitted rows, and
-// progress for one pipe's execution of a plan node (see fusedNodeStat).
-type statSource interface {
-	Cost() time.Duration
-	RowsOut() int64
-	Progress() float64
-}
-
-// foldOp is the stats-only stand-in registered in the engine's opmap for
-// plan nodes compiled into fused pipes: Cost and RowsOut fold the pipes'
-// measurements (sums — total work, an inclusive subtree cost), so
-// recycler-graph annotation is oblivious to how many workers executed the
-// node. It is never driven as an operator.
+// foldOp is the opmap entry of spine node k of a fragment: the node's
+// statistics folded across the fragment's pipes as sums (total work, an
+// inclusive subtree cost) plus a join's shared build, so recycler-graph
+// annotation is oblivious to how many workers executed the node.
 type foldOp struct {
-	schema    catalog.Schema
-	clones    []statSource
-	extraCost func() time.Duration // a join's shared build
-}
-
-func (f *foldOp) Schema() catalog.Schema { return f.schema }
-func (f *foldOp) Open(*Ctx) error        { return nil }
-
-//recycledb:ctx-ok — stats-only stand-in; Next fails immediately, never loops
-func (f *foldOp) Next(*Ctx) (*vector.Batch, error) {
-	return nil, fmt.Errorf("exec: foldOp is not executable")
-}
-func (f *foldOp) Close(*Ctx) error { return nil }
-func (f *foldOp) Progress() float64 {
-	if len(f.clones) == 0 {
-		return 0
-	}
-	var p float64
-	for _, c := range f.clones {
-		p += c.Progress()
-	}
-	return p / float64(len(f.clones))
+	pipes []*fusedPipe
+	k     int
+	build *sharedBuild // the join's, nil for other nodes
 }
 
 func (f *foldOp) Cost() time.Duration {
 	var c time.Duration
-	for _, op := range f.clones {
-		c += op.Cost()
+	for _, p := range f.pipes {
+		c += p.nodeCost(f.k)
 	}
-	if f.extraCost != nil {
-		c += f.extraCost()
+	if f.build != nil {
+		c += f.build.cost()
 	}
 	return c
 }
 
 func (f *foldOp) RowsOut() int64 {
 	var r int64
-	for _, op := range f.clones {
-		r += op.RowsOut()
+	for _, p := range f.pipes {
+		r += p.nodeRows(f.k)
 	}
 	return r
 }

@@ -28,11 +28,19 @@ import (
 //   - probe stages run the hash-join probe loop (join.go), gather matched
 //     pairs once per input batch, and pass them on a vector's worth at a time.
 //
-// The source is either a morsel range over a base-table snapshot, or any
-// pull Operator: a CacheScan replay, a Store/WaitReuse-wrapped subtree, a
-// table function, a Sort/TopN/Limit/Union, another fragment's root. Pull
-// Next survives only there and at fragment roots (fragment.go), which is
-// where the recycler decorates, stores, and replays.
+// The source is either morsels of a base-table snapshot, read through the
+// bare scan body (rangeScan) over one claimed morsel at a time, or any pull
+// Operator: a CacheScan replay, a Store/WaitReuse-wrapped subtree, a table
+// function, a Sort/TopN/Limit/Union, another fragment's root. Pull Next
+// survives only there and at fragment roots (fragment.go), which is where
+// the recycler decorates, stores, and replays.
+//
+// One driver, step, runs every pipe — the serial root's, each exchange
+// worker's, each aggregation worker's — one source batch per call. It is
+// the only code that claims morsels, and at each morsel's end it flushes the
+// rows probe stages still hold before handing the morsel to the root's
+// endMorsel hook, so a fragment emits the same batch sequence at any worker
+// count.
 //
 // Selection-vector ownership: a selection attached by a filter lives in the
 // morsel scan's own per-batch sel (refined in place — the scan rebuilds it
@@ -46,18 +54,20 @@ import (
 //
 // Cost attribution (the interior has no per-operator Next boundaries to
 // time): one timer wraps the whole drive loop per pipe; sink time (exchange
-// copy-out / agg absorb) and wait time (inside a pull source's Next, or on a
-// shared join build — both accounted by their own operators) are measured
-// separately and subtracted; the remainder is attributed to spine nodes in
-// proportion to work weights — rows scanned for a morsel scan, rows
+// copy-out / agg absorb, and morsel-end hooks) and wait time (inside a pull
+// source's Next or on a shared join build — both accounted by their own
+// operators — or in a morsel claim held back by the merge window) are
+// measured separately and subtracted; the remainder is attributed to spine
+// nodes in proportion to work weights — rows scanned for a morsel scan, rows
 // evaluated per conjunct pass for filters, rows emitted for projects, rows
 // in + rows out for probes. A node's inclusive cost is the source's cost (a
 // pull child's own Cost(); a morsel scan's is its weight's share) plus the
 // prefix sum of attributed shares up to and including that node, which is
 // monotone toward the root — the shape of inclusive subtree costs the
-// recycler's hR/benefit ordering expects. Shared join builds fold in through
-// foldOp.extraCost, and the views fold across workers through foldOp, so
-// recycler-graph annotation is oblivious to how many workers ran a node.
+// recycler's hR/benefit ordering expects. A node's opmap entry (foldOp,
+// fragment.go) is a stats view that sums nodeCost/nodeRows across the
+// fragment's pipes and adds a join's shared build, so recycler-graph
+// annotation is oblivious to how many workers ran a node.
 
 // errFusedStopped aborts a fused drive from the sink when the fragment root
 // is tearing down; it never escapes the fragment operator.
@@ -105,33 +115,27 @@ type fusedStage struct {
 type fusedPipe struct {
 	schema catalog.Schema // chain output schema (the spine root's)
 
-	// The source: a morsel scan over the fragment's shared morsel source
-	// (the pipe owns the batches it yields), or a pull child (child != nil;
-	// its batches are read-only and reach the stages through view).
-	scan   *MorselScan
-	child  Operator
-	view   vector.Batch // pipe-local header over the child's current batch
-	selBuf []int32      // pipe-local copy of the child's selection
+	// The source: the fragment's morsel source (src != nil), read one
+	// claimed morsel at a time through the bare scan body (the pipe owns the
+	// batches it yields), or a pull child (child != nil; its batches are
+	// read-only and reach the stages through view).
+	src       *morselSource
+	scan      rangeScan
+	morsel    int         // morsel being drained (-1 = none)
+	endMorsel func(m int) // the root's hook for a finished morsel (nil = none)
+	child     Operator
+	view      vector.Batch // pipe-local header over the child's current batch
+	selBuf    []int32      // pipe-local copy of the child's selection
 
 	stages []fusedStage
 	sink   func(*vector.Batch) error
 
-	lastMorsel int // serial step state: morsel being drained (-1 = none)
-
 	loopNanos int64 // whole drive loop, sink and waits included
-	sinkNanos int64 // sink calls only (copy-out / absorb)
-	waitNanos int64 // inside the pull child's Next or a shared build
+	sinkNanos int64 // sink calls and morsel-end hooks only
+	waitNanos int64 // inside the pull child's Next, a shared build or a claim
 }
 
 func (p *fusedPipe) addLoop(start time.Time) { p.loopNanos += time.Since(start).Nanoseconds() }
-
-// source returns the pipe's leaf operator.
-func (p *fusedPipe) source() Operator {
-	if p.child != nil {
-		return p.child
-	}
-	return p.scan
-}
 
 // cost returns the pipe's inclusive drive time, sink included: the loop,
 // with the time a pull child spent in Next replaced by the child's own
@@ -148,9 +152,14 @@ func (p *fusedPipe) cost() time.Duration {
 // open opens the source and acquires stage scratch from the pool; close
 // releases it.
 func (p *fusedPipe) open(ctx *Ctx) error {
-	p.lastMorsel = -1
-	if err := p.source().Open(ctx); err != nil {
-		return err
+	p.morsel = -1
+	if p.child != nil {
+		if err := p.child.Open(ctx); err != nil {
+			return err
+		}
+	} else {
+		p.scan.bind(p.src.snap)
+		p.scan.pos, p.scan.end = 0, 0
 	}
 	for i := range p.stages {
 		s := &p.stages[i]
@@ -175,7 +184,7 @@ func (p *fusedPipe) open(ctx *Ctx) error {
 	return nil
 }
 
-// close returns stage scratch to the pool and closes the source. Shared
+// close returns stage scratch to the pool and closes a pull source. Shared
 // builds are owned and closed by the fragment root, not per pipe.
 func (p *fusedPipe) close(ctx *Ctx) error {
 	for i := range p.stages {
@@ -195,65 +204,75 @@ func (p *fusedPipe) close(ctx *Ctx) error {
 		}
 	}
 	p.view = vector.Batch{}
-	return p.source().Close(ctx)
+	if p.child != nil {
+		return p.child.Close(ctx)
+	}
+	return nil
 }
 
-// driveMorsel is the parallel driver: the worker claims morsel m, and this
-// pushes every batch of it through the chain to the sink. Cancellation is
-// observed at the morsel boundary here and at batch granularity inside the
-// scan.
-func (p *fusedPipe) driveMorsel(ctx *Ctx, m int) error {
-	if err := ctx.Interrupted(); err != nil {
-		return err
-	}
-	defer p.addLoop(time.Now())
-	p.scan.StartMorsel(m)
-	for {
-		b, err := p.scan.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := p.push(ctx, 0, b); err != nil {
-			return err
-		}
-	}
-	// The morsel's output must be complete before it is published.
-	for {
-		if more, err := p.flush(ctx); err != nil || !more {
-			return err
-		}
-	}
-}
-
-// step is the serial driver, over either kind of source: it processes
-// exactly one source batch per call (claiming morsels itself), so a pausing
-// sink (the pull adapter in FusedPipeline) holds at most one emitted batch
-// and a consumer that stops pulling costs at most one more source batch.
-// Past the end of input each call flushes one probe stage's held rows; done
-// reports that nothing is left.
+// step is the one driver of every pipe, serial or parallel: it processes
+// exactly one source batch per call, so a pausing sink (the pull adapter in
+// FusedPipeline) holds at most one emitted batch and a consumer that stops
+// pulling costs at most one more source batch. When the pull source — or,
+// for a morsel source, the current morsel — is exhausted, each call flushes
+// one probe stage's held rows; a finished morsel then goes to endMorsel and
+// the next one is claimed, so every worker count flushes at the same morsel
+// boundaries. done reports that nothing is left.
 func (p *fusedPipe) step(ctx *Ctx) (done bool, err error) {
 	if err := ctx.Interrupted(); err != nil {
 		return false, err
 	}
 	defer p.addLoop(time.Now())
-	b, err := p.next(ctx)
-	if err != nil {
-		return false, err
+	for {
+		b, err := p.next(ctx)
+		if err != nil {
+			return false, err
+		}
+		if b != nil {
+			return false, p.push(ctx, 0, b)
+		}
+		if more, err := p.flush(ctx); more || err != nil {
+			return false, err
+		}
+		if p.src == nil {
+			return true, nil
+		}
+		if p.morsel >= 0 && p.endMorsel != nil {
+			start := time.Now()
+			p.endMorsel(p.morsel)
+			p.sinkNanos += time.Since(start).Nanoseconds()
+		}
+		start := time.Now()
+		m, ok := p.src.claim()
+		p.waitNanos += time.Since(start).Nanoseconds()
+		if !ok {
+			p.morsel = -1
+			return true, nil
+		}
+		p.morsel = m
+		p.scan.pos, p.scan.end = p.src.bounds(m)
 	}
-	if b == nil {
-		more, err := p.flush(ctx)
-		return !more, err
+}
+
+// drain steps the pipe to the end of its input.
+func (p *fusedPipe) drain(ctx *Ctx) error {
+	for done := false; !done; {
+		var err error
+		if done, err = p.step(ctx); err != nil {
+			return err
+		}
 	}
-	return false, p.push(ctx, 0, b)
+	return nil
 }
 
 // next returns the source's next non-empty batch in a header the stages may
-// attach a selection to, or nil at end of input.
+// attach a selection to, or nil at the end of the pull source or of the
+// current morsel.
 func (p *fusedPipe) next(ctx *Ctx) (*vector.Batch, error) {
-	for p.child != nil {
+	if p.child == nil {
+		return p.scan.Next(ctx)
+	}
+	for {
 		start := time.Now()
 		b, err := p.child.Next(ctx)
 		p.waitNanos += time.Since(start).Nanoseconds()
@@ -270,21 +289,6 @@ func (p *fusedPipe) next(ctx *Ctx) (*vector.Batch, error) {
 			p.view.Sel = p.selBuf
 		}
 		return &p.view, nil
-	}
-	for {
-		b, err := p.scan.Next(ctx)
-		if err != nil || b != nil {
-			return b, err
-		}
-		if p.lastMorsel >= 0 {
-			p.scan.src.advance(p.lastMorsel)
-		}
-		m, ok := p.scan.src.claim()
-		if !ok {
-			return nil, nil
-		}
-		p.scan.StartMorsel(m)
-		p.lastMorsel = m
 	}
 }
 
@@ -409,18 +413,11 @@ func (p *fusedPipe) addProbe(sb *sharedBuild, schema catalog.Schema) {
 	p.stages = append(p.stages, fusedStage{kind: stageProbe, types: schema.Types(), probe: &fusedProbe{sb: sb}})
 }
 
-// fusedNodeStat is the per-(pipe, spine node) stats view folded by foldOp:
-// proportional cost attribution (see the rule above), actual emitted rows,
-// and the source's progress. idx 0 is a morsel scan (a pull child keeps its
-// own opmap entry instead); k >= 1 is stages[k-1]. Read only after the
-// pipe's driving goroutine quiesces.
-type fusedNodeStat struct {
-	p   *fusedPipe
-	idx int
-}
-
-func (v *fusedNodeStat) Cost() time.Duration {
-	p := v.p
+// nodeCost is spine node k's inclusive cost in this pipe, by the
+// attribution rule above: k = 0 is a morsel scan (a pull child keeps its own
+// opmap entry instead), k >= 1 is stages[k-1]. Read only after the pipe's
+// driving goroutine quiesces.
+func (p *fusedPipe) nodeCost(k int) time.Duration {
 	var base time.Duration
 	var prefix int64
 	if p.child != nil {
@@ -436,20 +433,19 @@ func (v *fusedNodeStat) Cost() time.Duration {
 	if interior <= 0 || total <= 0 {
 		return base
 	}
-	for i := 0; i < v.idx; i++ {
+	for i := 0; i < k; i++ {
 		prefix += p.stages[i].work
 	}
 	return base + time.Duration(float64(interior)*float64(prefix)/float64(total))
 }
 
-func (v *fusedNodeStat) RowsOut() int64 {
-	if v.idx == 0 {
-		return v.p.scan.RowsOut()
+// nodeRows is the number of rows spine node k emitted in this pipe.
+func (p *fusedPipe) nodeRows(k int) int64 {
+	if k == 0 {
+		return p.scan.RowsOut()
 	}
-	return v.p.stages[v.idx-1].rowsOut
+	return p.stages[k-1].rowsOut
 }
-
-func (v *fusedNodeStat) Progress() float64 { return v.p.source().Progress() }
 
 // FusedPipeline is the serial fragment root for a pipeline: the push-to-pull
 // adapter. Its sink holds the single batch each step emits (the chain is
@@ -468,6 +464,9 @@ func newFusedPipeline(root fragRoot, pipe *fusedPipe) *FusedPipeline {
 	pipe.sink = func(b *vector.Batch) error {
 		f.emitted = b
 		return nil
+	}
+	if root.src != nil {
+		pipe.endMorsel = root.src.advance // progress counts finished morsels
 	}
 	return f
 }
@@ -514,7 +513,12 @@ func (f *FusedPipeline) Close(ctx *Ctx) error {
 }
 
 // Progress implements Operator: the source's.
-func (f *FusedPipeline) Progress() float64 { return f.pipe.source().Progress() }
+func (f *FusedPipeline) Progress() float64 {
+	if f.pipe.child != nil {
+		return f.pipe.child.Progress()
+	}
+	return f.src.progress()
+}
 
 // Cost implements Operator: the fused loop (source through sink) plus shared
 // builds — the pipeline's inclusive subtree cost. Driving-goroutine local,

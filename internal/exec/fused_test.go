@@ -55,7 +55,7 @@ func fusedBenchPlan() *plan.Node {
 	)
 }
 
-func buildFused(t *testing.T, cat *catalog.Catalog, n *plan.Node, par int, opmap map[*plan.Node]Operator) (*Ctx, Operator) {
+func buildFused(t *testing.T, cat *catalog.Catalog, n *plan.Node, par int, opmap map[*plan.Node]NodeStats) (*Ctx, Operator) {
 	t.Helper()
 	if err := n.Resolve(cat); err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func TestFusedCostAttributionOrdering(t *testing.T) {
 			dec = Decorations{spine[0]: {Reuse: cachedReplay(t, cat, spine[0])}}
 		}
 		ctx := NewCtx(cat)
-		opmap := make(map[*plan.Node]Operator)
+		opmap := make(map[*plan.Node]NodeStats)
 		op, err := Build(ctx, n, dec, opmap)
 		if err != nil {
 			t.Fatal(err)

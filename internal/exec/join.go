@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,10 +51,11 @@ type sharedBuild struct {
 	closed  bool
 }
 
-// buildJoin builds the shared state of join node pn. Its right (build-side)
-// subplan goes through the normal Build path — so recycler decorations
-// inside it keep working, and large build subtrees parallelize on their own.
-func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, opmap map[*plan.Node]Operator) (*sharedBuild, error) {
+// buildJoin builds the shared state of join node pn for a fragment of
+// workers pipes. Its right (build-side) subplan goes through the normal
+// Build path — so recycler decorations inside it keep working, and large
+// build subtrees parallelize on their own.
+func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats, workers int) (*sharedBuild, error) {
 	left := pn.Children[0].Schema()
 	lcols, err := columnIndexes(left, pn.LeftKeys, "join key")
 	if err != nil {
@@ -67,13 +69,19 @@ func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, opmap map[*plan.Node]Op
 	if err != nil {
 		return nil, err
 	}
-	return newSharedBuild(pn.JT, left, right, lcols, rcols), nil
+	return newSharedBuild(pn.JT, left, right, lcols, rcols, workers), nil
 }
 
 // newSharedBuild assembles a join over probe-side schema left and build-side
-// operator right, keyed on leftCols = rightCols.
-func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftCols, rightCols []int) *sharedBuild {
+// operator right, keyed on leftCols = rightCols, for a fragment of workers
+// probing pipes.
+func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftCols, rightCols []int, workers int) *sharedBuild {
 	sb := &sharedBuild{jt: jt, child: right, leftCols: leftCols, rightCols: rightCols, leftWidth: len(left)}
+	// Partitions: enough for the fragment's workers to build chains
+	// concurrently, a power of two so the partition is the hash's top bits
+	// (independent of the bucket index, which uses the low bits).
+	k := bits.Len(uint(max(workers, 1) - 1))
+	sb.parts, sb.shift = make([]oaTable, 1<<k), uint(64-k)
 	// The single-column int64 hash fast path is a per-join decision (build
 	// and probe hashes must use one scheme), made here where both sides'
 	// key types are known.
@@ -127,15 +135,7 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 	joinBuildRows.Add(int64(rows))
 	b.next = make([]int32, rows)
 
-	// Partition count: enough for the chain builders to run concurrently,
-	// power of two so the partition is the hash's top bits (independent of
-	// the bucket index, which uses the low bits).
-	nParts := 1
-	for nParts < ctx.Parallelism {
-		nParts <<= 1
-	}
-	b.shift = uint(64 - log2(nParts))
-	b.parts = make([]oaTable, nParts)
+	nParts := len(b.parts)
 	counts := make([]int, nParts)
 	for _, h := range b.hash {
 		counts[h>>b.shift]++
@@ -170,15 +170,6 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 	}
 	wg.Wait()
 	return nil
-}
-
-// log2 of a power of two.
-func log2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
-	}
-	return k
 }
 
 // close releases the build-side subplan and the arena. Safe to call from

@@ -103,33 +103,3 @@ func (s *morselSource) stop() {
 	s.mu.Unlock()
 	s.cond.Broadcast()
 }
-
-// MorselScan is a fused pipe's leaf: the shared scan body restricted to one
-// morsel at a time. The owning pipe claims a morsel, points the scan at it
-// with StartMorsel, and drains it to end-of-stream; the next StartMorsel
-// rearms the scan.
-type MorselScan struct {
-	rangeScan
-	src *morselSource
-}
-
-// newMorselScan builds a worker scan over src.
-func newMorselScan(src *morselSource, cols []int, schema catalog.Schema) *MorselScan {
-	return &MorselScan{rangeScan: rangeScan{base: base{schema: schema}, cols: cols}, src: src}
-}
-
-// StartMorsel points the scan at morsel m (claimed by the caller).
-func (s *MorselScan) StartMorsel(m int) {
-	s.pos, s.end = s.src.bounds(m)
-}
-
-// Open implements Operator: empty until the first StartMorsel.
-func (s *MorselScan) Open(ctx *Ctx) error {
-	s.bind(s.src.snap)
-	s.pos, s.end = 0, 0
-	return nil
-}
-
-// Progress implements Operator: the worker's share is not meaningful on its
-// own; merged-morsel progress stands for the whole fragment.
-func (s *MorselScan) Progress() float64 { return s.src.progress() }

@@ -178,6 +178,35 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelBatchSequenceMatchesSerial pins the stronger form of the
+// property the recycler relies on: a result stored above a fragment has the
+// same batch layout, not just the same rows, whatever the worker count —
+// every pipe flushes a probe's held rows at the same morsel boundaries.
+func TestParallelBatchSequenceMatchesSerial(t *testing.T) {
+	cat := parCatalog(50000, 0)
+	lens := func(res *catalog.Result) []int {
+		out := make([]int, len(res.Batches))
+		for i, b := range res.Batches {
+			out[i] = b.Len()
+		}
+		return out
+	}
+	for name, q := range parPlans() {
+		for _, morsel := range []int{1024, 2048, 4096} {
+			serial := runPlanPar(t, cat, q, 1, morsel)
+			for _, par := range []int{1, 2, 4, 8} {
+				label := fmt.Sprintf("%s/morsel=%d/par=%d", name, morsel, par)
+				got := runPlanPar(t, cat, q, par, morsel)
+				if w, g := lens(serial), lens(got); fmt.Sprint(w) != fmt.Sprint(g) {
+					t.Fatalf("%s: batch sizes differ from serial: %d batches %v, want %d batches %v",
+						label, len(g), g, len(w), w)
+				}
+				sameRows(t, label, serial, got)
+			}
+		}
+	}
+}
+
 // TestFragmentRootChosenByObservables pins how a fragment picks its root:
 // from the rows to scan, the kind of source and the statement's budget — a
 // parallel root for a splittable morsel source (guarding against silent
@@ -241,6 +270,60 @@ func TestFragmentRootChosenByObservables(t *testing.T) {
 	// A bare scan gains nothing from a merge copy or a push loop.
 	if _, ok := mk(plan.NewScan("fact", "id"), 4, 1024).(*TableScan); !ok {
 		t.Fatalf("expected *TableScan for a bare scan")
+	}
+}
+
+// TestFragmentBuildPartitionsFollowWorkers: a shared join build splits its
+// chain directory for the workers that probe it, not for the statement's
+// budget — a serial probe over a pull source builds one partition even at
+// Parallelism 8.
+func TestFragmentBuildPartitionsFollowWorkers(t *testing.T) {
+	cat := parCatalog(40000, 0)
+	for _, c := range []struct {
+		name  string
+		probe *plan.Node
+		want  int
+	}{
+		{"pull-sourced", plan.NewSort(plan.NewScan("fact", "id", "k"), plan.SortKey{Col: "id"}), 1},
+		{"four-workers", plan.NewScan("fact", "id", "k"), 4},
+	} {
+		n := plan.NewJoin(plan.Inner, c.probe, plan.NewScan("dim", "dk", "name"), []string{"k"}, []string{"dk"})
+		if err := n.Resolve(cat); err != nil {
+			t.Fatal(err)
+		}
+		ctx := NewCtx(cat)
+		ctx.Parallelism, ctx.MorselRows = 8, 10000 // four morsels
+		op, err := Build(ctx, n, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var root *fragRoot
+		switch x := op.(type) {
+		case *FusedPipeline:
+			root = &x.fragRoot
+		case *Exchange:
+			root = &x.fragRoot
+		default:
+			t.Fatalf("%s: unexpected root %T", c.name, op)
+		}
+		if err := op.Open(ctx); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			b, err := op.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b == nil {
+				break
+			}
+		}
+		if got := len(root.builds[0].parts); got != c.want {
+			t.Errorf("%s: %d build partitions, want %d", c.name, got, c.want)
+		}
+		if err := op.Close(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -44,7 +44,7 @@ func pipeProject(t testing.TB, child Operator, exprs []expr.Expr, out catalog.Sc
 // pipeJoin probes left against a build of right.
 func pipeJoin(jt plan.JoinType, left, right Operator, leftCols, rightCols []int, out catalog.Schema) *FusedPipeline {
 	root, p := pullPipe(left, out)
-	sb := newSharedBuild(jt, left.Schema(), right, leftCols, rightCols)
+	sb := newSharedBuild(jt, left.Schema(), right, leftCols, rightCols, 1)
 	root.builds = []*sharedBuild{sb}
 	p.addProbe(sb, out)
 	return newFusedPipeline(root, p)

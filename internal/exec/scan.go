@@ -8,7 +8,8 @@ import (
 	"recycledb/internal/vector"
 )
 
-// rangeScan is the scan body shared by TableScan and MorselScan: it slices
+// rangeScan is the scan body shared by TableScan and a fused pipe's morsel
+// source (which points pos/end at one claimed morsel at a time): it slices
 // rows [pos, end) of a statement snapshot into batches without copying
 // (batches alias table storage; consumers never mutate input batches).
 //

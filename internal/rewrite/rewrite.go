@@ -563,7 +563,7 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 // statistics back to the recycler graph: each node's base cost is its
 // operator's inclusive wall time plus the stored base costs of any reused
 // (substituted) subtrees below it, keeping Eq. 2 consistent (§III-C).
-func (rw *Rewriter) Annotate(res *Result, opmap map[*plan.Node]exec.Operator) {
+func (rw *Rewriter) Annotate(res *Result, opmap map[*plan.Node]exec.NodeStats) {
 	if res.Match == nil {
 		return
 	}

@@ -49,7 +49,7 @@ func fixture(t *testing.T, mode Mode) (*Rewriter, *catalog.Catalog) {
 func run(t *testing.T, rw *Rewriter, res *Result) int64 {
 	t.Helper()
 	ctx := exec.NewCtx(rw.Cat)
-	opmap := make(map[*plan.Node]exec.Operator)
+	opmap := make(map[*plan.Node]exec.NodeStats)
 	op, err := exec.Build(ctx, res.Exec, res.Decor, opmap)
 	if err != nil {
 		t.Fatal(err)

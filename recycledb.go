@@ -548,7 +548,7 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 	}
 	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: ep.snaps,
 		Parallelism: par}
-	opmap := make(map[*plan.Node]exec.Operator)
+	opmap := make(map[*plan.Node]exec.NodeStats)
 	op, err := exec.Build(ectx, rres.Exec, rres.Decor, opmap)
 	if err != nil {
 		rw.Abort(rres)

@@ -40,7 +40,7 @@ type Rows struct {
 	op     exec.Operator
 	rw     *rewrite.Rewriter
 	rres   *rewrite.Result
-	opmap  map[*plan.Node]exec.Operator
+	opmap  map[*plan.Node]exec.NodeStats
 
 	start     time.Time
 	execStart time.Time
