@@ -10,16 +10,24 @@ package recycledb_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"os"
 	"regexp"
+	"sort"
 	"testing"
 
 	"recycledb"
 
 	"recycledb/internal/catalog"
+	"recycledb/internal/core"
 	"recycledb/internal/exec"
 	"recycledb/internal/harness"
+	"recycledb/internal/opt"
+	"recycledb/internal/plan"
+	"recycledb/internal/skyserver"
 	"recycledb/internal/tpch"
 	"recycledb/internal/workload"
 )
@@ -161,6 +169,110 @@ func TestOptimizerBuildRowsNoWorseThanWritten(t *testing.T) {
 			if float64(optimized) > 1.25*float64(written) {
 				t.Errorf("%v: optimized plan builds %d rows, written plan %d (%.2fx > 1.25x)",
 					p, optimized, written, float64(optimized)/float64(max(written, 1)))
+			}
+		}
+	}
+}
+
+const optShapesFile = "testdata/opt_shapes.json"
+
+// optShape is one query's optimized plan, pinned by the FNV-1a hash of its
+// canonical signature (opt.ShapeKey).
+type optShape struct {
+	Label string `json:"label"`
+	Shape string `json:"shape"`
+}
+
+// TestOptimizedShapesUnchanged pins the plans the optimizer chooses: every
+// TPC-H pattern at three parameter draws plus the SkyServer queries,
+// optimized cold (no recycler) and against a recycler warmed by one serial
+// History-style pass over the same set. The optimizer's internals may change
+// how fast it plans, never what it plans; -update re-records the file.
+//
+// The warming pass applies History mode's rule — store what was seen before
+// — without its clock: each query is optimized against the recycler and
+// match-inserted, and every non-scan node that already existed is admitted
+// with its estimated rows. The engine's own History admission ranks measured
+// nanoseconds, so warming through it would pin a timing-dependent state.
+func TestOptimizedShapesUnchanged(t *testing.T) {
+	cat := harness.MixedCatalog(0.002, 4000, 1)
+	var queries []workload.Query
+	for _, s := range tpch.Streams(3, 7) {
+		ps := append([]tpch.Params(nil), s.Queries...)
+		sort.Slice(ps, func(i, j int) bool { return ps[i].Q < ps[j].Q })
+		for _, p := range ps {
+			queries = append(queries, workload.Query{Label: fmt.Sprintf("s%d-Q%d", s.ID, p.Q), Plan: tpch.Build(p)})
+		}
+	}
+	for i, q := range skyserver.Workload(12, 42) {
+		queries = append(queries, workload.Query{Label: fmt.Sprintf("sky-%d-%s", i, q.Pattern), Plan: q.Plan})
+	}
+
+	cfg := core.DefaultConfig()
+	cfg.CacheBytes = 0
+	rec := core.New(cfg)
+	optimize := func(q workload.Query, r *core.Recycler) (*plan.Node, *opt.Context) {
+		ctx := &opt.Context{Cat: cat, Rec: r}
+		p, err := opt.Optimize(q.Plan.Clone(), ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Label, err)
+		}
+		return p, ctx
+	}
+	shapes := func(r *core.Recycler) []optShape {
+		out := make([]optShape, len(queries))
+		for i, q := range queries {
+			p, _ := optimize(q, r)
+			h := fnv.New64a()
+			h.Write([]byte(opt.ShapeKey(p)))
+			out[i] = optShape{Label: q.Label, Shape: fmt.Sprintf("%016x", h.Sum64())}
+		}
+		return out
+	}
+	got := map[string][]optShape{"cold": shapes(nil)}
+	for _, q := range queries {
+		written, err := opt.Normalize(q.Plan.Clone(), cat)
+		if err != nil {
+			t.Fatalf("%s: %v", q.Label, err)
+		}
+		optimized, ctx := optimize(q, rec)
+		for _, p := range []*plan.Node{written, optimized} {
+			est := opt.Annotate(p, ctx)
+			res := rec.MatchInsert(p)
+			p.WalkPost(func(n *plan.Node) {
+				if nm := res.ByNode[n]; nm.Existed && n.Op != plan.Scan && n.Op != plan.TableFn {
+					rows := est[n].Rows
+					rec.Admit(nm.G, nil, rows, 8*rows, 0, -1)
+				}
+			})
+		}
+	}
+	got["warm"] = shapes(rec)
+
+	if *updateGolden {
+		raw, err := json.MarshalIndent(got, "", " ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(optShapesFile, append(raw, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(optShapesFile)
+	if err != nil {
+		t.Fatalf("%v (record it with: go test -run TestOptimizedShapesUnchanged -update .)", err)
+	}
+	var want map[string][]optShape
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatalf("%s: %v", optShapesFile, err)
+	}
+	for _, state := range []string{"cold", "warm"} {
+		if len(want[state]) != len(got[state]) {
+			t.Fatalf("%s: %d %s shapes recorded, %d queries", optShapesFile, len(want[state]), state, len(got[state]))
+		}
+		for i, g := range got[state] {
+			if g != want[state][i] {
+				t.Errorf("%s %s: optimized shape %s, recorded %s %s", state, g.Label, g.Shape, want[state][i].Label, want[state][i].Shape)
 			}
 		}
 	}
