@@ -97,35 +97,6 @@ type Node struct {
 	cached atomic.Pointer[Entry]
 }
 
-// BaseCost returns the node's last measured base cost (cost from base
-// tables, Eq. 2).
-func (n *Node) BaseCost() time.Duration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.baseCost
-}
-
-// CostKnown reports whether the node has ever been executed and measured.
-func (n *Node) CostKnown() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.costKnown
-}
-
-// Card returns the last measured output cardinality.
-func (n *Node) Card() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.card
-}
-
-// EstBytes returns the last measured or estimated result size in bytes.
-func (n *Node) EstBytes() int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.estBytes
-}
-
 // Graph is the recycler graph. Matching runs under a read lock; insertion
 // takes the write lock and re-validates its candidates first (backwards
 // validation in the spirit of the paper's node-granularity optimistic

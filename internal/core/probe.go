@@ -7,46 +7,36 @@ import (
 )
 
 // This file is the recycler's read-only interface for the cost-based
-// optimizer (internal/opt): the optimizer enumerates alternative plan
-// shapes and, before costing each one, asks the recycler whether the
-// shape's subtrees already exist in the graph, carry measured statistics,
-// have a cached result valid under the statement's snapshot, or are being
-// materialized right now by a concurrent query. Everything here is strictly
-// non-mutating — probing an alternative must not insert graph nodes, bump
-// reuse counters, or touch importance factors, or enumeration itself would
-// perturb the statistics it reads (and two enumerations of the same query
-// could yield different plans, breaking memo determinism).
+// optimizer (internal/opt): before costing an alternative plan shape, the
+// optimizer asks whether the shape is in the graph (Match) and, if so,
+// whether its node carries measured statistics, has a cached result valid
+// under the statement's snapshot, or is being materialized right now by a
+// concurrent query (Probe). Everything here is strictly non-mutating —
+// probing an alternative must not insert graph nodes, bump reuse counters,
+// or touch importance factors, or enumeration itself would perturb the
+// statistics it reads (and two enumerations of the same query could yield
+// different plans, breaking memo determinism).
 
-// MatchOnly runs the bottom-up matching pass of MatchInsert without the
-// insertion half: it returns the graph node an exact match of root unifies
-// with, or nil when any node of the subtree is absent from the graph. The
-// tree must be resolved (name mappings are built from output schemas).
-func (g *Graph) MatchOnly(root *plan.Node) *NodeMatch {
-	childMatches := make([]*NodeMatch, len(root.Children))
-	for i, c := range root.Children {
-		cm := g.MatchOnly(c)
-		if cm == nil {
-			return nil
-		}
-		childMatches[i] = cm
-	}
+// Match is one step of MatchInsert's matching pass without the insertion
+// half: over the matches of n's children (none for a leaf) it returns the
+// graph node n unifies with, or nil. The optimizer matches candidates
+// bottom-up this way, reusing each subtree's match. n must be resolved.
+func (g *Graph) Match(n *plan.Node, childMatches []*NodeMatch) *NodeMatch {
 	rename := renameFunc(childMatches)
-	hk := root.HashKey()
-	sig := root.Signature(rename)
-	params := root.ParamString(rename)
+	hk := n.HashKey()
+	sig := n.Signature(rename)
+	params := n.ParamString(rename)
 	g.mu.RLock()
-	cand := g.findExactLocked(root, hk, sig, params, childMatches)
+	cand := g.findExactLocked(n, hk, sig, params, childMatches)
 	g.mu.RUnlock()
 	if cand == nil {
 		return nil
 	}
-	return &NodeMatch{G: cand, Existed: true, OutMap: outMap(root, cand)}
+	return &NodeMatch{G: cand, Existed: true, OutMap: outMap(n, cand)}
 }
 
-// ProbeInfo describes what the recycler knows about one plan shape.
+// ProbeInfo describes what the recycler knows about one graph node.
 type ProbeInfo struct {
-	// Node is the matched graph node.
-	Node *Node
 	// CostKnown reports whether the node has measured statistics; BaseCost
 	// and Card are the measurements (Eq. 2 base cost, output cardinality).
 	CostKnown bool
@@ -61,22 +51,17 @@ type ProbeInfo struct {
 	Inflight bool
 }
 
-// Probe matches p against the recycler graph without inserting or counting
-// anything and reports the node's statistics, cached-result state, and
-// in-flight state. validate vets a candidate cached entry (snapshot-tag
-// checks); nil accepts any entry. The second result is false when the shape
-// has never been seen. The peeked entry is pinned only for the duration of
-// the inspection — by the time Probe returns, a concurrent eviction may
-// have removed it, so Cached is advisory: the rewriter re-validates at
-// substitution time and recomputes on a miss (results never depend on it).
-func (r *Recycler) Probe(p *plan.Node, validate func(*Entry) bool) (ProbeInfo, bool) {
-	nm := r.graph.MatchOnly(p)
-	if nm == nil {
-		return ProbeInfo{}, false
-	}
-	info := ProbeInfo{Node: nm.G}
-	info.BaseCost, info.CostKnown, info.Card, _ = r.NodeStats(nm.G)
-	if e := r.peekCached(nm.G); e != nil {
+// Probe reports the statistics, cached-result state and in-flight state of
+// an already-matched graph node without counting anything. validate vets a
+// candidate cached entry (snapshot-tag checks); nil accepts any entry. The
+// peeked entry is pinned only for the duration of the inspection — by the
+// time Probe returns, a concurrent eviction may have removed it, so Cached
+// is advisory: the rewriter re-validates at substitution time and
+// recomputes on a miss (results never depend on it).
+func (r *Recycler) Probe(n *Node, validate func(*Entry) bool) ProbeInfo {
+	var info ProbeInfo
+	info.BaseCost, info.CostKnown, info.Card, _ = r.NodeStats(n)
+	if e := r.peekCached(n); e != nil {
 		if validate == nil || validate(e) {
 			info.Cached = true
 			info.CachedRows = e.Rows
@@ -85,9 +70,9 @@ func (r *Recycler) Probe(p *plan.Node, validate func(*Entry) bool) (ProbeInfo, b
 		r.Release(e)
 	}
 	if !info.Cached {
-		info.Inflight = r.Inflight(nm.G)
+		info.Inflight = r.Inflight(n)
 	}
-	return info, true
+	return info
 }
 
 // peekCached returns the node's cache entry, pinned, without counting a

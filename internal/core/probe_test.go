@@ -4,22 +4,49 @@ import (
 	"testing"
 	"time"
 
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
+
+// matchTree matches a resolved plan bottom-up one level at a time, the way
+// the optimizer does; nil when some node is not in the graph.
+func matchTree(g *Graph, n *plan.Node) *NodeMatch {
+	kids := make([]*NodeMatch, len(n.Children))
+	for i, c := range n.Children {
+		if kids[i] = matchTree(g, c); kids[i] == nil {
+			return nil
+		}
+	}
+	return g.Match(n, kids)
+}
 
 func TestProbeMissOnUnseenShape(t *testing.T) {
 	cat := testCatalog()
 	r := New(DefaultConfig())
-	r.MatchInsert(selPlan(t, cat, 5))
-	// A different parameter is a different shape: probe must miss without
-	// inserting anything.
+	res := r.MatchInsert(selPlan(t, cat, 5))
+	// A different parameter is a different shape: the scan below still
+	// matches, the select does not, and nothing is inserted.
 	before := r.Graph().Size()
-	if _, ok := r.Probe(selPlan(t, cat, 6), nil); ok {
-		t.Fatal("probe matched a never-seen shape")
+	p := selPlan(t, cat, 6)
+	scan := r.Graph().Match(p.Children[0], nil)
+	if scan == nil || scan.G != res.ByNode[findOp(res, plan.Scan)].G {
+		t.Fatal("leaf did not match the inserted scan")
+	}
+	if nm := r.Graph().Match(p, []*NodeMatch{scan}); nm != nil {
+		t.Fatal("matched a never-seen shape")
 	}
 	if got := r.Graph().Size(); got != before {
-		t.Fatalf("probe mutated the graph: %d -> %d nodes", before, got)
+		t.Fatalf("match mutated the graph: %d -> %d nodes", before, got)
 	}
+}
+
+func findOp(res *MatchResult, op plan.Op) *plan.Node {
+	for n := range res.ByNode {
+		if n.Op == op {
+			return n
+		}
+	}
+	return nil
 }
 
 func TestProbeReportsStatsCachedInflight(t *testing.T) {
@@ -29,10 +56,11 @@ func TestProbeReportsStatsCachedInflight(t *testing.T) {
 	res := r.MatchInsert(p)
 	g := res.ByNode[p].G
 
-	info, ok := r.Probe(selPlan(t, cat, 5), nil)
-	if !ok || info.Node != g {
-		t.Fatalf("probe missed the inserted shape (ok=%v)", ok)
+	nm := matchTree(r.Graph(), selPlan(t, cat, 5))
+	if nm == nil || nm.G != g {
+		t.Fatal("one-level match missed the inserted shape")
 	}
+	info := r.Probe(g, nil)
 	if info.CostKnown || info.Cached || info.Inflight {
 		t.Fatalf("fresh node reports state: %+v", info)
 	}
@@ -41,7 +69,7 @@ func TestProbeReportsStatsCachedInflight(t *testing.T) {
 	if !r.BeginInflight(g) {
 		t.Fatal("BeginInflight refused")
 	}
-	info, _ = r.Probe(selPlan(t, cat, 5), nil)
+	info = r.Probe(g, nil)
 	if !info.CostKnown || info.BaseCost != 42*time.Millisecond || info.Card != 7 {
 		t.Fatalf("measured stats not reported: %+v", info)
 	}
@@ -55,7 +83,7 @@ func TestProbeReportsStatsCachedInflight(t *testing.T) {
 		t.Fatal("admit refused")
 	}
 	reusesBefore := r.Stats().Reuses
-	info, _ = r.Probe(selPlan(t, cat, 5), nil)
+	info = r.Probe(g, nil)
 	if !info.Cached || info.CachedRows != 7 || info.CachedBytes != 128 {
 		t.Fatalf("cached result not reported: %+v", info)
 	}
@@ -70,8 +98,7 @@ func TestProbeReportsStatsCachedInflight(t *testing.T) {
 	}
 
 	// A validator that rejects the entry turns Cached off.
-	info, _ = r.Probe(selPlan(t, cat, 5), func(*Entry) bool { return false })
-	if info.Cached {
+	if r.Probe(g, func(*Entry) bool { return false }).Cached {
 		t.Fatal("rejected entry still reported cached")
 	}
 }

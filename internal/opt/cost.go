@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"recycledb/internal/core"
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
 )
@@ -31,73 +32,125 @@ import (
 // so the DP no longer mistakes lineitem for the small side and builds its
 // hash table on it.
 
-// costInfo is the memoized verdict for one canonical plan shape.
-type costInfo struct {
-	Cost time.Duration // inclusive, after any cached-access-path adjustment
-	Rows int64         // estimated output cardinality
-
-	// Recycler probe results, surfaced by EXPLAIN.
-	Existed  bool
-	Cached   bool
-	Inflight bool
-	Measured time.Duration
-	Known    bool
+// NodeInfo is the memoized verdict for one canonical plan shape; EXPLAIN
+// prints it per node.
+type NodeInfo struct {
+	// Rows and Cost are the optimizer's estimates (Cost inclusive of
+	// children, after any cached-access-path adjustment).
+	Rows int64
+	Cost time.Duration
+	// Existed / Cached / Inflight report the recycler's view of the
+	// subtree under the statement's snapshot; Measured is its measured
+	// base cost, when Known.
+	Existed, Cached, Inflight bool
+	Measured                  time.Duration
+	Known                     bool
 }
 
-// coster memoizes cost/cardinality per canonical shape so the join DP's
-// shared subplans are costed (and probed) once. The memo is the optimizer's
-// group table: logically-equivalent subplans rendered to the same canonical
-// signature share one entry.
+// entry is one memo group: a shape's verdict, its memo id, and the recycler
+// graph node it matches (nil without a recycler or for a shape the graph
+// has never seen).
+type entry struct {
+	NodeInfo
+	id    int
+	match *core.NodeMatch
+}
+
+// memoKey names a shape one level deep: operator and canonical parameters
+// over the children's memo ids, plus the output names the node assigns —
+// its match maps them to graph columns for its parent.
+type memoKey struct {
+	op     plan.Op
+	params string
+	kids   [2]int
+}
+
+// coster is the optimizer's hash-consed memo. Shapes are interned bottom-up
+// and keyed on their children's ids, so logically identical subtrees,
+// however they were assembled, share one entry. An entry is costed from its
+// children's entries and matched against the recycler graph from their
+// matches, so interning, costing and probing a node is one level of work
+// whatever the size of the plan below it.
 type coster struct {
 	ctx  *Context
-	memo map[string]costInfo
+	memo map[memoKey]*entry
 }
 
 func newCoster(ctx *Context) *coster {
-	return &coster{ctx: ctx, memo: make(map[string]costInfo)}
+	return &coster{ctx: ctx, memo: make(map[memoKey]*entry)}
 }
 
-// info returns the (memoized) cost verdict for a resolved subtree.
-func (c *coster) info(n *plan.Node) costInfo {
-	key := shapeKey(n)
-	if ci, ok := c.memo[key]; ok {
-		return ci
-	}
-	ci := c.compute(n)
-	c.memo[key] = ci
-	return ci
-}
-
-func (c *coster) compute(n *plan.Node) costInfo {
-	var childCost time.Duration
-	childRows := make([]int64, len(n.Children))
+// info returns the memo entry of a resolved subtree, interning it bottom-up.
+func (c *coster) info(n *plan.Node) *entry {
+	var kids [2]*entry
 	for i, ch := range n.Children {
-		ci := c.info(ch)
-		childCost += ci.Cost
-		childRows[i] = ci.Rows
+		kids[i] = c.info(ch)
 	}
-	rows := c.estRows(n, childRows)
-	ci := costInfo{Rows: rows, Cost: childCost + selfCost(n, childRows, rows)}
-	if c.ctx.Rec != nil && probeable(n.Op) {
-		if pi, ok := c.ctx.Rec.Probe(n, c.ctx.Validate); ok {
-			ci.Existed = true
-			ci.Known, ci.Measured = pi.CostKnown, pi.BaseCost
-			cold := ci.Cost
+	return c.node(n, kids[:len(n.Children)], -1)
+}
+
+// node returns the memo entry of a resolved node over its children's
+// entries. rows, when not negative, is n's cardinality as the caller
+// already estimated it.
+func (c *coster) node(n *plan.Node, kids []*entry, rows int64) *entry {
+	k := memoKey{op: n.Op, params: n.ParamString(expr.Ident)}
+	if as := n.AssignedNames(); as != nil {
+		k.params += " as " + strings.Join(as, ",")
+	}
+	var childRows [2]int64
+	var ms [2]*core.NodeMatch
+	matched := c.ctx.Rec != nil
+	for i, kd := range kids {
+		k.kids[i], childRows[i], ms[i] = kd.id, kd.Rows, kd.match
+		matched = matched && kd.match != nil
+	}
+	if e, ok := c.memo[k]; ok {
+		return e
+	}
+	if rows < 0 {
+		rows = c.estRows(n, childRows[:len(kids)])
+	}
+	e := &entry{id: len(c.memo) + 1}
+	e.Rows = rows
+	for _, kd := range kids {
+		e.Cost += kd.Cost
+	}
+	e.Cost += selfCost(n, childRows[:len(kids)], rows)
+	// A child the graph has never seen means n cannot be in it either.
+	if matched {
+		e.match = c.ctx.Rec.Graph().Match(n, ms[:len(kids)])
+		if e.match != nil && probeable(n.Op) {
+			pi := c.ctx.Rec.Probe(e.match.G, c.ctx.Validate)
+			e.Existed = true
+			e.Known, e.Measured = pi.CostKnown, pi.BaseCost
 			switch {
 			case pi.Cached:
-				ci.Cached = true
-				if warm := replayCost(pi.CachedRows, pi.CachedBytes); warm < cold {
-					ci.Cost = warm
-				}
+				e.Cached = true
+				e.Cost = min(e.Cost, replayCost(pi.CachedRows, pi.CachedBytes))
 			case pi.Inflight:
 				// A concurrent producer is materializing this result: the
 				// executor will share or wait rather than recompute.
-				ci.Inflight = true
-				ci.Cost = cold / 4
+				e.Inflight = true
+				e.Cost /= 4
 			}
 		}
 	}
-	return ci
+	c.memo[k] = e
+	return e
+}
+
+// score ranks a chain extension by how warm its shape is: cached over
+// in-flight over merely seen; 0 when the graph has never seen it.
+func (ci *NodeInfo) score() int {
+	switch {
+	case ci.Cached:
+		return 3
+	case ci.Inflight:
+		return 2
+	case ci.Existed:
+		return 1
+	}
+	return 0
 }
 
 // probeable reports ops the recycler could hold a result for; bare leaves
@@ -142,19 +195,15 @@ func (c *coster) estRows(n *plan.Node, childRows []int64) int64 {
 		case plan.LeftOuter:
 			return l
 		}
-		if len(n.LeftKeys) == 0 {
-			// Cross join: the full product.
-			return floor1(int64(math.Min(float64(l)*float64(r), 1e18)))
-		}
 		// Key-domain estimate: each key pair matches over the smaller of
 		// its two columns' domains, and a composite key is as selective
-		// as its most selective pair.
+		// as its most selective pair. A cross join has domain 1.
 		var dom int64 = 1
 		for i := range n.LeftKeys {
 			dom = max(dom, min(c.colDomain(n.Children[0], n.LeftKeys[i]),
 				c.colDomain(n.Children[1], n.RightKeys[i])))
 		}
-		return floor1(int64(math.Min(float64(l)*float64(r)/float64(dom), 1e18)))
+		return innerRows(l, r, dom)
 	case plan.TopN, plan.Limit:
 		if int64(n.N) < childRows[0] {
 			return int64(n.N)
@@ -165,6 +214,12 @@ func (c *coster) estRows(n *plan.Node, childRows []int64) int64 {
 	default: // Sort
 		return childRows[0]
 	}
+}
+
+// innerRows estimates an inner join of l and r rows over a key domain dom:
+// |L|·|R| / dom, the full product for a cross join's dom = 1.
+func innerRows(l, r, dom int64) int64 {
+	return floor1(int64(math.Min(float64(l)*float64(r)/float64(dom), 1e18)))
 }
 
 // colDomain estimates how many distinct values column name of n's output
@@ -293,8 +348,7 @@ func selfCost(n *plan.Node, childRows []int64, outRows int64) time.Duration {
 	case plan.Aggregate:
 		return ns(float64(childRows[0])*8 + float64(outRows)*4)
 	case plan.Join:
-		// Hash join: build the right side, probe with the left.
-		return ns(float64(childRows[1])*10 + float64(childRows[0])*4 + float64(outRows)*2)
+		return joinCost(childRows[0], childRows[1], outRows)
 	case plan.TopN:
 		return ns(float64(childRows[0]) * 4)
 	case plan.Sort:
@@ -309,6 +363,12 @@ func selfCost(n *plan.Node, childRows []int64, outRows int64) time.Duration {
 	}
 }
 
+// joinCost is a hash join's own work: build the right side, probe with the
+// left.
+func joinCost(l, r, out int64) time.Duration {
+	return time.Duration(float64(r)*10 + float64(l)*4 + float64(out)*2)
+}
+
 func floor1(v int64) int64 {
 	if v < 1 {
 		return 1
@@ -316,17 +376,13 @@ func floor1(v int64) int64 {
 	return v
 }
 
-// ShapeKey renders a plan's canonical signature — the same per-node
+// ShapeKey renders a plan's canonical signature: operator and canonical
+// parameter string per node, parenthesized by structure — the same per-node
 // canonical parameter strings the recycler graph dedupes shapes by. The
 // engine keys its optimized-shape cache on it.
-func ShapeKey(p *plan.Node) string { return shapeKey(p) }
-
-// shapeKey renders a subtree's canonical signature: operator and canonical
-// parameter string per node, parenthesized by structure. Logically identical
-// shapes (however they were assembled) share one memo group.
-func shapeKey(n *plan.Node) string {
+func ShapeKey(p *plan.Node) string {
 	var b strings.Builder
-	writeShape(&b, n)
+	writeShape(&b, p)
 	return b.String()
 }
 

@@ -12,34 +12,11 @@ import (
 // cost model's per-node estimates and the recycler's knowledge of each
 // subtree, and render the tree for the shell.
 
-// NodeInfo is one node's annotation.
-type NodeInfo struct {
-	// Rows and Cost are the optimizer's estimates (Cost inclusive of
-	// children, after any cached-access-path adjustment).
-	Rows int64
-	Cost time.Duration
-	// Existed / Cached / Inflight report the recycler's view of the
-	// subtree under the statement's snapshot.
-	Existed  bool
-	Cached   bool
-	Inflight bool
-	// Measured is the recycler's measured base cost, when Known.
-	Measured time.Duration
-	Known    bool
-}
-
 // Annotate computes per-node annotations for a resolved plan.
 func Annotate(p *plan.Node, ctx *Context) map[*plan.Node]NodeInfo {
 	co := newCoster(ctx)
 	m := make(map[*plan.Node]NodeInfo, p.Count())
-	p.WalkPost(func(n *plan.Node) {
-		ci := co.info(n)
-		m[n] = NodeInfo{
-			Rows: ci.Rows, Cost: ci.Cost,
-			Existed: ci.Existed, Cached: ci.Cached, Inflight: ci.Inflight,
-			Measured: ci.Measured, Known: ci.Known,
-		}
-	})
+	p.WalkPost(func(n *plan.Node) { m[n] = co.info(n).NodeInfo })
 	return m
 }
 

@@ -1,8 +1,10 @@
 package opt
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"recycledb/internal/expr"
@@ -53,12 +55,9 @@ func (o *optimizer) reorderJoin(n *plan.Node, pinned, noReorder bool) (*plan.Nod
 			top = best
 		}
 	}
-	if err := top.Resolve(o.ctx.Cat); err != nil {
-		return nil, err
-	}
-	if !pinned && !sameOrder(top.Schema().Names(), origNames) {
+	if !pinned && !slices.Equal(top.Schema().Names(), origNames) {
 		top = restoreOrder(top, origNames)
-		if err := top.Resolve(o.ctx.Cat); err != nil {
+		if err := top.ResolveNode(o.ctx.Cat); err != nil {
 			return nil, err
 		}
 	}
@@ -102,12 +101,18 @@ func collectGroup(n *plan.Node, inputs *[]*plan.Node, eqs *[]eqPred) {
 
 // dpJoin runs the bitmask DP and returns the cheapest resolved join tree
 // over inputs, or nil when the group cannot be (re)planned.
+//
+// A split is costed from its inputs' memo entries and the key domains
+// precomputed per predicate. It becomes a plan node only if it wins its mask
+// or both inputs match the recycler graph — only then can the join itself be
+// seen, cached or in flight, which the coster must probe.
 func (o *optimizer) dpJoin(inputs []*plan.Node, eqs []eqPred) *plan.Node {
 	k := len(inputs)
 	full := 1<<k - 1
 	dp := make([]*plan.Node, 1<<k)
+	ents := make([]*entry, 1<<k)
 	for i, in := range inputs {
-		dp[1<<i] = in
+		dp[1<<i], ents[1<<i] = in, o.co.info(in)
 	}
 
 	// Map each predicate column to its owning input's bit.
@@ -117,9 +122,11 @@ func (o *optimizer) dpJoin(inputs []*plan.Node, eqs []eqPred) *plan.Node {
 			owner[nm] = i
 		}
 	}
+	// A key column's domain is its input's: joins pass it through unchanged.
 	type mpred struct {
 		a, b   string
 		ma, mb int
+		dom    int64
 	}
 	preds := make([]mpred, 0, len(eqs))
 	for _, e := range eqs {
@@ -128,50 +135,77 @@ func (o *optimizer) dpJoin(inputs []*plan.Node, eqs []eqPred) *plan.Node {
 		if !oka || !okb || ia == ib {
 			return nil
 		}
-		preds = append(preds, mpred{e.a, e.b, 1 << ia, 1 << ib})
+		dom := min(o.co.colDomain(inputs[ia], e.a), o.co.colDomain(inputs[ib], e.b))
+		preds = append(preds, mpred{e.a, e.b, 1 << ia, 1 << ib, dom})
+	}
+	// build makes the resolved join of dp[sub] and dp[other] and interns it.
+	build := func(sub, other int, rows int64) (*plan.Node, *entry) {
+		var lk, rk []string
+		for _, p := range preds {
+			switch {
+			case p.ma&sub != 0 && p.mb&other != 0:
+				lk = append(lk, p.a)
+				rk = append(rk, p.b)
+			case p.mb&sub != 0 && p.ma&other != 0:
+				lk = append(lk, p.b)
+				rk = append(rk, p.a)
+			}
+		}
+		lk, rk = canonKeys(lk, rk)
+		n := plan.NewJoin(plan.Inner, dp[sub], dp[other], lk, rk)
+		if n.ResolveNode(o.ctx.Cat) != nil {
+			return nil, nil
+		}
+		return n, o.co.node(n, []*entry{ents[sub], ents[other]}, rows)
 	}
 
 	for mask := 3; mask <= full; mask++ {
 		if bits.OnesCount(uint(mask)) < 2 {
 			continue
 		}
-		var best *plan.Node
-		var bestCost time.Duration
-		bestKeyed := false
+		type split struct {
+			sub   int
+			n     *plan.Node
+			e     *entry
+			rows  int64
+			cost  time.Duration
+			keyed bool
+		}
+		var best split
 		for sub := (mask - 1) & mask; sub > 0; sub = (sub - 1) & mask {
+			c := split{sub: sub}
 			other := mask ^ sub
-			if dp[sub] == nil || dp[other] == nil {
-				continue
-			}
-			var lk, rk []string
+			l, r := ents[sub], ents[other]
+			var dom int64 = 1
 			for _, p := range preds {
-				switch {
-				case p.ma&sub != 0 && p.mb&other != 0:
-					lk = append(lk, p.a)
-					rk = append(rk, p.b)
-				case p.mb&sub != 0 && p.ma&other != 0:
-					lk = append(lk, p.b)
-					rk = append(rk, p.a)
+				if p.ma&sub != 0 && p.mb&other != 0 || p.mb&sub != 0 && p.ma&other != 0 {
+					c.keyed, dom = true, max(dom, p.dom)
 				}
 			}
-			lk, rk = canonKeys(lk, rk)
-			keyed := len(lk) > 0
-			if bestKeyed && !keyed {
+			if best.keyed && !c.keyed {
 				continue
 			}
-			cand := plan.NewJoin(plan.Inner, dp[sub], dp[other], lk, rk)
-			if cand.Resolve(o.ctx.Cat) != nil {
-				return nil
+			c.rows = innerRows(l.Rows, r.Rows, dom)
+			c.cost = l.Cost + r.Cost + joinCost(l.Rows, r.Rows, c.rows)
+			if l.match != nil && r.match != nil {
+				if c.n, c.e = build(sub, other, c.rows); c.n == nil {
+					return nil
+				}
+				c.cost = c.e.Cost
 			}
-			cost := o.co.info(cand).Cost
-			if best == nil || (keyed && !bestKeyed) || cost < bestCost {
-				best, bestCost, bestKeyed = cand, cost, keyed
+			if best.sub == 0 || (c.keyed && !best.keyed) || c.cost < best.cost {
+				best = c
 			}
 		}
-		if best == nil {
+		if best.sub == 0 {
 			return nil
 		}
-		dp[mask] = best
+		if best.n == nil {
+			if best.n, best.e = build(best.sub, mask^best.sub, best.rows); best.n == nil {
+				return nil
+			}
+		}
+		dp[mask], ents[mask] = best.n, best.e
 	}
 	return dp[full]
 }
@@ -183,39 +217,19 @@ func canonKeys(lk, rk []string) ([]string, []string) {
 	if len(lk) < 2 {
 		return lk, rk
 	}
-	idx := make([]int, len(lk))
-	for i := range idx {
-		idx[i] = i
+	pairs := make([][2]string, len(lk))
+	for i := range lk {
+		pairs[i] = [2]string{lk[i], rk[i]}
 	}
-	sort.Slice(idx, func(x, y int) bool {
-		i, j := idx[x], idx[y]
-		if lk[i] != lk[j] {
-			return lk[i] < lk[j]
-		}
-		return rk[i] < rk[j]
+	slices.SortFunc(pairs, func(a, b [2]string) int {
+		return cmp.Or(strings.Compare(a[0], b[0]), strings.Compare(a[1], b[1]))
 	})
-	outL := make([]string, 0, len(lk))
-	outR := make([]string, 0, len(rk))
-	for _, i := range idx {
-		if len(outL) > 0 && outL[len(outL)-1] == lk[i] && outR[len(outR)-1] == rk[i] {
-			continue
-		}
-		outL = append(outL, lk[i])
-		outR = append(outR, rk[i])
+	pairs = slices.Compact(pairs)
+	lk, rk = make([]string, len(pairs)), make([]string, len(pairs))
+	for i, p := range pairs {
+		lk[i], rk[i] = p[0], p[1]
 	}
-	return outL, outR
-}
-
-func sameOrder(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return lk, rk
 }
 
 // restoreOrder wraps n in an identity projection emitting names in order.

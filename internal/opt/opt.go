@@ -1,14 +1,13 @@
 // Package opt is a transformation-based plan optimizer that runs between
 // sql.Compile/Resolve and execution. It applies three classical rules —
 // predicate pushdown (splitting conjunctions via expr.Conjuncts), join
-// reordering over inner-equijoin groups, and projection pruning — but with
-// a twist the recycler makes possible: before costing an alternative, the
-// optimizer probes the recycler graph (core.Recycler.Probe) for cached or
-// in-flight entries matching the alternative's subtrees under the
-// statement's snapshot tags, and costs such a subtree as a *cached access
-// path* (near-zero replay cost). The optimizer therefore deliberately picks
-// the join order, conjunct order, and pushdown placement that reuses a warm
-// subtree even when that shape is not the cold-cost winner.
+// reordering over inner-equijoin groups, and projection pruning — with a
+// twist the recycler makes possible: a subtree the recycler graph holds a
+// cached or in-flight result for, under the statement's snapshot tags, is
+// costed as a *cached access path* (near-zero replay cost). The optimizer
+// therefore deliberately picks the join order, conjunct order, and pushdown
+// placement that reuses a warm subtree even when that shape is not the
+// cold-cost winner.
 //
 // The optimizer has two phases:
 //
@@ -19,19 +18,23 @@
 //   - Optimize adds the dynamic, recycler-aware phase on a bound plan:
 //     probe-greedy conjunct-chain ordering (extend the chain with whichever
 //     conjunct reproduces a subtree the graph already holds) and a
-//     deterministic dynamic-programming join reorder whose memo groups —
-//     subsets of the equijoin group's inputs, deduped by canonical plan
-//     signatures — are costed with the cached-access-path adjustment.
+//     deterministic dynamic-programming join reorder over subsets of the
+//     equijoin group's inputs.
+//
+// Both plan one node at a time: the coster is a hash-consed memo that costs,
+// matches (core.Graph.Match) and probes (core.Recycler.Probe) a shape from
+// its children's entries, candidates resolve over resolved inputs
+// (plan.Node.ResolveNode), and a losing join split is never built at all —
+// each candidate costs O(one node), not O(subtree).
 //
 // Everything is deterministic for a fixed recycler state: group enumeration
 // is by sorted bitmask order, conjunct canonical order is a sort on literal
 // presence then canonical string, and ties keep the first-enumerated
-// candidate. Two enumerations of the same query against the same state
-// yield byte-identical plans. Cold costs come from a pure per-node model
-// seeded with the statement's snapshot row counts — measured execution
-// statistics deliberately do not steer shape choice (they would make plan
-// shapes flap between runs and defeat HIST-mode's seen-before matching);
-// they surface only in EXPLAIN annotations.
+// candidate. Cold costs come from a pure per-node model seeded with the
+// statement's snapshot row counts — measured execution statistics
+// deliberately do not steer shape choice (they would make plan shapes flap
+// between runs and defeat HIST-mode's seen-before matching); they surface
+// only in EXPLAIN annotations.
 package opt
 
 import (
@@ -201,69 +204,60 @@ func (o *optimizer) steerChain(n *plan.Node, pinned, noReorder bool) (*plan.Node
 }
 
 // orderChain orders a chain's conjuncts. Without a recycler the canonical
-// order stands: literal-free conjuncts
-// innermost — those prefixes are shared across every binding of a template —
-// then canonical-string order. With a recycler, the chain is grown
-// greedily: at each step the conjunct whose extension matches the warmest
-// graph node wins (cached > in-flight > merely seen), ties resolved by
-// canonical order. Because "seen" extensions beat unseen ones, repeated
-// executions converge on the first-seen order instead of fragmenting the
-// graph into permutations.
+// order stands: literal-free conjuncts innermost — those prefixes are shared
+// across every binding of a template — then canonical-string order. With a
+// recycler, the chain is grown greedily: at each step the conjunct whose
+// extension matches the warmest graph node wins (cached > in-flight > merely
+// seen), ties resolved by canonical order. Because "seen" extensions beat
+// unseen ones, repeated executions converge on the first-seen order instead
+// of fragmenting the graph into permutations.
 func (o *optimizer) orderChain(base *plan.Node, preds []cpred) []cpred {
 	if o.ctx.Rec == nil || len(preds) < 2 {
 		return preds
 	}
-	// Steady-state fast path: if the graph already holds the full canonical
-	// chain, every prefix is already converged — one probe instead of the
-	// O(k²) greedy search below. The greedy search only pays off when some
-	// *other* permutation is warm while the canonical one has never run.
-	full := base
-	for _, p := range preds {
-		full = plan.NewSelect(full, p.e)
-	}
-	if full.Resolve(o.ctx.Cat) == nil {
-		if _, ok := o.ctx.Rec.Probe(full, o.ctx.Validate); ok {
-			return preds
+	// extend puts conjunct p on cur, resolved and interned one level above
+	// cur's entry ce; nil when p does not bind.
+	extend := func(cur *plan.Node, ce *entry, p cpred) (*plan.Node, *entry) {
+		n := plan.NewSelect(cur, p.e)
+		if n.ResolveNode(o.ctx.Cat) != nil {
+			return nil, nil
 		}
+		return n, o.co.node(n, []*entry{ce}, -1)
+	}
+	baseEnt := o.co.info(base)
+	// Steady-state fast path: if the graph already holds the full canonical
+	// chain, every prefix is already converged — one match per conjunct
+	// instead of the O(k²) greedy search below. The greedy search only pays
+	// off when some *other* permutation is warm while the canonical one has
+	// never run.
+	cur, ce := base, baseEnt
+	for i := 0; i < len(preds) && cur != nil && ce.match != nil; i++ {
+		cur, ce = extend(cur, ce, preds[i])
+	}
+	if cur != nil && ce.match != nil {
+		return preds
 	}
 	out := make([]cpred, 0, len(preds))
 	rem := append([]cpred(nil), preds...)
-	cur := base
-	for len(rem) > 0 {
+	cur, ce = base, baseEnt
+	// An unmatched chain has no matched extension: canonical order for the
+	// rest.
+	for len(rem) > 0 && ce.match != nil {
 		best, bestScore := -1, 0
+		var bestNode *plan.Node
+		var bestEnt *entry
 		for i, p := range rem {
-			cand := plan.NewSelect(cur, p.e)
-			if cand.Resolve(o.ctx.Cat) != nil {
-				continue
-			}
-			pi, ok := o.ctx.Rec.Probe(cand, o.ctx.Validate)
-			if !ok {
-				continue
-			}
-			score := 1
-			if pi.Inflight {
-				score = 2
-			}
-			if pi.Cached {
-				score = 3
-			}
-			if score > bestScore {
-				best, bestScore = i, score
+			n, e := extend(cur, ce, p)
+			if n != nil && e.score() > bestScore {
+				best, bestScore, bestNode, bestEnt = i, e.score(), n, e
 			}
 		}
 		if best < 0 {
-			// Nothing below matches the graph: canonical order for the rest.
-			out = append(out, rem...)
 			break
 		}
 		out = append(out, rem[best])
-		cur = plan.NewSelect(cur, rem[best].e)
-		if cur.Resolve(o.ctx.Cat) != nil {
-			out = append(out, rem[:best]...)
-			out = append(out, rem[best+1:]...)
-			break
-		}
 		rem = append(rem[:best], rem[best+1:]...)
+		cur, ce = bestNode, bestEnt
 	}
-	return out
+	return append(out, rem...)
 }

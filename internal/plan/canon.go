@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -159,9 +160,11 @@ func erase(string) string { return "#" }
 // It indexes the per-node parent hash tables and the global leaf table of
 // the recycler graph (§III-A).
 func (n *Node) HashKey() uint64 {
+	var buf [48]byte
+	b := strconv.AppendInt(buf[:0], int64(n.Op), 10)
+	b = strconv.AppendInt(append(b, '|'), int64(len(n.Children)), 10)
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|", n.Op, len(n.Children))
-	h.Write([]byte(n.ParamString(erase)))
+	h.Write(append(append(b, '|'), n.ParamString(erase)...))
 	return h.Sum64()
 }
 

@@ -18,6 +18,13 @@ func (n *Node) Resolve(cat *catalog.Catalog) error {
 			return err
 		}
 	}
+	return n.ResolveNode(cat)
+}
+
+// ResolveNode resolves n alone over children that are already resolved:
+// Resolve's per-node step, for callers that assemble a tree one node at a
+// time over resolved inputs and must not pay for re-walking them.
+func (n *Node) ResolveNode(cat *catalog.Catalog) error {
 	defer n.resolveLineage(cat)
 	switch n.Op {
 	case Scan:
@@ -190,19 +197,34 @@ func (n *Node) resolveLineage(cat *catalog.Catalog) {
 	case Cached:
 		n.lineage = nil
 	default:
-		set := make(map[string]struct{})
+		n.lineage = nil
 		for _, c := range n.Children {
-			for _, t := range c.lineage {
-				set[t] = struct{}{}
-			}
+			n.lineage = mergeLineage(n.lineage, c.lineage)
 		}
-		out := make([]string, 0, len(set))
-		for t := range set {
-			out = append(out, t)
-		}
-		sort.Strings(out)
-		n.lineage = out
 	}
+}
+
+// mergeLineage unions two sorted distinct table lists. Lineages are never
+// mutated once derived, so an empty side yields the other list itself.
+func mergeLineage(a, b []string) []string {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]string, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // Lineage returns the base tables this subtree reads (sorted, distinct;
