@@ -12,19 +12,8 @@ import (
 	"recycledb/internal/vector"
 )
 
-// newFreeCopy builds an engine whose cost model prices materialization at
-// (next to) nothing, so store decisions depend on reuse history alone and
-// not on machine speed.
-func newFreeCopy(cfg Config) *Engine {
-	t := defaultTuning()
-	t.Core.CopyBytesPerSec = 1 << 50
-	return newEngine(cfg, t, catalog.New())
-}
-
 func dmlEngine(mode Mode) *Engine {
-	// Materialization looks free (huge CopyBytesPerSec) so store
-	// decisions depend on reuse history alone, not on machine speed.
-	e := newFreeCopy(Config{Mode: mode})
+	e := New(Config{Mode: mode})
 	ev := catalog.NewTable("ev", catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "grp", Typ: vector.String},
@@ -223,8 +212,9 @@ func TestDeltaExtensionMatchesRecompute(t *testing.T) {
 		return out
 	}
 
-	// Warm until the selection result is cached.
-	for i := 0; i < 3; i++ {
+	// Warm until the selection result is cached: its references must pay
+	// for the copy (about four, for this 300-row table).
+	for i := 0; i < 5; i++ {
 		canon(e)
 	}
 	if e.Recycler().Stats().CacheEntries == 0 {
@@ -273,10 +263,7 @@ func TestDeltaExtensionMatchesRecompute(t *testing.T) {
 // invariants while entries are admitted, delta-extended, and invalidated:
 // used bytes never exceed the budget and never go negative.
 func TestCacheAccountingUnderInvalidation(t *testing.T) {
-	// A huge CopyBytesPerSec makes materialization look free, so the
-	// store decision depends on reuse history alone — without it, the
-	// cost-model gate flips with machine speed and the test goes flaky.
-	e := newFreeCopy(Config{Mode: History, CacheBytes: 1 << 20})
+	e := New(Config{Mode: History, CacheBytes: 1 << 20})
 	ev := catalog.NewTable("ev", catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "score", Typ: vector.Float64},

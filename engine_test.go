@@ -186,10 +186,7 @@ func TestModesAgreeOnResults(t *testing.T) {
 }
 
 func TestSubsumptionSelectDerivation(t *testing.T) {
-	// Copying is modelled as free here so the wide (cheap-to-compute,
-	// large) selection qualifies for materialization; the test targets
-	// the derivation machinery, not the store economics.
-	e := newFreeCopy(Config{Mode: Speculative})
+	e := New(Config{Mode: Speculative})
 	loadSales(e, 5000)
 	wide := Select(Scan("sales", "region", "amount"), Lt(Col("amount"), Float(90)))
 	// Run the wide selection twice so its result is cached.
@@ -317,8 +314,10 @@ func TestProactiveCubeSelections(t *testing.T) {
 }
 
 func TestProactiveTopNWidening(t *testing.T) {
+	// 40k rows: the widened top-N (10k rows) must cost more to recompute
+	// than to copy, or speculation declines to store it.
 	e := New(Config{Mode: Proactive})
-	loadSales(e, 8000)
+	loadSales(e, 40000)
 	q := func(n int) *Plan {
 		return TopN(Scan("sales", "product", "amount"),
 			OrderBy(Desc("amount"), Asc("product")), n)
@@ -346,7 +345,7 @@ func TestProactiveTopNWidening(t *testing.T) {
 	}
 	// Correctness of the reused prefix.
 	off := New(Config{Mode: Off})
-	loadSales(off, 8000)
+	loadSales(off, 40000)
 	want, _ := off.ExecuteContext(context.Background(), q(50))
 	sameResults(t, want, r2)
 }

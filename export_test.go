@@ -4,9 +4,8 @@ import "recycledb/internal/catalog"
 
 // The one test seam: Config carries only what commands, examples and the
 // benchmark set, so tests that need odd internal values (α = 1 for exact
-// arithmetic, a huge CopyBytesPerSec so tiny fixtures store, 256-row
-// vectors to force many morsels, the subsumption/aging ablations) build
-// their engine through the unexported constructor.
+// arithmetic, 256-row vectors to force many morsels, the subsumption/aging
+// ablations) build their engine through the unexported constructor.
 
 // Tuning is the engine's internal configuration.
 type Tuning = tuning

@@ -47,13 +47,28 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 		decisions []string
 	}
 	var engines []*pareng
+	add := func(label string, mode recycledb.Mode, par int) {
+		engines = append(engines, &pareng{label: label,
+			eng: newSmallVectorEngine(recycledb.Config{Mode: mode, Parallelism: par}, cat)})
+	}
 	for _, mode := range harness.Modes {
 		for _, par := range []int{1, 4, 8} {
-			engines = append(engines, &pareng{
-				label: fmt.Sprintf("%v/par=%d", mode, par),
-				eng:   newSmallVectorEngine(recycledb.Config{Mode: mode, Parallelism: par}, cat),
-			})
+			add(fmt.Sprintf("%v/par=%d", mode, par), mode, par)
 		}
+		if mode != recycledb.Off {
+			// A second fresh serial engine: recycler state must repeat
+			// exactly across runs, not just across worker counts.
+			add(fmt.Sprintf("%v/par=1/rerun", mode), mode, 1)
+		}
+	}
+	engine := func(label string) *pareng {
+		for _, pe := range engines {
+			if pe.label == label {
+				return pe
+			}
+		}
+		t.Fatalf("no engine %s", label)
+		return nil
 	}
 	meng := monet.New(cat, monet.NewRecycler(0))
 
@@ -133,47 +148,28 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 	if got := exec.FastHashEngaged() - hashBefore; got == 0 {
 		t.Fatal("the int64 hash fast path never engaged")
 	}
-	// Recycling decisions must also be parallelism-independent: compare
-	// each mode's recycler stats between its serial and 8-way engines.
+	// Recycling decisions are a pure function of plan, data and statement
+	// sequence: every cost the recycler ranks and admits by is the weight
+	// table over rows execution counted, never a clock, and rows do not
+	// depend on the worker count. So the serial and 8-way engines must make
+	// the same decision for every statement, and two fresh serial engines
+	// must end in the same recycler state (matching time aside: Fig. 10's
+	// overhead is the one clock the recycler keeps, and it only observes).
 	for _, mode := range harness.Modes[1:] { // skip Off: no recycler work
-		var serial, par8 *pareng
-		for _, pe := range engines {
-			if pe.label == fmt.Sprintf("%v/par=1", mode) {
-				serial = pe
-			}
-			if pe.label == fmt.Sprintf("%v/par=8", mode) {
-				par8 = pe
-			}
-		}
-		ss, ps := serial.eng.Recycler().Stats(), par8.eng.Recycler().Stats()
-		if ss.Queries != ps.Queries {
-			t.Fatalf("mode %v: query counts diverged: %d vs %d", mode, ss.Queries, ps.Queries)
-		}
-		t.Logf("mode %v: reuses serial %d par8 %d", mode, ss.Reuses, ps.Reuses)
-		// Reuse behaviour is parallelism-independent only up to timing. A
-		// history store needs hR x the node's *measured* cost to beat the
-		// modelled copy cost, and the top maxHistoryStores candidates are
-		// ranked by measured-cost benefit (Eq. 1); eight workers sharing a
-		// small machine measure different costs than one, so par8 stores —
-		// and later reuses — a few different results (the decision log
-		// below shows which). That clock input is what ROADMAP 3(a)
-		// replaces with work units. Until then the tolerance comes from 24
-		// recorded runs: HIST serial 133-144 vs par8 140-150, SPEC and PA
-		// at most 9 apart; the widest gap, 17, is 13% of the serial count,
-		// so a 20% gap is a divergence timing does not explain.
-		tol := max(ss.Reuses/5, 8)
-		diff := ss.Reuses - ps.Reuses
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > tol {
-			t.Errorf("mode %v: exact reuses diverged beyond tolerance: serial %d vs par8 %d",
-				mode, ss.Reuses, ps.Reuses)
-			for i := range serial.decisions {
-				if serial.decisions[i] != par8.decisions[i] {
-					t.Logf("serial %s\n    par8   %s", serial.decisions[i], par8.decisions[i])
-				}
+		serial := engine(fmt.Sprintf("%v/par=1", mode))
+		par8 := engine(fmt.Sprintf("%v/par=8", mode))
+		rerun := engine(fmt.Sprintf("%v/par=1/rerun", mode))
+		for i := range serial.decisions {
+			if serial.decisions[i] != par8.decisions[i] {
+				t.Errorf("mode %v: decisions diverged across parallelism:\n    serial %s\n    par8   %s",
+					mode, serial.decisions[i], par8.decisions[i])
 			}
 		}
+		ss, rs := serial.eng.Recycler().Stats(), rerun.eng.Recycler().Stats()
+		ss.MatchTime, rs.MatchTime = 0, 0
+		if ss != rs {
+			t.Errorf("mode %v: recycler stats differ between two serial runs:\n    %+v\n    %+v", mode, ss, rs)
+		}
+		t.Logf("mode %v: reuses serial %d par8 %d", mode, ss.Reuses, par8.eng.Recycler().Stats().Reuses)
 	}
 }

@@ -171,8 +171,8 @@ func TestAddRefsSkipsBelowMaterialized(t *testing.T) {
 	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
 	b.Vecs[0].AppendInt64(1)
 	b.Vecs[1].AppendFloat64(1)
-	r.UpdateStats(sel, time.Millisecond, 1, 16)
-	if !r.Admit(sel, []*vector.Batch{b}, 1, 16, time.Millisecond, -1) {
+	r.UpdateStats(sel, 1000, 1, 16)
+	if !r.Admit(sel, []*vector.Batch{b}, 1, 16, 1000, -1) {
 		t.Fatal("admit failed")
 	}
 	// Re-run the query: the select gets a ref, the scan must NOT (its
@@ -234,16 +234,16 @@ func TestHRMaintenanceFig3(t *testing.T) {
 		return []*vector.Batch{b}
 	}
 	// Materialize sigma4: h(sigma3) -= h(sigma4) => 0.
-	r.UpdateStats(gSigma4, time.Millisecond, 1, 8)
-	if !r.Admit(gSigma4, oneRow(), 1, 8, time.Millisecond, -1) {
+	r.UpdateStats(gSigma4, 1000, 1, 8)
+	if !r.Admit(gSigma4, oneRow(), 1, 8, 1000, -1) {
 		t.Fatal("admit sigma4 failed")
 	}
 	if got := r.HR(gSigma3); got != 0 {
 		t.Fatalf("h(sigma3) after sigma4 materialized = %v, want 0", got)
 	}
 	// Materialize pi5: h(sigma4) -= h(pi5) => 0; sigma3 unaffected.
-	r.UpdateStats(gPi5, time.Millisecond, 1, 8)
-	if !r.Admit(gPi5, oneRow(), 1, 8, time.Millisecond, -1) {
+	r.UpdateStats(gPi5, 1000, 1, 8)
+	if !r.Admit(gPi5, oneRow(), 1, 8, 1000, -1) {
 		t.Fatal("admit pi5 failed")
 	}
 	if got := r.HR(gSigma4); got != 0 {
@@ -278,18 +278,18 @@ func TestTrueCostSubtractsDMDs(t *testing.T) {
 	m := r.MatchInsert(root)
 	sel := m.ByNode[root].G
 	scan := m.ByNode[root.Children[0]].G
-	r.UpdateStats(scan, 40*time.Millisecond, 10, 80)
-	r.UpdateStats(sel, 100*time.Millisecond, 5, 40)
-	if got := r.TrueCost(sel); got != 100*time.Millisecond {
+	r.UpdateStats(scan, 40000, 10, 80)
+	r.UpdateStats(sel, 100000, 5, 40)
+	if got := r.TrueCost(sel); got != 100000 {
 		t.Fatalf("true cost without DMDs = %v", got)
 	}
 	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
 	b.Vecs[0].AppendInt64(1)
 	b.Vecs[1].AppendFloat64(1)
-	if !r.Admit(scan, []*vector.Batch{b}, 10, 80, 40*time.Millisecond, 1) {
+	if !r.Admit(scan, []*vector.Batch{b}, 10, 80, 40000, 1) {
 		t.Fatal("admit scan failed")
 	}
-	if got := r.TrueCost(sel); got != 60*time.Millisecond {
+	if got := r.TrueCost(sel); got != 60000 {
 		t.Fatalf("true cost with scan cached = %v, want 60ms", got)
 	}
 }
@@ -334,10 +334,10 @@ func TestBenefitFormula(t *testing.T) {
 	m2 := r.MatchInsert(p2)
 	r.AddRefs(p2, m2) // hr = 1
 	g := m2.ByNode[p2].G
-	r.UpdateStats(g, 2*time.Second, 100, 1000)
-	// B = cost * hr / size = 2 * 1 / 1000.
-	if got := r.Benefit(g); got != 2.0/1000 {
-		t.Fatalf("benefit = %v, want 0.002", got)
+	r.UpdateStats(g, 2000, 100, 1000)
+	// B = cost * hr / size = 2000 * 1 / 1000 work units per byte.
+	if got := r.Benefit(g); got != 2 {
+		t.Fatalf("benefit = %v, want 2", got)
 	}
 }
 
@@ -348,7 +348,7 @@ func TestCacheReplacementPolicy(t *testing.T) {
 	cfg.CacheBytes = 100
 	r := New(cfg)
 
-	mk := func(hi int64, cost time.Duration) *Node {
+	mk := func(hi int64, cost plan.Work) *Node {
 		p := selPlan(t, cat, hi)
 		r.BeginQuery()
 		m := r.MatchInsert(p)
@@ -367,18 +367,18 @@ func TestCacheReplacementPolicy(t *testing.T) {
 		b.Vecs[0].AppendInt64(1)
 		return []*vector.Batch{b}
 	}
-	cheap := mk(1, 10*time.Millisecond)
-	costly := mk(2, 10*time.Second)
-	if !r.Admit(cheap, row(), 5, 40, 10*time.Millisecond, -1) {
+	cheap := mk(1, 10000)
+	costly := mk(2, 10000000)
+	if !r.Admit(cheap, row(), 5, 40, 10000, -1) {
 		t.Fatal("admit cheap failed")
 	}
-	if !r.Admit(costly, row(), 5, 40, 10*time.Second, -1) {
+	if !r.Admit(costly, row(), 5, 40, 10000000, -1) {
 		// 40 + 40 <= 100: fits without eviction.
 		t.Fatal("admit costly failed")
 	}
 	// Third entry of the same size group: must evict the cheap one.
-	mid := mk(3, 1*time.Second)
-	if !r.Admit(mid, row(), 5, 40, time.Second, -1) {
+	mid := mk(3, 1000000)
+	if !r.Admit(mid, row(), 5, 40, 1000000, -1) {
 		t.Fatal("admit mid failed")
 	}
 	st := r.Stats()
@@ -394,8 +394,8 @@ func TestCacheReplacementPolicy(t *testing.T) {
 	}
 	r.Release(e)
 	// A low-benefit result must be rejected rather than evicting better.
-	low := mk(4, time.Nanosecond)
-	if r.Admit(low, row(), 5, 40, time.Nanosecond, -1) {
+	low := mk(4, 1)
+	if r.Admit(low, row(), 5, 40, 1, -1) {
 		t.Fatal("low-benefit result should be rejected")
 	}
 }
@@ -409,8 +409,8 @@ func TestCacheRejectsOversized(t *testing.T) {
 	r.BeginQuery()
 	m := r.MatchInsert(p)
 	g := m.ByNode[p].G
-	r.UpdateStats(g, time.Second, 5, 40)
-	if r.Admit(g, nil, 5, 40, time.Second, 1) {
+	r.UpdateStats(g, 1000000, 5, 40)
+	if r.Admit(g, nil, 5, 40, 1000000, 1) {
 		t.Fatal("oversized result must be rejected")
 	}
 }
@@ -425,8 +425,8 @@ func TestPinPreventsEviction(t *testing.T) {
 	r.BeginQuery()
 	m := r.MatchInsert(p)
 	g := m.ByNode[p].G
-	r.UpdateStats(g, time.Millisecond, 5, 40)
-	if !r.Admit(g, nil, 5, 40, time.Millisecond, 1) {
+	r.UpdateStats(g, 1000, 5, 40)
+	if !r.Admit(g, nil, 5, 40, 1000, 1) {
 		t.Fatal("admit failed")
 	}
 	e := r.Cached(g) // pins
@@ -515,11 +515,11 @@ func TestInflightProducerAndWaiter(t *testing.T) {
 		r.Release(e)
 	}()
 	time.Sleep(10 * time.Millisecond)
-	r.UpdateStats(g, time.Millisecond, 1, 8)
+	r.UpdateStats(g, 1000, 1, 8)
 	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
 	b.Vecs[0].AppendInt64(1)
 	b.Vecs[1].AppendFloat64(1)
-	if !r.Admit(g, []*vector.Batch{b}, 1, 8, time.Millisecond, 1) {
+	if !r.Admit(g, []*vector.Batch{b}, 1, 8, 1000, 1) {
 		t.Fatal("admit failed")
 	}
 	r.FinishInflight(g)
@@ -677,11 +677,11 @@ func TestTruncateSparesCachedNodes(t *testing.T) {
 	r.BeginQuery()
 	m := r.MatchInsert(p)
 	g := m.ByNode[p].G
-	r.UpdateStats(g, time.Millisecond, 1, 8)
+	r.UpdateStats(g, 1000, 1, 8)
 	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
 	b.Vecs[0].AppendInt64(1)
 	b.Vecs[1].AppendFloat64(1)
-	if !r.Admit(g, []*vector.Batch{b}, 1, 8, time.Millisecond, 1) {
+	if !r.Admit(g, []*vector.Batch{b}, 1, 8, 1000, 1) {
 		t.Fatal("admit failed")
 	}
 	for i := 0; i < 10; i++ {

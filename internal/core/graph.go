@@ -83,14 +83,14 @@ type Node struct {
 	// registration. It is a leaf lock: never acquire any other lock while
 	// holding it.
 	mu        sync.Mutex
-	hr        float64       // importance factor (aged lazily); guarded by mu
-	ageSeq    uint64        // last aging fold; guarded by mu
-	baseCost  time.Duration // guarded by mu
-	costKnown bool          // guarded by mu
-	card      int64         // guarded by mu
-	estBytes  int64         // guarded by mu
-	execCount int64         // guarded by mu
-	inflight  *inflight     // guarded by mu
+	hr        float64   // importance factor (aged lazily); guarded by mu
+	ageSeq    uint64    // last aging fold; guarded by mu
+	baseCost  plan.Work // guarded by mu
+	costKnown bool      // guarded by mu
+	card      int64     // guarded by mu
+	estBytes  int64     // guarded by mu
+	execCount int64     // guarded by mu
+	inflight  *inflight // guarded by mu
 
 	// cached points to this node's recycler-cache entry, or nil. Written
 	// only under the cache mutex; read lock-free.

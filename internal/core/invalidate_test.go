@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
@@ -13,7 +12,7 @@ import (
 func admitTagged(t *testing.T, r *Recycler, g *Node, subplan *plan.Node, ver, rows int64) {
 	t.Helper()
 	ok := r.AdmitMat(g, Materialization{
-		Batches: mkBatch(4), Rows: 4, Size: 64, Cost: time.Millisecond,
+		Batches: mkBatch(4), Rows: 4, Size: 64, Cost: 1000,
 		HROverride: 1,
 		Snap:       map[string]TableSnap{"t": {Ver: ver, Rows: rows}},
 		Plan:       subplan,

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"recycledb/internal/plan"
-)
+import "recycledb/internal/plan"
 
 // This file is the recycler's read-only interface for the cost-based
 // optimizer (internal/opt): before costing an alternative plan shape, the
@@ -40,7 +36,7 @@ type ProbeInfo struct {
 	// CostKnown reports whether the node has measured statistics; BaseCost
 	// and Card are the measurements (Eq. 2 base cost, output cardinality).
 	CostKnown bool
-	BaseCost  time.Duration
+	BaseCost  plan.Work
 	Card      int64
 	// Cached reports a cached result that passed the caller's validation;
 	// CachedRows/CachedBytes are its exact measurements.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
@@ -65,12 +64,12 @@ func TestProbeReportsStatsCachedInflight(t *testing.T) {
 		t.Fatalf("fresh node reports state: %+v", info)
 	}
 
-	r.UpdateStats(g, 42*time.Millisecond, 7, 128)
+	r.UpdateStats(g, 42000, 7, 128)
 	if !r.BeginInflight(g) {
 		t.Fatal("BeginInflight refused")
 	}
 	info = r.Probe(g, nil)
-	if !info.CostKnown || info.BaseCost != 42*time.Millisecond || info.Card != 7 {
+	if !info.CostKnown || info.BaseCost != 42000 || info.Card != 7 {
 		t.Fatalf("measured stats not reported: %+v", info)
 	}
 	if !info.Inflight {
@@ -79,7 +78,7 @@ func TestProbeReportsStatsCachedInflight(t *testing.T) {
 	r.FinishInflight(g)
 
 	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
-	if !r.Admit(g, []*vector.Batch{b}, 7, 128, 42*time.Millisecond, -1) {
+	if !r.Admit(g, []*vector.Batch{b}, 7, 128, 42000, -1) {
 		t.Fatal("admit refused")
 	}
 	reusesBefore := r.Stats().Reuses

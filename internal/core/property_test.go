@@ -41,7 +41,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 		m := r.MatchInsert(p)
 		r.AddRefs(p, m)
 		g := m.ByNode[p].G
-		r.UpdateStats(g, time.Duration(1+i)*time.Millisecond, 10, int64(100+50*i))
+		r.UpdateStats(g, plan.Work(1+i)*1000, 10, int64(100+50*i))
 		nodes = append(nodes, g)
 	}
 	rng := rand.New(rand.NewSource(99))
@@ -73,7 +73,7 @@ func TestCacheInvariantsUnderRandomOps(t *testing.T) {
 		switch rng.Intn(6) {
 		case 0, 1: // admit
 			size := int64(50 + rng.Intn(1000))
-			r.Admit(n, mkBatch(4), 4, size, time.Duration(1+rng.Intn(5))*time.Millisecond, -1)
+			r.Admit(n, mkBatch(4), 4, size, plan.Work(1+rng.Intn(5))*1000, -1)
 		case 2: // evict
 			r.Evict(n)
 		case 3: // pin / release
@@ -124,8 +124,8 @@ func TestHREvictAdmitSymmetry(t *testing.T) {
 		sel := m.ByNode[p].G
 		scan := m.ByNode[p.Children[0]].G
 		before := r.HR(scan)
-		r.UpdateStats(sel, time.Millisecond, 4, 64)
-		if !r.Admit(sel, mkBatch(4), 4, 64, time.Millisecond, 1) {
+		r.UpdateStats(sel, 1000, 4, 64)
+		if !r.Admit(sel, mkBatch(4), 4, 64, 1000, 1) {
 			return false
 		}
 		r.Evict(sel)
@@ -185,8 +185,8 @@ func TestGraphUnificationProperty(t *testing.T) {
 func TestBenefitMonotonicity(t *testing.T) {
 	f := func(c1, c2 uint32, s1, s2 uint32) bool {
 		hr := 2.0
-		costA := time.Duration(c1%1e6+1) * time.Microsecond
-		costB := time.Duration(c2%1e6+1) * time.Microsecond
+		costA := plan.Work(c1%1e6 + 1)
+		costB := plan.Work(c2%1e6 + 1)
 		sizeA := int64(s1%1e6 + 1)
 		sizeB := int64(s2%1e6 + 1)
 		if costA >= costB && sizeA <= sizeB {
@@ -244,9 +244,9 @@ func TestTrueCostNeverNegative(t *testing.T) {
 	sel := m.ByNode[p].G
 	scan := m.ByNode[p.Children[0]].G
 	// Pathological stats: the child "costs more" than the parent.
-	r.UpdateStats(scan, 10*time.Second, 10, 80)
-	r.UpdateStats(sel, time.Millisecond, 5, 40)
-	r.Admit(scan, mkBatch(4), 10, 80, 10*time.Second, 1)
+	r.UpdateStats(scan, 10000000, 10, 80)
+	r.UpdateStats(sel, 1000, 5, 40)
+	r.Admit(scan, mkBatch(4), 10, 80, 10000000, 1)
 	if tc := r.TrueCost(sel); tc < 0 {
 		t.Fatalf("true cost went negative: %v", tc)
 	}
@@ -273,7 +273,7 @@ func TestConcurrentCacheAccounting(t *testing.T) {
 		m := r.MatchInsert(p)
 		r.AddRefs(p, m)
 		g := m.ByNode[p].G
-		r.UpdateStats(g, time.Duration(1+i)*time.Millisecond, 10, int64(100+40*i))
+		r.UpdateStats(g, plan.Work(1+i)*1000, 10, int64(100+40*i))
 		nodes = append(nodes, g)
 	}
 
@@ -314,7 +314,7 @@ func TestConcurrentCacheAccounting(t *testing.T) {
 				switch rng.Intn(10) {
 				case 0, 1, 2, 3: // admit
 					size := int64(50 + rng.Intn(2000))
-					r.Admit(n, mkBatch(4), 4, size, time.Duration(1+rng.Intn(5))*time.Millisecond, -1)
+					r.Admit(n, mkBatch(4), 4, size, plan.Work(1+rng.Intn(5))*1000, -1)
 				case 4, 5: // evict
 					r.Evict(n)
 				case 6: // pin, sometimes holding across iterations
@@ -428,7 +428,7 @@ func TestConcurrentInflightHandoff(t *testing.T) {
 	// Produce: admission will reject (capacity 1), but the batches are
 	// published to the waiters anyway.
 	batches := mkBatch(4)
-	if r.Admit(g, batches, 4, 999, time.Millisecond, -1) {
+	if r.Admit(g, batches, 4, 999, 1000, -1) {
 		t.Fatal("admission should fail with capacity 1")
 	}
 	r.FinishInflightShared(g, batches, 4, 999, nil)

@@ -23,17 +23,6 @@ type Config struct {
 	StallTimeout time.Duration
 	// Subsumption enables subsumption edges and derived reuse (§IV-A).
 	Subsumption bool
-	// CopyBytesPerSec models the cost of materialization itself (the
-	// deep copy a store operator performs). A result only qualifies for
-	// materialization if its expected recompute savings exceed the copy
-	// cost — the quantified form of the paper's "computationally
-	// expensive and likely to have a small result size" criterion
-	// (§III-D), which matters at in-memory scales where copying can be
-	// as expensive as computing. The default tracks the engine's
-	// vectorized clone path (columnar bulk slice copies run at memory
-	// bandwidth; 256 MiB/s is a conservative floor that keeps the model
-	// honest after the row-at-a-time copy loops were replaced).
-	CopyBytesPerSec int64
 }
 
 // SpeculationHR is the constant importance factor used when deciding on
@@ -44,15 +33,6 @@ const SpeculationHR = 0.001
 // extrapolates cost and size.
 const MinProgress = 0.05
 
-// CopyCost estimates the one-time materialization cost of a result.
-func (c Config) CopyCost(size int64) time.Duration {
-	bps := c.CopyBytesPerSec
-	if bps <= 0 {
-		bps = 256 << 20
-	}
-	return time.Duration(float64(size) / float64(bps) * float64(time.Second))
-}
-
 // DefaultConfig returns the configuration used throughout the evaluation.
 func DefaultConfig() Config {
 	return Config{
@@ -61,7 +41,6 @@ func DefaultConfig() Config {
 		MaxSpeculateBytes: 64 << 20,
 		StallTimeout:      2 * time.Second,
 		Subsumption:       true,
-		CopyBytesPerSec:   256 << 20,
 	}
 }
 
@@ -217,7 +196,7 @@ func (r *Recycler) Benefit(n *Node) float64 {
 }
 
 // NodeStats returns a consistent snapshot of a node's execution statistics.
-func (r *Recycler) NodeStats(n *Node) (cost time.Duration, known bool, card, estBytes int64) {
+func (r *Recycler) NodeStats(n *Node) (cost plan.Work, known bool, card, estBytes int64) {
 	n.mu.Lock()
 	cost, known, card, estBytes = n.baseCost, n.costKnown, n.card, n.estBytes
 	n.mu.Unlock()
@@ -234,14 +213,15 @@ func (r *Recycler) Subsumers(n *Node) []*Node {
 }
 
 // StallTimeoutFor adapts the stall bound to the producer's expected cost: a
-// waiter should not wait much longer than recomputing would take, while
-// slow, valuable producers deserve the full configured bound.
+// waiter should not wait much longer than recomputing would take (the
+// node's base cost at NanosPerWork), while slow, valuable producers deserve
+// the full configured bound.
 func (r *Recycler) StallTimeoutFor(n *Node) time.Duration {
 	max := r.cfg.StallTimeout
 	cost, known, _, _ := r.NodeStats(n)
 	var est time.Duration
 	if known {
-		est = 5 * cost
+		est = time.Duration(5 * float64(cost) * NanosPerWork)
 	} else {
 		est = max / 8
 	}
@@ -255,15 +235,15 @@ func (r *Recycler) StallTimeoutFor(n *Node) time.Duration {
 }
 
 // TrueCost returns Eq. 2 for the node.
-func (r *Recycler) TrueCost(n *Node) time.Duration {
+func (r *Recycler) TrueCost(n *Node) plan.Work {
 	return trueCost(n)
 }
 
 // UpdateStats records post-execution measurements for a node: base cost
-// (measured cost plus the base costs of reused descendants substituted in
-// this plan), cardinality and result size estimate. The stored bcost is
-// refreshed on every recomputation, as the paper prescribes.
-func (r *Recycler) UpdateStats(n *Node, baseCost time.Duration, card, estBytes int64) {
+// (the work execution counted plus the base costs of reused descendants
+// substituted in this plan), cardinality and result size estimate. The
+// stored bcost is refreshed on every recomputation, as the paper prescribes.
+func (r *Recycler) UpdateStats(n *Node, baseCost plan.Work, card, estBytes int64) {
 	n.mu.Lock()
 	n.baseCost = baseCost
 	n.costKnown = true
@@ -325,7 +305,7 @@ type Materialization struct {
 	Batches []*vector.Batch
 	Rows    int64
 	Size    int64
-	Cost    time.Duration
+	Cost    plan.Work
 	// HROverride < 0 means "use the node's aged hR"; speculation passes
 	// its constant.
 	HROverride float64
@@ -336,7 +316,7 @@ type Materialization struct {
 
 // Admit offers a fully materialized result for node n to the cache with no
 // snapshot tag (version-agnostic; the engine's store path uses AdmitMat).
-func (r *Recycler) Admit(n *Node, batches []*vector.Batch, rows, size int64, cost time.Duration, hrOverride float64) bool {
+func (r *Recycler) Admit(n *Node, batches []*vector.Batch, rows, size int64, cost plan.Work, hrOverride float64) bool {
 	return r.AdmitMat(n, Materialization{
 		Batches: batches, Rows: rows, Size: size, Cost: cost, HROverride: hrOverride,
 	})
@@ -360,7 +340,7 @@ func (r *Recycler) AdmitMat(n *Node, m Materialization) bool {
 	seq := r.curSeq()
 	n.mu.Lock()
 	// Never-measured nodes (speculation) get their first base-cost
-	// sample from the store operator's measurement.
+	// sample from the work the store operator's input counted.
 	if !n.costKnown && m.Cost > 0 {
 		n.baseCost = m.Cost
 		n.costKnown = true

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"testing"
-	"time"
 
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
@@ -58,9 +57,9 @@ func TestReplacementIsGlobalAndAllOrNothing(t *testing.T) {
 	y, z, w := rest[7], rest[8], rest[9]
 	// e[i] has benefit (i+1)·k with k = 1ms/40B; mid is the third worst.
 	e := []*Node{rest[0], rest[1], mid, rest[2], rest[3], rest[4], rest[5], rest[6]}
-	const k = time.Millisecond
+	const k plan.Work = 1000
 	for i, n := range e {
-		cost := time.Duration(i+1) * k
+		cost := plan.Work(i+1) * k
 		r.UpdateStats(n, cost, 5, 40)
 		if !r.Admit(n, mkBatch(1), 1, 40, cost, -1) {
 			t.Fatalf("filling: entry %d rejected", i)
@@ -68,7 +67,7 @@ func TestReplacementIsGlobalAndAllOrNothing(t *testing.T) {
 	}
 	// offer admits n with the given size and a benefit of units·k.
 	offer := func(n *Node, size int64, units float64) bool {
-		cost := time.Duration(units * float64(size) / 40 * float64(k))
+		cost := plan.Work(units * float64(size) / 40 * float64(k))
 		r.UpdateStats(n, cost, 5, size)
 		return r.Admit(n, mkBatch(1), 1, size, cost, -1)
 	}

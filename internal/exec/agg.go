@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"sort"
 	"sync"
-	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
@@ -527,7 +526,7 @@ type aggWorker struct {
 // so the output is order-deterministic and worker-count-independent (float
 // sums modulo re-association).
 type AggOp struct {
-	fragRoot
+	*fragRoot
 	workers []*aggWorker
 
 	final  *aggState // the lone worker's table, or merged
@@ -540,13 +539,12 @@ type AggOp struct {
 
 	failMu  sync.Mutex
 	failErr error
-
-	mergeNanos int64 // merge, order sort and group emission
 }
 
 // newAggOp assembles the aggregation of aggs grouped by groupCols (column
 // indexes in the pipes' output) over its input pipes, one worker each.
-func newAggOp(root fragRoot, groupCols []int, aggs []AggExpr, pipes []*fusedPipe) *AggOp {
+func newAggOp(root *fragRoot, groupCols []int, aggs []AggExpr, pipes []*fusedPipe) *AggOp {
+	root.setPipe(pipes[0])
 	a := &AggOp{fragRoot: root}
 	for _, p := range pipes {
 		w := &aggWorker{pipe: p}
@@ -559,8 +557,6 @@ func newAggOp(root fragRoot, groupCols []int, aggs []AggExpr, pipes []*fusedPipe
 			}
 		}
 		w.st.trackOrd = len(pipes) > 1
-		// Absorption happens inside the drive loop; push() times it as the
-		// pipe's sinkNanos, so spine-node attribution excludes it.
 		p.sink = func(b *vector.Batch) error { return w.st.absorb(b, p.morsel) }
 		a.workers = append(a.workers, w)
 	}
@@ -630,11 +626,12 @@ func (a *AggOp) run(ctx *Ctx) error {
 		if a.failErr != nil {
 			return a.failErr
 		}
-		start := time.Now()
 		for _, w := range a.workers {
 			a.merged.mergeFrom(&w.st)
 		}
-		a.mergeNanos += time.Since(start).Nanoseconds()
+	}
+	for _, w := range a.workers {
+		w.pipe.takeRows(a.counted)
 	}
 	// Scalar aggregation over empty input still yields one row.
 	if a.final.scalar {
@@ -642,7 +639,6 @@ func (a *AggOp) run(ctx *Ctx) error {
 	}
 	if a.final == &a.merged {
 		// Emission order: ascending first occurrence == discovery order.
-		start := time.Now()
 		a.order = make([]int32, a.merged.nGroups)
 		for i := range a.order {
 			a.order[i] = int32(i)
@@ -650,7 +646,6 @@ func (a *AggOp) run(ctx *Ctx) error {
 		sort.Slice(a.order, func(i, j int) bool {
 			return a.merged.ord[a.order[i]].less(a.merged.ord[a.order[j]])
 		})
-		a.mergeNanos += time.Since(start).Nanoseconds()
 	}
 	a.built = true
 	return nil
@@ -669,7 +664,6 @@ func (a *AggOp) Next(ctx *Ctx) (*vector.Batch, error) {
 	if a.emit >= a.final.nGroups {
 		return nil, nil
 	}
-	start := time.Now()
 	a.out.Reset()
 	lo := a.emit
 	hi := min(lo+ctx.vecSize(), a.final.nGroups)
@@ -680,7 +674,6 @@ func (a *AggOp) Next(ctx *Ctx) (*vector.Batch, error) {
 	}
 	a.emit = hi
 	a.rows += int64(hi - lo)
-	a.mergeNanos += time.Since(start).Nanoseconds()
 	return a.out, nil
 }
 
@@ -721,14 +714,10 @@ func (a *AggOp) Progress() float64 {
 	return float64(a.emit) / float64(a.final.nGroups)
 }
 
-// Cost implements Operator: total work across workers (pipe + accumulation)
-// plus shared builds, the merge and group emission — an inclusive subtree
-// cost. Safe to read once the first batch is out (run() has completed;
-// worker fields are quiescent behind the join).
-func (a *AggOp) Cost() time.Duration {
-	c := time.Duration(a.mergeNanos) + a.buildCost()
-	for _, w := range a.workers {
-		c += w.pipe.cost()
-	}
-	return c
+// Cost implements Operator: the input spine's cost plus the aggregation's
+// weight over the rows it absorbed and the groups it emitted. The rows are
+// collected once the input is drained, so it is final from the first batch.
+func (a *AggOp) Cost() plan.Work {
+	k := len(a.pipe.stages)
+	return a.nodeCost(k) + plan.OpWork(plan.Aggregate, 0, a.rows, a.counted[k])
 }

@@ -33,7 +33,7 @@ type Decorations map[*plan.Node]*Decor
 // statistics of each plan node — the operator built for it (the outermost
 // one when a node is wrapped by Wait/Store), or, for a node compiled into
 // fused pipes, a fold over them — which the engine uses to annotate the
-// recycler graph with measured costs and cardinalities after execution.
+// recycler graph with counted costs and cardinalities after execution.
 func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
 	var d Decor
 	if dec != nil {

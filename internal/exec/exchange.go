@@ -3,8 +3,8 @@ package exec
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -15,9 +15,6 @@ type pipeWorker struct {
 	// local buffers the current morsel's copied output batches (the pipe's
 	// sink appends here).
 	local []*vector.Batch
-	// lastCost is the pipe cost already published to the exchange's atomic
-	// accumulator (worker-goroutine-local).
-	lastCost time.Duration
 }
 
 // Exchange runs N fused pipes over the morsel source and merges their
@@ -25,12 +22,14 @@ type pipeWorker struct {
 // deterministic merge point. Each worker steps its pipe, which claims
 // morsels in index order (bounded ahead of the merge cursor by the source
 // window); the sink buffers a morsel's output batches as compacted pool
-// copies, and the pipe's morsel-end hook publishes them to the morsel's
-// slot once held join rows are flushed. The consumer walks slots in order,
-// so the merged stream is the exact batch sequence a single pipe would
-// produce.
+// copies, and the pipe's morsel-end hook publishes them — with the rows the
+// pipe counted over the morsel — to the morsel's slot once held join rows
+// are flushed. The consumer walks slots in order, so the merged stream is
+// the exact batch sequence a single pipe would produce, and it collects a
+// slot's rows as it passes the slot, so the fragment's counts advance as a
+// single pipe's would.
 type Exchange struct {
-	fragRoot
+	*fragRoot
 	workers []*pipeWorker
 	types   []vector.Type
 
@@ -46,23 +45,25 @@ type Exchange struct {
 	cursor   int
 	err      error
 
-	cur        *vector.Batch // batch handed out by the previous Next
-	mergeNanos int64
-	// costNanos accumulates worker pipe time (sink copies included) at
-	// morsel granularity, so Cost() is safe to read mid-stream (speculative
-	// stores above the exchange poll it per batch).
-	costNanos atomic.Int64
+	cur *vector.Batch // batch handed out by the previous Next
 }
 
 type exSlot struct {
 	batches []*vector.Batch
+	rows    []int64 // the rows each spine node counted over the morsel
 	done    bool
 }
 
 // newExchange assembles the ordered merge over pipes.
-func newExchange(root fragRoot, pipes []*fusedPipe) *Exchange {
+func newExchange(root *fragRoot, pipes []*fusedPipe) *Exchange {
+	root.setPipe(pipes[0])
 	x := &Exchange{fragRoot: root, types: root.schema.Types(), slots: make([]exSlot, root.src.count())}
 	x.cond = sync.NewCond(&x.mu)
+	nodes := len(root.counted)
+	rows := make([]int64, len(x.slots)*nodes)
+	for i := range x.slots {
+		x.slots[i].rows = rows[i*nodes : (i+1)*nodes : (i+1)*nodes]
+	}
 	for _, p := range pipes {
 		w := &pipeWorker{pipe: p}
 		// The sink copies each chain batch into an owned, compacted pool
@@ -120,27 +121,18 @@ func (x *Exchange) runWorker(w *pipeWorker) {
 			x.fail(err)
 		}
 	}
-	x.addCost(w) // the last step's time
 }
 
-// publish is a worker pipe's morsel-end hook: morsel m's (copied) batches go
-// to its slot.
+// publish is a worker pipe's morsel-end hook: morsel m's (copied) batches
+// and the rows the pipe counted over it go to its slot.
 func (x *Exchange) publish(w *pipeWorker, m int) {
-	x.addCost(w)
 	x.mu.Lock()
-	x.slots[m].batches = w.local
-	x.slots[m].done = true
+	s := &x.slots[m]
+	s.batches, s.done = w.local, true
+	w.pipe.takeRows(s.rows)
 	x.mu.Unlock()
 	w.local = nil
 	x.cond.Broadcast()
-}
-
-// addCost publishes the worker's pipe time so far to the mid-stream-readable
-// accumulator (safe: only the worker's goroutine drives its pipe).
-func (x *Exchange) addCost(w *pipeWorker) {
-	cost := w.pipe.cost()
-	x.costNanos.Add(int64(cost - w.lastCost))
-	w.lastCost = cost
 }
 
 func releaseBatches(ctx *Ctx, bs []*vector.Batch) {
@@ -168,8 +160,6 @@ func (x *Exchange) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	defer func() { x.mergeNanos += time.Since(start).Nanoseconds() }()
 	if !x.started {
 		x.start(ctx)
 	}
@@ -199,6 +189,9 @@ func (x *Exchange) Next(ctx *Ctx) (*vector.Batch, error) {
 			return b, nil
 		}
 		if s.done {
+			for i, r := range s.rows {
+				x.counted[i] += r
+			}
 			done := x.mergeIdx
 			x.mergeIdx++
 			x.cursor = 0
@@ -245,12 +238,6 @@ func (x *Exchange) Close(ctx *Ctx) error {
 // advances the source past each one).
 func (x *Exchange) Progress() float64 { return x.src.progress() }
 
-// Cost implements Operator: the fragment's total work — worker pipe time
-// (transfer copies included) plus shared builds and merge bookkeeping — an
-// inclusive subtree cost that does not depend on the worker count, so
-// recycler statistics are parallelism-independent. It reads only
-// morsel-granular atomics and is safe mid-stream (speculative store
-// decisions above the exchange consult it while workers run).
-func (x *Exchange) Cost() time.Duration {
-	return time.Duration(x.costNanos.Load()+x.mergeNanos) + x.buildCost()
-}
+// Cost implements Operator: the spine root's cost over the merged morsels'
+// rows — what a single pipe would report at the same point of the stream.
+func (x *Exchange) Cost() plan.Work { return x.nodeCost(len(x.pipe.stages)) }

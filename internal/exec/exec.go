@@ -6,16 +6,18 @@
 // blocking and stream-shaping operators (Sort, TopN, Limit, Union), the
 // recycler's operators — CacheScan replay, WaitReuse, and the Store that tees
 // the tuple flow into the recycler cache (§II) — and fragment roots. The
-// package also measures per-node cost and cardinality and provides the
-// progress meters (after Luo et al.) the paper's speculation mechanism uses
-// (§III-D).
+// package also provides the progress meters (after Luo et al.) the paper's
+// speculation mechanism uses (§III-D), and the per-node statistics the
+// recycler graph is annotated with: rows out, and a cost that is counted,
+// not timed — the optimizer's weight table (plan.OpWork) over the rows each
+// node of the subtree read and emitted. Nothing here reads the clock.
 package exec
 
 import (
 	"context"
-	"time"
 
 	"recycledb/internal/catalog"
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -147,12 +149,13 @@ type Operator interface {
 	NodeStats
 }
 
-// NodeStats is what execution measured for one plan node: all the recycler
+// NodeStats is what execution counted for one plan node: all the recycler
 // graph's annotation reads (see Build's opmap).
 type NodeStats interface {
-	// Cost returns the cumulative wall time spent executing the node,
-	// children included (the subtree's base cost).
-	Cost() time.Duration
+	// Cost returns the work the node has done so far, children included
+	// (the subtree's base cost): the weight table over the rows each node
+	// of the subtree read and emitted.
+	Cost() plan.Work
 	// RowsOut returns the number of rows emitted so far.
 	RowsOut() int64
 }
@@ -160,23 +163,11 @@ type NodeStats interface {
 // base provides the bookkeeping shared by operators.
 type base struct {
 	schema catalog.Schema
-	cost   time.Duration
 	rows   int64
 }
 
 func (b *base) Schema() catalog.Schema { return b.schema }
-func (b *base) Cost() time.Duration    { return b.cost }
 func (b *base) RowsOut() int64         { return b.rows }
-
-// addCost accumulates one Open/Next invocation's wall time; use as:
-//
-//	defer b.addCost(time.Now())
-//
-// The argument is evaluated when the defer statement runs, so start is the
-// entry timestamp. Unlike deferring a returned closure, this open-codes and
-// performs no heap allocation — a requirement for the zero-allocs-per-Next
-// contract of the pooled operator paths.
-func (b *base) addCost(start time.Time) { b.cost += time.Since(start) }
 
 // Run opens op, drains it into a materialized result, and closes it.
 func Run(ctx *Ctx, op Operator) (*catalog.Result, error) {

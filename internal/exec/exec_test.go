@@ -489,19 +489,14 @@ func TestCostAndRowsTracked(t *testing.T) {
 	if _, err := Run(ctx, op); err != nil {
 		t.Fatal(err)
 	}
-	if op.Cost() <= 0 {
-		t.Fatal("aggregate cost not measured")
-	}
 	if op.RowsOut() != 4 {
 		t.Fatalf("rows out = %d", op.RowsOut())
 	}
-	agg, ok := op.(*AggOp)
-	if !ok {
-		t.Fatalf("op = %T, want *AggOp", op)
-	}
-	// Inclusive parent cost >= the cost of what feeds it.
-	if agg.Cost() < agg.workers[0].pipe.cost() {
-		t.Fatal("inclusive cost must dominate input cost")
+	// Inclusive: the 1000-row, 2-column scan plus the aggregation of its
+	// rows into 4 groups.
+	want := plan.OpWork(plan.Scan, 2, 1000) + plan.OpWork(plan.Aggregate, 0, 4, 1000)
+	if got := op.Cost(); got != want {
+		t.Fatalf("cost = %d, want %d", got, want)
 	}
 }
 

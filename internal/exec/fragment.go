@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
@@ -50,10 +49,10 @@ import (
 //     admission per plan signature, deep-owned batches), and cached replays
 //     feed fragments from the source side.
 //
-// Per-node statistics fold across workers: each interior plan node's opmap
-// entry is a foldOp, a stats view summing its pipes' attributed cost and
-// emitted rows, so the recycler graph sees subtree base costs as total work,
-// not elapsed wall time, whatever the worker count.
+// Per-node statistics fold across workers: the root collects every pipe's
+// row counters into one per-node total, and each interior plan node's opmap
+// entry is a foldOp, a stats view pricing that total, so the recycler graph
+// sees a subtree's base cost as the work it did, whatever the worker count.
 
 // Engagement counters (process-wide); tests use them to assert a path
 // engaged rather than went vacuous.
@@ -76,7 +75,7 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 	barrier := func(x *plan.Node) bool { return dec[x] != nil }
 	spine := plan.SpineNodes(n, barrier)
 	leaf := spine[0]
-	root := fragRoot{base: base{schema: n.Schema()}}
+	root := &fragRoot{base: base{schema: n.Schema()}}
 
 	// The source and, from it, the worker count.
 	var child Operator
@@ -143,16 +142,10 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 	// Per-node statistics for the caller: a fold per interior node — and for
 	// a morsel scan, which unlike a pull child has no operator of its own.
 	if opmap != nil {
-		builds := root.builds
 		for k, pn := range spine {
-			if k == 0 && child != nil {
-				continue
+			if k > 0 || child == nil {
+				opmap[pn] = &foldOp{root: root, k: k}
 			}
-			f := &foldOp{pipes: pipes, k: k}
-			if k > 0 && pn.Op == plan.Join {
-				f.build, builds = builds[0], builds[1:]
-			}
-			opmap[pn] = f
 		}
 	}
 
@@ -204,12 +197,17 @@ func columnIndexes(schema catalog.Schema, names []string, what string) ([]int, e
 }
 
 // fragRoot is the state the fragment roots share: the morsel source (nil for
-// a pull-sourced fragment) and the spine's join builds, which the root opens
-// and closes on the consumer goroutine.
+// a pull-sourced fragment), the spine's join builds, which the root opens
+// and closes on the consumer goroutine, and the rows the root has collected
+// from its pipes per spine node — counted[0] the source's, counted[k] stage
+// k's (see "Cost" in fused.go). counted is written and read on the consumer
+// goroutine only.
 type fragRoot struct {
 	base
-	src    *morselSource
-	builds []*sharedBuild
+	src     *morselSource
+	builds  []*sharedBuild
+	pipe    *fusedPipe // one of the pipes; all share its source and stages
+	counted []int64
 }
 
 func (r *fragRoot) openBuilds(ctx *Ctx) error {
@@ -232,39 +230,36 @@ func (r *fragRoot) closeBuilds(ctx *Ctx, first error) error {
 	return first
 }
 
-func (r *fragRoot) buildCost() time.Duration {
-	var c time.Duration
-	for _, b := range r.builds {
-		c += b.cost()
+// setPipe points the root at p, one of its pipes, and sizes its counters
+// for p's spine; every root constructor calls it first.
+func (r *fragRoot) setPipe(p *fusedPipe) {
+	r.pipe = p
+	r.counted = make([]int64, len(p.stages)+1)
+}
+
+// nodeCost prices spine node k over the counted rows: the source's cost plus
+// the weights of the stages up to and including k.
+func (r *fragRoot) nodeCost(k int) plan.Work {
+	p := r.pipe
+	var c plan.Work
+	if p.child != nil {
+		c = p.child.Cost()
+	} else {
+		c = plan.OpWork(plan.Scan, len(p.scan.cols), r.counted[0])
+	}
+	for i := range p.stages[:k] {
+		c += p.stages[i].weight(r.counted[i], r.counted[i+1])
 	}
 	return c
 }
 
 // foldOp is the opmap entry of spine node k of a fragment: the node's
-// statistics folded across the fragment's pipes as sums (total work, an
-// inclusive subtree cost) plus a join's shared build, so recycler-graph
-// annotation is oblivious to how many workers executed the node.
+// statistics over the rows the root collected from all its pipes, so
+// recycler-graph annotation is oblivious to how many workers executed it.
 type foldOp struct {
-	pipes []*fusedPipe
-	k     int
-	build *sharedBuild // the join's, nil for other nodes
+	root *fragRoot
+	k    int
 }
 
-func (f *foldOp) Cost() time.Duration {
-	var c time.Duration
-	for _, p := range f.pipes {
-		c += p.nodeCost(f.k)
-	}
-	if f.build != nil {
-		c += f.build.cost()
-	}
-	return c
-}
-
-func (f *foldOp) RowsOut() int64 {
-	var r int64
-	for _, p := range f.pipes {
-		r += p.nodeRows(f.k)
-	}
-	return r
-}
+func (f *foldOp) Cost() plan.Work { return f.root.nodeCost(f.k) }
+func (f *foldOp) RowsOut() int64  { return f.root.counted[f.k] }

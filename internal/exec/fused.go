@@ -2,10 +2,10 @@ package exec
 
 import (
 	"errors"
-	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -52,22 +52,21 @@ import (
 // materializing stage and no stage ever aliases another stage's live
 // selection storage.
 //
-// Cost attribution (the interior has no per-operator Next boundaries to
-// time): one timer wraps the whole drive loop per pipe; sink time (exchange
-// copy-out / agg absorb, and morsel-end hooks) and wait time (inside a pull
-// source's Next or on a shared join build — both accounted by their own
-// operators — or in a morsel claim held back by the merge window) are
-// measured separately and subtracted; the remainder is attributed to spine
-// nodes in proportion to work weights — rows scanned for a morsel scan, rows
-// evaluated per conjunct pass for filters, rows emitted for projects, rows
-// in + rows out for probes. A node's inclusive cost is the source's cost (a
-// pull child's own Cost(); a morsel scan's is its weight's share) plus the
-// prefix sum of attributed shares up to and including that node, which is
-// monotone toward the root — the shape of inclusive subtree costs the
-// recycler's hR/benefit ordering expects. A node's opmap entry (foldOp,
-// fragment.go) is a stats view that sums nodeCost/nodeRows across the
-// fragment's pipes and adds a join's shared build, so recycler-graph
-// annotation is oblivious to how many workers ran a node.
+// Cost (the interior has no per-operator Next boundaries, and nothing is
+// timed): each stage counts the rows it emits and the pipe the rows its
+// source yields. The fragment root collects those counters into per-node
+// totals when it sees a morsel finish — the serial root at endMorsel, the
+// exchange when its merge passes the morsel, an aggregation once its input
+// is drained — and after every step of a pull-sourced pipe. Spine node k's
+// cost is the source's (a pull child's own Cost(), or the scan weight over
+// the rows scanned) plus the weights (plan.OpWork) of the stages up to and
+// including k over the collected rows, a probe stage adding its join's
+// shared build once: monotone toward the root, the shape of inclusive
+// subtree costs the recycler's hR/benefit ordering expects. Since only
+// finished morsels count, a reader above the root mid-stream (a speculative
+// store) sees the same cost at the same batch at every worker count, and a
+// node's opmap entry (foldOp, fragment.go) reports the same total however
+// many workers ran it.
 
 // errFusedStopped aborts a fused drive from the sink when the fragment root
 // is tearing down; it never escapes the fragment operator.
@@ -103,15 +102,25 @@ type fusedStage struct {
 
 	types []vector.Type // output schema types (project/probe scratch shape)
 
-	// stats: rows emitted and the cost-attribution work weight.
-	rowsOut int64
-	work    int64
+	rowsOut int64 // rows emitted since the root last collected them
+}
+
+// weight is the stage's work over in rows read and out rows emitted; a
+// probe adds its join's shared build.
+func (s *fusedStage) weight(in, out int64) plan.Work {
+	switch s.kind {
+	case stageFilter:
+		return plan.OpWork(plan.Select, 0, out, in)
+	case stageProject:
+		return plan.OpWork(plan.Project, len(s.exprs), out, in)
+	}
+	return s.probe.sb.cost() + plan.JoinWork(in, 0, out)
 }
 
 // fusedPipe is one worker's compiled fragment interior: a source, the flat
 // stage chain, and the terminal sink. All fields are worker-goroutine-local
-// while driving; stats are read only after the fragment quiesces (or, for
-// the root's mid-stream cost, by the driving goroutine itself).
+// while driving; the row counters go to the fragment root through
+// takeRows, which the driving goroutine calls.
 type fusedPipe struct {
 	schema catalog.Schema // chain output schema (the spine root's)
 
@@ -130,23 +139,18 @@ type fusedPipe struct {
 	stages []fusedStage
 	sink   func(*vector.Batch) error
 
-	loopNanos int64 // whole drive loop, sink and waits included
-	sinkNanos int64 // sink calls and morsel-end hooks only
-	waitNanos int64 // inside the pull child's Next, a shared build or a claim
+	srcRows int64 // rows the source yielded since the root last collected them
 }
 
-func (p *fusedPipe) addLoop(start time.Time) { p.loopNanos += time.Since(start).Nanoseconds() }
-
-// cost returns the pipe's inclusive drive time, sink included: the loop,
-// with the time a pull child spent in Next replaced by the child's own
-// inclusive cost (which adds its Open and leaves out stalls it does not
-// count). Shared builds are the fragment root's to add.
-func (p *fusedPipe) cost() time.Duration {
-	c := time.Duration(p.loopNanos - p.waitNanos)
-	if p.child != nil {
-		c += p.child.Cost()
+// takeRows adds the pipe's row counters to rows — rows[0] the source's,
+// rows[k] stage k's — and zeroes them.
+func (p *fusedPipe) takeRows(rows []int64) {
+	rows[0] += p.srcRows
+	p.srcRows = 0
+	for i := range p.stages {
+		rows[i+1] += p.stages[i].rowsOut
+		p.stages[i].rowsOut = 0
 	}
-	return c
 }
 
 // open opens the source and acquires stage scratch from the pool; close
@@ -222,13 +226,13 @@ func (p *fusedPipe) step(ctx *Ctx) (done bool, err error) {
 	if err := ctx.Interrupted(); err != nil {
 		return false, err
 	}
-	defer p.addLoop(time.Now())
 	for {
 		b, err := p.next(ctx)
 		if err != nil {
 			return false, err
 		}
 		if b != nil {
+			p.srcRows += int64(b.Len())
 			return false, p.push(ctx, 0, b)
 		}
 		if more, err := p.flush(ctx); more || err != nil {
@@ -238,13 +242,9 @@ func (p *fusedPipe) step(ctx *Ctx) (done bool, err error) {
 			return true, nil
 		}
 		if p.morsel >= 0 && p.endMorsel != nil {
-			start := time.Now()
 			p.endMorsel(p.morsel)
-			p.sinkNanos += time.Since(start).Nanoseconds()
 		}
-		start := time.Now()
 		m, ok := p.src.claim()
-		p.waitNanos += time.Since(start).Nanoseconds()
 		if !ok {
 			p.morsel = -1
 			return true, nil
@@ -273,9 +273,7 @@ func (p *fusedPipe) next(ctx *Ctx) (*vector.Batch, error) {
 		return p.scan.Next(ctx)
 	}
 	for {
-		start := time.Now()
 		b, err := p.child.Next(ctx)
-		p.waitNanos += time.Since(start).Nanoseconds()
 		if err != nil || b == nil {
 			return nil, err
 		}
@@ -311,10 +309,7 @@ func (p *fusedPipe) push(ctx *Ctx, from int, b *vector.Batch) error {
 					// Compiled kernel: one typed column loop refines the
 					// shared selection directly — no flags vector, no
 					// expression walk. A fused pair (width > 1) judges its
-					// conjuncts in the same pass; the work weight counts
-					// every generic pass it replaces, so cost attribution
-					// does not depend on which conjuncts compiled.
-					s.work += int64(n) * k.width
+					// conjuncts in the same pass.
 					v := b.Vecs[k.col]
 					if b.Sel != nil {
 						b.Sel = k.refine(k, v, b.Sel)
@@ -328,7 +323,6 @@ func (p *fusedPipe) push(ctx *Ctx, from int, b *vector.Batch) error {
 					n = b.Len()
 					continue
 				}
-				s.work += int64(n)
 				s.flags.Reset()
 				if err := step.pred.Eval(b, s.flags); err != nil {
 					return err
@@ -361,9 +355,7 @@ func (p *fusedPipe) push(ctx *Ctx, from int, b *vector.Batch) error {
 					return err
 				}
 			}
-			n := int64(out.Len())
-			s.rowsOut += n
-			s.work += n
+			s.rowsOut += int64(out.Len())
 			b = out
 		case stageProbe:
 			nb, err := p.pushProbe(ctx, s, b)
@@ -376,10 +368,7 @@ func (p *fusedPipe) push(ctx *Ctx, from int, b *vector.Batch) error {
 			b = nb
 		}
 	}
-	ss := time.Now()
-	err := p.sink(b)
-	p.sinkNanos += time.Since(ss).Nanoseconds()
-	return err
+	return p.sink(b)
 }
 
 // flush passes the rows the first probe stage still holds (see pushProbe)
@@ -413,60 +402,31 @@ func (p *fusedPipe) addProbe(sb *sharedBuild, schema catalog.Schema) {
 	p.stages = append(p.stages, fusedStage{kind: stageProbe, types: schema.Types(), probe: &fusedProbe{sb: sb}})
 }
 
-// nodeCost is spine node k's inclusive cost in this pipe, by the
-// attribution rule above: k = 0 is a morsel scan (a pull child keeps its own
-// opmap entry instead), k >= 1 is stages[k-1]. Read only after the pipe's
-// driving goroutine quiesces.
-func (p *fusedPipe) nodeCost(k int) time.Duration {
-	var base time.Duration
-	var prefix int64
-	if p.child != nil {
-		base = p.child.Cost()
-	} else {
-		prefix = p.scan.RowsOut()
-	}
-	total := prefix
-	for i := range p.stages {
-		total += p.stages[i].work
-	}
-	interior := p.loopNanos - p.sinkNanos - p.waitNanos
-	if interior <= 0 || total <= 0 {
-		return base
-	}
-	for i := 0; i < k; i++ {
-		prefix += p.stages[i].work
-	}
-	return base + time.Duration(float64(interior)*float64(prefix)/float64(total))
-}
-
-// nodeRows is the number of rows spine node k emitted in this pipe.
-func (p *fusedPipe) nodeRows(k int) int64 {
-	if k == 0 {
-		return p.scan.RowsOut()
-	}
-	return p.stages[k-1].rowsOut
-}
-
 // FusedPipeline is the serial fragment root for a pipeline: the push-to-pull
 // adapter. Its sink holds the single batch each step emits (the chain is
 // linear, so a step produces at most one), and Next hands it up — valid
 // until the following Next, per the operator contract, because the chain
 // does not advance until then. No exchange, no copies, one goroutine.
 type FusedPipeline struct {
-	fragRoot
+	*fragRoot
 	pipe    *fusedPipe
 	emitted *vector.Batch
 	closed  bool
 }
 
-func newFusedPipeline(root fragRoot, pipe *fusedPipe) *FusedPipeline {
+func newFusedPipeline(root *fragRoot, pipe *fusedPipe) *FusedPipeline {
+	root.setPipe(pipe)
 	f := &FusedPipeline{fragRoot: root, pipe: pipe}
 	pipe.sink = func(b *vector.Batch) error {
 		f.emitted = b
 		return nil
 	}
 	if root.src != nil {
-		pipe.endMorsel = root.src.advance // progress counts finished morsels
+		// Progress and cost count finished morsels.
+		pipe.endMorsel = func(m int) {
+			root.src.advance(m)
+			pipe.takeRows(root.counted)
+		}
 	}
 	return f
 }
@@ -493,6 +453,9 @@ func (f *FusedPipeline) Next(ctx *Ctx) (*vector.Batch, error) {
 			return b, nil
 		}
 		done, err := f.pipe.step(ctx)
+		if f.src == nil {
+			f.pipe.takeRows(f.counted) // a pull source has no morsels
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -520,7 +483,5 @@ func (f *FusedPipeline) Progress() float64 {
 	return f.src.progress()
 }
 
-// Cost implements Operator: the fused loop (source through sink) plus shared
-// builds — the pipeline's inclusive subtree cost. Driving-goroutine local,
-// so safe for mid-stream speculation reads from the same stream.
-func (f *FusedPipeline) Cost() time.Duration { return f.pipe.cost() + f.buildCost() }
+// Cost implements Operator: the spine root's cost over the collected rows.
+func (f *FusedPipeline) Cost() plan.Work { return f.nodeCost(len(f.pipe.stages)) }

@@ -1,13 +1,11 @@
 package exec
 
 // Fused push-loop contract tests: steady-state allocation freedom of the
-// serial drivers, and spine cost attribution (inclusive, monotone toward the
-// root — what keeps recycler benefit ordering intact) with exact per-node row
-// counts, for a morsel-scan leaf and a pull (CacheScan) leaf alike.
+// serial drivers, and exact per-node spine costs and row counts, for a
+// morsel-scan leaf and a pull (CacheScan) leaf alike.
 
 import (
 	"testing"
-	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
@@ -129,14 +127,13 @@ func TestFusedAggStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedCostAttributionOrdering pins the documented attribution rule:
-// per-spine-node inclusive costs reported through opmap are monotone
-// non-decreasing from the source toward the fragment root — the property the
-// recycler's benefit ordering (cost/size ranking of candidate nodes) depends
-// on — and emitted row counts are exact. It must hold whether the spine's
-// leaf is the pipe's own morsel scan or a pull child replaying cached
-// batches, where spine index 0 is the child operator's own opmap entry.
-func TestFusedCostAttributionOrdering(t *testing.T) {
+// TestFusedSpineCostsExact pins the counted cost of every spine node: the
+// weight table over the rows each node read and emitted, inclusive of the
+// nodes below, for the pipe's own morsel scan and for a pull child replaying
+// cached batches (where spine index 0 is the child operator's own opmap
+// entry) alike. Row counts come from a row-at-a-time oracle, so the costs
+// are exact, not merely ordered.
+func TestFusedSpineCostsExact(t *testing.T) {
 	cat := fusedCatalog()
 	// Oracle row counts: the predicate of fusedBenchPlan, row at a time.
 	tab, _ := cat.Table("bench")
@@ -147,7 +144,8 @@ func TestFusedCostAttributionOrdering(t *testing.T) {
 			pass++
 		}
 	}
-	wantRows := []int64{int64(snap.Rows), pass, pass}
+	rows := int64(snap.Rows)
+	wantRows := []int64{rows, pass, pass}
 
 	for _, leaf := range []string{"morsel-scan", "cache-scan"} {
 		n := fusedBenchPlan()
@@ -156,9 +154,15 @@ func TestFusedCostAttributionOrdering(t *testing.T) {
 		}
 		spine := plan.SpineNodes(n, nil)
 		var dec Decorations
+		leafWork := plan.OpWork(plan.Scan, 4, rows)
 		if leaf == "cache-scan" {
 			dec = Decorations{spine[0]: {Reuse: cachedReplay(t, cat, spine[0])}}
+			leafWork = plan.OpWork(plan.Cached, 0, rows)
 		}
+		wantCost := []plan.Work{leafWork}
+		wantCost = append(wantCost, wantCost[0]+plan.OpWork(plan.Select, 0, pass, rows))
+		wantCost = append(wantCost, wantCost[1]+plan.OpWork(plan.Project, 2, pass, pass))
+
 		ctx := NewCtx(cat)
 		opmap := make(map[*plan.Node]NodeStats)
 		op, err := Build(ctx, n, dec, opmap)
@@ -171,24 +175,20 @@ func TestFusedCostAttributionOrdering(t *testing.T) {
 		if _, isReplay := opmap[spine[0]].(*CacheScan); isReplay != (leaf == "cache-scan") {
 			t.Fatalf("%s: spine leaf built as %T", leaf, opmap[spine[0]])
 		}
-		var last time.Duration = -1
 		for i, pn := range spine {
 			f := opmap[pn]
 			if f == nil {
 				t.Fatalf("%s: no opmap entry for spine node %v", leaf, pn.Op)
 			}
-			if c := f.Cost(); c < last {
-				t.Fatalf("%s: inclusive cost not monotone toward root: node %v cost %v < child %v",
-					leaf, pn.Op, c, last)
-			} else {
-				last = c
+			if got := f.Cost(); got != wantCost[i] {
+				t.Fatalf("%s: spine node %v cost %d, want %d", leaf, pn.Op, got, wantCost[i])
 			}
 			if got := f.RowsOut(); got != wantRows[i] {
 				t.Fatalf("%s: spine node %v emitted %d rows, want %d", leaf, pn.Op, got, wantRows[i])
 			}
 		}
-		if root := op.Cost(); root < last {
-			t.Fatalf("%s: fragment root cost %v below its top spine node's %v", leaf, root, last)
+		if got := op.Cost(); got != wantCost[2] {
+			t.Fatalf("%s: fragment root cost %d, want %d", leaf, got, wantCost[2])
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/plan"
@@ -46,7 +45,7 @@ type sharedBuild struct {
 	next    []int32
 	parts   []oaTable
 	shift   uint
-	nanos   atomic.Int64 // build wall time (atomic: folded mid-stream)
+	work    atomic.Int64 // plan.Work of the finished build, child included
 	closeMu sync.Mutex
 	closed  bool
 }
@@ -93,7 +92,9 @@ func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftC
 	return sb
 }
 
-func (b *sharedBuild) cost() time.Duration { return time.Duration(b.nanos.Load()) }
+// cost is the finished build's work, its input's included (0 before): a
+// probing worker publishes it while the consumer may price the fragment.
+func (b *sharedBuild) cost() plan.Work { return plan.Work(b.work.Load()) }
 
 // ensure runs the build exactly once (first prober wins; the rest observe
 // the completed table through the Once barrier).
@@ -103,8 +104,6 @@ func (b *sharedBuild) ensure(ctx *Ctx) error {
 }
 
 func (b *sharedBuild) run(ctx *Ctx) error {
-	start := time.Now()
-	defer func() { b.nanos.Store(time.Since(start).Nanoseconds()) }()
 	b.arena = ctx.pool().GetBatch(b.child.Schema().Types(), ctx.vecSize())
 	var hs []uint64
 	for {
@@ -133,6 +132,7 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 	}
 	rows := len(b.hash)
 	joinBuildRows.Add(int64(rows))
+	b.work.Store(int64(b.child.Cost() + plan.JoinWork(0, int64(rows), 0)))
 	b.next = make([]int32, rows)
 
 	nParts := len(b.parts)
@@ -215,19 +215,12 @@ func (p *fusedPipe) pushProbe(ctx *Ctx, s *fusedStage, b *vector.Batch) (*vector
 	j := s.probe
 	sb := j.sb
 	if !j.built {
-		// Timed as a wait, outside the pipe's own cost: the shared build's
-		// wall time is folded exactly once via sharedBuild.cost, and every
-		// pipe but the builder merely blocks here on the Once.
-		start := time.Now()
-		err := sb.ensure(ctx)
-		p.waitNanos += time.Since(start).Nanoseconds()
-		if err != nil {
+		if err := sb.ensure(ctx); err != nil {
 			return nil, err
 		}
 		j.built = true
 	}
 	n := b.Len()
-	s.work += int64(n)
 	if cap(j.probeH) < n {
 		j.probeH = make([]uint64, n)
 	}
@@ -270,9 +263,7 @@ func (p *fusedPipe) pushProbe(ctx *Ctx, s *fusedStage, b *vector.Batch) (*vector
 		}
 	}
 	flushJoinPairs(out, b, sb.arena, j.lIdx, j.rIdx, sb.leftWidth, jt)
-	no := int64(len(j.lIdx))
-	s.rowsOut += no
-	s.work += no
+	s.rowsOut += int64(len(j.lIdx))
 	j.lIdx = j.lIdx[:0]
 	j.rIdx = j.rIdx[:0]
 	if out.Len() < ctx.vecSize() {

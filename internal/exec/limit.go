@@ -1,8 +1,7 @@
 package exec
 
 import (
-	"time"
-
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -23,7 +22,6 @@ func NewLimit(child Operator, n int) *LimitOp {
 
 // Open implements Operator.
 func (l *LimitOp) Open(ctx *Ctx) error {
-	defer l.addCost(time.Now())
 	l.seen = 0
 	l.done = false
 	if l.out == nil {
@@ -37,7 +35,6 @@ func (l *LimitOp) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer l.addCost(time.Now())
 	if l.done || l.seen >= l.N {
 		return nil, nil
 	}
@@ -67,6 +64,11 @@ func (l *LimitOp) Close(ctx *Ctx) error {
 	return l.Child.Close(ctx)
 }
 
+// Cost implements Operator.
+func (l *LimitOp) Cost() plan.Work {
+	return l.Child.Cost() + plan.OpWork(plan.Limit, 0, l.rows, l.Child.RowsOut())
+}
+
 // Progress implements Operator.
 func (l *LimitOp) Progress() float64 {
 	if l.N == 0 {
@@ -93,7 +95,6 @@ func NewUnion(left, right Operator) *UnionOp {
 
 // Open implements Operator.
 func (u *UnionOp) Open(ctx *Ctx) error {
-	defer u.addCost(time.Now())
 	u.onRight = false
 	if err := u.Left.Open(ctx); err != nil {
 		return err
@@ -106,7 +107,6 @@ func (u *UnionOp) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer u.addCost(time.Now())
 	if !u.onRight {
 		b, err := u.Left.Next(ctx)
 		if err != nil {
@@ -134,6 +134,12 @@ func (u *UnionOp) Close(ctx *Ctx) error {
 		return err1
 	}
 	return err2
+}
+
+// Cost implements Operator.
+func (u *UnionOp) Cost() plan.Work {
+	return u.Left.Cost() + u.Right.Cost() +
+		plan.OpWork(plan.Union, 0, u.rows, u.Left.RowsOut(), u.Right.RowsOut())
 }
 
 // Progress implements Operator.

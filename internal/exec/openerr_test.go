@@ -3,9 +3,9 @@ package exec
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"recycledb/internal/catalog"
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -36,9 +36,9 @@ func (c *scratchChild) Close(ctx *Ctx) error {
 	return nil
 }
 
-func (c *scratchChild) Progress() float64   { return 1 }
-func (c *scratchChild) Cost() time.Duration { return 0 }
-func (c *scratchChild) RowsOut() int64      { return 0 }
+func (c *scratchChild) Progress() float64 { return 1 }
+func (c *scratchChild) Cost() plan.Work   { return 0 }
+func (c *scratchChild) RowsOut() int64    { return 0 }
 
 // failOpenOp opens its child successfully, then fails its own Open — the
 // shape that used to leak the child's scratch out of Run and Drain.
@@ -63,9 +63,9 @@ func (f *failOpenOp) Close(ctx *Ctx) error {
 	return f.child.Close(ctx)
 }
 
-func (f *failOpenOp) Progress() float64   { return 0 }
-func (f *failOpenOp) Cost() time.Duration { return 0 }
-func (f *failOpenOp) RowsOut() int64      { return 0 }
+func (f *failOpenOp) Progress() float64 { return 0 }
+func (f *failOpenOp) Cost() plan.Work   { return 0 }
+func (f *failOpenOp) RowsOut() int64    { return 0 }
 
 // TestRunClosesOnOpenError: when Open fails partway through a tree, Run
 // must still Close the tree so scratch already drawn from the pool is

@@ -207,6 +207,56 @@ func TestParallelBatchSequenceMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestParallelStoreSequenceMatchesSerial: a speculative store above each
+// fragment shape sees the same (progress, cost, buffered bytes) at every
+// batch whatever the worker count, so its admission decisions — and the
+// recycler's — cannot depend on how many workers ran the subtree.
+func TestParallelStoreSequenceMatchesSerial(t *testing.T) {
+	cat := parCatalog(50000, 37)
+	type sample struct {
+		progress float64
+		cost     plan.Work
+		bytes    int64
+	}
+	run := func(q *plan.Node, par int) []sample {
+		n := q.Clone()
+		if err := n.Resolve(cat); err != nil {
+			t.Fatal(err)
+		}
+		var got []sample
+		spec := &StoreSpec{Speculative: true,
+			OnBatch: func(progress float64, cost plan.Work, bytes int64) bool {
+				got = append(got, sample{progress, cost, bytes})
+				return true
+			},
+			OnComplete: func(_ []*vector.Batch, _, bytes int64, cost plan.Work) {
+				got = append(got, sample{1, cost, bytes})
+			},
+		}
+		ctx := NewCtx(cat)
+		ctx.Parallelism, ctx.MorselRows = par, 2048
+		op, err := Build(ctx, n, Decorations{n: {Store: spec}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Drain(ctx, op); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	for name, q := range parPlans() {
+		serial := run(q, 1)
+		if len(serial) < 2 || serial[len(serial)-1].cost <= 0 {
+			t.Fatalf("%s: vacuous serial sequence %v", name, serial)
+		}
+		for _, par := range []int{2, 4, 8} {
+			if got := run(q, par); fmt.Sprint(got) != fmt.Sprint(serial) {
+				t.Fatalf("%s/par=%d: store saw\n%v\nwant (serial)\n%v", name, par, got, serial)
+			}
+		}
+	}
+}
+
 // TestFragmentRootChosenByObservables pins how a fragment picks its root:
 // from the rows to scan, the kind of source and the statement's budget — a
 // parallel root for a splittable morsel source (guarding against silent
@@ -300,9 +350,9 @@ func TestFragmentBuildPartitionsFollowWorkers(t *testing.T) {
 		var root *fragRoot
 		switch x := op.(type) {
 		case *FusedPipeline:
-			root = &x.fragRoot
+			root = x.fragRoot
 		case *Exchange:
-			root = &x.fragRoot
+			root = x.fragRoot
 		default:
 			t.Fatalf("%s: unexpected root %T", c.name, op)
 		}

@@ -13,8 +13,8 @@ import (
 	"recycledb/internal/plan"
 )
 
-func pullPipe(child Operator, out catalog.Schema) (fragRoot, *fusedPipe) {
-	return fragRoot{base: base{schema: out}}, &fusedPipe{schema: out, child: child}
+func pullPipe(child Operator, out catalog.Schema) (*fragRoot, *fusedPipe) {
+	return &fragRoot{base: base{schema: out}}, &fusedPipe{schema: out, child: child}
 }
 
 // pipeFilter binds pred against child's schema and filters child by it.
@@ -53,5 +53,5 @@ func pipeJoin(jt plan.JoinType, left, right Operator, leftCols, rightCols []int,
 // pipeAgg aggregates child.
 func pipeAgg(child Operator, groupCols []int, aggs []AggExpr, out catalog.Schema) *AggOp {
 	_, p := pullPipe(child, child.Schema())
-	return newAggOp(fragRoot{base: base{schema: out}}, groupCols, aggs, []*fusedPipe{p})
+	return newAggOp(&fragRoot{base: base{schema: out}}, groupCols, aggs, []*fusedPipe{p})
 }

@@ -2,9 +2,9 @@ package exec
 
 import (
 	"fmt"
-	"time"
 
 	"recycledb/internal/catalog"
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -63,7 +63,6 @@ func (s *rangeScan) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer s.addCost(time.Now())
 	for s.pos < s.end {
 		lo := s.pos
 		hi := min(lo+ctx.vecSize(), s.end)
@@ -95,6 +94,9 @@ func (s *rangeScan) Next(ctx *Ctx) (*vector.Batch, error) {
 // Close implements Operator.
 func (s *rangeScan) Close(ctx *Ctx) error { return nil }
 
+// Cost implements Operator.
+func (s *rangeScan) Cost() plan.Work { return plan.OpWork(plan.Scan, len(s.cols), s.rows) }
+
 // TableScan reads a projection of a base table as of the per-statement
 // snapshot (Ctx.SnapFor): a consistent (watermark, delete-bitmap) epoch
 // captured at Open.
@@ -111,7 +113,6 @@ func NewTableScan(t *catalog.Table, cols []int, schema catalog.Schema) *TableSca
 
 // Open implements Operator.
 func (s *TableScan) Open(ctx *Ctx) error {
-	defer s.addCost(time.Now())
 	s.bind(ctx.SnapFor(s.Table))
 	s.lo = ctx.scanStart(s.Table.Name, s.snap)
 	s.pos, s.end = s.lo, s.snap.Rows
@@ -144,10 +145,8 @@ func NewTableFnScan(fn *catalog.TableFunc, args []vector.Datum) *TableFnScan {
 	return &TableFnScan{base: base{schema: fn.Schema}, Fn: fn, Args: args}
 }
 
-// Open implements Operator; the function is evaluated here so its cost is
-// attributed to this leaf.
+// Open implements Operator; the function is evaluated here.
 func (s *TableFnScan) Open(ctx *Ctx) error {
-	defer s.addCost(time.Now())
 	res, err := s.Fn.Invoke(ctx.Cat, s.Args)
 	if err != nil {
 		return fmt.Errorf("exec: table function %s: %w", s.Fn.Name, err)
@@ -162,7 +161,6 @@ func (s *TableFnScan) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer s.addCost(time.Now())
 	if s.res == nil || s.idx >= len(s.res.Batches) {
 		return nil, nil
 	}
@@ -177,6 +175,9 @@ func (s *TableFnScan) Close(ctx *Ctx) error {
 	s.res = nil
 	return nil
 }
+
+// Cost implements Operator.
+func (s *TableFnScan) Cost() plan.Work { return plan.OpWork(plan.TableFn, 0, s.rows) }
 
 // Progress implements Operator.
 func (s *TableFnScan) Progress() float64 {
@@ -219,7 +220,6 @@ func (s *CacheScan) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer s.addCost(time.Now())
 	if s.idx >= len(s.Batches) {
 		return nil, nil
 	}
@@ -240,6 +240,9 @@ func (s *CacheScan) Close(ctx *Ctx) error {
 	}
 	return nil
 }
+
+// Cost implements Operator: the replay's work.
+func (s *CacheScan) Cost() plan.Work { return plan.OpWork(plan.Cached, 0, s.rows) }
 
 // Progress implements Operator.
 func (s *CacheScan) Progress() float64 {

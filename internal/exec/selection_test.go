@@ -10,7 +10,6 @@ package exec
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
@@ -284,7 +283,7 @@ func TestSelectionStoreMaterializesDense(t *testing.T) {
 	var stored []*vector.Batch
 	var storedRows, storedBytes int64
 	st := NewStore(evenFilter(t, scanAll(tab)), StoreSpec{
-		OnComplete: func(batches []*vector.Batch, rows, bytes int64, _ time.Duration) {
+		OnComplete: func(batches []*vector.Batch, rows, bytes int64, _ plan.Work) {
 			stored = batches
 			storedRows = rows
 			storedBytes = bytes

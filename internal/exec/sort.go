@@ -3,7 +3,6 @@ package exec
 import (
 	"container/heap"
 	"sort"
-	"time"
 
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
@@ -90,7 +89,6 @@ func NewSort(child Operator, keys []plan.SortKey) *SortOp {
 
 // Open implements Operator.
 func (s *SortOp) Open(ctx *Ctx) error {
-	defer s.addCost(time.Now())
 	s.built = false
 	s.emit = 0
 	s.out = ctx.pool().GetBatch(s.schema.Types(), ctx.vecSize())
@@ -126,7 +124,6 @@ func (s *SortOp) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer s.addCost(time.Now())
 	if !s.built {
 		if err := s.build(ctx); err != nil {
 			return nil, err
@@ -159,6 +156,11 @@ func (s *SortOp) Close(ctx *Ctx) error {
 	}
 	s.order = nil
 	return s.Child.Close(ctx)
+}
+
+// Cost implements Operator.
+func (s *SortOp) Cost() plan.Work {
+	return s.Child.Cost() + plan.OpWork(plan.Sort, 0, s.rows, s.Child.RowsOut())
 }
 
 // Progress implements Operator.
@@ -225,7 +227,6 @@ func (h *topHeap) Pop() interface{} {
 
 // Open implements Operator.
 func (t *TopNOp) Open(ctx *Ctx) error {
-	defer t.addCost(time.Now())
 	t.built = false
 	t.emit = 0
 	t.out = ctx.pool().GetBatch(t.schema.Types(), ctx.vecSize())
@@ -308,7 +309,6 @@ func (t *TopNOp) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer t.addCost(time.Now())
 	if !t.built {
 		if err := t.build(ctx); err != nil {
 			return nil, err
@@ -338,6 +338,11 @@ func (t *TopNOp) Close(ctx *Ctx) error {
 	t.h = nil
 	t.order = nil
 	return t.Child.Close(ctx)
+}
+
+// Cost implements Operator.
+func (t *TopNOp) Cost() plan.Work {
+	return t.Child.Cost() + plan.OpWork(plan.TopN, 0, t.rows, t.Child.RowsOut())
 }
 
 // Progress implements Operator.

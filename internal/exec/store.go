@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -17,13 +18,16 @@ type StoreSpec struct {
 	// rewriting (history mode) and always commits.
 	Speculative bool
 	// OnBatch is consulted after each buffered batch in speculative mode
-	// with the producer's progress, the subtree cost so far, and the
+	// with the producer's progress, the subtree's cost so far, and the
 	// buffered bytes; returning false cancels buffering (the store
-	// reverts to passthrough, §II).
-	OnBatch func(progress float64, elapsed time.Duration, bufferedBytes int64) bool
+	// reverts to passthrough, §II). Progress and cost advance only when the
+	// producer finishes a unit of input (a morsel, for a fragment root), so
+	// a store sees the same sequence of them at every worker count.
+	OnBatch func(progress float64, cost plan.Work, bufferedBytes int64) bool
 	// OnComplete receives the fully buffered result at end-of-stream and
-	// takes ownership of the batches (cache admission happens there).
-	OnComplete func(batches []*vector.Batch, rows int64, bytes int64, elapsed time.Duration)
+	// takes ownership of the batches (cache admission happens there), with
+	// the subtree's cost.
+	OnComplete func(batches []*vector.Batch, rows int64, bytes int64, cost plan.Work)
 	// OnCancel is invoked when speculation cancels buffering.
 	OnCancel func()
 }
@@ -52,7 +56,6 @@ func NewStore(child Operator, spec StoreSpec) *Store {
 
 // Open implements Operator.
 func (s *Store) Open(ctx *Ctx) error {
-	defer s.addCost(time.Now())
 	s.buffering = true
 	s.buf = nil
 	s.bufBytes = 0
@@ -67,7 +70,6 @@ func (s *Store) Next(ctx *Ctx) (*vector.Batch, error) {
 	if err := ctx.Interrupted(); err != nil {
 		return nil, err
 	}
-	defer s.addCost(time.Now())
 	b, err := s.Child.Next(ctx)
 	if err != nil {
 		return nil, err
@@ -121,6 +123,10 @@ func (s *Store) Close(ctx *Ctx) error {
 // Progress implements Operator.
 func (s *Store) Progress() float64 { return s.Child.Progress() }
 
+// Cost implements Operator: the child's. The copies are not the node's
+// work; the recycler prices them separately (core.CopyCost).
+func (s *Store) Cost() plan.Work { return s.Child.Cost() }
+
 // WaitSpec configures a WaitReuse operator: another in-flight query is
 // currently materializing this node's result; stall until it finishes and
 // reuse it, or fall back to recomputation after Timeout (bounded stalling
@@ -134,7 +140,7 @@ type WaitSpec struct {
 	// Timeout bounds the stall.
 	Timeout time.Duration
 	// OnOutcome, if set, observes whether the wait ended in reuse.
-	OnOutcome func(reused bool, stalled time.Duration)
+	OnOutcome func(reused bool)
 }
 
 // WaitReuse stalls on an in-flight materialization of the same subtree
@@ -166,22 +172,17 @@ func (w *WaitReuse) Open(ctx *Ctx) error {
 	return nil
 }
 
-// resolve performs the stall and opens the chosen input. Stall time is
-// excluded from Cost(): it is waiting, not computing, and would otherwise
-// pollute the base-cost statistics in the recycler graph.
+// resolve performs the stall and opens the chosen input.
 func (w *WaitReuse) resolve(ctx *Ctx) error {
-	start := time.Now()
 	batches, outIdx, release, ok := w.Spec.Wait(ctx.goCtx(), w.Spec.Timeout)
-	stalled := time.Since(start)
 	if ok {
 		w.inner = NewCacheScan(w.schema, batches, outIdx, release)
 	} else {
 		w.inner = w.Fallback
 	}
 	if w.Spec.OnOutcome != nil {
-		w.Spec.OnOutcome(ok, stalled)
+		w.Spec.OnOutcome(ok)
 	}
-	defer w.addCost(time.Now())
 	return w.inner.Open(ctx)
 }
 
@@ -195,7 +196,6 @@ func (w *WaitReuse) Next(ctx *Ctx) (*vector.Batch, error) {
 			return nil, err
 		}
 	}
-	defer w.addCost(time.Now())
 	b, err := w.inner.Next(ctx)
 	if b != nil {
 		w.rows += int64(b.Len())
@@ -217,6 +217,15 @@ func (w *WaitReuse) Close(ctx *Ctx) error {
 		}
 	}
 	return err
+}
+
+// Cost implements Operator: the work of whichever input the wait chose — a
+// replay or the recomputation; the stall itself is waiting, not work.
+func (w *WaitReuse) Cost() plan.Work {
+	if w.inner == nil {
+		return 0
+	}
+	return w.inner.Cost()
 }
 
 // Progress implements Operator.

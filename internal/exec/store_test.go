@@ -21,7 +21,7 @@ func TestStoreMaterializesAndPassesThrough(t *testing.T) {
 	var got []*vector.Batch
 	var gotRows, gotBytes int64
 	st := NewStore(child, StoreSpec{
-		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed time.Duration) {
+		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed plan.Work) {
 			got = bs
 			gotRows = rows
 			gotBytes = bytes
@@ -59,7 +59,7 @@ func TestStoreBuffersAreDeepCopies(t *testing.T) {
 	child, _ := Build(ctx, n, nil, nil)
 	var got []*vector.Batch
 	st := NewStore(child, StoreSpec{
-		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed time.Duration) { got = bs },
+		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed plan.Work) { got = bs },
 	})
 	if _, err := Run(ctx, st); err != nil {
 		t.Fatal(err)
@@ -88,11 +88,11 @@ func TestStoreSpeculativeCancel(t *testing.T) {
 	completed := false
 	st := NewStore(child, StoreSpec{
 		Speculative: true,
-		OnBatch: func(progress float64, elapsed time.Duration, buffered int64) bool {
+		OnBatch: func(progress float64, elapsed plan.Work, buffered int64) bool {
 			calls++
 			return calls < 3 // cancel on third batch
 		},
-		OnComplete: func([]*vector.Batch, int64, int64, time.Duration) { completed = true },
+		OnComplete: func([]*vector.Batch, int64, int64, plan.Work) { completed = true },
 		OnCancel:   func() { cancelled = true },
 	})
 	res, err := Run(ctx, st)
@@ -121,8 +121,8 @@ func TestStoreSpeculativeCommit(t *testing.T) {
 	completed := false
 	st := NewStore(child, StoreSpec{
 		Speculative: true,
-		OnBatch:     func(float64, time.Duration, int64) bool { return true },
-		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed time.Duration) {
+		OnBatch:     func(float64, plan.Work, int64) bool { return true },
+		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed plan.Work) {
 			completed = true
 			if rows != 4 {
 				t.Errorf("rows = %d", rows)
@@ -147,7 +147,7 @@ func TestStoreEarlyCloseCancels(t *testing.T) {
 	child, _ := Build(ctx, n, nil, nil)
 	cancelled, completed := false, false
 	st := NewStore(child, StoreSpec{
-		OnComplete: func([]*vector.Batch, int64, int64, time.Duration) { completed = true },
+		OnComplete: func([]*vector.Batch, int64, int64, plan.Work) { completed = true },
 		OnCancel:   func() { cancelled = true },
 	})
 	// Pull only one batch, then close (as a LIMIT above would).
@@ -235,7 +235,7 @@ func TestWaitReuseFallback(t *testing.T) {
 		Wait: func(ctx context.Context, timeout time.Duration) ([]*vector.Batch, []int, func(), bool) {
 			return nil, nil, nil, false
 		},
-		OnOutcome: func(reused bool, stalled time.Duration) { sawReuse = &reused },
+		OnOutcome: func(reused bool) { sawReuse = &reused },
 	}
 	w := NewWaitReuse(fb, spec)
 	res, err := Run(ctx, w)
@@ -257,3 +257,4 @@ func (f *failingOp) Open(ctx *Ctx) error                  { panic("fallback must
 func (f *failingOp) Next(ctx *Ctx) (*vector.Batch, error) { return nil, nil }
 func (f *failingOp) Close(ctx *Ctx) error                 { return nil }
 func (f *failingOp) Progress() float64                    { return 0 }
+func (f *failingOp) Cost() plan.Work                      { return 0 }

@@ -3,24 +3,23 @@ package opt
 import (
 	"math"
 	"strings"
-	"time"
 
 	"recycledb/internal/core"
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
 )
 
-// Costing. Cold costs come from a deterministic per-node model — a pure
-// function of the plan shape and the statement's snapshot row counts, with
-// per-row constants mirroring the executor's measured per-operator costs
-// (hash-join builds dominate probes, scans scale with width, filters are
-// cheap). The model is intentionally *not* fed the recycler's measured
+// Costing. A plan's cost is the weight table (plan.OpWork) applied to each
+// node over estimated rows — a pure function of the plan shape and the
+// statement's snapshot row counts, in the same plan.Work units the executor
+// prices a finished run in, so EXPLAIN's estimate and measurement compare
+// directly. The model is intentionally *not* fed the recycler's measured
 // NodeStats: measured costs appear only after a shape first executes, so
-// steering on them would make rival comparisons flip between runs and
-// fragment the graph across shapes — exactly what HIST-mode's seen-before
-// matching cannot afford. The recycler influences costs through one channel
-// only: a subtree with a valid cached entry (or an in-flight producer) is
-// re-costed as a cached access path: its replay cost.
+// steering on them would make rival comparisons flip with execution history
+// and fragment the graph across shapes — exactly what HIST-mode's
+// seen-before matching cannot afford. The recycler influences costs through
+// one channel only: a subtree with a valid cached entry (or an in-flight
+// producer) is re-costed as a cached access path: its replay work.
 //
 // Join cardinality uses key domains: an inner equijoin yields
 // |L|·|R| / dom, where a key pair's domain is the smaller of its two
@@ -38,12 +37,12 @@ type NodeInfo struct {
 	// Rows and Cost are the optimizer's estimates (Cost inclusive of
 	// children, after any cached-access-path adjustment).
 	Rows int64
-	Cost time.Duration
+	Cost plan.Work
 	// Existed / Cached / Inflight report the recycler's view of the
 	// subtree under the statement's snapshot; Measured is its measured
 	// base cost, when Known.
 	Existed, Cached, Inflight bool
-	Measured                  time.Duration
+	Measured                  plan.Work
 	Known                     bool
 }
 
@@ -115,7 +114,7 @@ func (c *coster) node(n *plan.Node, kids []*entry, rows int64) *entry {
 	for _, kd := range kids {
 		e.Cost += kd.Cost
 	}
-	e.Cost += selfCost(n, childRows[:len(kids)], rows)
+	e.Cost += n.SelfWork(rows, childRows[:len(kids)]...)
 	// A child the graph has never seen means n cannot be in it either.
 	if matched {
 		e.match = c.ctx.Rec.Graph().Match(n, ms[:len(kids)])
@@ -126,7 +125,7 @@ func (c *coster) node(n *plan.Node, kids []*entry, rows int64) *entry {
 			switch {
 			case pi.Cached:
 				e.Cached = true
-				e.Cost = min(e.Cost, replayCost(pi.CachedRows, pi.CachedBytes))
+				e.Cost = min(e.Cost, plan.ReplayWork(pi.CachedRows, pi.CachedBytes))
 			case pi.Inflight:
 				// A concurrent producer is materializing this result: the
 				// executor will share or wait rather than recompute.
@@ -161,11 +160,6 @@ func probeable(op plan.Op) bool {
 		return false
 	}
 	return true
-}
-
-// replayCost models streaming a cached entry out of the cache.
-func replayCost(rows, bytes int64) time.Duration {
-	return time.Duration(rows)*time.Nanosecond + time.Duration(bytes/4)*time.Nanosecond
 }
 
 // estRows estimates a node's output cardinality from its children's.
@@ -325,48 +319,6 @@ func selectivity(e expr.Expr) float64 {
 		return s
 	}
 	return 0.33
-}
-
-// selfCost is the node's own per-row work (children excluded).
-func selfCost(n *plan.Node, childRows []int64, outRows int64) time.Duration {
-	ns := func(v float64) time.Duration { return time.Duration(v) }
-	switch n.Op {
-	case plan.Scan:
-		w := len(n.Cols)
-		if w == 0 {
-			w = len(n.Schema())
-		}
-		return ns(float64(outRows) * float64(1+w))
-	case plan.TableFn:
-		return ns(float64(outRows) * 2)
-	case plan.Cached:
-		return replayCost(outRows, 0)
-	case plan.Select:
-		return ns(float64(childRows[0]) * 2)
-	case plan.Project:
-		return ns(float64(childRows[0]) * float64(1+len(n.Projs)))
-	case plan.Aggregate:
-		return ns(float64(childRows[0])*8 + float64(outRows)*4)
-	case plan.Join:
-		return joinCost(childRows[0], childRows[1], outRows)
-	case plan.TopN:
-		return ns(float64(childRows[0]) * 4)
-	case plan.Sort:
-		in := float64(childRows[0])
-		return ns(in * math.Log2(in+2) * 2)
-	default: // Limit, Union
-		var in float64
-		for _, r := range childRows {
-			in += float64(r)
-		}
-		return ns(in)
-	}
-}
-
-// joinCost is a hash join's own work: build the right side, probe with the
-// left.
-func joinCost(l, r, out int64) time.Duration {
-	return time.Duration(float64(r)*10 + float64(l)*4 + float64(out)*2)
 }
 
 func floor1(v int64) int64 {

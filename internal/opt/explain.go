@@ -3,7 +3,6 @@ package opt
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"recycledb/internal/plan"
 )
@@ -20,9 +19,11 @@ func Annotate(p *plan.Node, ctx *Context) map[*plan.Node]NodeInfo {
 	return m
 }
 
-// Render draws the plan tree one node per line with its annotation:
+// Render draws the plan tree one node per line with its annotation. The
+// estimate (cost≈) and a past run's measurement ([measured …]) are both
+// plan.Work units:
 //
-//	select[(l_quantity<24)]  (rows≈2994, cost≈35µs) [cached]
+//	select[(l_quantity<24)]  (rows≈1082, cost≈223776) [seen] [measured 227428]
 func Render(p *plan.Node, info map[*plan.Node]NodeInfo) string {
 	var b strings.Builder
 	var rec func(n *plan.Node, depth int)
@@ -32,7 +33,7 @@ func Render(p *plan.Node, info map[*plan.Node]NodeInfo) string {
 		}
 		b.WriteString(n.Describe())
 		if ni, ok := info[n]; ok {
-			fmt.Fprintf(&b, "  (rows≈%d, cost≈%s)", ni.Rows, fmtDur(ni.Cost))
+			fmt.Fprintf(&b, "  (rows≈%d, cost≈%d)", ni.Rows, ni.Cost)
 			switch {
 			case ni.Cached:
 				b.WriteString(" [cached]")
@@ -42,7 +43,7 @@ func Render(p *plan.Node, info map[*plan.Node]NodeInfo) string {
 				b.WriteString(" [seen]")
 			}
 			if ni.Known {
-				fmt.Fprintf(&b, " [measured %s]", fmtDur(ni.Measured))
+				fmt.Fprintf(&b, " [measured %d]", ni.Measured)
 			}
 		}
 		b.WriteByte('\n')
@@ -52,17 +53,4 @@ func Render(p *plan.Node, info map[*plan.Node]NodeInfo) string {
 	}
 	rec(p, 0)
 	return b.String()
-}
-
-// fmtDur rounds a duration for display to three significant-ish digits.
-func fmtDur(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return d.Round(time.Millisecond).String()
-	case d >= time.Millisecond:
-		return d.Round(time.Microsecond).String()
-	case d >= time.Microsecond:
-		return d.Round(time.Nanosecond).String()
-	}
-	return d.String()
 }

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"time"
 
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
@@ -168,7 +167,7 @@ func (o *optimizer) dpJoin(inputs []*plan.Node, eqs []eqPred) *plan.Node {
 			n     *plan.Node
 			e     *entry
 			rows  int64
-			cost  time.Duration
+			cost  plan.Work
 			keyed bool
 		}
 		var best split
@@ -186,7 +185,7 @@ func (o *optimizer) dpJoin(inputs []*plan.Node, eqs []eqPred) *plan.Node {
 				continue
 			}
 			c.rows = innerRows(l.Rows, r.Rows, dom)
-			c.cost = l.Cost + r.Cost + joinCost(l.Rows, r.Rows, c.rows)
+			c.cost = l.Cost + r.Cost + plan.JoinWork(l.Rows, r.Rows, c.rows)
 			if l.match != nil && r.match != nil {
 				if c.n, c.e = build(sub, other, c.rows); c.n == nil {
 					return nil

@@ -54,7 +54,7 @@ func (rw *Rewriter) applyProactive(root *plan.Node) (*plan.Node, error) {
 				// actually be cached profitably (its recompute cost
 				// must exceed its materialization cost).
 				cost, known, _, bytes := rw.Rec.NodeStats(nm.G)
-				if known && bytes > 0 && cost < rw.Rec.Config().CopyCost(bytes) {
+				if known && bytes > 0 && cost < core.CopyCost(bytes) {
 					continue
 				}
 				if rw.Rec.HR(nm.G) >= 1 || rw.Rec.Inflight(nm.G) {

@@ -323,11 +323,15 @@ func (rw *Rewriter) injectStores(root *plan.Node, res *Result) {
 					if size <= 0 {
 						size = core.EstimateResultBytes(g, card)
 					}
-					// Expected savings (references x true cost) must
-					// beat the one-time materialization cost.
+					// Expected savings must beat the one-time
+					// materialization cost. A reference saves the true
+					// cost less the work of replaying the result, priced
+					// as the optimizer prices a cached access path: a
+					// wide, barely filtered selection saves next to
+					// nothing over rescanning.
 					if size > 0 {
-						saved := time.Duration(hr * float64(rw.Rec.TrueCost(g)))
-						if saved > rw.Rec.Config().CopyCost(size) {
+						saved := plan.Work(hr * float64(rw.Rec.TrueCost(g)-plan.ReplayWork(card, size)))
+						if saved > core.CopyCost(size) {
 							b := rw.Rec.Benefit(g)
 							hist = append(hist, candidate{n: n, g: g, benefit: b, size: size})
 						}
@@ -437,7 +441,7 @@ func (rw *Rewriter) planWait(n *plan.Node, g *core.Node, res *Result) {
 			return e.Batches, identityIdx(len(g.OutCols)),
 				func() { rw.Rec.Release(e) }, true
 		},
-		OnOutcome: func(ok bool, stalled time.Duration) {
+		OnOutcome: func(ok bool) {
 			reused.Store(ok)
 			rw.Rec.CountStall(ok)
 		},
@@ -502,13 +506,13 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 	}
 	specSpec := exec.StoreSpec{
 		Speculative: speculativeStore,
-		OnComplete: func(batches []*vector.Batch, rows, bytes int64, elapsed time.Duration) {
+		OnComplete: func(batches []*vector.Batch, rows, bytes int64, cost plan.Work) {
 			hrOverride := -1.0
 			if speculativeStore {
 				hrOverride = core.SpeculationHR
 			}
 			ok := rw.Rec.AdmitMat(g, core.Materialization{
-				Batches: batches, Rows: rows, Size: bytes, Cost: elapsed,
+				Batches: batches, Rows: rows, Size: bytes, Cost: cost,
 				HROverride: hrOverride,
 				Snap:       snap, Plan: subplan, Extendable: extendable,
 			})
@@ -530,19 +534,19 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 		},
 	}
 	if speculativeStore {
-		specSpec.OnBatch = func(progress float64, elapsed time.Duration, buffered int64) bool {
+		specSpec.OnBatch = func(progress float64, cost plan.Work, buffered int64) bool {
 			if cfg.MaxSpeculateBytes > 0 && buffered > cfg.MaxSpeculateBytes {
 				return false
 			}
 			if progress < core.MinProgress {
 				return true // not enough information yet; keep buffering
 			}
-			estCost := time.Duration(float64(elapsed) / progress)
+			estCost := plan.Work(float64(cost) / progress)
 			estSize := int64(float64(buffered) / progress)
 			// "Computationally expensive and likely small" (§III-D),
 			// quantified: the result must cost more to recompute than
 			// to materialize, or speculation is a net loss.
-			if estCost < cfg.CopyCost(estSize) {
+			if estCost < core.CopyCost(estSize) {
 				return false
 			}
 			b := core.BenefitValue(estCost, core.SpeculationHR, estSize)
@@ -560,15 +564,18 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 }
 
 // Annotate walks the executed tree after completion and writes measured
-// statistics back to the recycler graph: each node's base cost is its
-// operator's inclusive wall time plus the stored base costs of any reused
-// (substituted) subtrees below it, keeping Eq. 2 consistent (§III-C).
+// statistics back to the recycler graph: each node's base cost is the work
+// its operator counted, children included (the weight table over the rows
+// each node of the subtree read and emitted), plus the stored base costs of
+// any reused (substituted) subtrees below it, keeping Eq. 2 consistent
+// (§III-C). Both terms are plan.Work, so a node's base cost is the same
+// whether its subtree was recomputed or partly replayed.
 func (rw *Rewriter) Annotate(res *Result, opmap map[*plan.Node]exec.NodeStats) {
 	if res.Match == nil {
 		return
 	}
-	var walk func(n *plan.Node) time.Duration
-	walk = func(n *plan.Node) time.Duration {
+	var walk func(n *plan.Node) plan.Work
+	walk = func(n *plan.Node) plan.Work {
 		d := res.Decor[n]
 		if d != nil && d.Reuse != nil {
 			if g := res.subst[n]; g != nil {
@@ -587,7 +594,7 @@ func (rw *Rewriter) Annotate(res *Result, opmap map[*plan.Node]exec.NodeStats) {
 			}
 			// Fallback executed: annotate the real subtree below.
 		}
-		var childSubst time.Duration
+		var childSubst plan.Work
 		for _, c := range n.Children {
 			childSubst += walk(c)
 		}

@@ -38,9 +38,6 @@ func fixture(t *testing.T, mode Mode) (*Rewriter, *catalog.Catalog) {
 	cat.AddTable(tbl)
 	cfg := core.DefaultConfig()
 	cfg.Alpha = 1
-	// Copying is modelled as free: these tests exercise the rewriting
-	// machinery, not the materialization economics.
-	cfg.CopyBytesPerSec = 1 << 50
 	rec := core.New(cfg)
 	return NewRewriter(rec, cat, mode), cat
 }
@@ -233,7 +230,7 @@ func TestStallPlansWaitWhenInflight(t *testing.T) {
 		b := vector.NewBatch([]vector.Type{vector.String, vector.Float64}, 1)
 		b.Vecs[0].AppendString("a")
 		b.Vecs[1].AppendFloat64(1)
-		rw.Rec.Admit(g, []*vector.Batch{b}, 1, 24, time.Millisecond, -1)
+		rw.Rec.Admit(g, []*vector.Batch{b}, 1, 24, 1000, -1)
 		rw.Rec.FinishInflight(g)
 	}()
 	rows := run(t, rw, r2)

@@ -2,7 +2,6 @@ package rewrite
 
 import (
 	"testing"
-	"time"
 
 	"recycledb/internal/core"
 	"recycledb/internal/expr"
@@ -18,7 +17,7 @@ func admitSnap(t *testing.T, rw *Rewriter, p *plan.Node, snap map[string]core.Ta
 	b.Vecs[0].AppendInt64(1)
 	if !rw.Rec.AdmitMat(g, core.Materialization{
 		Batches: []*vector.Batch{b}, Rows: 1, Size: 24,
-		Cost: time.Millisecond, HROverride: 1, Snap: snap,
+		Cost: 1000, HROverride: 1, Snap: snap,
 	}) {
 		t.Fatal("admission failed")
 	}

@@ -452,7 +452,7 @@ func (e *Engine) QueryCollect(ctx context.Context, sql string, args ...any) (*Re
 // Stream runs a built query plan through the full recycling pipeline —
 // proactive rewriting, graph matching/insertion, reuse substitution, store
 // injection — and returns the executing pipeline as an incremental stream.
-// The recycler graph is annotated with measured costs when the stream
+// The recycler graph is annotated with counted costs when the stream
 // completes. q is not mutated.
 func (e *Engine) Stream(ctx context.Context, q *plan.Node) (*Rows, error) {
 	return e.stream(ctx, q, true)

@@ -20,7 +20,7 @@ import (
 //
 // A Rows must be fully drained (Next until nil) or Closed; otherwise pinned
 // cache entries and in-flight registrations leak until GC. Recycler-graph
-// annotation (measured costs and cardinalities feeding future store
+// annotation (counted costs and cardinalities feeding future store
 // decisions) happens when the stream completes; a canceled or abandoned
 // query contributes no measurements.
 //
@@ -124,7 +124,7 @@ func (r *Rows) failLocked(err error) {
 }
 
 // finishLocked completes the stream: the recycler graph is annotated with
-// the measured operator costs and cardinalities, the statistics are
+// the counted operator costs and cardinalities, the statistics are
 // finalized, and the operator tree is closed. Callers hold mu.
 func (r *Rows) finishLocked() error {
 	r.done = true

@@ -76,7 +76,10 @@ func TestSQLJoinQueryThroughEngine(t *testing.T) {
 }
 
 func TestSQLProactiveTopN(t *testing.T) {
-	e := sqlEngine(t, Proactive)
+	// Scale factor 0.02 (30k orders): the widened top-N (10k rows) must cost
+	// more to recompute than to copy, or speculation declines to store it.
+	e := New(Config{Mode: Proactive})
+	tpch.Generate(e.Catalog(), 0.02, 1)
 	q := func(n string) string {
 		return `SELECT o_orderkey, o_totalprice FROM orders
 		        ORDER BY o_totalprice DESC LIMIT ` + n
