@@ -83,19 +83,22 @@ func TestGoldenEquivalenceOptimizer(t *testing.T) {
 // cost estimates) for the same query, differently-written conjunct orders
 // canonicalize to the same plan, and after identical executions the warm
 // plans — measured costs included, which are counted work, not time — are
-// byte-identical too, across conjunct orders and across engines.
+// byte-identical too, across conjunct orders and across engines. The second
+// engine runs 8 workers over 256-row vectors, so the measured costs it
+// renders were priced from rows counted by parallel fragments; they must
+// equal the serial engine's.
 func TestOptimizerMemoDeterminism(t *testing.T) {
 	const qA = `SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_quantity < 25 AND l_extendedprice > 1000 AND l_tax < 1`
 	const qB = `SELECT l_quantity, l_extendedprice FROM lineitem WHERE l_tax < 1 AND l_quantity < 25 AND l_extendedprice > 1000`
 
-	mk := func() *recycledb.Engine {
-		return recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.History},
-			harness.MixedCatalog(0.002, 4000, 1))
-	}
+	cat := func() *catalog.Catalog { return harness.MixedCatalog(0.002, 4000, 1) }
+	tun := recycledb.DefaultTuning()
+	tun.VectorSize = 256
 
 	// Cold engines carry no timing-dependent state: full Explain output —
 	// shapes, cardinalities, costs — must agree across engines.
-	a, b := mk(), mk()
+	a := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.History, Parallelism: 1}, cat())
+	b := recycledb.NewTuned(recycledb.Config{Mode: recycledb.History, Parallelism: 8}, tun, cat())
 	ea, err := a.Explain(qA)
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +125,14 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 	// re-planning renders the same bytes for either conjunct order and on
 	// either engine.
 	for _, e := range []*recycledb.Engine{a, b} {
+		before := exec.ParallelFragmentsBuilt()
 		for i := 0; i < 3; i++ {
 			if _, err := e.Exec(context.Background(), qA); err != nil {
 				t.Fatal(err)
 			}
+		}
+		if parallel := exec.ParallelFragmentsBuilt() > before; parallel != (e == b) {
+			t.Fatalf("engine at %d workers built parallel fragments: %v", e.Workers(), parallel)
 		}
 	}
 	w1, err := a.Explain(qA)

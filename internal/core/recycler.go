@@ -340,7 +340,7 @@ func (r *Recycler) AdmitMat(n *Node, m Materialization) bool {
 	seq := r.curSeq()
 	n.mu.Lock()
 	// Never-measured nodes (speculation) get their first base-cost
-	// sample from the work the store operator's input counted.
+	// sample from the store's input, priced over the rows it counted.
 	if !n.costKnown && m.Cost > 0 {
 		n.baseCost = m.Cost
 		n.costKnown = true

@@ -544,7 +544,7 @@ type AggOp struct {
 // newAggOp assembles the aggregation of aggs grouped by groupCols (column
 // indexes in the pipes' output) over its input pipes, one worker each.
 func newAggOp(root *fragRoot, groupCols []int, aggs []AggExpr, pipes []*fusedPipe) *AggOp {
-	root.setPipe(pipes[0])
+	root.sizeCounts(pipes[0])
 	a := &AggOp{fragRoot: root}
 	for _, p := range pipes {
 		w := &aggWorker{pipe: p}
@@ -712,12 +712,4 @@ func (a *AggOp) Progress() float64 {
 		return 1
 	}
 	return float64(a.emit) / float64(a.final.nGroups)
-}
-
-// Cost implements Operator: the input spine's cost plus the aggregation's
-// weight over the rows it absorbed and the groups it emitted. The rows are
-// collected once the input is drained, so it is final from the first batch.
-func (a *AggOp) Cost() plan.Work {
-	k := len(a.pipe.stages)
-	return a.nodeCost(k) + plan.OpWork(plan.Aggregate, 0, a.rows, a.counted[k])
 }

@@ -17,8 +17,8 @@ type ReuseSpec struct {
 	Release func()
 }
 
-// Decor attaches recycler decisions to a plan node. At most one of Reuse
-// and Wait is set; Store may combine with neither on the same node.
+// Decor attaches one recycler decision to a plan node: exactly one of
+// Reuse, Wait and Store is set.
 type Decor struct {
 	Reuse *ReuseSpec
 	Wait  *WaitSpec
@@ -29,27 +29,15 @@ type Decor struct {
 type Decorations map[*plan.Node]*Decor
 
 // Build turns a resolved plan tree plus recycler decorations into an
-// executable operator tree. If opmap is non-nil it is filled with the
-// statistics of each plan node — the operator built for it (the outermost
-// one when a node is wrapped by Wait/Store), or, for a node compiled into
-// fused pipes, a fold over them — which the engine uses to annotate the
-// recycler graph with counted costs and cardinalities after execution.
-func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
-	var d Decor
-	if dec != nil {
-		if dd := dec[n]; dd != nil {
-			d = *dd
-		}
-	}
-	if d.Reuse != nil {
-		var op Operator = NewCacheScan(n.Schema(), d.Reuse.Batches, d.Reuse.OutIdx, d.Reuse.Release)
-		if d.Store != nil {
-			op = NewStore(op, *d.Store)
-		}
-		if opmap != nil {
-			opmap[n] = op
-		}
-		return op, nil
+// executable operator tree. If stats is non-nil it is filled with what
+// execution counts for each plan node — the operator built for it (the
+// Wait/Store wrapping it, if decorated), or, for a node compiled into fused
+// pipes, a fold over them — from which the recycler prices the plan's
+// results.
+func Build(ctx *Ctx, n *plan.Node, dec Decorations, stats map[*plan.Node]NodeStats) (Operator, error) {
+	d := dec[n]
+	if d == nil {
+		d = &Decor{}
 	}
 	// One function builds each plan op: the fragment builder for the
 	// row-local nodes and aggregation, over any leaf; buildRaw for the rest.
@@ -58,23 +46,32 @@ func Build(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeSta
 	case plan.Select, plan.Project, plan.Join, plan.Aggregate:
 		build = buildFragment
 	}
-	op, err := build(ctx, n, dec, opmap)
+	var op Operator
+	var err error
+	switch {
+	case d.Reuse != nil:
+		op = NewCacheScan(n.Schema(), d.Reuse.Batches, d.Reuse.OutIdx, d.Reuse.Release)
+	case d.Wait != nil:
+		if op, err = build(ctx, n, dec, stats); err == nil {
+			op = NewWaitReuse(op, *d.Wait)
+		}
+	case d.Store != nil:
+		if op, err = build(ctx, n, dec, stats); err == nil {
+			op = NewStore(op, *d.Store)
+		}
+	default:
+		op, err = build(ctx, n, dec, stats)
+	}
 	if err != nil {
 		return nil, err
 	}
-	if d.Wait != nil {
-		op = NewWaitReuse(op, *d.Wait)
-	}
-	if d.Store != nil {
-		op = NewStore(op, *d.Store)
-	}
-	if opmap != nil {
-		opmap[n] = op
+	if stats != nil {
+		stats[n] = op
 	}
 	return op, nil
 }
 
-func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
+func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, stats map[*plan.Node]NodeStats) (Operator, error) {
 	switch n.Op {
 	case plan.Scan:
 		t, cols, err := scanColumns(ctx, n)
@@ -92,7 +89,7 @@ func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]Node
 	children := make([]Operator, len(n.Children))
 	for i, c := range n.Children {
 		var err error
-		if children[i], err = Build(ctx, c, dec, opmap); err != nil {
+		if children[i], err = Build(ctx, c, dec, stats); err != nil {
 			return nil, err
 		}
 	}

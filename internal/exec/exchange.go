@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -56,7 +55,7 @@ type exSlot struct {
 
 // newExchange assembles the ordered merge over pipes.
 func newExchange(root *fragRoot, pipes []*fusedPipe) *Exchange {
-	root.setPipe(pipes[0])
+	root.sizeCounts(pipes[0])
 	x := &Exchange{fragRoot: root, types: root.schema.Types(), slots: make([]exSlot, root.src.count())}
 	x.cond = sync.NewCond(&x.mu)
 	nodes := len(root.counted)
@@ -237,7 +236,3 @@ func (x *Exchange) Close(ctx *Ctx) error {
 // Progress implements Operator: merged morsels over total (the merge
 // advances the source past each one).
 func (x *Exchange) Progress() float64 { return x.src.progress() }
-
-// Cost implements Operator: the spine root's cost over the merged morsels'
-// rows — what a single pipe would report at the same point of the stream.
-func (x *Exchange) Cost() plan.Work { return x.nodeCost(len(x.pipe.stages)) }

@@ -7,17 +7,15 @@
 // recycler's operators — CacheScan replay, WaitReuse, and the Store that tees
 // the tuple flow into the recycler cache (§II) — and fragment roots. The
 // package also provides the progress meters (after Luo et al.) the paper's
-// speculation mechanism uses (§III-D), and the per-node statistics the
-// recycler graph is annotated with: rows out, and a cost that is counted,
-// not timed — the optimizer's weight table (plan.OpWork) over the rows each
-// node of the subtree read and emitted. Nothing here reads the clock.
+// speculation mechanism uses (§III-D), and the one per-node statistic the
+// recycler prices results from: the rows each node emitted (NodeStats).
+// The executor counts; it never prices, and nothing here reads the clock.
 package exec
 
 import (
 	"context"
 
 	"recycledb/internal/catalog"
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -149,14 +147,10 @@ type Operator interface {
 	NodeStats
 }
 
-// NodeStats is what execution counted for one plan node: all the recycler
-// graph's annotation reads (see Build's opmap).
+// NodeStats is what execution counted for one plan node (see Build's
+// stats): the rows it emitted so far. The recycler prices a subtree from
+// these counts alone.
 type NodeStats interface {
-	// Cost returns the work the node has done so far, children included
-	// (the subtree's base cost): the weight table over the rows each node
-	// of the subtree read and emitted.
-	Cost() plan.Work
-	// RowsOut returns the number of rows emitted so far.
 	RowsOut() int64
 }
 

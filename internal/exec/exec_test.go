@@ -474,6 +474,9 @@ func TestTableFnScan(t *testing.T) {
 	}
 }
 
+// TestCostAndRowsTracked pins what the executor counts for an aggregation
+// over a scan — 1000 rows scanned, 4 groups emitted — which is all the
+// recycler prices the subtree's cost from.
 func TestCostAndRowsTracked(t *testing.T) {
 	cat := testCatalog()
 	n := plan.NewAggregate(plan.NewScan("emp", "dept", "salary"),
@@ -482,21 +485,21 @@ func TestCostAndRowsTracked(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewCtx(cat)
-	op, err := Build(ctx, n, nil, nil)
+	stats := make(map[*plan.Node]NodeStats)
+	op, err := Build(ctx, n, nil, stats)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Run(ctx, op); err != nil {
 		t.Fatal(err)
 	}
-	if op.RowsOut() != 4 {
-		t.Fatalf("rows out = %d", op.RowsOut())
+	if stats[n] != op {
+		t.Fatalf("aggregate's stats entry is %T, not its operator", stats[n])
 	}
-	// Inclusive: the 1000-row, 2-column scan plus the aggregation of its
-	// rows into 4 groups.
-	want := plan.OpWork(plan.Scan, 2, 1000) + plan.OpWork(plan.Aggregate, 0, 4, 1000)
-	if got := op.Cost(); got != want {
-		t.Fatalf("cost = %d, want %d", got, want)
+	for node, want := range map[*plan.Node]int64{n: 4, n.Children[0]: 1000} {
+		if got := stats[node].RowsOut(); got != want {
+			t.Fatalf("%v: rows out = %d, want %d", node.Op, got, want)
+		}
 	}
 }
 

@@ -49,10 +49,10 @@ import (
 //     admission per plan signature, deep-owned batches), and cached replays
 //     feed fragments from the source side.
 //
-// Per-node statistics fold across workers: the root collects every pipe's
-// row counters into one per-node total, and each interior plan node's opmap
-// entry is a foldOp, a stats view pricing that total, so the recycler graph
-// sees a subtree's base cost as the work it did, whatever the worker count.
+// Per-node row counts fold across workers: the root collects every pipe's
+// row counters into one per-node total, and each interior plan node's stats
+// entry is a foldOp, a view of that total, so the recycler prices a subtree
+// from the same rows whatever the worker count.
 
 // Engagement counters (process-wide); tests use them to assert a path
 // engaged rather than went vacuous.
@@ -71,7 +71,7 @@ func ParallelFragmentsBuilt() int64 { return parallelFragments.Load() }
 
 // buildFragment builds the operator for the Select, Project, Join or
 // Aggregate node n.
-func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats) (Operator, error) {
+func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, stats map[*plan.Node]NodeStats) (Operator, error) {
 	barrier := func(x *plan.Node) bool { return dec[x] != nil }
 	spine := plan.SpineNodes(n, barrier)
 	leaf := spine[0]
@@ -100,7 +100,7 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 		root.src = newMorselSource(snap, lo, snap.Rows, msz, window)
 	} else {
 		var err error
-		if child, err = Build(ctx, leaf, dec, opmap); err != nil {
+		if child, err = Build(ctx, leaf, dec, stats); err != nil {
 			return nil, err
 		}
 	}
@@ -108,7 +108,7 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 	// One build per join, shared by the fragment's pipes.
 	for _, pn := range spine[1:] {
 		if pn.Op == plan.Join {
-			sb, err := buildJoin(ctx, pn, dec, opmap, nW)
+			sb, err := buildJoin(ctx, pn, dec, stats, nW)
 			if err != nil {
 				return nil, err
 			}
@@ -139,12 +139,12 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, opmap map[*plan.Node
 		pipes[w] = p
 	}
 
-	// Per-node statistics for the caller: a fold per interior node — and for
+	// Per-node row counts for the caller: a fold per interior node — and for
 	// a morsel scan, which unlike a pull child has no operator of its own.
-	if opmap != nil {
+	if stats != nil {
 		for k, pn := range spine {
 			if k > 0 || child == nil {
-				opmap[pn] = &foldOp{root: root, k: k}
+				stats[pn] = &foldOp{root: root, k: k}
 			}
 		}
 	}
@@ -200,13 +200,14 @@ func columnIndexes(schema catalog.Schema, names []string, what string) ([]int, e
 // a pull-sourced fragment), the spine's join builds, which the root opens
 // and closes on the consumer goroutine, and the rows the root has collected
 // from its pipes per spine node — counted[0] the source's, counted[k] stage
-// k's (see "Cost" in fused.go). counted is written and read on the consumer
-// goroutine only.
+// k's (see "Row counts" in fused.go). counted is written on the goroutine
+// that drives the root; another goroutine reads it only once that is
+// ordered before the read — by a join build's sync.Once when the fragment
+// is a build side, then by the hand-off of a batch built on it.
 type fragRoot struct {
 	base
 	src     *morselSource
 	builds  []*sharedBuild
-	pipe    *fusedPipe // one of the pipes; all share its source and stages
 	counted []int64
 }
 
@@ -230,36 +231,19 @@ func (r *fragRoot) closeBuilds(ctx *Ctx, first error) error {
 	return first
 }
 
-// setPipe points the root at p, one of its pipes, and sizes its counters
-// for p's spine; every root constructor calls it first.
-func (r *fragRoot) setPipe(p *fusedPipe) {
-	r.pipe = p
+// sizeCounts sizes the root's counters for the spine of p, one of its pipes
+// (all share its stages); every root constructor calls it first.
+func (r *fragRoot) sizeCounts(p *fusedPipe) {
 	r.counted = make([]int64, len(p.stages)+1)
 }
 
-// nodeCost prices spine node k over the counted rows: the source's cost plus
-// the weights of the stages up to and including k.
-func (r *fragRoot) nodeCost(k int) plan.Work {
-	p := r.pipe
-	var c plan.Work
-	if p.child != nil {
-		c = p.child.Cost()
-	} else {
-		c = plan.OpWork(plan.Scan, len(p.scan.cols), r.counted[0])
-	}
-	for i := range p.stages[:k] {
-		c += p.stages[i].weight(r.counted[i], r.counted[i+1])
-	}
-	return c
-}
-
-// foldOp is the opmap entry of spine node k of a fragment: the node's
-// statistics over the rows the root collected from all its pipes, so
-// recycler-graph annotation is oblivious to how many workers executed it.
+// foldOp is the stats entry of spine node k of a fragment: the rows the root
+// collected for it from all its pipes, so the recycler's pricing is
+// oblivious to how many workers executed it. The fragment root's own entry
+// is its operator, which reports the rows it handed up.
 type foldOp struct {
 	root *fragRoot
 	k    int
 }
 
-func (f *foldOp) Cost() plan.Work { return f.root.nodeCost(f.k) }
-func (f *foldOp) RowsOut() int64  { return f.root.counted[f.k] }
+func (f *foldOp) RowsOut() int64 { return f.root.counted[f.k] }

@@ -5,7 +5,6 @@ import (
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -52,21 +51,17 @@ import (
 // materializing stage and no stage ever aliases another stage's live
 // selection storage.
 //
-// Cost (the interior has no per-operator Next boundaries, and nothing is
-// timed): each stage counts the rows it emits and the pipe the rows its
-// source yields. The fragment root collects those counters into per-node
-// totals when it sees a morsel finish — the serial root at endMorsel, the
-// exchange when its merge passes the morsel, an aggregation once its input
-// is drained — and after every step of a pull-sourced pipe. Spine node k's
-// cost is the source's (a pull child's own Cost(), or the scan weight over
-// the rows scanned) plus the weights (plan.OpWork) of the stages up to and
-// including k over the collected rows, a probe stage adding its join's
-// shared build once: monotone toward the root, the shape of inclusive
-// subtree costs the recycler's hR/benefit ordering expects. Since only
-// finished morsels count, a reader above the root mid-stream (a speculative
-// store) sees the same cost at the same batch at every worker count, and a
-// node's opmap entry (foldOp, fragment.go) reports the same total however
-// many workers ran it.
+// Row counts (the interior has no per-operator Next boundaries to count at):
+// each stage counts the rows it emits and the pipe the rows its source
+// yields. The fragment root collects those counters into per-node totals
+// when it sees a morsel finish — the serial root at endMorsel, the exchange
+// when its merge passes the morsel, an aggregation once its input is drained
+// — and after every step of a pull-sourced pipe. The totals are all the
+// executor reports for an interior node (foldOp, fragment.go); the recycler
+// prices the node from them. Since only finished morsels count, a reader
+// above the root mid-stream (a speculative store) sees the same counts at
+// the same batch at every worker count, and a node reports the same total
+// however many workers ran it.
 
 // errFusedStopped aborts a fused drive from the sink when the fragment root
 // is tearing down; it never escapes the fragment operator.
@@ -103,18 +98,6 @@ type fusedStage struct {
 	types []vector.Type // output schema types (project/probe scratch shape)
 
 	rowsOut int64 // rows emitted since the root last collected them
-}
-
-// weight is the stage's work over in rows read and out rows emitted; a
-// probe adds its join's shared build.
-func (s *fusedStage) weight(in, out int64) plan.Work {
-	switch s.kind {
-	case stageFilter:
-		return plan.OpWork(plan.Select, 0, out, in)
-	case stageProject:
-		return plan.OpWork(plan.Project, len(s.exprs), out, in)
-	}
-	return s.probe.sb.cost() + plan.JoinWork(in, 0, out)
 }
 
 // fusedPipe is one worker's compiled fragment interior: a source, the flat
@@ -308,8 +291,8 @@ func (p *fusedPipe) push(ctx *Ctx, from int, b *vector.Batch) error {
 				if k := step.kern; k != nil {
 					// Compiled kernel: one typed column loop refines the
 					// shared selection directly — no flags vector, no
-					// expression walk. A fused pair (width > 1) judges its
-					// conjuncts in the same pass.
+					// expression walk. A fused pair judges its conjuncts
+					// in the same pass.
 					v := b.Vecs[k.col]
 					if b.Sel != nil {
 						b.Sel = k.refine(k, v, b.Sel)
@@ -415,14 +398,14 @@ type FusedPipeline struct {
 }
 
 func newFusedPipeline(root *fragRoot, pipe *fusedPipe) *FusedPipeline {
-	root.setPipe(pipe)
+	root.sizeCounts(pipe)
 	f := &FusedPipeline{fragRoot: root, pipe: pipe}
 	pipe.sink = func(b *vector.Batch) error {
 		f.emitted = b
 		return nil
 	}
 	if root.src != nil {
-		// Progress and cost count finished morsels.
+		// Progress and the row counts advance at finished morsels.
 		pipe.endMorsel = func(m int) {
 			root.src.advance(m)
 			pipe.takeRows(root.counted)
@@ -482,6 +465,3 @@ func (f *FusedPipeline) Progress() float64 {
 	}
 	return f.src.progress()
 }
-
-// Cost implements Operator: the spine root's cost over the collected rows.
-func (f *FusedPipeline) Cost() plan.Work { return f.nodeCost(len(f.pipe.stages)) }

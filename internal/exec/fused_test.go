@@ -127,12 +127,12 @@ func TestFusedAggStepZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFusedSpineCostsExact pins the counted cost of every spine node: the
-// weight table over the rows each node read and emitted, inclusive of the
-// nodes below, for the pipe's own morsel scan and for a pull child replaying
-// cached batches (where spine index 0 is the child operator's own opmap
-// entry) alike. Row counts come from a row-at-a-time oracle, so the costs
-// are exact, not merely ordered.
+// TestFusedSpineCostsExact pins the rows counted for every spine node — all
+// the recycler prices a fragment from — for the pipe's own morsel scan and
+// for a pull child replaying cached batches (where spine index 0 is the
+// child operator's own stats entry) alike. Row counts come from a
+// row-at-a-time oracle, so they are exact, and so are the costs priced from
+// them (internal/rewrite pins the pricing).
 func TestFusedSpineCostsExact(t *testing.T) {
 	cat := fusedCatalog()
 	// Oracle row counts: the predicate of fusedBenchPlan, row at a time.
@@ -154,41 +154,33 @@ func TestFusedSpineCostsExact(t *testing.T) {
 		}
 		spine := plan.SpineNodes(n, nil)
 		var dec Decorations
-		leafWork := plan.OpWork(plan.Scan, 4, rows)
 		if leaf == "cache-scan" {
 			dec = Decorations{spine[0]: {Reuse: cachedReplay(t, cat, spine[0])}}
-			leafWork = plan.OpWork(plan.Cached, 0, rows)
 		}
-		wantCost := []plan.Work{leafWork}
-		wantCost = append(wantCost, wantCost[0]+plan.OpWork(plan.Select, 0, pass, rows))
-		wantCost = append(wantCost, wantCost[1]+plan.OpWork(plan.Project, 2, pass, pass))
 
 		ctx := NewCtx(cat)
-		opmap := make(map[*plan.Node]NodeStats)
-		op, err := Build(ctx, n, dec, opmap)
+		stats := make(map[*plan.Node]NodeStats)
+		op, err := Build(ctx, n, dec, stats)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Drain(ctx, op); err != nil {
 			t.Fatal(err)
 		}
-		if _, isReplay := opmap[spine[0]].(*CacheScan); isReplay != (leaf == "cache-scan") {
-			t.Fatalf("%s: spine leaf built as %T", leaf, opmap[spine[0]])
+		if _, isReplay := stats[spine[0]].(*CacheScan); isReplay != (leaf == "cache-scan") {
+			t.Fatalf("%s: spine leaf built as %T", leaf, stats[spine[0]])
+		}
+		if stats[n] != op {
+			t.Fatalf("%s: fragment root's stats entry is %T, not its operator", leaf, stats[n])
 		}
 		for i, pn := range spine {
-			f := opmap[pn]
+			f := stats[pn]
 			if f == nil {
-				t.Fatalf("%s: no opmap entry for spine node %v", leaf, pn.Op)
-			}
-			if got := f.Cost(); got != wantCost[i] {
-				t.Fatalf("%s: spine node %v cost %d, want %d", leaf, pn.Op, got, wantCost[i])
+				t.Fatalf("%s: no stats entry for spine node %v", leaf, pn.Op)
 			}
 			if got := f.RowsOut(); got != wantRows[i] {
 				t.Fatalf("%s: spine node %v emitted %d rows, want %d", leaf, pn.Op, got, wantRows[i])
 			}
-		}
-		if got := op.Cost(); got != wantCost[2] {
-			t.Fatalf("%s: fragment root cost %d, want %d", leaf, got, wantCost[2])
 		}
 	}
 }

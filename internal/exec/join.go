@@ -3,7 +3,6 @@ package exec
 import (
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/plan"
@@ -45,7 +44,6 @@ type sharedBuild struct {
 	next    []int32
 	parts   []oaTable
 	shift   uint
-	work    atomic.Int64 // plan.Work of the finished build, child included
 	closeMu sync.Mutex
 	closed  bool
 }
@@ -54,7 +52,7 @@ type sharedBuild struct {
 // workers pipes. Its right (build-side) subplan goes through the normal
 // Build path — so recycler decorations inside it keep working, and large
 // build subtrees parallelize on their own.
-func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, opmap map[*plan.Node]NodeStats, workers int) (*sharedBuild, error) {
+func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, stats map[*plan.Node]NodeStats, workers int) (*sharedBuild, error) {
 	left := pn.Children[0].Schema()
 	lcols, err := columnIndexes(left, pn.LeftKeys, "join key")
 	if err != nil {
@@ -64,7 +62,7 @@ func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, opmap map[*plan.Node]No
 	if err != nil {
 		return nil, err
 	}
-	right, err := Build(ctx, pn.Children[1], dec, opmap)
+	right, err := Build(ctx, pn.Children[1], dec, stats)
 	if err != nil {
 		return nil, err
 	}
@@ -91,10 +89,6 @@ func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftC
 	}
 	return sb
 }
-
-// cost is the finished build's work, its input's included (0 before): a
-// probing worker publishes it while the consumer may price the fragment.
-func (b *sharedBuild) cost() plan.Work { return plan.Work(b.work.Load()) }
 
 // ensure runs the build exactly once (first prober wins; the rest observe
 // the completed table through the Once barrier).
@@ -132,7 +126,6 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 	}
 	rows := len(b.hash)
 	joinBuildRows.Add(int64(rows))
-	b.work.Store(int64(b.child.Cost() + plan.JoinWork(0, int64(rows), 0)))
 	b.next = make([]int32, rows)
 
 	nParts := len(b.parts)

@@ -45,10 +45,9 @@ import (
 // conjunct pair).
 //
 // The kernel layer is invisible to the recycler: plan signatures never see
-// kernels (they attach at build time under the same plan nodes), rowsOut and
-// the per-stage work weights that drive fused cost attribution are computed
-// identically (a fused pair attributes width×rows, matching the two generic
-// passes it replaced), and survivors are bit-identical by construction.
+// kernels (they attach at build time under the same plan nodes), survivors
+// are bit-identical by construction, and so are the row counts the stages
+// report.
 
 // Engagement counters (process-wide, for tests and introspection).
 var (
@@ -99,11 +98,6 @@ type predKernel struct {
 	mask uint8
 
 	eq bool // string: true for =, false for <>
-
-	// width is the number of generic conjunct passes this kernel replaces
-	// (2 for a fused BETWEEN pair); fused-loop work accounting multiplies
-	// by it so cost attribution matches the unkerneled stage.
-	width int64
 
 	refine func(k *predKernel, v *vector.Vector, sel []int32) []int32
 	dense  func(k *predKernel, v *vector.Vector, n int, buf []int32) []int32
@@ -283,7 +277,7 @@ func compilePred(e expr.Expr) *predKernel {
 	if !ok {
 		return nil
 	}
-	k := &predKernel{col: sh.ColIdx, width: 1}
+	k := &predKernel{col: sh.ColIdx}
 	ent.compile(k, sh.Const)
 	predKernelsCompiled.Add(1)
 	return k
@@ -300,7 +294,7 @@ func fuseKernelPair(a, b *predKernel) *predKernel {
 	}
 	switch {
 	case a.kind == kI64Range && b.kind == kI64Range:
-		f := &predKernel{col: a.col, width: a.width + b.width}
+		f := &predKernel{col: a.col}
 		lo, hi := a.lo, a.hi
 		if b.lo > lo {
 			lo = b.lo
@@ -317,14 +311,14 @@ func fuseKernelPair(a, b *predKernel) *predKernel {
 		return f
 	case a.kind == kF64Cmp && b.kind == kF64Cmp:
 		if lo, hi, ok := betweenBounds(a, b); ok {
-			f := &predKernel{col: a.col, width: a.width + b.width}
+			f := &predKernel{col: a.col}
 			f.kind, f.f1, f.f2 = kF64Between, lo, hi
 			f.refine, f.dense = refineF64Between, denseF64Between
 			return f
 		}
 	case a.kind == kI64FCmp && b.kind == kI64FCmp:
 		if lo, hi, ok := betweenBounds(a, b); ok {
-			f := &predKernel{col: a.col, width: a.width + b.width}
+			f := &predKernel{col: a.col}
 			f.kind, f.f1, f.f2 = kI64FBetween, lo, hi
 			f.refine, f.dense = refineI64FBetween, denseI64FBetween
 			return f

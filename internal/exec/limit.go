@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -62,11 +61,6 @@ func (l *LimitOp) Close(ctx *Ctx) error {
 		l.out = nil
 	}
 	return l.Child.Close(ctx)
-}
-
-// Cost implements Operator.
-func (l *LimitOp) Cost() plan.Work {
-	return l.Child.Cost() + plan.OpWork(plan.Limit, 0, l.rows, l.Child.RowsOut())
 }
 
 // Progress implements Operator.
@@ -134,12 +128,6 @@ func (u *UnionOp) Close(ctx *Ctx) error {
 		return err1
 	}
 	return err2
-}
-
-// Cost implements Operator.
-func (u *UnionOp) Cost() plan.Work {
-	return u.Left.Cost() + u.Right.Cost() +
-		plan.OpWork(plan.Union, 0, u.rows, u.Left.RowsOut(), u.Right.RowsOut())
 }
 
 // Progress implements Operator.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"recycledb/internal/catalog"
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -37,7 +36,6 @@ func (c *scratchChild) Close(ctx *Ctx) error {
 }
 
 func (c *scratchChild) Progress() float64 { return 1 }
-func (c *scratchChild) Cost() plan.Work   { return 0 }
 func (c *scratchChild) RowsOut() int64    { return 0 }
 
 // failOpenOp opens its child successfully, then fails its own Open — the
@@ -64,7 +62,6 @@ func (f *failOpenOp) Close(ctx *Ctx) error {
 }
 
 func (f *failOpenOp) Progress() float64 { return 0 }
-func (f *failOpenOp) Cost() plan.Work   { return 0 }
 func (f *failOpenOp) RowsOut() int64    { return 0 }
 
 // TestRunClosesOnOpenError: when Open fails partway through a tree, Run

@@ -208,13 +208,15 @@ func TestParallelBatchSequenceMatchesSerial(t *testing.T) {
 }
 
 // TestParallelStoreSequenceMatchesSerial: a speculative store above each
-// fragment shape sees the same (progress, cost, buffered bytes) at every
-// batch whatever the worker count, so its admission decisions — and the
-// recycler's — cannot depend on how many workers ran the subtree.
+// fragment shape sees the same progress, buffered bytes and rows counted for
+// every node of its subtree — so the same cost, priced from those rows — at
+// every batch whatever the worker count, so its admission decisions — and
+// the recycler's — cannot depend on how many workers ran the subtree.
 func TestParallelStoreSequenceMatchesSerial(t *testing.T) {
 	cat := parCatalog(50000, 37)
 	type sample struct {
 		progress float64
+		rows     string // every subtree node's count, in walk order
 		cost     plan.Work
 		bytes    int64
 	}
@@ -223,19 +225,23 @@ func TestParallelStoreSequenceMatchesSerial(t *testing.T) {
 		if err := n.Resolve(cat); err != nil {
 			t.Fatal(err)
 		}
+		stats := make(map[*plan.Node]NodeStats)
 		var got []sample
+		see := func(progress float64, bytes int64) {
+			var rows []int64
+			n.Walk(func(x *plan.Node) { rows = append(rows, stats[x].RowsOut()) })
+			got = append(got, sample{progress, fmt.Sprint(rows), pricedWork(stats, n), bytes})
+		}
 		spec := &StoreSpec{Speculative: true,
-			OnBatch: func(progress float64, cost plan.Work, bytes int64) bool {
-				got = append(got, sample{progress, cost, bytes})
+			OnBatch: func(progress float64, bytes int64) bool {
+				see(progress, bytes)
 				return true
 			},
-			OnComplete: func(_ []*vector.Batch, _, bytes int64, cost plan.Work) {
-				got = append(got, sample{1, cost, bytes})
-			},
+			OnComplete: func(_ []*vector.Batch, _, bytes int64) { see(1, bytes) },
 		}
 		ctx := NewCtx(cat)
 		ctx.Parallelism, ctx.MorselRows = par, 2048
-		op, err := Build(ctx, n, Decorations{n: {Store: spec}}, nil)
+		op, err := Build(ctx, n, Decorations{n: {Store: spec}}, stats)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,6 +261,19 @@ func TestParallelStoreSequenceMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pricedWork prices the undecorated subtree n from the rows stats counted,
+// as the recycler does: each node's own weights over the rows it and its
+// children emitted.
+func pricedWork(stats map[*plan.Node]NodeStats, n *plan.Node) plan.Work {
+	var w plan.Work
+	in := make([]int64, len(n.Children))
+	for i, c := range n.Children {
+		w += pricedWork(stats, c)
+		in[i] = stats[c].RowsOut()
+	}
+	return w + n.SelfWork(stats[n].RowsOut(), in...)
 }
 
 // TestFragmentRootChosenByObservables pins how a fragment picks its root:

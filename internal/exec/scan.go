@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"recycledb/internal/catalog"
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -94,9 +93,6 @@ func (s *rangeScan) Next(ctx *Ctx) (*vector.Batch, error) {
 // Close implements Operator.
 func (s *rangeScan) Close(ctx *Ctx) error { return nil }
 
-// Cost implements Operator.
-func (s *rangeScan) Cost() plan.Work { return plan.OpWork(plan.Scan, len(s.cols), s.rows) }
-
 // TableScan reads a projection of a base table as of the per-statement
 // snapshot (Ctx.SnapFor): a consistent (watermark, delete-bitmap) epoch
 // captured at Open.
@@ -176,9 +172,6 @@ func (s *TableFnScan) Close(ctx *Ctx) error {
 	return nil
 }
 
-// Cost implements Operator.
-func (s *TableFnScan) Cost() plan.Work { return plan.OpWork(plan.TableFn, 0, s.rows) }
-
 // Progress implements Operator.
 func (s *TableFnScan) Progress() float64 {
 	if s.res == nil {
@@ -240,9 +233,6 @@ func (s *CacheScan) Close(ctx *Ctx) error {
 	}
 	return nil
 }
-
-// Cost implements Operator: the replay's work.
-func (s *CacheScan) Cost() plan.Work { return plan.OpWork(plan.Cached, 0, s.rows) }
 
 // Progress implements Operator.
 func (s *CacheScan) Progress() float64 {

@@ -283,7 +283,7 @@ func TestSelectionStoreMaterializesDense(t *testing.T) {
 	var stored []*vector.Batch
 	var storedRows, storedBytes int64
 	st := NewStore(evenFilter(t, scanAll(tab)), StoreSpec{
-		OnComplete: func(batches []*vector.Batch, rows, bytes int64, _ plan.Work) {
+		OnComplete: func(batches []*vector.Batch, rows, bytes int64) {
 			stored = batches
 			storedRows = rows
 			storedBytes = bytes

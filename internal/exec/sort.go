@@ -158,11 +158,6 @@ func (s *SortOp) Close(ctx *Ctx) error {
 	return s.Child.Close(ctx)
 }
 
-// Cost implements Operator.
-func (s *SortOp) Cost() plan.Work {
-	return s.Child.Cost() + plan.OpWork(plan.Sort, 0, s.rows, s.Child.RowsOut())
-}
-
 // Progress implements Operator.
 func (s *SortOp) Progress() float64 {
 	if !s.built {
@@ -338,11 +333,6 @@ func (t *TopNOp) Close(ctx *Ctx) error {
 	t.h = nil
 	t.order = nil
 	return t.Child.Close(ctx)
-}
-
-// Cost implements Operator.
-func (t *TopNOp) Cost() plan.Work {
-	return t.Child.Cost() + plan.OpWork(plan.TopN, 0, t.rows, t.Child.RowsOut())
 }
 
 // Progress implements Operator.

@@ -40,7 +40,6 @@ func (s *batchSource) Next(*Ctx) (*vector.Batch, error) {
 }
 func (s *batchSource) Close(*Ctx) error  { return nil }
 func (s *batchSource) Progress() float64 { return 0 }
-func (s *batchSource) Cost() plan.Work   { return 0 }
 
 // rowPasses is the filter oracle: pred evaluated over a one-row batch.
 func rowPasses(t *testing.T, pred expr.Expr, row []vector.Datum, types []vector.Type) bool {
@@ -220,7 +219,7 @@ func TestFragmentsOverPullSources(t *testing.T) {
 		}
 		var stored int64
 		dec := Decorations{inner: {Store: &StoreSpec{
-			OnComplete: func(_ []*vector.Batch, rows, _ int64, _ plan.Work) { stored = rows },
+			OnComplete: func(_ []*vector.Batch, rows, _ int64) { stored = rows },
 		}}}
 		before := FusedFragmentsBuilt()
 		res := buildRun(t, NewCtx(cat), n, dec)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
@@ -18,16 +17,16 @@ type StoreSpec struct {
 	// rewriting (history mode) and always commits.
 	Speculative bool
 	// OnBatch is consulted after each buffered batch in speculative mode
-	// with the producer's progress, the subtree's cost so far, and the
-	// buffered bytes; returning false cancels buffering (the store
-	// reverts to passthrough, §II). Progress and cost advance only when the
-	// producer finishes a unit of input (a morsel, for a fragment root), so
+	// with the producer's progress and the buffered bytes; returning false
+	// cancels buffering (the store reverts to passthrough, §II). The
+	// subtree has handed up a batch, so the callback may read the rows its
+	// nodes counted (Build's stats). Progress and the counts inside a
+	// fragment advance only when it finishes a unit of input (a morsel), so
 	// a store sees the same sequence of them at every worker count.
-	OnBatch func(progress float64, cost plan.Work, bufferedBytes int64) bool
+	OnBatch func(progress float64, bufferedBytes int64) bool
 	// OnComplete receives the fully buffered result at end-of-stream and
-	// takes ownership of the batches (cache admission happens there), with
-	// the subtree's cost.
-	OnComplete func(batches []*vector.Batch, rows int64, bytes int64, cost plan.Work)
+	// takes ownership of the batches (cache admission happens there).
+	OnComplete func(batches []*vector.Batch, rows int64, bytes int64)
 	// OnCancel is invoked when speculation cancels buffering.
 	OnCancel func()
 }
@@ -78,18 +77,20 @@ func (s *Store) Next(ctx *Ctx) (*vector.Batch, error) {
 		if s.buffering && !s.completed {
 			s.completed = true
 			if s.Spec.OnComplete != nil {
-				s.Spec.OnComplete(s.buf, s.bufRows, s.bufBytes, s.Child.Cost())
+				s.Spec.OnComplete(s.buf, s.bufRows, s.bufBytes)
 			}
 			s.buf = nil
 		}
 		return nil, nil
 	}
+	// Counted before OnBatch, which may read the count.
+	s.rows += int64(b.Len())
 	if s.buffering {
 		s.buf = append(s.buf, b.Clone())
 		s.bufBytes += b.Bytes()
 		s.bufRows += int64(b.Len())
 		if s.Spec.Speculative && s.Spec.OnBatch != nil {
-			if !s.Spec.OnBatch(s.Child.Progress(), s.Child.Cost(), s.bufBytes) {
+			if !s.Spec.OnBatch(s.Child.Progress(), s.bufBytes) {
 				// Not beneficial: stop buffering, drop copies, pass
 				// tuples along untouched from now on.
 				s.buffering = false
@@ -101,7 +102,6 @@ func (s *Store) Next(ctx *Ctx) (*vector.Batch, error) {
 			}
 		}
 	}
-	s.rows += int64(b.Len())
 	return b, nil
 }
 
@@ -122,10 +122,6 @@ func (s *Store) Close(ctx *Ctx) error {
 
 // Progress implements Operator.
 func (s *Store) Progress() float64 { return s.Child.Progress() }
-
-// Cost implements Operator: the child's. The copies are not the node's
-// work; the recycler prices them separately (core.CopyCost).
-func (s *Store) Cost() plan.Work { return s.Child.Cost() }
 
 // WaitSpec configures a WaitReuse operator: another in-flight query is
 // currently materializing this node's result; stall until it finishes and
@@ -217,15 +213,6 @@ func (w *WaitReuse) Close(ctx *Ctx) error {
 		}
 	}
 	return err
-}
-
-// Cost implements Operator: the work of whichever input the wait chose — a
-// replay or the recomputation; the stall itself is waiting, not work.
-func (w *WaitReuse) Cost() plan.Work {
-	if w.inner == nil {
-		return 0
-	}
-	return w.inner.Cost()
 }
 
 // Progress implements Operator.

@@ -21,7 +21,7 @@ func TestStoreMaterializesAndPassesThrough(t *testing.T) {
 	var got []*vector.Batch
 	var gotRows, gotBytes int64
 	st := NewStore(child, StoreSpec{
-		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed plan.Work) {
+		OnComplete: func(bs []*vector.Batch, rows, bytes int64) {
 			got = bs
 			gotRows = rows
 			gotBytes = bytes
@@ -59,7 +59,7 @@ func TestStoreBuffersAreDeepCopies(t *testing.T) {
 	child, _ := Build(ctx, n, nil, nil)
 	var got []*vector.Batch
 	st := NewStore(child, StoreSpec{
-		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed plan.Work) { got = bs },
+		OnComplete: func(bs []*vector.Batch, rows, bytes int64) { got = bs },
 	})
 	if _, err := Run(ctx, st); err != nil {
 		t.Fatal(err)
@@ -86,13 +86,19 @@ func TestStoreSpeculativeCancel(t *testing.T) {
 	calls := 0
 	cancelled := false
 	completed := false
-	st := NewStore(child, StoreSpec{
+	var st *Store
+	st = NewStore(child, StoreSpec{
 		Speculative: true,
-		OnBatch: func(progress float64, elapsed plan.Work, buffered int64) bool {
+		OnBatch: func(progress float64, buffered int64) bool {
 			calls++
+			// The callback may price the subtree: the store has already
+			// counted the batch it is buffering.
+			if st.RowsOut() != child.RowsOut() {
+				t.Errorf("batch %d: store counted %d rows, its input %d", calls, st.RowsOut(), child.RowsOut())
+			}
 			return calls < 3 // cancel on third batch
 		},
-		OnComplete: func([]*vector.Batch, int64, int64, plan.Work) { completed = true },
+		OnComplete: func([]*vector.Batch, int64, int64) { completed = true },
 		OnCancel:   func() { cancelled = true },
 	})
 	res, err := Run(ctx, st)
@@ -121,8 +127,8 @@ func TestStoreSpeculativeCommit(t *testing.T) {
 	completed := false
 	st := NewStore(child, StoreSpec{
 		Speculative: true,
-		OnBatch:     func(float64, plan.Work, int64) bool { return true },
-		OnComplete: func(bs []*vector.Batch, rows, bytes int64, elapsed plan.Work) {
+		OnBatch:     func(float64, int64) bool { return true },
+		OnComplete: func(bs []*vector.Batch, rows, bytes int64) {
 			completed = true
 			if rows != 4 {
 				t.Errorf("rows = %d", rows)
@@ -147,7 +153,7 @@ func TestStoreEarlyCloseCancels(t *testing.T) {
 	child, _ := Build(ctx, n, nil, nil)
 	cancelled, completed := false, false
 	st := NewStore(child, StoreSpec{
-		OnComplete: func([]*vector.Batch, int64, int64, plan.Work) { completed = true },
+		OnComplete: func([]*vector.Batch, int64, int64) { completed = true },
 		OnCancel:   func() { cancelled = true },
 	})
 	// Pull only one batch, then close (as a LIMIT above would).
@@ -257,4 +263,3 @@ func (f *failingOp) Open(ctx *Ctx) error                  { panic("fallback must
 func (f *failingOp) Next(ctx *Ctx) (*vector.Batch, error) { return nil, nil }
 func (f *failingOp) Close(ctx *Ctx) error                 { return nil }
 func (f *failingOp) Progress() float64                    { return 0 }
-func (f *failingOp) Cost() plan.Work                      { return 0 }

@@ -3,10 +3,10 @@ package plan
 import "math"
 
 // The cost model's weight table. Every cost in the engine — the optimizer's
-// estimate of a plan, the executor's account of what a run did, the
-// recycler's cost(R) in Eq. 1–2 — is this table applied to a node and row
-// counts: estimated rows when the optimizer calls it, the rows execution
-// counted in and out of each node when an executor operator does. One
+// estimate of a plan, the price of what a run did, the recycler's cost(R) in
+// Eq. 1–2 — is this table applied to a node and row counts: estimated rows
+// when the optimizer calls it, the rows execution counted out of each node
+// and its children when the recycler prices a run (internal/rewrite). One
 // currency therefore prices both sides of every decision, and a cost is a
 // pure function of the plan and its data, never of the clock or of the
 // worker count that ran it.

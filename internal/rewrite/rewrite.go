@@ -89,6 +89,9 @@ type Result struct {
 	Exec  *plan.Node
 	Decor exec.Decorations
 	Match *core.MatchResult
+	// Stats is for exec.Build to fill with what execution counts per node;
+	// the recycler prices results from it (see price). nil in Off mode.
+	Stats map[*plan.Node]exec.NodeStats
 
 	// subst maps a decorated node to the graph node whose cached result
 	// replaced that subtree (bcost accounting for Eq. 2 consistency).
@@ -134,6 +137,7 @@ func (rw *Rewriter) Rewrite(root *plan.Node) (*Result, error) {
 	if rw.Mode == Off {
 		return res, nil
 	}
+	res.Stats = make(map[*plan.Node]exec.NodeStats)
 	rw.Rec.BeginQuery()
 	if rw.Mode >= Proactive {
 		if pa, err := rw.applyProactive(root); err != nil {
@@ -168,10 +172,7 @@ func (rw *Rewriter) dropStoresUnderWaits(n *plan.Node, res *Result, underWait bo
 			} else {
 				res.Stores--
 			}
-			d.Store = nil
-			if d.Reuse == nil && d.Wait == nil {
-				delete(res.Decor, n)
-			}
+			delete(res.Decor, n)
 		}
 		if d.Reuse != nil {
 			return
@@ -506,7 +507,8 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 	}
 	specSpec := exec.StoreSpec{
 		Speculative: speculativeStore,
-		OnComplete: func(batches []*vector.Batch, rows, bytes int64, cost plan.Work) {
+		OnComplete: func(batches []*vector.Batch, rows, bytes int64) {
+			cost, _ := rw.price(res, n, nil)
 			hrOverride := -1.0
 			if speculativeStore {
 				hrOverride = core.SpeculationHR
@@ -534,13 +536,14 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 		},
 	}
 	if speculativeStore {
-		specSpec.OnBatch = func(progress float64, cost plan.Work, buffered int64) bool {
+		specSpec.OnBatch = func(progress float64, buffered int64) bool {
 			if cfg.MaxSpeculateBytes > 0 && buffered > cfg.MaxSpeculateBytes {
 				return false
 			}
 			if progress < core.MinProgress {
 				return true // not enough information yet; keep buffering
 			}
+			cost, _ := rw.price(res, n, nil)
 			estCost := plan.Work(float64(cost) / progress)
 			estSize := int64(float64(buffered) / progress)
 			// "Computationally expensive and likely small" (§III-D),
@@ -556,58 +559,74 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 	} else {
 		res.Stores++
 	}
-	if d := res.Decor[n]; d != nil {
-		d.Store = &specSpec
-	} else {
-		res.Decor[n] = &exec.Decor{Store: &specSpec}
-	}
+	res.Decor[n] = &exec.Decor{Store: &specSpec}
 }
 
-// Annotate walks the executed tree after completion and writes measured
-// statistics back to the recycler graph: each node's base cost is the work
-// its operator counted, children included (the weight table over the rows
-// each node of the subtree read and emitted), plus the stored base costs of
-// any reused (substituted) subtrees below it, keeping Eq. 2 consistent
-// (§III-C). Both terms are plan.Work, so a node's base cost is the same
-// whether its subtree was recomputed or partly replayed.
-func (rw *Rewriter) Annotate(res *Result, opmap map[*plan.Node]exec.NodeStats) {
+// price is the one pricing walk: it prices the executed subtree at n in the
+// cost model's weights over the rows execution counted (res.Stats). work is
+// what this execution did — every node that ran at its own weights
+// (plan.Node.SelfWork) over the rows it emitted and its children emitted,
+// and a replayed node (a reuse, or a wait whose stall reused) at the work of
+// streaming its rows out (plan.ReplayWork). subst is the stored base cost of
+// the replayed results, which the subtree's base cost includes (Eq. 2) but
+// this execution did not redo. visit, if set, sees each node that ran, with
+// its subtree's work and subst and its rows.
+//
+// A node's rows are one count: what its operator handed up, or for a node
+// fused into a fragment's interior, the rows of the morsels the fragment
+// finished. A fragment root therefore counts the rows it handed up, even
+// mid-morsel or when a LIMIT above it stops early.
+//
+// Execution writes the counts the walk reads, so callers read them only
+// where the counting is settled for the subtree: a store's callbacks, after
+// the subtree has handed up a batch (a join's build side is then complete,
+// published by the build's sync.Once and the hand-off of the batch), and
+// Annotate, after Close. The walk allocates nothing (no node has more than
+// two children), so a speculative store may run it at every batch.
+func (rw *Rewriter) price(res *Result, n *plan.Node, visit func(n *plan.Node, work, subst plan.Work, rows int64)) (work, subst plan.Work) {
+	rows := res.rows(n)
+	if d := res.Decor[n]; d != nil && (d.Reuse != nil || d.Wait != nil && res.waitReused[n].Load()) {
+		if g := res.subst[n]; g != nil {
+			subst, _, _, _ = rw.Rec.NodeStats(g)
+		}
+		return plan.ReplayWork(rows, 0), subst
+	}
+	var in [2]int64
+	for i, c := range n.Children {
+		w, s := rw.price(res, c, visit)
+		work, subst = work+w, subst+s
+		in[i] = res.rows(c)
+	}
+	work += n.SelfWork(rows, in[:len(n.Children)]...)
+	if visit != nil {
+		visit(n, work, subst, rows)
+	}
+	return work, subst
+}
+
+// rows is the number of rows node n emitted so far (0 if it was not built).
+func (res *Result) rows(n *plan.Node) int64 {
+	if s := res.Stats[n]; s != nil {
+		return s.RowsOut()
+	}
+	return 0
+}
+
+// Annotate writes what execution measured back to the recycler graph once
+// the query has run: each node's base cost is its subtree's price — the work
+// this execution did plus the stored base costs of the results it replayed,
+// keeping Eq. 2 consistent (§III-C), so a node's base cost is the same
+// whether its subtree was recomputed or partly replayed — and its
+// cardinality the rows it emitted.
+func (rw *Rewriter) Annotate(res *Result) {
 	if res.Match == nil {
 		return
 	}
-	var walk func(n *plan.Node) plan.Work
-	walk = func(n *plan.Node) plan.Work {
-		d := res.Decor[n]
-		if d != nil && d.Reuse != nil {
-			if g := res.subst[n]; g != nil {
-				cost, _, _, _ := rw.Rec.NodeStats(g)
-				return cost
-			}
-			return 0
+	rw.price(res, res.Exec, func(n *plan.Node, work, subst plan.Work, rows int64) {
+		if nm := res.Match.ByNode[n]; nm != nil && res.Stats[n] != nil {
+			rw.Rec.UpdateStats(nm.G, work+subst, rows, core.EstimateResultBytes(nm.G, rows))
 		}
-		if d != nil && d.Wait != nil {
-			if r := res.waitReused[n]; r != nil && r.Load() {
-				if g := res.subst[n]; g != nil {
-					cost, _, _, _ := rw.Rec.NodeStats(g)
-					return cost
-				}
-				return 0
-			}
-			// Fallback executed: annotate the real subtree below.
-		}
-		var childSubst plan.Work
-		for _, c := range n.Children {
-			childSubst += walk(c)
-		}
-		nm := res.Match.ByNode[n]
-		op := opmap[n]
-		if nm != nil && op != nil {
-			bcost := op.Cost() + childSubst
-			rows := op.RowsOut()
-			rw.Rec.UpdateStats(nm.G, bcost, rows, core.EstimateResultBytes(nm.G, rows))
-		}
-		return childSubst
-	}
-	walk(res.Exec)
+	})
 }
 
 // Committed returns the number of results this query actually materialized

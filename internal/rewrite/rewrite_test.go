@@ -45,9 +45,16 @@ func fixture(t *testing.T, mode Mode) (*Rewriter, *catalog.Catalog) {
 // run executes a rewritten query and annotates the graph.
 func run(t *testing.T, rw *Rewriter, res *Result) int64 {
 	t.Helper()
+	rows := execute(t, rw, res)
+	rw.Annotate(res)
+	return rows
+}
+
+// execute runs a rewritten query without annotating the graph.
+func execute(t *testing.T, rw *Rewriter, res *Result) int64 {
+	t.Helper()
 	ctx := exec.NewCtx(rw.Cat)
-	opmap := make(map[*plan.Node]exec.NodeStats)
-	op, err := exec.Build(ctx, res.Exec, res.Decor, opmap)
+	op, err := exec.Build(ctx, res.Exec, res.Decor, res.Stats)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +62,6 @@ func run(t *testing.T, rw *Rewriter, res *Result) int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rw.Annotate(res, opmap)
 	return int64(out.Rows())
 }
 
@@ -157,21 +163,114 @@ func TestSpeculationBufferCapCancels(t *testing.T) {
 	}
 }
 
+// TestAnnotateRecordsCosts pins the pricing walk exactly over a plan run
+// plain and under each decoration: a node's base cost is the weight table
+// over the rows execution counted, children included — as a speculative
+// store's admission sees it, as Annotate records it, after a wait that fell
+// back to recomputing, and over a replayed leaf (the replay's work plus the
+// leaf's stored base cost, Eq. 2).
 func TestAnnotateRecordsCosts(t *testing.T) {
+	rw, cat := fixture(t, Speculative)
+	cfg := core.DefaultConfig()
+	cfg.Alpha = 1
+	cfg.StallTimeout = 20 * time.Millisecond
+	rw.Rec = core.New(cfg)
+
+	// aggQuery(50) = aggregate(grp; sum v) over select(v < 50) over a
+	// two-column scan of t's 5000 rows, v = row % 97.
+	var pass int64
+	for i := 0; i < 5000; i++ {
+		if i%97 < 50 {
+			pass++
+		}
+	}
+	scanW := plan.OpWork(plan.Scan, 2, 5000)
+	selW := scanW + plan.OpWork(plan.Select, 0, pass, 5000)
+	aggW := selW + plan.OpWork(plan.Aggregate, 0, 3, pass)
+	type want struct {
+		cost plan.Work
+		rows int64
+	}
+	check := func(label string, r *Result, q *plan.Node, wants map[*plan.Node]want) {
+		t.Helper()
+		for n, w := range wants {
+			cost, known, card, bytes := rw.Rec.NodeStats(r.Match.ByNode[n].G)
+			if !known || cost != w.cost || card != w.rows || bytes <= 0 {
+				t.Fatalf("%s: %v annotated cost=%d known=%v card=%d bytes=%d, want cost=%d card=%d",
+					label, n.Op, cost, known, card, bytes, w.cost, w.rows)
+			}
+		}
+	}
+
+	// Plain run, speculative store at the root: admission takes the
+	// store's priced cost as the never-measured root's first sample.
+	q := aggQuery(t, cat, 50)
+	r, _ := rw.Rewrite(q)
+	if r.SpecStores != 1 || r.Decor[q] == nil || r.Decor[q].Store == nil {
+		t.Fatalf("want one speculative store at the root: %+v", r)
+	}
+	execute(t, rw, r)
+	g := r.Match.ByNode[q].G
+	if cost, known, _, _ := rw.Rec.NodeStats(g); !known || cost != aggW {
+		t.Fatalf("store admitted cost %d (known %v), want %d", cost, known, aggW)
+	}
+	rw.Annotate(r)
+	sel, scan := q.Children[0], q.Children[0].Children[0]
+	check("plain", r, q, map[*plan.Node]want{q: {aggW, 3}, sel: {selW, pass}, scan: {scanW, 5000}})
+
+	// A wait whose producer never finishes falls back to recomputing: the
+	// fallback is priced like a plain run.
+	rw.Rec.Evict(g)
+	rw.Rec.UpdateStats(g, 1, 3, 0)
+	rw.Rec.BeginInflight(g)
+	q = aggQuery(t, cat, 50)
+	r, _ = rw.Rewrite(q)
+	if r.Waits != 1 || r.Decor[q] == nil || r.Decor[q].Wait == nil {
+		t.Fatalf("want a wait at the root: %+v", r)
+	}
+	run(t, rw, r)
+	rw.Rec.FinishInflight(g)
+	sel, scan = q.Children[0], q.Children[0].Children[0]
+	check("wait fallback", r, q, map[*plan.Node]want{q: {aggW, 3}, sel: {selW, pass}, scan: {scanW, 5000}})
+
+	// A cached select under the aggregate: the root pays the replay of the
+	// select's rows and carries the select's stored base cost.
+	selOnly := q.Children[0].Clone()
+	if err := selOnly.Resolve(cat); err != nil {
+		t.Fatal(err)
+	}
+	ctx := exec.NewCtx(cat)
+	op, err := exec.Build(ctx, selOnly, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := exec.Run(ctx, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gSel := r.Match.ByNode[sel].G
+	if !rw.Rec.Admit(gSel, res.Batches, pass, 1, selW, -1) {
+		t.Fatal("select result not admitted")
+	}
+	q = aggQuery(t, cat, 50)
+	r, _ = rw.Rewrite(q)
+	if r.Reuses != 1 || r.Decor[q.Children[0]] == nil || r.Decor[q.Children[0]].Reuse == nil {
+		t.Fatalf("want the select replayed: %+v", r)
+	}
+	run(t, rw, r)
+	replayW := plan.ReplayWork(pass, 0) + plan.OpWork(plan.Aggregate, 0, 3, pass)
+	check("reuse leaf", r, q, map[*plan.Node]want{q: {replayW + selW, 3}})
+}
+
+// TestPricingWalkZeroAlloc: a speculative store prices its subtree at every
+// batch, so the walk must not allocate.
+func TestPricingWalkZeroAlloc(t *testing.T) {
 	rw, cat := fixture(t, Speculative)
 	q := aggQuery(t, cat, 50)
 	r, _ := rw.Rewrite(q)
-	run(t, rw, r)
-	nm := r.Match.ByNode[q]
-	if nm == nil {
-		t.Fatal("root not matched")
-	}
-	cost, known, card, bytes := rw.Rec.NodeStats(nm.G)
-	if !known || cost <= 0 {
-		t.Fatalf("cost not annotated: %v %v", cost, known)
-	}
-	if card != 3 || bytes <= 0 {
-		t.Fatalf("card=%d bytes=%d", card, bytes)
+	execute(t, rw, r)
+	if avg := testing.AllocsPerRun(100, func() { rw.price(r, q, nil) }); avg != 0 {
+		t.Fatalf("pricing walk allocates %.1f objects per call, want 0", avg)
 	}
 }
 
@@ -239,6 +338,12 @@ func TestStallPlansWaitWhenInflight(t *testing.T) {
 	}
 	if rw.Rec.Stats().StallReuses == 0 {
 		t.Fatal("stall reuse not recorded")
+	}
+	// The stall reused: the root is priced as a replay of its one row,
+	// carrying its stored base cost.
+	stored, _, _, _ := rw.Rec.NodeStats(g)
+	if work, subst := rw.price(r2, r2.Exec, nil); work != plan.ReplayWork(1, 0) || subst != stored {
+		t.Fatalf("reused wait priced work=%d subst=%d, want %d and %d", work, subst, plan.ReplayWork(1, 0), stored)
 	}
 }
 

@@ -548,8 +548,7 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 	}
 	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: ep.snaps,
 		Parallelism: par}
-	opmap := make(map[*plan.Node]exec.NodeStats)
-	op, err := exec.Build(ectx, rres.Exec, rres.Decor, opmap)
+	op, err := exec.Build(ectx, rres.Exec, rres.Decor, rres.Stats)
 	if err != nil {
 		rw.Abort(rres)
 		return nil, fmt.Errorf("recycledb: build: %w", err)
@@ -562,7 +561,6 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 		op:        op,
 		rw:        rw,
 		rres:      rres,
-		opmap:     opmap,
 		start:     start,
 		execStart: time.Now(),
 	}

@@ -8,7 +8,6 @@ import (
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/exec"
-	"recycledb/internal/plan"
 	"recycledb/internal/rewrite"
 	"recycledb/internal/vector"
 )
@@ -40,7 +39,6 @@ type Rows struct {
 	op     exec.Operator
 	rw     *rewrite.Rewriter
 	rres   *rewrite.Result
-	opmap  map[*plan.Node]exec.NodeStats
 
 	start     time.Time
 	execStart time.Time
@@ -134,7 +132,7 @@ func (r *Rows) finishLocked() error {
 		r.err = wrapRunError(err)
 		return r.err
 	}
-	r.rw.Annotate(r.rres, r.opmap)
+	r.rw.Annotate(r.rres)
 	r.stats.Execution = execTime
 	r.stats.Total = time.Since(r.start)
 	r.stats.Materialized = r.rres.Committed()
