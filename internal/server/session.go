@@ -640,7 +640,7 @@ func (sess *session) runDML(stmt *recycledb.Stmt, args []any) error {
 	if err != nil {
 		return err
 	}
-	sess.commandComplete(commandTag(stmt, res.RowsAffected))
+	sess.commandCompleteRows(stmt.Verb(), res.RowsAffected)
 	return nil
 }
 
@@ -681,7 +681,7 @@ func (sess *session) runSelect(stmt *recycledb.Stmt, args []any, describeFirst b
 	} else {
 		sent = sess.lastSent
 	}
-	sess.commandComplete(fmt.Sprintf("SELECT %d", sent))
+	sess.commandCompleteRows("SELECT", sent)
 	return nil
 }
 
@@ -713,7 +713,7 @@ func (sess *session) resumePortal(p *portal, maxRows int) error {
 	if err != nil {
 		return err
 	}
-	sess.commandComplete(fmt.Sprintf("SELECT %d", p.sent))
+	sess.commandCompleteRows("SELECT", p.sent)
 	return nil
 }
 
@@ -981,6 +981,15 @@ func (sess *session) commandComplete(tag string) {
 	sess.wb.endMsg()
 }
 
+// commandCompleteRows is commandComplete for a statement that returned or
+// affected n rows, with the tag built in the write buffer.
+func (sess *session) commandCompleteRows(verb string, n int64) {
+	sess.wb.beginMsg(msgCommandComplete)
+	sess.wb.buf = appendCommandTag(sess.wb.buf, verb, n)
+	sess.wb.byte(0)
+	sess.wb.endMsg()
+}
+
 func (sess *session) readyForQuery() {
 	sess.wb.beginMsg(msgReadyForQuery)
 	sess.wb.byte('I') // always idle: no multi-statement transactions
@@ -1092,18 +1101,20 @@ func sqlstateFor(err error) (code, msg string) {
 	}
 }
 
-// commandTag renders the CommandComplete tag for a DML statement.
-func commandTag(stmt *recycledb.Stmt, affected int64) string {
-	switch stmt.Verb() {
+// appendCommandTag appends the CommandComplete tag for a statement of the
+// given verb (recycledb.Stmt.Verb) that returned or affected n rows.
+func appendCommandTag(dst []byte, verb string, n int64) []byte {
+	switch verb {
 	case "INSERT":
-		return fmt.Sprintf("INSERT 0 %d", affected)
+		dst = append(dst, "INSERT 0 "...)
 	case "DELETE":
-		return fmt.Sprintf("DELETE %d", affected)
+		dst = append(dst, "DELETE "...)
 	case "CREATE":
-		return "CREATE TABLE"
+		return append(dst, "CREATE TABLE"...)
 	default:
-		return fmt.Sprintf("SELECT %d", affected)
+		dst = append(dst, "SELECT "...)
 	}
+	return strconv.AppendInt(dst, n, 10)
 }
 
 // splitStatements splits a simple-protocol query string on top-level

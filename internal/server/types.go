@@ -93,7 +93,7 @@ func appendDatumText(dst []byte, v *vector.Vector, row int) []byte {
 	case vector.String:
 		return append(dst, v.Str[row]...)
 	case vector.Date:
-		return append(dst, vector.DateString(v.I64[row])...)
+		return vector.AppendDate(dst, v.I64[row])
 	case vector.Bool:
 		if v.B[row] {
 			return append(dst, 't')
@@ -105,7 +105,24 @@ func appendDatumText(dst []byte, v *vector.Vector, row int) []byte {
 
 // appendFloatText renders a float in PostgreSQL text form: shortest
 // round-trip decimal, with Infinity/NaN spelled the way libpq expects.
+//
+// A value with at most four fraction digits and 1e-4 <= |f| < 1e6 (money,
+// quantities: the decimals a table holds) is printed from its scaled
+// integer r = round(f·10⁴), in the bytes strconv's shortest 'g' form gives:
+//   - r/10⁴ == f means the decimal r/10⁴ parses back to f, since parsing
+//     rounds correctly;
+//   - no shorter decimal parses to f: every shorter one is another point of
+//     the 10⁻⁴ grid, and below 1e6 the values that round to one double span
+//     less than 1.2e-10;
+//   - 'g' switches to the exponent form only below 1e-4 or from 1e6.
+//
+// Every other finite value, ±0 included, goes through strconv.
 func appendFloatText(dst []byte, f float64) []byte {
+	if a := math.Abs(f); a >= 1e-4 && a < 1e6 {
+		if r := math.Round(f * 1e4); r/1e4 == f {
+			return appendScaled4(dst, int64(r))
+		}
+	}
 	switch {
 	case math.IsInf(f, 1):
 		return append(dst, "Infinity"...)
@@ -115,6 +132,26 @@ func appendFloatText(dst []byte, f float64) []byte {
 		return append(dst, "NaN"...)
 	}
 	return strconv.AppendFloat(dst, f, 'g', -1, 64)
+}
+
+// appendScaled4 appends n/10⁴ in positional notation with trailing
+// fraction zeros (and a bare decimal point) dropped.
+func appendScaled4(dst []byte, n int64) []byte {
+	if n < 0 {
+		dst = append(dst, '-')
+		n = -n
+	}
+	dst = strconv.AppendInt(dst, n/1e4, 10)
+	frac := n % 1e4
+	if frac == 0 {
+		return dst
+	}
+	dst = append(dst, '.',
+		byte('0'+frac/1000), byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10))
+	for dst[len(dst)-1] == '0' {
+		dst = dst[:len(dst)-1]
+	}
+	return dst
 }
 
 var dateRE = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)

@@ -3,8 +3,11 @@ package server
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 
+	"recycledb"
 	"recycledb/internal/vector"
 )
 
@@ -118,10 +121,20 @@ func TestAppendDatumText(t *testing.T) {
 	if got := string(appendDatumText(nil, fv, 2)); got != "NaN" {
 		t.Fatalf("nan: %q", got)
 	}
-	dv := vector.New(vector.Date, 1)
-	dv.AppendInt64(vector.MustParseDate("1998-12-01"))
-	if got := string(appendDatumText(nil, dv, 0)); got != "1998-12-01" {
-		t.Fatalf("date: %q", got)
+	for _, want := range []string{"-0", "1e+06", "1e-05", "-123456.78", "0.0001", "999999.9999"} {
+		f, _ := strconv.ParseFloat(want, 64)
+		fv := vector.New(vector.Float64, 1)
+		fv.AppendFloat64(f)
+		if got := string(appendDatumText(nil, fv, 0)); got != want {
+			t.Fatalf("float %v: got %q, want %q", f, got, want)
+		}
+	}
+	for _, want := range []string{"1998-12-01", "0001-01-01", "1969-12-31", "1970-01-01", "9999-12-31"} {
+		dv := vector.New(vector.Date, 1)
+		dv.AppendInt64(vector.MustParseDate(want))
+		if got := string(appendDatumText(nil, dv, 0)); got != want {
+			t.Fatalf("date: got %q, want %q", got, want)
+		}
 	}
 	bv := vector.New(vector.Bool, 2)
 	bv.AppendBool(true)
@@ -131,6 +144,149 @@ func TestAppendDatumText(t *testing.T) {
 	}
 	if got := string(appendDatumText(nil, bv, 1)); got != "f" {
 		t.Fatalf("bool: %q", got)
+	}
+}
+
+// checkFloatText fails t unless appendFloatText renders f with the bytes of
+// strconv's shortest 'g' form, the form it promises (Inf and NaN aside).
+// It is called tens of millions of times, so it does not mark itself a
+// helper (t.Helper walks the stack).
+func checkFloatText(t *testing.T, f float64) {
+	var got, want [32]byte
+	g := appendFloatText(got[:0], f)
+	w := strconv.AppendFloat(want[:0], f, 'g', -1, 64)
+	if string(g) != string(w) {
+		t.Fatalf("appendFloatText(%v) [bits %#016x] = %q, strconv gives %q", f, math.Float64bits(f), g, w)
+	}
+}
+
+// TestAppendFloatTextMatchesStrconv compares the scaled-integer fast path
+// with strconv on the values it takes (decimals with up to four fraction
+// digits), the ones it must refuse, and its range edges.
+func TestAppendFloatTextMatchesStrconv(t *testing.T) {
+	grid, stride, samples := int64(1_000_000), int64(9973), 1_000_000
+	if testing.Short() {
+		grid, stride, samples = 100_000, 99_991, 100_000
+	}
+	for _, f := range []float64{
+		0, math.Copysign(0, -1), 1e-4, -1e-4, 9.9999e-5, 1.00005e-4,
+		999999.9999, -999999.9999, 999999.99995, 999999.99994, 1e6, -1e6,
+		0.1, 0.3, 1.0 / 3, 123456.7891, 5e-324, math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 9007199254740993,
+	} {
+		checkFloatText(t, f)
+	}
+	for k := -grid; k <= grid; k++ {
+		checkFloatText(t, float64(k)/100)
+		checkFloatText(t, float64(k)/1e4)
+	}
+	// The whole fast-path range at a prime stride, and the grid around its
+	// upper edge, where f·10⁴ reaches 1e10.
+	for k := int64(0); k <= 1e10; k += stride {
+		checkFloatText(t, float64(k)/1e4)
+	}
+	for k := int64(1e10 - 1e4); k <= 1e10+1e4; k++ {
+		checkFloatText(t, float64(k)/1e4)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < samples; i++ {
+		checkFloatText(t, math.Float64frombits(rng.Uint64()))
+		checkFloatText(t, float64(rng.Int63n(2e10)-1e10)/math.Pow10(rng.Intn(7)))
+		checkFloatText(t, (rng.Float64()-0.5)*math.Pow10(rng.Intn(14)-6))
+	}
+}
+
+// FuzzAppendFloatText checks appendFloatText against strconv's shortest
+// 'g' form for every finite float the fuzzer finds.
+func FuzzAppendFloatText(f *testing.F) {
+	for _, x := range []float64{0, 1e-4, 9.9999e-5, 2.5, -123456.78, 999999.9999, 999999.99995, 1e6, 5e-324} {
+		f.Add(x)
+	}
+	f.Fuzz(func(t *testing.T, x float64) {
+		if math.IsInf(x, 0) || math.IsNaN(x) {
+			return
+		}
+		checkFloatText(t, x)
+	})
+}
+
+// lineitemBatch builds an n-row batch shaped like a lineitem window: an
+// Int64 key, decimal and non-decimal Float64s, a Date, a String and a Bool.
+func lineitemBatch(n int) *recycledb.Batch {
+	b := vector.NewBatch([]vector.Type{
+		vector.Int64, vector.Float64, vector.Float64, vector.Date, vector.String, vector.Bool,
+	}, n)
+	rng := rand.New(rand.NewSource(3))
+	base := vector.MustParseDate("1995-03-01")
+	for i := 0; i < n; i++ {
+		b.Vecs[0].AppendInt64(int64(1 + rng.Intn(6_000_000)))
+		b.Vecs[1].AppendFloat64(float64(90_000+rng.Intn(10_000_000)) / 100)
+		b.Vecs[2].AppendFloat64(rng.Float64() * 1e5)
+		b.Vecs[3].AppendInt64(base + int64(rng.Intn(31)))
+		b.Vecs[4].AppendString([...]string{"DELIVER IN PERSON", "NONE", "TAKE BACK RETURN"}[rng.Intn(3)])
+		b.Vecs[5].AppendBool(rng.Intn(2) == 0)
+	}
+	return b
+}
+
+// encodeBatch encodes every row of b as a DataRow into sess's write
+// buffer, emptied first.
+func encodeBatch(sess *session, b *recycledb.Batch) {
+	sess.wb.reset()
+	for i := 0; i < b.Len(); i++ {
+		sess.encodeDataRow(b, i)
+	}
+}
+
+// TestEncodeDataRowZeroAlloc pins the wire encoder's contract: once the
+// write buffer has grown, a DataRow costs its bytes and no allocation.
+func TestEncodeDataRowZeroAlloc(t *testing.T) {
+	b := lineitemBatch(256)
+	sess := &session{}
+	encodeBatch(sess, b)
+	if allocs := testing.AllocsPerRun(20, func() { encodeBatch(sess, b) }); allocs != 0 {
+		t.Fatalf("encoding %d rows allocated %.1f times, want 0", b.Len(), allocs)
+	}
+}
+
+// BenchmarkEncodeDataRow encodes a batch the size of a month-long lineitem
+// window; bytes/s is DataRow output.
+func BenchmarkEncodeDataRow(b *testing.B) {
+	batch := lineitemBatch(3700)
+	sess := &session{}
+	encodeBatch(sess, batch)
+	b.SetBytes(int64(len(sess.wb.buf)))
+	b.ReportAllocs()
+	for b.Loop() {
+		encodeBatch(sess, batch)
+	}
+}
+
+func TestAppendCommandTag(t *testing.T) {
+	cases := []struct {
+		verb string
+		n    int64
+		want string
+	}{
+		{"SELECT", 0, "SELECT 0"},
+		{"SELECT", 3712, "SELECT 3712"},
+		{"INSERT", 1, "INSERT 0 1"},
+		{"INSERT", 250, "INSERT 0 250"},
+		{"DELETE", 0, "DELETE 0"},
+		{"DELETE", 17, "DELETE 17"},
+		{"CREATE", 0, "CREATE TABLE"},
+	}
+	for _, tc := range cases {
+		if got := string(appendCommandTag(nil, tc.verb, tc.n)); got != tc.want {
+			t.Errorf("%s %d: got %q, want %q", tc.verb, tc.n, got, tc.want)
+		}
+	}
+	// On the wire the tag is a NUL-terminated CommandComplete body.
+	sess := &session{}
+	sess.commandCompleteRows("INSERT", 2)
+	want := append([]byte{msgCommandComplete, 0, 0, 0, 15}, "INSERT 0 2\x00"...)
+	if string(sess.wb.buf) != string(want) {
+		t.Fatalf("CommandComplete: got %q, want %q", sess.wb.buf, want)
 	}
 }
 

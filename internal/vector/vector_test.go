@@ -3,6 +3,7 @@ package vector
 import (
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestTypeString(t *testing.T) {
@@ -179,6 +180,26 @@ func TestBatchReset(t *testing.T) {
 	b.Reset()
 	if b.Len() != 0 {
 		t.Fatalf("len after reset = %d", b.Len())
+	}
+}
+
+// TestAppendDateMatchesTime compares AppendDate with time.Format over
+// years ≈ -220 to 10183: both sides of the integer kernel's 0000-9999 range
+// (where it falls back to time) and every day inside it.
+func TestAppendDateMatchesTime(t *testing.T) {
+	step := int64(1)
+	if testing.Short() {
+		step = 7
+	}
+	var buf [16]byte
+	for d := int64(-800_000); d <= 3_000_000; d += step {
+		got := AppendDate(buf[:0], d)
+		if want := time.Unix(d*86400, 0).UTC().Format("2006-01-02"); string(got) != want {
+			t.Fatalf("day %d: got %q, want %q", d, got, want)
+		}
+	}
+	if got := DateString(MustParseDate("0000-03-01")); got != "0000-03-01" {
+		t.Fatalf("DateString: %q", got)
 	}
 }
 
