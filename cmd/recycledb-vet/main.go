@@ -2,8 +2,9 @@
 // invariants — the conventions no compiler enforces and -race only
 // catches probabilistically:
 //
-//	poolcheck     vector.Pool ownership: Open-acquired scratch released in
-//	              Close; recycler-destined buffers hold deep clones
+//	poolcheck     vector.Pool ownership: pooled scratch and blocking state
+//	              (Get, Reserve, Grow) stored in a field released in Close;
+//	              recycler-destined buffers hold deep clones
 //	detcheck      no map-iteration order leaking into results, cache state
 //	              or recycler statistics (serial-identical merges)
 //	snapcheck     exec reads base tables only through the statement

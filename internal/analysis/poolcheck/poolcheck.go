@@ -1,10 +1,15 @@
 // Package poolcheck machine-checks the vector.Pool ownership discipline
 // (vector/pool.go "Ownership rules"):
 //
-//   - A pooled vector or batch stored into an operator's field — drawn via
-//     Pool.Get/GetBatch in Open, or lazily in Next/build helpers — must be
-//     returned to the pool in a Close (Pool.Put/PutBatch rooted at a field
-//     of the same type). Acquire/release pairing is keyed by the field's
+//   - Pooled memory stored into an operator's field must be returned to the
+//     pool in a Close or close of the field's type. Acquisitions are a
+//     vector or batch drawn via Pool.Get/GetBatch (in Open, or lazily in
+//     Next/build helpers), a plain slice drawn via a Slices pool's
+//     Get/Reserve/Grow, and blocking state grown in place by
+//     Pool.Reserve/ReserveBatch/Grow; releases are Pool.Put/PutBatch and
+//     Slices.Put rooted at a field of the same type. The vector package
+//     itself, which implements the pool, is exempt. Acquire/release
+//     pairing is keyed by the field's
 //     owning named type, not the enclosing method's receiver, so scratch
 //     assigned through element-pointer locals — the fused consumer chain's
 //     `s := &p.stages[i]; s.flags = pool.Get(...)` released by a matching
@@ -56,10 +61,13 @@ type fieldKey struct {
 type acquire struct {
 	key  fieldKey
 	pos  token.Pos
-	what string // Get or GetBatch
+	what string // the acquiring method: Get, GetBatch, Reserve, ...
 }
 
 func run(pass *analysis.Pass) error {
+	if pass.Pkg.Path() == vectorPath {
+		return nil
+	}
 	var acquires []acquire              // pooled slots assigned outside Close
 	releases := make(map[fieldKey]bool) // slots released in some Close/close
 
@@ -98,6 +106,18 @@ func run(pass *analysis.Pass) error {
 // poolMethod reports whether call invokes the named method on
 // vector.Pool, e.g. ctx.pool().GetBatch(...) or p.Put(v).
 func poolMethod(pass *analysis.Pass, call *ast.CallExpr, names ...string) (string, bool) {
+	return methodOn(pass, call, "Pool", names)
+}
+
+// slicesMethod reports whether call invokes the named method on a
+// vector.Slices pool, e.g. pool.I32.Reserve(s, n) or groupOrds.Put(s).
+func slicesMethod(pass *analysis.Pass, call *ast.CallExpr, names ...string) (string, bool) {
+	return methodOn(pass, call, "Slices", names)
+}
+
+// methodOn reports whether call invokes one of names on the vector type
+// typeName (any instantiation of a generic one).
+func methodOn(pass *analysis.Pass, call *ast.CallExpr, typeName string, names []string) (string, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return "", false
@@ -113,21 +133,49 @@ func poolMethod(pass *analysis.Pass, call *ast.CallExpr, names ...string) (strin
 		return "", false
 	}
 	tv, ok := pass.TypesInfo.Types[sel.X]
-	if !ok || !analysis.TypeIs(tv.Type, vectorPath, "Pool") {
+	if !ok || !analysis.TypeIs(tv.Type, vectorPath, typeName) {
 		return "", false
 	}
 	return sel.Sel.Name, true
 }
 
+// drawnCall unwraps the expressions through which pooled memory reaches an
+// assignment — s[:n], append(s, ...), parentheses — to the call that drew
+// it, or nil.
+func drawnCall(e ast.Expr) *ast.CallExpr {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.CallExpr:
+			if id, ok := ast.Unparen(x.Fun).(*ast.Ident); ok && id.Name == "append" && len(x.Args) > 0 {
+				e = x.Args[0]
+				continue
+			}
+			return x
+		default:
+			return nil
+		}
+	}
+}
+
 // fieldOf resolves the pooled slot an LHS/argument expression roots in:
-// base.f or base.f[i], where base is any expression of a named struct type
-// (or pointer to one) — the method receiver, a nested field chain, or an
-// element-pointer local like `s := &p.stages[i]`. Returns the zero key
-// when the expression is not a field selection on a named type.
+// base.f, base.f[i], base.f[:n] or &base.f, where base is any expression of
+// a named struct type (or pointer to one) — the method receiver, a nested
+// field chain, or an element-pointer local like `s := &p.stages[i]`.
+// Returns the zero key when the expression is not a field selection on a
+// named type.
 func fieldOf(pass *analysis.Pass, e ast.Expr) (fieldKey, bool) {
 	e = ast.Unparen(e)
-	if idx, ok := e.(*ast.IndexExpr); ok {
-		e = ast.Unparen(idx.X)
+	switch x := e.(type) {
+	case *ast.IndexExpr:
+		e = ast.Unparen(x.X)
+	case *ast.SliceExpr:
+		e = ast.Unparen(x.X)
+	case *ast.UnaryExpr:
+		if x.Op == token.AND {
+			e = ast.Unparen(x.X)
+		}
 	}
 	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
@@ -152,27 +200,40 @@ func fieldOf(pass *analysis.Pass, e ast.Expr) (fieldKey, bool) {
 	return fieldKey{typ: named, field: sel.Sel.Name}, true
 }
 
-// collectAcquires records fields of named types assigned pool-drawn values.
+// collectAcquires records fields of named types assigned pool-drawn values
+// (x.f = pool.GetBatch(...), x.f = pool.I32.Reserve(x.f, n)[:n], ...) and
+// fields grown in place through the pool (pool.Reserve(&x.f, n),
+// pool.ReserveBatch(x.f, n)).
 func collectAcquires(pass *analysis.Pass, fn *ast.FuncDecl, acquires *[]acquire) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok {
-			return true
-		}
-		for i, rhs := range assign.Rhs {
-			if i >= len(assign.Lhs) {
-				break
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for i, rhs := range x.Rhs {
+				if i >= len(x.Lhs) {
+					break
+				}
+				call := drawnCall(rhs)
+				if call == nil {
+					continue
+				}
+				what, ok := poolMethod(pass, call, "Get", "GetBatch")
+				if !ok {
+					what, ok = slicesMethod(pass, call, "Get", "Reserve", "Grow")
+				}
+				if !ok {
+					continue
+				}
+				if k, ok := fieldOf(pass, x.Lhs[i]); ok {
+					*acquires = append(*acquires, acquire{key: k, pos: x.Pos(), what: what})
+				}
 			}
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok {
-				continue
+		case *ast.CallExpr:
+			what, ok := poolMethod(pass, x, "Reserve", "ReserveBatch", "Grow")
+			if !ok || len(x.Args) == 0 {
+				return true
 			}
-			what, ok := poolMethod(pass, call, "Get", "GetBatch")
-			if !ok {
-				continue
-			}
-			if k, ok := fieldOf(pass, assign.Lhs[i]); ok {
-				*acquires = append(*acquires, acquire{key: k, pos: assign.Pos(), what: what})
+			if k, ok := fieldOf(pass, x.Args[0]); ok {
+				*acquires = append(*acquires, acquire{key: k, pos: x.Pos(), what: what})
 			}
 		}
 		return true
@@ -180,8 +241,9 @@ func collectAcquires(pass *analysis.Pass, fn *ast.FuncDecl, acquires *[]acquire)
 }
 
 // collectReleases records fields whose pooled contents a Close/close
-// method returns: direct Put(x.f), indexed Put(x.f[i]), and the
-// range-value idiom `for _, v := range x.f { pool.Put(v) }`.
+// method returns: direct Put(x.f) or Put(&x.f), indexed Put(x.f[i]), a
+// Slices pool's Put(x.f), and the range-value idiom
+// `for _, v := range x.f { pool.Put(v) }`.
 func collectReleases(pass *analysis.Pass, fn *ast.FuncDecl, releases map[fieldKey]bool) {
 	// rangeVals maps a range value variable to the field it iterates, for
 	// the drain-a-slice-of-vectors idiom.
@@ -197,7 +259,11 @@ func collectReleases(pass *analysis.Pass, fn *ast.FuncDecl, releases map[fieldKe
 				}
 			}
 		case *ast.CallExpr:
-			if _, ok := poolMethod(pass, x, "Put", "PutBatch"); !ok {
+			_, ok := poolMethod(pass, x, "Put", "PutBatch")
+			if !ok {
+				_, ok = slicesMethod(pass, x, "Put")
+			}
+			if !ok {
 				return true
 			}
 			for _, arg := range x.Args {

@@ -140,3 +140,63 @@ func (o *emitLeakOp) Open() {
 }
 
 func (o *emitLeakOp) Close() {}
+
+// directory mirrors a blocking operator's state: an arena grown in place
+// through Pool.ReserveBatch, plain slices drawn from the pool's typed slice
+// pools, accumulators grown through Pool.Grow, and ordinals in a
+// package-level slice pool. Its close returns every one: sanctioned.
+type directory struct {
+	p     *vector.Pool
+	arena *vector.Batch
+	hash  []uint64
+	next  []int32
+	acc   vector.Vector
+	ords  []ordinal
+}
+
+type ordinal struct{ morsel, row int64 }
+
+var ordinals vector.Slices[ordinal]
+
+func (d *directory) build(n int) {
+	d.arena = d.p.GetBatch([]vector.Type{vector.Int64}, 16)
+	d.p.ReserveBatch(d.arena, n)
+	d.hash = d.p.U64.Reserve(d.hash, n)
+	d.next = d.p.I32.Get(n)[:n]
+	d.p.Grow(&d.acc, n)
+	d.ords = ordinals.Grow(d.ords, n)
+}
+
+func (d *directory) close() {
+	d.p.PutBatch(d.arena)
+	d.p.U64.Put(d.hash)
+	d.p.I32.Put(d.next)
+	d.p.Put(&d.acc)
+	ordinals.Put(d.ords)
+}
+
+// leakyDirectory grows state through the pool and its close forgets it:
+// one finding per slot.
+type leakyDirectory struct {
+	p     *vector.Pool
+	arena *vector.Batch
+	hash  []uint64
+	order []int32
+	acc   vector.Vector
+	ords  []ordinal
+	kept  []int32
+}
+
+func (d *leakyDirectory) build(n int) {
+	d.arena = vector.NewBatch([]vector.Type{vector.Int64}, 16)
+	d.p.ReserveBatch(d.arena, n)                 // want `pooled ReserveBatch stored in leakyDirectory.arena is never released`
+	d.hash = d.p.U64.Reserve(d.hash, n)          // want `pooled Reserve stored in leakyDirectory.hash is never released`
+	d.order = append(d.p.I32.Get(n), 0)          // want `pooled Get stored in leakyDirectory.order is never released`
+	d.p.Grow(&d.acc, n)                          // want `pooled Grow stored in leakyDirectory.acc is never released`
+	d.ords = ordinals.Reserve(d.ords[:0], n)[:n] // want `pooled Reserve stored in leakyDirectory.ords is never released`
+	d.kept = d.p.I32.Get(n)
+}
+
+func (d *leakyDirectory) close() {
+	d.p.I32.Put(d.kept)
+}

@@ -30,28 +30,28 @@ type accCol struct {
 	set []bool  // min and max only
 }
 
-// grow extends the column to groups zeroed slots.
-func (c *accCol) grow(ag AggExpr, groups int) {
+// grow extends the column to groups zeroed slots, growing through the
+// pool.
+func (c *accCol) grow(pool *vector.Pool, ag AggExpr, groups int) {
 	k := groups - c.val.Len()
 	if k <= 0 {
 		return
 	}
-	switch c.val.Typ {
-	case vector.Int64, vector.Date:
-		c.val.I64 = vector.GrowI64(c.val.I64, k)
-	case vector.Float64:
-		c.val.F64 = vector.GrowF64(c.val.F64, k)
-	case vector.String:
-		c.val.Str = vector.GrowStr(c.val.Str, k)
-	case vector.Bool:
-		c.val.B = vector.GrowBool(c.val.B, k)
-	}
+	pool.Grow(&c.val, k)
 	switch ag.Func {
 	case plan.Avg:
-		c.n = vector.GrowI64(c.n, k)
+		c.n = pool.I64.Grow(c.n, k)
 	case plan.Min, plan.Max:
-		c.set = vector.GrowBool(c.set, k)
+		c.set = pool.B.Grow(c.set, k)
 	}
+}
+
+// close returns the column's slots to the pool.
+func (c *accCol) close(pool *vector.Pool) {
+	pool.Put(&c.val)
+	pool.I64.Put(c.n)
+	pool.B.Put(c.set)
+	c.n, c.set = nil, nil
 }
 
 // update folds row i of arg (the batch's evaluated argument, dense) into
@@ -151,6 +151,9 @@ type groupOrd struct {
 	row    int64
 }
 
+// groupOrds pools the ord arrays of order-tracking aggregation states.
+var groupOrds vector.Slices[groupOrd]
+
 func (a groupOrd) less(b groupOrd) bool {
 	if a.morsel != b.morsel {
 		return a.morsel < b.morsel
@@ -166,11 +169,14 @@ func (a groupOrd) less(b groupOrd) bool {
 // then each aggregate runs one typed update loop over the batch. No per-row
 // key bytes are encoded or allocated. Partial states built over disjoint
 // input partitions merge losslessly with mergeFrom — count/sum/avg/min/max
-// accumulators all carry enough to combine.
+// accumulators all carry enough to combine. Everything that grows with the
+// groups — directory, hashes, key rows, ordinals, accumulators — and the
+// per-batch scratch grow through the pool and go back to it in close.
 type aggState struct {
 	groupCols []int // group-by column indexes in the input schema
 	aggs      []AggExpr
 	scalar    bool
+	pool      *vector.Pool
 
 	table     oaTable
 	groupHash []uint64      // per group
@@ -201,6 +207,7 @@ type aggState struct {
 // open draws scratch from the pool. inSchema is the aggregation input
 // schema (the child operator's).
 func (st *aggState) open(ctx *Ctx, inSchema catalog.Schema) {
+	st.pool = ctx.pool()
 	st.nGroups = 0
 	st.groupHash = st.groupHash[:0]
 	st.ord = st.ord[:0]
@@ -221,8 +228,8 @@ func (st *aggState) open(ctx *Ctx, inSchema catalog.Schema) {
 		keyTypes[i] = inSchema[c].Typ
 		st.keyCols[i] = i
 	}
-	st.keyRows = ctx.pool().GetBatch(keyTypes, 64)
-	st.table.init(64)
+	st.keyRows = st.pool.GetBatch(keyTypes, 64)
+	st.table.init(st.pool, 64)
 	if st.argVec == nil {
 		st.argVec = make([]*vector.Vector, len(st.aggs))
 	}
@@ -234,34 +241,37 @@ func (st *aggState) open(ctx *Ctx, inSchema catalog.Schema) {
 	st.argTmp = ctx.pool().Get(vector.Float64, ctx.vecSize())
 }
 
-// close returns scratch to the pool.
+// close returns the directory and scratch to the pool.
 func (st *aggState) close(ctx *Ctx) {
 	pool := ctx.pool()
-	if st.keyRows != nil {
-		pool.PutBatch(st.keyRows)
-		st.keyRows = nil
-	}
+	pool.PutBatch(st.keyRows)
+	st.keyRows = nil
 	for a, v := range st.argVec {
 		if v != nil {
 			pool.Put(v)
 			st.argVec[a] = nil
 		}
 	}
-	if st.argTmp != nil {
-		pool.Put(st.argTmp)
-		st.argTmp = nil
+	pool.Put(st.argTmp)
+	st.argTmp = nil
+	for a := range st.accs {
+		st.accs[a].close(pool)
 	}
 	st.accs = nil
-	st.table.buckets = nil
-	st.groupHash = nil
-	st.ord = nil
+	st.table.close(pool)
+	pool.U64.Put(st.groupHash)
+	pool.U64.Put(st.rowH)
+	pool.I32.Put(st.gids)
+	groupOrds.Put(st.ord)
+	st.groupHash, st.rowH, st.gids, st.ord = nil, nil, nil, nil
 }
 
 // lookupGroup resolves the group id for physical row r of in (whose group
 // hash is gh), inserting a new group if needed. inCols maps the state's key
 // positions to in's columns; ord is the row's stream position (recorded for
 // new groups when trackOrd is on). A new group's accumulator slots appear
-// at the next growAccs.
+// at the next growAccs. The caller has reserved room for the new group
+// (reserve), so recording it only appends in place.
 func (st *aggState) lookupGroup(gh uint64, in *vector.Batch, r int, inCols []int, ord groupOrd) int32 {
 	s := st.table.slot(gh)
 	for {
@@ -292,16 +302,26 @@ func (st *aggState) lookupGroup(gh uint64, in *vector.Batch, r int, inCols []int
 	return g
 }
 
+// reserve makes room for n more groups in the per-group arrays, so the
+// lookups that follow never reallocate.
+func (st *aggState) reserve(n int) {
+	st.groupHash = st.pool.U64.Reserve(st.groupHash, n)
+	st.pool.ReserveBatch(st.keyRows, n)
+	if st.trackOrd {
+		st.ord = groupOrds.Reserve(st.ord, n)
+	}
+}
+
 // growAccs gives every group its accumulator slots.
 func (st *aggState) growAccs() {
 	for a, ag := range st.aggs {
-		st.accs[a].grow(ag, st.nGroups)
+		st.accs[a].grow(st.pool, ag, st.nGroups)
 	}
 }
 
 // grow doubles the directory and reinserts every group by its stored hash.
 func (st *aggState) grow() {
-	st.table.init(len(st.table.buckets)) // init sizes to 2x entries
+	st.table.init(st.pool, len(st.table.buckets)) // init sizes to 2x entries
 	for g, gh := range st.groupHash {
 		s := st.table.slot(gh)
 		for st.table.buckets[s] >= 0 {
@@ -313,10 +333,8 @@ func (st *aggState) grow() {
 
 // scratchIDs returns the group-id scratch resized to n.
 func (st *aggState) scratchIDs(n int) []int32 {
-	if cap(st.gids) < n {
-		st.gids = make([]int32, n)
-	}
-	return st.gids[:n]
+	st.gids = st.pool.I32.Reserve(st.gids[:0], n)[:n]
+	return st.gids
 }
 
 // absorb folds one input batch, from morsel m of the input, into the state.
@@ -358,10 +376,8 @@ func (st *aggState) absorb(in *vector.Batch, m int) error {
 // groups (and their accumulator slots) as needed.
 func (st *aggState) resolveGroups(in *vector.Batch, gids []int32) {
 	n := len(gids)
-	if cap(st.rowH) < n {
-		st.rowH = make([]uint64, n)
-	}
-	st.rowH = st.rowH[:n]
+	st.rowH = st.pool.U64.Reserve(st.rowH[:0], n)[:n]
+	st.reserve(n)
 	if st.fastHash {
 		hashI64Fast(in.Vecs[st.groupCols[0]], in.Sel, st.rowH)
 	} else {
@@ -386,7 +402,7 @@ func (st *aggState) ensureScalarGroup() {
 		st.nGroups = 1
 		st.growAccs()
 		if st.trackOrd {
-			st.ord = append(st.ord, groupOrd{})
+			st.ord = groupOrds.Grow(st.ord, 1)
 		}
 	}
 }
@@ -402,6 +418,7 @@ func (st *aggState) mergeFrom(src *aggState) {
 		st.ensureScalarGroup()
 		dst[0] = 0
 	} else {
+		st.reserve(src.nGroups)
 		for g := range dst {
 			var ord groupOrd
 			if src.trackOrd {
@@ -447,7 +464,7 @@ func (st *aggState) emitRange(out *vector.Batch, lo, hi int) {
 			v.AppendRange(&c.val, lo, hi)
 			continue
 		}
-		dst := growTailF64(v, hi-lo)
+		dst := extendF64(v, hi-lo)
 		for i := range dst {
 			dst[i] = avgOf(c.val.F64[lo+i], c.n[lo+i])
 		}
@@ -466,16 +483,16 @@ func (st *aggState) emitIndex(out *vector.Batch, idx []int32) {
 			v.AppendGather(&c.val, idx)
 			continue
 		}
-		dst := growTailF64(v, len(idx))
+		dst := extendF64(v, len(idx))
 		for i, g := range idx {
 			dst[i] = avgOf(c.val.F64[g], c.n[g])
 		}
 	}
 }
 
-// growTailF64 extends v by n rows and returns the writable tail.
-func growTailF64(v *vector.Vector, n int) []float64 {
-	v.F64 = vector.GrowF64(v.F64, n)
+// extendF64 extends v by n rows and returns the writable tail.
+func extendF64(v *vector.Vector, n int) []float64 {
+	v.F64 = vector.Extend(v.F64, n)
 	return v.F64[len(v.F64)-n:]
 }
 
@@ -639,7 +656,7 @@ func (a *AggOp) run(ctx *Ctx) error {
 	}
 	if a.final == &a.merged {
 		// Emission order: ascending first occurrence == discovery order.
-		a.order = make([]int32, a.merged.nGroups)
+		a.order = ctx.pool().I32.Get(a.merged.nGroups)[:a.merged.nGroups]
 		for i := range a.order {
 			a.order[i] = int32(i)
 		}
@@ -694,10 +711,9 @@ func (a *AggOp) Close(ctx *Ctx) error {
 		w.st.close(&w.wctx) // nil-guarded: safe after a partial Open
 	}
 	a.merged.close(ctx)
-	if a.out != nil {
-		ctx.pool().PutBatch(a.out)
-		a.out = nil
-	}
+	ctx.pool().PutBatch(a.out)
+	ctx.pool().I32.Put(a.order)
+	a.out, a.order = nil, nil
 	return a.closeBuilds(ctx, first)
 }
 

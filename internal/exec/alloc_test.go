@@ -7,6 +7,8 @@ package exec
 // design exist to prevent.
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"recycledb/internal/catalog"
@@ -161,5 +163,73 @@ func TestMorselPipelineZeroAlloc(t *testing.T) {
 	}
 	if p.morsel < 10 {
 		t.Fatalf("measured window stayed inside morsel %d; it must cross morsel ends", p.morsel)
+	}
+}
+
+// TestBlockingStateReuseZeroAlloc holds the blocking operators to the
+// contract across queries: a join build, a group directory and a sort arena
+// grow through the pool and go back to it at Close, so a second identical
+// Open→drain→Close on one Ctx rebuilds that state in the memory the first
+// released. Each must allocate under 64 KiB (the fresh operator tree, the
+// sort's comparator closure, small per-query slices), against tens of
+// megabytes when blocking state grows by append and is dropped at Close.
+//
+// The GC is off while measuring, since a collection empties the pools. One
+// P runs the test: sync.Pool keeps one entry per P in a slot only that P
+// sees, so a goroutine that moved between Ps would miss arrays its first
+// run returned on the other one.
+func TestBlockingStateReuseZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random quarter of its Puts under -race")
+	}
+	groups, big := benchTable(1<<16), benchTable(benchRows)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, tc := range []struct {
+		name string
+		rows int64
+		op   func() Operator
+	}{
+		{"agg-64Ki-groups-two-keys", 1 << 16, func() Operator {
+			scan, _ := benchScan(groups)
+			return pipeAgg(scan, []int{0, 1}, []AggExpr{{Func: plan.Count, Typ: vector.Int64}},
+				catalog.Schema{
+					{Name: "id", Typ: vector.Int64},
+					{Name: "k", Typ: vector.Int64},
+					{Name: "n", Typ: vector.Int64},
+				})
+		}},
+		// A self-join on the unique id: a Ctx snapshots tables by name,
+		// so both sides read one table.
+		{"join-256Ki-row-build", benchRows, func() Operator {
+			left, lschema := benchScan(big)
+			right, rschema := benchScan(big)
+			out := append(append(catalog.Schema{}, lschema...), rschema...)
+			return pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+		}},
+		{"sort-256Ki-rows", benchRows, func() Operator {
+			scan, _ := benchScan(big)
+			return NewSort(scan, []plan.SortKey{{Col: "v"}})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx := NewCtx(catalog.New())
+			if got := drain(t, ctx, tc.op()); got != tc.rows {
+				t.Fatalf("first run: %d rows, want %d", got, tc.rows)
+			}
+			op := tc.op()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			rows := drain(t, ctx, op)
+			runtime.ReadMemStats(&after)
+			if rows != tc.rows {
+				t.Fatalf("second run: %d rows, want %d", rows, tc.rows)
+			}
+			got, objs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+			if got >= 64<<10 {
+				t.Fatalf("second Open→drain→Close allocated %d bytes in %d objects, want < 64 KiB", got, objs)
+			}
+			t.Logf("second Open→drain→Close: %d bytes in %d objects", got, objs)
+		})
 	}
 }

@@ -61,7 +61,7 @@ func benchScan(t *catalog.Table) (*TableScan, catalog.Schema) {
 }
 
 // drain pulls op to completion and returns the row count.
-func drain(b *testing.B, ctx *Ctx, op Operator) int64 {
+func drain(b testing.TB, ctx *Ctx, op Operator) int64 {
 	if err := op.Open(ctx); err != nil {
 		b.Fatal(err)
 	}

@@ -162,10 +162,9 @@ func (p *fusedPipe) open(ctx *Ctx) error {
 			j := s.probe
 			j.built, j.passed = false, false
 			j.out = ctx.pool().GetBatch(s.types, ctx.vecSize())
-			if j.lIdx == nil {
-				j.lIdx = make([]int32, 0, ctx.vecSize())
-				j.rIdx = make([]int32, 0, ctx.vecSize())
-			}
+			j.probeH = ctx.pool().U64.Get(ctx.vecSize())
+			j.lIdx = ctx.pool().I32.Get(ctx.vecSize())
+			j.rIdx = ctx.pool().I32.Get(ctx.vecSize())
 		}
 	}
 	return nil
@@ -184,10 +183,12 @@ func (p *fusedPipe) close(ctx *Ctx) error {
 			ctx.pool().PutBatch(s.out)
 			s.out = nil
 		}
-		if s.probe != nil && s.probe.out != nil {
-			j := s.probe
+		if j := s.probe; j != nil {
 			ctx.pool().PutBatch(j.out)
-			j.out = nil
+			ctx.pool().U64.Put(j.probeH)
+			ctx.pool().I32.Put(j.lIdx)
+			ctx.pool().I32.Put(j.rIdx)
+			j.out, j.probeH, j.lIdx, j.rIdx = nil, nil, nil, nil
 		}
 	}
 	p.view = vector.Batch{}

@@ -242,26 +242,34 @@ func keyRowsEqual(a *vector.Batch, ar int, acols []int, b *vector.Batch, br int,
 // oaTable is the shared open-addressing directory: a power-of-two bucket
 // array of int32 heads (-1 = empty). The join chains rows through a
 // parallel next array; the aggregate stores group ids and linear-probes.
+// The bucket array comes from the pool and goes back in close.
 type oaTable struct {
 	buckets []int32
 	mask    uint64
 }
 
-// initTable sizes the directory for n entries at load factor <= 1/2.
-func (t *oaTable) init(n int) {
+// init sizes the directory for n entries at load factor <= 1/2, all empty.
+// An outgrown bucket array goes back to the pool for a pooled one.
+func (t *oaTable) init(pool *vector.Pool, n int) {
 	size := 16
 	for size < n*2 {
 		size <<= 1
 	}
-	if cap(t.buckets) >= size {
-		t.buckets = t.buckets[:size]
-	} else {
-		t.buckets = make([]int32, size)
+	if cap(t.buckets) < size {
+		pool.I32.Put(t.buckets)
+		t.buckets = pool.I32.Get(size)
 	}
+	t.buckets = t.buckets[:size]
 	for i := range t.buckets {
 		t.buckets[i] = -1
 	}
 	t.mask = uint64(size - 1)
+}
+
+// close returns the bucket array to the pool.
+func (t *oaTable) close(pool *vector.Pool) {
+	pool.I32.Put(t.buckets)
+	t.buckets = nil
 }
 
 // slot returns the home bucket index for hash h.

@@ -97,9 +97,12 @@ func (b *sharedBuild) ensure(ctx *Ctx) error {
 	return b.err
 }
 
+// run drains the build side into the arena and builds the chains. The
+// arena and the hash, chain and bucket arrays all grow through the pool
+// and go back to it in close.
 func (b *sharedBuild) run(ctx *Ctx) error {
-	b.arena = ctx.pool().GetBatch(b.child.Schema().Types(), ctx.vecSize())
-	var hs []uint64
+	pool := ctx.pool()
+	b.arena = pool.GetBatch(b.child.Schema().Types(), ctx.vecSize())
 	for {
 		batch, err := b.child.Next(ctx)
 		if err != nil {
@@ -112,21 +115,23 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 		if n == 0 {
 			continue
 		}
+		pool.ReserveBatch(b.arena, n)
 		b.arena.AppendBatch(batch)
-		if cap(hs) < n {
-			hs = make([]uint64, n)
-		}
-		hs = hs[:n]
+		// Hash straight into the reserved tail of b.hash.
+		b.hash = pool.U64.Reserve(b.hash, n)
+		l := len(b.hash)
+		b.hash = b.hash[:l+n]
 		if b.fastHash {
-			hashI64Fast(batch.Vecs[b.rightCols[0]], batch.Sel, hs)
+			hashI64Fast(batch.Vecs[b.rightCols[0]], batch.Sel, b.hash[l:])
 		} else {
-			hashColumns(batch, b.rightCols, hs)
+			hashColumns(batch, b.rightCols, b.hash[l:])
 		}
-		b.hash = append(b.hash, hs...)
 	}
 	rows := len(b.hash)
 	joinBuildRows.Add(int64(rows))
-	b.next = make([]int32, rows)
+	// Every row is chained into exactly one partition, so every next slot
+	// is written below: the pooled array needs no clearing.
+	b.next = pool.I32.Get(rows)[:rows]
 
 	nParts := len(b.parts)
 	counts := make([]int, nParts)
@@ -135,7 +140,7 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 	}
 	chain := func(p int) {
 		t := &b.parts[p]
-		t.init(counts[p])
+		t.init(pool, counts[p])
 		ph := uint64(p)
 		// Insert in reverse arrival order so each chain lists build rows
 		// oldest-first: matches emit in build-input arrival order.
@@ -165,8 +170,9 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 	return nil
 }
 
-// close releases the build-side subplan and the arena. Safe to call from
-// the fragment root's teardown whether or not the build ever ran.
+// close releases the build-side subplan and returns the arena, hashes,
+// chains and buckets to the pool. Safe to call from the fragment root's
+// teardown whether or not the build ever ran.
 func (b *sharedBuild) close(ctx *Ctx) error {
 	b.closeMu.Lock()
 	defer b.closeMu.Unlock()
@@ -174,18 +180,20 @@ func (b *sharedBuild) close(ctx *Ctx) error {
 		return nil
 	}
 	b.closed = true
-	if b.arena != nil {
-		ctx.pool().PutBatch(b.arena)
-		b.arena = nil
+	pool := ctx.pool()
+	pool.PutBatch(b.arena)
+	b.arena = nil
+	for p := range b.parts {
+		b.parts[p].close(pool)
 	}
-	b.parts = nil
-	b.next = nil
-	b.hash = nil
+	pool.U64.Put(b.hash)
+	pool.I32.Put(b.next)
+	b.hash, b.next = nil, nil
 	return b.child.Close(ctx)
 }
 
-// fusedProbe is a probe stage's state: the probe loop's scratch against a
-// sharedBuild, emitting pairs gathered once per input batch.
+// fusedProbe is a probe stage's state: the probe loop's pooled scratch
+// against a sharedBuild, emitting pairs gathered once per input batch.
 type fusedProbe struct {
 	sb     *sharedBuild
 	built  bool
@@ -214,10 +222,7 @@ func (p *fusedPipe) pushProbe(ctx *Ctx, s *fusedStage, b *vector.Batch) (*vector
 		j.built = true
 	}
 	n := b.Len()
-	if cap(j.probeH) < n {
-		j.probeH = make([]uint64, n)
-	}
-	j.probeH = j.probeH[:n]
+	j.probeH = ctx.pool().U64.Reserve(j.probeH[:0], n)[:n]
 	if sb.fastHash {
 		hashI64Fast(b.Vecs[sb.leftCols[0]], b.Sel, j.probeH)
 	} else {

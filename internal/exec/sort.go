@@ -64,7 +64,8 @@ func colCompare(v *vector.Vector, a, b int) int {
 	return 0
 }
 
-// SortOp fully sorts its input (blocking).
+// SortOp fully sorts its input (blocking). The arena and the order array
+// grow through the pool and go back to it in Close.
 type SortOp struct {
 	base
 	Child  Operator
@@ -72,7 +73,7 @@ type SortOp struct {
 	keyIdx []int
 	built  bool
 	rowsIn *vector.Batch
-	order  []int
+	order  []int32
 	emit   int
 	out    *vector.Batch
 }
@@ -96,7 +97,8 @@ func (s *SortOp) Open(ctx *Ctx) error {
 }
 
 func (s *SortOp) build(ctx *Ctx) error {
-	s.rowsIn = ctx.pool().GetBatch(s.schema.Types(), ctx.vecSize())
+	pool := ctx.pool()
+	s.rowsIn = pool.GetBatch(s.schema.Types(), ctx.vecSize())
 	for {
 		b, err := s.Child.Next(ctx)
 		if err != nil {
@@ -106,14 +108,16 @@ func (s *SortOp) build(ctx *Ctx) error {
 			break
 		}
 		// Columnar, selection-aware bulk append into the sort arena.
+		pool.ReserveBatch(s.rowsIn, b.Len())
 		s.rowsIn.AppendBatch(b)
 	}
-	s.order = make([]int, s.rowsIn.Len())
+	n := s.rowsIn.Len()
+	s.order = pool.I32.Get(n)[:n]
 	for i := range s.order {
-		s.order[i] = i
+		s.order[i] = int32(i)
 	}
 	sort.SliceStable(s.order, func(a, b int) bool {
-		return rowLess(s.rowsIn, s.Keys, s.keyIdx, s.order[a], s.order[b])
+		return rowLess(s.rowsIn, s.Keys, s.keyIdx, int(s.order[a]), int(s.order[b]))
 	})
 	s.built = true
 	return nil
@@ -146,15 +150,10 @@ func (s *SortOp) Next(ctx *Ctx) (*vector.Batch, error) {
 // Close implements Operator.
 func (s *SortOp) Close(ctx *Ctx) error {
 	pool := ctx.pool()
-	if s.out != nil {
-		pool.PutBatch(s.out)
-		s.out = nil
-	}
-	if s.rowsIn != nil {
-		pool.PutBatch(s.rowsIn)
-		s.rowsIn = nil
-	}
-	s.order = nil
+	pool.PutBatch(s.out)
+	pool.PutBatch(s.rowsIn)
+	pool.I32.Put(s.order)
+	s.out, s.rowsIn, s.order = nil, nil, nil
 	return s.Child.Close(ctx)
 }
 
@@ -171,7 +170,8 @@ func (s *SortOp) Progress() float64 {
 
 // TopNOp keeps the N first rows under the sort order using a bounded heap
 // of size N, at O(M log N) as the paper describes for Vectorwise's topN
-// (§IV-B). It never sorts its whole input.
+// (§IV-B). It never sorts its whole input. The heap arena, its compacted
+// replacements and the order array come from the pool and go back to it.
 type TopNOp struct {
 	base
 	Child  Operator
@@ -181,7 +181,7 @@ type TopNOp struct {
 	built  bool
 	rowsIn *vector.Batch // retained candidate rows (heap arena)
 	h      *topHeap
-	order  []int
+	order  []int32
 	emit   int
 	out    *vector.Batch
 }
@@ -202,16 +202,16 @@ type topHeap struct {
 	rows   *vector.Batch
 	keys   []plan.SortKey
 	keyIdx []int
-	idx    []int
+	idx    []int32
 }
 
 func (h *topHeap) Len() int { return len(h.idx) }
 func (h *topHeap) Less(a, b int) bool {
 	// Inverted: the heap keeps the largest (worst) at the root.
-	return rowLess(h.rows, h.keys, h.keyIdx, h.idx[b], h.idx[a])
+	return rowLess(h.rows, h.keys, h.keyIdx, int(h.idx[b]), int(h.idx[a]))
 }
 func (h *topHeap) Swap(a, b int)      { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *topHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int)) }
+func (h *topHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int32)) }
 func (h *topHeap) Pop() interface{} {
 	old := h.idx
 	n := len(old)
@@ -229,7 +229,8 @@ func (t *TopNOp) Open(ctx *Ctx) error {
 }
 
 func (t *TopNOp) build(ctx *Ctx) error {
-	t.rowsIn = vector.NewBatch(t.schema.Types(), ctx.vecSize())
+	pool := ctx.pool()
+	t.rowsIn = pool.GetBatch(t.schema.Types(), ctx.vecSize())
 	t.h = &topHeap{rows: t.rowsIn, keys: t.Keys, keyIdx: t.keyIdx}
 	for {
 		b, err := t.Child.Next(ctx)
@@ -240,9 +241,11 @@ func (t *TopNOp) build(ctx *Ctx) error {
 			break
 		}
 		n := b.Len()
+		// Each input row grows the arena by at most one row.
+		pool.ReserveBatch(t.rowsIn, n)
 		for i := 0; i < n; i++ {
 			if t.h.Len() < t.N {
-				r := t.rowsIn.Len()
+				r := int32(t.rowsIn.Len())
 				t.rowsIn.AppendRow(b, i)
 				heap.Push(t.h, r)
 				continue
@@ -252,8 +255,8 @@ func (t *TopNOp) build(ctx *Ctx) error {
 			// by materializing it temporarily at the arena tail.
 			r := t.rowsIn.Len()
 			t.rowsIn.AppendRow(b, i)
-			if rowLess(t.rowsIn, t.Keys, t.keyIdx, r, worst) {
-				t.h.idx[0] = r
+			if rowLess(t.rowsIn, t.Keys, t.keyIdx, r, int(worst)) {
+				t.h.idx[0] = int32(r)
 				heap.Fix(t.h, 0)
 			} else {
 				truncateBatch(t.rowsIn, r)
@@ -261,26 +264,27 @@ func (t *TopNOp) build(ctx *Ctx) error {
 		}
 		// Compact the arena periodically so it stays O(N).
 		if t.rowsIn.Len() > 4*t.N+ctx.vecSize() {
-			t.compact()
+			t.compact(pool)
 		}
 	}
-	t.order = append([]int(nil), t.h.idx...)
+	t.order = append(pool.I32.Get(t.h.Len()), t.h.idx...)
 	sort.SliceStable(t.order, func(a, b int) bool {
-		return rowLess(t.rowsIn, t.Keys, t.keyIdx, t.order[a], t.order[b])
+		return rowLess(t.rowsIn, t.Keys, t.keyIdx, int(t.order[a]), int(t.order[b]))
 	})
 	t.built = true
 	return nil
 }
 
-// compact rewrites the arena to contain only retained rows.
-func (t *TopNOp) compact() {
-	fresh := vector.NewBatch(t.schema.Types(), t.h.Len())
-	for i, r := range t.h.idx {
-		fresh.AppendRow(t.rowsIn, r)
-		t.h.idx[i] = i
+// compact rewrites the arena to contain only retained rows, in a pooled
+// batch the size of the one it replaces, which goes back to the pool.
+func (t *TopNOp) compact(pool *vector.Pool) {
+	fresh := pool.GetBatch(t.schema.Types(), t.rowsIn.Len())
+	fresh.AppendBatchIndex(t.rowsIn, t.h.idx)
+	for i := range t.h.idx {
+		t.h.idx[i] = int32(i)
 	}
-	*t.rowsIn = *fresh
-	t.h.rows = t.rowsIn
+	pool.PutBatch(t.rowsIn)
+	t.rowsIn, t.h.rows = fresh, fresh
 }
 
 // truncateBatch drops rows from position r onward.
@@ -325,13 +329,11 @@ func (t *TopNOp) Next(ctx *Ctx) (*vector.Batch, error) {
 
 // Close implements Operator.
 func (t *TopNOp) Close(ctx *Ctx) error {
-	if t.out != nil {
-		ctx.pool().PutBatch(t.out)
-		t.out = nil
-	}
-	t.rowsIn = nil
-	t.h = nil
-	t.order = nil
+	pool := ctx.pool()
+	pool.PutBatch(t.out)
+	pool.PutBatch(t.rowsIn)
+	pool.I32.Put(t.order)
+	t.out, t.rowsIn, t.h, t.order = nil, nil, nil, nil
 	return t.Child.Close(ctx)
 }
 

@@ -72,69 +72,30 @@ func (v *Vector) AppendGather(src *Vector, sel []int32) {
 	}
 	switch v.Typ {
 	case Int64, Date:
-		out := GrowI64(v.I64, n)
+		out := Extend(v.I64, n)
 		dst, in := out[len(out)-n:], src.I64
 		for i, r := range sel {
 			dst[i] = in[r]
 		}
 		v.I64 = out
 	case Float64:
-		out := GrowF64(v.F64, n)
+		out := Extend(v.F64, n)
 		dst, in := out[len(out)-n:], src.F64
 		for i, r := range sel {
 			dst[i] = in[r]
 		}
 		v.F64 = out
 	case String:
-		out := GrowStr(v.Str, n)
+		out := Extend(v.Str, n)
 		dst, in := out[len(out)-n:], src.Str
 		for i, r := range sel {
 			dst[i] = in[r]
 		}
 		v.Str = out
 	case Bool:
-		out := GrowBool(v.B, n)
+		out := Extend(v.B, n)
 		dst, in := out[len(out)-n:], src.B
 		for i, r := range sel {
-			dst[i] = in[r]
-		}
-		v.B = out
-	}
-}
-
-// AppendIndex appends the physical src rows listed in idx to v (the []int
-// twin of AppendGather, used with sort order arrays).
-func (v *Vector) AppendIndex(src *Vector, idx []int) {
-	n := len(idx)
-	if n == 0 {
-		return
-	}
-	switch v.Typ {
-	case Int64, Date:
-		out := GrowI64(v.I64, n)
-		dst, in := out[len(out)-n:], src.I64
-		for i, r := range idx {
-			dst[i] = in[r]
-		}
-		v.I64 = out
-	case Float64:
-		out := GrowF64(v.F64, n)
-		dst, in := out[len(out)-n:], src.F64
-		for i, r := range idx {
-			dst[i] = in[r]
-		}
-		v.F64 = out
-	case String:
-		out := GrowStr(v.Str, n)
-		dst, in := out[len(out)-n:], src.Str
-		for i, r := range idx {
-			dst[i] = in[r]
-		}
-		v.Str = out
-	case Bool:
-		out := GrowBool(v.B, n)
-		dst, in := out[len(out)-n:], src.B
-		for i, r := range idx {
 			dst[i] = in[r]
 		}
 		v.B = out
@@ -169,11 +130,11 @@ func (b *Batch) AppendBatchRange(src *Batch, lo, hi int) {
 	}
 }
 
-// AppendBatchIndex appends the logical src rows listed in idx to b
-// column-wise. src must be dense (sort arenas always are).
-func (b *Batch) AppendBatchIndex(src *Batch, idx []int) {
+// AppendBatchIndex appends the physical src rows listed in idx to b
+// column-wise (sort arenas are dense, so physical = logical there).
+func (b *Batch) AppendBatchIndex(src *Batch, idx []int32) {
 	for c, v := range b.Vecs {
-		v.AppendIndex(src.Vecs[c], idx)
+		v.AppendGather(src.Vecs[c], idx)
 	}
 }
 

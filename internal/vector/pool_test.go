@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestPoolReusesByTypeAndClass(t *testing.T) {
@@ -15,13 +16,22 @@ func TestPoolReusesByTypeAndClass(t *testing.T) {
 		t.Fatalf("capacity %d < requested 1000", cap(v.I64))
 	}
 	v.AppendInt64(7)
+	payload := unsafe.SliceData(v.I64)
 	p.Put(v)
+	if v.I64 != nil {
+		t.Fatal("Put must leave the vector without a payload")
+	}
 	got := p.Get(Int64, 1000)
-	if got != v {
+	if unsafe.SliceData(got.I64) != payload {
 		t.Skip("sync.Pool dropped the entry (GC or race mode); nothing to assert")
 	}
 	if got.Len() != 0 {
 		t.Fatalf("pooled vector not reset: len=%d", got.Len())
+	}
+	// Date shares the int64 payload class.
+	p.Put(got)
+	if d := p.Get(Date, 600); unsafe.SliceData(d.I64) != payload {
+		t.Skip("sync.Pool dropped the entry (GC or race mode); nothing to assert")
 	}
 }
 
@@ -29,13 +39,58 @@ func TestPoolClearsStringPayloads(t *testing.T) {
 	var p Pool
 	v := p.Get(String, 64)
 	v.AppendString("pinned")
-	p.Put(v)
-	// Whether or not the same vector comes back, the Put must have cleared
-	// the backing array so old strings are unreachable.
 	s := v.Str[:cap(v.Str)]
+	p.Put(v)
+	// Whether or not the same array comes back, the Put must have cleared
+	// it so old strings are unreachable.
 	for i, x := range s {
 		if x != "" {
 			t.Fatalf("string slot %d still pins %q after Put", i, x)
+		}
+	}
+}
+
+// TestSlicesReserveDoublesThroughPool pins Reserve's contract: a slice
+// with room comes back as is; an outgrown one is copied into a pooled
+// array of at least twice its capacity and its old array goes back to the
+// pool, where the next Get of that class finds it.
+func TestSlicesReserveDoublesThroughPool(t *testing.T) {
+	var p Slices[int32]
+	s := append(p.Get(40), 1, 2, 3) // class 64
+	if got := p.Reserve(s, 61); unsafe.SliceData(got) != unsafe.SliceData(s) {
+		t.Fatal("Reserve within capacity must return the slice itself")
+	}
+	old := unsafe.SliceData(s)
+	s = p.Reserve(s, 62)
+	if cap(s) < 128 || len(s) != 3 || s[0] != 1 || s[2] != 3 {
+		t.Fatalf("Reserve past capacity: len %d cap %d %v, want 3 rows in cap >= 128", len(s), cap(s), s)
+	}
+	if again := p.Get(64); unsafe.SliceData(again) != old {
+		t.Skip("sync.Pool dropped the entry (GC or race mode); nothing more to assert")
+	}
+	// A request far past double takes the requested size.
+	if s = p.Reserve(s, 1000); cap(s) < 1003 {
+		t.Fatalf("Reserve(1000) gave cap %d", cap(s))
+	}
+}
+
+// TestSlicesGrowZeroes checks that Grow's new tail is zero even when the
+// pooled array it draws held other values.
+func TestSlicesGrowZeroes(t *testing.T) {
+	var p Slices[int64]
+	dirty := p.Get(32)[:32]
+	for i := range dirty {
+		dirty[i] = -1
+	}
+	p.Put(dirty)
+	s := p.Grow(nil, 20)
+	s = p.Grow(s, 30) // past capacity: copies into a fresh class
+	if len(s) != 50 {
+		t.Fatalf("len %d, want 50", len(s))
+	}
+	for i, x := range s {
+		if x != 0 {
+			t.Fatalf("grown slot %d = %d, want 0", i, x)
 		}
 	}
 }
@@ -138,9 +193,9 @@ func TestGatherKernels(t *testing.T) {
 	if dst.Len() != 2 || dst.Vecs[0].I64[0] != 2 || dst.Vecs[0].I64[1] != 4 {
 		t.Fatalf("selective range: %v", dst.Vecs[0].I64)
 	}
-	// Index gather ([]int order arrays).
+	// Index gather (sort order arrays).
 	dst.Reset()
-	dst.AppendBatchIndex(src, []int{4, 0, 3})
+	dst.AppendBatchIndex(src, []int32{4, 0, 3})
 	if dst.Vecs[0].I64[0] != 4 || dst.Vecs[0].I64[1] != 0 || dst.Vecs[0].I64[2] != 3 {
 		t.Fatalf("index gather: %v", dst.Vecs[0].I64)
 	}

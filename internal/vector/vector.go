@@ -219,52 +219,6 @@ func (v *Vector) Clone() *Vector {
 	return c
 }
 
-// GrowI64 extends s by n zero rows and returns the grown slice. Reserving
-// length up front lets gather kernels write by index instead of appending
-// per element, which keeps the inner loops free of the len/cap checks that
-// block auto-vectorization. The explicit in-capacity reslice (rather than
-// relying on the compiler recognizing append(s, make(...)...)) keeps the
-// steady-state path allocation-free even in instrumented builds (-race),
-// where that optimization is disabled — the zero-alloc contracts run there.
-func GrowI64(s []int64, n int) []int64 {
-	if l := len(s); l+n <= cap(s) {
-		s = s[:l+n]
-		clear(s[l:])
-		return s
-	}
-	return append(s, make([]int64, n)...)
-}
-
-// GrowF64 extends s by n zero rows (see GrowI64).
-func GrowF64(s []float64, n int) []float64 {
-	if l := len(s); l+n <= cap(s) {
-		s = s[:l+n]
-		clear(s[l:])
-		return s
-	}
-	return append(s, make([]float64, n)...)
-}
-
-// GrowStr extends s by n empty rows (see GrowI64).
-func GrowStr(s []string, n int) []string {
-	if l := len(s); l+n <= cap(s) {
-		s = s[:l+n]
-		clear(s[l:])
-		return s
-	}
-	return append(s, make([]string, n)...)
-}
-
-// GrowBool extends s by n false rows (see GrowI64).
-func GrowBool(s []bool, n int) []bool {
-	if l := len(s); l+n <= cap(s) {
-		s = s[:l+n]
-		clear(s[l:])
-		return s
-	}
-	return append(s, make([]bool, n)...)
-}
-
 // Datum is a single typed value.
 type Datum struct {
 	Typ Type
