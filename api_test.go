@@ -79,6 +79,35 @@ func TestCanceledBlockingOperatorAborts(t *testing.T) {
 	}
 }
 
+// TestQueryAcceptsComments runs commented SQL through Engine.Query: a
+// trailing -- comment, and a /* */ comment holding a ';'.
+func TestQueryAcceptsComments(t *testing.T) {
+	e := New(Config{Mode: Off})
+	loadSales(e, 1000)
+	ctx := context.Background()
+	count := func(q string) int64 {
+		t.Helper()
+		rows, err := e.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		res, err := rows.Collect()
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		return res.Batches[0].Vecs[0].I64[0]
+	}
+	want := count(`SELECT count(*) AS n FROM sales WHERE qty > 25`)
+	for _, q := range []string{
+		"SELECT count(*) AS n FROM sales WHERE qty > 25 -- c",
+		"SELECT count(*) AS n /* c; d */ FROM sales WHERE qty > 25",
+	} {
+		if got := count(q); got != want {
+			t.Fatalf("%q: n = %d, want %d", q, got, want)
+		}
+	}
+}
+
 const preparedQ = `SELECT region, sum(amount * qty) AS revenue, count(*) AS n
                    FROM sales WHERE amount > ? GROUP BY region`
 

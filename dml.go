@@ -20,7 +20,7 @@ type ExecResult struct {
 // Exec compiles and runs any statement: INSERT INTO ... VALUES, DELETE
 // FROM ... [WHERE], CREATE TABLE, or a SELECT (whose result is drained and
 // counted). Statements go through the same normalized-text LRU as Query, so
-// repeated DML skips the front end; ? placeholders bind from args exactly
+// repeated DML skips the front end; placeholders bind from args exactly
 // like query parameters.
 //
 // Writes are epoch-atomic: all rows of a multi-row INSERT (or all deletions
@@ -34,30 +34,14 @@ func (e *Engine) Exec(ctx context.Context, query string, args ...any) (ExecResul
 	if err != nil {
 		return ExecResult{}, err
 	}
-	c, err := stmt.compiled()
+	res, err := stmt.Exec(ctx, args...)
 	if err != nil {
 		return ExecResult{}, err
 	}
-	if c.Kind == sql.StmtSelect {
-		rows, err := stmt.Query(ctx, args...)
-		if err != nil {
-			return ExecResult{}, err
-		}
-		res, err := rows.Collect()
-		if err != nil {
-			return ExecResult{}, err
-		}
+	if stmt.IsQuery() {
 		return ExecResult{RowsAffected: int64(res.Rows())}, nil
 	}
-	ds, err := toDatums(args)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	n, err := e.execDML(ctx, c, ds)
-	if err != nil {
-		return ExecResult{}, err
-	}
-	return ExecResult{RowsAffected: n}, nil
+	return ExecResult{RowsAffected: res.RowsAffected}, nil
 }
 
 // execDML runs a compiled non-SELECT statement and returns the affected

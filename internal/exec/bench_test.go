@@ -29,7 +29,7 @@ func benchTable(rows int) *catalog.Table {
 	if t, ok := benchTables[rows]; ok {
 		return t
 	}
-	t := catalog.NewTable("bench", catalog.Schema{
+	t := catalog.NewTable(benchName(rows), catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
 		{Name: "k", Typ: vector.Int64},
 		{Name: "v", Typ: vector.Float64},
@@ -49,6 +49,10 @@ func benchTable(rows int) *catalog.Table {
 	benchTables[rows] = t
 	return t
 }
+
+// benchName names benchTable(rows) by its size: Ctx.SnapFor keys snapshots
+// by table name, so two sizes under one name would read one snapshot.
+func benchName(rows int) string { return fmt.Sprintf("bench%d", rows) }
 
 // benchScan builds a fresh scan of all columns of t.
 func benchScan(t *catalog.Table) (*TableScan, catalog.Schema) {

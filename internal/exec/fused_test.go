@@ -44,7 +44,7 @@ func fusedCatalog() *catalog.Catalog {
 // canonical fused spine (one conjunct pair, one selection-aware projection).
 func fusedBenchPlan() *plan.Node {
 	return plan.NewProject(
-		plan.NewSelect(plan.NewScan("bench", "id", "k", "v", "s"),
+		plan.NewSelect(plan.NewScan(benchName(benchRows), "id", "k", "v", "s"),
 			expr.AndOf(
 				expr.Lt(expr.C("k"), expr.Int(48)),
 				expr.Lt(expr.C("id"), expr.Int(benchRows-1)))),
@@ -87,7 +87,7 @@ func TestFusedPipelineNextZeroAlloc(t *testing.T) {
 // measures the drive loop directly rather than through assertZeroAllocs.
 func TestFusedAggStepZeroAlloc(t *testing.T) {
 	n := plan.NewAggregate(
-		plan.NewSelect(plan.NewScan("bench", "id", "k", "v", "s"),
+		plan.NewSelect(plan.NewScan(benchName(benchRows), "id", "k", "v", "s"),
 			expr.Lt(expr.C("id"), expr.Int(benchRows/2))),
 		[]string{"k"},
 		plan.A(plan.Count, nil, "n"),
@@ -136,7 +136,7 @@ func TestFusedAggStepZeroAlloc(t *testing.T) {
 func TestFusedSpineCostsExact(t *testing.T) {
 	cat := fusedCatalog()
 	// Oracle row counts: the predicate of fusedBenchPlan, row at a time.
-	tab, _ := cat.Table("bench")
+	tab, _ := cat.Table(benchName(benchRows))
 	snap := tab.Snapshot()
 	var pass int64
 	for r := 0; r < snap.Rows; r++ {

@@ -465,9 +465,9 @@ func TestFusedFragmentsBuiltForPullLeaves(t *testing.T) {
 // must not touch the heap per Next.
 func TestPullSourcedPipelineZeroAlloc(t *testing.T) {
 	cat := fusedCatalog()
-	scan := plan.NewScan("bench", "id", "k", "v", "s")
+	scan := plan.NewScan(benchName(benchRows), "id", "k", "v", "s")
 	dim := plan.NewProject(
-		plan.NewSelect(plan.NewScan("bench", "id", "s"), expr.Lt(expr.C("id"), expr.Int(64))),
+		plan.NewSelect(plan.NewScan(benchName(benchRows), "id", "s"), expr.Lt(expr.C("id"), expr.Int(64))),
 		plan.P(expr.C("id"), "dk"), plan.P(expr.C("s"), "ds"))
 	n := plan.NewJoin(plan.Inner,
 		plan.NewSelect(scan, expr.Gt(expr.Mul(expr.C("v"), expr.Flt(2)), expr.Flt(100))),

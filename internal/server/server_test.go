@@ -620,3 +620,50 @@ func TestManyConnectionsSmoke(t *testing.T) {
 		t.Fatalf("accepted %d connections, want %d", st.ConnsAccepted, conns)
 	}
 }
+
+// TestWireComments sends commented SQL over both protocols: a -- comment
+// holding a ';' does not split a simple query, and a commented statement
+// parses, describes and executes over the extended protocol.
+func TestWireComments(t *testing.T) {
+	eng := recycledb.New(recycledb.Config{})
+	loadBig(eng, 1000)
+	addr, _, _ := startServer(t, eng, Config{})
+	c := dial(t, addr)
+
+	res, err := c.Query("SELECT count(*) AS n FROM big -- tail; not a split\n; SELECT count(*) AS m FROM big WHERE qty > 25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 2 || res[0].Tag != "SELECT 1" || res[1].Tag != "SELECT 1" || res[0].Rows[0][0] != "1000" {
+		t.Fatalf("want two one-row results, got %+v", res)
+	}
+
+	if err := c.Prepare("q", "SELECT count(*) AS n /* c; d */ FROM big -- $2\nWHERE qty > $1"); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Exec("q", "25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Columns) != 1 || r.Columns[0] != "n" || r.Rows[0][0] != res[1].Rows[0][0] {
+		t.Fatalf("extended: columns %v rows %v, want n = %s", r.Columns, r.Rows, res[1].Rows[0][0])
+	}
+}
+
+func TestUtilityKeyword(t *testing.T) {
+	cases := map[string]string{
+		"SET statement_timeout = 100": "set",
+		"  show server_version ;":     "show",
+		"BEGIN":                       "begin",
+		"START TRANSACTION":           "start",
+		"start work":                  "",
+		"COMMIT;":                     "commit",
+		"SELECT 1":                    "",
+		"settle the question":         "",
+	}
+	for in, want := range cases {
+		if got := utilityKeyword(in); got != want {
+			t.Errorf("%q: got %q, want %q", in, got, want)
+		}
+	}
+}

@@ -12,6 +12,7 @@ import (
 
 	"recycledb"
 	"recycledb/internal/catalog"
+	"recycledb/internal/sql"
 	"recycledb/internal/vector"
 )
 
@@ -24,15 +25,13 @@ const flushThreshold = 32 * 1024
 
 // preparedStmt is a session-level prepared statement: the engine handle
 // (shared compiled form via the plan LRU) plus the wire-level bookkeeping
-// that belongs to the protocol, not the engine — $N ordering and the
-// client's declared parameter OIDs.
+// that belongs to the protocol, not the engine — the client's declared
+// parameter OIDs.
 type preparedStmt struct {
 	name      string
-	sql       string // original client text (post $N translation for engine kinds)
+	sql       string // client text
 	stmt      *recycledb.Stmt
-	argOrder  []int   // ?-position -> client parameter index
-	numParams int     // distinct client parameters (max $N)
-	paramOIDs []int32 // declared OIDs, padded with oidUnknown
+	paramOIDs []int32 // one per parameter Bind supplies, oidUnknown if undeclared
 	utility   string  // non-empty: SET/SHOW/etc. handled by the session
 	empty     bool    // statement was all whitespace
 }
@@ -245,11 +244,11 @@ func (e *ioError) Error() string { return e.err.Error() }
 // ── simple query protocol ────────────────────────────────────────────────
 
 func (sess *session) handleQuery(rb *readBuf) error {
-	sql, err := rb.cstring()
+	text, err := rb.cstring()
 	if err != nil {
 		return err
 	}
-	stmts := splitStatements(sql)
+	stmts := sql.Split(text)
 	if len(stmts) == 0 {
 		sess.wb.beginMsg(msgEmptyQuery)
 		sess.wb.endMsg()
@@ -282,16 +281,12 @@ func (sess *session) runSimple(one string) error {
 		sess.commandComplete(tag)
 		return nil
 	}
-	translated, _, numParams, err := translateParams(one)
+	stmt, err := sess.srv.eng.Prepare(one)
 	if err != nil {
 		return err
 	}
-	if numParams > 0 {
+	if stmt.NumParams() > 0 {
 		return fmt.Errorf("there is no parameter $1: the simple query protocol cannot bind parameters")
-	}
-	stmt, err := sess.srv.eng.Prepare(translated)
-	if err != nil {
-		return err
 	}
 	if !stmt.IsQuery() {
 		return sess.runDML(stmt, nil)
@@ -337,29 +332,18 @@ func (sess *session) handleParse(rb *readBuf) error {
 
 func (sess *session) parseStatement(name, query string, oids []int32) (*preparedStmt, error) {
 	if strings.TrimSpace(query) == "" {
-		return &preparedStmt{name: name, empty: true, paramOIDs: oids}, nil
+		return &preparedStmt{name: name, empty: true}, nil
 	}
 	if util := utilityKeyword(query); util != "" {
-		return &preparedStmt{name: name, sql: query, utility: util, paramOIDs: oids}, nil
+		return &preparedStmt{name: name, sql: query, utility: util}, nil
 	}
-	translated, order, numParams, err := translateParams(query)
+	stmt, err := sess.srv.eng.Prepare(query)
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := sess.srv.eng.Prepare(translated)
-	if err != nil {
-		return nil, err
-	}
-	padded := make([]int32, numParams)
+	padded := make([]int32, stmt.NumParams())
 	copy(padded, oids)
-	return &preparedStmt{
-		name:      name,
-		sql:       translated,
-		stmt:      stmt,
-		argOrder:  order,
-		numParams: numParams,
-		paramOIDs: padded,
-	}, nil
+	return &preparedStmt{name: name, sql: query, stmt: stmt, paramOIDs: padded}, nil
 }
 
 func (sess *session) handleBind(rb *readBuf) error {
@@ -390,6 +374,10 @@ func (sess *session) handleBind(rb *readBuf) error {
 	if err != nil {
 		return err
 	}
+	if int(nParams) != len(ps.paramOIDs) {
+		return fmt.Errorf("bind message supplies %d parameters, but prepared statement %q requires %d",
+			nParams, stmtName, len(ps.paramOIDs))
+	}
 	args := make([]any, nParams)
 	for i := range args {
 		n, err := rb.int32()
@@ -409,18 +397,10 @@ func (sess *session) handleBind(rb *readBuf) error {
 		} else if i < len(fmts) {
 			format = fmts[i]
 		}
-		oid := int32(oidUnknown)
-		if i < len(ps.paramOIDs) {
-			oid = ps.paramOIDs[i]
-		}
-		args[i], err = decodeParam(oid, format, data)
+		args[i], err = decodeParam(ps.paramOIDs[i], format, data)
 		if err != nil {
 			return fmt.Errorf("parameter $%d: %w", i+1, err)
 		}
-	}
-	if int(nParams) != ps.numParams {
-		return fmt.Errorf("bind message supplies %d parameters, but prepared statement %q requires %d",
-			nParams, stmtName, ps.numParams)
 	}
 	nResFmt, err := rb.int16()
 	if err != nil {
@@ -466,12 +446,8 @@ func (sess *session) handleDescribe(rb *readBuf) error {
 				msg: fmt.Sprintf("prepared statement %q does not exist", name)}
 		}
 		sess.wb.beginMsg(msgParamDescription)
-		sess.wb.int16(int16(ps.numParams))
-		for i := 0; i < ps.numParams; i++ {
-			oid := int32(oidUnknown)
-			if i < len(ps.paramOIDs) {
-				oid = ps.paramOIDs[i]
-			}
+		sess.wb.int16(int16(len(ps.paramOIDs)))
+		for _, oid := range ps.paramOIDs {
 			sess.wb.int32(oid)
 		}
 		sess.wb.endMsg()
@@ -502,14 +478,9 @@ func (sess *session) describeResult(ps *preparedStmt, args []any) {
 	if args == nil {
 		args = dummyArgs(ps)
 	}
-	engineArgs, err := reorderArgs(ps.argOrder, args)
-	if err == nil {
-		var schema catalog.Schema
-		schema, err = ps.stmt.ResultSchema(engineArgs...)
-		if err == nil {
-			writeRowDescription(&sess.wb, schema)
-			return
-		}
+	if schema, err := ps.stmt.ResultSchema(args...); err == nil {
+		writeRowDescription(&sess.wb, schema)
+		return
 	}
 	// Unresolvable pre-execution (untyped parameters in positions the dummy
 	// guess got wrong): NoData. Execution will resolve with real values or
@@ -521,12 +492,8 @@ func (sess *session) describeResult(ps *preparedStmt, args []any) {
 // dummyArgs synthesizes one zero value per declared parameter OID, for
 // resolving a statement's result schema before any Bind.
 func dummyArgs(ps *preparedStmt) []any {
-	args := make([]any, ps.numParams)
-	for i := range args {
-		oid := int32(oidUnknown)
-		if i < len(ps.paramOIDs) {
-			oid = ps.paramOIDs[i]
-		}
+	args := make([]any, len(ps.paramOIDs))
+	for i, oid := range ps.paramOIDs {
 		switch oid {
 		case oidFloat4, oidFloat8, oidNumeric:
 			args[i] = float64(0)
@@ -576,14 +543,10 @@ func (sess *session) handleExecute(rb *readBuf) error {
 		sess.commandComplete(tag)
 		return nil
 	}
-	engineArgs, err := reorderArgs(ps.argOrder, p.args)
-	if err != nil {
-		return err
-	}
 	if !ps.stmt.IsQuery() {
-		return sess.runDML(ps.stmt, engineArgs)
+		return sess.runDML(ps.stmt, p.args)
 	}
-	return sess.runSelect(ps.stmt, engineArgs, false, int(maxRows), p)
+	return sess.runSelect(ps.stmt, p.args, false, int(maxRows), p)
 }
 
 func (sess *session) handleClose(rb *readBuf) error {
@@ -1115,74 +1078,6 @@ func appendCommandTag(dst []byte, verb string, n int64) []byte {
 		dst = append(dst, "SELECT "...)
 	}
 	return strconv.AppendInt(dst, n, 10)
-}
-
-// splitStatements splits a simple-protocol query string on top-level
-// semicolons, honouring quotes and comments, and drops empty statements.
-func splitStatements(q string) []string {
-	var out []string
-	start := 0
-	i := 0
-	n := len(q)
-	emit := func(end int) {
-		s := strings.TrimSpace(q[start:end])
-		if s != "" {
-			out = append(out, s)
-		}
-	}
-	for i < n {
-		switch c := q[i]; {
-		case c == '\'':
-			j := i + 1
-			for j < n {
-				if q[j] == '\'' {
-					if j+1 < n && q[j+1] == '\'' {
-						j += 2
-						continue
-					}
-					j++
-					break
-				}
-				j++
-			}
-			i = j
-		case c == '"':
-			j := i + 1
-			for j < n && q[j] != '"' {
-				j++
-			}
-			if j < n {
-				j++
-			}
-			i = j
-		case c == '-' && i+1 < n && q[i+1] == '-':
-			for i < n && q[i] != '\n' {
-				i++
-			}
-		case c == '/' && i+1 < n && q[i+1] == '*':
-			depth := 1
-			i += 2
-			for i < n && depth > 0 {
-				if i+1 < n && q[i] == '*' && q[i+1] == '/' {
-					depth--
-					i += 2
-				} else if i+1 < n && q[i] == '/' && q[i+1] == '*' {
-					depth++
-					i += 2
-				} else {
-					i++
-				}
-			}
-		case c == ';':
-			emit(i)
-			i++
-			start = i
-		default:
-			i++
-		}
-	}
-	emit(n)
-	return out
 }
 
 func putInt32(b []byte, v int32) {

@@ -14,7 +14,7 @@ import (
 // plan is the "optimized tree" handed to the recycler: single-table
 // predicates are pushed below joins, equality predicates across tables
 // become hash-join keys, and ORDER BY + LIMIT fuses into a top-N.
-// Statements with ? placeholders are rejected; use CompileTemplate.
+// Statements with placeholders are rejected; use CompileTemplate.
 func Compile(src string, cat *catalog.Catalog) (*plan.Node, error) {
 	t, err := CompileTemplate(src, cat)
 	if err != nil {
@@ -26,7 +26,7 @@ func Compile(src string, cat *catalog.Catalog) (*plan.Node, error) {
 	return t.Plan, nil
 }
 
-// Template is a compiled statement that may contain ? placeholders. A
+// Template is a compiled statement that may contain placeholders. A
 // zero-parameter template's plan is fully resolved; a parameterized one
 // resolves after Bind substitutes literals.
 type Template struct {
@@ -74,7 +74,8 @@ func (t *Template) Bind(args []vector.Datum) (*plan.Node, error) {
 
 // Normalize renders src in a canonical textual form for plan-cache keying:
 // tokens separated by single spaces, keywords and aggregate names
-// lowercased, string literals requoted, statement terminators dropped.
+// lowercased, string literals requoted, comments and statement terminators
+// dropped.
 // Texts that lex differently stay distinct (a miss, never a wrong hit); on
 // a lex error src is returned unchanged.
 func Normalize(src string) string {

@@ -11,7 +11,7 @@ import (
 
 // DML front end: INSERT INTO ... VALUES, DELETE FROM ... WHERE, and CREATE
 // TABLE, alongside the SELECT block of parser.go. Statements flow through
-// the same lexer, error positioning, ? parameter machinery, and Normalize
+// the same lexer, error positioning, parameter machinery, and Normalize
 // keying as queries, so prepared DML works exactly like prepared SELECTs.
 
 // StmtKind discriminates compiled statements.
@@ -30,7 +30,7 @@ func (k StmtKind) String() string {
 	return [...]string{"SELECT", "INSERT", "DELETE", "CREATE"}[k]
 }
 
-// insVal is one VALUES cell: a literal datum or a ? placeholder.
+// insVal is one VALUES cell: a literal datum or a placeholder.
 type insVal struct {
 	d     vector.Datum
 	param int // >= 0: placeholder index; -1: literal
@@ -69,7 +69,8 @@ type Compiled struct {
 	crt   *createStmt
 }
 
-// NumParams returns the number of ? placeholders.
+// NumParams returns the number of parameters a binding supplies: the
+// count of ? placeholders, or the largest N of the $N ones.
 func (c *Compiled) NumParams() int {
 	switch c.Kind {
 	case StmtSelect:
@@ -87,11 +88,10 @@ func (c *Compiled) NumParams() int {
 // (tables, columns, arities, literal types) so Bind can only fail on
 // parameter issues.
 func CompileStatement(src string, cat *catalog.Catalog) (*Compiled, error) {
-	toks, err := lex(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	kind := ""
 	if p.cur().kind == tokIdent {
 		kind = strings.ToLower(p.cur().text)
@@ -207,12 +207,12 @@ func (p *parser) insertStmt() (*insertStmt, error) {
 	return st, nil
 }
 
-// insVal parses one VALUES cell: ? or a (possibly signed / DATE) literal.
+// insVal parses one VALUES cell: a placeholder or a (possibly signed /
+// DATE) literal.
 func (p *parser) insVal() (insVal, error) {
-	if p.acceptSym("?") {
-		idx := p.nparams
-		p.nparams++
-		return insVal{param: idx}, nil
+	if p.atParam() {
+		idx, err := p.param()
+		return insVal{param: idx}, err
 	}
 	if p.cur().kind == tokIdent {
 		switch strings.ToLower(p.cur().text) {

@@ -52,6 +52,16 @@ var fuzzSeeds = []string{
 	`delete from sales`,
 	`CREATE TABLE metrics (host TEXT, cpu DOUBLE, day DATE, up BOOLEAN, hits BIGINT)`,
 	`create table v (name varchar(32), score float)`,
+	// $N placeholders, comments, quoted identifiers, multi-statement text.
+	`SELECT region FROM sales WHERE qty > $2 AND amount < $1 OR qty = $2`,
+	`INSERT INTO sales VALUES ($1, $3, 1.5, $3, DATE '1997-01-01')`,
+	`DELETE FROM t WHERE a = $1 AND b = ?`,
+	`SELECT $0, $$tag$$, $ FROM t`,
+	"SELECT a -- $1; not a split\nFROM t WHERE b = $1",
+	`SELECT a /* c; /* nested; */ $2 */ FROM t /* open`,
+	`SELECT "t;u", "a""b" FROM "sales"`,
+	"SELECT 'a;b' FROM t; SELECT \"x;y\" FROM u;; -- c;\nDELETE FROM t; /* ; */",
+	"SET x = a:b; SELECT 1 FROM t; SELECT 'open;",
 	// Malformed DML.
 	`INSERT INTO`,
 	`INSERT INTO t VALUES`,
@@ -66,6 +76,7 @@ var fuzzSeeds = []string{
 	`SELECT * FROM t WHERE a = '`,
 	`SELECT sum( FROM t`,
 	"SELECT \x00\xff FROM t",
+	`SELECT DATE '' FROM t`,
 }
 
 // fuzzCatalog gives CompileTemplate something to resolve against so the
@@ -94,8 +105,8 @@ var fuzzCatalog = func() *catalog.Catalog {
 }()
 
 // FuzzParse fuzzes the whole SQL front end: lexing, parsing, normalization,
-// and plan building must return errors, never panic, and positioned errors
-// must point inside (or just past) the input.
+// splitting and plan building must return errors, never panic, and
+// positioned errors must point inside (or just past) the input.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -123,5 +134,35 @@ func FuzzParse(f *testing.F) {
 		// error, never a panic — for SELECTs and DML alike.
 		_, _ = CompileTemplate(src, fuzzCatalog)
 		_, _ = CompileStatement(src, fuzzCatalog)
+		// Split cuts at the whole text's top-level ';' tokens: each piece
+		// lexes to exactly the tokens between two of them.
+		toks, err := lex(src)
+		if err != nil {
+			return
+		}
+		var want [][]token
+		var cur []token
+		for _, tk := range toks {
+			if tk.kind != tokEOF && (tk.kind != tokSymbol || tk.text != ";") {
+				cur = append(cur, tk)
+			} else if len(cur) > 0 {
+				want, cur = append(want, cur), nil
+			}
+		}
+		pieces := Split(src)
+		if len(pieces) != len(want) {
+			t.Fatalf("Split gave %d pieces, the text has %d statements: %q", len(pieces), len(want), pieces)
+		}
+		for i, piece := range pieces {
+			got, err := lex(piece)
+			if err != nil || len(got) != len(want[i])+1 {
+				t.Fatalf("piece %d %q lexes to %d tokens (%v), want %d", i, piece, len(got)-1, err, len(want[i]))
+			}
+			for j, tk := range want[i] {
+				if got[j].kind != tk.kind || got[j].text != tk.text {
+					t.Fatalf("piece %d %q token %d: %+v, want %+v", i, piece, j, got[j], tk)
+				}
+			}
+		}
 	})
 }

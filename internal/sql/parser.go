@@ -21,7 +21,7 @@ type selectStmt struct {
 	having  expr.Expr
 	orderBy []orderItem
 	limit   int // -1 if absent
-	nparams int // number of ? placeholders
+	nparams int // parameters bound: ? placeholders, or the largest $N
 }
 
 type selectItem struct {
@@ -53,23 +53,37 @@ type parser struct {
 	toks    []token
 	pos     int
 	nparams int
+	style   byte // '?' or '$' once the statement has a parameter
+}
+
+// newParser lexes src for parsing. Quoted identifiers lex (so Split keeps
+// a quoted ';' whole) but the grammar has none.
+func newParser(src string) (*parser, error) {
+	toks, err := lex(src)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range toks {
+		if t.kind == tokQuoted {
+			return nil, errAt(t.pos, "quoted identifiers are not supported")
+		}
+	}
+	return &parser{toks: toks}, nil
 }
 
 // Parse parses a single SELECT statement. Syntax errors come back as *Error
 // with the byte offset of the offending token.
 func Parse(src string) (*selectStmt, error) {
-	toks, err := lex(src)
+	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
 	st, err := p.selectStmt()
 	if err != nil {
 		return nil, p.positioned(err)
 	}
-	p.acceptSym(";")
-	if !p.atEOF() {
-		return nil, errAt(p.cur().pos, "trailing input at %q", p.cur().text)
+	if err := p.finish(); err != nil {
+		return nil, err
 	}
 	st.nparams = p.nparams
 	return st, nil
@@ -87,6 +101,38 @@ func (p *parser) positioned(err error) error {
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
 func (p *parser) atEOF() bool { return p.cur().kind == tokEOF }
+
+// atParam reports whether the current token is a placeholder: ?, $N, or
+// the lone $ of an unsupported dollar-quoted string.
+func (p *parser) atParam() bool {
+	t := p.cur()
+	return t.kind == tokParam || t.kind == tokSymbol && (t.text == "?" || t.text == "$")
+}
+
+// param consumes the placeholder atParam found and returns its expr.Param
+// index. ? numbers itself by appearance; $N is parameter N, so it may
+// repeat, come out of order or leave gaps. A statement uses one style.
+func (p *parser) param() (int, error) {
+	t := p.cur()
+	if t.text == "$" {
+		return 0, errAt(t.pos, "dollar-quoted strings are not supported")
+	}
+	if p.style != 0 && p.style != t.text[0] {
+		return 0, errAt(t.pos, "cannot mix ? and $N parameters in one statement")
+	}
+	p.style = t.text[0]
+	p.pos++
+	if t.text == "?" {
+		p.nparams++
+		return p.nparams - 1, nil
+	}
+	n, err := strconv.Atoi(t.text[1:])
+	if err != nil || n < 1 || n > 65535 {
+		return 0, errAt(t.pos, "bad parameter number %s", t.text)
+	}
+	p.nparams = max(p.nparams, n)
+	return n - 1, nil
+}
 
 func (p *parser) acceptKw(kw string) bool {
 	if p.cur().kind == tokIdent && strings.EqualFold(p.cur().text, kw) {
@@ -339,9 +385,12 @@ func (p *parser) literal() (vector.Datum, error) {
 		if p.cur().kind != tokString {
 			return vector.Datum{}, fmt.Errorf("sql: DATE expects a string literal")
 		}
-		s := p.cur().text
+		d, err := vector.ParseDate(p.cur().text)
+		if err != nil {
+			return vector.Datum{}, errAt(p.cur().pos, "%v", err)
+		}
 		p.pos++
-		return vector.NewDateDatum(vector.MustParseDate(s)), nil
+		return vector.NewDateDatum(d), nil
 	case p.acceptSym("-"):
 		d, err := p.literal()
 		if err != nil {
@@ -561,9 +610,12 @@ func (p *parser) mulExpr() (expr.Expr, error) {
 func (p *parser) primary() (expr.Expr, error) {
 	t := p.cur()
 	switch {
-	case p.acceptSym("?"):
-		p.nparams++
-		return expr.Par(p.nparams - 1), nil
+	case p.atParam():
+		i, err := p.param()
+		if err != nil {
+			return nil, err
+		}
+		return expr.Par(i), nil
 	case p.acceptSym("("):
 		e, err := p.orExpr()
 		if err != nil {

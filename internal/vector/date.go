@@ -12,14 +12,23 @@ func DaysFromDate(year, month, day int) int64 {
 	return t.Unix() / 86400
 }
 
-// MustParseDate converts "YYYY-MM-DD" to days since the epoch and panics on
-// malformed input. It is intended for literals in query builders and tests.
-func MustParseDate(s string) int64 {
+// ParseDate converts "YYYY-MM-DD" to days since the epoch.
+func ParseDate(s string) (int64, error) {
 	t, err := time.Parse("2006-01-02", s)
 	if err != nil {
-		panic(fmt.Sprintf("vector: bad date literal %q: %v", s, err))
+		return 0, fmt.Errorf("bad date literal %q: %w", s, err)
 	}
-	return t.Unix() / 86400
+	return t.Unix() / 86400, nil
+}
+
+// MustParseDate is ParseDate that panics on malformed input. It is intended
+// for literals in query builders and tests.
+func MustParseDate(s string) int64 {
+	d, err := ParseDate(s)
+	if err != nil {
+		panic("vector: " + err.Error())
+	}
+	return d
 }
 
 // DateString renders days since the epoch as "YYYY-MM-DD" (see AppendDate).

@@ -360,23 +360,9 @@ func (e *Engine) Explain(query string, args ...any) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	c, err := stmt.compiled()
+	p, err := stmt.bind(args, true)
 	if err != nil {
 		return "", err
-	}
-	if c.Kind != sql.StmtSelect {
-		return "", fmt.Errorf("%w: %v statement", ErrNotQuery, c.Kind)
-	}
-	ds, err := toDatums(args)
-	if err != nil {
-		return "", err
-	}
-	p, err := c.Query.Bind(ds)
-	if err != nil {
-		return "", fmt.Errorf("recycledb: bind: %w", err)
-	}
-	if err := p.Resolve(e.cat); err != nil {
-		return "", fmt.Errorf("recycledb: resolve: %w", err)
 	}
 	octx := e.optContext(e.captureEpoch(p))
 	if p, err = opt.Optimize(p, octx); err != nil {
@@ -428,7 +414,7 @@ func (r *Result) Rows() int { return r.res.Rows() }
 // Raw returns the underlying materialized result.
 func (r *Result) Raw() *catalog.Result { return r.res }
 
-// Query compiles sql (through the plan cache), binds args to its ?
+// Query compiles sql (through the plan cache), binds args to its ? or $N
 // placeholders, and streams the result. The context governs the whole
 // query: every operator observes it at batch boundaries, and stalls on
 // concurrent materializations abort with it.

@@ -11,13 +11,14 @@ import (
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/opt"
+	"recycledb/internal/plan"
 	"recycledb/internal/sql"
 	"recycledb/internal/vector"
 )
 
 // Stmt is a prepared statement: a statement compiled once and executed many
-// times with different ? bindings — a SELECT plan template, or a validated
-// DML form (INSERT / DELETE / CREATE TABLE). For queries, identical
+// times with different ? or $N bindings — a SELECT plan template, or a
+// validated DML form (INSERT / DELETE / CREATE TABLE). For queries, identical
 // bindings canonicalize to the same recycler-graph shape, so recycling
 // keeps matching across executions of a prepared statement exactly as it
 // does for repeated ad-hoc queries.
@@ -121,6 +122,17 @@ func (s *Stmt) IsQuery() bool { return s.cur.Load().c.Kind == sql.StmtSelect }
 // (as a date), and Datum. DML statements are rejected with ErrNotQuery; use
 // Exec.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
+	p, err := s.bind(args, false)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng.stream(ctx, p, false)
+}
+
+// bind is the prologue of every SELECT path: the revalidated compiled form,
+// the kind check, and args bound into a fresh plan clone — resolved against
+// the catalog when resolve is set.
+func (s *Stmt) bind(args []any, resolve bool) (*plan.Node, error) {
 	c, err := s.compiled()
 	if err != nil {
 		return nil, err
@@ -136,7 +148,12 @@ func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
 	if err != nil {
 		return nil, fmt.Errorf("recycledb: bind: %w", err)
 	}
-	return s.eng.stream(ctx, p, false)
+	if resolve {
+		if err := p.Resolve(s.eng.cat); err != nil {
+			return nil, fmt.Errorf("recycledb: resolve: %w", err)
+		}
+	}
+	return p, nil
 }
 
 // Exec executes the statement to completion. For SELECTs it materializes
@@ -172,28 +189,15 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 // statements return ErrNotQuery. The binding values only matter for type
 // checking — any value of the right type describes the same schema.
 func (s *Stmt) ResultSchema(args ...any) (catalog.Schema, error) {
-	c, err := s.compiled()
+	p, err := s.bind(args, true)
 	if err != nil {
 		return nil, err
-	}
-	if c.Kind != sql.StmtSelect {
-		return nil, fmt.Errorf("%w: %v statement", ErrNotQuery, c.Kind)
-	}
-	ds, err := toDatums(args)
-	if err != nil {
-		return nil, err
-	}
-	p, err := c.Query.Bind(ds)
-	if err != nil {
-		return nil, fmt.Errorf("recycledb: bind: %w", err)
-	}
-	if err := p.Resolve(s.eng.cat); err != nil {
-		return nil, fmt.Errorf("recycledb: resolve: %w", err)
 	}
 	return p.Schema(), nil
 }
 
-// NumParams returns the number of ? placeholders in the statement.
+// NumParams returns the number of parameters the statement binds: its ?
+// placeholders, or the largest N of its $N ones.
 func (s *Stmt) NumParams() int { return s.cur.Load().c.NumParams() }
 
 // Text returns the normalized statement text.
