@@ -7,10 +7,12 @@
 // TABLE — and prints affected-row counts; watch Invalidated/DeltaExtended
 // move in \rstats as writes hit cached results.
 //
+// EXPLAIN <select> is a statement like any other: it prints, in full, the
+// plan the next run of that SELECT executes, with per-node cost estimates
+// and [cached] markers on subtrees the recycler can serve warm.
+//
 // Shell commands: \mode off|hist|spec|pa, \stats (toggle per-query stats),
-// \rstats (recycler totals), \flush, \tables, \q. EXPLAIN <query> prints the optimizer's chosen plan
-// tree with per-node cost estimates and [cached] markers on subtrees the
-// recycler can serve warm.
+// \rstats (recycler totals), \flush, \tables, \q.
 package main
 
 import (
@@ -19,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -46,7 +49,7 @@ func main() {
 	fmt.Printf("loading TPC-H sf=%g ...\n", *sf)
 	tpch.Generate(eng.Catalog(), *sf, 1)
 	fmt.Printf("tables: %s\n", strings.Join(eng.Catalog().TableNames(), ", "))
-	fmt.Println(`type SQL (EXPLAIN <query> shows the plan), or \mode, \stats, \rstats, \flush, \tables, \q (Ctrl-C cancels the running statement)`)
+	fmt.Println(`type SQL (EXPLAIN <select> shows its plan), or \mode, \stats, \rstats, \flush, \tables, \q (Ctrl-C cancels the running statement)`)
 
 	showStats := false
 	in := bufio.NewScanner(os.Stdin)
@@ -89,53 +92,26 @@ func main() {
 			}
 			continue
 		}
-		if rest, ok := explainArg(line); ok {
-			out, err := eng.Explain(rest)
-			if err != nil {
-				printErr(err)
-			} else {
-				fmt.Print(out)
-			}
-			continue
-		}
 		runStatement(eng, line, showStats)
 	}
 }
 
-// explainArg strips a leading EXPLAIN keyword, returning the query to
-// explain and whether the line was an EXPLAIN at all.
-func explainArg(line string) (string, bool) {
-	f := strings.Fields(line)
-	if len(f) < 2 || !strings.EqualFold(f[0], "explain") {
-		return "", false
-	}
-	return strings.TrimSpace(line[len(f[0]):]), true
-}
-
-// isDML sniffs the statement verb: INSERT / DELETE / CREATE run through
-// Engine.Exec rather than the streaming query path.
-func isDML(line string) bool {
-	f := strings.Fields(line)
-	if len(f) == 0 {
-		return false
-	}
-	switch strings.ToLower(f[0]) {
-	case "insert", "delete", "create":
-		return true
-	}
-	return false
-}
-
-// runStatement streams one query (or executes one DML statement); SIGINT
-// cancels the statement and returns control to the prompt instead of
-// killing the shell.
+// runStatement prepares one statement and runs it: a query (SELECT or
+// EXPLAIN) streams, anything else executes and reports its row count.
+// SIGINT cancels the statement and returns control to the prompt instead
+// of killing the shell.
 func runStatement(eng *recycledb.Engine, line string, showStats bool) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	if isDML(line) {
+	stmt, err := eng.Prepare(line)
+	if err != nil {
+		printErr(err)
+		return
+	}
+	if !stmt.IsQuery() {
 		start := time.Now()
-		res, err := eng.Exec(ctx, line)
+		res, err := stmt.Exec(ctx)
 		if err != nil {
 			printErr(err)
 			return
@@ -147,12 +123,15 @@ func runStatement(eng *recycledb.Engine, line string, showStats bool) {
 		return
 	}
 
-	rows, err := eng.Query(ctx, line)
+	rows, err := stmt.Query(ctx)
 	if err != nil {
 		printErr(err)
 		return
 	}
-	const max = 20
+	max := 20 // rows a query prints; an EXPLAIN prints its whole plan
+	if stmt.Verb() == "EXPLAIN" {
+		max = math.MaxInt
+	}
 	names := make([]string, len(rows.Schema()))
 	for i, c := range rows.Schema() {
 		names[i] = c.Name
@@ -188,18 +167,12 @@ func runStatement(eng *recycledb.Engine, line string, showStats bool) {
 }
 
 func printErr(err error) {
+	var pe *recycledb.ParseError
 	switch {
 	case errors.Is(err, recycledb.ErrCanceled):
 		fmt.Println("canceled")
-	case errors.Is(err, recycledb.ErrParse):
-		var pe *recycledb.ParseError
-		if errors.As(err, &pe) {
-			fmt.Printf("syntax error at offset %d: %s\n", pe.Pos, pe.Msg)
-			return
-		}
-		fmt.Println("error:", err)
-	case errors.Is(err, recycledb.ErrUnknownTable):
-		fmt.Println("error:", err)
+	case errors.As(err, &pe):
+		fmt.Printf("syntax error at offset %d: %s\n", pe.Pos, pe.Msg)
 	default:
 		fmt.Println("error:", err)
 	}

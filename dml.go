@@ -57,7 +57,7 @@ func (e *Engine) execDML(ctx context.Context, c *sql.Compiled, args []vector.Dat
 	case sql.StmtInsert:
 		name, rows, err := c.BindInsert(e.cat, args)
 		if err != nil {
-			return 0, wrapSQLError(err)
+			return 0, err
 		}
 		t, err := e.cat.Table(name)
 		if err != nil {
@@ -75,7 +75,7 @@ func (e *Engine) execDML(ctx context.Context, c *sql.Compiled, args []vector.Dat
 	case sql.StmtDelete:
 		name, pred, err := c.BindDelete(args)
 		if err != nil {
-			return 0, wrapSQLError(err)
+			return 0, err
 		}
 		t, err := e.cat.Table(name)
 		if err != nil {

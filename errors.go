@@ -17,7 +17,7 @@ var (
 	ErrUnknownTable = catalog.ErrUnknownTable
 	// ErrParse reports a SQL syntax error; errors.As against *ParseError
 	// recovers the offset.
-	ErrParse = errors.New("recycledb: parse error")
+	ErrParse = sql.ErrSyntax
 	// ErrCanceled reports a query stopped by context cancellation or
 	// deadline; the context's own error remains in the chain, so
 	// errors.Is(err, context.Canceled) keeps working too.
@@ -38,32 +38,7 @@ var (
 
 // ParseError is a SQL syntax error with the byte offset of the offending
 // token in the statement text. It wraps ErrParse.
-type ParseError struct {
-	Pos int
-	Msg string
-}
-
-// Error implements error.
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("recycledb: parse error at offset %d: %s", e.Pos, e.Msg)
-}
-
-// Unwrap makes errors.Is(err, ErrParse) succeed.
-func (e *ParseError) Unwrap() error { return ErrParse }
-
-// wrapSQLError converts front-end syntax errors into *ParseError; other
-// compile errors (unknown tables, semantic checks) pass through with their
-// chains intact.
-func wrapSQLError(err error) error {
-	if err == nil {
-		return nil
-	}
-	var se *sql.Error
-	if errors.As(err, &se) {
-		return &ParseError{Pos: se.Pos, Msg: se.Msg}
-	}
-	return err
-}
+type ParseError = sql.Error
 
 // wrapRunError classifies execution errors: context cancellation and
 // deadline expiry become ErrCanceled (keeping the cause in the chain),

@@ -1,6 +1,11 @@
 package recycledb
 
-import "recycledb/internal/catalog"
+import (
+	"context"
+	"strings"
+
+	"recycledb/internal/catalog"
+)
 
 // The one test seam: Config carries only what commands, examples and the
 // benchmark set, so tests that need odd internal values (α = 1 for exact
@@ -22,4 +27,21 @@ func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// ExplainText runs EXPLAIN q through the statement path and joins its
+// QUERY PLAN rows, one line each.
+func ExplainText(e *Engine, q string, args ...any) (string, error) {
+	res, err := e.QueryCollect(context.Background(), "EXPLAIN "+q, args...)
+	if err != nil {
+		return "", err
+	}
+	var b strings.Builder
+	for _, bt := range res.Batches {
+		for _, line := range bt.Vecs[0].Str {
+			b.WriteString(line)
+			b.WriteByte('\n')
+		}
+	}
+	return b.String(), nil
 }

@@ -99,11 +99,11 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 	// shapes, cardinalities, costs — must agree across engines.
 	a := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.History, Parallelism: 1}, cat())
 	b := recycledb.NewTuned(recycledb.Config{Mode: recycledb.History, Parallelism: 8}, tun, cat())
-	ea, err := a.Explain(qA)
+	ea, err := recycledb.ExplainText(a, qA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := b.Explain(qA)
+	eb, err := recycledb.ExplainText(b, qA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 
 	// Canonicalization: the same conjuncts written in a different order
 	// must plan identically.
-	eBOrder, err := a.Explain(qB)
+	eBOrder, err := recycledb.ExplainText(a, qB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 			t.Fatalf("engine at %d workers built parallel fragments: %v", e.Workers(), parallel)
 		}
 	}
-	w1, err := a.Explain(qA)
+	w1, err := recycledb.ExplainText(a, qA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 		e    *recycledb.Engine
 		q    string
 	}{{"conjunct order", a, qB}, {"engine", b, qA}} {
-		w2, err := c.e.Explain(c.q)
+		w2, err := recycledb.ExplainText(c.e, c.q)
 		if err != nil {
 			t.Fatal(err)
 		}

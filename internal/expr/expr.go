@@ -10,6 +10,7 @@
 package expr
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -57,6 +58,10 @@ func Cols(e Expr) []string {
 
 // --- Column reference -------------------------------------------------
 
+// ErrUnknownColumn is wrapped by the error Bind returns for a column
+// reference its input schema lacks.
+var ErrUnknownColumn = errors.New("unknown column")
+
 // Col is a reference to a named input column.
 type Col struct {
 	Name string
@@ -71,7 +76,7 @@ func C(name string) *Col { return &Col{Name: name} }
 func (c *Col) Bind(s catalog.Schema) (vector.Type, error) {
 	i := s.ColIndex(c.Name)
 	if i < 0 {
-		return vector.Unknown, fmt.Errorf("expr: unknown column %q in schema %v", c.Name, s.Names())
+		return vector.Unknown, fmt.Errorf("expr: %w %q in schema %v", ErrUnknownColumn, c.Name, s.Names())
 	}
 	c.idx = i
 	c.typ = s[i].Typ

@@ -1,5 +1,5 @@
 // Package opt is a transformation-based plan optimizer that runs between
-// sql.Compile/Resolve and execution. It applies three classical rules —
+// sql.CompileStatement/Resolve and execution. It applies three classical rules —
 // predicate pushdown (splitting conjunctions via expr.Conjuncts), join
 // reordering over inner-equijoin groups, and projection pruning — with a
 // twist the recycler makes possible: a subtree the recycler graph holds a

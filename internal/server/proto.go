@@ -215,6 +215,8 @@ const (
 	codeSyntaxError         = "42601"
 	codeUndefinedTable      = "42P01"
 	codeUndefinedColumn     = "42703"
+	codeUndefinedObject     = "42704"
+	codeInvalidParamValue   = "22023"
 	codeQueryCanceled       = "57014"
 	codeTooManyConns        = "53300"
 	codeAdmissionRejected   = "53400"

@@ -216,6 +216,9 @@ func TestErrorsAndRecovery(t *testing.T) {
 	if err := c.Prepare("bad", `SELECT * FROM nowhere`); !errors.As(err, &se) || se.Code != "42P01" {
 		t.Fatalf("want 42P01 from Parse, got %v", err)
 	}
+	if _, err := c.Query(`SELECT nosuch FROM big`); !errors.As(err, &se) || se.Code != "42703" {
+		t.Fatalf("want 42703 undefined column, got %v", err)
+	}
 	res, err := c.Query(`SELECT count(*) AS n FROM big`)
 	if err != nil || res[0].Rows[0][0] != "100" {
 		t.Fatalf("session broken after errors: %v %+v", err, res)
@@ -261,6 +264,113 @@ func TestUtilityStatements(t *testing.T) {
 	if eng.Mode() != recycledb.Speculative {
 		t.Fatalf("a mistyped mode changed the engine to %v", eng.Mode())
 	}
+
+	// Utility statements go through the SQL lexer: comments, '' escapes
+	// and a trailing ';' work as in queries, over both protocols.
+	for _, tc := range []struct{ set, show, want string }{
+		{"/* c */ SET statement_timeout = 4000", "-- c\nSHOW statement_timeout", "4000ms"},
+		{"SET statement_timeout = 5000 -- tail", "SHOW statement_timeout -- tail", "5000ms"},
+		{"SET SESSION statement_timeout TO '6s';", "show STATEMENT_TIMEOUT;", "6000ms"},
+		{"SET application_name = 'it''s'", "SHOW application_name", "it's"},
+	} {
+		if _, err := c.Query(tc.set); err != nil {
+			t.Fatalf("%q: %v", tc.set, err)
+		}
+		res, err := c.Query(tc.show)
+		if err != nil || len(res) != 1 || res[0].Tag != "SHOW" || res[0].Rows[0][0] != tc.want {
+			t.Fatalf("%q: %v %+v, want %s", tc.show, err, res, tc.want)
+		}
+		if err := c.Prepare("", tc.set); err != nil {
+			t.Fatalf("Parse %q: %v", tc.set, err)
+		}
+		if r, err := c.Exec(""); err != nil || r.Tag != "SET" {
+			t.Fatalf("extended %q: %v %+v", tc.set, err, r)
+		}
+		if err := c.Prepare("", tc.show); err != nil {
+			t.Fatalf("Parse %q: %v", tc.show, err)
+		}
+		if r, err := c.Exec(""); err != nil || r.Tag != "SHOW" || r.Rows[0][0] != tc.want {
+			t.Fatalf("extended %q: %v %+v, want %s", tc.show, err, r, tc.want)
+		}
+	}
+	res, err = c.Query(`RESET statement_timeout; SHOW statement_timeout`)
+	if err != nil || res[0].Tag != "RESET" || res[1].Rows[0][0] != "0ms" {
+		t.Fatalf("RESET: %v %+v", err, res)
+	}
+
+	// An unknown parameter is 42704, a bad value 22023, a malformed
+	// utility statement 42601; none changes a setting.
+	var se *pgclient.ServerError
+	for _, tc := range []struct{ q, code string }{
+		{"SHOW no_such_parameter", "42704"},
+		{"SET statement_timeout = 'soon'", "22023"},
+		{"SET recycling_mode = 'spce'", "22023"},
+		{"SET statement_timeout 5", "42601"},
+		{"DISCARD PLANS", "42601"},
+	} {
+		if _, err := c.Query(tc.q); !errors.As(err, &se) || se.Code != tc.code {
+			t.Fatalf("%q: got %v, want SQLSTATE %s", tc.q, err, tc.code)
+		}
+	}
+	res, err = c.Query(`SHOW statement_timeout`)
+	if err != nil || res[0].Rows[0][0] != "0ms" {
+		t.Fatalf("a failed SET changed statement_timeout: %v %+v", err, res)
+	}
+}
+
+// TestWireExplain runs EXPLAIN as a query over both protocols: a QUERY
+// PLAN text column, one row per plan line, and over the extended protocol
+// a $1 bound like the SELECT's.
+func TestWireExplain(t *testing.T) {
+	eng := recycledb.New(recycledb.Config{Mode: recycledb.Speculative})
+	loadBig(eng, 1000)
+	addr, _, _ := startServer(t, eng, Config{})
+	c := dial(t, addr)
+
+	const q = `SELECT region, count(*) AS n FROM big WHERE qty > 25 GROUP BY region`
+	plan, err := eng.QueryCollect(context.Background(), "EXPLAIN "+q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, line := range plan.Batches[0].Vecs[0].Str {
+		want += line + "\n"
+	}
+	res, err := c.Query("EXPLAIN " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || len(res[0].Columns) != 1 || res[0].Columns[0] != "QUERY PLAN" || res[0].Tag != "EXPLAIN" {
+		t.Fatalf("simple EXPLAIN: %+v", res)
+	}
+	if got := joinLines(res[0].Rows); got != want {
+		t.Fatalf("simple EXPLAIN:\n%s\nwant:\n%s", got, want)
+	}
+
+	if err := c.Prepare("ex", "EXPLAIN SELECT region, count(*) AS n FROM big WHERE qty > $1 GROUP BY region"); err != nil {
+		t.Fatal(err)
+	}
+	ext, err := c.Exec("ex", "25")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ext.Columns) != 1 || ext.Columns[0] != "QUERY PLAN" || ext.Tag != "EXPLAIN" {
+		t.Fatalf("extended EXPLAIN: %+v", ext)
+	}
+	if got := joinLines(ext.Rows); got != want {
+		t.Fatalf("extended EXPLAIN with $1 = 25:\n%s\nwant:\n%s", got, want)
+	}
+	if n := eng.ActiveStatements(); n != 0 {
+		t.Fatalf("%d statement slots held after EXPLAIN", n)
+	}
+}
+
+func joinLines(rows [][]string) string {
+	var out string
+	for _, r := range rows {
+		out += r[0] + "\n"
+	}
+	return out
 }
 
 // TestStatementTimeout sets a tiny timeout over a long-running join and
@@ -648,22 +758,24 @@ func TestWireComments(t *testing.T) {
 	if len(r.Columns) != 1 || r.Columns[0] != "n" || r.Rows[0][0] != res[1].Rows[0][0] {
 		t.Fatalf("extended: columns %v rows %v, want n = %s", r.Columns, r.Rows, res[1].Rows[0][0])
 	}
-}
 
-func TestUtilityKeyword(t *testing.T) {
-	cases := map[string]string{
-		"SET statement_timeout = 100": "set",
-		"  show server_version ;":     "show",
-		"BEGIN":                       "begin",
-		"START TRANSACTION":           "start",
-		"start work":                  "",
-		"COMMIT;":                     "commit",
-		"SELECT 1":                    "",
-		"settle the question":         "",
+	// A text with no token is an empty statement over both protocols.
+	const blank = "-- only a comment\n/* and another */"
+	res, err = c.Query(blank)
+	if err != nil || len(res) != 1 || res[0].Tag != "" {
+		t.Fatalf("simple: %v %+v, want one EmptyQueryResponse", err, res)
 	}
-	for in, want := range cases {
-		if got := utilityKeyword(in); got != want {
-			t.Errorf("%q: got %q, want %q", in, got, want)
-		}
+	if err := c.Prepare("blank", blank); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Bind("", "blank"); err != nil {
+		t.Fatal(err)
+	}
+	r, suspended, err := c.ExecutePortal("", 0)
+	if err != nil || suspended || r.Tag != "" || r.Rows != nil {
+		t.Fatalf("extended: %v %+v, want EmptyQueryResponse", err, r)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"recycledb"
 	"recycledb/internal/catalog"
+	"recycledb/internal/expr"
 	"recycledb/internal/sql"
 	"recycledb/internal/vector"
 )
@@ -28,12 +29,10 @@ const flushThreshold = 32 * 1024
 // that belongs to the protocol, not the engine — the client's declared
 // parameter OIDs.
 type preparedStmt struct {
-	name      string
-	sql       string // client text
 	stmt      *recycledb.Stmt
-	paramOIDs []int32 // one per parameter Bind supplies, oidUnknown if undeclared
-	utility   string  // non-empty: SET/SHOW/etc. handled by the session
-	empty     bool    // statement was all whitespace
+	paramOIDs []int32      // one per parameter Bind supplies, oidUnknown if undeclared
+	utility   *sql.Utility // non-nil: SET/SHOW/etc. handled by the session
+	empty     bool         // statement has no token (blank or only comments)
 }
 
 // portal is a bound (and possibly partially executed) statement. rows is
@@ -225,14 +224,23 @@ func (sess *session) extended(err error) error {
 	if err == nil {
 		return nil
 	}
+	if err := sess.reportError(err); err != nil {
+		return err
+	}
+	sess.ignoreTillSync = true
+	return sess.flush()
+}
+
+// reportError sends a statement's error as an ErrorResponse, or returns
+// the transport error that must tear the connection down instead.
+func (sess *session) reportError(err error) error {
 	var ioErr *ioError
 	if errors.As(err, &ioErr) {
 		return ioErr.err
 	}
 	code, msg := sqlstateFor(err)
 	sess.errorResponse(code, msg)
-	sess.ignoreTillSync = true
-	return sess.flush()
+	return nil
 }
 
 // ioError marks a transport failure that must tear the connection down
@@ -250,19 +258,13 @@ func (sess *session) handleQuery(rb *readBuf) error {
 	}
 	stmts := sql.Split(text)
 	if len(stmts) == 0 {
-		sess.wb.beginMsg(msgEmptyQuery)
-		sess.wb.endMsg()
-		sess.readyForQuery()
-		return sess.flush()
+		stmts = []string{text} // the empty statement
 	}
 	for _, one := range stmts {
 		if err := sess.runSimple(one); err != nil {
-			var ioErr *ioError
-			if errors.As(err, &ioErr) {
-				return ioErr.err
+			if err := sess.reportError(err); err != nil {
+				return err
 			}
-			code, msg := sqlstateFor(err)
-			sess.errorResponse(code, msg)
 			break // error aborts the rest of a multi-statement string
 		}
 	}
@@ -270,28 +272,17 @@ func (sess *session) handleQuery(rb *readBuf) error {
 	return sess.flush()
 }
 
-// runSimple executes one statement of a simple-protocol query string:
-// utility statements in the session, everything else through the engine
-// with RowDescription + full streaming for SELECTs.
+// runSimple executes one statement of a simple-protocol query string: an
+// unnamed statement run once without parameters.
 func (sess *session) runSimple(one string) error {
-	if tag, handled, err := sess.runUtility(one); handled {
-		if err != nil {
-			return err
-		}
-		sess.commandComplete(tag)
-		return nil
-	}
-	stmt, err := sess.srv.eng.Prepare(one)
+	ps, err := sess.parseStatement(one, nil)
 	if err != nil {
 		return err
 	}
-	if stmt.NumParams() > 0 {
+	if len(ps.paramOIDs) > 0 {
 		return fmt.Errorf("there is no parameter $1: the simple query protocol cannot bind parameters")
 	}
-	if !stmt.IsQuery() {
-		return sess.runDML(stmt, nil)
-	}
-	return sess.runSelect(stmt, nil, true, 0, nil)
+	return sess.execute(ps, nil, 0, nil)
 }
 
 // ── extended query protocol ──────────────────────────────────────────────
@@ -320,7 +311,7 @@ func (sess *session) handleParse(rb *readBuf) error {
 			return fmt.Errorf("prepared statement %q already exists", name)
 		}
 	}
-	ps, err := sess.parseStatement(name, query, oids)
+	ps, err := sess.parseStatement(query, oids)
 	if err != nil {
 		return err
 	}
@@ -330,12 +321,18 @@ func (sess *session) handleParse(rb *readBuf) error {
 	return nil
 }
 
-func (sess *session) parseStatement(name, query string, oids []int32) (*preparedStmt, error) {
-	if strings.TrimSpace(query) == "" {
-		return &preparedStmt{name: name, empty: true}, nil
+// parseStatement classifies query: empty, a utility statement, or one the
+// engine prepares.
+func (sess *session) parseStatement(query string, oids []int32) (*preparedStmt, error) {
+	if len(sql.Split(query)) == 0 {
+		return &preparedStmt{empty: true}, nil
 	}
-	if util := utilityKeyword(query); util != "" {
-		return &preparedStmt{name: name, sql: query, utility: util}, nil
+	u, err := sql.ParseUtility(query)
+	if err != nil {
+		return nil, err
+	}
+	if u != nil {
+		return &preparedStmt{utility: u}, nil
 	}
 	stmt, err := sess.srv.eng.Prepare(query)
 	if err != nil {
@@ -343,7 +340,7 @@ func (sess *session) parseStatement(name, query string, oids []int32) (*prepared
 	}
 	padded := make([]int32, stmt.NumParams())
 	copy(padded, oids)
-	return &preparedStmt{name: name, sql: query, stmt: stmt, paramOIDs: padded}, nil
+	return &preparedStmt{stmt: stmt, paramOIDs: padded}, nil
 }
 
 func (sess *session) handleBind(rb *readBuf) error {
@@ -470,7 +467,7 @@ func (sess *session) handleDescribe(rb *readBuf) error {
 // resolved (a bound portal, or an unbound statement via dummy bindings
 // synthesized from the declared parameter OIDs), NoData otherwise.
 func (sess *session) describeResult(ps *preparedStmt, args []any) {
-	if ps.empty || ps.utility != "" || ps.stmt == nil || !ps.stmt.IsQuery() {
+	if ps.empty || ps.utility != nil || !ps.stmt.IsQuery() {
 		sess.wb.beginMsg(msgNoData)
 		sess.wb.endMsg()
 		return
@@ -529,24 +526,24 @@ func (sess *session) handleExecute(rb *readBuf) error {
 	if p.rows != nil || p.pending != nil {
 		return sess.resumePortal(p, int(maxRows))
 	}
-	ps := p.ps
+	return sess.execute(p.ps, p.args, int(maxRows), p)
+}
+
+// execute runs a parsed statement. p is the portal an extended-protocol
+// Execute runs, suspended at maxRows > 0; without one (the simple protocol)
+// a query's RowDescription goes ahead of its rows.
+func (sess *session) execute(ps *preparedStmt, args []any, maxRows int, p *portal) error {
 	switch {
 	case ps.empty:
 		sess.wb.beginMsg(msgEmptyQuery)
 		sess.wb.endMsg()
 		return nil
-	case ps.utility != "":
-		tag, _, err := sess.runUtility(ps.sql)
-		if err != nil {
-			return err
-		}
-		sess.commandComplete(tag)
-		return nil
+	case ps.utility != nil:
+		return sess.runUtility(ps.utility)
+	case !ps.stmt.IsQuery():
+		return sess.runDML(ps.stmt, args)
 	}
-	if !ps.stmt.IsQuery() {
-		return sess.runDML(ps.stmt, p.args)
-	}
-	return sess.runSelect(ps.stmt, p.args, false, int(maxRows), p)
+	return sess.runSelect(ps.stmt, args, maxRows, p)
 }
 
 func (sess *session) handleClose(rb *readBuf) error {
@@ -607,10 +604,10 @@ func (sess *session) runDML(stmt *recycledb.Stmt, args []any) error {
 	return nil
 }
 
-// runSelect streams a SELECT to the wire. describeFirst (simple protocol)
-// emits RowDescription before the rows; maxRows > 0 (extended protocol)
+// runSelect streams a query to the wire. Without a portal (simple protocol)
+// RowDescription goes before the rows; maxRows > 0 (extended protocol)
 // suspends the portal at the limit.
-func (sess *session) runSelect(stmt *recycledb.Stmt, args []any, describeFirst bool, maxRows int, p *portal) error {
+func (sess *session) runSelect(stmt *recycledb.Stmt, args []any, maxRows int, p *portal) error {
 	ctx, done := sess.statementCtx()
 	defer done()
 	if err := sess.srv.adm.acquire(ctx); err != nil {
@@ -621,7 +618,7 @@ func (sess *session) runSelect(stmt *recycledb.Stmt, args []any, describeFirst b
 	if err != nil {
 		return err
 	}
-	if describeFirst {
+	if p == nil {
 		writeRowDescription(&sess.wb, rows.Schema())
 	}
 	suspended, err := sess.streamRows(ctx, rows, maxRows, p)
@@ -644,7 +641,7 @@ func (sess *session) runSelect(stmt *recycledb.Stmt, args []any, describeFirst b
 	} else {
 		sent = sess.lastSent
 	}
-	sess.commandCompleteRows("SELECT", sent)
+	sess.commandCompleteRows(stmt.Verb(), sent)
 	return nil
 }
 
@@ -676,7 +673,7 @@ func (sess *session) resumePortal(p *portal, maxRows int) error {
 	if err != nil {
 		return err
 	}
-	sess.commandCompleteRows("SELECT", p.sent)
+	sess.commandCompleteRows(p.ps.stmt.Verb(), p.sent)
 	return nil
 }
 
@@ -768,97 +765,46 @@ func (sess *session) encodeDataRow(b *recycledb.Batch, i int) {
 
 // ── utility statements ───────────────────────────────────────────────────
 
-// utilityKeyword classifies statements the session handles without the
-// engine: SET, SHOW, and the transaction-control no-ops (the engine's
-// writes are epoch-atomic per statement; BEGIN/COMMIT exist so client
-// libraries that always open a transaction still work).
-func utilityKeyword(q string) string {
-	fields := strings.Fields(strings.ToLower(strings.TrimRight(strings.TrimSpace(q), ";")))
-	if len(fields) == 0 {
-		return ""
-	}
-	switch fields[0] {
-	case "set", "show", "begin", "commit", "rollback", "end", "discard", "reset":
-		return fields[0]
-	case "start":
-		if len(fields) > 1 && fields[1] == "transaction" {
-			return "start"
-		}
-	}
-	return ""
-}
-
-// runUtility executes a utility statement, returning its command tag and
-// whether the statement was in fact a utility.
-func (sess *session) runUtility(q string) (tag string, handled bool, err error) {
-	kw := utilityKeyword(q)
-	if kw == "" {
-		return "", false, nil
-	}
-	body := strings.TrimRight(strings.TrimSpace(q), ";")
-	switch kw {
-	case "begin", "start":
-		return "BEGIN", true, nil
-	case "commit", "end":
-		return "COMMIT", true, nil
-	case "rollback":
-		return "ROLLBACK", true, nil
-	case "discard":
+// runUtility executes a utility statement in the session and completes it
+// with its command tag. The engine's writes are epoch-atomic per statement,
+// so the transaction-control statements are no-ops; they exist so client
+// libraries that always open a transaction still work.
+func (sess *session) runUtility(u *sql.Utility) error {
+	var err error
+	switch u.Tag {
+	case "DISCARD ALL":
 		sess.closeAllPortals()
 		sess.stmts = make(map[string]*preparedStmt)
-		return "DISCARD ALL", true, nil
-	case "set":
-		err := sess.runSet(body)
-		return "SET", true, err
-	case "reset":
-		name := strings.ToLower(strings.TrimSpace(body[len("reset"):]))
-		if name == "statement_timeout" || name == "all" {
+	case "SET":
+		err = sess.runSet(u.Name, u.Value)
+	case "RESET":
+		if u.Name == "statement_timeout" || u.Name == "all" {
 			sess.stmtTimeout = sess.srv.cfg.StatementTimeout
 		}
-		return "RESET", true, nil
-	case "show":
-		err := sess.runShow(strings.TrimSpace(body[len("show"):]))
-		return "SHOW", true, err
+	case "SHOW":
+		err = sess.runShow(u.Name)
 	}
-	return "", false, nil
+	if err == nil {
+		sess.commandComplete(u.Tag)
+	}
+	return err
 }
 
-// runSet handles SET name = value / SET name TO value. statement_timeout
-// and recycling_mode are live knobs; everything else is recorded and
-// acknowledged so client libraries' session setup does not error out.
-func (sess *session) runSet(body string) error {
-	rest := strings.TrimSpace(body[len("set"):])
-	low := strings.ToLower(rest)
-	for _, scope := range []string{"session ", "local "} {
-		if strings.HasPrefix(low, scope) {
-			rest = strings.TrimSpace(rest[len(scope):])
-			low = strings.ToLower(rest)
-			break
-		}
-	}
-	var name, value string
-	if i := strings.IndexAny(rest, "=\t "); i >= 0 {
-		name = strings.ToLower(strings.TrimSpace(rest[:i]))
-		value = strings.TrimSpace(rest[i:])
-		value = strings.TrimSpace(strings.TrimPrefix(value, "="))
-		if lowv := strings.ToLower(value); strings.HasPrefix(lowv, "to ") || lowv == "to" {
-			value = strings.TrimSpace(value[2:])
-		}
-	} else {
-		return fmt.Errorf("syntax error in SET: %q", body)
-	}
-	value = strings.Trim(value, "'\"")
+// runSet applies SET name = value. statement_timeout and recycling_mode
+// are live knobs; everything else is recorded and acknowledged so client
+// libraries' session setup does not error out.
+func (sess *session) runSet(name, value string) error {
 	switch name {
 	case "statement_timeout":
 		d, err := parseTimeoutValue(value)
 		if err != nil {
-			return err
+			return &namedError{code: codeInvalidParamValue, msg: err.Error()}
 		}
 		sess.stmtTimeout = d
 	case "recycling_mode":
 		mode, err := recycledb.ParseMode(value)
 		if err != nil {
-			return err
+			return &namedError{code: codeInvalidParamValue, msg: err.Error()}
 		}
 		sess.srv.eng.SetMode(mode)
 	default:
@@ -869,7 +815,6 @@ func (sess *session) runSet(body string) error {
 
 // runShow answers SHOW name with a one-column, one-row text result.
 func (sess *session) runShow(name string) error {
-	name = strings.ToLower(strings.Trim(strings.Trim(name, "'\""), ";"))
 	var value string
 	switch name {
 	case "statement_timeout":
@@ -881,11 +826,12 @@ func (sess *session) runShow(name string) error {
 	case "transaction_isolation":
 		value = "snapshot"
 	default:
-		if v, ok := sess.params[name]; ok {
-			value = v
-		} else {
-			return fmt.Errorf("unrecognized configuration parameter %q", name)
+		v, ok := sess.params[name]
+		if !ok {
+			return &namedError{code: codeUndefinedObject,
+				msg: fmt.Sprintf("unrecognized configuration parameter %q", name)}
 		}
+		value = v
 	}
 	writeRowDescription(&sess.wb, catalog.Schema{{Name: name, Typ: vector.String}})
 	sess.wb.beginMsg(msgDataRow)
@@ -1057,7 +1003,7 @@ func sqlstateFor(err error) (code, msg string) {
 		return codeQueryCanceled, "canceling statement due to user request"
 	case errors.Is(err, recycledb.ErrNotQuery):
 		return codeFeatureNotSupported, err.Error()
-	case strings.Contains(err.Error(), "unknown column"):
+	case errors.Is(err, expr.ErrUnknownColumn):
 		return codeUndefinedColumn, err.Error()
 	default:
 		return codeInternalError, err.Error()
@@ -1074,6 +1020,8 @@ func appendCommandTag(dst []byte, verb string, n int64) []byte {
 		dst = append(dst, "DELETE "...)
 	case "CREATE":
 		return append(dst, "CREATE TABLE"...)
+	case "EXPLAIN":
+		return append(dst, "EXPLAIN"...)
 	default:
 		dst = append(dst, "SELECT "...)
 	}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 
@@ -154,8 +153,6 @@ func appendScaled4(dst []byte, n int64) []byte {
 	return dst
 }
 
-var dateRE = regexp.MustCompile(`^\d{4}-\d{2}-\d{2}$`)
-
 // decodeParam converts one Bind parameter to a Go value for the engine's
 // parameter binding (Stmt.Query / toDatums). Conversions are
 // exactness-preserving: integer text parses as int64 before any float
@@ -202,9 +199,9 @@ func decodeTextParam(oid int32, s string) (any, error) {
 		}
 		return nil, fmt.Errorf("invalid boolean parameter %q", s)
 	case oidDate:
-		days, err := parseDate(s)
+		days, err := vector.ParseDate(s)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("invalid date parameter %q", s)
 		}
 		return vector.NewDateDatum(days), nil
 	case oidText, oidVarchar, oidBytea:
@@ -219,10 +216,8 @@ func decodeTextParam(oid int32, s string) (any, error) {
 		if v, err := strconv.ParseFloat(s, 64); err == nil {
 			return v, nil
 		}
-		if dateRE.MatchString(s) {
-			if days, err := parseDate(s); err == nil {
-				return vector.NewDateDatum(days), nil
-			}
+		if days, err := vector.ParseDate(s); err == nil {
+			return vector.NewDateDatum(days), nil
 		}
 		return s, nil
 	default:
@@ -287,18 +282,4 @@ func beUint32(b []byte) uint32 {
 
 func beUint64(b []byte) uint64 {
 	return uint64(beUint32(b))<<32 | uint64(beUint32(b[4:]))
-}
-
-// parseDate converts "YYYY-MM-DD" to engine epoch days.
-func parseDate(s string) (int64, error) {
-	if !dateRE.MatchString(s) {
-		return 0, fmt.Errorf("invalid date parameter %q", s)
-	}
-	y, _ := strconv.Atoi(s[0:4])
-	m, _ := strconv.Atoi(s[5:7])
-	d, _ := strconv.Atoi(s[8:10])
-	if m < 1 || m > 12 || d < 1 || d > 31 {
-		return 0, fmt.Errorf("invalid date parameter %q", s)
-	}
-	return vector.DaysFromDate(y, m, d), nil
 }

@@ -31,11 +31,13 @@ func TestDecodeTextParam(t *testing.T) {
 		{"bool_bad", oidBool, "maybe", nil, true},
 		{"date", oidDate, "1996-03-15", vector.NewDateDatum(vector.MustParseDate("1996-03-15")), false},
 		{"date_bad", oidDate, "96-3-15", nil, true},
+		{"date_no_such_day", oidDate, "1996-02-30", nil, true},
 		{"text", oidText, "hello", "hello", false},
 		{"unknown_int", oidUnknown, "17", int64(17), false},
 		{"unknown_float", oidUnknown, "1.5", 1.5, false},
 		{"unknown_date", oidUnknown, "1996-03-15", vector.NewDateDatum(vector.MustParseDate("1996-03-15")), false},
 		{"unknown_text", oidUnknown, "kangaroo", "kangaroo", false},
+		{"unknown_no_such_day", oidUnknown, "1996-02-30", "1996-02-30", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,6 +277,7 @@ func TestAppendCommandTag(t *testing.T) {
 		{"DELETE", 0, "DELETE 0"},
 		{"DELETE", 17, "DELETE 17"},
 		{"CREATE", 0, "CREATE TABLE"},
+		{"EXPLAIN", 4, "EXPLAIN"},
 	}
 	for _, tc := range cases {
 		if got := string(appendCommandTag(nil, tc.verb, tc.n)); got != tc.want {

@@ -10,22 +10,6 @@ import (
 	"recycledb/internal/vector"
 )
 
-// Compile parses src and builds a logical plan against cat. The generated
-// plan is the "optimized tree" handed to the recycler: single-table
-// predicates are pushed below joins, equality predicates across tables
-// become hash-join keys, and ORDER BY + LIMIT fuses into a top-N.
-// Statements with placeholders are rejected; use CompileTemplate.
-func Compile(src string, cat *catalog.Catalog) (*plan.Node, error) {
-	t, err := CompileTemplate(src, cat)
-	if err != nil {
-		return nil, err
-	}
-	if t.NumParams > 0 {
-		return nil, fmt.Errorf("sql: statement has %d unbound parameters", t.NumParams)
-	}
-	return t.Plan, nil
-}
-
 // Template is a compiled statement that may contain placeholders. A
 // zero-parameter template's plan is fully resolved; a parameterized one
 // resolves after Bind substitutes literals.
@@ -34,18 +18,22 @@ type Template struct {
 	NumParams int
 }
 
-// CompileTemplate parses src and builds a (possibly parameterized) plan
-// template against cat.
-func CompileTemplate(src string, cat *catalog.Catalog) (*Template, error) {
-	st, err := Parse(src)
+// template parses the rest of the statement as a SELECT and builds its
+// (possibly parameterized) plan template against cat. The plan is the
+// "optimized tree" handed to the recycler: single-table predicates are
+// pushed below joins, equality predicates across tables become hash-join
+// keys, and ORDER BY + LIMIT fuses into a top-N.
+func (p *parser) template(cat *catalog.Catalog) (*Template, error) {
+	st, err := p.selectStmt()
+	if err := p.end(err); err != nil {
+		return nil, err
+	}
+	st.nparams = p.nparams
+	pl, err := build(st, cat)
 	if err != nil {
 		return nil, err
 	}
-	p, err := build(st, cat)
-	if err != nil {
-		return nil, err
-	}
-	return &Template{Plan: p, NumParams: st.nparams}, nil
+	return &Template{Plan: pl, NumParams: st.nparams}, nil
 }
 
 // Bind clones the template plan and substitutes args (one per placeholder,

@@ -23,11 +23,12 @@ const (
 	StmtInsert
 	StmtDelete
 	StmtCreate
+	StmtExplain
 )
 
 // String returns the kind's SQL verb.
 func (k StmtKind) String() string {
-	return [...]string{"SELECT", "INSERT", "DELETE", "CREATE"}[k]
+	return [...]string{"SELECT", "INSERT", "DELETE", "CREATE", "EXPLAIN"}[k]
 }
 
 // insVal is one VALUES cell: a literal datum or a placeholder.
@@ -58,11 +59,12 @@ type createStmt struct {
 }
 
 // Compiled is a compiled statement of any kind, the unit the engine's plan
-// cache stores. SELECTs carry their plan template; DML carries a validated
-// parameterized form bound per execution.
+// cache stores. SELECTs and EXPLAINs carry the SELECT's plan template; DML
+// carries a validated parameterized form bound per execution.
 type Compiled struct {
 	Kind StmtKind
-	// Query is the SELECT template (Kind == StmtSelect).
+	// Query is the SELECT template (StmtSelect, or the SELECT an
+	// StmtExplain explains); nil for DML.
 	Query *Template
 	ins   *insertStmt
 	del   *deleteStmt
@@ -72,37 +74,32 @@ type Compiled struct {
 // NumParams returns the number of parameters a binding supplies: the
 // count of ? placeholders, or the largest N of the $N ones.
 func (c *Compiled) NumParams() int {
-	switch c.Kind {
-	case StmtSelect:
+	switch {
+	case c.Query != nil:
 		return c.Query.NumParams
-	case StmtInsert:
+	case c.Kind == StmtInsert:
 		return c.ins.nparams
-	case StmtDelete:
+	case c.Kind == StmtDelete:
 		return c.del.nparams
 	}
 	return 0
 }
 
 // CompileStatement parses src as any supported statement and compiles it
-// against cat. SELECTs come back as plan templates; DML is validated
-// (tables, columns, arities, literal types) so Bind can only fail on
-// parameter issues.
+// against cat. SELECTs come back as plan templates, and EXPLAIN <select>
+// as the SELECT's template, so it binds the same parameters; DML is
+// validated (tables, columns, arities, literal types) so Bind can only fail
+// on parameter issues.
 func CompileStatement(src string, cat *catalog.Catalog) (*Compiled, error) {
 	p, err := newParser(src)
 	if err != nil {
 		return nil, err
 	}
-	kind := ""
-	if p.cur().kind == tokIdent {
-		kind = strings.ToLower(p.cur().text)
-	}
-	switch kind {
+	kind := StmtSelect
+	switch p.verb() {
 	case "insert":
 		st, err := p.insertStmt()
-		if err != nil {
-			return nil, p.positioned(err)
-		}
-		if err := p.finish(); err != nil {
+		if err := p.end(err); err != nil {
 			return nil, err
 		}
 		st.nparams = p.nparams
@@ -112,10 +109,7 @@ func CompileStatement(src string, cat *catalog.Catalog) (*Compiled, error) {
 		return &Compiled{Kind: StmtInsert, ins: st}, nil
 	case "delete":
 		st, err := p.deleteStmt()
-		if err != nil {
-			return nil, p.positioned(err)
-		}
-		if err := p.finish(); err != nil {
+		if err := p.end(err); err != nil {
 			return nil, err
 		}
 		st.nparams = p.nparams
@@ -125,20 +119,42 @@ func CompileStatement(src string, cat *catalog.Catalog) (*Compiled, error) {
 		return &Compiled{Kind: StmtDelete, del: st}, nil
 	case "create":
 		st, err := p.createStmt()
-		if err != nil {
-			return nil, p.positioned(err)
-		}
-		if err := p.finish(); err != nil {
+		if err := p.end(err); err != nil {
 			return nil, err
 		}
 		return &Compiled{Kind: StmtCreate, crt: st}, nil
-	default:
-		t, err := CompileTemplate(src, cat)
-		if err != nil {
-			return nil, err
+	case "explain":
+		kind = StmtExplain
+		p.pos++
+		if t := p.cur(); p.acceptKw("analyze") {
+			return nil, errAt(t.pos, "EXPLAIN ANALYZE is not supported")
 		}
-		return &Compiled{Kind: StmtSelect, Query: t}, nil
+		if v := p.verb(); v == "insert" || v == "delete" || v == "create" {
+			return nil, errAt(p.cur().pos, "EXPLAIN of %s is not supported", strings.ToUpper(v))
+		}
 	}
+	t, err := p.template(cat)
+	if err != nil {
+		return nil, err
+	}
+	return &Compiled{Kind: kind, Query: t}, nil
+}
+
+// verb returns the current token lower-cased if it is a word, else "".
+func (p *parser) verb() string {
+	if p.cur().kind != tokIdent {
+		return ""
+	}
+	return strings.ToLower(p.cur().text)
+}
+
+// end closes a statement production: its error gets the current offset,
+// and without one the text must end there.
+func (p *parser) end(err error) error {
+	if err != nil {
+		return p.positioned(err)
+	}
+	return p.finish()
 }
 
 // finish consumes an optional terminator and rejects trailing input.

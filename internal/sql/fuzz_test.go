@@ -62,6 +62,30 @@ var fuzzSeeds = []string{
 	`SELECT "t;u", "a""b" FROM "sales"`,
 	"SELECT 'a;b' FROM t; SELECT \"x;y\" FROM u;; -- c;\nDELETE FROM t; /* ; */",
 	"SET x = a:b; SELECT 1 FROM t; SELECT 'open;",
+	// EXPLAIN: with parameters, commented, and the forms it rejects.
+	`EXPLAIN SELECT region FROM sales WHERE qty > $1 AND amount < $2`,
+	"/* c */ explain select * from t where a = ? -- tail\n;",
+	`EXPLAIN ANALYZE SELECT a FROM t`,
+	`EXPLAIN INSERT INTO t VALUES (1, 2.5, 3, 4, 'hi', 5, 6)`,
+	`EXPLAIN`,
+	// Session statements, every form.
+	`SET statement_timeout = 5000`,
+	"/* c */ set session application_name to 'it''s' -- tail",
+	`SET LOCAL a = -1;`,
+	`SET x TO on`,
+	"-- c\nSHOW statement_timeout",
+	`RESET ALL`,
+	`reset recycling_mode`,
+	`BEGIN`,
+	`BEGIN WORK`,
+	`START TRANSACTION`,
+	`COMMIT WORK`,
+	`END`,
+	`ROLLBACK TRANSACTION`,
+	`DISCARD ALL`,
+	`SET x =`,
+	`DISCARD PLANS`,
+	`start`,
 	// Malformed DML.
 	`INSERT INTO`,
 	`INSERT INTO t VALUES`,
@@ -79,7 +103,7 @@ var fuzzSeeds = []string{
 	`SELECT DATE '' FROM t`,
 }
 
-// fuzzCatalog gives CompileTemplate something to resolve against so the
+// fuzzCatalog gives CompileStatement something to resolve against so the
 // fuzzer reaches the plan builder, not just the parser.
 var fuzzCatalog = func() *catalog.Catalog {
 	cat := catalog.New()
@@ -105,24 +129,32 @@ var fuzzCatalog = func() *catalog.Catalog {
 }()
 
 // FuzzParse fuzzes the whole SQL front end: lexing, parsing, normalization,
-// splitting and plan building must return errors, never panic, and
-// positioned errors must point inside (or just past) the input.
+// splitting, session statements and plan building must return errors,
+// never panic, and positioned errors must point inside (or just past) the
+// input. Every session-statement error is positioned.
 func FuzzParse(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		st, err := Parse(src)
-		if err != nil {
+		checkPos := func(err error, mustBePositioned bool) {
 			var pe *Error
-			if errors.As(err, &pe) {
+			switch {
+			case errors.As(err, &pe):
 				if pe.Pos < 0 || pe.Pos > len(src) {
 					t.Fatalf("error position %d outside input of length %d", pe.Pos, len(src))
 				}
+			case err != nil && mustBePositioned:
+				t.Fatalf("unpositioned error %v", err)
 			}
-		} else if st == nil {
+		}
+		c, err := CompileStatement(src, fuzzCatalog)
+		checkPos(err, false)
+		if err == nil && c == nil {
 			t.Fatal("nil statement without error")
 		}
+		_, err = ParseUtility(src)
+		checkPos(err, true)
 		// Normalization must be total (it falls back to src on lex errors)
 		// and idempotent: normalizing a normalized text is a fixpoint,
 		// or the plan cache would miss its own keys.
@@ -130,10 +162,6 @@ func FuzzParse(f *testing.F) {
 		if n2 := Normalize(n1); n2 != n1 {
 			t.Fatalf("Normalize not idempotent:\n  once:  %q\n  twice: %q", n1, n2)
 		}
-		// The builder must turn any parsed statement into a plan or an
-		// error, never a panic — for SELECTs and DML alike.
-		_, _ = CompileTemplate(src, fuzzCatalog)
-		_, _ = CompileStatement(src, fuzzCatalog)
 		// Split cuts at the whole text's top-level ';' tokens: each piece
 		// lexes to exactly the tokens between two of them.
 		toks, err := lex(src)

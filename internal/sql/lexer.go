@@ -3,8 +3,9 @@
 // GROUP BY, HAVING, ORDER BY and LIMIT. It completes the paper's Fig. 1
 // architecture (Parser → Rewriter → Builder → Execution engine); the
 // evaluation workloads construct plans directly, as an optimizer would.
-// It is the only SQL scanner: the wire server's $N parameters, comments
-// and multi-statement strings go through the same lexer.
+// It is the only SQL scanner and decides what every statement is: the wire
+// server's $N parameters, comments, multi-statement strings and session
+// statements (ParseUtility) go through the same lexer.
 package sql
 
 import (

@@ -71,24 +71,6 @@ func newParser(src string) (*parser, error) {
 	return &parser{toks: toks}, nil
 }
 
-// Parse parses a single SELECT statement. Syntax errors come back as *Error
-// with the byte offset of the offending token.
-func Parse(src string) (*selectStmt, error) {
-	p, err := newParser(src)
-	if err != nil {
-		return nil, err
-	}
-	st, err := p.selectStmt()
-	if err != nil {
-		return nil, p.positioned(err)
-	}
-	if err := p.finish(); err != nil {
-		return nil, err
-	}
-	st.nparams = p.nparams
-	return st, nil
-}
-
 // positioned attaches the current token's offset to err unless it already
 // carries one.
 func (p *parser) positioned(err error) error {
@@ -362,7 +344,7 @@ var keywords = map[string]bool{
 	"asc": true, "desc": true, "date": true, "case": true, "when": true,
 	"then": true, "else": true, "end": true,
 	"insert": true, "into": true, "values": true, "delete": true,
-	"create": true, "table": true,
+	"create": true, "table": true, "explain": true,
 }
 
 func isKeyword(s string) bool { return keywords[strings.ToLower(s)] }

@@ -31,8 +31,8 @@ func TestSplit(t *testing.T) {
 		{"   ", nil},
 		{"-- only a comment; really", nil},
 		{"SELECT 1; /* */ ;", []string{"SELECT 1"}},
-		// Bytes the grammar has no use for still split (the session parses
-		// SET itself).
+		// Bytes the grammar has no use for still split; parsing the piece
+		// reports them.
 		{"SET x = a:b; SELECT 1", []string{"SET x = a:b", "SELECT 1"}},
 		// A lex error ends the cutting; the rest is the last piece, whose
 		// compilation reports the error.
@@ -82,11 +82,12 @@ func TestDollarParams(t *testing.T) {
 	}
 	cat := testCatalog()
 	for _, tc := range cases {
-		tmpl, err := CompileTemplate(tc.in, cat)
+		c, err := CompileStatement(tc.in, cat)
 		if err != nil {
 			t.Errorf("%q: %v", tc.in, err)
 			continue
 		}
+		tmpl := c.Query
 		if tmpl.NumParams != tc.nparams {
 			t.Errorf("%q: NumParams %d, want %d", tc.in, tmpl.NumParams, tc.nparams)
 		}
@@ -260,9 +261,9 @@ func boundShape(t *testing.T, cat *catalog.Catalog, tmpl *Template, args []vecto
 
 func mustPlan(t *testing.T, cat *catalog.Catalog, src string) *plan.Node {
 	t.Helper()
-	p, err := Compile(src, cat)
+	c, err := CompileStatement(src, cat)
 	if err != nil {
 		t.Fatalf("%q: %v", src, err)
 	}
-	return p
+	return c.Query.Plan
 }

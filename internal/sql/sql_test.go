@@ -61,11 +61,11 @@ func testCatalog() *catalog.Catalog {
 func mustCompile(t *testing.T, src string) (*plan.Node, *catalog.Catalog) {
 	t.Helper()
 	cat := testCatalog()
-	p, err := Compile(src, cat)
+	c, err := CompileStatement(src, cat)
 	if err != nil {
 		t.Fatalf("compile %q: %v", src, err)
 	}
-	return p, cat
+	return c.Query.Plan, cat
 }
 
 func runSQL(t *testing.T, src string) *catalog.Result {
@@ -244,7 +244,7 @@ func TestParseErrors(t *testing.T) {
 		"SELECT * FROM sales extra tokens here",
 		"SELECT * FROM sales, products", // ambiguous? no: distinct col names, but cross join ok
 	} {
-		if _, err := Compile(bad, cat); err == nil && bad != "SELECT * FROM sales, products" {
+		if _, err := CompileStatement(bad, cat); err == nil && bad != "SELECT * FROM sales, products" {
 			t.Errorf("expected error for %q", bad)
 		}
 	}
@@ -254,7 +254,7 @@ func TestAmbiguousColumnsRejected(t *testing.T) {
 	cat := testCatalog()
 	dup := catalog.NewTable("dup", catalog.Schema{{Name: "region", Typ: vector.String}})
 	cat.AddTable(dup)
-	if _, err := Compile("SELECT * FROM sales, dup", cat); err == nil ||
+	if _, err := CompileStatement("SELECT * FROM sales, dup", cat); err == nil ||
 		!strings.Contains(err.Error(), "ambiguous") {
 		t.Fatalf("expected ambiguity error, got %v", err)
 	}
@@ -298,10 +298,11 @@ func TestNormalize(t *testing.T) {
 
 func TestCompileTemplateAndBind(t *testing.T) {
 	cat := testCatalog()
-	tmpl, err := CompileTemplate("SELECT region FROM sales WHERE amount > ? AND product < ?", cat)
+	c, err := CompileStatement("SELECT region FROM sales WHERE amount > ? AND product < ?", cat)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tmpl := c.Query
 	if tmpl.NumParams != 2 {
 		t.Fatalf("NumParams = %d, want 2", tmpl.NumParams)
 	}
@@ -328,14 +329,10 @@ func TestCompileTemplateAndBind(t *testing.T) {
 	if err := p2.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	// Compile refuses unbound parameters.
-	if _, err := Compile("SELECT region FROM sales WHERE amount > ?", cat); err == nil {
-		t.Fatal("Compile must reject parameterized statements")
-	}
 }
 
 func TestParseErrorPositions(t *testing.T) {
-	_, err := Parse("SELECT region FROM sales WHERE amount >")
+	_, err := CompileStatement("SELECT region FROM sales WHERE amount >", testCatalog())
 	if err == nil {
 		t.Fatal("want parse error")
 	}

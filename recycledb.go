@@ -42,6 +42,10 @@
 //	stmt, err := eng.Prepare(`SELECT count(*) AS n FROM sales WHERE qty > ?`)
 //	res, err := stmt.Exec(ctx, 10) // materialized; stmt.Query streams
 //
+// EXPLAIN <select> is a query too: its rows, one QUERY PLAN line per plan
+// node, show the plan the SELECT's next run with the same bindings
+// executes, with cost estimates and [cached] markers.
+//
 // Plans built with the builder DSL (Scan, Select, Aggregate, ...) run
 // through the same pipeline via Stream (incremental) or ExecuteContext
 // (materialized). Rows.Collect materializes any stream. Failures are
@@ -66,9 +70,8 @@
 // Statements execute morsel-parallel: plan fragments over a large enough
 // base-table scan split it into row ranges processed by a worker pool
 // (Config.Parallelism, default GOMAXPROCS, divided across statements in
-// flight) and merge deterministically — a parallel run produces the same
-// rows in the same order as a one-worker one, recycler decisions included.
-// See the README's "Execution" section.
+// flight) and merge in scan order, recycler decisions included; float sums
+// are the exception (see Config.Parallelism and the README's "Execution").
 package recycledb
 
 import (
@@ -131,8 +134,10 @@ type Config struct {
 	// executing statements (a lone analytical query uses the whole
 	// machine; a saturated serving tier degrades gracefully to one worker
 	// per query), and plans too small to split run serially regardless.
-	// Results are independent of the setting — parallel pipelines merge
-	// deterministically in scan order; see README "Execution".
+	// Rows come back in scan order at any setting, but a float64 sum merges
+	// worker partials in arrival order, so its last bits can vary, and a
+	// query that compares such sums for equality (TPC-H Q15) can return
+	// wrong answers at 2 or more; see README "Execution".
 	Parallelism int
 }
 
@@ -350,27 +355,6 @@ func (e *Engine) optContext(ep epoch) *opt.Context {
 	}
 }
 
-// Explain compiles and optimizes query with the given bindings — without
-// executing it — and renders the chosen plan tree with per-node estimated
-// cost and cardinality, plus [cached]/[inflight]/[seen] markers on subtrees
-// the optimizer matched against the recycler under the current data
-// versions.
-func (e *Engine) Explain(query string, args ...any) (string, error) {
-	stmt, err := e.Prepare(query)
-	if err != nil {
-		return "", err
-	}
-	p, err := stmt.bind(args, true)
-	if err != nil {
-		return "", err
-	}
-	octx := e.optContext(e.captureEpoch(p))
-	if p, err = opt.Optimize(p, octx); err != nil {
-		return "", fmt.Errorf("recycledb: optimize: %w", err)
-	}
-	return opt.Render(p, opt.Annotate(p, octx)), nil
-}
-
 // FlushCache evicts all cached results (simulates update invalidation, as in
 // the paper's Fig. 6 protocol).
 func (e *Engine) FlushCache() {
@@ -471,22 +455,12 @@ func (e *Engine) beginStatement() int {
 // endStatement releases a statement slot.
 func (e *Engine) endStatement() { e.active.Add(-1) }
 
-// stream resolves, optimizes, rewrites, builds, and opens the pipeline,
-// returning a Rows positioned before the first batch. shared marks p as
-// caller-owned: stream only reads it (the canonical-signature render walks
-// the tree without mutation) and clones before any rewrite; with shared
-// false, stream takes ownership of p.
-func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *Rows, err error) {
-	if ctx == nil {
-		ctx = context.Background() //recycledb:ctx-ok — documented nil-ctx fallback
-	}
-	par := e.beginStatement()
-	defer func() {
-		if err != nil {
-			e.endStatement()
-		}
-	}()
-	start := time.Now()
+// shape is the planning prologue of every statement: it returns the
+// resolved, optimized plan a statement with bound plan p runs, and the data
+// epoch it runs at. shared marks p as caller-owned: shape only reads it
+// (the canonical-signature render walks the tree without mutation) and
+// clones before any change; with shared false, shape takes ownership of p.
+func (e *Engine) shape(p *plan.Node, shared bool) (*plan.Node, epoch, error) {
 	// Optimized-shape fast path (see Engine.optShapes): render the plan's
 	// canonical signature on the incoming tree and replay a prior optimizer
 	// decision with a single clone. The cached plan carries its resolution
@@ -495,17 +469,15 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 	// before Resolve so a concurrent schema change can only store the entry
 	// under a too-old version (evicted on next lookup), never a too-new one.
 	shapeKey, optVer := opt.ShapeKey(p), e.cat.Version()
-	cached, optimized := e.optShapes.get(shapeKey, optVer)
-	switch {
-	case optimized:
+	if cached, ok := e.optShapes.get(shapeKey, optVer); ok {
 		p = cached.Clone()
-	case shared:
+		return p, e.captureEpoch(p), nil
+	}
+	if shared {
 		p = p.Clone()
 	}
-	if !optimized {
-		if err := p.Resolve(e.cat); err != nil {
-			return nil, fmt.Errorf("recycledb: resolve: %w", err)
-		}
+	if err := p.Resolve(e.cat); err != nil {
+		return nil, epoch{}, fmt.Errorf("recycledb: resolve: %w", err)
 	}
 	// Capture the statement's data epoch before rewriting. Cache
 	// substitution validates entries against these versions and the scans
@@ -519,11 +491,58 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 	// performs the actual substitutions on the chosen shape. The decision
 	// is memoized under the signature rendered above; later executions of
 	// this shape replay it from the cache.
-	if !optimized {
-		if p, err = opt.Optimize(p, e.optContext(ep)); err != nil {
-			return nil, fmt.Errorf("recycledb: optimize: %w", err)
+	p, err := opt.Optimize(p, e.optContext(ep))
+	if err != nil {
+		return nil, epoch{}, fmt.Errorf("recycledb: optimize: %w", err)
+	}
+	e.optShapes.put(shapeKey, p.Clone(), optVer)
+	return p, ep, nil
+}
+
+// explainSchema is an EXPLAIN's result: one line of the plan per row.
+var explainSchema = catalog.Schema{{Name: "QUERY PLAN", Typ: vector.String}}
+
+// explain answers EXPLAIN for bound plan p. It renders the plan that the
+// next execution with the same bindings runs (Engine.shape), one node per
+// line, with per-node estimated rows and cost, [cached]/[inflight]/[seen]
+// markers on subtrees the recycler holds under the current data versions,
+// and the work a node's last run counted. The lines replay from memory: the
+// stream takes no statement slot, registers nothing with the recycler and
+// annotates no graph.
+func (e *Engine) explain(ctx context.Context, p *plan.Node) (*Rows, error) {
+	start := time.Now()
+	p, ep, err := e.shape(p, false)
+	if err != nil {
+		return nil, err
+	}
+	text := opt.Render(p, opt.Annotate(p, e.optContext(ep)))
+	lines := &vector.Vector{Typ: vector.String, Str: strings.Split(strings.TrimSuffix(text, "\n"), "\n")}
+	op := exec.NewCacheScan(explainSchema, []*vector.Batch{{Vecs: []*vector.Vector{lines}}}, []int{0}, nil)
+	ectx := &exec.Ctx{Cat: e.cat, Context: ctx}
+	if err := op.Open(ectx); err != nil {
+		return nil, err
+	}
+	return &Rows{eng: e, qctx: ctx, schema: explainSchema, ectx: ectx, op: op,
+		start: start, execStart: time.Now(), released: true}, nil
+}
+
+// stream plans (Engine.shape), rewrites, builds, and opens the pipeline,
+// returning a Rows positioned before the first batch. shared is shape's:
+// whether p stays the caller's.
+func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *Rows, err error) {
+	if ctx == nil {
+		ctx = context.Background() //recycledb:ctx-ok — documented nil-ctx fallback
+	}
+	par := e.beginStatement()
+	defer func() {
+		if err != nil {
+			e.endStatement()
 		}
-		e.optShapes.put(shapeKey, p.Clone(), optVer)
+	}()
+	start := time.Now()
+	p, ep, err := e.shape(p, shared)
+	if err != nil {
+		return nil, err
 	}
 	rw := rewrite.NewRewriter(e.rec, e.cat, e.Mode())
 	rw.SnapVers = ep.vers

@@ -132,10 +132,12 @@ func (r *Rows) finishLocked() error {
 		r.err = wrapRunError(err)
 		return r.err
 	}
-	r.rw.Annotate(r.rres)
+	if r.rw != nil { // nil for an EXPLAIN, which touched no recycler state
+		r.rw.Annotate(r.rres)
+		r.stats.Materialized = r.rres.Committed()
+	}
 	r.stats.Execution = execTime
 	r.stats.Total = time.Since(r.start)
-	r.stats.Materialized = r.rres.Committed()
 	r.stats.Rows = r.rows
 	return nil
 }

@@ -20,11 +20,11 @@ func sqlEngine(t *testing.T, mode Mode) *Engine {
 
 func (e *Engine) mustSQL(t *testing.T, q string) *Result {
 	t.Helper()
-	p, err := sql.Compile(q, e.Catalog())
+	c, err := sql.CompileStatement(q, e.Catalog())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	r, err := e.ExecuteContext(context.Background(), p)
+	r, err := e.ExecuteContext(context.Background(), c.Query.Plan)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}

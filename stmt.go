@@ -17,11 +17,11 @@ import (
 )
 
 // Stmt is a prepared statement: a statement compiled once and executed many
-// times with different ? or $N bindings — a SELECT plan template, or a
-// validated DML form (INSERT / DELETE / CREATE TABLE). For queries, identical
-// bindings canonicalize to the same recycler-graph shape, so recycling
-// keeps matching across executions of a prepared statement exactly as it
-// does for repeated ad-hoc queries.
+// times with different ? or $N bindings — a SELECT plan template, an
+// EXPLAIN of one, or a validated DML form (INSERT / DELETE / CREATE TABLE).
+// For queries, identical bindings canonicalize to the same recycler-graph
+// shape, so recycling keeps matching across executions of a prepared
+// statement exactly as it does for repeated ad-hoc queries.
 //
 // A Stmt survives catalog schema changes: every execution revalidates the
 // compiled form against the current schema version and transparently
@@ -46,9 +46,9 @@ type compiledAt struct {
 	ver int64
 }
 
-// Prepare compiles a statement — SELECT or DML — into a reusable handle.
-// Compiled statements are cached in the engine's bounded LRU keyed by
-// normalized text, so preparing (or Querying, or Execing) the same text
+// Prepare compiles a statement — SELECT, EXPLAIN or DML — into a reusable
+// handle. Compiled statements are cached in the engine's bounded LRU keyed
+// by normalized text, so preparing (or Querying, or Execing) the same text
 // repeatedly skips the front-end. Cached statements are versioned against
 // the catalog schema: a schema change (CREATE TABLE, AddTable replacing a
 // table, a new function) invalidates them, and the handle recompiles
@@ -77,9 +77,9 @@ func (e *Engine) compile(query, key string) (*sql.Compiled, int64, error) {
 	}
 	c, err := sql.CompileStatement(query, e.cat)
 	if err != nil {
-		return nil, 0, wrapSQLError(err)
+		return nil, 0, err
 	}
-	if c.Kind == sql.StmtSelect && c.Query != nil && c.Query.NumParams == 0 {
+	if c.Query != nil && c.Query.NumParams == 0 {
 		// Static normalization only — the dynamic (recycler-probing) phase
 		// runs per execution against the statement's snapshot. Errors are
 		// swallowed here: the template stays as compiled and the per-
@@ -111,49 +111,54 @@ func (s *Stmt) compiled() (*sql.Compiled, error) {
 	return c, nil
 }
 
-// IsQuery reports whether the statement is a SELECT (streamable via Query)
-// as opposed to DML (runnable via Exec only).
-func (s *Stmt) IsQuery() bool { return s.cur.Load().c.Kind == sql.StmtSelect }
+// IsQuery reports whether the statement returns rows — a SELECT or an
+// EXPLAIN, streamable via Query — as opposed to DML (runnable via Exec
+// only).
+func (s *Stmt) IsQuery() bool { return s.cur.Load().c.Query != nil }
 
 // Query executes the statement with the given parameter bindings and
 // streams the result. Supported binding types: all Go integer types (exact,
 // uint64 above math.MaxInt64 is rejected rather than wrapped), float32
 // (widened exactly), float64, string, []byte (as string), bool, time.Time
-// (as a date), and Datum. DML statements are rejected with ErrNotQuery; use
+// (as a date), and Datum. An EXPLAIN streams its plan (Engine.explain)
+// instead of running it. DML statements are rejected with ErrNotQuery; use
 // Exec.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
-	p, err := s.bind(args, false)
+	c, p, err := s.bind(args, false)
 	if err != nil {
 		return nil, err
+	}
+	if c.Kind == sql.StmtExplain {
+		return s.eng.explain(ctx, p)
 	}
 	return s.eng.stream(ctx, p, false)
 }
 
-// bind is the prologue of every SELECT path: the revalidated compiled form,
-// the kind check, and args bound into a fresh plan clone — resolved against
-// the catalog when resolve is set.
-func (s *Stmt) bind(args []any, resolve bool) (*plan.Node, error) {
+// bind is the prologue of every query path: the revalidated compiled form,
+// the kind check, and args bound into a fresh clone of the SELECT's plan —
+// resolved against the catalog when resolve is set.
+func (s *Stmt) bind(args []any, resolve bool) (*sql.Compiled, *plan.Node, error) {
 	c, err := s.compiled()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if c.Kind != sql.StmtSelect {
-		return nil, fmt.Errorf("%w: %v statement", ErrNotQuery, c.Kind)
+	if c.Query == nil {
+		return nil, nil, fmt.Errorf("%w: %v statement", ErrNotQuery, c.Kind)
 	}
 	ds, err := toDatums(args)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p, err := c.Query.Bind(ds)
 	if err != nil {
-		return nil, fmt.Errorf("recycledb: bind: %w", err)
+		return nil, nil, fmt.Errorf("recycledb: bind: %w", err)
 	}
 	if resolve {
 		if err := p.Resolve(s.eng.cat); err != nil {
-			return nil, fmt.Errorf("recycledb: resolve: %w", err)
+			return nil, nil, fmt.Errorf("recycledb: resolve: %w", err)
 		}
 	}
-	return p, nil
+	return c, p, nil
 }
 
 // Exec executes the statement to completion. For SELECTs it materializes
@@ -164,7 +169,7 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if c.Kind != sql.StmtSelect {
+	if c.Query == nil {
 		ds, err := toDatums(args)
 		if err != nil {
 			return nil, err
@@ -184,14 +189,18 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 
 // ResultSchema returns the result schema the statement would produce for
 // the given parameter bindings, by resolving a plan clone against the
-// current catalog without executing anything. Serving front ends use it to
-// describe a bound portal (RowDescription) before the first Execute. DML
-// statements return ErrNotQuery. The binding values only matter for type
-// checking — any value of the right type describes the same schema.
+// current catalog without executing anything (an EXPLAIN's is its one
+// QUERY PLAN column). Serving front ends use it to describe a bound portal
+// (RowDescription) before the first Execute. DML statements return
+// ErrNotQuery. The binding values only matter for type checking — any
+// value of the right type describes the same schema.
 func (s *Stmt) ResultSchema(args ...any) (catalog.Schema, error) {
-	p, err := s.bind(args, true)
+	c, p, err := s.bind(args, true)
 	if err != nil {
 		return nil, err
+	}
+	if c.Kind == sql.StmtExplain {
+		return explainSchema, nil
 	}
 	return p.Schema(), nil
 }
@@ -204,7 +213,7 @@ func (s *Stmt) NumParams() int { return s.cur.Load().c.NumParams() }
 func (s *Stmt) Text() string { return s.text }
 
 // Verb returns the statement's SQL verb ("SELECT", "INSERT", "DELETE",
-// "CREATE"); serving front ends use it to build command tags.
+// "CREATE", "EXPLAIN"); serving front ends use it to build command tags.
 func (s *Stmt) Verb() string { return s.cur.Load().c.Kind.String() }
 
 // toDatums converts Go values to engine datums. Conversions are
