@@ -459,25 +459,43 @@ func TestWouldAdmit(t *testing.T) {
 	}
 }
 
+// TestConcurrentMatchInsertUnifies: concurrent inserts of the same plans
+// unify, and the optimizer's read-only Match, run alongside them, only ever
+// finds nodes that are wired to the children it matched.
 func TestConcurrentMatchInsertUnifies(t *testing.T) {
 	cat := testCatalog()
 	r := New(DefaultConfig())
 	const workers = 16
+	sel := func(i int) (*plan.Node, error) {
+		p := plan.NewSelect(plan.NewScan("t", "a", "b"),
+			expr.Lt(expr.C("a"), expr.Int(int64(i%5))))
+		return p, p.Resolve(cat)
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				p := plan.NewSelect(plan.NewScan("t", "a", "b"),
-					expr.Lt(expr.C("a"), expr.Int(int64(i%5))))
-				if err := p.Resolve(cat); err != nil {
+				p, err := sel(i)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				r.BeginQuery()
-				m := r.MatchInsert(p)
-				r.AddRefs(p, m)
+				if w%4 != 3 {
+					r.BeginQuery()
+					m := r.MatchInsert(p)
+					r.AddRefs(p, m)
+					continue
+				}
+				scan := r.Graph().Match(p.Children[0], nil)
+				if scan == nil {
+					continue
+				}
+				if nm := r.Graph().Match(p, []*NodeMatch{scan}); nm != nil &&
+					(nm.G.Op != plan.Select || nm.G.Children[0] != scan.G) {
+					t.Errorf("Match returned %s over %s", nm.G.Describe(), scan.G.Describe())
+				}
 			}
 		}()
 	}
@@ -485,6 +503,15 @@ func TestConcurrentMatchInsertUnifies(t *testing.T) {
 	// 1 scan + 5 distinct selects regardless of concurrency.
 	if got := r.Graph().Size(); got != 6 {
 		t.Fatalf("graph size = %d, want 6", got)
+	}
+	for i := 0; i < 5; i++ {
+		p, err := sel(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := r.MatchInsert(p); m.Inserted != 0 || !matchesBottomUp(r.Graph(), p, m) {
+			t.Fatalf("a<%d: inserted %d after the stress, or Match disagrees", i, m.Inserted)
+		}
 	}
 }
 
@@ -665,6 +692,12 @@ func TestTruncateRemovesStaleSubtrees(t *testing.T) {
 	m4 := r.MatchInsert(p4)
 	if m4.Inserted != 1 || m4.Matched != 1 {
 		t.Fatalf("re-insert after truncate: %+v", m4)
+	}
+	// Once nothing is fresh, one call removes both selects and then the
+	// scan they shared: a whole stale subtree goes in one pass.
+	r.BeginQuery()
+	if removed := r.Graph().Truncate(r.curSeq()); removed != 3 || r.Graph().Size() != 0 {
+		t.Fatalf("removed = %d leaving %d nodes, want 3 leaving 0", removed, r.Graph().Size())
 	}
 }
 

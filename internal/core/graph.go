@@ -11,11 +11,11 @@
 // The recycler serves many queries at once, so its state is split into
 // independent lock domains instead of one global mutex:
 //
-//   - Graph.mu (RWMutex) guards graph *structure* only: the leaf hash
-//     table, per-node parent indexes, child links, subsumption edges, and
-//     node counts. Matching runs almost entirely under the read lock; the
-//     write lock is taken only to insert genuinely new nodes (with
-//     backwards validation against concurrent inserts of the same node).
+//   - Graph.mu (RWMutex) guards graph *structure* only: the node index,
+//     per-node parent lists, child links and subsumption edges. Matching
+//     runs almost entirely under the read lock; the write lock is taken
+//     only to insert genuinely new nodes (with backwards validation
+//     against concurrent inserts of the same node).
 //   - Node.mu (per node) guards that node's mutable statistics: importance
 //     factor, aging clock, base cost, cardinality, size estimate, and the
 //     in-flight registration. Node mutexes are leaf locks: code never
@@ -35,8 +35,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,8 +58,6 @@ import (
 type Node struct {
 	ID       uint64
 	Op       plan.Op
-	HashKey  uint64
-	Sig      uint64
 	Params   string
 	OutCols  []string
 	OutTypes []vector.Type
@@ -68,9 +67,9 @@ type Node struct {
 	Tables   []string
 	Children []*Node
 
-	// parents is the per-node hash index used to find matching
-	// candidates one level up (§III-A). Guarded by the graph lock.
-	parents map[uint64][]*Node
+	// parents lists the nodes built over this one, in insertion order.
+	// Guarded by the graph lock.
+	parents []*Node
 
 	// subsumers are nodes whose result subsumes this node's result
 	// (specialized OR-edges, §IV-A); subsumees is the inverse. Guarded by
@@ -102,26 +101,62 @@ type Node struct {
 // validation in the spirit of the paper's node-granularity optimistic
 // concurrency control: a concurrent insert of the same node is detected and
 // adopted instead of duplicated).
+//
+// The paper finds match candidates through a hash table of leaves and one
+// hash table per node over its parents, and prunes them with column
+// signatures (§III-A). Here one map keyed by a node's exact identity does
+// all of that: since exactly matching subtrees are unified, the graph nodes
+// below a query node are known by ID once its children have matched, so
+// (operator, parameters, child IDs) names at most one graph node and a match
+// is one lookup.
 type Graph struct {
 	mu     sync.RWMutex
-	nextID uint64             // guarded by mu
-	leaves map[uint64][]*Node // guarded by mu
-	nodes  int                // guarded by mu
+	nextID uint64            // guarded by mu
+	index  map[nodeKey]*Node // guarded by mu
 	// conflicts counts insert-time validation hits (another query
 	// concurrently inserted the node we were about to add).
 	conflicts int64 // guarded by mu
 }
 
+// nodeKey is a graph node's identity: its operator, its parameters in the
+// graph's column namespace, and the IDs of its children. IDs start at 1, so
+// a leaf's zero pair cannot collide with a real child.
+type nodeKey struct {
+	op     plan.Op
+	params string
+	kids   [2]uint64
+}
+
+// keyOf returns the key query node n has over its children's matches, and
+// the rename that maps n's column names into the graph namespace.
+func keyOf(n *plan.Node, childMatches []*NodeMatch) (nodeKey, func(string) string) {
+	rename := renameFunc(childMatches)
+	k := nodeKey{op: n.Op, params: n.ParamString(rename)}
+	for i, cm := range childMatches {
+		k.kids[i] = cm.G.ID
+	}
+	return k, rename
+}
+
+// key returns the graph node's own index key.
+func (n *Node) key() nodeKey {
+	k := nodeKey{op: n.Op, params: n.Params}
+	for i, c := range n.Children {
+		k.kids[i] = c.ID
+	}
+	return k
+}
+
 // NewGraph returns an empty recycler graph.
 func NewGraph() *Graph {
-	return &Graph{leaves: make(map[uint64][]*Node)}
+	return &Graph{index: make(map[nodeKey]*Node)}
 }
 
 // Size returns the number of nodes in the graph.
 func (g *Graph) Size() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.nodes
+	return len(g.index)
 }
 
 // Conflicts returns the number of optimistic-insert conflicts observed.
@@ -129,6 +164,13 @@ func (g *Graph) Conflicts() int64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.conflicts
+}
+
+// lookup returns the node indexed under k, or nil, under the read lock.
+func (g *Graph) lookup(k nodeKey) *Node {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.index[k]
 }
 
 // NodeMatch annotates one query-plan node with its recycler graph node, the
@@ -166,24 +208,19 @@ func (g *Graph) matchNode(n *plan.Node, res *MatchResult) *NodeMatch {
 	for i, c := range n.Children {
 		childMatches[i] = g.matchNode(c, res)
 	}
-	rename := renameFunc(childMatches)
-	hk := n.HashKey()
-	sig := n.Signature(rename)
-	params := n.ParamString(rename)
+	key, rename := keyOf(n, childMatches)
 
-	// Fast path: find an exact match under the read lock.
-	g.mu.RLock()
-	cand := g.findExactLocked(n, hk, sig, params, childMatches)
-	g.mu.RUnlock()
+	// Fast path: find the exact match under the read lock.
+	cand := g.lookup(key)
 	if cand == nil {
 		// Insert under the write lock, revalidating first (optimistic
 		// concurrency control with backwards validation).
 		g.mu.Lock()
-		cand = g.findExactLocked(n, hk, sig, params, childMatches)
+		cand = g.index[key]
 		if cand != nil {
 			g.conflicts++
 		} else {
-			cand = g.insertLocked(n, hk, sig, params, rename, childMatches)
+			cand = g.insertLocked(n, key, rename, childMatches)
 			g.mu.Unlock()
 			nm := &NodeMatch{G: cand, Existed: false, OutMap: outMap(n, cand)}
 			res.ByNode[n] = nm
@@ -225,49 +262,15 @@ func outMap(n *plan.Node, gn *Node) map[string]string {
 	return m
 }
 
-// findExactLocked implements matching over the candidate lists: leaves come from
-// the global leaf hash table, inner nodes from the matched child's parent
-// index. Since exactly matching subtrees are unified there is at most one
-// match (§III-A).
-func (g *Graph) findExactLocked(n *plan.Node, hk, sig uint64, params string, childMatches []*NodeMatch) *Node {
-	var cands []*Node
-	if len(childMatches) == 0 {
-		cands = g.leaves[hk]
-	} else {
-		cands = childMatches[0].G.parents[hk]
-	}
-	for _, c := range cands {
-		if c.Sig != sig || c.Op != n.Op || c.Params != params {
-			continue
-		}
-		if len(c.Children) != len(childMatches) {
-			continue
-		}
-		ok := true
-		for i, cm := range childMatches {
-			if c.Children[i] != cm.G {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return c
-		}
-	}
-	return nil
-}
-
-// insertLocked copies the query node into the graph; the caller holds the write lock.
-func (g *Graph) insertLocked(n *plan.Node, hk, sig uint64, params string, rename func(string) string, childMatches []*NodeMatch) *Node {
+// insertLocked copies the query node into the graph under key; the caller
+// holds the write lock.
+func (g *Graph) insertLocked(n *plan.Node, key nodeKey, rename func(string) string, childMatches []*NodeMatch) *Node {
 	g.nextID++
 	gn := &Node{
-		ID:      g.nextID,
-		Op:      n.Op,
-		HashKey: hk,
-		Sig:     sig,
-		Params:  params,
-		Tables:  append([]string(nil), n.Lineage()...),
-		parents: make(map[uint64][]*Node),
+		ID:     g.nextID,
+		Op:     n.Op,
+		Params: key.params,
+		Tables: append([]string(nil), n.Lineage()...),
 	}
 	// Output columns: pass-through names keep their (mapped) graph names,
 	// newly assigned names are made graph-unique with the node id suffix
@@ -290,12 +293,9 @@ func (g *Graph) insertLocked(n *plan.Node, hk, sig uint64, params string, rename
 	gn.Children = make([]*Node, len(childMatches))
 	for i, cm := range childMatches {
 		gn.Children[i] = cm.G
-		cm.G.parents[hk] = append(cm.G.parents[hk], gn)
+		cm.G.parents = append(cm.G.parents, gn)
 	}
-	if len(childMatches) == 0 {
-		g.leaves[hk] = append(g.leaves[hk], gn)
-	}
-	g.nodes++
+	g.index[key] = gn
 	g.linkSubsumption(gn, n, rename)
 	return gn
 }
@@ -304,102 +304,47 @@ func (g *Graph) insertLocked(n *plan.Node, hk, sig uint64, params string, rename
 // have no cached result, no in-flight producer, and no surviving parents
 // (§II: "the graph can, e.g., be truncated by periodically removing subtrees
 // that have not been accessed for some time"). It returns the number of
-// nodes removed. Removal proceeds top-down so shared subtrees survive while
-// any referencing parent survives. Truncation of a node races benignly with
-// a concurrent admission publishing a result for it: the entry stays
-// replayable and is reclaimed by the next flush.
+// nodes removed. IDs are topological (a node is inserted after its
+// children), so one pass from the newest node down reaches every node after
+// all of its parents and removes whole stale subtrees, while shared
+// subtrees survive as long as any referencing parent does. Truncation of a
+// node races benignly with a concurrent admission publishing a result for
+// it: the entry stays replayable and is reclaimed by the next flush.
 func (g *Graph) Truncate(cutoffSeq uint64) int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	removed := 0
-	for {
-		victims := g.collectVictimsLocked(cutoffSeq)
-		if len(victims) == 0 {
-			return removed
-		}
-		for _, v := range victims {
-			g.removeNodeLocked(v)
-			removed++
-		}
+	nodes := make([]*Node, 0, len(g.index))
+	//recycledb:nondet-ok — visit order erased by the ID sort below
+	for _, n := range g.index {
+		nodes = append(nodes, n)
 	}
-}
-
-// collectVictimsLocked finds currently removable nodes (no parents, stale, not
-// cached, not in flight).
-func (g *Graph) collectVictimsLocked(cutoffSeq uint64) []*Node {
-	var out []*Node
-	seen := make(map[*Node]struct{})
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if _, ok := seen[n]; ok {
-			return
-		}
-		seen[n] = struct{}{}
-		parents := 0
-		//recycledb:nondet-ok — commutative count over the parent index
-		for _, ps := range n.parents {
-			parents += len(ps)
-		}
+	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(b.ID, a.ID) })
+	removed := 0
+	for _, n := range nodes {
 		n.mu.Lock()
 		stale := n.ageSeq < cutoffSeq && n.inflight == nil
 		n.mu.Unlock()
-		if parents == 0 && stale && n.cached.Load() == nil {
-			out = append(out, n)
+		if len(n.parents) > 0 || !stale || n.cached.Load() != nil {
+			continue
 		}
-		//recycledb:nondet-ok — visit order erased by the ID sort below
-		for _, p := range n.parents {
-			for _, pp := range p {
-				walk(pp)
-			}
+		for _, c := range n.Children {
+			c.parents = removeFrom(c.parents, n)
 		}
-	}
-	//recycledb:nondet-ok — visit order erased by the ID sort below
-	for _, leaves := range g.leaves {
-		for _, l := range leaves {
-			walk(l)
+		for _, s := range n.subsumers {
+			s.subsumees = removeFrom(s.subsumees, n)
 		}
-	}
-	// The walk reaches every removable node regardless of map order; sort
-	// by insertion ID so eviction processes victims deterministically.
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// removeNodeLocked unlinks n from its children's parent indexes, the leaf table,
-// and subsumption edges (write lock held).
-func (g *Graph) removeNodeLocked(n *Node) {
-	for _, c := range n.Children {
-		ps := c.parents[n.HashKey]
-		for i, p := range ps {
-			if p == n {
-				c.parents[n.HashKey] = append(ps[:i], ps[i+1:]...)
-				break
-			}
+		for _, s := range n.subsumees {
+			s.subsumers = removeFrom(s.subsumers, n)
 		}
+		delete(g.index, n.key())
+		removed++
 	}
-	if len(n.Children) == 0 {
-		ls := g.leaves[n.HashKey]
-		for i, l := range ls {
-			if l == n {
-				g.leaves[n.HashKey] = append(ls[:i], ls[i+1:]...)
-				break
-			}
-		}
-	}
-	for _, s := range n.subsumers {
-		s.subsumees = removeFrom(s.subsumees, n)
-	}
-	for _, s := range n.subsumees {
-		s.subsumers = removeFrom(s.subsumers, n)
-	}
-	g.nodes--
+	return removed
 }
 
 func removeFrom(ns []*Node, x *Node) []*Node {
-	for i, n := range ns {
-		if n == x {
-			return append(ns[:i], ns[i+1:]...)
-		}
+	if i := slices.Index(ns, x); i >= 0 {
+		return slices.Delete(ns, i, i+1)
 	}
 	return ns
 }

@@ -18,13 +18,8 @@ import "recycledb/internal/plan"
 // graph node n unifies with, or nil. The optimizer matches candidates
 // bottom-up this way, reusing each subtree's match. n must be resolved.
 func (g *Graph) Match(n *plan.Node, childMatches []*NodeMatch) *NodeMatch {
-	rename := renameFunc(childMatches)
-	hk := n.HashKey()
-	sig := n.Signature(rename)
-	params := n.ParamString(rename)
-	g.mu.RLock()
-	cand := g.findExactLocked(n, hk, sig, params, childMatches)
-	g.mu.RUnlock()
+	key, _ := keyOf(n, childMatches)
+	cand := g.lookup(key)
 	if cand == nil {
 		return nil
 	}

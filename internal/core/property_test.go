@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -140,9 +141,9 @@ func TestHREvictAdmitSymmetry(t *testing.T) {
 // match to the same graph nodes; structurally different ones do not.
 func TestGraphUnificationProperty(t *testing.T) {
 	cat := testCatalog()
-	build := func(seed int64) *plan.Node {
+	build := func(seed int64, cols ...string) *plan.Node {
 		rng := rand.New(rand.NewSource(seed))
-		var n *plan.Node = plan.NewScan("t", "a", "b")
+		var n *plan.Node = plan.NewScan("t", cols...)
 		depth := 1 + rng.Intn(3)
 		for i := 0; i < depth; i++ {
 			switch rng.Intn(3) {
@@ -161,20 +162,29 @@ func TestGraphUnificationProperty(t *testing.T) {
 	}
 	f := func(seed int64) bool {
 		r := New(DefaultConfig())
-		p1 := build(seed)
-		p2 := build(seed)
-		if err := p1.Resolve(cat); err != nil {
-			return false
-		}
-		if err := p2.Resolve(cat); err != nil {
-			return false
+		p1 := build(seed, "a", "b")
+		p2 := build(seed, "a", "b")
+		// p3 applies the same operators over a different scan: above the
+		// scan, its nodes' params equal p1's, only their children differ.
+		p3 := build(seed, "a", "b", "c")
+		for _, p := range []*plan.Node{p1, p2, p3} {
+			if err := p.Resolve(cat); err != nil {
+				return false
+			}
 		}
 		m1 := r.MatchInsert(p1)
 		m2 := r.MatchInsert(p2)
 		if m2.Inserted != 0 {
 			return false // identical plan must fully match
 		}
-		return m1.ByNode[p1].G == m2.ByNode[p2].G
+		// The optimizer's read-only Match, applied bottom-up, finds
+		// exactly what MatchInsert found for every subtree.
+		if m1.ByNode[p1].G != m2.ByNode[p2].G ||
+			!matchesBottomUp(r.Graph(), p1, m1) || !matchesBottomUp(r.Graph(), p2, m2) {
+			return false
+		}
+		m3 := r.MatchInsert(p3)
+		return m3.Inserted == p3.Count() && m3.ByNode[p3].G != m1.ByNode[p1].G
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -450,4 +460,27 @@ func TestConcurrentInflightHandoff(t *testing.T) {
 	if got := r.Stats().InflightShared; got != handoffs {
 		t.Fatalf("InflightShared = %d, want %d", got, handoffs)
 	}
+}
+
+// matchesBottomUp reports whether Graph.Match, applied to root's subtrees
+// bottom-up, returns for each the graph node and name mapping m recorded.
+func matchesBottomUp(g *Graph, root *plan.Node, m *MatchResult) bool {
+	ok := true
+	var match func(n *plan.Node) *NodeMatch
+	match = func(n *plan.Node) *NodeMatch {
+		kids := make([]*NodeMatch, len(n.Children))
+		for i, c := range n.Children {
+			if kids[i] = match(c); kids[i] == nil {
+				return nil
+			}
+		}
+		nm := g.Match(n, kids)
+		want := m.ByNode[n]
+		if nm == nil || nm.G != want.G || !maps.Equal(nm.OutMap, want.OutMap) {
+			ok = false
+			return nil
+		}
+		return nm
+	}
+	return match(root) != nil && ok
 }

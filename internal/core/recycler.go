@@ -203,8 +203,8 @@ func (r *Recycler) NodeStats(n *Node) (cost plan.Work, known bool, card, estByte
 	return
 }
 
-// Subsumers returns the nodes whose results subsume n's result, nearest
-// first, as a snapshot taken under the graph lock (subsumption edges grow
+// Subsumers returns the nodes whose results subsume n's result, in
+// Node.Subsumers' order, as a snapshot taken under the graph lock (subsumption edges grow
 // while concurrent queries insert siblings).
 func (r *Recycler) Subsumers(n *Node) []*Node {
 	var out []*Node

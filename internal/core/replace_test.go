@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -26,10 +27,17 @@ func TestReplacementIsGlobalAndAllOrNothing(t *testing.T) {
 	cfg.CacheBytes = 8 * 40
 	r := New(cfg)
 
-	oldStripe := func(n *Node) uint64 { return (n.Sig * 0x9E3779B97F4A7C15) >> 32 & 15 }
+	// oldStripe is the stripe a select over one column lived in: the
+	// striped cache keyed on the node's column signature, one FNV-chosen
+	// bit per column read, mixed down to 16 stripes.
+	oldStripe := func(col string) uint64 {
+		h := fnv.New64a()
+		h.Write([]byte(col))
+		sig := uint64(1) << (h.Sum64() % 64)
+		return (sig * 0x9E3779B97F4A7C15) >> 32 & 15
+	}
 	// node returns the graph node of select(pred) over scan(t), seen twice
-	// (hR = 1). A node's signature — and with it its former stripe —
-	// depends on the columns its predicate reads.
+	// (hR = 1).
 	var pool []*Node
 	node := func(pred expr.Expr) *Node {
 		var g *Node
@@ -45,14 +53,13 @@ func TestReplacementIsGlobalAndAllOrNothing(t *testing.T) {
 	}
 	// x (incoming) and mid both filter on a and so share a former stripe;
 	// everything else filters on b and lived in another.
+	if oldStripe("a") == oldStripe("b") {
+		t.Fatal("fixture: a and b share a former stripe")
+	}
 	x, mid := node(expr.Lt(expr.C("a"), expr.Int(0))), node(expr.Lt(expr.C("a"), expr.Int(1)))
 	var rest []*Node
 	for i := range 10 {
-		n := node(expr.Gt(expr.C("b"), expr.Flt(float64(i))))
-		if oldStripe(n) == oldStripe(x) {
-			t.Fatalf("fixture: %s shares x's former stripe", n.Describe())
-		}
-		rest = append(rest, n)
+		rest = append(rest, node(expr.Gt(expr.C("b"), expr.Flt(float64(i)))))
 	}
 	y, z, w := rest[7], rest[8], rest[9]
 	// e[i] has benefit (i+1)·k with k = 1ms/40B; mid is the third worst.

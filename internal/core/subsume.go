@@ -101,37 +101,28 @@ func (g *Graph) linkSubsumption(gn *Node, n *plan.Node, rename func(string) stri
 		return
 	}
 	child := gn.Children[0]
-	// Sort the parent-index keys so subsumption edges accumulate in the
-	// same order on every run: rewrite walks subsumers in slice order, so
-	// edge order must not inherit map randomization.
-	keys := make([]uint64, 0, len(child.parents))
-	for k := range child.parents {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		for _, sib := range child.parents[k] {
-			if sib == gn || sib.Op != gn.Op || len(sib.Children) != 1 || sib.Children[0] != child {
-				continue
-			}
-			sm := sib.meta
-			if sm == nil {
-				continue
-			}
-			if subsumes(sm, meta, gn.Op) {
-				gn.subsumers = append(gn.subsumers, sib)
-				sib.subsumees = append(sib.subsumees, gn)
-			}
-			if subsumes(meta, sm, gn.Op) {
-				sib.subsumers = append(sib.subsumers, gn)
-				gn.subsumees = append(gn.subsumees, sib)
-			}
+	// child.parents is in insertion order, so subsumption edges accumulate
+	// in the same order on every run: rewrite walks subsumers in slice
+	// order.
+	for _, sib := range child.parents {
+		if sib == gn || sib.Op != gn.Op || len(sib.Children) != 1 {
+			continue
+		}
+		sm := sib.meta
+		if subsumes(sm, meta, gn.Op) {
+			gn.subsumers = append(gn.subsumers, sib)
+			sib.subsumees = append(sib.subsumees, gn)
+		}
+		if subsumes(meta, sm, gn.Op) {
+			sib.subsumers = append(sib.subsumers, gn)
+			gn.subsumees = append(gn.subsumees, sib)
 		}
 	}
 }
 
-// Subsumers returns the nodes whose results subsume n's result, nearest
-// first, following subsumption edges transitively.
+// Subsumers returns the nodes whose results subsume n's result, following
+// subsumption edges transitively: n's direct subsumers first, oldest first,
+// then theirs.
 func (n *Node) Subsumers() []*Node {
 	var out []*Node
 	seen := map[*Node]struct{}{n: {}}

@@ -120,6 +120,35 @@ func TestSelectionSubsumptionTransitive(t *testing.T) {
 	}
 }
 
+// TestSubsumersInInsertionOrder pins the order rewrite tries cached
+// subsumers in: a node's direct subsumers come oldest first, whatever their
+// parameters, so a<20, inserted before a<10, comes first.
+func TestSubsumersInInsertionOrder(t *testing.T) {
+	cat := testCatalog()
+	r := New(DefaultConfig())
+	var want []*Node
+	for _, hi := range []int64{20, 10} {
+		p := selPlan(t, cat, hi)
+		r.BeginQuery()
+		g := r.MatchInsert(p).ByNode[p].G
+		r.UpdateStats(g, 1000, 4, 64)
+		if !r.Admit(g, mkBatch(4), 4, 64, 1000, 1) {
+			t.Fatalf("a<%d not admitted", hi)
+		}
+		want = append(want, g)
+	}
+	p := selPlan(t, cat, 5)
+	r.BeginQuery()
+	subs := r.Subsumers(r.MatchInsert(p).ByNode[p].G)
+	if len(subs) != 2 || subs[0] != want[0] || subs[1] != want[1] {
+		var got []string
+		for _, s := range subs {
+			got = append(got, s.Params)
+		}
+		t.Fatalf("Subsumers = %v, want [%s %s]", got, want[0].Params, want[1].Params)
+	}
+}
+
 // m5root extracts the single root plan node of a match result.
 func m5root(m *MatchResult) *plan.Node {
 	for n, nm := range m.ByNode {

@@ -2,9 +2,6 @@ package plan
 
 import (
 	"fmt"
-	"hash/fnv"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -82,49 +79,6 @@ func sortKeyString(keys []SortKey, rename func(string) string) string {
 	return strings.Join(parts, ",")
 }
 
-// InputCols returns the sorted distinct child-output column names this node
-// references. Leaves return nil.
-func (n *Node) InputCols() []string {
-	set := make(map[string]struct{})
-	switch n.Op {
-	case Select:
-		n.Pred.AddCols(set)
-	case Project:
-		for _, p := range n.Projs {
-			p.E.AddCols(set)
-		}
-	case Aggregate:
-		for _, g := range n.GroupBy {
-			set[g] = struct{}{}
-		}
-		for _, a := range n.Aggs {
-			if a.Arg != nil {
-				a.Arg.AddCols(set)
-			}
-		}
-	case Join:
-		for _, k := range n.LeftKeys {
-			set[k] = struct{}{}
-		}
-		for _, k := range n.RightKeys {
-			set[k] = struct{}{}
-		}
-	case TopN, Sort:
-		for _, k := range n.Keys {
-			set[k.Col] = struct{}{}
-		}
-	}
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // AssignedNames returns the output column names this node newly assigns (as
 // opposed to passing through from a child), in output order. These are the
 // names that receive query-unique suffixes in the recycler graph and flow
@@ -149,48 +103,4 @@ func (n *Node) AssignedNames() []string {
 		}
 	}
 	return nil
-}
-
-// erase is the rename function used for hash-keys: it hides column names so
-// that only name-independent operator characteristics contribute.
-func erase(string) string { return "#" }
-
-// HashKey returns a hash of the operator characteristics that must match
-// exactly (operator type and name-erased parameters; table name for scans).
-// It indexes the per-node parent hash tables and the global leaf table of
-// the recycler graph (§III-A).
-func (n *Node) HashKey() uint64 {
-	var buf [48]byte
-	b := strconv.AppendInt(buf[:0], int64(n.Op), 10)
-	b = strconv.AppendInt(append(b, '|'), int64(len(n.Children)), 10)
-	h := fnv.New64a()
-	h.Write(append(append(b, '|'), n.ParamString(erase)...))
-	return h.Sum64()
-}
-
-// SigOf returns the one-bit-per-column signature of a set of column names
-// mapped through rename (an integer mask used to quickly eliminate matching
-// candidates, §III-A).
-func SigOf(cols []string, rename func(string) string) uint64 {
-	var sig uint64
-	for _, c := range cols {
-		h := fnv.New64a()
-		h.Write([]byte(rename(c)))
-		sig |= 1 << (h.Sum64() % 64)
-	}
-	return sig
-}
-
-// Signature returns the node's column signature: for leaves, the output
-// columns; for inner nodes, the referenced input columns mapped through
-// rename (which agrees with the graph namespace once the child is matched).
-func (n *Node) Signature(rename func(string) string) uint64 {
-	switch n.Op {
-	case Scan:
-		return SigOf(n.Cols, rename)
-	case TableFn:
-		return SigOf([]string{n.ParamString(rename)}, rename)
-	default:
-		return SigOf(n.InputCols(), rename)
-	}
 }

@@ -1,8 +1,10 @@
 // Package plan defines logical query plan trees: the "optimized query trees"
 // that flow through the paper's rewriter and are matched against / inserted
 // into the recycler graph. Each node carries an operator kind, parameters,
-// and an output schema; canonical parameter strings, hash-keys, and column
-// signatures (§III-A) are derived here.
+// and an output schema. The canonical parameter string (ParamString) is
+// derived here; with the operator and the matched children it is the whole
+// of a node's identity in the recycler graph (§III-A), so no separate
+// hash-keys or column signatures are kept.
 package plan
 
 import (

@@ -31,8 +31,7 @@ const flushThreshold = 32 * 1024
 type preparedStmt struct {
 	stmt      *recycledb.Stmt
 	paramOIDs []int32      // one per parameter Bind supplies, oidUnknown if undeclared
-	utility   *sql.Utility // non-nil: SET/SHOW/etc. handled by the session
-	empty     bool         // statement has no token (blank or only comments)
+	utility   *sql.Utility // non-nil: SET/SHOW/etc. or the empty statement, handled by the session
 }
 
 // portal is a bound (and possibly partially executed) statement. rows is
@@ -321,12 +320,9 @@ func (sess *session) handleParse(rb *readBuf) error {
 	return nil
 }
 
-// parseStatement classifies query: empty, a utility statement, or one the
-// engine prepares.
+// parseStatement classifies query: a utility statement (the empty one
+// included), or one the engine prepares.
 func (sess *session) parseStatement(query string, oids []int32) (*preparedStmt, error) {
-	if len(sql.Split(query)) == 0 {
-		return &preparedStmt{empty: true}, nil
-	}
 	u, err := sql.ParseUtility(query)
 	if err != nil {
 		return nil, err
@@ -467,7 +463,7 @@ func (sess *session) handleDescribe(rb *readBuf) error {
 // resolved (a bound portal, or an unbound statement via dummy bindings
 // synthesized from the declared parameter OIDs), NoData otherwise.
 func (sess *session) describeResult(ps *preparedStmt, args []any) {
-	if ps.empty || ps.utility != nil || !ps.stmt.IsQuery() {
+	if ps.utility != nil || !ps.stmt.IsQuery() {
 		sess.wb.beginMsg(msgNoData)
 		sess.wb.endMsg()
 		return
@@ -534,10 +530,6 @@ func (sess *session) handleExecute(rb *readBuf) error {
 // a query's RowDescription goes ahead of its rows.
 func (sess *session) execute(ps *preparedStmt, args []any, maxRows int, p *portal) error {
 	switch {
-	case ps.empty:
-		sess.wb.beginMsg(msgEmptyQuery)
-		sess.wb.endMsg()
-		return nil
 	case ps.utility != nil:
 		return sess.runUtility(ps.utility)
 	case !ps.stmt.IsQuery():
@@ -766,12 +758,17 @@ func (sess *session) encodeDataRow(b *recycledb.Batch, i int) {
 // ── utility statements ───────────────────────────────────────────────────
 
 // runUtility executes a utility statement in the session and completes it
-// with its command tag. The engine's writes are epoch-atomic per statement,
+// with its command tag; the empty statement has no tag and answers
+// EmptyQueryResponse. The engine's writes are epoch-atomic per statement,
 // so the transaction-control statements are no-ops; they exist so client
 // libraries that always open a transaction still work.
 func (sess *session) runUtility(u *sql.Utility) error {
 	var err error
 	switch u.Tag {
+	case "":
+		sess.wb.beginMsg(msgEmptyQuery)
+		sess.wb.endMsg()
+		return nil
 	case "DISCARD ALL":
 		sess.closeAllPortals()
 		sess.stmts = make(map[string]*preparedStmt)

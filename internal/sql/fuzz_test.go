@@ -153,8 +153,13 @@ func FuzzParse(f *testing.F) {
 		if err == nil && c == nil {
 			t.Fatal("nil statement without error")
 		}
-		_, err = ParseUtility(src)
+		u, err := ParseUtility(src)
 		checkPos(err, true)
+		// The server takes ParseUtility's empty statement for a text
+		// Split finds no statement in.
+		if empty := u != nil && u.Tag == ""; empty != (len(Split(src)) == 0) {
+			t.Fatalf("%q: ParseUtility empty = %v, Split = %q", src, empty, Split(src))
+		}
 		// Normalization must be total (it falls back to src on lex errors)
 		// and idempotent: normalizing a normalized text is a fixpoint,
 		// or the plan cache would miss its own keys.

@@ -190,7 +190,7 @@ func Split(src string) []string {
 	var out []string
 	start, empty := 0, true
 	for _, t := range toks {
-		if t.kind != tokEOF && (t.kind != tokSymbol || t.text != ";") {
+		if holdsText(t) {
 			empty = false
 			continue
 		}
@@ -203,6 +203,12 @@ func Split(src string) []string {
 		out = append(out, trimSpace(src[start:]))
 	}
 	return out
+}
+
+// holdsText reports whether t is part of a statement: neither the end of
+// the text nor a ';' between statements.
+func holdsText(t token) bool {
+	return t.kind != tokEOF && (t.kind != tokSymbol || t.text != ";")
 }
 
 // trimSpace trims the bytes the lexer skips as space (strings.TrimSpace

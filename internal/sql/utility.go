@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -9,7 +10,8 @@ import (
 // state, without the engine.
 type Utility struct {
 	// Tag is the statement's command tag: SET, SHOW, RESET, BEGIN, COMMIT,
-	// ROLLBACK or DISCARD ALL.
+	// ROLLBACK or DISCARD ALL, or "" for the empty statement (a text that
+	// holds no token but semicolons).
 	Tag string
 	// Name is the SET, SHOW or RESET parameter, lower-cased ("all" for
 	// RESET ALL).
@@ -28,13 +30,16 @@ var utilityTags = map[string]string{
 // ParseUtility parses src as a session statement: SET [SESSION|LOCAL] name
 // {=|TO} value, SHOW name, RESET name|ALL, BEGIN, START TRANSACTION,
 // COMMIT, END, ROLLBACK or DISCARD ALL (BEGIN, COMMIT, END and ROLLBACK
-// take an optional WORK or TRANSACTION). A text whose first word starts
-// none of these is not a session statement: ParseUtility returns nil and no
-// error, and the text is CompileStatement's. Syntax errors are positioned
-// *Errors.
+// take an optional WORK or TRANSACTION), or the empty statement. A text
+// whose first word starts none of these is not a session statement:
+// ParseUtility returns nil and no error, and the text is
+// CompileStatement's. Syntax errors are positioned *Errors.
 func ParseUtility(src string) (*Utility, error) {
 	toks, err := lex(src)
 	if len(toks) == 0 || toks[0].kind != tokIdent {
+		if err == nil && !slices.ContainsFunc(toks, holdsText) {
+			return &Utility{}, nil
+		}
 		return nil, nil
 	}
 	verb := strings.ToLower(toks[0].text)

@@ -24,7 +24,7 @@ func TestStatementProbes(t *testing.T) {
 		{in: "SET statement_timeout = 5000 -- tail", util: &Utility{Tag: "SET", Name: "statement_timeout", Value: "5000"}},
 		{in: "SET application_name = 'it''s'", util: &Utility{Tag: "SET", Name: "application_name", Value: "it's"}},
 		{in: "EXPLAIN SELECT region, count(*) AS n FROM sales GROUP BY region", kind: StmtExplain},
-		{in: "-- only a comment", empty: true},
+		{in: "-- only a comment", util: &Utility{}, empty: true},
 	}
 	cat := testCatalog()
 	for _, tc := range cases {
@@ -71,8 +71,15 @@ func TestParseUtility(t *testing.T) {
 			t.Errorf("%q: got %+v, %v; want %+v", tc.in, u, err, tc.want)
 		}
 	}
-	// Texts that are not session statements are the compiler's.
-	for _, in := range []string{"SELECT 1", "settle the question", "", "-- c", "'set'", "INSERT INTO t VALUES (1)"} {
+	// A text with no token but semicolons is the empty statement.
+	for _, in := range []string{"", "-- c", " ; ;", "/* a */ ;"} {
+		if u, err := ParseUtility(in); err != nil || u == nil || *u != (Utility{}) {
+			t.Errorf("%q: got %+v, %v; want the empty statement", in, u, err)
+		}
+	}
+	// Texts that are not session statements are the compiler's, and so is
+	// a text the lexer rejects.
+	for _, in := range []string{"SELECT 1", "settle the question", "'set'", "INSERT INTO t VALUES (1)", "/* open"} {
 		if u, err := ParseUtility(in); u != nil || err != nil {
 			t.Errorf("%q: got %+v, %v; want neither", in, u, err)
 		}
