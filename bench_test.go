@@ -256,25 +256,6 @@ func ablationWorkload(b *testing.B, eng *recycledb.Engine) {
 	b.ReportMetric(float64(st.Materializations), "materializations")
 }
 
-// BenchmarkAblationSubsumption compares speculative mode with and without
-// subsumption matching (§IV-A).
-func BenchmarkAblationSubsumption(b *testing.B) {
-	for _, on := range []bool{true, false} {
-		name := "on"
-		if !on {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tun := recycledb.DefaultTuning()
-				tun.Core.Subsumption = on
-				eng := recycledb.NewTuned(recycledb.Config{Mode: recycledb.Speculative}, tun, benchCatalog)
-				ablationWorkload(b, eng)
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCacheBudget sweeps the recycler cache size (the paper's
 // limited-vs-unlimited axis of Fig. 6, on TPC-H).
 func BenchmarkAblationCacheBudget(b *testing.B) {

@@ -534,7 +534,7 @@ func TestInflightProducerAndWaiter(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		e, ok := r.WaitInflight(g, time.Second)
+		e, ok := r.WaitInflightCtx(context.Background(), g, time.Second)
 		if !ok || e == nil {
 			t.Error("waiter should obtain the result")
 			return
@@ -565,7 +565,7 @@ func TestInflightTimeout(t *testing.T) {
 	g := m.ByNode[p].G
 	r.BeginInflight(g)
 	start := time.Now()
-	_, ok := r.WaitInflight(g, 20*time.Millisecond)
+	_, ok := r.WaitInflightCtx(context.Background(), g, 20*time.Millisecond)
 	if ok {
 		t.Fatal("timeout wait must fail")
 	}
@@ -611,7 +611,7 @@ func TestFinishInflightWithoutSuccess(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		r.FinishInflight(g)
 	}()
-	if _, ok := r.WaitInflight(g, time.Second); ok {
+	if _, ok := r.WaitInflightCtx(context.Background(), g, time.Second); ok {
 		t.Fatal("cancelled materialization must not be reusable")
 	}
 }
@@ -640,87 +640,5 @@ func TestStatsSnapshot(t *testing.T) {
 	}
 	if s.MatchTime <= 0 {
 		t.Fatal("match time not recorded")
-	}
-}
-
-func TestTruncateRemovesStaleSubtrees(t *testing.T) {
-	cat := testCatalog()
-	cfg := DefaultConfig()
-	cfg.Alpha = 1
-	r := New(cfg)
-	// Insert two distinct queries, then advance the clock and touch only
-	// the second.
-	p1 := selPlan(t, cat, 5)
-	r.BeginQuery()
-	m1 := r.MatchInsert(p1)
-	r.AddRefs(p1, m1)
-	p2 := selPlan(t, cat, 6)
-	r.BeginQuery()
-	m2 := r.MatchInsert(p2)
-	r.AddRefs(p2, m2)
-	for i := 0; i < 10; i++ {
-		r.BeginQuery()
-		pp := selPlan(t, cat, 6)
-		mm := r.MatchInsert(pp)
-		r.AddRefs(pp, mm)
-	}
-	before := r.Graph().Size() // scan + 2 selects
-	if before != 3 {
-		t.Fatalf("graph size = %d", before)
-	}
-	// Cut off everything not referenced in the last 5 queries: the stale
-	// select (a<5) goes; the shared scan stays (touched via p2's AddRefs
-	// ancestry? the scan is referenced by the live select, so it has a
-	// surviving parent and must stay).
-	removed := r.Graph().Truncate(r.curSeq() - 5)
-	if removed != 1 {
-		t.Fatalf("removed = %d, want 1", removed)
-	}
-	if r.Graph().Size() != 2 {
-		t.Fatalf("graph size after truncate = %d", r.Graph().Size())
-	}
-	// The surviving query still matches without re-insertion.
-	p3 := selPlan(t, cat, 6)
-	r.BeginQuery()
-	m3 := r.MatchInsert(p3)
-	if m3.Inserted != 0 {
-		t.Fatal("survivor was damaged by truncation")
-	}
-	// The removed query can be re-inserted cleanly.
-	p4 := selPlan(t, cat, 5)
-	r.BeginQuery()
-	m4 := r.MatchInsert(p4)
-	if m4.Inserted != 1 || m4.Matched != 1 {
-		t.Fatalf("re-insert after truncate: %+v", m4)
-	}
-	// Once nothing is fresh, one call removes both selects and then the
-	// scan they shared: a whole stale subtree goes in one pass.
-	r.BeginQuery()
-	if removed := r.Graph().Truncate(r.curSeq()); removed != 3 || r.Graph().Size() != 0 {
-		t.Fatalf("removed = %d leaving %d nodes, want 3 leaving 0", removed, r.Graph().Size())
-	}
-}
-
-func TestTruncateSparesCachedNodes(t *testing.T) {
-	cat := testCatalog()
-	cfg := DefaultConfig()
-	cfg.Alpha = 1
-	r := New(cfg)
-	p := selPlan(t, cat, 5)
-	r.BeginQuery()
-	m := r.MatchInsert(p)
-	g := m.ByNode[p].G
-	r.UpdateStats(g, 1000, 1, 8)
-	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
-	b.Vecs[0].AppendInt64(1)
-	b.Vecs[1].AppendFloat64(1)
-	if !r.Admit(g, []*vector.Batch{b}, 1, 8, 1000, 1) {
-		t.Fatal("admit failed")
-	}
-	for i := 0; i < 10; i++ {
-		r.BeginQuery()
-	}
-	if removed := r.Graph().Truncate(r.curSeq()); removed != 0 {
-		t.Fatalf("cached subtree must survive truncation, removed %d", removed)
 	}
 }

@@ -35,9 +35,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,10 +70,8 @@ type Node struct {
 	parents []*Node
 
 	// subsumers are nodes whose result subsumes this node's result
-	// (specialized OR-edges, §IV-A); subsumees is the inverse. Guarded by
-	// the graph lock.
+	// (specialized OR-edges, §IV-A). Guarded by the graph lock.
 	subsumers []*Node
-	subsumees []*Node
 	meta      *SubMeta
 
 	// mu guards the statistics below (§III-C) and the in-flight
@@ -136,15 +132,6 @@ func keyOf(n *plan.Node, childMatches []*NodeMatch) (nodeKey, func(string) strin
 		k.kids[i] = cm.G.ID
 	}
 	return k, rename
-}
-
-// key returns the graph node's own index key.
-func (n *Node) key() nodeKey {
-	k := nodeKey{op: n.Op, params: n.Params}
-	for i, c := range n.Children {
-		k.kids[i] = c.ID
-	}
-	return k
 }
 
 // NewGraph returns an empty recycler graph.
@@ -298,55 +285,6 @@ func (g *Graph) insertLocked(n *plan.Node, key nodeKey, rename func(string) stri
 	g.index[key] = gn
 	g.linkSubsumption(gn, n, rename)
 	return gn
-}
-
-// Truncate removes nodes that have not been referenced since cutoffSeq and
-// have no cached result, no in-flight producer, and no surviving parents
-// (§II: "the graph can, e.g., be truncated by periodically removing subtrees
-// that have not been accessed for some time"). It returns the number of
-// nodes removed. IDs are topological (a node is inserted after its
-// children), so one pass from the newest node down reaches every node after
-// all of its parents and removes whole stale subtrees, while shared
-// subtrees survive as long as any referencing parent does. Truncation of a
-// node races benignly with a concurrent admission publishing a result for
-// it: the entry stays replayable and is reclaimed by the next flush.
-func (g *Graph) Truncate(cutoffSeq uint64) int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	nodes := make([]*Node, 0, len(g.index))
-	//recycledb:nondet-ok — visit order erased by the ID sort below
-	for _, n := range g.index {
-		nodes = append(nodes, n)
-	}
-	slices.SortFunc(nodes, func(a, b *Node) int { return cmp.Compare(b.ID, a.ID) })
-	removed := 0
-	for _, n := range nodes {
-		n.mu.Lock()
-		stale := n.ageSeq < cutoffSeq && n.inflight == nil
-		n.mu.Unlock()
-		if len(n.parents) > 0 || !stale || n.cached.Load() != nil {
-			continue
-		}
-		for _, c := range n.Children {
-			c.parents = removeFrom(c.parents, n)
-		}
-		for _, s := range n.subsumers {
-			s.subsumees = removeFrom(s.subsumees, n)
-		}
-		for _, s := range n.subsumees {
-			s.subsumers = removeFrom(s.subsumers, n)
-		}
-		delete(g.index, n.key())
-		removed++
-	}
-	return removed
-}
-
-func removeFrom(ns []*Node, x *Node) []*Node {
-	if i := slices.Index(ns, x); i >= 0 {
-		return slices.Delete(ns, i, i+1)
-	}
-	return ns
 }
 
 // RLocked runs f under the graph's read lock (structure snapshots:

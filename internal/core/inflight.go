@@ -89,16 +89,10 @@ func (r *Recycler) finishInflight(n *Node, batches []*vector.Batch, rows, size i
 	n.mu.Unlock()
 }
 
-// WaitInflight blocks until n's in-flight materialization completes or the
-// timeout elapses, then returns the (pinned) cache entry if the result is
-// available. ok=false means the waiter should recompute.
-func (r *Recycler) WaitInflight(n *Node, timeout time.Duration) (*Entry, bool) {
-	//recycledb:ctx-ok — compatibility wrapper; the timeout still bounds the wait
-	return r.WaitInflightCtx(context.Background(), n, timeout)
-}
-
-// WaitInflightCtx is WaitInflight bounded additionally by ctx: a canceled
-// or expired context wakes the stalled query immediately (ok=false; the
+// WaitInflightCtx blocks until n's in-flight materialization completes, the
+// timeout elapses or ctx is done, then returns the (pinned) cache entry if
+// the result is available. ok=false means the waiter should recompute; a
+// canceled or expired context wakes the stalled query immediately (the
 // caller's recompute fallback then aborts on the same context at its first
 // batch boundary). If the producer's result did not reach the cache but was
 // published through the direct handoff, the returned entry is an ephemeral

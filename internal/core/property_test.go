@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"maps"
 	"math/rand"
 	"sync"
@@ -422,7 +423,7 @@ func TestConcurrentInflightHandoff(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			e, ok := r.WaitInflight(g, 5*time.Second)
+			e, ok := r.WaitInflightCtx(context.Background(), g, 5*time.Second)
 			if !ok || e == nil {
 				got <- -1
 				return

@@ -21,8 +21,6 @@ type Config struct {
 	// StallTimeout bounds how long a query waits for a concurrent
 	// query's in-flight materialization before recomputing.
 	StallTimeout time.Duration
-	// Subsumption enables subsumption edges and derived reuse (§IV-A).
-	Subsumption bool
 }
 
 // SpeculationHR is the constant importance factor used when deciding on
@@ -40,7 +38,6 @@ func DefaultConfig() Config {
 		Alpha:             0.995,
 		MaxSpeculateBytes: 64 << 20,
 		StallTimeout:      2 * time.Second,
-		Subsumption:       true,
 	}
 }
 

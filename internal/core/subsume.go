@@ -88,9 +88,9 @@ func buildMeta(n *plan.Node, rename func(string) string) *SubMeta {
 // linkSubsumption inspects siblings (same-op parents of the same child) and
 // records subsumption edges between gn and any related node. Called with the
 // graph write lock held, right after insertion (§IV-A). The paper links each
-// node only to its tightest subsumer; we keep direct edges to every detected
-// subsumer/subsumee, which preserves reachability (transitive edges are
-// redundant but harmless).
+// node only to its tightest subsumer; we keep a direct edge to every detected
+// subsumer, in either direction between gn and a sibling, which preserves
+// reachability (transitive edges are redundant but harmless).
 func (g *Graph) linkSubsumption(gn *Node, n *plan.Node, rename func(string) string) {
 	meta := buildMeta(n, rename)
 	if meta == nil {
@@ -111,11 +111,9 @@ func (g *Graph) linkSubsumption(gn *Node, n *plan.Node, rename func(string) stri
 		sm := sib.meta
 		if subsumes(sm, meta, gn.Op) {
 			gn.subsumers = append(gn.subsumers, sib)
-			sib.subsumees = append(sib.subsumees, gn)
 		}
 		if subsumes(meta, sm, gn.Op) {
 			sib.subsumers = append(sib.subsumers, gn)
-			gn.subsumees = append(gn.subsumees, sib)
 		}
 	}
 }

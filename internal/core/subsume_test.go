@@ -107,6 +107,26 @@ func TestSelectionSubsumptionEdges(t *testing.T) {
 	}
 }
 
+// TestLooserSiblingBecomesSubsumer inserts the tighter selection first, so
+// the edge must be added to the existing sibling when the looser one arrives.
+func TestLooserSiblingBecomesSubsumer(t *testing.T) {
+	cat := testCatalog()
+	r := New(DefaultConfig())
+	narrow := selPlan(t, cat, 5) // a < 5
+	gNarrow := r.MatchInsert(narrow).ByNode[narrow].G
+	wide := selPlan(t, cat, 10) // a < 10
+	gWide := r.MatchInsert(wide).ByNode[wide].G
+	if gWide == gNarrow {
+		t.Fatal("a < 5 and a < 10 unified")
+	}
+	if subs := gNarrow.Subsumers(); len(subs) != 1 || subs[0] != gWide {
+		t.Fatalf("a < 5 subsumers = %v, want exactly the a < 10 node", subs)
+	}
+	if subs := gWide.Subsumers(); len(subs) != 0 {
+		t.Fatalf("a < 10 subsumers = %v, want none", subs)
+	}
+}
+
 func TestSelectionSubsumptionTransitive(t *testing.T) {
 	cat := testCatalog()
 	r := New(DefaultConfig())

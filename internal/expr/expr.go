@@ -329,14 +329,10 @@ func cmpMatch(op CmpOp, c int) bool {
 	return false
 }
 
-// EvalAs evaluates e into out, coercing numeric results to type t.
-func EvalAs(e Expr, b *vector.Batch, out *vector.Vector, t vector.Type) error {
-	return EvalAsScratch(e, b, out, t, nil)
-}
-
-// EvalAsScratch is EvalAs with a caller-supplied coercion buffer, so hot
-// loops (predicates, aggregate arguments) coerce without allocating. tmp
-// may be nil (one is allocated if coercion is needed) and is clobbered.
+// EvalAsScratch evaluates e into out, coercing numeric results to type t
+// through the caller-supplied buffer tmp, so hot loops (predicates,
+// aggregate arguments) coerce without allocating. tmp may be nil (one is
+// allocated if coercion is needed) and is clobbered.
 func EvalAsScratch(e Expr, b *vector.Batch, out *vector.Vector, t vector.Type, tmp *vector.Vector) error {
 	// Fast path: evaluate directly if types match.
 	etype := exprType(e)

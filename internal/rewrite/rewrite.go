@@ -251,16 +251,14 @@ func (rw *Rewriter) substitute(n *plan.Node, res *Result) {
 		// This applies in particular to nodes with no exact match in
 		// the graph (freshly inserted), exactly the case the paper
 		// motivates subsumption with.
-		if rw.Rec.Config().Subsumption {
-			for _, s := range rw.Rec.Subsumers(nm.G) {
-				if e := rw.cachedValid(s); e != nil {
-					if rw.applySubsumption(n, nm, s, e, res) {
-						res.SubsumptionReuses++
-						rw.Rec.CountSubsumptionReuse()
-						return
-					}
-					rw.Rec.Release(e)
+		for _, s := range rw.Rec.Subsumers(nm.G) {
+			if e := rw.cachedValid(s); e != nil {
+				if rw.applySubsumption(n, nm, s, e, res) {
+					res.SubsumptionReuses++
+					rw.Rec.CountSubsumptionReuse()
+					return
 				}
+				rw.Rec.Release(e)
 			}
 		}
 	}

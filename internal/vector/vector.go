@@ -44,9 +44,6 @@ func (t Type) String() string {
 	}
 }
 
-// Fixed reports whether the type has a fixed-width in-memory representation.
-func (t Type) Fixed() bool { return t != String }
-
 // Width returns the per-row byte width used for size accounting. String
 // vectors account their payload separately; Width returns the per-row
 // header overhead for them.
