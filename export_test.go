@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"recycledb/internal/catalog"
+	"recycledb/internal/core"
 )
 
 // The one test seam: Config carries only what commands, examples and the
@@ -27,6 +28,34 @@ func (c *lru[V]) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.ll.Len()
+}
+
+// each calls f on every cached value, most recently used first.
+func (c *lru[V]) each(f func(V)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.ll.Front(); el != nil; el = el.Next() {
+		f(el.Value.(*lruEntry[V]).val)
+	}
+}
+
+// ForgetShapeRoots clears the root match of every optimized-shape entry, so
+// the next execution of each shape takes the full rewrite path (which
+// records the root again).
+func ForgetShapeRoots(e *Engine) {
+	e.optShapes.each(func(sh *optShape) { sh.root.Store(nil) })
+}
+
+// ShapeRoots returns the root matches the optimized-shape entries know, most
+// recently used first; entries that know none are skipped.
+func ShapeRoots(e *Engine) []*core.Node {
+	var out []*core.Node
+	e.optShapes.each(func(sh *optShape) {
+		if g := sh.root.Load(); g != nil {
+			out = append(out, g)
+		}
+	})
+	return out
 }
 
 // ExplainText runs EXPLAIN q through the statement path and joins its

@@ -642,3 +642,79 @@ func TestStatsSnapshot(t *testing.T) {
 		t.Fatal("match time not recorded")
 	}
 }
+
+// TestStallReuseCountsNoReuse: a waiter that replays a producer's result
+// counts a stall reuse (CountStall, by the caller), not an exact reuse.
+func TestStallReuseCountsNoReuse(t *testing.T) {
+	cat := testCatalog()
+	r := New(DefaultConfig())
+	p := selPlan(t, cat, 5)
+	g := r.MatchInsert(p).ByNode[p].G
+	if !r.BeginInflight(g) {
+		t.Fatal("BeginInflight refused")
+	}
+	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
+	b.Vecs[0].AppendInt64(1)
+	b.Vecs[1].AppendFloat64(1)
+	if !r.Admit(g, []*vector.Batch{b}, 1, 8, 1000, 1) {
+		t.Fatal("admit failed")
+	}
+	r.FinishInflightShared(g, []*vector.Batch{b}, 1, 8, nil)
+	e, ok := r.WaitInflightCtx(context.Background(), g, time.Second)
+	if !ok || e == nil {
+		t.Fatal("waiter should obtain the cached result")
+	}
+	r.Release(e)
+	if got := r.Stats().Reuses; got != 0 {
+		t.Fatalf("a stall's replay counted %d exact reuses", got)
+	}
+}
+
+// TestReuseRootCountsLikeTheFullPass: a root probe that hits counts one
+// query, the plan's nodes as matched, one reference on the root and one
+// reuse, and pins the entry; one that misses or is refused counts nothing.
+func TestReuseRootCountsLikeTheFullPass(t *testing.T) {
+	cat := testCatalog()
+	cfg := DefaultConfig()
+	cfg.Alpha = 1
+	r := New(cfg)
+	p := selPlan(t, cat, 5)
+	g := r.MatchInsert(p).ByNode[p].G
+	accept := func(*Entry) bool { return true }
+
+	before := r.Stats()
+	if e, _ := r.ReuseRoot(p, g, accept); e != nil {
+		t.Fatal("a root with no cached result hit")
+	}
+	b := vector.NewBatch([]vector.Type{vector.Int64, vector.Float64}, 1)
+	if !r.Admit(g, []*vector.Batch{b}, 1, 8, 1000, 1) {
+		t.Fatal("admit failed")
+	}
+	if e, _ := r.ReuseRoot(p, g, func(*Entry) bool { return false }); e != nil {
+		t.Fatal("a refused entry hit")
+	}
+	if e := g.cached.Load(); e.Pins() != 0 {
+		t.Fatal("a refused probe left the entry pinned")
+	}
+	mid := r.Stats()
+	if mid.Queries != before.Queries || mid.NodesMatched != before.NodesMatched || mid.Reuses != before.Reuses {
+		t.Fatalf("declined probes counted: %+v -> %+v", before, mid)
+	}
+	hr := r.HR(g)
+	e, m := r.ReuseRoot(p, g, accept)
+	if e == nil || e.Pins() != 1 {
+		t.Fatal("a valid cached root did not hit pinned")
+	}
+	if m.Matched != 2 || m.Inserted != 0 {
+		t.Fatalf("root hit reported %d matched, %d inserted; want 2 and 0", m.Matched, m.Inserted)
+	}
+	r.Release(e)
+	after := r.Stats()
+	if after.Queries != mid.Queries+1 || after.NodesMatched != mid.NodesMatched+2 ||
+		after.NodesInserted != mid.NodesInserted || after.Reuses != mid.Reuses+1 {
+		t.Fatalf("root hit counted %+v -> %+v", mid, after)
+	}
+	if got := r.HR(g); got != hr+1 {
+		t.Fatalf("root HR %v -> %v, want one reference", hr, got)
+	}
+}

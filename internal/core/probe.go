@@ -52,7 +52,7 @@ type ProbeInfo struct {
 func (r *Recycler) Probe(n *Node, validate func(*Entry) bool) ProbeInfo {
 	var info ProbeInfo
 	info.BaseCost, info.CostKnown, info.Card, _ = r.NodeStats(n)
-	if e := r.peekCached(n); e != nil {
+	if e := r.Cached(n); e != nil {
 		if validate == nil || validate(e) {
 			info.Cached = true
 			info.CachedRows = e.Rows
@@ -64,23 +64,6 @@ func (r *Recycler) Probe(n *Node, validate func(*Entry) bool) ProbeInfo {
 		info.Inflight = r.Inflight(n)
 	}
 	return info
-}
-
-// peekCached returns the node's cache entry, pinned, without counting a
-// reuse. Cached is the counting variant the rewriter's substitution rule
-// uses; the optimizer may probe the same entry many times while costing
-// alternatives and must not inflate the reuse statistics doing so.
-func (r *Recycler) peekCached(n *Node) *Entry {
-	if n.cached.Load() == nil {
-		return nil // lock-free miss
-	}
-	r.cache.mu.Lock()
-	e := n.cached.Load()
-	if e != nil {
-		e.pins++
-	}
-	r.cache.mu.Unlock()
-	return e
 }
 
 // EntrySnapValid reports whether a cached entry's snapshot tag matches a

@@ -43,9 +43,13 @@ func DefaultConfig() Config {
 
 // Stats aggregates recycler activity counters.
 type Stats struct {
-	Queries          int64
-	NodesMatched     int64
-	NodesInserted    int64
+	Queries       int64
+	NodesMatched  int64
+	NodesInserted int64
+	// Reuses counts exact reuses: cached results that replaced the subtree
+	// they were computed from. A derivation through a subsumption edge
+	// counts in SubsumptionReuse instead, and a stall that replayed a
+	// concurrent producer's result in StallReuses.
 	Reuses           int64
 	SubsumptionReuse int64
 	Materializations int64
@@ -255,13 +259,50 @@ func (r *Recycler) UpdateStats(n *Node, baseCost plan.Work, card, estBytes int64
 }
 
 // Cached returns the node's cache entry, pinned, or nil. The caller must
-// Release the returned entry once done replaying it.
+// Release the returned entry once done with it. Pinning counts nothing: a
+// reuse is counted where a result replaces a subtree (CountReuse), since
+// callers pin entries they then reject (a stale snapshot tag, a failed
+// subsumption derivation) or only inspect.
 func (r *Recycler) Cached(n *Node) *Entry {
-	e := r.peekCached(n)
-	if e != nil {
-		r.stats.reuses.Add(1)
+	if n.cached.Load() == nil {
+		return nil // lock-free miss
 	}
+	r.cache.mu.Lock()
+	e := n.cached.Load()
+	if e != nil {
+		e.pins++
+	}
+	r.cache.mu.Unlock()
 	return e
+}
+
+// ReuseRoot is MatchInsert, AddRefs and the exact substitution rule for a
+// plan an earlier MatchInsert matched whole, its root to graph node g.
+// Graph nodes are never removed, so such a plan matches the same nodes
+// again, AddRefs credits only g, and with g's result cached the
+// substitution rule replaces the whole plan by it. So when g's cache entry
+// passes valid, ReuseRoot returns it pinned, with the match MatchInsert
+// would report (every node matched, none inserted, no per-node annotations,
+// the probe's time as its cost), and counts what that pass counts: one
+// query, the plan's nodes as matched, one reference on g and one reuse.
+// Otherwise it returns nil and counts nothing.
+func (r *Recycler) ReuseRoot(root *plan.Node, g *Node, valid func(*Entry) bool) (*Entry, *MatchResult) {
+	start := time.Now()
+	e := r.Cached(g)
+	if e == nil {
+		return nil, nil
+	}
+	if !valid(e) {
+		r.Release(e)
+		return nil, nil
+	}
+	addRef(g, r.BeginQuery(), r.cfg.Alpha)
+	m := &MatchResult{Matched: root.Count()}
+	r.stats.nodesMatched.Add(int64(m.Matched))
+	r.stats.reuses.Add(1)
+	m.Cost = time.Since(start)
+	r.stats.matchNanos.Add(m.Cost.Nanoseconds())
+	return e, m
 }
 
 // Release unpins a cache entry. It is a no-op for unpinned entries, so the
@@ -535,6 +576,10 @@ func (r *Recycler) CountStall(reused bool) {
 		r.stats.stallReuses.Add(1)
 	}
 }
+
+// CountReuse records an exact reuse: a cached result replaced the subtree
+// it was computed from.
+func (r *Recycler) CountReuse() { r.stats.reuses.Add(1) }
 
 // CountSubsumptionReuse records a reuse through a subsumption edge.
 func (r *Recycler) CountSubsumptionReuse() { r.stats.subsumptionReuse.Add(1) }

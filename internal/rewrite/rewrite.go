@@ -126,7 +126,22 @@ type Result struct {
 
 // Rewrite runs the full pipeline on a resolved query tree and returns the
 // execution decorations. In Off mode it returns the tree untouched.
-func (rw *Rewriter) Rewrite(root *plan.Node) (*Result, error) {
+//
+// known, when not nil, is the graph node an earlier Rewrite of the same plan
+// matched its root to (Result.RootMatch), and root is then shared: Rewrite
+// does not mutate it. In History and Speculative mode, when known holds a
+// result valid under the statement's epoch, the statement replays it: the
+// Result is one Reuse decoration over root, counted as the full pipeline
+// would count it (core.Recycler.ReuseRoot), without matching, cloning or
+// walking the plan. Otherwise Rewrite runs the full pipeline on a clone of
+// root.
+func (rw *Rewriter) Rewrite(root *plan.Node, known *core.Node) (*Result, error) {
+	if known != nil {
+		if res := rw.reuseRoot(root, known); res != nil {
+			return res, nil
+		}
+		root = root.Clone()
+	}
 	res := &Result{
 		Exec:       root,
 		Decor:      make(exec.Decorations),
@@ -153,6 +168,43 @@ func (rw *Rewriter) Rewrite(root *plan.Node) (*Result, error) {
 	rw.injectStores(res.Exec, res)
 	rw.dropStoresUnderWaits(res.Exec, res, false)
 	return res, nil
+}
+
+// reuseRoot is Rewrite's root hit: the Result that replays root's cached
+// result as graph node g, or nil when g holds no result valid under the
+// statement's epoch or the mode does not substitute the plan as written
+// (Off never reuses; Proactive may rewrite the plan before matching it).
+func (rw *Rewriter) reuseRoot(root *plan.Node, g *core.Node) *Result {
+	if rw.Mode != History && rw.Mode != Speculative {
+		return nil
+	}
+	e, m := rw.Rec.ReuseRoot(root, g, func(e *core.Entry) bool {
+		valid, _ := rw.entryValid(e)
+		return valid
+	})
+	if e == nil {
+		return nil
+	}
+	return &Result{
+		Exec:   root,
+		Decor:  exec.Decorations{root: {Reuse: rw.reuseSpec(e, identityIdx(len(g.OutCols)))}},
+		Match:  m,
+		Reuses: 1,
+	}
+}
+
+// RootMatch returns the graph node the plan Rewrite was given matched its
+// root to, for a later Rewrite of the same plan to pass as known. It is nil
+// when nothing was matched (Off mode, or a root hit, which knew it already)
+// or a proactive rewrite replaced the plan before matching.
+func (res *Result) RootMatch() *core.Node {
+	if res.Match == nil || res.ProactiveApplied {
+		return nil
+	}
+	if nm := res.Match.ByNode[res.Exec]; nm != nil {
+		return nm.G
+	}
+	return nil
 }
 
 // dropStoresUnderWaits removes store decorations that ended up inside a wait
@@ -204,9 +256,10 @@ func (rw *Rewriter) entryValid(e *core.Entry) (valid, stale bool) {
 	})
 }
 
-// cachedValid is Cached plus snapshot validation. Entries tagged older
-// than the statement's epoch are dropped from the cache (lazy invalidation
-// of results admitted after the commit walk) and reported as a miss.
+// cachedValid is Cached plus snapshot validation; like Cached it counts
+// nothing. Entries tagged older than the statement's epoch are dropped from
+// the cache (lazy invalidation of results admitted after the commit walk)
+// and reported as a miss.
 // Entries tagged *newer* — a concurrent commit delta-extended them after
 // this statement captured its snapshot — are left cached for the queries
 // already at the new epoch; this statement just recomputes from its own
@@ -236,6 +289,7 @@ func (rw *Rewriter) substitute(n *plan.Node, res *Result) {
 			res.Decor[n] = &exec.Decor{Reuse: rw.reuseSpec(e, identityIdx(len(nm.G.OutCols)))}
 			res.subst[n] = nm.G
 			res.Reuses++
+			rw.Rec.CountReuse()
 			return
 		}
 		// In-flight materialization by a concurrent query: stall.

@@ -80,7 +80,7 @@ func aggQuery(t *testing.T, cat *catalog.Catalog, hi float64) *plan.Node {
 
 func TestOffModeIsInert(t *testing.T) {
 	rw, cat := fixture(t, Off)
-	res, err := rw.Rewrite(aggQuery(t, cat, 50))
+	res, err := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,13 +95,13 @@ func TestOffModeIsInert(t *testing.T) {
 func TestHistoryLifecycle(t *testing.T) {
 	rw, cat := fixture(t, History)
 	// 1st sight: no stores, no reuse.
-	r1, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r1, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r1.Stores != 0 || r1.Reuses != 0 {
 		t.Fatalf("first sight: %+v", r1)
 	}
 	run(t, rw, r1)
 	// 2nd sight: history store injected.
-	r2, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r2.Stores == 0 {
 		t.Fatalf("second sight should store: %+v", r2)
 	}
@@ -110,7 +110,7 @@ func TestHistoryLifecycle(t *testing.T) {
 		t.Fatal("store did not commit")
 	}
 	// 3rd sight: reuse.
-	r3, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r3, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r3.Reuses == 0 {
 		t.Fatalf("third sight should reuse: %+v", r3)
 	}
@@ -122,7 +122,7 @@ func TestHistoryLifecycle(t *testing.T) {
 
 func TestHistoryNeverSpeculates(t *testing.T) {
 	rw, cat := fixture(t, History)
-	r, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r.SpecStores != 0 {
 		t.Fatal("history mode must not speculate")
 	}
@@ -130,12 +130,12 @@ func TestHistoryNeverSpeculates(t *testing.T) {
 
 func TestSpeculativeStoresFirstSight(t *testing.T) {
 	rw, cat := fixture(t, Speculative)
-	r1, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r1, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r1.SpecStores == 0 {
 		t.Fatalf("speculation should target the aggregate: %+v", r1)
 	}
 	run(t, rw, r1)
-	r2, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r2.Reuses == 0 {
 		t.Fatal("second sight should reuse the speculated result")
 	}
@@ -153,7 +153,7 @@ func TestSpeculationBufferCapCancels(t *testing.T) {
 	if err := q.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := rw.Rewrite(q)
+	r, _ := rw.Rewrite(q, nil)
 	run(t, rw, r)
 	if r.Committed() != 0 {
 		t.Fatal("oversized speculation must cancel")
@@ -205,7 +205,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 	// Plain run, speculative store at the root: admission takes the
 	// store's priced cost as the never-measured root's first sample.
 	q := aggQuery(t, cat, 50)
-	r, _ := rw.Rewrite(q)
+	r, _ := rw.Rewrite(q, nil)
 	if r.SpecStores != 1 || r.Decor[q] == nil || r.Decor[q].Store == nil {
 		t.Fatalf("want one speculative store at the root: %+v", r)
 	}
@@ -224,7 +224,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 	rw.Rec.UpdateStats(g, 1, 3, 0)
 	rw.Rec.BeginInflight(g)
 	q = aggQuery(t, cat, 50)
-	r, _ = rw.Rewrite(q)
+	r, _ = rw.Rewrite(q, nil)
 	if r.Waits != 1 || r.Decor[q] == nil || r.Decor[q].Wait == nil {
 		t.Fatalf("want a wait at the root: %+v", r)
 	}
@@ -253,7 +253,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 		t.Fatal("select result not admitted")
 	}
 	q = aggQuery(t, cat, 50)
-	r, _ = rw.Rewrite(q)
+	r, _ = rw.Rewrite(q, nil)
 	if r.Reuses != 1 || r.Decor[q.Children[0]] == nil || r.Decor[q.Children[0]].Reuse == nil {
 		t.Fatalf("want the select replayed: %+v", r)
 	}
@@ -267,7 +267,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 func TestPricingWalkZeroAlloc(t *testing.T) {
 	rw, cat := fixture(t, Speculative)
 	q := aggQuery(t, cat, 50)
-	r, _ := rw.Rewrite(q)
+	r, _ := rw.Rewrite(q, nil)
 	execute(t, rw, r)
 	if avg := testing.AllocsPerRun(100, func() { rw.price(r, q, nil) }); avg != 0 {
 		t.Fatalf("pricing walk allocates %.1f objects per call, want 0", avg)
@@ -285,15 +285,15 @@ func TestAnnotateAddsReusedBaseCost(t *testing.T) {
 		}
 		return q
 	}
-	r1, _ := rw.Rewrite(sel())
+	r1, _ := rw.Rewrite(sel(), nil)
 	run(t, rw, r1)
 	selCost, _, _, _ := rw.Rec.NodeStats(r1.Match.ByNode[r1.Exec].G)
-	r2, _ := rw.Rewrite(sel())
+	r2, _ := rw.Rewrite(sel(), nil)
 	run(t, rw, r2)
 	// Third run reuses; an aggregate above it must still account the
 	// select's base cost in its own bcost (Eq. 2 bookkeeping).
 	q := aggQuery(t, cat, 50)
-	r3, _ := rw.Rewrite(q)
+	r3, _ := rw.Rewrite(q, nil)
 	if r3.Reuses == 0 {
 		t.Fatalf("expected select reuse: %+v", r3)
 	}
@@ -310,7 +310,7 @@ func TestAnnotateAddsReusedBaseCost(t *testing.T) {
 func TestStallPlansWaitWhenInflight(t *testing.T) {
 	rw, cat := fixture(t, Speculative)
 	q1 := aggQuery(t, cat, 50)
-	r1, _ := rw.Rewrite(q1)
+	r1, _ := rw.Rewrite(q1, nil)
 	run(t, rw, r1) // stats known now; the result was speculated into cache
 	// Evict it and register an inflight producer by hand, as if another
 	// query were materializing it right now.
@@ -319,7 +319,7 @@ func TestStallPlansWaitWhenInflight(t *testing.T) {
 	if !rw.Rec.BeginInflight(g) {
 		t.Fatal("inflight registration failed")
 	}
-	r2, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r2.Waits == 0 {
 		t.Fatalf("expected a planned stall: %+v", r2)
 	}
@@ -354,12 +354,12 @@ func TestStallTimeoutFallsBack(t *testing.T) {
 	cfg.StallTimeout = 20 * time.Millisecond
 	rw.Rec = core.New(cfg)
 	q1 := aggQuery(t, cat, 50)
-	r1, _ := rw.Rewrite(q1)
+	r1, _ := rw.Rewrite(q1, nil)
 	run(t, rw, r1)
 	g := r1.Match.ByNode[q1].G
 	rw.Rec.Evict(g)
 	rw.Rec.BeginInflight(g) // never finished
-	r2, _ := rw.Rewrite(aggQuery(t, cat, 50))
+	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
 	if r2.Waits == 0 {
 		t.Fatal("expected a planned stall")
 	}
@@ -377,7 +377,7 @@ func TestProactiveTopNWideningPlan(t *testing.T) {
 	if err := q.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r, err := rw.Rewrite(q)
+	r, err := rw.Rewrite(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,13 +408,13 @@ func TestProactiveCubeGateNeedsEvidence(t *testing.T) {
 		return q
 	}
 	// First trigger: not enough evidence, original plan executes.
-	r1, _ := rw.Rewrite(q())
+	r1, _ := rw.Rewrite(q(), nil)
 	if r1.ProactiveApplied {
 		t.Fatal("cube must not execute on first trigger")
 	}
 	run(t, rw, r1)
 	// Second trigger: the variant's references have accumulated.
-	r2, _ := rw.Rewrite(q())
+	r2, _ := rw.Rewrite(q(), nil)
 	if !r2.ProactiveApplied {
 		t.Fatalf("cube should execute on second trigger: %+v", r2)
 	}
@@ -426,7 +426,7 @@ func TestProactiveCubeGateNeedsEvidence(t *testing.T) {
 func TestDropStoresUnderWaits(t *testing.T) {
 	rw, cat := fixture(t, Speculative)
 	q := aggQuery(t, cat, 60)
-	r1, _ := rw.Rewrite(q)
+	r1, _ := rw.Rewrite(q, nil)
 	run(t, rw, r1)
 	// Force a wait at the root and a store below it, then verify cleanup.
 	root := aggQuery(t, cat, 60)
@@ -449,5 +449,41 @@ func TestDropStoresUnderWaits(t *testing.T) {
 	}
 	if rw.Rec.Inflight(gSel) {
 		t.Fatal("dropped store must release its registration")
+	}
+}
+
+// TestProactiveCountsOnlySubstitutions: the cube gate pins a cached cube
+// only to see that it exists; the recycler counts exactly the exact reuses
+// each statement planned.
+func TestProactiveCountsOnlySubstitutions(t *testing.T) {
+	rw, cat := fixture(t, Proactive)
+	q := func() *plan.Node {
+		q := plan.NewAggregate(
+			plan.NewSelect(plan.NewScan("t", "grp", "v"),
+				expr.Eq(expr.C("grp"), expr.Str("b"))),
+			nil,
+			plan.A(plan.Sum, expr.C("v"), "total"))
+		if err := q.Resolve(cat); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	reusedCube := false
+	for i := 0; i < 4; i++ {
+		before := rw.Rec.Stats().Reuses
+		r, err := rw.Rewrite(q(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rw.Rec.Stats().Reuses - before; got != int64(r.Reuses) {
+			t.Fatalf("trigger %d: recycler counted %d reuses, the statement planned %d", i, got, r.Reuses)
+		}
+		if r.ProactiveApplied && r.Reuses > 0 {
+			reusedCube = true
+		}
+		run(t, rw, r)
+	}
+	if !reusedCube {
+		t.Fatal("no trigger reused the cached cube; the test shows nothing")
 	}
 }

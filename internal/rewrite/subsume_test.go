@@ -22,7 +22,7 @@ func TestSelectChildReplaySubsumption(t *testing.T) {
 		}
 		return q
 	}
-	r1, _ := rw.Rewrite(wide())
+	r1, _ := rw.Rewrite(wide(), nil)
 	run(t, rw, r1)
 	if r1.Committed() == 0 {
 		t.Fatalf("wide selection not cached: %+v", r1)
@@ -33,7 +33,7 @@ func TestSelectChildReplaySubsumption(t *testing.T) {
 	if err := narrow.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r3, _ := rw.Rewrite(narrow)
+	r3, _ := rw.Rewrite(narrow, nil)
 	if r3.SubsumptionReuses != 1 {
 		t.Fatalf("expected child-replay subsumption: %+v", r3)
 	}
@@ -53,7 +53,7 @@ func TestSelectChildReplaySubsumption(t *testing.T) {
 	if err := narrow2.Resolve(catOff); err != nil {
 		t.Fatal(err)
 	}
-	r4, _ := rwOff.Rewrite(narrow2)
+	r4, _ := rwOff.Rewrite(narrow2, nil)
 	if want := run(t, rwOff, r4); want != rows {
 		t.Fatalf("derived %d rows, want %d", rows, want)
 	}
@@ -71,7 +71,7 @@ func TestAggColumnSubsumptionProjection(t *testing.T) {
 		}
 		return q
 	}
-	r1, _ := rw.Rewrite(wide())
+	r1, _ := rw.Rewrite(wide(), nil)
 	run(t, rw, r1)
 	if r1.Committed() == 0 {
 		t.Fatal("wide aggregate not cached")
@@ -82,7 +82,7 @@ func TestAggColumnSubsumptionProjection(t *testing.T) {
 	if err := narrow.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := rw.Rewrite(narrow)
+	r2, _ := rw.Rewrite(narrow, nil)
 	if r2.SubsumptionReuses != 1 {
 		t.Fatalf("expected column subsumption: %+v", r2)
 	}
@@ -109,7 +109,7 @@ func TestAggTupleSubsumptionReaggregation(t *testing.T) {
 		}
 		return q
 	}
-	r1, _ := rw.Rewrite(fine())
+	r1, _ := rw.Rewrite(fine(), nil)
 	run(t, rw, r1)
 	if r1.Committed() == 0 {
 		t.Fatal("fine aggregate not cached")
@@ -121,7 +121,7 @@ func TestAggTupleSubsumptionReaggregation(t *testing.T) {
 	if err := coarse.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := rw.Rewrite(coarse)
+	r2, _ := rw.Rewrite(coarse, nil)
 	if r2.SubsumptionReuses != 1 {
 		t.Fatalf("expected tuple subsumption: %+v", r2)
 	}
@@ -165,7 +165,7 @@ func TestTopNPrefixSubsumption(t *testing.T) {
 		}
 		return q
 	}
-	r1, _ := rw.Rewrite(big())
+	r1, _ := rw.Rewrite(big(), nil)
 	run(t, rw, r1)
 	if r1.Committed() == 0 {
 		t.Fatal("top-200 not cached")
@@ -175,7 +175,7 @@ func TestTopNPrefixSubsumption(t *testing.T) {
 	if err := small.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := rw.Rewrite(small)
+	r2, _ := rw.Rewrite(small, nil)
 	if r2.SubsumptionReuses != 1 {
 		t.Fatalf("expected top-N subsumption: %+v", r2)
 	}
@@ -209,7 +209,7 @@ func TestProactiveCubeSelectionsDerivesCorrectly(t *testing.T) {
 	if err := ref.Resolve(catOff); err != nil {
 		t.Fatal(err)
 	}
-	rOff, _ := rwOff.Rewrite(ref)
+	rOff, _ := rwOff.Rewrite(ref, nil)
 	ctxOff := exec.NewCtx(catOff)
 	opOff, _ := exec.Build(ctxOff, rOff.Exec, rOff.Decor, nil)
 	resOff, err := exec.Run(ctxOff, opOff)
@@ -221,13 +221,13 @@ func TestProactiveCubeSelectionsDerivesCorrectly(t *testing.T) {
 	// Trigger the rule until the cube variant executes, then check the
 	// derived answer for a *different* parameter.
 	for i := 0; i < 3; i++ {
-		r, err := rw.Rewrite(q("a"))
+		r, err := rw.Rewrite(q("a"), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		run(t, rw, r)
 	}
-	r, err := rw.Rewrite(q("b"))
+	r, err := rw.Rewrite(q("b"), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,38 @@ func TestProactiveDisabledBelowPA(t *testing.T) {
 	if err := q.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	r, _ := rw.Rewrite(q)
+	r, _ := rw.Rewrite(q, nil)
 	if r.ProactiveApplied {
 		t.Fatal("SPEC mode must not apply proactive rules")
+	}
+}
+
+// TestSubsumptionReuseCountsOnce: a derivation counts one subsumption
+// reuse and no exact reuse, though the rule pinned the subsuming entry.
+func TestSubsumptionReuseCountsOnce(t *testing.T) {
+	rw, cat := fixture(t, Speculative)
+	sel := func(hi float64) *plan.Node {
+		q := plan.NewSelect(plan.NewScan("t", "k", "grp", "v"),
+			expr.Lt(expr.C("v"), expr.Flt(hi)))
+		if err := q.Resolve(cat); err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	r1, _ := rw.Rewrite(sel(80), nil)
+	run(t, rw, r1)
+	if r1.Committed() == 0 {
+		t.Fatalf("wide selection not cached: %+v", r1)
+	}
+	before := rw.Rec.Stats()
+	r2, _ := rw.Rewrite(sel(40), nil)
+	if r2.SubsumptionReuses != 1 {
+		t.Fatalf("expected one subsumption reuse: %+v", r2)
+	}
+	run(t, rw, r2)
+	after := rw.Rec.Stats()
+	if after.Reuses != before.Reuses || after.SubsumptionReuse != before.SubsumptionReuse+1 {
+		t.Fatalf("one derivation counted reuses %d -> %d, subsumption reuses %d -> %d",
+			before.Reuses, after.Reuses, before.SubsumptionReuse, after.SubsumptionReuse)
 	}
 }

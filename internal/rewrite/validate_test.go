@@ -75,3 +75,26 @@ func TestCachedValidMatchingEpoch(t *testing.T) {
 	}
 	rw.Rec.Release(e)
 }
+
+// TestRejectedEntryCountsNoReuse: an entry the substitution rule pins and
+// then rejects — tagged newer than the statement's epoch, or stale — is
+// not a reuse.
+func TestRejectedEntryCountsNoReuse(t *testing.T) {
+	rw, cat := fixture(t, History)
+	p := plan.NewSelect(plan.NewScan("t", "k", "v"), expr.Gt(expr.C("v"), expr.Flt(30)))
+	if err := p.Resolve(cat); err != nil {
+		t.Fatal(err)
+	}
+	admitSnap(t, rw, p, map[string]core.TableSnap{"t": {Ver: 5, Rows: 5000}})
+	for _, ver := range []int64{4, 6} { // the entry is newer, then stale
+		rw.SnapVers = map[string]core.TableSnap{"t": {Ver: ver, Rows: 5000}}
+		r, err := rw.Rewrite(p, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw.Abort(r)
+		if r.Reuses != 0 || rw.Rec.Stats().Reuses != 0 {
+			t.Fatalf("epoch %d: rejected entry counted (planned %d, recycler %d)", ver, r.Reuses, rw.Rec.Stats().Reuses)
+		}
+	}
+}

@@ -162,6 +162,18 @@ func defaultTuning() tuning {
 // optShapeCacheSize is the optimized-shape LRU capacity.
 const optShapeCacheSize = 512
 
+// optShape is one optimized-shape cache entry (Engine.optShapes).
+type optShape struct {
+	// plan is the optimized plan, resolved and never mutated: a statement
+	// either clones it or, on a root hit, replays its root's cached result
+	// over it read-only.
+	plan *plan.Node
+	// root is the graph node plan's root matched, once a full rewrite of
+	// plan has matched it (rewrite.Result.RootMatch). Graph nodes are never
+	// removed, so it stays plan's root match for the entry's lifetime.
+	root atomic.Pointer[core.Node]
+}
+
 // Engine is a recycling query engine over an in-memory catalog. It is safe
 // for concurrent use by any number of goroutines: matching runs under a
 // read-lock fast path, per-node statistics sit behind leaf mutexes, cache
@@ -179,16 +191,17 @@ type Engine struct {
 	// resolved); active tracks in-flight statements so the budget divides
 	// across them.
 	par int
-	// optShapes memoizes the optimizer's output per canonical signature of
-	// the bound plan — the rendering the recycler graph dedupes shapes by.
-	// The optimizer is deterministic for a fixed recycler state and its
+	// optShapes memoizes the optimizer's output per opt.ShapeKey of the
+	// bound plan, keyed with the schema version it resolved under. The
+	// optimizer is deterministic for a fixed recycler state and its
 	// steering converges (an executed shape is found warm and re-picked),
-	// so re-optimizing a shape seen moments ago recomputes the same answer;
-	// a hit replays it with one clone. A decision made against an older
-	// recycler state stays correct, merely no longer the warmest choice;
-	// the cache is flushed with the result cache whose warmth it steered by.
-	// Stored plans are resolved and never mutated: every use clones.
-	optShapes *lru[*plan.Node]
+	// so re-optimizing a shape seen moments ago recomputes the same answer.
+	// A decision made against an older recycler state stays correct, merely
+	// no longer the warmest choice; the cache is flushed with the result
+	// cache whose warmth it steered by. Each entry also remembers the graph
+	// node its plan's root matched, so a hit whose root result is cached
+	// replays it without cloning or matching the plan (see optShape).
+	optShapes *lru[*optShape]
 	active    atomic.Int32
 	// pool recycles operator scratch batches across this engine's queries
 	// (vector.Pool documents the ownership rules).
@@ -227,7 +240,7 @@ func newEngine(cfg Config, t tuning, cat *catalog.Catalog) *Engine {
 		plans:     newLRU[*sql.Compiled](t.PlanCacheSize),
 		vsz:       t.VectorSize,
 		par:       par,
-		optShapes: newLRU[*plan.Node](optShapeCacheSize),
+		optShapes: newLRU[*optShape](optShapeCacheSize),
 		pool:      &vector.Pool{},
 	}
 	e.mode.Store(int32(cfg.Mode))
@@ -366,7 +379,8 @@ func (e *Engine) FlushCache() {
 // QueryStats reports what the recycler did for one query.
 type QueryStats struct {
 	// Total is end-to-end time; Matching the recycler-graph match/insert
-	// time (Fig. 10); Execution the plan run time.
+	// time (Fig. 10), or on a root hit the time to probe the root's cached
+	// result; Execution the plan run time.
 	Total, Matching, Execution time.Duration
 	// Reused counts exact cached-result substitutions; SubsumptionReused
 	// derived ones; Stores history-mode stores; SpecStores speculative
@@ -456,47 +470,55 @@ func (e *Engine) beginStatement() int {
 func (e *Engine) endStatement() { e.active.Add(-1) }
 
 // shape is the planning prologue of every statement: it returns the
-// resolved, optimized plan a statement with bound plan p runs, and the data
-// epoch it runs at. shared marks p as caller-owned: shape only reads it
-// (the canonical-signature render walks the tree without mutation) and
-// clones before any change; with shared false, shape takes ownership of p.
-func (e *Engine) shape(p *plan.Node, shared bool) (*plan.Node, epoch, error) {
+// resolved, optimized plan a statement with bound plan p runs, its entry in
+// the optimized-shape cache, and the data epoch it runs at. shared marks p
+// as caller-owned: shape only reads it (the shape-key render walks the tree
+// without mutation) and clones before any change; with shared false, shape
+// takes ownership of p. When the entry knows its root match, shape returns
+// it as root, and q is then the entry's own plan, which callers only read
+// (rewrite.Rewrite clones it unless the root's cached result replays);
+// otherwise root is nil and q is the statement's own.
+func (e *Engine) shape(p *plan.Node, shared bool) (q *plan.Node, root *core.Node, sh *optShape, ep epoch, err error) {
 	// Optimized-shape fast path (see Engine.optShapes): render the plan's
-	// canonical signature on the incoming tree and replay a prior optimizer
-	// decision with a single clone. The cached plan carries its resolution
-	// — the schema version it resolved under is part of the lookup — so a
-	// hit skips the clone-resolve-optimize sequence entirely. optVer is read
-	// before Resolve so a concurrent schema change can only store the entry
-	// under a too-old version (evicted on next lookup), never a too-new one.
+	// shape key on the incoming tree and replay a prior optimizer decision.
+	// The cached plan carries its resolution — the schema version it
+	// resolved under is part of the lookup — so a hit skips the
+	// clone-resolve-optimize sequence entirely. optVer is read before
+	// Resolve so a concurrent schema change can only store the entry under
+	// a too-old version (evicted on next lookup), never a too-new one.
 	shapeKey, optVer := opt.ShapeKey(p), e.cat.Version()
-	if cached, ok := e.optShapes.get(shapeKey, optVer); ok {
-		p = cached.Clone()
-		return p, e.captureEpoch(p), nil
+	if hit, ok := e.optShapes.get(shapeKey, optVer); ok {
+		if g := hit.root.Load(); g != nil {
+			return hit.plan, g, hit, e.captureEpoch(hit.plan), nil
+		}
+		p = hit.plan.Clone()
+		return p, nil, hit, e.captureEpoch(p), nil
 	}
 	if shared {
 		p = p.Clone()
 	}
 	if err := p.Resolve(e.cat); err != nil {
-		return nil, epoch{}, fmt.Errorf("recycledb: resolve: %w", err)
+		return nil, nil, nil, epoch{}, fmt.Errorf("recycledb: resolve: %w", err)
 	}
 	// Capture the statement's data epoch before rewriting. Cache
 	// substitution validates entries against these versions and the scans
 	// read exactly these snapshots, so a statement observes one consistent
 	// epoch from front to back even while writers commit.
-	ep := e.captureEpoch(p)
+	ep = e.captureEpoch(p)
 	// The optimizer runs between compilation and the recycling rewrite:
 	// pushdown/pruning normalization, then the recycler-probing dynamic
 	// phase that orders conjunct chains and join groups toward subtrees
 	// already warm under this statement's snapshot. The rewriter then
 	// performs the actual substitutions on the chosen shape. The decision
-	// is memoized under the signature rendered above; later executions of
-	// this shape replay it from the cache.
-	p, err := opt.Optimize(p, e.optContext(ep))
+	// is memoized under the key rendered above; later executions of this
+	// shape replay it from the cache.
+	p, err = opt.Optimize(p, e.optContext(ep))
 	if err != nil {
-		return nil, epoch{}, fmt.Errorf("recycledb: optimize: %w", err)
+		return nil, nil, nil, epoch{}, fmt.Errorf("recycledb: optimize: %w", err)
 	}
-	e.optShapes.put(shapeKey, p.Clone(), optVer)
-	return p, ep, nil
+	sh = &optShape{plan: p.Clone()}
+	e.optShapes.put(shapeKey, sh, optVer)
+	return p, nil, sh, ep, nil
 }
 
 // explainSchema is an EXPLAIN's result: one line of the plan per row.
@@ -511,7 +533,7 @@ var explainSchema = catalog.Schema{{Name: "QUERY PLAN", Typ: vector.String}}
 // annotates no graph.
 func (e *Engine) explain(ctx context.Context, p *plan.Node) (*Rows, error) {
 	start := time.Now()
-	p, ep, err := e.shape(p, false)
+	p, _, _, ep, err := e.shape(p, false)
 	if err != nil {
 		return nil, err
 	}
@@ -540,16 +562,19 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 		}
 	}()
 	start := time.Now()
-	p, ep, err := e.shape(p, shared)
+	p, root, sh, ep, err := e.shape(p, shared)
 	if err != nil {
 		return nil, err
 	}
 	rw := rewrite.NewRewriter(e.rec, e.cat, e.Mode())
 	rw.SnapVers = ep.vers
 	rw.GlobalVer = ep.globalVer
-	rres, err := rw.Rewrite(p)
+	rres, err := rw.Rewrite(p, root)
 	if err != nil {
 		return nil, fmt.Errorf("recycledb: rewrite: %w", err)
+	}
+	if g := rres.RootMatch(); g != nil && sh.root.Load() != g {
+		sh.root.Store(g)
 	}
 	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: ep.snaps,
 		Parallelism: par}

@@ -67,7 +67,9 @@ func (r *Rows) releaseLocked() {
 	}
 }
 
-// Schema returns the result schema.
+// Schema returns the result schema. It may be shared with the engine's
+// optimized-shape cache and with other statements, so callers must not
+// modify it.
 func (r *Rows) Schema() catalog.Schema { return r.schema }
 
 // Next returns the next batch, or (nil, nil) at end of stream. The batch is
