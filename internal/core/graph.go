@@ -45,9 +45,10 @@ import (
 	"recycledb/internal/vector"
 )
 
-// Node is a recycler graph node: one relational operator with its parameters
-// in the graph's own column namespace. Exactly matching subtrees are unified,
-// so a node can have many parents.
+// Node is a recycler graph node: one relational operator, Params its identity
+// text (plan.Key: operator and parameters) in the graph's own column
+// namespace. Exactly matching subtrees are unified, so a node can have many
+// parents.
 //
 // Field guards: ID through Children and meta are immutable once the node is
 // published by MatchInsert. parents and the subsumption edges are guarded by
@@ -107,36 +108,29 @@ type Node struct {
 // is one lookup.
 type Graph struct {
 	mu     sync.RWMutex
-	nextID uint64            // guarded by mu
-	index  map[nodeKey]*Node // guarded by mu
+	nextID uint64             // guarded by mu
+	index  map[plan.Key]*Node // guarded by mu
 	// conflicts counts insert-time validation hits (another query
 	// concurrently inserted the node we were about to add).
 	conflicts int64 // guarded by mu
 }
 
-// nodeKey is a graph node's identity: its operator, its parameters in the
-// graph's column namespace, and the IDs of its children. IDs start at 1, so
-// a leaf's zero pair cannot collide with a real child.
-type nodeKey struct {
-	op     plan.Op
-	params string
-	kids   [2]uint64
-}
-
-// keyOf returns the key query node n has over its children's matches, and
-// the rename that maps n's column names into the graph namespace.
-func keyOf(n *plan.Node, childMatches []*NodeMatch) (nodeKey, func(string) string) {
+// keyOf returns the key query node n has over its children's matches: its
+// identity text with columns in the graph namespace and output names left
+// out (plan.Node.Key), and the rename that maps n's column names into that
+// namespace.
+func keyOf(n *plan.Node, childMatches []*NodeMatch) (plan.Key, func(string) string) {
 	rename := renameFunc(childMatches)
-	k := nodeKey{op: n.Op, params: n.ParamString(rename)}
+	var kids [2]uint64
 	for i, cm := range childMatches {
-		k.kids[i] = cm.G.ID
+		kids[i] = cm.G.ID
 	}
-	return k, rename
+	return n.Key(rename, false, kids), rename
 }
 
 // NewGraph returns an empty recycler graph.
 func NewGraph() *Graph {
-	return &Graph{index: make(map[nodeKey]*Node)}
+	return &Graph{index: make(map[plan.Key]*Node)}
 }
 
 // Size returns the number of nodes in the graph.
@@ -154,7 +148,7 @@ func (g *Graph) Conflicts() int64 {
 }
 
 // lookup returns the node indexed under k, or nil, under the read lock.
-func (g *Graph) lookup(k nodeKey) *Node {
+func (g *Graph) lookup(k plan.Key) *Node {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.index[k]
@@ -251,12 +245,12 @@ func outMap(n *plan.Node, gn *Node) map[string]string {
 
 // insertLocked copies the query node into the graph under key; the caller
 // holds the write lock.
-func (g *Graph) insertLocked(n *plan.Node, key nodeKey, rename func(string) string, childMatches []*NodeMatch) *Node {
+func (g *Graph) insertLocked(n *plan.Node, key plan.Key, rename func(string) string, childMatches []*NodeMatch) *Node {
 	g.nextID++
 	gn := &Node{
 		ID:     g.nextID,
 		Op:     n.Op,
-		Params: key.params,
+		Params: key.Params,
 		Tables: append([]string(nil), n.Lineage()...),
 	}
 	// Output columns: pass-through names keep their (mapped) graph names,
@@ -297,5 +291,5 @@ func (g *Graph) RLocked(f func()) {
 
 // Describe renders the node for debugging.
 func (n *Node) Describe() string {
-	return fmt.Sprintf("#%d %s[%s] out(%s)", n.ID, n.Op, n.Params, strings.Join(n.OutCols, ","))
+	return fmt.Sprintf("#%d %s out(%s)", n.ID, n.Params, strings.Join(n.OutCols, ","))
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"strings"
 
 	"recycledb/internal/expr"
 	"recycledb/internal/plan"
@@ -58,29 +57,14 @@ func buildMeta(n *plan.Node, rename func(string) string) *SubMeta {
 		}
 		sort.Strings(m.GroupBy)
 		for _, a := range n.Aggs {
-			sig := a.Func.String() + "("
-			if a.Arg != nil {
-				sig += a.Arg.Canon(rename)
-			} else {
-				sig += "*"
-			}
-			sig += ")"
-			m.AggSigs = append(m.AggSigs, sig)
+			m.AggSigs = append(m.AggSigs, string(a.AppendCanon(nil, rename)))
 			if a.Func == plan.Avg {
 				m.Decompose = false
 			}
 		}
 		return m
 	case plan.TopN:
-		keys := make([]string, len(n.Keys))
-		for i, k := range n.Keys {
-			dir := "a"
-			if k.Desc {
-				dir = "d"
-			}
-			keys[i] = rename(k.Col) + ":" + dir
-		}
-		return &SubMeta{SortKeys: strings.Join(keys, ","), N: n.N, ok: true}
+		return &SubMeta{SortKeys: string(plan.AppendKeys(nil, n.Keys, rename)), N: n.N, ok: true}
 	}
 	return nil
 }

@@ -116,16 +116,17 @@ func checkKernelLockstep(t *testing.T, schema catalog.Schema, pred expr.Expr, v 
 	if _, err := pred.Bind(schema); err != nil {
 		t.Fatalf("bind: %v", err)
 	}
+	desc := pred.AppendCanon(nil, expr.Ident)
 	k := compilePred(pred)
 	if k == nil {
-		t.Fatalf("predicate %s did not compile to a kernel", pred.Canon(expr.Ident))
+		t.Fatalf("predicate %s did not compile to a kernel", desc)
 	}
 	n := v.Len()
 	dense := &vector.Batch{Vecs: []*vector.Vector{v}}
 
 	want := genericSel(t, pred, dense)
 	if got := k.dense(k, v, n, nil); !selEqual(got, want) {
-		t.Fatalf("%s dense: kernel %d rows vs generic %d rows", pred.Canon(expr.Ident), len(got), len(want))
+		t.Fatalf("%s dense: kernel %d rows vs generic %d rows", desc, len(got), len(want))
 	}
 
 	full := make([]int32, n)
@@ -133,7 +134,7 @@ func checkKernelLockstep(t *testing.T, schema catalog.Schema, pred expr.Expr, v 
 		full[i] = int32(i)
 	}
 	if got := k.refine(k, v, full); !selEqual(got, want) {
-		t.Fatalf("%s full-sel refine diverged from generic", pred.Canon(expr.Ident))
+		t.Fatalf("%s full-sel refine diverged from generic", desc)
 	}
 
 	sparse := make([]int32, 0, n/3+1)
@@ -143,11 +144,11 @@ func checkKernelLockstep(t *testing.T, schema catalog.Schema, pred expr.Expr, v 
 	view := &vector.Batch{Vecs: []*vector.Vector{v}, Sel: append([]int32(nil), sparse...)}
 	wantSparse := genericSel(t, pred, view)
 	if got := k.refine(k, v, sparse); !selEqual(got, wantSparse) {
-		t.Fatalf("%s sparse-sel refine diverged from generic", pred.Canon(expr.Ident))
+		t.Fatalf("%s sparse-sel refine diverged from generic", desc)
 	}
 
 	if got := k.refine(k, v, []int32{}); len(got) != 0 {
-		t.Fatalf("%s empty-sel refine produced %d rows", pred.Canon(expr.Ident), len(got))
+		t.Fatalf("%s empty-sel refine produced %d rows", desc, len(got))
 	}
 }
 

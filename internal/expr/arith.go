@@ -111,9 +111,10 @@ func (a *Arith) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (a *Arith) Canon(rename func(string) string) string {
-	return "(" + a.L.Canon(rename) + a.Op.String() + a.R.Canon(rename) + ")"
+// AppendCanon implements Expr.
+func (a *Arith) AppendCanon(b []byte, rename func(string) string) []byte {
+	b = append(a.L.AppendCanon(append(b, '('), rename), a.Op.String()...)
+	return append(a.R.AppendCanon(b, rename), ')')
 }
 
 // AddCols implements Expr.
@@ -221,13 +222,14 @@ func (c *Case) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (c *Case) Canon(rename func(string) string) string {
-	s := "case("
+// AppendCanon implements Expr.
+func (c *Case) AppendCanon(b []byte, rename func(string) string) []byte {
+	b = append(b, "case("...)
 	for _, w := range c.Whens {
-		s += w.Cond.Canon(rename) + "->" + w.Then.Canon(rename) + ";"
+		b = w.Cond.AppendCanon(b, rename)
+		b = append(w.Then.AppendCanon(append(b, "->"...), rename), ';')
 	}
-	return s + "else->" + c.Else.Canon(rename) + ")"
+	return append(c.Else.AppendCanon(append(b, "else->"...), rename), ')')
 }
 
 // AddCols implements Expr.

@@ -4,9 +4,9 @@
 // the paper's proactive cube-caching rules.
 //
 // Expressions serve two masters: the executor (Eval over batches) and the
-// recycler graph (Canon renders a canonical parameter string with column
-// names passed through a rename mapping, exactly the name-mapping mechanism
-// of §III-A/B of the paper).
+// recycler graph (AppendCanon renders a canonical text with column names
+// passed through a rename mapping, exactly the name-mapping mechanism of
+// §III-A/B of the paper).
 package expr
 
 import (
@@ -30,10 +30,11 @@ type Expr interface {
 	// selection-aware: column references gather through the batch's
 	// selection vector, so a filtered batch evaluates without compaction.
 	Eval(b *vector.Batch, out *vector.Vector) error
-	// Canon renders a canonical string with column names mapped through
-	// rename. Two expressions are the same operation iff their Canon
-	// strings (under compatible mappings) are equal.
-	Canon(rename func(string) string) string
+	// AppendCanon appends a canonical text of the expression to b, column
+	// names mapped through rename and literals in their typed spelling
+	// (vector.Datum.AppendCanon). Two expressions are the same operation
+	// iff their texts (under compatible mappings) are equal.
+	AppendCanon(b []byte, rename func(string) string) []byte
 	// AddCols inserts the names of referenced columns into set.
 	AddCols(set map[string]struct{})
 	// Clone returns a deep copy (rewrites mutate bindings).
@@ -96,8 +97,10 @@ func (c *Col) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (c *Col) Canon(rename func(string) string) string { return rename(c.Name) }
+// AppendCanon implements Expr.
+func (c *Col) AppendCanon(b []byte, rename func(string) string) []byte {
+	return append(b, rename(c.Name)...)
+}
 
 // AddCols implements Expr.
 func (c *Col) AddCols(set map[string]struct{}) { set[c.Name] = struct{}{} }
@@ -157,8 +160,8 @@ func (l *Lit) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (l *Lit) Canon(rename func(string) string) string { return l.D.String() }
+// AppendCanon implements Expr.
+func (l *Lit) AppendCanon(b []byte, rename func(string) string) []byte { return l.D.AppendCanon(b) }
 
 // AddCols implements Expr.
 func (l *Lit) AddCols(set map[string]struct{}) {}
@@ -404,9 +407,29 @@ func exprType(e Expr) vector.Type {
 	return vector.Unknown
 }
 
-// Canon implements Expr.
-func (c *Cmp) Canon(rename func(string) string) string {
-	return "(" + c.L.Canon(rename) + c.Op.String() + c.R.Canon(rename) + ")"
+// AppendCanon implements Expr.
+func (c *Cmp) AppendCanon(b []byte, rename func(string) string) []byte {
+	b = append(c.L.AppendCanon(append(b, '('), rename), c.Op.String()...)
+	return append(c.R.AppendCanon(b, rename), ')')
+}
+
+// AppendList appends each of xs to b through f, comma-separated: the one
+// list spelling of canonical texts.
+func AppendList[T any](b []byte, xs []T, f func(T, []byte) []byte) []byte {
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = f(x, b)
+	}
+	return b
+}
+
+// appendCall appends fn(e1,e2,...), the canonical text of a node over
+// operands es.
+func appendCall(b []byte, fn string, rename func(string) string, es ...Expr) []byte {
+	b = AppendList(append(append(b, fn...), '('), es, func(e Expr, b []byte) []byte { return e.AppendCanon(b, rename) })
+	return append(b, ')')
 }
 
 // AddCols implements Expr.

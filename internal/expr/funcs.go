@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/vector"
@@ -43,9 +44,9 @@ func (y *Year) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (y *Year) Canon(rename func(string) string) string {
-	return "year(" + y.E.Canon(rename) + ")"
+// AppendCanon implements Expr.
+func (y *Year) AppendCanon(b []byte, rename func(string) string) []byte {
+	return appendCall(b, "year", rename, y.E)
 }
 
 // AddCols implements Expr.
@@ -88,9 +89,9 @@ func (m *Month) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (m *Month) Canon(rename func(string) string) string {
-	return "month(" + m.E.Canon(rename) + ")"
+// AppendCanon implements Expr.
+func (m *Month) AppendCanon(b []byte, rename func(string) string) []byte {
+	return appendCall(b, "month", rename, m.E)
 }
 
 // AddCols implements Expr.
@@ -149,9 +150,11 @@ func (s *Substr) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (s *Substr) Canon(rename func(string) string) string {
-	return fmt.Sprintf("substr(%s,%d,%d)", s.E.Canon(rename), s.From, s.Len)
+// AppendCanon implements Expr.
+func (s *Substr) AppendCanon(b []byte, rename func(string) string) []byte {
+	b = append(s.E.AppendCanon(append(b, "substr("...), rename), ',')
+	b = append(strconv.AppendInt(b, int64(s.From), 10), ',')
+	return append(strconv.AppendInt(b, int64(s.Len), 10), ')')
 }
 
 // AddCols implements Expr.
@@ -216,9 +219,10 @@ func floorDiv(a, b int64) int64 {
 	return q
 }
 
-// Canon implements Expr.
-func (d *IntDiv) Canon(rename func(string) string) string {
-	return fmt.Sprintf("bin(%s,%d)", d.E.Canon(rename), d.K)
+// AppendCanon implements Expr.
+func (d *IntDiv) AppendCanon(b []byte, rename func(string) string) []byte {
+	b = append(d.E.AppendCanon(append(b, "bin("...), rename), ',')
+	return append(strconv.AppendInt(b, int64(d.K), 10), ')')
 }
 
 // AddCols implements Expr.

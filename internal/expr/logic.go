@@ -2,7 +2,7 @@ package expr
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/vector"
@@ -59,13 +59,9 @@ func (a *And) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (a *And) Canon(rename func(string) string) string {
-	parts := make([]string, len(a.Es))
-	for i, e := range a.Es {
-		parts[i] = e.Canon(rename)
-	}
-	return "and(" + strings.Join(parts, ",") + ")"
+// AppendCanon implements Expr.
+func (a *And) AppendCanon(b []byte, rename func(string) string) []byte {
+	return appendCall(b, "and", rename, a.Es...)
 }
 
 // AddCols implements Expr.
@@ -150,13 +146,9 @@ func (o *Or) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (o *Or) Canon(rename func(string) string) string {
-	parts := make([]string, len(o.Es))
-	for i, e := range o.Es {
-		parts[i] = e.Canon(rename)
-	}
-	return "or(" + strings.Join(parts, ",") + ")"
+// AppendCanon implements Expr.
+func (o *Or) AppendCanon(b []byte, rename func(string) string) []byte {
+	return appendCall(b, "or", rename, o.Es...)
 }
 
 // AddCols implements Expr.
@@ -209,9 +201,9 @@ func (n *Not) Eval(b *vector.Batch, out *vector.Vector) error {
 	return nil
 }
 
-// Canon implements Expr.
-func (n *Not) Canon(rename func(string) string) string {
-	return "not(" + n.E.Canon(rename) + ")"
+// AppendCanon implements Expr.
+func (n *Not) AppendCanon(b []byte, rename func(string) string) []byte {
+	return appendCall(b, "not", rename, n.E)
 }
 
 // AddCols implements Expr.
@@ -296,13 +288,13 @@ func likeMatch(s, pattern string) bool {
 	return pi == len(pattern)
 }
 
-// Canon implements Expr.
-func (l *Like) Canon(rename func(string) string) string {
-	op := "like"
+// AppendCanon implements Expr.
+func (l *Like) AppendCanon(b []byte, rename func(string) string) []byte {
 	if l.Negate {
-		op = "notlike"
+		b = append(b, "not"...)
 	}
-	return op + "(" + l.E.Canon(rename) + "," + fmt.Sprintf("%q", l.Pattern) + ")"
+	b = l.E.AppendCanon(append(b, "like("...), rename)
+	return append(strconv.AppendQuote(append(b, ','), l.Pattern), ')')
 }
 
 // AddCols implements Expr.
@@ -397,17 +389,13 @@ func toF64(d vector.Datum) float64 {
 	return 0
 }
 
-// Canon implements Expr.
-func (l *InList) Canon(rename func(string) string) string {
-	op := "in"
+// AppendCanon implements Expr.
+func (l *InList) AppendCanon(b []byte, rename func(string) string) []byte {
 	if l.Negate {
-		op = "notin"
+		b = append(b, "not"...)
 	}
-	parts := make([]string, len(l.Vals))
-	for i, d := range l.Vals {
-		parts[i] = d.String()
-	}
-	return op + "(" + l.E.Canon(rename) + ",[" + strings.Join(parts, ",") + "])"
+	b = append(l.E.AppendCanon(append(b, "in("...), rename), ",["...)
+	return append(AppendList(b, l.Vals, vector.Datum.AppendCanon), "])"...)
 }
 
 // AddCols implements Expr.

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"strconv"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/vector"
@@ -29,11 +30,11 @@ func (p *Param) Eval(b *vector.Batch, out *vector.Vector) error {
 	return fmt.Errorf("expr: unbound parameter ?%d", p.Idx+1)
 }
 
-// Canon implements Expr. Canonical placeholders are distinct from every
+// AppendCanon implements Expr. Canonical placeholders are distinct from every
 // literal rendering, so a parameter template never collides with a bound
 // plan in the recycler graph.
-func (p *Param) Canon(rename func(string) string) string {
-	return fmt.Sprintf("?%d", p.Idx+1)
+func (p *Param) AppendCanon(b []byte, rename func(string) string) []byte {
+	return strconv.AppendInt(append(b, '?'), int64(p.Idx+1), 10)
 }
 
 // AddCols implements Expr.

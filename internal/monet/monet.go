@@ -4,8 +4,8 @@
 // style of Ivanova et al. (SIGMOD 2009): since materialization is a free
 // by-product of the execution paradigm, every intermediate is admitted to
 // the cache, matching happens directly on cached results (one entry per
-// operator instance, keyed by its full subtree), and eviction is
-// benefit-ordered. Consequently it must keep all intermediates on the path
+// operator instance, keyed by its full subtree's opt.ShapeKey), and
+// eviction is benefit-ordered. Consequently it must keep all intermediates on the path
 // to a result — the property that separates the two systems under a limited
 // cache budget (§V).
 package monet
@@ -17,7 +17,7 @@ import (
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/exec"
-	"recycledb/internal/expr"
+	"recycledb/internal/opt"
 	"recycledb/internal/plan"
 )
 
@@ -53,7 +53,7 @@ func (e *Engine) Execute(p *plan.Node) (*catalog.Result, error) {
 
 // eval returns the node's materialized result and its subtree key.
 func (e *Engine) eval(n *plan.Node) (*catalog.Result, string, error) {
-	key := subtreeKey(n)
+	key := opt.ShapeKey(n)
 	if e.Rec != nil {
 		if r, ok := e.Rec.lookup(key); ok {
 			return r, key, nil
@@ -88,10 +88,7 @@ func (e *Engine) evalOne(n *plan.Node, inputs []*catalog.Result) (*catalog.Resul
 	leaves := make([]*plan.Node, len(inputs))
 	for i, in := range inputs {
 		// The leaf replays the child's materialized batches under the
-		// child plan's own output names: matching ignores assigned names
-		// (two projections differing only in aliases share one cache
-		// entry), so the cached result's names may belong to another
-		// query-side alias of the same operation.
+		// child plan's own output names.
 		leaf := plan.NewCached(n.Children[i].Schema())
 		idx := make([]int, len(in.Schema))
 		for j := range idx {
@@ -110,24 +107,6 @@ func (e *Engine) evalOne(n *plan.Node, inputs []*catalog.Result) (*catalog.Resul
 		return nil, err
 	}
 	return exec.Run(ctx, op)
-}
-
-// subtreeKey is the full-subtree fingerprint used for matching: the
-// instruction plus its (materialized) argument fingerprints, like matching
-// MAL instructions on their actual arguments.
-func subtreeKey(n *plan.Node) string {
-	s := n.Op.String() + "[" + n.ParamString(expr.Ident) + "]"
-	if len(n.Children) > 0 {
-		s += "("
-		for i, c := range n.Children {
-			if i > 0 {
-				s += ","
-			}
-			s += subtreeKey(c)
-		}
-		s += ")"
-	}
-	return s
 }
 
 // entry is one cached intermediate.

@@ -7,6 +7,7 @@ import (
 	"recycledb/internal/catalog"
 	"recycledb/internal/exec"
 	"recycledb/internal/expr"
+	"recycledb/internal/opt"
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
@@ -164,10 +165,17 @@ func TestSubtreeKeyDistinguishes(t *testing.T) {
 			expr.Gt(expr.C("v"), expr.Flt(999))),
 		[]string{"k"},
 		plan.A(plan.Sum, expr.C("v"), "total"))
-	if subtreeKey(a) == subtreeKey(b) {
+	if opt.ShapeKey(a) == opt.ShapeKey(b) {
 		t.Fatal("different predicates must have different keys")
 	}
-	if subtreeKey(a) != subtreeKey(testQuery()) {
+	if opt.ShapeKey(a) != opt.ShapeKey(testQuery()) {
 		t.Fatal("identical plans must have identical keys")
+	}
+	// A cached result is replayed under the names it was computed with, so
+	// an alias is part of the key.
+	c := testQuery()
+	c.Aggs[0].As = "sum"
+	if opt.ShapeKey(a) == opt.ShapeKey(c) {
+		t.Fatal("different aliases must have different keys")
 	}
 }

@@ -2,7 +2,6 @@ package opt
 
 import (
 	"math"
-	"strings"
 
 	"recycledb/internal/core"
 	"recycledb/internal/expr"
@@ -55,28 +54,21 @@ type entry struct {
 	match *core.NodeMatch
 }
 
-// memoKey names a shape one level deep: operator and canonical parameters
-// over the children's memo ids, plus the output names the node assigns —
-// its match maps them to graph columns for its parent.
-type memoKey struct {
-	op     plan.Op
-	params string
-	kids   [2]int
-}
-
-// coster is the optimizer's hash-consed memo. Shapes are interned bottom-up
-// and keyed on their children's ids, so logically identical subtrees,
-// however they were assembled, share one entry. An entry is costed from its
-// children's entries and matched against the recycler graph from their
-// matches, so interning, costing and probing a node is one level of work
-// whatever the size of the plan below it.
+// coster is the optimizer's hash-consed memo. Shapes are interned bottom-up,
+// each keyed (plan.Key) on its identity text with the output names it
+// assigns — its match maps them to graph columns for its parent — over its
+// children's memo ids, so logically identical subtrees, however they were
+// assembled, share one entry. An entry is costed from its children's entries
+// and matched against the recycler graph from their matches, so interning,
+// costing and probing a node is one level of work whatever the size of the
+// plan below it.
 type coster struct {
 	ctx  *Context
-	memo map[memoKey]*entry
+	memo map[plan.Key]*entry
 }
 
 func newCoster(ctx *Context) *coster {
-	return &coster{ctx: ctx, memo: make(map[memoKey]*entry)}
+	return &coster{ctx: ctx, memo: make(map[plan.Key]*entry)}
 }
 
 // info returns the memo entry of a resolved subtree, interning it bottom-up.
@@ -92,17 +84,15 @@ func (c *coster) info(n *plan.Node) *entry {
 // entries. rows, when not negative, is n's cardinality as the caller
 // already estimated it.
 func (c *coster) node(n *plan.Node, kids []*entry, rows int64) *entry {
-	k := memoKey{op: n.Op, params: n.ParamString(expr.Ident)}
-	if as := n.AssignedNames(); as != nil {
-		k.params += " as " + strings.Join(as, ",")
-	}
+	var ids [2]uint64
 	var childRows [2]int64
 	var ms [2]*core.NodeMatch
 	matched := c.ctx.Rec != nil
 	for i, kd := range kids {
-		k.kids[i], childRows[i], ms[i] = kd.id, kd.Rows, kd.match
+		ids[i], childRows[i], ms[i] = uint64(kd.id), kd.Rows, kd.match
 		matched = matched && kd.match != nil
 	}
+	k := n.Key(expr.Ident, true, ids)
 	if e, ok := c.memo[k]; ok {
 		return e
 	}
@@ -328,29 +318,24 @@ func floor1(v int64) int64 {
 	return v
 }
 
-// ShapeKey renders a plan's canonical signature: operator and canonical
-// parameter string per node, parenthesized by structure — the same per-node
-// canonical parameter strings the recycler graph dedupes shapes by. The
-// engine keys its optimized-shape cache on it.
-func ShapeKey(p *plan.Node) string {
-	var b strings.Builder
-	writeShape(&b, p)
-	return b.String()
-}
+// ShapeKey renders a plan's identity whole: each node's identity text with
+// the output names it assigns (plan.Node.AppendCanon), its children's in
+// parentheses after it. Two bound plans with equal keys return the same rows
+// under the same column names and types. The engine keys its
+// optimized-shape cache on it.
+func ShapeKey(p *plan.Node) string { return string(appendShape(make([]byte, 0, 256), p)) }
 
-func writeShape(b *strings.Builder, n *plan.Node) {
-	b.WriteString(n.Op.String())
-	b.WriteByte('[')
-	b.WriteString(n.ParamString(expr.Ident))
-	b.WriteByte(']')
-	if len(n.Children) > 0 {
-		b.WriteByte('(')
-		for i, c := range n.Children {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeShape(b, c)
-		}
-		b.WriteByte(')')
+func appendShape(b []byte, n *plan.Node) []byte {
+	b = n.AppendCanon(b, expr.Ident, true)
+	if len(n.Children) == 0 {
+		return b
 	}
+	b = append(b, '(')
+	for i, c := range n.Children {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendShape(b, c)
+	}
+	return append(b, ')')
 }

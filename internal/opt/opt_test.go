@@ -25,7 +25,7 @@ func testCat() *catalog.Catalog {
 	return cat
 }
 
-func canonOf(e expr.Expr) string { return e.Canon(expr.Ident) }
+func canonOf(e expr.Expr) string { return string(e.AppendCanon(nil, expr.Ident)) }
 
 // A conjunction over a join must split per side and sink each conjunct into
 // a chain directly above its scan.

@@ -33,7 +33,7 @@ func canonPreds(preds []expr.Expr) []cpred {
 	seen := make(map[string]struct{}, len(preds))
 	cps := make([]cpred, 0, len(preds))
 	for _, p := range preds {
-		c := p.Canon(expr.Ident)
+		c := string(p.AppendCanon(nil, expr.Ident))
 		if _, dup := seen[c]; dup {
 			continue
 		}

@@ -1,15 +1,16 @@
 // Package plan defines logical query plan trees: the "optimized query trees"
 // that flow through the paper's rewriter and are matched against / inserted
 // into the recycler graph. Each node carries an operator kind, parameters,
-// and an output schema. The canonical parameter string (ParamString) is
-// derived here; with the operator and the matched children it is the whole
-// of a node's identity in the recycler graph (§III-A), so no separate
-// hash-keys or column signatures are kept.
+// and an output schema. A node's identity is written here once
+// (Node.AppendCanon, Key): its operator and its parameters, literals typed,
+// over its children's ids. The recycler graph keys nodes on it with columns
+// in the graph's namespace and output names left out (§III-A); the
+// optimizer's memo and the engine's optimized-shape key (opt.ShapeKey) use
+// the same text with the output names appended. No separate hash-keys or
+// column signatures are kept.
 package plan
 
 import (
-	"fmt"
-
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
 	"recycledb/internal/vector"
@@ -259,7 +260,6 @@ func (n *Node) String() string {
 	return render(n, 0)
 }
 
-// Describe returns a one-line description of this node.
-func (n *Node) Describe() string {
-	return fmt.Sprintf("%s[%s]", n.Op, n.ParamString(expr.Ident))
-}
+// Describe returns a one-line description of this node: its identity text
+// without output names.
+func (n *Node) Describe() string { return string(n.AppendCanon(nil, expr.Ident, false)) }

@@ -214,6 +214,12 @@ func TestResolveTableFn(t *testing.T) {
 	}
 }
 
+// graphText is n's identity text as the recycler graph keys it: output
+// names left out.
+func graphText(n *Node, rename func(string) string) string {
+	return string(n.AppendCanon(nil, rename, false))
+}
+
 func TestParamStringExcludesOutputNames(t *testing.T) {
 	cat := testCatalog()
 	a := NewAggregate(NewScan("s"), []string{"s_r_id"}, A(Sum, expr.C("s_qty"), "alpha"))
@@ -224,34 +230,43 @@ func TestParamStringExcludesOutputNames(t *testing.T) {
 	if err := b.Resolve(cat); err != nil {
 		t.Fatal(err)
 	}
-	if a.ParamString(expr.Ident) != b.ParamString(expr.Ident) {
+	if graphText(a, expr.Ident) != graphText(b, expr.Ident) {
 		t.Fatalf("same operation with different output names must have equal params:\n%s\n%s",
-			a.ParamString(expr.Ident), b.ParamString(expr.Ident))
+			graphText(a, expr.Ident), graphText(b, expr.Ident))
+	}
+	// The shape key and the memo append the names, so they tell a and b apart.
+	if ka, kb := a.Key(expr.Ident, true, [2]uint64{}), b.Key(expr.Ident, true, [2]uint64{}); ka == kb {
+		t.Fatalf("keys with names are equal: %v", ka)
 	}
 }
 
 func TestParamStringDistinguishesPredicates(t *testing.T) {
 	p1 := NewSelect(NewScan("r", "r_id"), expr.Lt(expr.C("r_id"), expr.Int(5)))
 	p2 := NewSelect(NewScan("r", "r_id"), expr.Lt(expr.C("r_id"), expr.Int(6)))
-	if p1.ParamString(expr.Ident) == p2.ParamString(expr.Ident) {
+	if graphText(p1, expr.Ident) == graphText(p2, expr.Ident) {
 		t.Fatal("different constants must differ in params")
+	}
+	// A literal's type is part of its text: int64 5 and float64 5 differ.
+	p3 := NewSelect(NewScan("r", "r_id"), expr.Lt(expr.C("r_id"), expr.Flt(5)))
+	if graphText(p1, expr.Ident) == graphText(p3, expr.Ident) {
+		t.Fatalf("int and float literals print alike: %s", graphText(p3, expr.Ident))
 	}
 }
 
 func TestHashKeyIgnoresColumnNames(t *testing.T) {
-	// The recycler graph keys a node by ParamString in the graph's column
+	// The recycler graph keys a node by its identity text in the graph's column
 	// namespace. Same shape, different column names: params differ under the
 	// identity rename, but are equal once both names map to one graph name,
 	// so column names enter the key only through the rename.
 	p1 := NewSelect(NewScan("r", "r_id"), expr.Lt(expr.C("r_id"), expr.Int(5)))
 	p2 := NewSelect(NewScan("s", "s_id"), expr.Lt(expr.C("s_id"), expr.Int(5)))
-	if p1.ParamString(expr.Ident) == p2.ParamString(expr.Ident) {
+	if graphText(p1, expr.Ident) == graphText(p2, expr.Ident) {
 		t.Fatal("params must still distinguish column names")
 	}
 	toGraph := func(string) string { return "g_id" }
-	if p1.ParamString(toGraph) != p2.ParamString(toGraph) {
+	if graphText(p1, toGraph) != graphText(p2, toGraph) {
 		t.Fatalf("params must agree in one namespace:\n%s\n%s",
-			p1.ParamString(toGraph), p2.ParamString(toGraph))
+			graphText(p1, toGraph), graphText(p2, toGraph))
 	}
 }
 
@@ -290,7 +305,7 @@ func TestCloneDeep(t *testing.T) {
 	// Mutate the clone; original must be unaffected.
 	cl.Children[0].Pred = expr.Lt(expr.C("r_val"), expr.Flt(0))
 	cl.Projs[0].As = "renamed"
-	if orig.Children[0].ParamString(expr.Ident) == cl.Children[0].ParamString(expr.Ident) {
+	if orig.Children[0].Describe() == cl.Children[0].Describe() {
 		t.Fatal("clone shares predicate")
 	}
 	if orig.Projs[0].As != "id" {

@@ -5,7 +5,11 @@
 // execution model the paper targets.
 package vector
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+	"strconv"
+)
 
 // Type identifies the physical type of a column vector.
 type Type uint8
@@ -297,20 +301,29 @@ func (d Datum) Compare(o Datum) int {
 	return 0
 }
 
-// String renders the datum for debugging and canonical plan strings.
-func (d Datum) String() string {
+// String returns the datum's canonical spelling (AppendCanon).
+func (d Datum) String() string { return string(d.AppendCanon(nil)) }
+
+// AppendCanon appends the datum's canonical spelling to b, the one plan
+// identity is rendered in. The type reads off the text: Int64 2 is "2",
+// Float64 2 is "2.0", Date 2 is "date(2)" and String "2" is "\"2\"", so
+// literals of different types never print alike.
+func (d Datum) AppendCanon(b []byte) []byte {
 	switch d.Typ {
 	case Int64:
-		return fmt.Sprintf("%d", d.I64)
+		return strconv.AppendInt(b, d.I64, 10)
 	case Date:
-		return fmt.Sprintf("date(%d)", d.I64)
+		return append(strconv.AppendInt(append(b, "date("...), d.I64, 10), ')')
 	case Float64:
-		return fmt.Sprintf("%g", d.F64)
+		n := len(b)
+		if b = strconv.AppendFloat(b, d.F64, 'g', -1, 64); !bytes.ContainsAny(b[n:], ".eIN") {
+			b = append(b, ".0"...)
+		}
+		return b
 	case String:
-		return fmt.Sprintf("%q", d.Str)
+		return strconv.AppendQuote(b, d.Str)
 	case Bool:
-		return fmt.Sprintf("%t", d.B)
-	default:
-		return "?"
+		return strconv.AppendBool(b, d.B)
 	}
+	return append(b, '?')
 }

@@ -192,7 +192,10 @@ type Engine struct {
 	// across them.
 	par int
 	// optShapes memoizes the optimizer's output per opt.ShapeKey of the
-	// bound plan, keyed with the schema version it resolved under. The
+	// bound plan, keyed with the schema version it resolved under. The key
+	// is the plan's one identity (plan.Node.AppendCanon) with output names
+	// and typed literals, so two plans share an entry only if each one's
+	// optimized plan returns the other's rows, column names and types. The
 	// optimizer is deterministic for a fixed recycler state and its
 	// steering converges (an executed shape is found warm and re-picked),
 	// so re-optimizing a shape seen moments ago recomputes the same answer.
