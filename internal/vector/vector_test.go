@@ -1,6 +1,7 @@
 package vector
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -14,6 +15,31 @@ func TestTypeString(t *testing.T) {
 	for typ, want := range cases {
 		if got := typ.String(); got != want {
 			t.Errorf("Type(%d).String() = %q, want %q", typ, got, want)
+		}
+	}
+}
+
+// TestDatumCanonTellsTypesApart pins the canonical spelling plan identity
+// is rendered in: a literal's type reads off its text.
+func TestDatumCanonTellsTypesApart(t *testing.T) {
+	cases := []struct {
+		d    Datum
+		want string
+	}{
+		{NewInt64Datum(2), "2"},
+		{NewFloat64Datum(2), "2.0"},
+		{NewFloat64Datum(-0.5), "-0.5"},
+		{NewFloat64Datum(1e21), "1e+21"},
+		{NewFloat64Datum(math.Inf(1)), "+Inf"},
+		{NewDateDatum(2), "date(2)"},
+		{NewStringDatum("2"), `"2"`},
+		{NewBoolDatum(true), "true"},
+	}
+	// The prefix holds '.' and 'e': whether a float needs ".0" is read
+	// off the appended bytes only.
+	for _, c := range cases {
+		if got := string(c.d.AppendCanon([]byte("e."))); got != "e."+c.want || c.d.String() != c.want {
+			t.Errorf("%v datum spells %q, want %q", c.d.Typ, got, c.want)
 		}
 	}
 }
