@@ -6,6 +6,7 @@ import (
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/core"
+	"recycledb/internal/exec"
 )
 
 // The one test seam: Config carries only what commands, examples and the
@@ -57,6 +58,10 @@ func ShapeRoots(e *Engine) []*core.Node {
 	})
 	return out
 }
+
+// Record returns the record of the statement r streams, which also holds
+// the executor's engagement counts that QueryStats leaves out.
+func Record(r *Rows) *exec.StmtRecord { return r.ectx.Record }
 
 // ExplainText runs EXPLAIN q through the statement path and joins its
 // QUERY PLAN rows, one line each.

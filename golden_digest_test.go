@@ -103,13 +103,13 @@ func (want goldenDigest) diff(canon map[string]*canonRow) string {
 
 // runAsWritten is the reference execution: the plan resolved as written and
 // run by the executor alone at one worker — no optimizer, rewriter or
-// recycler.
-func runAsWritten(cat *catalog.Catalog, q *plan.Node) (*catalog.Result, error) {
+// recycler. rec, if not nil, receives the executor's counts.
+func runAsWritten(cat *catalog.Catalog, q *plan.Node, rec *exec.StmtRecord) (*catalog.Result, error) {
 	p := q.Clone()
 	if err := p.Resolve(cat); err != nil {
 		return nil, err
 	}
-	ectx := &exec.Ctx{Cat: cat, Parallelism: 1}
+	ectx := &exec.Ctx{Cat: cat, Parallelism: 1, Record: rec}
 	op, err := exec.Build(ectx, p, nil, nil)
 	if err != nil {
 		return nil, err
@@ -134,7 +134,7 @@ func goldenSection(t *testing.T, section string, cat *catalog.Catalog, queries [
 	if *updateGolden {
 		ds := make([]goldenDigest, len(queries))
 		for i, q := range queries {
-			res, err := runAsWritten(cat, q.Plan)
+			res, err := runAsWritten(cat, q.Plan, nil)
 			if err != nil {
 				t.Fatalf("recording %s %s: %v", section, q.Label, err)
 			}

@@ -125,13 +125,18 @@ func TestOptimizerMemoDeterminism(t *testing.T) {
 	// re-planning renders the same bytes for either conjunct order and on
 	// either engine.
 	for _, e := range []*recycledb.Engine{a, b} {
-		before := exec.ParallelFragmentsBuilt()
+		var frags int64
 		for i := 0; i < 3; i++ {
-			if _, err := e.Exec(context.Background(), qA); err != nil {
+			rows, err := e.Query(context.Background(), qA)
+			if err != nil {
 				t.Fatal(err)
 			}
+			if _, err := rows.Collect(); err != nil {
+				t.Fatal(err)
+			}
+			frags += recycledb.Record(rows).ParallelFragments.Load()
 		}
-		if parallel := exec.ParallelFragmentsBuilt() > before; parallel != (e == b) {
+		if parallel := frags > 0; parallel != (e == b) {
 			t.Fatalf("engine at %d workers built parallel fragments: %v", e.Workers(), parallel)
 		}
 	}
@@ -170,16 +175,15 @@ func TestOptimizerBuildRowsNoWorseThanWritten(t *testing.T) {
 	for _, s := range tpch.Streams(3, 7) {
 		for _, p := range s.Queries {
 			q := tpch.Build(p)
-			before := exec.JoinBuildRows()
-			if _, err := runAsWritten(cat, q); err != nil {
+			var asWritten exec.StmtRecord
+			if _, err := runAsWritten(cat, q, &asWritten); err != nil {
 				t.Fatalf("%v as written: %v", p, err)
 			}
-			written := exec.JoinBuildRows() - before
-			before = exec.JoinBuildRows()
-			if _, err := eng.ExecuteContext(context.Background(), q); err != nil {
+			_, rec, err := executeRecorded(eng, q)
+			if err != nil {
 				t.Fatalf("%v optimized: %v", p, err)
 			}
-			optimized := exec.JoinBuildRows() - before
+			written, optimized := asWritten.JoinBuildRows.Load(), rec.JoinBuildRows.Load()
 			t.Logf("Q%-2d written %7d optimized %7d", p.Q, written, optimized)
 			if float64(optimized) > 1.25*float64(written) {
 				t.Errorf("%v: optimized plan builds %d rows, written plan %d (%.2fx > 1.25x)",

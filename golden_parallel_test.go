@@ -22,6 +22,7 @@ import (
 	"recycledb/internal/exec"
 	"recycledb/internal/harness"
 	"recycledb/internal/monet"
+	"recycledb/internal/plan"
 	"recycledb/internal/workload"
 )
 
@@ -33,6 +34,17 @@ func newSmallVectorEngine(cfg recycledb.Config, cat *catalog.Catalog) *recycledb
 	tun := recycledb.DefaultTuning()
 	tun.VectorSize = 256
 	return recycledb.NewTuned(cfg, tun, cat)
+}
+
+// executeRecorded runs q like Engine.ExecuteContext and also returns the
+// statement's record, where the executor's engagement counts are.
+func executeRecorded(e *recycledb.Engine, q *plan.Node) (*recycledb.Result, *exec.StmtRecord, error) {
+	rows, err := e.Stream(context.Background(), q)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := rows.Collect()
+	return res, recycledb.Record(rows), err
 }
 
 func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
@@ -72,10 +84,7 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 	}
 	meng := monet.New(cat, monet.NewRecycler(0))
 
-	fragsBefore := exec.ParallelFragmentsBuilt()
-	fusedBefore := exec.FusedFragmentsBuilt()
-	predBefore := exec.PredKernelsCompiled()
-	hashBefore := exec.FastHashEngaged()
+	var frags, fused, pred, hash int64
 	rng := rand.New(rand.NewSource(123))
 	rounds := []struct {
 		name string
@@ -105,10 +114,14 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 		for _, pe := range engines {
 			for pass := 0; pass < 2; pass++ {
 				for i, q := range queries {
-					r, err := pe.eng.ExecuteContext(context.Background(), q.Plan)
+					r, rec, err := executeRecorded(pe.eng, q.Plan)
 					if err != nil {
 						t.Fatalf("%s: %s pass %d %s: %v", round.name, pe.label, pass, q.Label, err)
 					}
+					frags += rec.ParallelFragments.Load()
+					fused += rec.FusedFragments.Load()
+					pred += rec.PredKernels.Load()
+					hash += rec.FastHash.Load()
 					if d := want[i].diff(canonResult(r)); d != "" {
 						t.Fatalf("%s: %s pass %d %s: %s", round.name, pe.label, pass, q.Label, d)
 					}
@@ -133,19 +146,19 @@ func TestGoldenEquivalenceAcrossParallelism(t *testing.T) {
 
 	// Sanity: the matrix really exercised parallel fragments — an engine
 	// whose plans all fell back to serial would make this test vacuous.
-	if got := exec.ParallelFragmentsBuilt() - fragsBefore; got == 0 {
+	if frags == 0 {
 		t.Fatal("no parallel fragments were built; the equivalence matrix ran fully serial")
 	}
-	if got := exec.FusedFragmentsBuilt() - fusedBefore; got == 0 {
+	if fused == 0 {
 		t.Fatal("no fused fragments were built")
 	}
 	// ... and the specialized paths under them: a matrix where every
 	// conjunct and key set fell back to the generic evaluator
 	// would be green without testing the kernels at all.
-	if got := exec.PredKernelsCompiled() - predBefore; got == 0 {
+	if pred == 0 {
 		t.Fatal("no predicate kernels compiled; the equivalence matrix ran fully generic")
 	}
-	if got := exec.FastHashEngaged() - hashBefore; got == 0 {
+	if hash == 0 {
 		t.Fatal("the int64 hash fast path never engaged")
 	}
 	// Recycling decisions are a pure function of plan, data and statement

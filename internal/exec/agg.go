@@ -215,8 +215,8 @@ func (st *aggState) open(ctx *Ctx, inSchema catalog.Schema) {
 	st.rowBase = 0
 	st.scalar = len(st.groupCols) == 0
 	st.fastHash = len(st.groupCols) == 1 && fastHashType(inSchema[st.groupCols[0]].Typ)
-	if st.fastHash {
-		fastHashEngaged.Add(1)
+	if rec := ctx.Record; st.fastHash && rec != nil {
+		rec.FastHash.Add(1)
 	}
 	st.accs = make([]accCol, len(st.aggs))
 	for a, ag := range st.aggs {

@@ -55,7 +55,7 @@ func TestFilterNextZeroAlloc(t *testing.T) {
 	// Selective predicate with an arithmetic comparison, exercising the
 	// expression scratch reuse as well as the selection build.
 	pred := expr.Lt(expr.C("id"), expr.Int(benchRows/2))
-	assertZeroAllocs(t, NewCtx(catalog.New()), pipeFilter(t, scan, pred), 4, 100)
+	assertZeroAllocs(t, NewCtx(catalog.New()), pipeFilter(t, scan, pred, nil), 4, 100)
 }
 
 func TestJoinProbeNextZeroAlloc(t *testing.T) {
@@ -65,7 +65,7 @@ func TestJoinProbeNextZeroAlloc(t *testing.T) {
 	out := append(append(catalog.Schema{}, lschema...), rschema...)
 	// Self-join on the unique id: every probe row matches exactly once,
 	// so each Next emits a full output batch from the probe loop.
-	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out, nil)
 	assertZeroAllocs(t, NewCtx(catalog.New()), j, 8, 100)
 }
 
@@ -107,7 +107,7 @@ func TestFilterProjectPipelineZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	scan, _ := benchScan(tab)
 	pred := expr.Lt(expr.C("k"), expr.Int(32)) // ~50% selectivity
-	f := pipeFilter(t, scan, pred)
+	f := pipeFilter(t, scan, pred, nil)
 	exprs := []expr.Expr{expr.C("id"), expr.C("s")}
 	outSchema := catalog.Schema{
 		{Name: "id", Typ: vector.Int64},
@@ -134,7 +134,7 @@ func TestMorselPipelineZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &fusedPipe{schema: tab.Schema, src: src, scan: rangeScan{cols: []int{0, 1, 2, 3}}}
-	p.addFilter(pred)
+	p.addFilter(pred, nil)
 	p.sink = func(*vector.Batch) error { return nil }
 	p.endMorsel = src.advance
 	if err := p.open(ctx); err != nil {
@@ -205,7 +205,7 @@ func TestBlockingStateReuseZeroAlloc(t *testing.T) {
 			left, lschema := benchScan(big)
 			right, rschema := benchScan(big)
 			out := append(append(catalog.Schema{}, lschema...), rschema...)
-			return pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+			return pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out, nil)
 		}},
 		{"sort-256Ki-rows", benchRows, func() Operator {
 			scan, _ := benchScan(big)

@@ -106,7 +106,7 @@ func BenchmarkFilter(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				scan, _ := benchScan(t)
 				pred := expr.Lt(expr.C("id"), expr.Int(cutoff))
-				rows := drain(b, ctx, pipeFilter(b, scan, pred))
+				rows := drain(b, ctx, pipeFilter(b, scan, pred, nil))
 				if rows != cutoff {
 					b.Fatalf("got %d rows, want %d", rows, cutoff)
 				}
@@ -130,7 +130,7 @@ func BenchmarkJoin(b *testing.B) {
 		out := append(append(catalog.Schema{}, lschema...), rschema...)
 		// Probe ids 0..256Ki against build ids 0..16Ki: every probe row is
 		// hashed and probed, the first 16Ki match exactly once.
-		j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+		j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out, nil)
 		rows := drain(b, ctx, j)
 		if rows != 1<<14 {
 			b.Fatalf("got %d rows, want %d", rows, 1<<14)

@@ -54,6 +54,9 @@ type Ctx struct {
 	// 16 x the vector size). Exposed for tests; morsel granularity does
 	// not affect results, only scheduling.
 	MorselRows int
+	// Record is the statement's record, where the executor writes what it
+	// counts; nil counts nothing.
+	Record *StmtRecord
 }
 
 // morselRows returns the scan range claimed per worker dispatch.

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/expr"
@@ -54,20 +53,8 @@ import (
 // entry is a foldOp, a view of that total, so the recycler prices a subtree
 // from the same rows whatever the worker count.
 
-// Engagement counters (process-wide); tests use them to assert a path
-// engaged rather than went vacuous.
-var (
-	fusedFragments    atomic.Int64
-	parallelFragments atomic.Int64
-)
-
-// FusedFragmentsBuilt returns the number of fragments compiled since
-// process start (introspection/testing).
-func FusedFragmentsBuilt() int64 { return fusedFragments.Load() }
-
-// ParallelFragmentsBuilt returns how many of them split across more than
-// one worker.
-func ParallelFragmentsBuilt() int64 { return parallelFragments.Load() }
+// Every fragment built counts in its statement record's FusedFragments, and
+// one split across workers in ParallelFragments too (see StmtRecord).
 
 // buildFragment builds the operator for the Select, Project, Join or
 // Aggregate node n.
@@ -124,7 +111,7 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, stats map[*plan.Node
 		for _, pn := range spine[1:] {
 			switch pn.Op {
 			case plan.Select:
-				p.addFilter(pn.Pred)
+				p.addFilter(pn.Pred, ctx.Record)
 			case plan.Project:
 				exprs := make([]expr.Expr, len(pn.Projs))
 				for i, pr := range pn.Projs {
@@ -149,9 +136,11 @@ func buildFragment(ctx *Ctx, n *plan.Node, dec Decorations, stats map[*plan.Node
 		}
 	}
 
-	fusedFragments.Add(1)
-	if nW > 1 {
-		parallelFragments.Add(1)
+	if rec := ctx.Record; rec != nil {
+		rec.FusedFragments.Add(1)
+		if nW > 1 {
+			rec.ParallelFragments.Add(1)
+		}
 	}
 	switch {
 	case n.Op == plan.Aggregate:

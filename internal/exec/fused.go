@@ -368,10 +368,11 @@ func (p *fusedPipe) flush(ctx *Ctx) (more bool, err error) {
 	return false, nil
 }
 
-// addFilter appends a filter stage for the bound predicate pred.
-func (p *fusedPipe) addFilter(pred expr.Expr) {
+// addFilter appends a filter stage for the bound predicate pred, counting
+// its compiled kernels in rec.
+func (p *fusedPipe) addFilter(pred expr.Expr, rec *StmtRecord) {
 	p.stages = append(p.stages, fusedStage{
-		kind: stageFilter, steps: compileSteps(expr.Conjuncts(pred)),
+		kind: stageFilter, steps: compileSteps(expr.Conjuncts(pred), rec),
 	})
 }
 

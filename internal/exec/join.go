@@ -66,13 +66,13 @@ func buildJoin(ctx *Ctx, pn *plan.Node, dec Decorations, stats map[*plan.Node]No
 	if err != nil {
 		return nil, err
 	}
-	return newSharedBuild(pn.JT, left, right, lcols, rcols, workers), nil
+	return newSharedBuild(pn.JT, left, right, lcols, rcols, workers, ctx.Record), nil
 }
 
 // newSharedBuild assembles a join over probe-side schema left and build-side
 // operator right, keyed on leftCols = rightCols, for a fragment of workers
-// probing pipes.
-func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftCols, rightCols []int, workers int) *sharedBuild {
+// probing pipes. rec counts the fast hash path if the join takes it.
+func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftCols, rightCols []int, workers int, rec *StmtRecord) *sharedBuild {
 	sb := &sharedBuild{jt: jt, child: right, leftCols: leftCols, rightCols: rightCols, leftWidth: len(left)}
 	// Partitions: enough for the fragment's workers to build chains
 	// concurrently, a power of two so the partition is the hash's top bits
@@ -85,7 +85,9 @@ func newSharedBuild(jt plan.JoinType, left catalog.Schema, right Operator, leftC
 	if len(leftCols) == 1 && fastHashType(left[leftCols[0]].Typ) &&
 		fastHashType(right.Schema()[rightCols[0]].Typ) {
 		sb.fastHash = true
-		fastHashEngaged.Add(1)
+		if rec != nil {
+			rec.FastHash.Add(1)
+		}
 	}
 	return sb
 }
@@ -128,7 +130,9 @@ func (b *sharedBuild) run(ctx *Ctx) error {
 		}
 	}
 	rows := len(b.hash)
-	joinBuildRows.Add(int64(rows))
+	if rec := ctx.Record; rec != nil {
+		rec.JoinBuildRows.Add(int64(rows))
+	}
 	// Every row is chained into exactly one partition, so every next slot
 	// is written below: the pooled array needs no clearing.
 	b.next = pool.I32.Get(rows)[:rows]

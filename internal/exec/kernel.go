@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"sync/atomic"
 
 	"recycledb/internal/expr"
 	"recycledb/internal/vector"
@@ -48,25 +47,6 @@ import (
 // kernels (they attach at build time under the same plan nodes), survivors
 // are bit-identical by construction, and so are the row counts the stages
 // report.
-
-// Engagement counters (process-wide, for tests and introspection).
-var (
-	predKernelsCompiled atomic.Int64
-	fastHashEngaged     atomic.Int64
-	joinBuildRows       atomic.Int64
-)
-
-// PredKernelsCompiled returns the number of predicate kernels compiled since
-// process start.
-func PredKernelsCompiled() int64 { return predKernelsCompiled.Load() }
-
-// FastHashEngaged returns the number of operator opens that selected the
-// single-column int64 hash fast path since process start.
-func FastHashEngaged() int64 { return fastHashEngaged.Load() }
-
-// JoinBuildRows returns the number of rows inserted into hash-join build
-// tables since process start.
-func JoinBuildRows() int64 { return joinBuildRows.Load() }
 
 // kernelKind discriminates the compiled inner loops.
 type kernelKind uint8
@@ -279,7 +259,6 @@ func compilePred(e expr.Expr) *predKernel {
 	}
 	k := &predKernel{col: sh.ColIdx}
 	ent.compile(k, sh.Const)
-	predKernelsCompiled.Add(1)
 	return k
 }
 
@@ -351,14 +330,18 @@ type filterStep struct {
 // compileSteps lowers bound conjuncts into a filter chain: each conjunct
 // compiles to a predicate kernel when its shape is specialized, adjacent
 // kernel pairs fuse, and every other conjunct stays a generic expr.Eval step
-// (cloned, so each pipe owns its evaluation scratch).
-func compileSteps(conjuncts []expr.Expr) []filterStep {
+// (cloned, so each pipe owns its evaluation scratch). Compiled conjuncts
+// count in rec's PredKernels.
+func compileSteps(conjuncts []expr.Expr, rec *StmtRecord) []filterStep {
 	steps := make([]filterStep, 0, len(conjuncts))
 	for _, c := range conjuncts {
 		k := compilePred(c)
 		if k == nil {
 			steps = append(steps, filterStep{pred: c.Clone()})
 			continue
+		}
+		if rec != nil {
+			rec.PredKernels.Add(1)
 		}
 		if n := len(steps); n > 0 && steps[n-1].kern != nil {
 			if f := fuseKernelPair(steps[n-1].kern, k); f != nil {

@@ -259,7 +259,7 @@ func TestKernelPairFusion(t *testing.T) {
 			if len(conj) != 2 {
 				t.Fatalf("Between expanded to %d conjuncts, want 2", len(conj))
 			}
-			steps := compileSteps(conj)
+			steps := compileSteps(conj, nil)
 			if len(steps) != 1 || steps[0].kern == nil {
 				t.Fatalf("pair did not fuse: %d steps", len(steps))
 			}
@@ -312,9 +312,9 @@ func TestFilterKernelsMatchGeneric(t *testing.T) {
 		want := genericSel(t, oracle, whole)
 
 		scan, _ := benchScan(tab)
-		before := PredKernelsCompiled()
-		f := pipeFilter(t, scan, tc.pred)
-		if got := PredKernelsCompiled() - before; got != tc.kernels {
+		var rec StmtRecord
+		f := pipeFilter(t, scan, tc.pred, &rec)
+		if got := rec.PredKernels.Load(); got != tc.kernels {
 			t.Fatalf("pred %d: %d conjuncts compiled to kernels, want %d", i, got, tc.kernels)
 		}
 		res, err := Run(NewCtx(catalog.New()), f)
@@ -500,9 +500,9 @@ func TestJoinFastHashMatchesGeneric(t *testing.T) {
 		left := NewTableScan(tb, []int{0, 1}, tb.Schema)
 		right := NewTableScan(tb, []int{0, 1}, tb.Schema)
 		out := append(append(catalog.Schema{}, tb.Schema...), tb.Schema...)
-		before := FastHashEngaged()
-		j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
-		if FastHashEngaged() == before {
+		var rec StmtRecord
+		j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out, &rec)
+		if rec.FastHash.Load() == 0 {
 			t.Fatal("fast hash did not engage on a single-int64-key join")
 		}
 		j.builds[0].fastHash = fast // false: both sides hash through hashColumns
@@ -531,9 +531,9 @@ func TestFilterKernelNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	scan, _ := benchScan(tab)
 	pred := expr.Between(expr.C("id"), expr.Int(0), expr.Int(benchRows/2))
-	before := PredKernelsCompiled()
-	f := pipeFilter(t, scan, pred)
-	if PredKernelsCompiled() == before {
+	var rec StmtRecord
+	f := pipeFilter(t, scan, pred, &rec)
+	if rec.PredKernels.Load() == 0 {
 		t.Fatal("filter did not compile its predicate to kernels")
 	}
 	assertZeroAllocs(t, NewCtx(catalog.New()), f, 4, 100)
@@ -545,9 +545,9 @@ func TestFilterGenericNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
 	scan, _ := benchScan(tab)
 	pred := expr.Lt(expr.Mul(expr.C("id"), expr.Int(2)), expr.Int(benchRows))
-	before := PredKernelsCompiled()
-	f := pipeFilter(t, scan, pred)
-	if PredKernelsCompiled() != before {
+	var rec StmtRecord
+	f := pipeFilter(t, scan, pred, &rec)
+	if rec.PredKernels.Load() != 0 {
 		t.Fatal("arithmetic comparison compiled to a kernel; pick an unmatched shape")
 	}
 	assertZeroAllocs(t, NewCtx(catalog.New()), f, 4, 100)

@@ -152,7 +152,7 @@ func TestJoinLargeInt64FloatCoercion(t *testing.T) {
 	left := NewTableScan(pt, []int{0}, pt.Schema)
 	right := NewTableScan(bt, []int{0}, bt.Schema)
 	out := append(append(catalog.Schema{}, pt.Schema...), bt.Schema...)
-	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out)
+	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{0}, out, nil)
 	res, err := Run(ctx, j)
 	if err != nil {
 		t.Fatal(err)

@@ -18,13 +18,13 @@ func pullPipe(child Operator, out catalog.Schema) (*fragRoot, *fusedPipe) {
 }
 
 // pipeFilter binds pred against child's schema and filters child by it.
-func pipeFilter(t testing.TB, child Operator, pred expr.Expr) *FusedPipeline {
+func pipeFilter(t testing.TB, child Operator, pred expr.Expr, rec *StmtRecord) *FusedPipeline {
 	t.Helper()
 	if _, err := pred.Bind(child.Schema()); err != nil {
 		t.Fatal(err)
 	}
 	root, p := pullPipe(child, child.Schema())
-	p.addFilter(pred)
+	p.addFilter(pred, rec)
 	return newFusedPipeline(root, p)
 }
 
@@ -42,9 +42,9 @@ func pipeProject(t testing.TB, child Operator, exprs []expr.Expr, out catalog.Sc
 }
 
 // pipeJoin probes left against a build of right.
-func pipeJoin(jt plan.JoinType, left, right Operator, leftCols, rightCols []int, out catalog.Schema) *FusedPipeline {
+func pipeJoin(jt plan.JoinType, left, right Operator, leftCols, rightCols []int, out catalog.Schema, rec *StmtRecord) *FusedPipeline {
 	root, p := pullPipe(left, out)
-	sb := newSharedBuild(jt, left.Schema(), right, leftCols, rightCols, 1)
+	sb := newSharedBuild(jt, left.Schema(), right, leftCols, rightCols, 1, rec)
 	root.builds = []*sharedBuild{sb}
 	p.addProbe(sb, out)
 	return newFusedPipeline(root, p)

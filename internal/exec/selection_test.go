@@ -54,13 +54,13 @@ func evenFilter(t *testing.T, child Operator) Operator {
 	pred := expr.Eq(expr.BinBy(expr.C("id"), 2), expr.BinBy(expr.Add(expr.C("id"), expr.Int(0)), 2))
 	// Simpler: id % 2 == 0 via bin: bin(id,2)*2 == id
 	pred = expr.Eq(expr.Mul(expr.BinBy(expr.C("id"), 2), expr.Int(2)), expr.C("id"))
-	return pipeFilter(t, child, pred)
+	return pipeFilter(t, child, pred, nil)
 }
 
 // ltFilter keeps rows with id < cutoff.
 func ltFilter(t *testing.T, child Operator, cutoff int64) Operator {
 	t.Helper()
-	return pipeFilter(t, child, expr.Lt(expr.C("id"), expr.Int(cutoff)))
+	return pipeFilter(t, child, expr.Lt(expr.C("id"), expr.Int(cutoff)), nil)
 }
 
 // runRows drains op and returns all rows as datum slices.
@@ -137,7 +137,7 @@ func TestSelectionJoinBothSides(t *testing.T) {
 			case plan.LeftOuter:
 				schema = append(schema, catalog.Column{Name: plan.MatchCol, Typ: vector.Int64})
 			}
-			j := pipeJoin(jt, left, right, []int{0}, []int{0}, schema)
+			j := pipeJoin(jt, left, right, []int{0}, []int{0}, schema, nil)
 			rows := runRows(t, ctx, j)
 			switch jt {
 			case plan.Inner, plan.LeftSemi:
@@ -183,7 +183,7 @@ func TestSelectionJoinDuplicateChainsAcrossBatches(t *testing.T) {
 	left := ltFilter(t, scanAll(tab), 10) // probe ids 0..9, key grp=id
 	right := scanAll(tab)
 	schema := append(append(catalog.Schema{}, tab.Schema...), tab.Schema...)
-	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{1}, schema)
+	j := pipeJoin(plan.Inner, left, right, []int{0}, []int{1}, schema, nil)
 	rows := runRows(t, ctx, j)
 	if len(rows) != 80 {
 		t.Fatalf("got %d rows, want 80 (10 probe x 8 matches)", len(rows))

@@ -175,7 +175,7 @@ func TestPullSourceNeverWrittenThrough(t *testing.T) {
 		src.batches = append(src.batches, &vector.Batch{Vecs: b.Vecs, Sel: sel})
 		sels = append(sels, append([]int32{}, sel...))
 	}
-	got, err := Run(NewCtx(cat), pipeFilter(t, src, pred.Clone()))
+	got, err := Run(NewCtx(cat), pipeFilter(t, src, pred.Clone(), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,9 +221,10 @@ func TestFragmentsOverPullSources(t *testing.T) {
 		dec := Decorations{inner: {Store: &StoreSpec{
 			OnComplete: func(_ []*vector.Batch, rows, _ int64) { stored = rows },
 		}}}
-		before := FusedFragmentsBuilt()
-		res := buildRun(t, NewCtx(cat), n, dec)
-		if got := FusedFragmentsBuilt() - before; got != 2 {
+		ctx := NewCtx(cat)
+		ctx.Record = new(StmtRecord)
+		res := buildRun(t, ctx, n, dec)
+		if got := ctx.Record.FusedFragments.Load(); got != 2 {
 			t.Fatalf("built %d fragments, want 2 (one below the store, one above)", got)
 		}
 		schema := inner.Schema()
@@ -252,9 +253,10 @@ func TestFragmentsOverPullSources(t *testing.T) {
 			if err := n.Resolve(cat); err != nil {
 				t.Fatal(err)
 			}
-			before := FusedFragmentsBuilt()
-			res := buildRun(t, NewCtx(cat), n, nil)
-			if FusedFragmentsBuilt() == before {
+			ctx := NewCtx(cat)
+			ctx.Record = new(StmtRecord)
+			res := buildRun(t, ctx, n, nil)
+			if ctx.Record.FusedFragments.Load() == 0 {
 				t.Fatal("a table-function-leaf join did not build a fragment")
 			}
 			var want [][]vector.Datum
@@ -339,7 +341,7 @@ func TestFragmentsOverPullSources(t *testing.T) {
 			src.batches = append(src.batches, batch)
 		}
 		even := expr.Eq(expr.Mul(expr.BinBy(expr.C("id"), 2), expr.Int(2)), expr.C("id"))
-		res, err := Run(NewCtx(cat), NewLimit(pipeFilter(t, src, even), 120))
+		res, err := Run(NewCtx(cat), NewLimit(pipeFilter(t, src, even, nil), 120))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -438,12 +440,13 @@ func TestFusedFragmentsBuiltForPullLeaves(t *testing.T) {
 		"cache-scan-leaf": {overCache, Decorations{scan: {Reuse: cachedReplay(t, cat, scan)}}, -1},
 		"tablefn-leaf":    {overFn, nil, 5},
 	} {
-		before := FusedFragmentsBuilt()
-		op, err := Build(NewCtx(cat), c.n, c.dec, nil)
+		ctx := NewCtx(cat)
+		ctx.Record = new(StmtRecord)
+		op, err := Build(ctx, c.n, c.dec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := FusedFragmentsBuilt() - before; got != 1 {
+		if got := ctx.Record.FusedFragments.Load(); got != 1 {
 			t.Fatalf("%s: fragment counter moved by %d, want 1", name, got)
 		}
 		fp, ok := op.(*FusedPipeline)

@@ -109,19 +109,11 @@ type Result struct {
 	// stall on it: within one pipeline that wait can deadlock against
 	// its own store.
 	producing map[*core.Node]bool
-	// committed counts store operators that actually admitted a result
-	// during execution (speculation may cancel; admission may reject).
-	committed int32
 
-	// Reuses counts exact cache hits planned; SubsumptionReuses counts
-	// derived hits; Stores counts history stores; SpecStores speculative
-	// ones; Waits planned stalls. ProactiveApplied marks a §IV-B rewrite.
-	Reuses            int
-	SubsumptionReuses int
-	Stores            int
-	SpecStores        int
-	Waits             int
-	ProactiveApplied  bool
+	// Record is the statement's record. Rewrite writes the planned
+	// decisions into it and the stores it injects count Materialized; the
+	// engine hands it to the executor through exec.Ctx.Record.
+	Record exec.StmtRecord
 }
 
 // Rewrite runs the full pipeline on a resolved query tree and returns the
@@ -159,7 +151,7 @@ func (rw *Rewriter) Rewrite(root *plan.Node, known *core.Node) (*Result, error) 
 			return nil, err
 		} else if pa != nil {
 			res.Exec = pa
-			res.ProactiveApplied = true
+			res.Record.ProactiveApplied = true
 		}
 	}
 	res.Match = rw.Rec.MatchInsert(res.Exec)
@@ -189,7 +181,7 @@ func (rw *Rewriter) reuseRoot(root *plan.Node, g *core.Node) *Result {
 		Exec:   root,
 		Decor:  exec.Decorations{root: {Reuse: rw.reuseSpec(e, identityIdx(len(g.OutCols)))}},
 		Match:  m,
-		Reuses: 1,
+		Record: exec.StmtRecord{Reused: 1},
 	}
 }
 
@@ -198,7 +190,7 @@ func (rw *Rewriter) reuseRoot(root *plan.Node, g *core.Node) *Result {
 // when nothing was matched (Off mode, or a root hit, which knew it already)
 // or a proactive rewrite replaced the plan before matching.
 func (res *Result) RootMatch() *core.Node {
-	if res.Match == nil || res.ProactiveApplied {
+	if res.Match == nil || res.Record.ProactiveApplied {
 		return nil
 	}
 	if nm := res.Match.ByNode[res.Exec]; nm != nil {
@@ -220,9 +212,9 @@ func (rw *Rewriter) dropStoresUnderWaits(n *plan.Node, res *Result, underWait bo
 				rw.Rec.FinishInflight(g)
 			}
 			if d.Store.Speculative {
-				res.SpecStores--
+				res.Record.SpecStores--
 			} else {
-				res.Stores--
+				res.Record.Stores--
 			}
 			delete(res.Decor, n)
 		}
@@ -288,7 +280,7 @@ func (rw *Rewriter) substitute(n *plan.Node, res *Result) {
 		if e := rw.cachedValid(nm.G); e != nil {
 			res.Decor[n] = &exec.Decor{Reuse: rw.reuseSpec(e, identityIdx(len(nm.G.OutCols)))}
 			res.subst[n] = nm.G
-			res.Reuses++
+			res.Record.Reused++
 			rw.Rec.CountReuse()
 			return
 		}
@@ -308,7 +300,7 @@ func (rw *Rewriter) substitute(n *plan.Node, res *Result) {
 		for _, s := range rw.Rec.Subsumers(nm.G) {
 			if e := rw.cachedValid(s); e != nil {
 				if rw.applySubsumption(n, nm, s, e, res) {
-					res.SubsumptionReuses++
+					res.Record.SubsumptionReused++
 					rw.Rec.CountSubsumptionReuse()
 					return
 				}
@@ -499,7 +491,7 @@ func (rw *Rewriter) planWait(n *plan.Node, g *core.Node, res *Result) {
 			rw.Rec.CountStall(ok)
 		},
 	}}
-	res.Waits++
+	res.Record.Waits++
 }
 
 // entrySnap builds the snapshot tag for a result of graph node g from the
@@ -571,7 +563,7 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 				Snap:       snap, Plan: subplan, Extendable: extendable,
 			})
 			if ok {
-				atomic.AddInt32(&res.committed, 1)
+				res.Record.Materialized.Add(1)
 				if speculativeStore {
 					rw.Rec.CountSpecCommit()
 				}
@@ -607,9 +599,9 @@ func (rw *Rewriter) attachStore(n *plan.Node, g *core.Node, res *Result, specula
 			b := core.BenefitValue(estCost, core.SpeculationHR, estSize)
 			return rw.Rec.WouldAdmit(b, estSize)
 		}
-		res.SpecStores++
+		res.Record.SpecStores++
 	} else {
-		res.Stores++
+		res.Record.Stores++
 	}
 	res.Decor[n] = &exec.Decor{Store: &specSpec}
 }
@@ -680,10 +672,6 @@ func (rw *Rewriter) Annotate(res *Result) {
 		}
 	})
 }
-
-// Committed returns the number of results this query actually materialized
-// into the cache (valid after execution completes).
-func (r *Result) Committed() int { return int(atomic.LoadInt32(&r.committed)) }
 
 // Abort releases any in-flight registrations this rewrite created, for error
 // paths where the operators never ran (build failures).

@@ -96,22 +96,22 @@ func TestHistoryLifecycle(t *testing.T) {
 	rw, cat := fixture(t, History)
 	// 1st sight: no stores, no reuse.
 	r1, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r1.Stores != 0 || r1.Reuses != 0 {
+	if r1.Record.Stores != 0 || r1.Record.Reused != 0 {
 		t.Fatalf("first sight: %+v", r1)
 	}
 	run(t, rw, r1)
 	// 2nd sight: history store injected.
 	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r2.Stores == 0 {
+	if r2.Record.Stores == 0 {
 		t.Fatalf("second sight should store: %+v", r2)
 	}
 	run(t, rw, r2)
-	if r2.Committed() == 0 {
+	if r2.Record.Materialized.Load() == 0 {
 		t.Fatal("store did not commit")
 	}
 	// 3rd sight: reuse.
 	r3, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r3.Reuses == 0 {
+	if r3.Record.Reused == 0 {
 		t.Fatalf("third sight should reuse: %+v", r3)
 	}
 	rows := run(t, rw, r3)
@@ -123,7 +123,7 @@ func TestHistoryLifecycle(t *testing.T) {
 func TestHistoryNeverSpeculates(t *testing.T) {
 	rw, cat := fixture(t, History)
 	r, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r.SpecStores != 0 {
+	if r.Record.SpecStores != 0 {
 		t.Fatal("history mode must not speculate")
 	}
 }
@@ -131,12 +131,12 @@ func TestHistoryNeverSpeculates(t *testing.T) {
 func TestSpeculativeStoresFirstSight(t *testing.T) {
 	rw, cat := fixture(t, Speculative)
 	r1, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r1.SpecStores == 0 {
+	if r1.Record.SpecStores == 0 {
 		t.Fatalf("speculation should target the aggregate: %+v", r1)
 	}
 	run(t, rw, r1)
 	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r2.Reuses == 0 {
+	if r2.Record.Reused == 0 {
 		t.Fatal("second sight should reuse the speculated result")
 	}
 	run(t, rw, r2)
@@ -155,7 +155,7 @@ func TestSpeculationBufferCapCancels(t *testing.T) {
 	}
 	r, _ := rw.Rewrite(q, nil)
 	run(t, rw, r)
-	if r.Committed() != 0 {
+	if r.Record.Materialized.Load() != 0 {
 		t.Fatal("oversized speculation must cancel")
 	}
 	if rw.Rec.Stats().SpecCancels == 0 {
@@ -206,7 +206,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 	// store's priced cost as the never-measured root's first sample.
 	q := aggQuery(t, cat, 50)
 	r, _ := rw.Rewrite(q, nil)
-	if r.SpecStores != 1 || r.Decor[q] == nil || r.Decor[q].Store == nil {
+	if r.Record.SpecStores != 1 || r.Decor[q] == nil || r.Decor[q].Store == nil {
 		t.Fatalf("want one speculative store at the root: %+v", r)
 	}
 	execute(t, rw, r)
@@ -225,7 +225,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 	rw.Rec.BeginInflight(g)
 	q = aggQuery(t, cat, 50)
 	r, _ = rw.Rewrite(q, nil)
-	if r.Waits != 1 || r.Decor[q] == nil || r.Decor[q].Wait == nil {
+	if r.Record.Waits != 1 || r.Decor[q] == nil || r.Decor[q].Wait == nil {
 		t.Fatalf("want a wait at the root: %+v", r)
 	}
 	run(t, rw, r)
@@ -254,7 +254,7 @@ func TestAnnotateRecordsCosts(t *testing.T) {
 	}
 	q = aggQuery(t, cat, 50)
 	r, _ = rw.Rewrite(q, nil)
-	if r.Reuses != 1 || r.Decor[q.Children[0]] == nil || r.Decor[q.Children[0]].Reuse == nil {
+	if r.Record.Reused != 1 || r.Decor[q.Children[0]] == nil || r.Decor[q.Children[0]].Reuse == nil {
 		t.Fatalf("want the select replayed: %+v", r)
 	}
 	run(t, rw, r)
@@ -294,7 +294,7 @@ func TestAnnotateAddsReusedBaseCost(t *testing.T) {
 	// select's base cost in its own bcost (Eq. 2 bookkeeping).
 	q := aggQuery(t, cat, 50)
 	r3, _ := rw.Rewrite(q, nil)
-	if r3.Reuses == 0 {
+	if r3.Record.Reused == 0 {
 		t.Fatalf("expected select reuse: %+v", r3)
 	}
 	run(t, rw, r3)
@@ -320,7 +320,7 @@ func TestStallPlansWaitWhenInflight(t *testing.T) {
 		t.Fatal("inflight registration failed")
 	}
 	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r2.Waits == 0 {
+	if r2.Record.Waits == 0 {
 		t.Fatalf("expected a planned stall: %+v", r2)
 	}
 	// Finish the materialization concurrently so the waiter reuses it.
@@ -360,7 +360,7 @@ func TestStallTimeoutFallsBack(t *testing.T) {
 	rw.Rec.Evict(g)
 	rw.Rec.BeginInflight(g) // never finished
 	r2, _ := rw.Rewrite(aggQuery(t, cat, 50), nil)
-	if r2.Waits == 0 {
+	if r2.Record.Waits == 0 {
 		t.Fatal("expected a planned stall")
 	}
 	rows := run(t, rw, r2) // must fall back to recomputation
@@ -381,7 +381,7 @@ func TestProactiveTopNWideningPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.ProactiveApplied {
+	if !r.Record.ProactiveApplied {
 		t.Fatal("top-N widening should apply")
 	}
 	// The executed tree is topN(10) over topN(WideTopN).
@@ -409,13 +409,13 @@ func TestProactiveCubeGateNeedsEvidence(t *testing.T) {
 	}
 	// First trigger: not enough evidence, original plan executes.
 	r1, _ := rw.Rewrite(q(), nil)
-	if r1.ProactiveApplied {
+	if r1.Record.ProactiveApplied {
 		t.Fatal("cube must not execute on first trigger")
 	}
 	run(t, rw, r1)
 	// Second trigger: the variant's references have accumulated.
 	r2, _ := rw.Rewrite(q(), nil)
-	if !r2.ProactiveApplied {
+	if !r2.Record.ProactiveApplied {
 		t.Fatalf("cube should execute on second trigger: %+v", r2)
 	}
 	if rows := run(t, rw, r2); rows != 1 {
@@ -475,10 +475,10 @@ func TestProactiveCountsOnlySubstitutions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := rw.Rec.Stats().Reuses - before; got != int64(r.Reuses) {
-			t.Fatalf("trigger %d: recycler counted %d reuses, the statement planned %d", i, got, r.Reuses)
+		if got := rw.Rec.Stats().Reuses - before; got != int64(r.Record.Reused) {
+			t.Fatalf("trigger %d: recycler counted %d reuses, the statement planned %d", i, got, r.Record.Reused)
 		}
-		if r.ProactiveApplied && r.Reuses > 0 {
+		if r.Record.ProactiveApplied && r.Record.Reused > 0 {
 			reusedCube = true
 		}
 		run(t, rw, r)

@@ -24,7 +24,7 @@ func TestSelectChildReplaySubsumption(t *testing.T) {
 	}
 	r1, _ := rw.Rewrite(wide(), nil)
 	run(t, rw, r1)
-	if r1.Committed() == 0 {
+	if r1.Record.Materialized.Load() == 0 {
 		t.Fatalf("wide selection not cached: %+v", r1)
 	}
 	// Narrower selection: derive by re-filtering the cached superset.
@@ -34,7 +34,7 @@ func TestSelectChildReplaySubsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r3, _ := rw.Rewrite(narrow, nil)
-	if r3.SubsumptionReuses != 1 {
+	if r3.Record.SubsumptionReused != 1 {
 		t.Fatalf("expected child-replay subsumption: %+v", r3)
 	}
 	// The child (scan) carries the reuse decoration; the select re-runs.
@@ -73,7 +73,7 @@ func TestAggColumnSubsumptionProjection(t *testing.T) {
 	}
 	r1, _ := rw.Rewrite(wide(), nil)
 	run(t, rw, r1)
-	if r1.Committed() == 0 {
+	if r1.Record.Materialized.Load() == 0 {
 		t.Fatal("wide aggregate not cached")
 	}
 	// A subset of the aggregates over the same grouping: pure projection.
@@ -83,7 +83,7 @@ func TestAggColumnSubsumptionProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := rw.Rewrite(narrow, nil)
-	if r2.SubsumptionReuses != 1 {
+	if r2.Record.SubsumptionReused != 1 {
 		t.Fatalf("expected column subsumption: %+v", r2)
 	}
 	// The aggregate itself is replaced by a replay (no recomputation).
@@ -111,7 +111,7 @@ func TestAggTupleSubsumptionReaggregation(t *testing.T) {
 	}
 	r1, _ := rw.Rewrite(fine(), nil)
 	run(t, rw, r1)
-	if r1.Committed() == 0 {
+	if r1.Record.Materialized.Load() == 0 {
 		t.Fatal("fine aggregate not cached")
 	}
 	coarse := plan.NewAggregate(plan.NewScan("t", "grp", "k", "v"),
@@ -122,7 +122,7 @@ func TestAggTupleSubsumptionReaggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := rw.Rewrite(coarse, nil)
-	if r2.SubsumptionReuses != 1 {
+	if r2.Record.SubsumptionReused != 1 {
 		t.Fatalf("expected tuple subsumption: %+v", r2)
 	}
 	// The executed tree re-aggregates a Cached leaf.
@@ -167,7 +167,7 @@ func TestTopNPrefixSubsumption(t *testing.T) {
 	}
 	r1, _ := rw.Rewrite(big(), nil)
 	run(t, rw, r1)
-	if r1.Committed() == 0 {
+	if r1.Record.Materialized.Load() == 0 {
 		t.Fatal("top-200 not cached")
 	}
 	small := plan.NewTopN(plan.NewScan("t", "k", "v"),
@@ -176,7 +176,7 @@ func TestTopNPrefixSubsumption(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2, _ := rw.Rewrite(small, nil)
-	if r2.SubsumptionReuses != 1 {
+	if r2.Record.SubsumptionReused != 1 {
 		t.Fatalf("expected top-N subsumption: %+v", r2)
 	}
 	if rows := run(t, rw, r2); rows != 10 {
@@ -231,7 +231,7 @@ func TestProactiveCubeSelectionsDerivesCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !r.ProactiveApplied {
+	if !r.Record.ProactiveApplied {
 		t.Fatalf("cube variant should be chosen by now: %+v", r)
 	}
 	ctx := exec.NewCtx(cat)
@@ -253,7 +253,7 @@ func TestProactiveDisabledBelowPA(t *testing.T) {
 		t.Fatal(err)
 	}
 	r, _ := rw.Rewrite(q, nil)
-	if r.ProactiveApplied {
+	if r.Record.ProactiveApplied {
 		t.Fatal("SPEC mode must not apply proactive rules")
 	}
 }
@@ -272,12 +272,12 @@ func TestSubsumptionReuseCountsOnce(t *testing.T) {
 	}
 	r1, _ := rw.Rewrite(sel(80), nil)
 	run(t, rw, r1)
-	if r1.Committed() == 0 {
+	if r1.Record.Materialized.Load() == 0 {
 		t.Fatalf("wide selection not cached: %+v", r1)
 	}
 	before := rw.Rec.Stats()
 	r2, _ := rw.Rewrite(sel(40), nil)
-	if r2.SubsumptionReuses != 1 {
+	if r2.Record.SubsumptionReused != 1 {
 		t.Fatalf("expected one subsumption reuse: %+v", r2)
 	}
 	run(t, rw, r2)

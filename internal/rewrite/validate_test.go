@@ -93,8 +93,8 @@ func TestRejectedEntryCountsNoReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		rw.Abort(r)
-		if r.Reuses != 0 || rw.Rec.Stats().Reuses != 0 {
-			t.Fatalf("epoch %d: rejected entry counted (planned %d, recycler %d)", ver, r.Reuses, rw.Rec.Stats().Reuses)
+		if r.Record.Reused != 0 || rw.Rec.Stats().Reuses != 0 {
+			t.Fatalf("epoch %d: rejected entry counted (planned %d, recycler %d)", ver, r.Record.Reused, rw.Rec.Stats().Reuses)
 		}
 	}
 }

@@ -20,7 +20,6 @@ import (
 
 	"recycledb"
 
-	"recycledb/internal/exec"
 	"recycledb/internal/harness"
 	"recycledb/internal/workload"
 )
@@ -53,7 +52,6 @@ func TestParallelRaceStress(t *testing.T) {
 	deleteLineitem := harness.SyntheticDeleter(cat, "lineitem", 8)
 	appendSky := harness.SyntheticAppender(cat, "PhotoPrimary", 12)
 
-	fragsBefore := exec.ParallelFragmentsBuilt()
 	duration := 2 * time.Second
 	if testing.Short() {
 		duration = 500 * time.Millisecond
@@ -61,7 +59,7 @@ func TestParallelRaceStress(t *testing.T) {
 	deadline := time.Now().Add(duration)
 
 	var wg sync.WaitGroup
-	var queries, writes atomic.Int64
+	var queries, writes, frags atomic.Int64
 	errs := make(chan error, 16)
 	for c := 0; c < 8; c++ {
 		wg.Add(1)
@@ -91,11 +89,12 @@ func TestParallelRaceStress(t *testing.T) {
 					writes.Add(1)
 				default:
 					q := instances[rng.Intn(len(instances))]
-					res, err := eng.ExecuteContext(context.Background(), q.Plan)
+					res, rec, err := executeRecorded(eng, q.Plan)
 					if err != nil {
 						errs <- fmt.Errorf("client %d %s: %w", c, q.Label, err)
 						return
 					}
+					frags.Add(rec.ParallelFragments.Load())
 					// Self-consistency: canonicalization walks every row,
 					// so torn batches (a worker reading a half-published
 					// epoch) surface as schema/row-shape panics or
@@ -118,11 +117,11 @@ func TestParallelRaceStress(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if got := exec.ParallelFragmentsBuilt() - fragsBefore; got == 0 {
+	if frags.Load() == 0 {
 		t.Fatal("stress ran fully serial; parallel fragments never engaged")
 	}
 	t.Logf("stress: %d queries, %d writes, %d parallel fragments",
-		queries.Load(), writes.Load(), exec.ParallelFragmentsBuilt()-fragsBefore)
+		queries.Load(), writes.Load(), frags.Load())
 }
 
 // TestParallelSnapshotConsistencyUnderDML pins the snapshot guarantee for

@@ -379,7 +379,8 @@ func (e *Engine) FlushCache() {
 	e.optShapes.flush()
 }
 
-// QueryStats reports what the recycler did for one query.
+// QueryStats is the public view of one statement's record (Rows.Stats):
+// what the recycler planned and did for the query, and its times.
 type QueryStats struct {
 	// Total is end-to-end time; Matching the recycler-graph match/insert
 	// time (Fig. 10), or on a root hit the time to probe the root's cached
@@ -392,7 +393,8 @@ type QueryStats struct {
 	Reused, SubsumptionReused, Stores, SpecStores, Waits, Materialized int
 	// ProactiveApplied reports that a §IV-B rewrite was executed.
 	ProactiveApplied bool
-	// Rows is the result cardinality.
+	// Rows is the rows returned so far: the result cardinality once the
+	// stream has completed.
 	Rows int
 }
 
@@ -543,7 +545,7 @@ func (e *Engine) explain(ctx context.Context, p *plan.Node) (*Rows, error) {
 	text := opt.Render(p, opt.Annotate(p, e.optContext(ep)))
 	lines := &vector.Vector{Typ: vector.String, Str: strings.Split(strings.TrimSuffix(text, "\n"), "\n")}
 	op := exec.NewCacheScan(explainSchema, []*vector.Batch{{Vecs: []*vector.Vector{lines}}}, []int{0}, nil)
-	ectx := &exec.Ctx{Cat: e.cat, Context: ctx}
+	ectx := &exec.Ctx{Cat: e.cat, Context: ctx, Record: new(exec.StmtRecord)}
 	if err := op.Open(ectx); err != nil {
 		return nil, err
 	}
@@ -579,8 +581,11 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 	if g := rres.RootMatch(); g != nil && sh.root.Load() != g {
 		sh.root.Store(g)
 	}
+	if rres.Match != nil {
+		rres.Record.Matching = rres.Match.Cost
+	}
 	ectx := &exec.Ctx{Cat: e.cat, VectorSize: e.vsz, Context: ctx, Pool: e.pool, Snaps: ep.snaps,
-		Parallelism: par}
+		Parallelism: par, Record: &rres.Record}
 	op, err := exec.Build(ectx, rres.Exec, rres.Decor, rres.Stats)
 	if err != nil {
 		rw.Abort(rres)
@@ -596,17 +601,6 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 		rres:      rres,
 		start:     start,
 		execStart: time.Now(),
-	}
-	r.stats = QueryStats{
-		Reused:            rres.Reuses,
-		SubsumptionReused: rres.SubsumptionReuses,
-		Stores:            rres.Stores,
-		SpecStores:        rres.SpecStores,
-		Waits:             rres.Waits,
-		ProactiveApplied:  rres.ProactiveApplied,
-	}
-	if rres.Match != nil {
-		r.stats.Matching = rres.Match.Cost
 	}
 	if err := op.Open(ectx); err != nil {
 		op.Close(ectx)

@@ -325,7 +325,9 @@ func TestRootHitAfterDML(t *testing.T) {
 // TestWarmRootHitAllocs is the root hit's allocation contract: a warm Q6
 // through Stmt.Query plus Collect. Before root hits, every run cloned the
 // plan, matched it and walked the rules, 244 allocations in all; the root
-// hit skips those three.
+// hit skips those three and measures 76. The bound leaves room for noise,
+// not for another per-statement allocation: the statement's record lives
+// inside its rewrite result, and counting into it allocates nothing.
 func TestWarmRootHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -338,7 +340,7 @@ func TestWarmRootHitAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(200, func() { runStmt(t, s, args...) })
 	t.Logf("warm Q6 root hit: %.1f allocs per run", avg)
-	if avg > 110 {
-		t.Fatalf("warm Q6 root hit allocates %.1f per run, want at most 110", avg)
+	if avg > 80 {
+		t.Fatalf("warm Q6 root hit allocates %.1f per run, want at most 80", avg)
 	}
 }

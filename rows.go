@@ -49,8 +49,6 @@ type Rows struct {
 	// the operator tree is closed exactly once, never concurrently with an
 	// executing Next.
 	mu       sync.Mutex
-	stats    QueryStats    // guarded by mu
-	rows     int           // guarded by mu
 	dense    *vector.Batch // guarded by mu; compaction buffer for selective batches
 	err      error         // guarded by mu
 	done     bool          // guarded by mu; end of stream reached (operator closed, graph annotated)
@@ -99,7 +97,7 @@ func (r *Rows) Next(ctx context.Context) (*Batch, error) {
 	if b == nil {
 		return nil, r.finishLocked()
 	}
-	r.rows += b.Len()
+	r.ectx.Record.Rows += b.Len()
 	if b.Sel != nil {
 		// Pipelines may end in a selective operator (a top-level filter).
 		// The public contract hands out dense batches, so the selection is
@@ -123,9 +121,9 @@ func (r *Rows) failLocked(err error) {
 	r.releaseLocked()
 }
 
-// finishLocked completes the stream: the recycler graph is annotated with
-// the counted operator costs and cardinalities, the statistics are
-// finalized, and the operator tree is closed. Callers hold mu.
+// finishLocked completes the stream: the operator tree is closed, the
+// recycler graph is annotated with the counted operator costs and
+// cardinalities, and the record takes its times. Callers hold mu.
 func (r *Rows) finishLocked() error {
 	r.done = true
 	defer r.releaseLocked()
@@ -136,11 +134,8 @@ func (r *Rows) finishLocked() error {
 	}
 	if r.rw != nil { // nil for an EXPLAIN, which touched no recycler state
 		r.rw.Annotate(r.rres)
-		r.stats.Materialized = r.rres.Committed()
 	}
-	r.stats.Execution = execTime
-	r.stats.Total = time.Since(r.start)
-	r.stats.Rows = r.rows
+	r.ectx.Record.Execution, r.ectx.Record.Total = execTime, time.Since(r.start)
 	return nil
 }
 
@@ -167,13 +162,18 @@ func (r *Rows) Err() error {
 	return r.err
 }
 
-// Stats reports what the recycler planned for this query immediately, and
-// the measured times, row count, and materialization count once the stream
-// has completed.
+// Stats reads the statement's record. The planned counts and Matching are
+// set when the query opens; Materialized and Rows count up as the stream
+// runs; Total and Execution are set once it has completed. Stats may be
+// called while the pipeline's workers run.
 func (r *Rows) Stats() QueryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.stats
+	rec := r.ectx.Record
+	return QueryStats{Total: rec.Total, Matching: rec.Matching, Execution: rec.Execution,
+		Reused: rec.Reused, SubsumptionReused: rec.SubsumptionReused, Stores: rec.Stores,
+		SpecStores: rec.SpecStores, Waits: rec.Waits, Materialized: int(rec.Materialized.Load()),
+		ProactiveApplied: rec.ProactiveApplied, Rows: rec.Rows}
 }
 
 // All adapts the stream to a Go 1.23 range-over-func iterator:
