@@ -34,6 +34,7 @@ var dataReaders = map[string]bool{
 	"Bytes":         true,
 	"DistinctCount": true,
 	"DataVersion":   true,
+	"Tag":           true,
 }
 
 func run(pass *analysis.Pass) error {

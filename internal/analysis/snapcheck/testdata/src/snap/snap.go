@@ -6,6 +6,8 @@ import "recycledb/internal/catalog"
 func scanOpen(t *catalog.Table) int {
 	s := t.Snapshot() // want `direct catalog.Table.Snapshot read in scanOpen`
 	_ = s
+	ver, _ := t.Tag() // want `direct catalog.Table.Tag read in scanOpen`
+	_ = ver
 	return t.Rows() // want `direct catalog.Table.Rows read in scanOpen`
 }
 

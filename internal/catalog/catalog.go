@@ -113,6 +113,15 @@ func (t *Table) Rows() int {
 // results with it and rejects entries computed at another version.
 func (t *Table) DataVersion() int64 { return t.dataVer.Load() }
 
+// Tag returns the table's data version and row watermark as one pair from
+// one committed epoch, the tags a Snapshot carries, without capturing any
+// column.
+func (t *Table) Tag() (ver int64, rows int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.dataVer.Load(), t.rows
+}
+
 // Snapshot captures a consistent read view of the table: the committed row
 // watermark, the column storage up to it, the delete bitmap, and the data
 // version, all published atomically by the last Commit. Snapshots stay
@@ -575,14 +584,25 @@ func (c *Catalog) dispatchCommit(t *Table, info CommitInfo) {
 }
 
 // AddTable registers a table, replacing any previous table of the same name.
+// A replacement is a data change too: the new table's data version moves
+// past the replaced one's, and the catalog-wide data version advances, so a
+// result cached over the old table can never validate against the new one
+// (results are tagged with the name's versions, not the *Table).
 func (c *Catalog) AddTable(t *Table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	old := c.tables[t.Name]
 	c.tables[t.Name] = t
 	c.version.Add(1)
 	cat := c
 	t.mu.Lock()
 	t.notify = cat.dispatchCommit
+	if old != nil && old != t {
+		if v := old.DataVersion(); t.dataVer.Load() <= v {
+			t.dataVer.Store(v + 1)
+		}
+		c.dataVer.Add(1)
+	}
 	t.mu.Unlock()
 }
 

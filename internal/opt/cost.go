@@ -318,24 +318,7 @@ func floor1(v int64) int64 {
 	return v
 }
 
-// ShapeKey renders a plan's identity whole: each node's identity text with
-// the output names it assigns (plan.Node.AppendCanon), its children's in
-// parentheses after it. Two bound plans with equal keys return the same rows
-// under the same column names and types. The engine keys its
-// optimized-shape cache on it.
-func ShapeKey(p *plan.Node) string { return string(appendShape(make([]byte, 0, 256), p)) }
-
-func appendShape(b []byte, n *plan.Node) []byte {
-	b = n.AppendCanon(b, expr.Ident, true)
-	if len(n.Children) == 0 {
-		return b
-	}
-	b = append(b, '(')
-	for i, c := range n.Children {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendShape(b, c)
-	}
-	return append(b, ')')
-}
+// ShapeKey renders a plan's identity whole (plan.Node.AppendShape). Two
+// bound plans with equal keys return the same rows under the same column
+// names and types. The engine keys its optimized-shape cache on it.
+func ShapeKey(p *plan.Node) string { return string(p.AppendShape(make([]byte, 0, 256))) }

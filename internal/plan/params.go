@@ -10,6 +10,19 @@ import (
 // literal at its position, in place. Call on a Clone of the template; the
 // bound tree still needs Resolve before execution.
 func (n *Node) BindParams(lits []*expr.Lit) error {
+	return n.substParams(func(p *expr.Param) (expr.Expr, error) {
+		if p.Idx < 0 || p.Idx >= len(lits) {
+			return nil, fmt.Errorf("plan: parameter ?%d has no binding (%d supplied)",
+				p.Idx+1, len(lits))
+		}
+		return lits[p.Idx].Clone(), nil
+	})
+}
+
+// substParams replaces every parameter placeholder in the tree with f's
+// expression for it, in place. Binding and the shape template's cuts
+// (NewShapeTemplate) both go through it, so they see the same placeholders.
+func (n *Node) substParams(f func(*expr.Param) (expr.Expr, error)) error {
 	var walkErr error
 	n.Walk(func(x *Node) {
 		sub := func(e expr.Expr) expr.Expr {
@@ -17,15 +30,10 @@ func (n *Node) BindParams(lits []*expr.Lit) error {
 				return e
 			}
 			out, err := expr.RewriteLeaves(e, func(c expr.Expr) (expr.Expr, error) {
-				p, ok := c.(*expr.Param)
-				if !ok {
-					return c, nil
+				if p, ok := c.(*expr.Param); ok {
+					return f(p)
 				}
-				if p.Idx < 0 || p.Idx >= len(lits) {
-					return nil, fmt.Errorf("plan: parameter ?%d has no binding (%d supplied)",
-						p.Idx+1, len(lits))
-				}
-				return lits[p.Idx].Clone(), nil
+				return c, nil
 			})
 			if err != nil {
 				walkErr = err

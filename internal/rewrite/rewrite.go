@@ -129,7 +129,7 @@ type Result struct {
 // root.
 func (rw *Rewriter) Rewrite(root *plan.Node, known *core.Node) (*Result, error) {
 	if known != nil {
-		if res := rw.reuseRoot(root, known); res != nil {
+		if res := rw.ReuseRoot(root, known); res != nil {
 			return res, nil
 		}
 		root = root.Clone()
@@ -162,11 +162,14 @@ func (rw *Rewriter) Rewrite(root *plan.Node, known *core.Node) (*Result, error) 
 	return res, nil
 }
 
-// reuseRoot is Rewrite's root hit: the Result that replays root's cached
+// ReuseRoot is Rewrite's root hit: the Result that replays root's cached
 // result as graph node g, or nil when g holds no result valid under the
 // statement's epoch or the mode does not substitute the plan as written
 // (Off never reuses; Proactive may rewrite the plan before matching it).
-func (rw *Rewriter) reuseRoot(root *plan.Node, g *core.Node) *Result {
+// It reads only the epoch's version tags (SnapVers, GlobalVer), and a nil
+// answer counted nothing, so an engine may probe at tags alone and run
+// Rewrite at a full epoch when the probe declines.
+func (rw *Rewriter) ReuseRoot(root *plan.Node, g *core.Node) *Result {
 	if rw.Mode != History && rw.Mode != Speculative {
 		return nil
 	}

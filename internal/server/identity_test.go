@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"recycledb"
+	"recycledb/internal/pgclient"
 )
 
 // wireAnswer runs q over a new connection to addr and returns its one
@@ -78,6 +79,54 @@ func TestWireAliasesKeepTheirColumns(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			requireFreshWireAnswer(t, mode, []string{`SELECT product AS a, qty AS b FROM big ORDER BY a, b LIMIT 3`},
 				`SELECT product AS b, qty AS a FROM big ORDER BY a, b LIMIT 3`)
+		})
+	}
+}
+
+// TestWireDescribeAfterAliasSwap runs TestWireAliasesKeepTheirColumns' swap
+// as prepared statements with a parameter. pgclient's Exec sends Bind,
+// Describe(portal) and Execute, so every result's columns are the
+// RowDescription Describe answered; once warm, the engine answers it from
+// the optimized-shape entry the statement's template key finds. It must
+// name each statement's own columns, in the order its DataRows carry them.
+func TestWireDescribeAfterAliasSwap(t *testing.T) {
+	const first = `SELECT product AS a, qty AS b FROM big WHERE qty > $1 ORDER BY a, b LIMIT 3`
+	const second = `SELECT product AS b, qty AS a FROM big WHERE qty > $1 ORDER BY a, b LIMIT 3`
+	for _, mode := range []recycledb.Mode{recycledb.Off, recycledb.History, recycledb.Speculative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			conn := func() *pgclient.Conn {
+				eng := recycledb.New(recycledb.Config{Mode: mode})
+				loadBig(eng, 2000)
+				addr, _, _ := startServer(t, eng, Config{})
+				c := dial(t, addr)
+				for name, q := range map[string]string{"first": first, "second": second} {
+					if err := c.Prepare(name, q); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return c
+			}
+			want, err := conn().Exec("second", "5")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want.Columns, []string{"b", "a"}) {
+				t.Fatalf("a fresh engine describes %s as %v", second, want.Columns)
+			}
+			c := conn()
+			for round := 0; round < 3; round++ {
+				if res, err := c.Exec("first", "5"); err != nil || !reflect.DeepEqual(res.Columns, []string{"a", "b"}) {
+					t.Fatalf("round %d: %s described as %v (%v)", round, first, res.Columns, err)
+				}
+				res, err := c.Exec("second", "5")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res.Columns, want.Columns) || !reflect.DeepEqual(res.Rows, want.Rows) {
+					t.Fatalf("round %d: %s after %s: %v %v, a fresh engine returns %v %v",
+						round, second, first, res.Columns, res.Rows, want.Columns, want.Rows)
+				}
+			}
 		})
 	}
 }

@@ -12,10 +12,19 @@ import (
 
 // Template is a compiled statement that may contain placeholders. A
 // zero-parameter template's plan is fully resolved; a parameterized one
-// resolves after Bind substitutes literals.
+// resolves after Bind substitutes literals. Build one with NewTemplate;
+// Plan must not change afterwards, or ShapeKey would describe another plan.
 type Template struct {
 	Plan      *plan.Node
 	NumParams int
+	// shape is Plan's shape key, rendered once, cut at the placeholders.
+	shape plan.ShapeTemplate
+}
+
+// NewTemplate returns the template of plan pl with nparams parameters, its
+// shape key rendered (ShapeKey).
+func NewTemplate(pl *plan.Node, nparams int) *Template {
+	return &Template{Plan: pl, NumParams: nparams, shape: plan.NewShapeTemplate(pl)}
 }
 
 // template parses the rest of the statement as a SELECT and builds its
@@ -33,7 +42,7 @@ func (p *parser) template(cat *catalog.Catalog) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Template{Plan: pl, NumParams: st.nparams}, nil
+	return NewTemplate(pl, st.nparams), nil
 }
 
 // Bind clones the template plan and substitutes args (one per placeholder,
@@ -42,9 +51,8 @@ func (p *parser) template(cat *catalog.Catalog) (*Template, error) {
 // plans, so recycler matching works across executions of a prepared
 // statement.
 func (t *Template) Bind(args []vector.Datum) (*plan.Node, error) {
-	if len(args) != t.NumParams {
-		return nil, fmt.Errorf("sql: statement wants %d parameters, got %d",
-			t.NumParams, len(args))
+	if err := t.arity(args); err != nil {
+		return nil, err
 	}
 	p := t.Plan.Clone()
 	if t.NumParams == 0 {
@@ -58,6 +66,24 @@ func (t *Template) Bind(args []vector.Datum) (*plan.Node, error) {
 		return nil, err
 	}
 	return p, nil
+}
+
+// ShapeKey returns the shape key (opt.ShapeKey) of the plan Bind(args)
+// returns, without binding: the template's key text with args spliced in
+// at its parameter slots, in their canonical spelling
+// (vector.Datum.AppendCanon).
+func (t *Template) ShapeKey(args []vector.Datum) (string, error) {
+	if err := t.arity(args); err != nil {
+		return "", err
+	}
+	return t.shape.Key(args), nil
+}
+
+func (t *Template) arity(args []vector.Datum) error {
+	if len(args) != t.NumParams {
+		return fmt.Errorf("sql: statement wants %d parameters, got %d", t.NumParams, len(args))
+	}
+	return nil
 }
 
 // Normalize renders src in a canonical textual form for plan-cache keying:

@@ -9,6 +9,7 @@ import (
 
 	"recycledb/internal/catalog"
 	"recycledb/internal/opt"
+	"recycledb/internal/vector"
 )
 
 // identity is what the optimized-shape cache sees of a SELECT: its key
@@ -72,17 +73,81 @@ func lookalikes(src string) []lookalike {
 	return out
 }
 
+// adversarialArgs are bindings whose spellings could be confused: int and
+// float twins, non-finite and extreme values, and strings that spell a
+// placeholder or carry a quote.
+var adversarialArgs = []vector.Datum{
+	vector.NewInt64Datum(2), vector.NewFloat64Datum(2), vector.NewDateDatum(2), vector.NewStringDatum("2"),
+	vector.NewFloat64Datum(math.NaN()), vector.NewFloat64Datum(math.Inf(1)), vector.NewFloat64Datum(math.Inf(-1)),
+	vector.NewInt64Datum(math.MinInt64), vector.NewFloat64Datum(-0.0), vector.NewFloat64Datum(1e21),
+	vector.NewStringDatum("?"), vector.NewStringDatum("?1"), vector.NewStringDatum(`"`),
+	vector.NewStringDatum(`a"?2",`), vector.NewStringDatum(""), vector.NewBoolDatum(true),
+}
+
+// checkTemplateKey checks that c's template key equals opt.ShapeKey of the
+// plan Bind returns, byte for byte, for bindings drawn from
+// adversarialArgs, each parameter a different datum in every round.
+func checkTemplateKey(t *testing.T, src string, c *Compiled) {
+	t.Helper()
+	n := c.Query.NumParams
+	for round := range adversarialArgs {
+		args := make([]vector.Datum, n)
+		for i := range args {
+			args[i] = adversarialArgs[(round+i*5)%len(adversarialArgs)]
+		}
+		got, err := c.Query.ShapeKey(args)
+		if err != nil {
+			t.Fatalf("%q: ShapeKey(%v): %v", src, args, err)
+		}
+		p, err := c.Query.Bind(args)
+		if err != nil {
+			t.Fatalf("%q: Bind(%v): %v", src, args, err)
+		}
+		if want := opt.ShapeKey(p); got != want {
+			t.Fatalf("%q bound to %v:\n template key %s\n bound key    %s", src, args, got, want)
+		}
+	}
+	if _, err := c.Query.ShapeKey(make([]vector.Datum, n+1)); err == nil {
+		t.Fatalf("%q: ShapeKey accepts %d arguments for %d parameters", src, n+1, n)
+	}
+}
+
+func TestTemplateKeyMatchesBoundKey(t *testing.T) {
+	for _, src := range []string{
+		`SELECT region FROM sales WHERE qty > $1 AND amount < $1 OR product = $1`,
+		`SELECT region, qty + $2 AS q FROM sales WHERE amount < $1`,
+		`SELECT region FROM sales WHERE $1 IN (1, 2, 3) AND qty NOT IN (4, 5)`,
+		`SELECT CASE WHEN qty > ? THEN ? ELSE amount * ? END AS c FROM sales`,
+		`SELECT region FROM sales WHERE ? LIKE 'a?%' AND region NOT LIKE '?1'`,
+		`SELECT region, sum(qty * ?) AS s, max(amount + ?) AS m FROM sales GROUP BY region`,
+		`SELECT region, count(*) AS n FROM sales WHERE day BETWEEN ? AND ? AND region = '?' GROUP BY region ORDER BY n DESC LIMIT 3`,
+		`SELECT a FROM t, sales WHERE a = product AND s = ? AND qty > ?`,
+		`EXPLAIN SELECT region FROM sales WHERE qty > $2 AND amount < $1`,
+		`SELECT region FROM sales WHERE qty > 5`,
+	} {
+		c, err := CompileStatement(src, fuzzCatalog)
+		if err != nil {
+			t.Fatalf("%q: %v", src, err)
+		}
+		checkTemplateKey(t, src, c)
+	}
+}
+
 // FuzzPlanIdentity checks opt.ShapeKey, the key under which the engine
 // replays an optimized plan, against what statements compute. For any
 // SELECT the front end accepts: equal keys imply equal resolved schemas,
 // names and types; renaming one alias changes the key; retyping one
-// integral literal (5 <-> 5.0) changes the key.
+// integral literal (5 <-> 5.0) changes the key. For a template with
+// parameters, the key spliced from the template (Template.ShapeKey) equals
+// the bound plan's under adversarial bindings.
 func FuzzPlanIdentity(f *testing.F) {
 	seeds := append([]string{
 		`SELECT product AS a, qty AS b FROM sales ORDER BY a, b LIMIT 3`,
 		`SELECT region, sum(qty * 2) AS s, count(*) AS c FROM sales GROUP BY region`,
 		`SELECT product, qty * 2.0 AS x FROM sales ORDER BY product, x LIMIT 5`,
 		`SELECT a FROM t WHERE b > 5 AND u IN (1, 2.0, 3) AND x = -7`,
+		`SELECT region, sum(qty * $2) AS s FROM sales WHERE $1 IN (1, 2) AND region LIKE '?%' GROUP BY region`,
+		`SELECT CASE WHEN qty > ? THEN '?1' ELSE ? END AS c FROM sales WHERE amount < ?`,
 	}, fuzzSeeds...)
 	seen := make(map[string]identity)
 	for _, s := range seeds {
@@ -92,6 +157,9 @@ func FuzzPlanIdentity(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if c, err := CompileStatement(src, fuzzCatalog); err == nil && c.Query != nil && c.Query.NumParams > 0 {
+			checkTemplateKey(t, src, c)
+		}
 		base, ok := identityOf(src)
 		if !ok {
 			return

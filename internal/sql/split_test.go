@@ -95,7 +95,7 @@ func TestDollarParams(t *testing.T) {
 			t.Errorf("%q: binding one parameter too few must fail", tc.in)
 		}
 		got := boundShape(t, cat, tmpl, tc.args)
-		want := boundShape(t, cat, &Template{Plan: mustPlan(t, cat, tc.literal)}, nil)
+		want := boundShape(t, cat, NewTemplate(mustPlan(t, cat, tc.literal), 0), nil)
 		if got != want {
 			t.Errorf("%q: bound to\n  %s\nwant (as %q)\n  %s", tc.in, got, tc.literal, want)
 		}

@@ -109,11 +109,18 @@ func TestExplainShowsTheShapeThatRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, p, err := stmt.bind(nil, true)
+	b, err := stmt.bind(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	octx := e.optContext(e.captureEpoch(p))
+	p, err := b.plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Resolve(e.cat); err != nil {
+		t.Fatal(err)
+	}
+	octx := e.optContext(e.captureEpoch(p, true))
 	if p, err = opt.Optimize(p, octx); err != nil {
 		t.Fatal(err)
 	}

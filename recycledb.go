@@ -78,6 +78,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -166,7 +167,7 @@ const optShapeCacheSize = 512
 type optShape struct {
 	// plan is the optimized plan, resolved and never mutated: a statement
 	// either clones it or, on a root hit, replays its root's cached result
-	// over it read-only.
+	// over it read-only, and Stmt.ResultSchema copies its schema.
 	plan *plan.Node
 	// root is the graph node plan's root matched, once a full rewrite of
 	// plan has matched it (rewrite.Result.RootMatch). Graph nodes are never
@@ -192,18 +193,20 @@ type Engine struct {
 	// across them.
 	par int
 	// optShapes memoizes the optimizer's output per opt.ShapeKey of the
-	// bound plan, keyed with the schema version it resolved under. The key
-	// is the plan's one identity (plan.Node.AppendCanon) with output names
-	// and typed literals, so two plans share an entry only if each one's
-	// optimized plan returns the other's rows, column names and types. The
-	// optimizer is deterministic for a fixed recycler state and its
-	// steering converges (an executed shape is found warm and re-picked),
-	// so re-optimizing a shape seen moments ago recomputes the same answer.
-	// A decision made against an older recycler state stays correct, merely
-	// no longer the warmest choice; the cache is flushed with the result
-	// cache whose warmth it steered by. Each entry also remembers the graph
-	// node its plan's root matched, so a hit whose root result is cached
-	// replays it without cloning or matching the plan (see optShape).
+	// bound plan (for a prepared statement spliced from its template,
+	// sql.Template.ShapeKey), keyed with the schema version it resolved
+	// under. The key is the plan's one identity (plan.Node.AppendCanon)
+	// with output names and typed literals, so two plans share an entry
+	// only if each one's optimized plan returns the other's rows, column
+	// names and types. The optimizer is deterministic for a fixed recycler
+	// state and its steering converges (an executed shape is found warm and
+	// re-picked), so re-optimizing a shape seen moments ago recomputes the
+	// same answer. A decision made against an older recycler state stays
+	// correct, merely no longer the warmest choice; the cache is flushed
+	// with the result cache whose warmth it steered by. Each entry also
+	// remembers the graph node its plan's root matched, so a hit whose root
+	// result is cached replays it without cloning or matching the plan
+	// (see optShape).
 	optShapes *lru[*optShape]
 	active    atomic.Int32
 	// pool recycles operator scratch batches across this engine's queries
@@ -320,20 +323,24 @@ func (e *Engine) liveVer(table string) (int64, bool) {
 
 // epoch is the data epoch one statement runs at: a snapshot of every base
 // table in its plan's lineage, with the version and row-count tags cache
-// validation compares (and the cost model reads).
+// validation compares (and the cost model reads). A tags-only epoch has nil
+// snaps: it can validate cached results but nothing may scan at it.
 type epoch struct {
 	snaps     map[string]*catalog.Snapshot
 	vers      map[string]core.TableSnap
 	globalVer int64
 }
 
-// captureEpoch snapshots the tables in p's lineage. Each table's version
-// and row count come from one Snapshot call, so a concurrent commit can
-// never yield a pair from two epochs.
-func (e *Engine) captureEpoch(p *plan.Node) epoch {
-	ep := epoch{
-		snaps: make(map[string]*catalog.Snapshot),
-		vers:  make(map[string]core.TableSnap),
+// captureEpoch captures the tables in p's lineage. With snap, each table is
+// snapshotted and its version and row count come from that one Snapshot
+// call, so a concurrent commit can never yield a pair from two epochs.
+// Without, it reads only the tags, each pair under its table's read lock
+// (catalog.Table.Tag), and snapshots no column: all a root hit's probe
+// needs.
+func (e *Engine) captureEpoch(p *plan.Node, snap bool) epoch {
+	ep := epoch{vers: make(map[string]core.TableSnap, len(p.Lineage()))}
+	if snap {
+		ep.snaps = make(map[string]*catalog.Snapshot, len(p.Lineage()))
 	}
 	for _, name := range p.Lineage() {
 		if name == plan.LineageAll {
@@ -342,6 +349,11 @@ func (e *Engine) captureEpoch(p *plan.Node) epoch {
 		tbl, err := e.cat.Table(name)
 		if err != nil {
 			continue // resolve already vetted; races surface at build
+		}
+		if !snap {
+			ver, rows := tbl.Tag()
+			ep.vers[name] = core.TableSnap{Ver: ver, Rows: int64(rows)}
+			continue
 		}
 		s := tbl.Snapshot()
 		ep.snaps[name] = s
@@ -444,7 +456,7 @@ func (e *Engine) QueryCollect(ctx context.Context, sql string, args ...any) (*Re
 // The recycler graph is annotated with counted costs when the stream
 // completes. q is not mutated.
 func (e *Engine) Stream(ctx context.Context, q *plan.Node) (*Rows, error) {
-	return e.stream(ctx, q, true)
+	return e.stream(ctx, opt.ShapeKey(q), func() (*plan.Node, error) { return q.Clone(), nil })
 }
 
 // ExecuteContext runs a built query plan to completion under ctx and
@@ -475,70 +487,105 @@ func (e *Engine) beginStatement() int {
 func (e *Engine) endStatement() { e.active.Add(-1) }
 
 // shape is the planning prologue of every statement: it returns the
-// resolved, optimized plan a statement with bound plan p runs, its entry in
-// the optimized-shape cache, and the data epoch it runs at. shared marks p
-// as caller-owned: shape only reads it (the shape-key render walks the tree
-// without mutation) and clones before any change; with shared false, shape
-// takes ownership of p. When the entry knows its root match, shape returns
-// it as root, and q is then the entry's own plan, which callers only read
-// (rewrite.Rewrite clones it unless the root's cached result replays);
-// otherwise root is nil and q is the statement's own.
-func (e *Engine) shape(p *plan.Node, shared bool) (q *plan.Node, root *core.Node, sh *optShape, ep epoch, err error) {
-	// Optimized-shape fast path (see Engine.optShapes): render the plan's
-	// shape key on the incoming tree and replay a prior optimizer decision.
-	// The cached plan carries its resolution — the schema version it
-	// resolved under is part of the lookup — so a hit skips the
-	// clone-resolve-optimize sequence entirely. optVer is read before
-	// Resolve so a concurrent schema change can only store the entry under
-	// a too-old version (evicted on next lookup), never a too-new one.
-	shapeKey, optVer := opt.ShapeKey(p), e.cat.Version()
-	if hit, ok := e.optShapes.get(shapeKey, optVer); ok {
-		if g := hit.root.Load(); g != nil {
-			return hit.plan, g, hit, e.captureEpoch(hit.plan), nil
+// resolved, optimized plan a statement runs, its entry in the
+// optimized-shape cache, and the data epoch it runs at. key is the
+// statement's shape key (opt.ShapeKey of its bound plan, or the same text
+// spliced from its template, sql.Template.ShapeKey); bind returns the bound
+// plan, which shape then owns, and runs only on a cache miss. When the entry
+// knows its root match, shape returns it as root, and q is then the entry's
+// own plan, which callers only read (rewrite.Rewrite clones it unless the
+// root's cached result replays); otherwise root is nil and q is the
+// statement's own. With tagsOnly, a known root comes with a tags-only epoch
+// (captureEpoch without snap), for a probe that captures the full epoch
+// only if it declines.
+func (e *Engine) shape(key string, bind func() (*plan.Node, error), tagsOnly bool) (q *plan.Node, root *core.Node, sh *optShape, ep epoch, err error) {
+	for {
+		// optVer is read before the lookup and Resolve, and again once the
+		// epoch is captured: a schema change in between (a table replaced)
+		// may have paired the plan with another table's snapshot, so the
+		// statement plans again. A concurrent change can thus only store
+		// an entry under a too-old version (evicted on next lookup), never
+		// a too-new one.
+		optVer := e.cat.Version()
+		// Optimized-shape fast path (see Engine.optShapes): replay a prior
+		// optimizer decision. The cached plan carries its resolution — the
+		// schema version it resolved under is part of the lookup — so a
+		// hit skips the bind-resolve-optimize sequence entirely.
+		if hit, ok := e.optShapes.get(key, optVer); ok {
+			q, root = hit.plan, hit.root.Load()
+			if root == nil {
+				q = q.Clone()
+			}
+			ep = e.captureEpoch(q, root == nil || !tagsOnly)
+			if e.cat.Version() == optVer {
+				return q, root, hit, ep, nil
+			}
+			continue
 		}
-		p = hit.plan.Clone()
-		return p, nil, hit, e.captureEpoch(p), nil
+		p, err := bind()
+		if err != nil {
+			return nil, nil, nil, epoch{}, err
+		}
+		if err := p.Resolve(e.cat); err != nil {
+			return nil, nil, nil, epoch{}, fmt.Errorf("recycledb: resolve: %w", err)
+		}
+		// Capture the statement's data epoch before rewriting. Cache
+		// substitution validates entries against these versions and the
+		// scans read exactly these snapshots, so a statement observes one
+		// consistent epoch from front to back even while writers commit.
+		ep = e.captureEpoch(p, true)
+		// The optimizer runs between compilation and the recycling
+		// rewrite: pushdown/pruning normalization, then the
+		// recycler-probing dynamic phase that orders conjunct chains and
+		// join groups toward subtrees already warm under this statement's
+		// snapshot. The rewriter then performs the actual substitutions on
+		// the chosen shape. The decision is memoized under key; later
+		// executions of this shape replay it from the cache.
+		p, err = opt.Optimize(p, e.optContext(ep))
+		if err != nil {
+			return nil, nil, nil, epoch{}, fmt.Errorf("recycledb: optimize: %w", err)
+		}
+		// The optimizer re-resolves what it rebuilds, so the check that
+		// the plan's tables are the snapshots' waits until it is done.
+		if e.cat.Version() != optVer {
+			continue
+		}
+		sh = &optShape{plan: p.Clone()}
+		e.optShapes.put(key, sh, optVer)
+		return p, nil, sh, ep, nil
 	}
-	if shared {
-		p = p.Clone()
+}
+
+// resultSchema is the schema of the statement with shape key key: the
+// cached optimized plan's, or on a miss that of bind's plan resolved
+// against the catalog. The caller owns the returned slice.
+func (e *Engine) resultSchema(key string, bind func() (*plan.Node, error)) (catalog.Schema, error) {
+	if hit, ok := e.optShapes.get(key, e.cat.Version()); ok {
+		return slices.Clone(hit.plan.Schema()), nil
+	}
+	p, err := bind()
+	if err != nil {
+		return nil, err
 	}
 	if err := p.Resolve(e.cat); err != nil {
-		return nil, nil, nil, epoch{}, fmt.Errorf("recycledb: resolve: %w", err)
+		return nil, fmt.Errorf("recycledb: resolve: %w", err)
 	}
-	// Capture the statement's data epoch before rewriting. Cache
-	// substitution validates entries against these versions and the scans
-	// read exactly these snapshots, so a statement observes one consistent
-	// epoch from front to back even while writers commit.
-	ep = e.captureEpoch(p)
-	// The optimizer runs between compilation and the recycling rewrite:
-	// pushdown/pruning normalization, then the recycler-probing dynamic
-	// phase that orders conjunct chains and join groups toward subtrees
-	// already warm under this statement's snapshot. The rewriter then
-	// performs the actual substitutions on the chosen shape. The decision
-	// is memoized under the key rendered above; later executions of this
-	// shape replay it from the cache.
-	p, err = opt.Optimize(p, e.optContext(ep))
-	if err != nil {
-		return nil, nil, nil, epoch{}, fmt.Errorf("recycledb: optimize: %w", err)
-	}
-	sh = &optShape{plan: p.Clone()}
-	e.optShapes.put(shapeKey, sh, optVer)
-	return p, nil, sh, ep, nil
+	return p.Schema(), nil
 }
 
 // explainSchema is an EXPLAIN's result: one line of the plan per row.
 var explainSchema = catalog.Schema{{Name: "QUERY PLAN", Typ: vector.String}}
 
-// explain answers EXPLAIN for bound plan p. It renders the plan that the
-// next execution with the same bindings runs (Engine.shape), one node per
-// line, with per-node estimated rows and cost, [cached]/[inflight]/[seen]
-// markers on subtrees the recycler holds under the current data versions,
-// and the work a node's last run counted. The lines replay from memory: the
-// stream takes no statement slot, registers nothing with the recycler and
-// annotates no graph.
-func (e *Engine) explain(ctx context.Context, p *plan.Node) (*Rows, error) {
+// explain answers EXPLAIN for the statement with shape key key and bind
+// (Engine.shape's). It renders the plan that the next execution with the
+// same bindings runs, one node per line, with per-node estimated rows and
+// cost, [cached]/[inflight]/[seen] markers on subtrees the recycler holds
+// under the current data versions, and the work a node's last run counted.
+// The lines replay from memory: the stream takes no statement slot,
+// registers nothing with the recycler and annotates no graph.
+func (e *Engine) explain(ctx context.Context, key string, bind func() (*plan.Node, error)) (*Rows, error) {
 	start := time.Now()
-	p, _, _, ep, err := e.shape(p, false)
+	p, _, _, ep, err := e.shape(key, bind, false)
 	if err != nil {
 		return nil, err
 	}
@@ -553,10 +600,9 @@ func (e *Engine) explain(ctx context.Context, p *plan.Node) (*Rows, error) {
 		start: start, execStart: time.Now(), released: true}, nil
 }
 
-// stream plans (Engine.shape), rewrites, builds, and opens the pipeline,
-// returning a Rows positioned before the first batch. shared is shape's:
-// whether p stays the caller's.
-func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *Rows, err error) {
+// stream plans (Engine.shape, with key and bind), rewrites, builds, and
+// opens the pipeline, returning a Rows positioned before the first batch.
+func (e *Engine) stream(ctx context.Context, key string, bind func() (*plan.Node, error)) (rows *Rows, err error) {
 	if ctx == nil {
 		ctx = context.Background() //recycledb:ctx-ok — documented nil-ctx fallback
 	}
@@ -567,16 +613,32 @@ func (e *Engine) stream(ctx context.Context, p *plan.Node, shared bool) (rows *R
 		}
 	}()
 	start := time.Now()
-	p, root, sh, ep, err := e.shape(p, shared)
+	mode := e.Mode()
+	// Only History and Speculative replay a known root without rewriting
+	// (rewrite.Rewriter.ReuseRoot), so only they probe at tags alone.
+	p, root, sh, ep, err := e.shape(key, bind, mode == History || mode == Speculative)
 	if err != nil {
 		return nil, err
 	}
-	rw := rewrite.NewRewriter(e.rec, e.cat, e.Mode())
-	rw.SnapVers = ep.vers
-	rw.GlobalVer = ep.globalVer
-	rres, err := rw.Rewrite(p, root)
-	if err != nil {
-		return nil, fmt.Errorf("recycledb: rewrite: %w", err)
+	rw := rewrite.NewRewriter(e.rec, e.cat, mode)
+	var rres *rewrite.Result
+	if ep.snaps == nil {
+		// A root hit reads no table, so its probe needs only the tags. A
+		// probe that declines counted nothing: the statement plans afresh
+		// at a full epoch and runs the full path from it, so nothing it
+		// plans is validated at versions other than those its scans read.
+		rw.SnapVers, rw.GlobalVer = ep.vers, ep.globalVer
+		if rres = rw.ReuseRoot(p, root); rres == nil {
+			if p, root, sh, ep, err = e.shape(key, bind, false); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if rres == nil {
+		rw.SnapVers, rw.GlobalVer = ep.vers, ep.globalVer
+		if rres, err = rw.Rewrite(p, root); err != nil {
+			return nil, fmt.Errorf("recycledb: rewrite: %w", err)
+		}
 	}
 	if g := rres.RootMatch(); g != nil && sh.root.Load() != g {
 		sh.root.Store(g)

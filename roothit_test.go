@@ -325,9 +325,11 @@ func TestRootHitAfterDML(t *testing.T) {
 // TestWarmRootHitAllocs is the root hit's allocation contract: a warm Q6
 // through Stmt.Query plus Collect. Before root hits, every run cloned the
 // plan, matched it and walked the rules, 244 allocations in all; the root
-// hit skips those three and measures 76. The bound leaves room for noise,
-// not for another per-statement allocation: the statement's record lives
-// inside its rewrite result, and counting into it allocates nothing.
+// hit skipped those three and measured 76. Keying the shape cache from the
+// template (no bind, no clone, no key walk) and probing the root at version
+// tags alone (no table snapshot) measure 26. The bound leaves room for
+// noise, not for another per-statement allocation: the statement's record
+// lives inside its rewrite result, and counting into it allocates nothing.
 func TestWarmRootHitAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation counts")
@@ -340,7 +342,32 @@ func TestWarmRootHitAllocs(t *testing.T) {
 	}
 	avg := testing.AllocsPerRun(200, func() { runStmt(t, s, args...) })
 	t.Logf("warm Q6 root hit: %.1f allocs per run", avg)
-	if avg > 80 {
-		t.Fatalf("warm Q6 root hit allocates %.1f per run, want at most 80", avg)
+	if avg > 29 {
+		t.Fatalf("warm Q6 root hit allocates %.1f per run, want at most 29", avg)
+	}
+}
+
+// TestWarmDescribeAllocs is Describe's allocation contract: a warm Q6's
+// ResultSchema, what a pgwire Describe(portal) asks before every Execute.
+// It reads the schema off the optimized-shape entry the template key finds;
+// binding and resolving a plan clone to answer it allocated 49 times.
+func TestWarmDescribeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation counts")
+	}
+	eng := recycledb.NewWithCatalog(recycledb.Config{Mode: recycledb.Speculative, Parallelism: 1}, rootHitCatalog())
+	s := prepare(t, eng, q6Text)
+	args := q6Args()
+	for i := 0; i < 3; i++ {
+		runStmt(t, s, args...)
+	}
+	avg := testing.AllocsPerRun(200, func() {
+		if _, err := s.ResultSchema(args...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("warm Q6 ResultSchema: %.1f allocs per run", avg)
+	if avg > 5 {
+		t.Fatalf("warm Q6 ResultSchema allocates %.1f per run, want at most 5", avg)
 	}
 }

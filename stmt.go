@@ -30,9 +30,10 @@ import (
 // uses is gone or retyped — execution fails with ErrStaleStmt wrapping the
 // compile error.
 //
-// A Stmt is safe for concurrent use: every execution binds into its own
-// clone of the compiled template, and revalidation swaps the compiled form
-// atomically.
+// A Stmt is safe for concurrent use: an execution reads the compiled form
+// and the engine's caches without mutating them (it binds into its own clone
+// of the compiled template only when the optimized-shape cache misses), and
+// revalidation swaps the compiled form atomically.
 type Stmt struct {
 	eng  *Engine
 	text string // normalized statement text (the plan-cache key)
@@ -85,7 +86,7 @@ func (e *Engine) compile(query, key string) (*sql.Compiled, int64, error) {
 		// swallowed here: the template stays as compiled and the per-
 		// execution optimizer surfaces any real problem.
 		if np, err := opt.Normalize(c.Query.Plan.Clone(), e.cat); err == nil {
-			c.Query.Plan = np
+			c.Query = sql.NewTemplate(np, 0)
 		}
 	}
 	e.plans.put(key, c, ver)
@@ -124,41 +125,56 @@ func (s *Stmt) IsQuery() bool { return s.cur.Load().c.Query != nil }
 // instead of running it. DML statements are rejected with ErrNotQuery; use
 // Exec.
 func (s *Stmt) Query(ctx context.Context, args ...any) (*Rows, error) {
-	c, p, err := s.bind(args, false)
+	b, err := s.bind(args)
 	if err != nil {
 		return nil, err
 	}
-	if c.Kind == sql.StmtExplain {
-		return s.eng.explain(ctx, p)
+	if b.c.Kind == sql.StmtExplain {
+		return s.eng.explain(ctx, b.key, b.plan)
 	}
-	return s.eng.stream(ctx, p, false)
+	return s.eng.stream(ctx, b.key, b.plan)
+}
+
+// binding is one execution's arguments with the compiled form they were
+// checked against and the shape key of the plan they bind to, rendered from
+// the template without binding (sql.Template.ShapeKey). Key and plan come
+// from the same compiled form, so a concurrent schema change cannot pair a
+// key of one version with a plan of another.
+type binding struct {
+	c   *sql.Compiled
+	ds  []vector.Datum
+	key string
 }
 
 // bind is the prologue of every query path: the revalidated compiled form,
-// the kind check, and args bound into a fresh clone of the SELECT's plan —
-// resolved against the catalog when resolve is set.
-func (s *Stmt) bind(args []any, resolve bool) (*sql.Compiled, *plan.Node, error) {
+// the kind check, and args converted and keyed. The plan itself is bound
+// only when the optimized-shape cache misses (binding.plan).
+func (s *Stmt) bind(args []any) (binding, error) {
 	c, err := s.compiled()
 	if err != nil {
-		return nil, nil, err
+		return binding{}, err
 	}
 	if c.Query == nil {
-		return nil, nil, fmt.Errorf("%w: %v statement", ErrNotQuery, c.Kind)
+		return binding{}, fmt.Errorf("%w: %v statement", ErrNotQuery, c.Kind)
 	}
 	ds, err := toDatums(args)
 	if err != nil {
-		return nil, nil, err
+		return binding{}, err
 	}
-	p, err := c.Query.Bind(ds)
+	key, err := c.Query.ShapeKey(ds)
 	if err != nil {
-		return nil, nil, fmt.Errorf("recycledb: bind: %w", err)
+		return binding{}, fmt.Errorf("recycledb: bind: %w", err)
 	}
-	if resolve {
-		if err := p.Resolve(s.eng.cat); err != nil {
-			return nil, nil, fmt.Errorf("recycledb: resolve: %w", err)
-		}
+	return binding{c: c, ds: ds, key: key}, nil
+}
+
+// plan binds the arguments into a fresh clone of the SELECT's plan.
+func (b binding) plan() (*plan.Node, error) {
+	p, err := b.c.Query.Bind(b.ds)
+	if err != nil {
+		return nil, fmt.Errorf("recycledb: bind: %w", err)
 	}
-	return c, p, nil
+	return p, nil
 }
 
 // Exec executes the statement to completion. For SELECTs it materializes
@@ -188,21 +204,25 @@ func (s *Stmt) Exec(ctx context.Context, args ...any) (*Result, error) {
 }
 
 // ResultSchema returns the result schema the statement would produce for
-// the given parameter bindings, by resolving a plan clone against the
-// current catalog without executing anything (an EXPLAIN's is its one
-// QUERY PLAN column). Serving front ends use it to describe a bound portal
-// (RowDescription) before the first Execute. DML statements return
-// ErrNotQuery. The binding values only matter for type checking — any
-// value of the right type describes the same schema.
+// the given parameter bindings without executing anything (an EXPLAIN's is
+// its one QUERY PLAN column). When the optimized-shape cache holds the
+// plan the bindings run, the schema is that plan's; otherwise it comes from
+// binding and resolving a plan clone against the current catalog. Either
+// way it is the schema the statement's rows carry, and the caller owns it.
+// Serving front ends use it to describe a bound portal (RowDescription)
+// before the first Execute. DML statements return ErrNotQuery. The binding
+// values only matter for type checking — any value of the right type
+// describes the same schema.
 func (s *Stmt) ResultSchema(args ...any) (catalog.Schema, error) {
-	c, p, err := s.bind(args, true)
+	b, err := s.bind(args)
 	if err != nil {
 		return nil, err
 	}
-	if c.Kind == sql.StmtExplain {
-		return explainSchema, nil
+	schema, err := s.eng.resultSchema(b.key, b.plan)
+	if err != nil || b.c.Kind != sql.StmtExplain {
+		return schema, err
 	}
-	return p.Schema(), nil
+	return explainSchema, nil
 }
 
 // NumParams returns the number of parameters the statement binds: its ?
@@ -282,8 +302,7 @@ func toDatums(args []any) ([]vector.Datum, error) {
 // catalog schema version they were built under: a lookup under another
 // version misses and drops the entry. It backs both the compiled-statement
 // cache (normalized SQL text -> *sql.Compiled) and the optimized-shape cache
-// (canonical plan signature -> *plan.Node). A zero or negative capacity
-// disables caching.
+// (opt.ShapeKey -> *optShape). A zero or negative capacity disables caching.
 type lru[V any] struct {
 	mu  sync.Mutex
 	max int
