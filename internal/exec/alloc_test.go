@@ -82,11 +82,27 @@ func TestHashAggEmitNextZeroAlloc(t *testing.T) {
 	assertZeroAllocs(t, NewCtx(catalog.New()), h, 4, 100)
 }
 
+// TestSortEmitNextZeroAlloc covers the full sort and a bounded one; the
+// bounded sort emits its 100 rows one row per batch, so that its emission
+// spans enough batches to measure.
 func TestSortEmitNextZeroAlloc(t *testing.T) {
 	tab := benchTable(benchRows)
-	scan, _ := benchScan(tab)
-	s := NewSort(scan, []plan.SortKey{{Col: "v"}})
-	assertZeroAllocs(t, NewCtx(catalog.New()), s, 4, 100)
+	for _, tc := range []struct {
+		name           string
+		n, vec         int
+		warm, measured int
+	}{
+		{"full-256Ki-rows", 0, DefaultVectorSize, 4, 100},
+		{"topn-100-of-256Ki-rows", 100, 1, 1, 90},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			scan, _ := benchScan(tab)
+			s := NewSort(scan, []plan.SortKey{{Col: "v"}}, tc.n)
+			ctx := NewCtx(catalog.New())
+			ctx.VectorSize = tc.vec
+			assertZeroAllocs(t, ctx, s, tc.warm, tc.measured)
+		})
+	}
 }
 
 func TestProjectNextZeroAlloc(t *testing.T) {
@@ -167,12 +183,13 @@ func TestMorselPipelineZeroAlloc(t *testing.T) {
 }
 
 // TestBlockingStateReuseZeroAlloc holds the blocking operators to the
-// contract across queries: a join build, a group directory and a sort arena
-// grow through the pool and go back to it at Close, so a second identical
-// Open→drain→Close on one Ctx rebuilds that state in the memory the first
-// released. Each must allocate under 64 KiB (the fresh operator tree, the
-// sort's comparator closure, small per-query slices), against tens of
-// megabytes when blocking state grows by append and is dropped at Close.
+// contract across queries: a join build, a group directory and the arenas
+// of a full and a bounded sort grow through the pool and go back to it at
+// Close, so a second identical Open→drain→Close on one Ctx rebuilds that
+// state in the memory the first released. Each must allocate under 64 KiB
+// (the fresh operator tree, the sort's comparator closure, small per-query
+// slices), against tens of megabytes when blocking state grows by append
+// and is dropped at Close.
 //
 // The GC is off while measuring, since a collection empties the pools. One
 // P runs the test: sync.Pool keeps one entry per P in a slot only that P
@@ -209,7 +226,11 @@ func TestBlockingStateReuseZeroAlloc(t *testing.T) {
 		}},
 		{"sort-256Ki-rows", benchRows, func() Operator {
 			scan, _ := benchScan(big)
-			return NewSort(scan, []plan.SortKey{{Col: "v"}})
+			return NewSort(scan, []plan.SortKey{{Col: "v"}}, 0)
+		}},
+		{"topn-100-of-256Ki-rows", 100, func() Operator {
+			scan, _ := benchScan(big)
+			return NewSort(scan, []plan.SortKey{{Col: "v"}}, 100)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

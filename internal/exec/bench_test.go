@@ -1,7 +1,8 @@
 package exec
 
 // Per-operator microbenchmarks for the execution hot paths: selective
-// filtering, hash-join build+probe, grouped hash aggregation, and full sort.
+// filtering, hash-join build+probe, grouped hash aggregation, full sort
+// (BenchmarkSort) and bounded sort (BenchmarkTopN).
 // Each iteration runs one operator pipeline over a pre-generated table, so
 // ns/op tracks per-tuple interpretation overhead and -benchmem tracks the
 // steady-state allocation behaviour the pooled paths are required to keep at
@@ -227,11 +228,51 @@ func BenchmarkSort(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		scan, _ := benchScan(t)
-		s := NewSort(scan, []plan.SortKey{{Col: "v"}})
+		s := NewSort(scan, []plan.SortKey{{Col: "v"}}, 0)
 		rows := drain(b, ctx, s)
 		if rows != benchRows {
 			b.Fatalf("got %d rows, want %d", rows, benchRows)
 		}
 	}
 	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+}
+
+// BenchmarkTopN measures the bounded sort: the first N rows by one key, over
+// 4Ki and 256Ki rows, at N 10, 100 and 10000 (rewrite.WideTopN), by a
+// distinct float key (v) and by a 64-value int key (k). The monotone cases
+// sort ascending ids descending, so every row orders before the bound and
+// enters the arena.
+func BenchmarkTopN(b *testing.B) {
+	type benchCase struct {
+		name string
+		rows int
+		n    int
+		key  plan.SortKey
+	}
+	var cases []benchCase
+	for _, rows := range []int{1 << 12, benchRows} {
+		for _, n := range []int{10, 100, 10000} {
+			for _, key := range []plan.SortKey{{Col: "v"}, {Col: "k"}} {
+				cases = append(cases, benchCase{fmt.Sprintf("%dKi/N=%d/key=%s", rows>>10, n, key.Col), rows, n, key})
+			}
+		}
+	}
+	for _, n := range []int{10, 1000} {
+		cases = append(cases, benchCase{fmt.Sprintf("monotone-%dKi/N=%d", benchRows>>10, n), benchRows, n, plan.SortKey{Col: "id", Desc: true}})
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			t := benchTable(tc.rows)
+			ctx := NewCtx(catalog.New())
+			want := int64(min(tc.n, tc.rows))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scan, _ := benchScan(t)
+				if rows := drain(b, ctx, NewSort(scan, []plan.SortKey{tc.key}, tc.n)); rows != want {
+					b.Fatalf("got %d rows, want %d", rows, want)
+				}
+			}
+			b.ReportMetric(float64(tc.rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/sec")
+		})
+	}
 }

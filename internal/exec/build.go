@@ -95,9 +95,9 @@ func buildRaw(ctx *Ctx, n *plan.Node, dec Decorations, stats map[*plan.Node]Node
 	}
 	switch n.Op {
 	case plan.TopN:
-		return NewTopN(children[0], n.Keys, n.N), nil
+		return NewSort(children[0], n.Keys, n.N), nil
 	case plan.Sort:
-		return NewSort(children[0], n.Keys), nil
+		return NewSort(children[0], n.Keys, 0), nil
 	case plan.Limit:
 		return NewLimit(children[0], n.N), nil
 	case plan.Union:

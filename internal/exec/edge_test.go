@@ -94,8 +94,8 @@ func TestCrossJoinViaEmptyKeys(t *testing.T) {
 }
 
 func TestTopNArenaCompaction(t *testing.T) {
-	// A descending input stresses the heap: every early row is soon
-	// replaced, forcing arena growth and periodic compaction.
+	// A descending input stresses the bounded sort: every row orders
+	// before the bound and enters the arena, so cut follows cut.
 	cat := catalog.New()
 	tb := catalog.NewTable("big", catalog.Schema{{Name: "v", Typ: vector.Int64}})
 	w := tb.BeginWrite()

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"recycledb/internal/catalog"
@@ -384,24 +386,89 @@ func TestTopN(t *testing.T) {
 	}
 }
 
+// TestTopNEqualsSortLimit holds a top-N to the first N rows of the stable
+// sort, tied rows in arrival order, however many cuts its arena takes:
+// TopN(n) equals Limit(n, Sort) row for row, the sort equals a stable sort
+// of its input, and TopN(n) over TopN(m >= n) equals TopN(n), the identity
+// the proactive top-N widening relies on. The keys are heavily tied, and
+// the vector size is small, so each bound from 1 to past the input crosses
+// several cuts; the filtered inputs arrive as batches with a selection.
 func TestTopNEqualsSortLimit(t *testing.T) {
-	cat := testCatalog()
-	top := plan.NewTopN(plan.NewScan("emp", "id", "salary"),
-		[]plan.SortKey{{Col: "salary"}, {Col: "id"}}, 25)
-	sl := plan.NewLimit(plan.NewSort(plan.NewScan("emp", "id", "salary"),
-		plan.SortKey{Col: "salary"}, plan.SortKey{Col: "id"}), 25)
-	r1 := runPlan(t, cat, top)
-	r2 := runPlan(t, cat, sl)
-	ids1 := collectI64(r1, 0)
-	ids2 := collectI64(r2, 0)
-	if len(ids1) != 25 || len(ids2) != 25 {
-		t.Fatalf("lens %d %d", len(ids1), len(ids2))
+	const rows, vec = 1000, 64
+	tab := benchTable(rows)
+	cat := catalog.New()
+	cat.AddTable(tab)
+	scan := func() *plan.Node { return plan.NewScan(tab.Name, "id", "k", "v", "s") }
+	filtered := func() *plan.Node {
+		return plan.NewSelect(scan(), expr.Lt(expr.C("k"), expr.Int(16)))
 	}
-	for i := range ids1 {
-		if ids1[i] != ids2[i] {
-			t.Fatalf("row %d: topn %d vs sort+limit %d", i, ids1[i], ids2[i])
+	for _, tc := range []struct {
+		name  string
+		input func() *plan.Node
+		keys  []plan.SortKey
+	}{
+		{"int-64-values", scan, []plan.SortKey{{Col: "k"}}},
+		{"string-8-values-desc", scan, []plan.SortKey{{Col: "s", Desc: true}}},
+		{"mixed-asc-desc", scan, []plan.SortKey{{Col: "s"}, {Col: "k", Desc: true}}},
+		{"filtered-int-desc", filtered, []plan.SortKey{{Col: "k", Desc: true}}},
+		{"filtered-mixed", filtered, []plan.SortKey{{Col: "s", Desc: true}, {Col: "k"}}},
+	} {
+		in := runRowsVec(t, cat, vec, tc.input())
+		slices.SortStableFunc(in, func(a, b []vector.Datum) int {
+			for _, k := range tc.keys {
+				c := tab.Schema.ColIndex(k.Col)
+				if d := a[c].Compare(b[c]); d != 0 {
+					if k.Desc {
+						return -d
+					}
+					return d
+				}
+			}
+			return 0
+		})
+		sorted := runRowsVec(t, cat, vec, plan.NewSort(tc.input(), tc.keys...))
+		if got, want := ids(sorted), ids(in); !slices.Equal(got, want) {
+			t.Fatalf("%s: sort is not the stable sort of its input:\n got %v\nwant %v", tc.name, got, want)
+		}
+		for _, n := range []int{1, vec - 1, vec, vec + 1, 2*vec + 1, rows + 1} {
+			t.Run(fmt.Sprintf("%s/N=%d", tc.name, n), func(t *testing.T) {
+				top := ids(runRowsVec(t, cat, vec, plan.NewTopN(tc.input(), tc.keys, n)))
+				want := ids(runRowsVec(t, cat, vec, plan.NewLimit(plan.NewSort(tc.input(), tc.keys...), n)))
+				if !slices.Equal(top, want) {
+					t.Fatalf("TopN(%d) = %v\nLimit(Sort) = %v", n, top, want)
+				}
+				for _, m := range []int{n, n + 1, 10000} {
+					nested := plan.NewTopN(plan.NewTopN(tc.input(), tc.keys, m), tc.keys, n)
+					if got := ids(runRowsVec(t, cat, vec, nested)); !slices.Equal(got, top) {
+						t.Fatalf("TopN(%d) over TopN(%d) = %v\nTopN(%d) = %v", n, m, got, n, top)
+					}
+				}
+			})
 		}
 	}
+}
+
+// runRowsVec resolves and runs n at vector size vec and returns its rows.
+func runRowsVec(t *testing.T, cat *catalog.Catalog, vec int, n *plan.Node) [][]vector.Datum {
+	t.Helper()
+	if err := n.Resolve(cat); err != nil {
+		t.Fatal(err)
+	}
+	ctx := &Ctx{Cat: cat, VectorSize: vec}
+	op, err := Build(ctx, n, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runRows(t, ctx, op)
+}
+
+// ids returns column 0 of rows as int64s.
+func ids(rows [][]vector.Datum) []int64 {
+	out := make([]int64, len(rows))
+	for i, r := range rows {
+		out[i] = r[0].I64
+	}
+	return out
 }
 
 func collectI64(r *catalog.Result, col int) []int64 {

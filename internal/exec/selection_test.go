@@ -238,7 +238,7 @@ func TestSelectionSortAndTopN(t *testing.T) {
 	tab := selTable(t, 300, 10)
 	ctx := NewCtx(catalog.New())
 	ctx.VectorSize = 16
-	s := NewSort(evenFilter(t, scanAll(tab)), []plan.SortKey{{Col: "id", Desc: true}})
+	s := NewSort(evenFilter(t, scanAll(tab)), []plan.SortKey{{Col: "id", Desc: true}}, 0)
 	rows := runRows(t, ctx, s)
 	if len(rows) != 150 {
 		t.Fatalf("sort: got %d rows, want 150", len(rows))
@@ -248,7 +248,7 @@ func TestSelectionSortAndTopN(t *testing.T) {
 			t.Fatalf("sort row %d: id=%d, want %d", i, r[0].I64, want)
 		}
 	}
-	tn := NewTopN(evenFilter(t, scanAll(tab)), []plan.SortKey{{Col: "id", Desc: true}}, 5)
+	tn := NewSort(evenFilter(t, scanAll(tab)), []plan.SortKey{{Col: "id", Desc: true}}, 5)
 	rows = runRows(t, ctx, tn)
 	if len(rows) != 5 {
 		t.Fatalf("topN: got %d rows, want 5", len(rows))

@@ -1,86 +1,63 @@
 package exec
 
 import (
-	"container/heap"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"recycledb/internal/plan"
 	"recycledb/internal/vector"
 )
 
-// rowLess compares rows a and b of batch rows under keys; returns true if
-// a orders before b. Comparison is typed per column — no Datum boxing in
-// the sort's O(M log M) comparator.
-func rowLess(rows *vector.Batch, keys []plan.SortKey, keyIdx []int, a, b int) bool {
-	for k, idx := range keyIdx {
-		c := colCompare(rows.Vecs[idx], a, b)
-		if c == 0 {
-			continue
-		}
-		if keys[k].Desc {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
-}
-
-// colCompare orders physical rows a and b of one column vector.
-func colCompare(v *vector.Vector, a, b int) int {
-	switch v.Typ {
+// colCompare orders physical row a of column x against physical row b of
+// column y, which has x's type: typed per column, with no Datum boxing in
+// the sort's comparator. NaN orders first, so the order is total.
+func colCompare(x *vector.Vector, a int, y *vector.Vector, b int) int {
+	switch x.Typ {
 	case vector.Int64, vector.Date:
-		x, y := v.I64[a], v.I64[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
+		return cmp.Compare(x.I64[a], y.I64[b])
 	case vector.Float64:
-		x, y := v.F64[a], v.F64[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
+		return cmp.Compare(x.F64[a], y.F64[b])
 	case vector.String:
-		x, y := v.Str[a], v.Str[b]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		}
+		return strings.Compare(x.Str[a], y.Str[b])
 	case vector.Bool:
-		x, y := v.B[a], v.B[b]
-		switch {
-		case !x && y:
-			return -1
-		case x && !y:
-			return 1
-		}
+		return cmp.Compare(b2i(x.B[a]), b2i(y.B[b]))
 	}
 	return 0
 }
 
-// SortOp fully sorts its input (blocking). The arena and the order array
-// grow through the pool and go back to it in Close.
+// SortOp sorts its input (blocking) on (sort keys, arena index), so tied
+// rows keep their arrival order. With a row bound N > 0 it is the top-N: it
+// emits the first N rows of that order from an arena of O(max(N, vector
+// size)) rows. Whenever the arena reaches its cut size (2N, doubling at
+// each cut up to max(2N, vector size)) it is sorted and cut to its first N
+// rows, in order; after the first cut an incoming row enters only if it
+// orders strictly before arena row N-1 (a tied row arrived later, so it
+// loses). The arena holds the earlier cuts in order, then later arrivals,
+// so a bounded sort returns exactly the first N rows of the full sort, and
+// topN(n) over topN(m >= n) is topN(n), which the §IV-B widening relies
+// on. The arenas, the order and the scratch grow through the pool and go
+// back to it in Close.
 type SortOp struct {
 	base
 	Child  Operator
 	Keys   []plan.SortKey
+	N      int // row bound; 0 sorts the whole input
 	keyIdx []int
 	built  bool
-	rowsIn *vector.Batch
+	arena  *vector.Batch
+	spare  *vector.Batch // a cut gathers the arena's first N rows here
 	order  []int32
-	emit   int
-	out    *vector.Batch
+	// scratch holds the input rows admit takes, or a merge's output.
+	scratch []int32
+	emit    int
+	out     *vector.Batch
 }
 
-// NewSort builds a full sort over child.
-func NewSort(child Operator, keys []plan.SortKey) *SortOp {
-	s := &SortOp{base: base{schema: child.Schema()}, Child: child, Keys: keys}
+// NewSort builds a sort over child that emits the first n rows of the key
+// order, or all of them when n is 0.
+func NewSort(child Operator, keys []plan.SortKey, n int) *SortOp {
+	s := &SortOp{base: base{schema: child.Schema()}, Child: child, Keys: keys, N: n}
 	s.keyIdx = make([]int, len(keys))
 	for i, k := range keys {
 		s.keyIdx[i] = child.Schema().ColIndex(k.Col)
@@ -96,9 +73,85 @@ func (s *SortOp) Open(ctx *Ctx) error {
 	return s.Child.Open(ctx)
 }
 
+// rowCompare orders physical row a of x against physical row b of y under
+// the sort keys.
+func (s *SortOp) rowCompare(x *vector.Batch, a int, y *vector.Batch, b int) int {
+	for k, idx := range s.keyIdx {
+		if c := colCompare(x.Vecs[idx], a, y.Vecs[idx], b); c != 0 {
+			if s.Keys[k].Desc {
+				return -c
+			}
+			return c
+		}
+	}
+	return 0
+}
+
+// sortArena sets s.order to the arena's rows in (sort keys, arena index)
+// order. Its first sorted rows are in that order already (a cut left
+// them), so it sorts the rest and merges the two runs.
+func (s *SortOp) sortArena(pool *vector.Pool, sorted int) {
+	n := s.arena.Len()
+	s.order = pool.I32.Reserve(s.order[:0], n)[:n]
+	for i := range s.order {
+		s.order[i] = int32(i)
+	}
+	compare := func(a, b int32) int {
+		if c := s.rowCompare(s.arena, int(a), s.arena, int(b)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	slices.SortFunc(s.order[sorted:], compare)
+	if sorted == 0 || sorted == n {
+		return
+	}
+	merged, i := pool.I32.Reserve(s.scratch[:0], n), int32(0)
+	for _, r := range s.order[sorted:] {
+		for ; int(i) < sorted && compare(i, r) < 0; i++ {
+			merged = append(merged, i)
+		}
+		merged = append(merged, r)
+	}
+	merged = append(merged, s.order[i:sorted]...)
+	s.order, s.scratch = merged, s.order
+}
+
+// cut sorts the arena and keeps its first N rows, in order.
+func (s *SortOp) cut(pool *vector.Pool, sorted int) {
+	s.sortArena(pool, sorted)
+	if s.spare == nil {
+		s.spare = pool.GetBatch(s.schema.Types(), s.N)
+	}
+	s.spare.Reset()
+	pool.ReserveBatch(s.spare, s.N)
+	s.spare.AppendBatchIndex(s.arena, s.order[:s.N])
+	s.arena, s.spare = s.spare, s.arena
+}
+
+// admit appends b's rows from logical row lo on that order strictly before
+// arena row N-1, the bound the last cut left, until the arena holds limit
+// rows. It returns the first row it did not look at.
+func (s *SortOp) admit(pool *vector.Pool, b *vector.Batch, lo, limit int) int {
+	n, room := b.Len(), limit-s.arena.Len()
+	s.scratch = pool.I32.Reserve(s.scratch[:0], min(n-lo, room))
+	i := lo
+	for ; i < n && len(s.scratch) < room; i++ {
+		r := b.RowIdx(i)
+		if s.rowCompare(b, r, s.arena, s.N-1) < 0 {
+			s.scratch = append(s.scratch, int32(r))
+		}
+	}
+	pool.ReserveBatch(s.arena, len(s.scratch))
+	s.arena.AppendBatchIndex(b, s.scratch)
+	return i
+}
+
 func (s *SortOp) build(ctx *Ctx) error {
 	pool := ctx.pool()
-	s.rowsIn = pool.GetBatch(s.schema.Types(), ctx.vecSize())
+	s.arena = pool.GetBatch(s.schema.Types(), ctx.vecSize())
+	limit := 2 * s.N // the cut size; 0 for a full sort
+	sorted := 0      // the arena's leading rows the last cut left in order
 	for {
 		b, err := s.Child.Next(ctx)
 		if err != nil {
@@ -107,18 +160,30 @@ func (s *SortOp) build(ctx *Ctx) error {
 		if b == nil {
 			break
 		}
-		// Columnar, selection-aware bulk append into the sort arena.
-		pool.ReserveBatch(s.rowsIn, b.Len())
-		s.rowsIn.AppendBatch(b)
+		for lo, n := 0, b.Len(); lo < n; {
+			if sorted > 0 {
+				lo = s.admit(pool, b, lo, limit)
+			} else {
+				// Columnar, selection-aware bulk append into the arena.
+				hi := n
+				if limit > 0 {
+					hi = lo + min(n-lo, limit-s.arena.Len())
+				}
+				pool.ReserveBatch(s.arena, hi-lo)
+				s.arena.AppendBatchRange(b, lo, hi)
+				lo = hi
+			}
+			if limit > 0 && s.arena.Len() >= limit {
+				s.cut(pool, sorted)
+				sorted = s.N
+				limit = max(2*s.N, min(2*limit, ctx.vecSize()))
+			}
+		}
 	}
-	n := s.rowsIn.Len()
-	s.order = pool.I32.Get(n)[:n]
-	for i := range s.order {
-		s.order[i] = int32(i)
+	s.sortArena(pool, sorted)
+	if s.N > 0 && len(s.order) > s.N {
+		s.order = s.order[:s.N]
 	}
-	sort.SliceStable(s.order, func(a, b int) bool {
-		return rowLess(s.rowsIn, s.Keys, s.keyIdx, int(s.order[a]), int(s.order[b]))
-	})
 	s.built = true
 	return nil
 }
@@ -137,11 +202,8 @@ func (s *SortOp) Next(ctx *Ctx) (*vector.Batch, error) {
 		return nil, nil
 	}
 	s.out.Reset()
-	hi := s.emit + ctx.vecSize()
-	if hi > len(s.order) {
-		hi = len(s.order)
-	}
-	s.out.AppendBatchIndex(s.rowsIn, s.order[s.emit:hi])
+	hi := min(s.emit+ctx.vecSize(), len(s.order))
+	s.out.AppendBatchIndex(s.arena, s.order[s.emit:hi])
 	s.rows += int64(hi - s.emit)
 	s.emit = hi
 	return s.out, nil
@@ -151,9 +213,11 @@ func (s *SortOp) Next(ctx *Ctx) (*vector.Batch, error) {
 func (s *SortOp) Close(ctx *Ctx) error {
 	pool := ctx.pool()
 	pool.PutBatch(s.out)
-	pool.PutBatch(s.rowsIn)
+	pool.PutBatch(s.arena)
+	pool.PutBatch(s.spare)
 	pool.I32.Put(s.order)
-	s.out, s.rowsIn, s.order = nil, nil, nil
+	pool.I32.Put(s.scratch)
+	s.out, s.arena, s.spare, s.order, s.scratch = nil, nil, nil, nil, nil
 	return s.Child.Close(ctx)
 }
 
@@ -166,184 +230,4 @@ func (s *SortOp) Progress() float64 {
 		return 1
 	}
 	return float64(s.emit) / float64(len(s.order))
-}
-
-// TopNOp keeps the N first rows under the sort order using a bounded heap
-// of size N, at O(M log N) as the paper describes for Vectorwise's topN
-// (§IV-B). It never sorts its whole input. The heap arena, its compacted
-// replacements and the order array come from the pool and go back to it.
-type TopNOp struct {
-	base
-	Child  Operator
-	Keys   []plan.SortKey
-	N      int
-	keyIdx []int
-	built  bool
-	rowsIn *vector.Batch // retained candidate rows (heap arena)
-	h      *topHeap
-	order  []int32
-	emit   int
-	out    *vector.Batch
-}
-
-// NewTopN builds a heap-based top-N over child.
-func NewTopN(child Operator, keys []plan.SortKey, n int) *TopNOp {
-	t := &TopNOp{base: base{schema: child.Schema()}, Child: child, Keys: keys, N: n}
-	t.keyIdx = make([]int, len(keys))
-	for i, k := range keys {
-		t.keyIdx[i] = child.Schema().ColIndex(k.Col)
-	}
-	return t
-}
-
-// topHeap is a max-heap of row indexes: the root is the *worst* retained
-// row, so a better incoming row replaces it in O(log N).
-type topHeap struct {
-	rows   *vector.Batch
-	keys   []plan.SortKey
-	keyIdx []int
-	idx    []int32
-}
-
-func (h *topHeap) Len() int { return len(h.idx) }
-func (h *topHeap) Less(a, b int) bool {
-	// Inverted: the heap keeps the largest (worst) at the root.
-	return rowLess(h.rows, h.keys, h.keyIdx, int(h.idx[b]), int(h.idx[a]))
-}
-func (h *topHeap) Swap(a, b int)      { h.idx[a], h.idx[b] = h.idx[b], h.idx[a] }
-func (h *topHeap) Push(x interface{}) { h.idx = append(h.idx, x.(int32)) }
-func (h *topHeap) Pop() interface{} {
-	old := h.idx
-	n := len(old)
-	x := old[n-1]
-	h.idx = old[:n-1]
-	return x
-}
-
-// Open implements Operator.
-func (t *TopNOp) Open(ctx *Ctx) error {
-	t.built = false
-	t.emit = 0
-	t.out = ctx.pool().GetBatch(t.schema.Types(), ctx.vecSize())
-	return t.Child.Open(ctx)
-}
-
-func (t *TopNOp) build(ctx *Ctx) error {
-	pool := ctx.pool()
-	t.rowsIn = pool.GetBatch(t.schema.Types(), ctx.vecSize())
-	t.h = &topHeap{rows: t.rowsIn, keys: t.Keys, keyIdx: t.keyIdx}
-	for {
-		b, err := t.Child.Next(ctx)
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		n := b.Len()
-		// Each input row grows the arena by at most one row.
-		pool.ReserveBatch(t.rowsIn, n)
-		for i := 0; i < n; i++ {
-			if t.h.Len() < t.N {
-				r := int32(t.rowsIn.Len())
-				t.rowsIn.AppendRow(b, i)
-				heap.Push(t.h, r)
-				continue
-			}
-			worst := t.h.idx[0]
-			// Compare incoming row (in b) against the worst retained row
-			// by materializing it temporarily at the arena tail.
-			r := t.rowsIn.Len()
-			t.rowsIn.AppendRow(b, i)
-			if rowLess(t.rowsIn, t.Keys, t.keyIdx, r, int(worst)) {
-				t.h.idx[0] = int32(r)
-				heap.Fix(t.h, 0)
-			} else {
-				truncateBatch(t.rowsIn, r)
-			}
-		}
-		// Compact the arena periodically so it stays O(N).
-		if t.rowsIn.Len() > 4*t.N+ctx.vecSize() {
-			t.compact(pool)
-		}
-	}
-	t.order = append(pool.I32.Get(t.h.Len()), t.h.idx...)
-	sort.SliceStable(t.order, func(a, b int) bool {
-		return rowLess(t.rowsIn, t.Keys, t.keyIdx, int(t.order[a]), int(t.order[b]))
-	})
-	t.built = true
-	return nil
-}
-
-// compact rewrites the arena to contain only retained rows, in a pooled
-// batch the size of the one it replaces, which goes back to the pool.
-func (t *TopNOp) compact(pool *vector.Pool) {
-	fresh := pool.GetBatch(t.schema.Types(), t.rowsIn.Len())
-	fresh.AppendBatchIndex(t.rowsIn, t.h.idx)
-	for i := range t.h.idx {
-		t.h.idx[i] = int32(i)
-	}
-	pool.PutBatch(t.rowsIn)
-	t.rowsIn, t.h.rows = fresh, fresh
-}
-
-// truncateBatch drops rows from position r onward.
-func truncateBatch(b *vector.Batch, r int) {
-	for _, v := range b.Vecs {
-		switch v.Typ {
-		case vector.Int64, vector.Date:
-			v.I64 = v.I64[:r]
-		case vector.Float64:
-			v.F64 = v.F64[:r]
-		case vector.String:
-			v.Str = v.Str[:r]
-		case vector.Bool:
-			v.B = v.B[:r]
-		}
-	}
-}
-
-// Next implements Operator.
-func (t *TopNOp) Next(ctx *Ctx) (*vector.Batch, error) {
-	if err := ctx.Interrupted(); err != nil {
-		return nil, err
-	}
-	if !t.built {
-		if err := t.build(ctx); err != nil {
-			return nil, err
-		}
-	}
-	if t.emit >= len(t.order) {
-		return nil, nil
-	}
-	t.out.Reset()
-	hi := t.emit + ctx.vecSize()
-	if hi > len(t.order) {
-		hi = len(t.order)
-	}
-	t.out.AppendBatchIndex(t.rowsIn, t.order[t.emit:hi])
-	t.rows += int64(hi - t.emit)
-	t.emit = hi
-	return t.out, nil
-}
-
-// Close implements Operator.
-func (t *TopNOp) Close(ctx *Ctx) error {
-	pool := ctx.pool()
-	pool.PutBatch(t.out)
-	pool.PutBatch(t.rowsIn)
-	pool.I32.Put(t.order)
-	t.out, t.rowsIn, t.h, t.order = nil, nil, nil, nil
-	return t.Child.Close(ctx)
-}
-
-// Progress implements Operator.
-func (t *TopNOp) Progress() float64 {
-	if !t.built {
-		return 0
-	}
-	if len(t.order) == 0 {
-		return 1
-	}
-	return float64(t.emit) / float64(len(t.order))
 }

@@ -191,7 +191,8 @@ func NewJoin(jt JoinType, left, right *Node, leftKeys, rightKeys []string) *Node
 		LeftKeys: leftKeys, RightKeys: rightKeys}
 }
 
-// NewTopN builds a heap-based top-N over child.
+// NewTopN builds a top-N over child: the first n rows of the stable sort by
+// keys, tied rows in arrival order.
 func NewTopN(child *Node, keys []SortKey, n int) *Node {
 	return &Node{Op: TopN, Children: []*Node{child}, Keys: keys, N: n}
 }

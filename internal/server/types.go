@@ -207,23 +207,76 @@ func decodeTextParam(oid int32, s string) (any, error) {
 	case oidText, oidVarchar, oidBytea:
 		return s, nil
 	case oidUnknown:
-		// Untyped text parameter: infer numerics and ISO dates — the forms
-		// the engine's implicit coercions understand — and keep everything
-		// else as the string the client sent.
-		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return v, nil
-		}
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
-			return v, nil
-		}
-		if days, err := vector.ParseDate(s); err == nil {
-			return vector.NewDateDatum(days), nil
-		}
-		return s, nil
+		return inferTextParam(s), nil
 	default:
 		// Unrecognized OID in text format: hand the raw text through.
 		return s, nil
 	}
+}
+
+// inferTextParam decodes an untyped text parameter: numerics and ISO dates
+// — the forms the engine's implicit coercions understand — become int64,
+// float64 or a date, and everything else stays the string the client sent.
+// Integer text parses as int64 before any float fallback. The text's shape
+// picks the one parse that can accept it, so a date or a plain string costs
+// no failed parse (each failure allocates an error).
+func inferTextParam(s string) any {
+	switch {
+	case dateShaped(s):
+		if days, err := vector.ParseDate(s); err == nil {
+			return vector.NewDateDatum(days)
+		}
+	case intShaped(s):
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return v
+		}
+		fallthrough // out of int64 range: a float if ParseFloat takes it
+	case floatShaped(s):
+		if v, err := strconv.ParseFloat(s, 64); err == nil {
+			return v
+		}
+	}
+	return s
+}
+
+// dateShaped reports whether s has the one shape vector.ParseDate accepts:
+// ten bytes with '-' at offsets 4 and 7. No integer or float has it.
+func dateShaped(s string) bool {
+	return len(s) == 10 && s[4] == '-' && s[7] == '-'
+}
+
+// intShaped reports whether s is an optional sign and decimal digits, the
+// only text strconv.ParseInt accepts in base 10.
+func intShaped(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+// floatShaped reports whether strconv.ParseFloat may accept s: an optional
+// sign, then a digit or a point, or one of its special values (a signed or
+// unsigned "inf" or "infinity", an unsigned "nan", in any letter case).
+func floatShaped(s string) bool {
+	if strings.EqualFold(s, "nan") {
+		return true
+	}
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	c := s[0]
+	return c >= '0' && c <= '9' || c == '.' || strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity")
 }
 
 func decodeBinaryParam(oid int32, data []byte) (any, error) {

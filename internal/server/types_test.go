@@ -2,15 +2,20 @@ package server
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"recycledb"
 	"recycledb/internal/vector"
 )
 
+// TestDecodeTextParam pins each decode to its value and to
+// refDecodeTextParam, the decoder that tried ParseInt, ParseFloat and
+// ParseDate in turn on untyped text.
 func TestDecodeTextParam(t *testing.T) {
 	big := "9007199254740993" // 2^53+1: must stay an exact int64
 	cases := []struct {
@@ -38,10 +43,34 @@ func TestDecodeTextParam(t *testing.T) {
 		{"unknown_date", oidUnknown, "1996-03-15", vector.NewDateDatum(vector.MustParseDate("1996-03-15")), false},
 		{"unknown_text", oidUnknown, "kangaroo", "kangaroo", false},
 		{"unknown_no_such_day", oidUnknown, "1996-02-30", "1996-02-30", false},
+		{"unknown_big_exact", oidUnknown, big, int64(9007199254740993), false},
+		{"unknown_past_int64", oidUnknown, "9223372036854775808", 9223372036854775808.0, false},
+		{"unknown_minus_zero", oidUnknown, "-0", int64(0), false},
+		{"unknown_minus_zero_float", oidUnknown, "-0.0", math.Copysign(0, -1), false},
+		{"unknown_exponent", oidUnknown, "1e5", 1e5, false},
+		{"unknown_leading_point", oidUnknown, ".5", 0.5, false},
+		{"unknown_underscore", oidUnknown, "1_000", 1000.0, false},
+		{"unknown_nan", oidUnknown, "NaN", math.NaN(), false},
+		{"unknown_signed_nan", oidUnknown, "-nan", "-nan", false},
+		{"unknown_inf", oidUnknown, "inf", math.Inf(1), false},
+		{"unknown_infinity", oidUnknown, "Infinity", math.Inf(1), false},
+		{"unknown_minus_infinity", oidUnknown, "-Infinity", math.Inf(-1), false},
+		{"unknown_infinite", oidUnknown, "infinite", "infinite", false},
+		{"unknown_hex_float", oidUnknown, "0x1p-2", 0.25, false},
+		{"unknown_hex_fraction", oidUnknown, "0x1.8p1", 3.0, false},
+		{"unknown_out_of_range", oidUnknown, "1e400", "1e400", false},
+		{"unknown_iso_date", oidUnknown, "1995-03-15", vector.NewDateDatum(vector.MustParseDate("1995-03-15")), false},
+		{"unknown_short_month", oidUnknown, "1995-3-15", "1995-3-15", false},
+		{"unknown_word", oidUnknown, "BUILDING", "BUILDING", false},
+		{"unknown_empty", oidUnknown, "", "", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := decodeTextParam(tc.oid, tc.in)
+			ref, referr := refDecodeTextParam(tc.oid, tc.in)
+			if (err == nil) != (referr == nil) || !sameParam(got, ref) {
+				t.Fatalf("got %#v, %v; the try-each-parse decoder gives %#v, %v", got, err, ref, referr)
+			}
 			if tc.err {
 				if err == nil {
 					t.Fatalf("want error, got %v", got)
@@ -51,16 +80,111 @@ func TestDecodeTextParam(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gd, ok := got.(vector.Datum); ok {
-				if !gd.Equal(tc.want.(vector.Datum)) {
-					t.Fatalf("got %v, want %v", got, tc.want)
-				}
-				return
-			}
-			if got != tc.want {
+			if !sameParam(got, tc.want) {
 				t.Fatalf("got %#v, want %#v", got, tc.want)
 			}
 		})
+	}
+	// An untyped date or string costs no failed parse: the one allocation
+	// left boxes the result.
+	for _, in := range []string{"1995-03-15", "BUILDING"} {
+		if n := testing.AllocsPerRun(100, func() { _ = inferTextParam(in) }); n > 1 {
+			t.Errorf("untyped %q: %.0f allocations, want at most the result's box", in, n)
+		}
+	}
+}
+
+// FuzzDecodeTextParam checks decodeTextParam against refDecodeTextParam
+// for every type OID and text the fuzzer finds.
+func FuzzDecodeTextParam(f *testing.F) {
+	oids := []int32{oidUnknown, oidInt8, oidNumeric, oidFloat8, oidBool, oidDate, oidText, 9999}
+	for _, s := range []string{"42", "-0", "2.5", "1e5", ".5", "NaN", "+Inf", "0x1p-2", "1_000",
+		"9007199254740993", "1995-03-15", "1995-3-15", "+199-01-02", "BUILDING", "t", ""} {
+		f.Add(uint8(0), s)
+	}
+	f.Fuzz(func(t *testing.T, o uint8, s string) {
+		oid := oids[int(o)%len(oids)]
+		got, err := decodeTextParam(oid, s)
+		want, werr := refDecodeTextParam(oid, s)
+		if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+			t.Fatalf("oid %d %q: error %v, reference %v", oid, s, err, werr)
+		}
+		if !sameParam(got, want) {
+			t.Fatalf("oid %d %q: got %#v, reference %#v", oid, s, got, want)
+		}
+	})
+}
+
+// sameParam reports whether two decoded parameters are the same value of
+// the same type; floats compare by bits, so NaN equals NaN and -0 is not 0.
+func sameParam(a, b any) bool {
+	switch x := a.(type) {
+	case float64:
+		y, ok := b.(float64)
+		return ok && math.Float64bits(x) == math.Float64bits(y)
+	case vector.Datum:
+		y, ok := b.(vector.Datum)
+		return ok && x.Typ == y.Typ && x.Equal(y)
+	}
+	return a == b
+}
+
+// refDecodeTextParam is decodeTextParam as it was before untyped text
+// picked its parse by shape: the reference the shape-directed decoder must
+// match on every input.
+func refDecodeTextParam(oid int32, s string) (any, error) {
+	switch oid {
+	case oidInt2, oidInt4, oidInt8:
+		v, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("invalid integer parameter %q", s)
+		}
+		return v, nil
+	case oidFloat4, oidFloat8, oidNumeric:
+		// Exact-integer numerics stay integers: the engine widens int64 to
+		// float64 where a float is needed, but a float64 round trip would
+		// corrupt integers above 2^53.
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return v, nil
+		}
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			return nil, fmt.Errorf("invalid numeric parameter %q", s)
+		}
+		return v, nil
+	case oidBool:
+		switch strings.ToLower(s) {
+		case "t", "true", "1", "yes", "on", "y":
+			return true, nil
+		case "f", "false", "0", "no", "off", "n":
+			return false, nil
+		}
+		return nil, fmt.Errorf("invalid boolean parameter %q", s)
+	case oidDate:
+		days, err := vector.ParseDate(s)
+		if err != nil {
+			return nil, fmt.Errorf("invalid date parameter %q", s)
+		}
+		return vector.NewDateDatum(days), nil
+	case oidText, oidVarchar, oidBytea:
+		return s, nil
+	case oidUnknown:
+		// Untyped text parameter: infer numerics and ISO dates — the forms
+		// the engine's implicit coercions understand — and keep everything
+		// else as the string the client sent.
+		if v, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return v, nil
+		}
+		if v, err := strconv.ParseFloat(s, 64); err == nil {
+			return v, nil
+		}
+		if days, err := vector.ParseDate(s); err == nil {
+			return vector.NewDateDatum(days), nil
+		}
+		return s, nil
+	default:
+		// Unrecognized OID in text format: hand the raw text through.
+		return s, nil
 	}
 }
 

@@ -7,7 +7,7 @@ package vector
 // the batch's logical rows are Sel[0], Sel[1], ... — ascending indexes into
 // the physical vectors. Predicates produce selections instead of compacting
 // survivors row by row, so a filter is near-zero-copy. Logical accessors
-// (Len, Row, AppendRow, Bytes, Clone, the Append* batch kernels) all honour
+// (Len, Row, Bytes, Clone, the Append* batch kernels) all honour
 // Sel; code that indexes Vecs directly must map logical positions through
 // RowIdx or iterate the selection itself.
 type Batch struct {
@@ -60,14 +60,6 @@ func (b *Batch) Reset() {
 		v.Reset()
 	}
 	b.Sel = nil
-}
-
-// AppendRow appends logical row i of src to b. Schemas must match.
-func (b *Batch) AppendRow(src *Batch, i int) {
-	i = src.RowIdx(i)
-	for c, v := range b.Vecs {
-		v.AppendFrom(src.Vecs[c], i)
-	}
 }
 
 // Row returns logical row i as a slice of datums (for tests and result

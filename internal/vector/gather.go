@@ -1,10 +1,9 @@
 package vector
 
-// Vectorized copy kernels. These replace the engine's row-at-a-time
-// AppendRow loops: the per-row type dispatch of AppendFrom is hoisted out so
-// each column is copied (or gathered through a selection) in one tight typed
-// loop. They are the compaction half of the selection-vector design —
-// consumers that cannot iterate a selection gather it away column-wise.
+// Vectorized copy kernels: each column is copied (or gathered through a
+// selection) in one tight typed loop, with no per-row type dispatch. They
+// are the compaction half of the selection-vector design — consumers that
+// cannot iterate a selection gather it away column-wise.
 
 // RefineSel compacts sel in place to the entries whose flag is set:
 // flags[i] judges logical row i, the row sel[i] selects, so len(flags) must

@@ -153,12 +153,6 @@ func TestBatchSelectionSemantics(t *testing.T) {
 			t.Fatalf("clone row %d = %d, want %d", i, c.Vecs[0].I64[i], want)
 		}
 	}
-	// AppendRow maps logical positions through the source selection.
-	dst := NewBatch([]Type{Int64, String}, 4)
-	dst.AppendRow(b, 2)
-	if dst.Vecs[0].I64[0] != 50 || dst.Vecs[1].Str[0] != "r5" {
-		t.Fatalf("AppendRow through selection: %v %v", dst.Vecs[0].I64, dst.Vecs[1].Str)
-	}
 	// Reset drops the selection.
 	b.Reset()
 	if b.Sel != nil || b.Len() != 0 {

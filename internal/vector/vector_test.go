@@ -166,19 +166,6 @@ func TestDatumCompareMismatchedTypesPanics(t *testing.T) {
 	NewInt64Datum(1).Compare(NewStringDatum("x"))
 }
 
-func TestBatchAppendRow(t *testing.T) {
-	src := NewBatch([]Type{Int64, String}, 2)
-	src.Vecs[0].AppendInt64(10)
-	src.Vecs[0].AppendInt64(20)
-	src.Vecs[1].AppendString("x")
-	src.Vecs[1].AppendString("y")
-	dst := NewBatch([]Type{Int64, String}, 2)
-	dst.AppendRow(src, 1)
-	if dst.Len() != 1 || dst.Vecs[0].I64[0] != 20 || dst.Vecs[1].Str[0] != "y" {
-		t.Fatalf("AppendRow: %+v", dst.Row(0))
-	}
-}
-
 func TestBatchCloneTypesBytes(t *testing.T) {
 	b := NewBatch([]Type{Int64, Float64}, 1)
 	b.Vecs[0].AppendInt64(1)

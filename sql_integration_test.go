@@ -2,10 +2,13 @@ package recycledb
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"recycledb/internal/catalog"
 	"recycledb/internal/sql"
 	"recycledb/internal/tpch"
+	"recycledb/internal/vector"
 )
 
 // SQL-to-recycler integration: queries arriving through the SQL front-end
@@ -72,6 +75,61 @@ func TestSQLJoinQueryThroughEngine(t *testing.T) {
 	r2 := e.mustSQL(t, q)
 	if r2.Stats.Reused == 0 {
 		t.Fatal("join query should reuse")
+	}
+}
+
+// TestTopNTiesMatchOff runs a top-N whose price key ties among the rows
+// near its bound in every mode at Parallelism 1 and 4, three times each:
+// every run must return Off's rows in Off's order. Tied rows keep their scan
+// order, so a top-N is a function of its ordered input: Proactive's
+// topN(10) over a widened topN(10000) returns Off's topN(10), and Off's
+// LIMIT 10 is a prefix of its LIMIT 12.
+func TestTopNTiesMatchOff(t *testing.T) {
+	cat := catalog.New()
+	tpch.Generate(cat, 0.005, 1)
+	q := func(n int) string {
+		return fmt.Sprintf(`SELECT l_orderkey, l_extendedprice FROM lineitem
+		        WHERE l_quantity < 30 ORDER BY l_extendedprice DESC LIMIT %d`, n)
+	}
+	rowsOf := func(r *Result) [][]vector.Datum {
+		var rows [][]vector.Datum
+		for _, b := range r.Raw().Batches {
+			for i := 0; i < b.Len(); i++ {
+				rows = append(rows, b.Row(i))
+			}
+		}
+		return rows
+	}
+	same := func(a, b [][]vector.Datum) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			for c := range a[i] {
+				if !a[i][c].Equal(b[i][c]) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	off := NewWithCatalog(Config{Mode: Off, Parallelism: 1}, cat)
+	want := rowsOf(off.mustSQL(t, q(10)))
+	if len(want) != 10 {
+		t.Fatalf("Off LIMIT 10 returned %d rows", len(want))
+	}
+	if want12 := rowsOf(off.mustSQL(t, q(12))); !same(want, want12[:min(10, len(want12))]) {
+		t.Fatalf("Off LIMIT 10 is not a prefix of LIMIT 12:\n%v\n%v", want, want12)
+	}
+	for _, mode := range []Mode{Off, History, Speculative, Proactive} {
+		for _, par := range []int{1, 4} {
+			e := NewWithCatalog(Config{Mode: mode, Parallelism: par}, cat)
+			for run := 1; run <= 3; run++ {
+				if got := rowsOf(e.mustSQL(t, q(10))); !same(got, want) {
+					t.Fatalf("%v at Parallelism %d, run %d:\n got %v\nwant %v", mode, par, run, got, want)
+				}
+			}
+		}
 	}
 }
 
